@@ -127,20 +127,18 @@ fn bench_cycle_overhead(c: &mut Criterion) {
                 // the threaded legs, and (bare legs) compile + first-replay
                 // the schedule, so iterations see only steady-state cost.
                 for _ in 0..2 {
-                    m.pairwise_keyed(
-                        ScheduleKey::Cross,
-                        |u, _| Some(d.cross_neighbor(u)),
-                        |_, _| (),
-                        |_, _, ()| {},
-                    );
+                    m.cycle(|c| {
+                        c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                            .pairwise()
+                            .keyed(ScheduleKey::Cross)
+                    });
                 }
                 b.iter(|| {
-                    let delivered = m.pairwise_keyed(
-                        ScheduleKey::Cross,
-                        |u, _| Some(d.cross_neighbor(u)),
-                        |_, _| (),
-                        |_, _, ()| {},
-                    );
+                    let delivered = m.cycle(|c| {
+                        c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                            .pairwise()
+                            .keyed(ScheduleKey::Cross)
+                    });
                     m.compute(1, |_, _| {});
                     black_box(delivered);
                 });
@@ -160,7 +158,7 @@ fn bench_cycle_overhead(c: &mut Criterion) {
 /// [`bench_cycle_overhead`]: the same keyed cross-edge exchange, but
 /// lane-batched — K independent `u64` payloads per node ride one
 /// schedule replay, one delivery sweep, and one K-wide fold per cycle
-/// (`pairwise_lanes_keyed`, DESIGN.md §10). The interesting number is
+/// (a `Comm::lanes` cycle, DESIGN.md §10). The interesting number is
 /// the *per-instance* cost: leg time ÷ K, vs the K=1 leg. Sequential
 /// backend, replay on — the §E24 reference configuration. The
 /// seven-run-median protocol lives in the `bench_lanes` binary, which
@@ -191,18 +189,21 @@ fn bench_lane_overhead(c: &mut Criterion) {
 /// `u64` lanes plus a no-op compute step (the lane analog of the §E24
 /// probe cycle).
 fn lane_cycle(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, lanes: usize) -> usize {
-    let delivered = m.pairwise_lanes_keyed(
-        ScheduleKey::Cross,
-        lanes,
-        &0u64,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, &s, window| window.fill(s),
-        |s, _, window| {
-            for w in window.iter() {
-                *s = s.wrapping_add(*w);
-            }
-        },
-    );
+    let delivered = m.cycle(|c| {
+        c.lanes(
+            lanes,
+            &0u64,
+            |u, _| Some(d.cross_neighbor(u)),
+            |_, &s, window| window.fill(s),
+            |s, _, window| {
+                for w in window.iter() {
+                    *s = s.wrapping_add(*w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     m.compute(1, |_, _| {});
     delivered
 }
@@ -236,20 +237,18 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 m.record_into(sink);
             }
             for _ in 0..2 {
-                m.pairwise_keyed(
-                    ScheduleKey::Cross,
-                    |u, _| Some(d.cross_neighbor(u)),
-                    |_, _| (),
-                    |_, _, ()| {},
-                );
+                m.cycle(|c| {
+                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                        .pairwise()
+                        .keyed(ScheduleKey::Cross)
+                });
             }
             b.iter(|| {
-                let delivered = m.pairwise_keyed(
-                    ScheduleKey::Cross,
-                    |u, _| Some(d.cross_neighbor(u)),
-                    |_, _| (),
-                    |_, _, ()| {},
-                );
+                let delivered = m.cycle(|c| {
+                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                        .pairwise()
+                        .keyed(ScheduleKey::Cross)
+                });
                 m.compute(1, |_, _| {});
                 black_box(delivered);
             });

@@ -8,12 +8,13 @@
 //! reported figure is the **median** of the per-run mean cycle times, so
 //! a single noisy invocation on a shared container cannot move the
 //! result. The cycle is the lane analog of the §E24 probe: one keyed
-//! cross-edge `pairwise_lanes_keyed` exchange carrying K `u64` lanes
+//! pairwise cross-edge lane exchange (`Comm::lanes`) carrying K `u64` lanes
 //! plus a no-op compute step.
 //!
 //! Output: a human table on stdout and a machine-readable JSON document
-//! at `--out` (default `BENCH_lanes.json`) — consumed by CI's bench
-//! smoke and by EXPERIMENTS.md §E26.
+//! at `--out` (default `BENCH_lanes.json`, the committed baseline; CI's
+//! smoke writes `BENCH_lanes_fresh.json` and gates it against the
+//! baseline with `bench_compare`) — see EXPERIMENTS.md §E26.
 //!
 //! Flags: `--runs R` (default 7), `--cycles C` (default 200),
 //! `--n N` (dual-cube parameter, default 8), `--out PATH`.
@@ -52,12 +53,11 @@ fn main() {
         .map(|_| {
             let mut m = Machine::with_exec(&d, vec![0u64; d.num_nodes()], ExecMode::Sequential);
             let probe = |m: &mut Machine<'_, DualCube, u64>| {
-                m.pairwise_keyed(
-                    ScheduleKey::Cross,
-                    |u, _| Some(d.cross_neighbor(u)),
-                    |_, _| (),
-                    |_, _, ()| {},
-                );
+                m.cycle(|c| {
+                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                        .pairwise()
+                        .keyed(ScheduleKey::Cross)
+                });
                 m.compute(1, |_, _| {});
             };
             for _ in 0..2 {
@@ -148,17 +148,20 @@ fn main() {
 /// One steady-state lane-batched cycle: keyed cross-edge exchange of K
 /// `u64` lanes plus a no-op compute step.
 fn lane_cycle(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, lanes: usize) {
-    m.pairwise_lanes_keyed(
-        ScheduleKey::Cross,
-        lanes,
-        &0u64,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, &s, window| window.fill(s),
-        |s, _, window| {
-            for w in window.iter() {
-                *s = s.wrapping_add(*w);
-            }
-        },
-    );
+    m.cycle(|c| {
+        c.lanes(
+            lanes,
+            &0u64,
+            |u, _| Some(d.cross_neighbor(u)),
+            |_, &s, window| window.fill(s),
+            |s, _, window| {
+                for w in window.iter() {
+                    *s = s.wrapping_add(*w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     m.compute(1, |_, _| {});
 }

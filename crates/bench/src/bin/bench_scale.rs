@@ -165,7 +165,7 @@ struct SweepConfig {
 
 /// Median over `runs` fresh machines of the mean steady-state cycle
 /// time, in µs, plus the resolved shard count. The probe is the §E24
-/// reference cycle: one keyed cross-edge `pairwise_keyed` exchange of
+/// reference cycle: one keyed, pairwise cross-edge exchange of
 /// `()` plus a no-op compute step — pure delivery machinery, no
 /// algorithm payload. With `recorded`, a ring-buffered memory sink is
 /// installed so every cycle also pays event construction and the
@@ -186,12 +186,11 @@ fn median_cycle_us(d: &DualCube, cfg: &SweepConfig, recorded: bool) -> (f64, usi
                 m.record_into(shared(MemorySink::ring(64)));
             }
             let probe = |m: &mut Machine<'_, DualCube, u64>| {
-                m.pairwise_keyed(
-                    ScheduleKey::Cross,
-                    |u, _| Some(d.cross_neighbor(u)),
-                    |_, _| (),
-                    |_, _, ()| {},
-                );
+                m.cycle(|c| {
+                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
+                        .pairwise()
+                        .keyed(ScheduleKey::Cross)
+                });
                 m.compute(1, |_, _| {});
             };
             for _ in 0..2 {

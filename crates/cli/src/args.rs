@@ -190,22 +190,68 @@ fn parse_lanes(args: &[String]) -> Result<usize, ParseError> {
     Ok(lanes)
 }
 
+/// Rejects any argument of `args` (a subcommand and its arguments)
+/// that the subcommand does not define: more than `positionals`
+/// positional arguments, or a `--flag` that is neither a value-taking
+/// flag in `flags` (whose value is skipped) nor a bare switch in
+/// `switches`. The error names the offending argument.
+fn expect_only(
+    args: &[String],
+    positionals: usize,
+    flags: &[&str],
+    switches: &[&str],
+) -> Result<(), ParseError> {
+    let cmd = &args[0];
+    let mut seen = 0;
+    let mut rest = args[1..].iter();
+    while let Some(a) = rest.next() {
+        if a.starts_with("--") {
+            if flags.contains(&a.as_str()) {
+                rest.next();
+            } else if !switches.contains(&a.as_str()) {
+                return Err(ParseError(format!("unknown flag {a:?} for `{cmd}`")));
+            }
+        } else {
+            seen += 1;
+            if seen > positionals {
+                return Err(ParseError(format!("unexpected argument {a:?} for `{cmd}`")));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Parses the argument list (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
     match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "info" => Ok(Command::Info {
-            n: req(args, 1, "n")?,
-        }),
-        "route" => Ok(Command::Route {
-            n: req(args, 1, "n")?,
-            src: req(args, 2, "src")?,
-            dst: req(args, 3, "dst")?,
-        }),
+        "help" | "--help" | "-h" => {
+            expect_only(args, 0, &[], &[])?;
+            Ok(Command::Help)
+        }
+        "info" => {
+            expect_only(args, 1, &[], &[])?;
+            Ok(Command::Info {
+                n: req(args, 1, "n")?,
+            })
+        }
+        "route" => {
+            expect_only(args, 3, &[], &[])?;
+            Ok(Command::Route {
+                n: req(args, 1, "n")?,
+                src: req(args, 2, "src")?,
+                dst: req(args, 3, "dst")?,
+            })
+        }
         "prefix" => {
+            expect_only(
+                args,
+                1,
+                &["--k", "--lanes", "--op", "--seed"],
+                &["--metrics-json"],
+            )?;
             let n = req(args, 1, "n")?;
             let k = flag(args, "--k")?
                 .map(|v| {
@@ -238,6 +284,12 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "sort" => {
+            expect_only(
+                args,
+                1,
+                &["--algo", "--lanes", "--seed"],
+                &["--metrics-json"],
+            )?;
             let n = req(args, 1, "n")?;
             let algo = match flag(args, "--algo")?.as_deref() {
                 None | Some("bitonic") => SortAlgo::Bitonic,
@@ -262,12 +314,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 metrics_json: switch(args, "--metrics-json"),
             })
         }
-        "broadcast" => Ok(Command::Broadcast {
-            n: req(args, 1, "n")?,
-            root: req(args, 2, "root")?,
-            metrics_json: switch(args, "--metrics-json"),
-        }),
+        "broadcast" => {
+            expect_only(args, 2, &[], &["--metrics-json"])?;
+            Ok(Command::Broadcast {
+                n: req(args, 1, "n")?,
+                root: req(args, 2, "root")?,
+                metrics_json: switch(args, "--metrics-json"),
+            })
+        }
         "trace" => {
+            expect_only(args, 1, &["--n", "--out", "--format"], &[])?;
             let which = match args.get(1).map(String::as_str) {
                 Some("prefix") => DiagramKind::Prefix,
                 Some("sort") => DiagramKind::Sort,
@@ -294,6 +350,21 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         "serve" => {
+            expect_only(
+                args,
+                1,
+                &[
+                    "--op",
+                    "--requests",
+                    "--workers",
+                    "--lanes",
+                    "--seed",
+                    "--stats-every",
+                    "--stats-out",
+                    "--stats-format",
+                ],
+                &["--metrics-json"],
+            )?;
             let n = req(args, 1, "n")?;
             let op = match flag(args, "--op")?.as_deref() {
                 None | Some("prefix") => ServeOp::Prefix,
@@ -352,10 +423,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 stats_format,
             })
         }
-        "experiments" => Ok(Command::Experiments {
-            ids: args[1..].to_vec(),
-        }),
+        "experiments" => {
+            expect_only(args, usize::MAX, &[], &[])?;
+            Ok(Command::Experiments {
+                ids: args[1..].to_vec(),
+            })
+        }
         "diagram" => {
+            expect_only(args, 2, &[], &[])?;
             let n = req(args, 1, "n")?;
             let which = match args.get(2).map(String::as_str) {
                 Some("prefix") | None => DiagramKind::Prefix,
@@ -364,12 +439,18 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             };
             Ok(Command::Diagram { n, which })
         }
-        "hamiltonian" => Ok(Command::Hamiltonian {
-            n: req(args, 1, "n")?,
-        }),
-        "dot" => Ok(Command::Dot {
-            n: req(args, 1, "n")?,
-        }),
+        "hamiltonian" => {
+            expect_only(args, 1, &[], &[])?;
+            Ok(Command::Hamiltonian {
+                n: req(args, 1, "n")?,
+            })
+        }
+        "dot" => {
+            expect_only(args, 1, &[], &[])?;
+            Ok(Command::Dot {
+                n: req(args, 1, "n")?,
+            })
+        }
         other => Err(ParseError(format!(
             "unknown command {other:?}; try `dual-cube help`"
         ))),
@@ -684,5 +765,18 @@ mod tests {
         assert!(p("prefix 3 --op frobnicate").is_err());
         assert!(p("sort 3 --algo quantum").is_err());
         assert!(p("prefix 3 --k").is_err());
+        // Every subcommand rejects arguments it does not define, naming
+        // the first one it cannot place.
+        for (line, culprit) in [
+            ("prefix 3 --lane 4", "--lane"),
+            ("info 3 --bogus extra", "--bogus"),
+            ("info 3 extra", "extra"),
+            ("serve 3 --worker 4", "--worker"),
+        ] {
+            match p(line) {
+                Err(ParseError(msg)) => assert!(msg.contains(culprit), "{line}: {msg}"),
+                Ok(cmd) => panic!("{line} parsed as {cmd:?}"),
+            }
+        }
     }
 }

@@ -94,13 +94,15 @@ pub fn allreduce_reusing<M: Commutative>(
     // the schedules compiled here.
     machine.begin_phase("phase 1: cluster all-reduce");
     for i in 0..d.cluster_dim() {
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Dim(i),
-            |u, _| Some(d.cluster_neighbor(u, i)),
-            |_, st: &ArState<M>| st.own.clone(),
-            |st, _, v| st.temp = Some(v),
-            |m| m.words(),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ArState<M>| Some((d.cluster_neighbor(u, i), st.own.clone())),
+                |st, _, v| st.temp = Some(v),
+            )
+            .words(|m| m.words())
+            .pairwise()
+            .keyed(ScheduleKey::Dim(i))
+        });
         machine.compute(1, |_, st| {
             let v = st.temp.take().expect("pairwise reached every node");
             st.own = st.own.combine(&v);
@@ -109,25 +111,29 @@ pub fn allreduce_reusing<M: Commutative>(
 
     // Phase 2: swap cluster totals over the cross-edges.
     machine.begin_phase("phase 2: cross exchange of cluster totals");
-    machine.pairwise_keyed_sized(
-        ScheduleKey::Cross,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st: &ArState<M>| st.own.clone(),
-        |st, _, v| st.other = v,
-        |m| m.words(),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ArState<M>| Some((d.cross_neighbor(u), st.own.clone())),
+            |st, _, v| st.other = v,
+        )
+        .words(|m| m.words())
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
 
     // Phase 3: butterfly all-reduce of the received totals — yields the
     // other class's grand total at every node.
     machine.begin_phase("phase 3: cluster all-reduce of received totals");
     for i in 0..d.cluster_dim() {
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Dim(i),
-            |u, _| Some(d.cluster_neighbor(u, i)),
-            |_, st: &ArState<M>| st.other.clone(),
-            |st, _, v| st.temp = Some(v),
-            |m| m.words(),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ArState<M>| Some((d.cluster_neighbor(u, i), st.other.clone())),
+                |st, _, v| st.temp = Some(v),
+            )
+            .words(|m| m.words())
+            .pairwise()
+            .keyed(ScheduleKey::Dim(i))
+        });
         machine.compute(1, |_, st| {
             let v = st.temp.take().expect("pairwise reached every node");
             st.other = st.other.combine(&v);
@@ -136,13 +142,15 @@ pub fn allreduce_reusing<M: Commutative>(
 
     // Phase 4: swap grand totals and combine.
     machine.begin_phase("phase 4: cross exchange of grand totals");
-    machine.pairwise_keyed_sized(
-        ScheduleKey::Cross,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st: &ArState<M>| st.other.clone(),
-        |st, _, v| st.temp = Some(v),
-        |m| m.words(),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ArState<M>| Some((d.cross_neighbor(u), st.other.clone())),
+            |st, _, v| st.temp = Some(v),
+        )
+        .words(|m| m.words())
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     machine.compute(1, |_, st| {
         let own_class_total = st.temp.take().expect("pairwise reached every node");
         st.own = own_class_total.combine(&st.other);

@@ -62,63 +62,71 @@ pub fn broadcast<V: Clone + Send + Sync + 'static>(
     // in bits < i+1 only, so each round exactly doubles the holder set.
     machine.begin_phase("phase 1: binomial tree in root cluster");
     for i in 0..d.cluster_dim() {
-        machine.exchange_keyed(
-            ScheduleKey::Window { j: 1, hop: i as u8 },
-            |u, st: &BcastState<V>| {
-                (d.cluster_index(u) == root_cluster && st.value.is_some())
-                    .then(|| (d.cluster_neighbor(u, i), st.value.clone().unwrap()))
-            },
-            |st, _, v| st.value = Some(v),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &BcastState<V>| {
+                    (d.cluster_index(u) == root_cluster && st.value.is_some())
+                        .then(|| (d.cluster_neighbor(u, i), st.value.clone().unwrap()))
+                },
+                |st, _, v| st.value = Some(v),
+            )
+            .keyed(ScheduleKey::Window { j: 1, hop: i as u8 })
+        });
     }
 
     // Phase 2: fan out over the cross-edges to one node of every
     // other-class cluster.
     machine.begin_phase("phase 2: cross-edges out of root cluster");
-    machine.exchange_keyed(
-        ScheduleKey::Custom(2),
-        |u, st: &BcastState<V>| {
-            (d.cluster_index(u) == root_cluster).then(|| {
-                (
-                    d.cross_neighbor(u),
-                    st.value.clone().expect("phase 1 filled the cluster"),
-                )
-            })
-        },
-        |st, _, v| st.value = Some(v),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &BcastState<V>| {
+                (d.cluster_index(u) == root_cluster).then(|| {
+                    (
+                        d.cross_neighbor(u),
+                        st.value.clone().expect("phase 1 filled the cluster"),
+                    )
+                })
+            },
+            |st, _, v| st.value = Some(v),
+        )
+        .keyed(ScheduleKey::Custom(2))
+    });
 
     // Phase 3: binomial trees inside every other-class cluster at once.
     machine.begin_phase("phase 3: binomial trees in other-class clusters");
     for i in 0..d.cluster_dim() {
-        machine.exchange_keyed(
-            ScheduleKey::Window { j: 3, hop: i as u8 },
-            |u, st: &BcastState<V>| {
-                (d.class_of(u) != root_class && st.value.is_some())
-                    .then(|| (d.cluster_neighbor(u, i), st.value.clone().unwrap()))
-            },
-            |st, _, v| st.value = Some(v),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &BcastState<V>| {
+                    (d.class_of(u) != root_class && st.value.is_some())
+                        .then(|| (d.cluster_neighbor(u, i), st.value.clone().unwrap()))
+                },
+                |st, _, v| st.value = Some(v),
+            )
+            .keyed(ScheduleKey::Window { j: 3, hop: i as u8 })
+        });
     }
 
     // Phase 4: cross-edges back, covering the remaining root-class nodes.
     machine.begin_phase("phase 4: cross-edges back");
-    machine.exchange_keyed(
-        ScheduleKey::Custom(4),
-        |u, st: &BcastState<V>| {
-            (d.class_of(u) != root_class).then(|| {
-                (
-                    d.cross_neighbor(u),
-                    st.value.clone().expect("phase 3 filled the class"),
-                )
-            })
-        },
-        |st, _, v| {
-            if st.value.is_none() {
-                st.value = Some(v);
-            }
-        },
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &BcastState<V>| {
+                (d.class_of(u) != root_class).then(|| {
+                    (
+                        d.cross_neighbor(u),
+                        st.value.clone().expect("phase 3 filled the class"),
+                    )
+                })
+            },
+            |st, _, v| {
+                if st.value.is_none() {
+                    st.value = Some(v);
+                }
+            },
+        )
+        .keyed(ScheduleKey::Custom(4))
+    });
 
     let (states, metrics) = machine.into_parts();
     BroadcastRun {

@@ -108,12 +108,14 @@ pub fn tree_broadcast<T: Topology + ?Sized + Sync, V: Clone + Send + Sync + 'sta
         if !senders.iter().any(|&b| b) {
             break;
         }
-        machine.exchange(
-            |u, st: &TreeState<V>| {
-                senders[u].then(|| (st.pending[0], st.value.clone().expect("informed")))
-            },
-            |st, _, v| st.value = Some(v),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &TreeState<V>| {
+                    senders[u].then(|| (st.pending[0], st.value.clone().expect("informed")))
+                },
+                |st, _, v| st.value = Some(v),
+            )
+        });
         machine.setup(|u, st| {
             if senders[u] {
                 st.pending.remove(0);

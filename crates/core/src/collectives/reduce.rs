@@ -72,18 +72,20 @@ pub fn reduce<M: Commutative>(d: &DualCube, root: NodeId, values: &[M]) -> Reduc
 
     // Phase 1: class-X contributions hop across; receivers fold.
     machine.begin_phase("phase 1: root-class contributions cross over");
-    machine.exchange_keyed_sized(
-        ScheduleKey::Custom(1),
-        |u, st: &ReduceState<M>| {
-            (d.class_of(u) == root_class)
-                .then(|| (d.cross_neighbor(u), st.acc.clone().expect("unspent")))
-        },
-        |st, _, v| {
-            let own = st.acc.take().expect("unspent");
-            st.acc = Some(own.combine(&v));
-        },
-        |m| m.words(),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ReduceState<M>| {
+                (d.class_of(u) == root_class)
+                    .then(|| (d.cross_neighbor(u), st.acc.clone().expect("unspent")))
+            },
+            |st, _, v| {
+                let own = st.acc.take().expect("unspent");
+                st.acc = Some(own.combine(&v));
+            },
+        )
+        .words(|m| m.words())
+        .keyed(ScheduleKey::Custom(1))
+    });
     machine.setup(|u, st| {
         if d.class_of(u) == root_class {
             st.acc = None;
@@ -96,26 +98,28 @@ pub fn reduce<M: Commutative>(d: &DualCube, root: NodeId, values: &[M]) -> Reduc
     // representative's exactly at bit i (and nowhere above) move.
     machine.begin_phase("phase 2: cluster reduction in other class");
     for i in (0..d.cluster_dim()).rev() {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j: 2, hop: i as u8 },
-            |u, st: &ReduceState<M>| {
-                if d.class_of(u) == root_class {
-                    return None;
-                }
-                let rel = d.node_id(u) ^ rep_position;
-                (rel >> i == 1).then(|| {
-                    (
-                        d.cluster_neighbor(u, i),
-                        st.acc.clone().expect("still holding a partial"),
-                    )
-                })
-            },
-            |st, _, v| {
-                let own = st.acc.take().expect("receiver holds a partial");
-                st.acc = Some(own.combine(&v));
-            },
-            |m| m.words(),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ReduceState<M>| {
+                    if d.class_of(u) == root_class {
+                        return None;
+                    }
+                    let rel = d.node_id(u) ^ rep_position;
+                    (rel >> i == 1).then(|| {
+                        (
+                            d.cluster_neighbor(u, i),
+                            st.acc.clone().expect("still holding a partial"),
+                        )
+                    })
+                },
+                |st, _, v| {
+                    let own = st.acc.take().expect("receiver holds a partial");
+                    st.acc = Some(own.combine(&v));
+                },
+            )
+            .words(|m| m.words())
+            .keyed(ScheduleKey::Window { j: 2, hop: i as u8 })
+        });
         machine.setup(|u, st| {
             if d.class_of(u) != root_class && (d.node_id(u) ^ rep_position) >> i == 1 {
                 st.acc = None;
@@ -126,48 +130,52 @@ pub fn reduce<M: Commutative>(d: &DualCube, root: NodeId, values: &[M]) -> Reduc
 
     // Phase 3: per-cluster partials cross into the root's cluster.
     machine.begin_phase("phase 3: partials cross into root cluster");
-    machine.exchange_keyed_sized(
-        ScheduleKey::Custom(3),
-        |u, st: &ReduceState<M>| {
-            (d.class_of(u) != root_class && d.node_id(u) == rep_position).then(|| {
-                (
-                    d.cross_neighbor(u),
-                    st.acc.clone().expect("cluster partial"),
-                )
-            })
-        },
-        |st, _, v| {
-            // Root-cluster members spent their own value in phase 1.
-            debug_assert!(st.acc.is_none());
-            st.acc = Some(v);
-        },
-        |m| m.words(),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ReduceState<M>| {
+                (d.class_of(u) != root_class && d.node_id(u) == rep_position).then(|| {
+                    (
+                        d.cross_neighbor(u),
+                        st.acc.clone().expect("cluster partial"),
+                    )
+                })
+            },
+            |st, _, v| {
+                // Root-cluster members spent their own value in phase 1.
+                debug_assert!(st.acc.is_none());
+                st.acc = Some(v);
+            },
+        )
+        .words(|m| m.words())
+        .keyed(ScheduleKey::Custom(3))
+    });
     machine.compute_counted(1, d.clusters_per_class() as u64, |_, _| {});
 
     // Phase 4: binomial reduction inside the root's cluster to the root.
     machine.begin_phase("phase 4: cluster reduction to root");
     for i in (0..d.cluster_dim()).rev() {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j: 4, hop: i as u8 },
-            |u, st: &ReduceState<M>| {
-                if d.cluster_index(u) != d.cluster_index(root) {
-                    return None;
-                }
-                let rel = d.node_id(u) ^ root_node_id;
-                (rel >> i == 1).then(|| {
-                    (
-                        d.cluster_neighbor(u, i),
-                        st.acc.clone().expect("still holding a partial"),
-                    )
-                })
-            },
-            |st, _, v| {
-                let own = st.acc.take().expect("receiver holds a partial");
-                st.acc = Some(own.combine(&v));
-            },
-            |m| m.words(),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ReduceState<M>| {
+                    if d.cluster_index(u) != d.cluster_index(root) {
+                        return None;
+                    }
+                    let rel = d.node_id(u) ^ root_node_id;
+                    (rel >> i == 1).then(|| {
+                        (
+                            d.cluster_neighbor(u, i),
+                            st.acc.clone().expect("still holding a partial"),
+                        )
+                    })
+                },
+                |st, _, v| {
+                    let own = st.acc.take().expect("receiver holds a partial");
+                    st.acc = Some(own.combine(&v));
+                },
+            )
+            .words(|m| m.words())
+            .keyed(ScheduleKey::Window { j: 4, hop: i as u8 })
+        });
         machine.compute_counted(1, 1 << i, |_, _| {});
     }
 

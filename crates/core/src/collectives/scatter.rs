@@ -80,24 +80,26 @@ pub fn scatter<V: Clone + Send + Sync + 'static>(
     // with p above bit i by induction).
     machine.begin_phase("phase 1: binomial scatter in root cluster");
     for i in (0..d.cluster_dim()).rev() {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j: 1, hop: i as u8 },
-            |u, st: &ScatterState<V>| {
-                if d.cluster_index(u) != root_cluster || st.items.is_empty() {
-                    return None;
-                }
-                let p = d.node_id(u);
-                let outgoing: Vec<(NodeId, V)> = st
-                    .items
-                    .iter()
-                    .filter(|(dst, _)| bit(resp(*dst), i) != bit(p, i))
-                    .cloned()
-                    .collect();
-                (!outgoing.is_empty()).then(|| (d.cluster_neighbor(u, i), outgoing))
-            },
-            |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
-            |items| items.len() as u64,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ScatterState<V>| {
+                    if d.cluster_index(u) != root_cluster || st.items.is_empty() {
+                        return None;
+                    }
+                    let p = d.node_id(u);
+                    let outgoing: Vec<(NodeId, V)> = st
+                        .items
+                        .iter()
+                        .filter(|(dst, _)| bit(resp(*dst), i) != bit(p, i))
+                        .cloned()
+                        .collect();
+                    (!outgoing.is_empty()).then(|| (d.cluster_neighbor(u, i), outgoing))
+                },
+                |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
+            )
+            .words(|items| items.len() as u64)
+            .keyed(ScheduleKey::Window { j: 1, hop: i as u8 })
+        });
         // Senders drop what they passed on (local bookkeeping, free).
         machine.setup(|u, st| {
             if d.cluster_index(u) == root_cluster {
@@ -110,23 +112,25 @@ pub fn scatter<V: Clone + Send + Sync + 'static>(
     // Phase 2: each root-cluster member keeps its own item and crosses
     // with the rest.
     machine.begin_phase("phase 2: cross-edges out of root cluster");
-    machine.exchange_keyed_sized(
-        ScheduleKey::Custom(2),
-        |u, st: &ScatterState<V>| {
-            if d.cluster_index(u) != root_cluster {
-                return None;
-            }
-            let outgoing: Vec<(NodeId, V)> = st
-                .items
-                .iter()
-                .filter(|(dst, _)| *dst != u)
-                .cloned()
-                .collect();
-            (!outgoing.is_empty()).then(|| (d.cross_neighbor(u), outgoing))
-        },
-        |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
-        |items| items.len() as u64,
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ScatterState<V>| {
+                if d.cluster_index(u) != root_cluster {
+                    return None;
+                }
+                let outgoing: Vec<(NodeId, V)> = st
+                    .items
+                    .iter()
+                    .filter(|(dst, _)| *dst != u)
+                    .cloned()
+                    .collect();
+                (!outgoing.is_empty()).then(|| (d.cross_neighbor(u), outgoing))
+            },
+            |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
+        )
+        .words(|items| items.len() as u64)
+        .keyed(ScheduleKey::Custom(2))
+    });
     machine.setup(|u, st| {
         if d.cluster_index(u) == root_cluster {
             st.items.retain(|(dst, _)| *dst == u);
@@ -139,35 +143,37 @@ pub fn scatter<V: Clone + Send + Sync + 'static>(
     // binomial tree in lockstep.
     machine.begin_phase("phase 3: binomial scatter in other-class clusters");
     for i in (0..d.cluster_dim()).rev() {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j: 3, hop: i as u8 },
-            |u, st: &ScatterState<V>| {
-                if d.class_of(u) == root_class || st.items.is_empty() {
-                    return None;
-                }
-                let p = other_node_id(u);
-                let outgoing: Vec<(NodeId, V)> = st
-                    .items
-                    .iter()
-                    .filter(|(dst, _)| {
-                        // Route over the destination's position within
-                        // *this* class: its node id if it lives here, or
-                        // its exit position (its part II under a class-0
-                        // root) if it returns across in phase 4. Both are
-                        // the same field:
-                        let pos = match root_class {
-                            Class::Zero => d.part2(*dst),
-                            Class::One => d.part1(*dst),
-                        };
-                        bit(pos, i) != bit(p, i)
-                    })
-                    .cloned()
-                    .collect();
-                (!outgoing.is_empty()).then(|| (d.cluster_neighbor(u, i), outgoing))
-            },
-            |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
-            |items| items.len() as u64,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &ScatterState<V>| {
+                    if d.class_of(u) == root_class || st.items.is_empty() {
+                        return None;
+                    }
+                    let p = other_node_id(u);
+                    let outgoing: Vec<(NodeId, V)> = st
+                        .items
+                        .iter()
+                        .filter(|(dst, _)| {
+                            // Route over the destination's position within
+                            // *this* class: its node id if it lives here, or
+                            // its exit position (its part II under a class-0
+                            // root) if it returns across in phase 4. Both are
+                            // the same field:
+                            let pos = match root_class {
+                                Class::Zero => d.part2(*dst),
+                                Class::One => d.part1(*dst),
+                            };
+                            bit(pos, i) != bit(p, i)
+                        })
+                        .cloned()
+                        .collect();
+                    (!outgoing.is_empty()).then(|| (d.cluster_neighbor(u, i), outgoing))
+                },
+                |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
+            )
+            .words(|items| items.len() as u64)
+            .keyed(ScheduleKey::Window { j: 3, hop: i as u8 })
+        });
         machine.setup(|u, st| {
             if d.class_of(u) != root_class {
                 let p = other_node_id(u);
@@ -184,23 +190,25 @@ pub fn scatter<V: Clone + Send + Sync + 'static>(
 
     // Phase 4: deliver the returning items over the cross-edges.
     machine.begin_phase("phase 4: cross-edges back");
-    machine.exchange_keyed_sized(
-        ScheduleKey::Custom(4),
-        |u, st: &ScatterState<V>| {
-            if d.class_of(u) == root_class {
-                return None;
-            }
-            let outgoing: Vec<(NodeId, V)> = st
-                .items
-                .iter()
-                .filter(|(dst, _)| *dst != u)
-                .cloned()
-                .collect();
-            (!outgoing.is_empty()).then(|| (d.cross_neighbor(u), outgoing))
-        },
-        |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
-        |items| items.len() as u64,
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st: &ScatterState<V>| {
+                if d.class_of(u) == root_class {
+                    return None;
+                }
+                let outgoing: Vec<(NodeId, V)> = st
+                    .items
+                    .iter()
+                    .filter(|(dst, _)| *dst != u)
+                    .cloned()
+                    .collect();
+                (!outgoing.is_empty()).then(|| (d.cross_neighbor(u), outgoing))
+            },
+            |st, _, items: Vec<(NodeId, V)>| st.items.extend(items),
+        )
+        .words(|items| items.len() as u64)
+        .keyed(ScheduleKey::Custom(4))
+    });
     machine.setup(|u, st| st.items.retain(|(dst, _)| *dst == u));
 
     let (states, metrics) = machine.into_parts();

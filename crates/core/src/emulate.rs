@@ -104,49 +104,61 @@ pub fn exchange_dim_sized<V: Clone + Send + Sync + 'static>(
     if j == 0 {
         // Cross-edges exist at every node: a single cycle. The pattern
         // depends only on the topology, so sweeps replay it by key.
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Cross,
-            |r, _| Some(r ^ 1),
-            |_, st| st.value.clone(),
-            |st, _, v| st.partner = Some(v),
-            &size,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |r, st| Some((r ^ 1, st.value.clone())),
+                |st, _, v| st.partner = Some(v),
+            )
+            .words(&size)
+            .pairwise()
+            .keyed(ScheduleKey::Cross)
+        });
     } else {
         // Cycle 1: linkless nodes hand their value across dimension 0.
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j, hop: 0 },
-            |r, st| (!rec.has_direct_edge(r, j)).then(|| (r ^ 1, st.value.clone())),
-            |st, _, v| st.fwd = Some(v),
-            &size,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |r, st| (!rec.has_direct_edge(r, j)).then(|| (r ^ 1, st.value.clone())),
+                |st, _, v| st.fwd = Some(v),
+            )
+            .words(&size)
+            .keyed(ScheduleKey::Window { j, hop: 0 })
+        });
         // Cycle 2: linked nodes exchange (own, forwarded) along dimension j.
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Window { j, hop: 1 },
-            |r, _| rec.has_direct_edge(r, j).then(|| r ^ (1usize << j)),
-            |_, st| {
-                (
-                    st.value.clone(),
-                    st.fwd.clone().expect("cycle 1 filled the forward buffer"),
-                )
-            },
-            |st, _, (own, fwd)| {
-                st.partner = Some(own);
-                st.fwd = Some(fwd);
-            },
-            |(a, b)| size(a) + size(b),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |r, st| {
+                    rec.has_direct_edge(r, j).then(|| {
+                        (r ^ (1usize << j), {
+                            (
+                                st.value.clone(),
+                                st.fwd.clone().expect("cycle 1 filled the forward buffer"),
+                            )
+                        })
+                    })
+                },
+                |st, _, (own, fwd)| {
+                    st.partner = Some(own);
+                    st.fwd = Some(fwd);
+                },
+            )
+            .words(|(a, b)| size(a) + size(b))
+            .pairwise()
+            .keyed(ScheduleKey::Window { j, hop: 1 })
+        });
         // Cycle 3: forwarded values return across dimension 0; the
         // received value is exactly the linkless node's partner's value
         // (see the path algebra in the module docs).
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window { j, hop: 2 },
-            |r, st| {
-                rec.has_direct_edge(r, j)
-                    .then(|| (r ^ 1, st.fwd.clone().expect("cycle 2 refilled it")))
-            },
-            |st, _, v| st.partner = Some(v),
-            &size,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |r, st| {
+                    rec.has_direct_edge(r, j)
+                        .then(|| (r ^ 1, st.fwd.clone().expect("cycle 2 refilled it")))
+                },
+                |st, _, v| st.partner = Some(v),
+            )
+            .words(&size)
+            .keyed(ScheduleKey::Window { j, hop: 2 })
+        });
         machine.setup(|_, st| st.fwd = None);
     }
     machine.compute(1, |r, st| {
@@ -219,50 +231,60 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
         }
     };
     if j == 0 {
-        machine.pairwise_lanes_keyed(
-            ScheduleKey::Cross,
-            lanes,
-            seed,
-            |r, _| Some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.values),
-            |st, _, window| swap_into(&mut st.partner, window),
-        );
+        machine.cycle(|c| {
+            c.lanes(
+                lanes,
+                seed,
+                |r, _| Some(r ^ 1),
+                |_, st, window| window.clone_from_slice(&st.values),
+                |st, _, window| swap_into(&mut st.partner, window),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Cross)
+        });
     } else {
         // Cycle 1: linkless nodes hand their K values across dimension 0.
-        machine.exchange_lanes_keyed(
-            ScheduleKey::Window { j, hop: 0 },
-            lanes,
-            seed,
-            |r, _| (!rec.has_direct_edge(r, j)).then_some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.values),
-            |st, _, window| swap_into(&mut st.fwd, window),
-        );
+        machine.cycle(|c| {
+            c.lanes(
+                lanes,
+                seed,
+                |r, _| (!rec.has_direct_edge(r, j)).then_some(r ^ 1),
+                |_, st, window| window.clone_from_slice(&st.values),
+                |st, _, window| swap_into(&mut st.fwd, window),
+            )
+            .keyed(ScheduleKey::Window { j, hop: 0 })
+        });
         // Cycle 2: linked nodes exchange (own, forwarded) along dimension
         // j — 2K lanes per message, own values first.
-        machine.pairwise_lanes_keyed(
-            ScheduleKey::Window { j, hop: 1 },
-            2 * lanes,
-            seed,
-            |r, _| rec.has_direct_edge(r, j).then(|| r ^ (1usize << j)),
-            |_, st, window| {
-                window[..lanes].clone_from_slice(&st.values);
-                window[lanes..].clone_from_slice(&st.fwd);
-            },
-            |st, _, window| {
-                let (own, fwd) = window.split_at_mut(lanes);
-                swap_into(&mut st.partner, own);
-                swap_into(&mut st.fwd, fwd);
-            },
-        );
+        machine.cycle(|c| {
+            c.lanes(
+                2 * lanes,
+                seed,
+                |r, _| rec.has_direct_edge(r, j).then(|| r ^ (1usize << j)),
+                |_, st, window| {
+                    window[..lanes].clone_from_slice(&st.values);
+                    window[lanes..].clone_from_slice(&st.fwd);
+                },
+                |st, _, window| {
+                    let (own, fwd) = window.split_at_mut(lanes);
+                    swap_into(&mut st.partner, own);
+                    swap_into(&mut st.fwd, fwd);
+                },
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Window { j, hop: 1 })
+        });
         // Cycle 3: forwarded values return across dimension 0.
-        machine.exchange_lanes_keyed(
-            ScheduleKey::Window { j, hop: 2 },
-            lanes,
-            seed,
-            |r, _| rec.has_direct_edge(r, j).then_some(r ^ 1),
-            |_, st, window| window.clone_from_slice(&st.fwd),
-            |st, _, window| swap_into(&mut st.partner, window),
-        );
+        machine.cycle(|c| {
+            c.lanes(
+                lanes,
+                seed,
+                |r, _| rec.has_direct_edge(r, j).then_some(r ^ 1),
+                |_, st, window| window.clone_from_slice(&st.fwd),
+                |st, _, window| swap_into(&mut st.partner, window),
+            )
+            .keyed(ScheduleKey::Window { j, hop: 2 })
+        });
     }
     machine.compute(1, |r, st| {
         for k in 0..st.values.len() {

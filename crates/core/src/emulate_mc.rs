@@ -61,13 +61,15 @@ pub fn mc_exchange_dim<V: Clone + Send + Sync + 'static>(
     let m = mc.m();
     if j < k {
         // Class dimension: direct cross-edges everywhere.
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Dim(j),
-            |u, _| Some(mc.cross_neighbor(u, j)),
-            |_, st: &McEmuState<V>| st.value.clone(),
-            |st, _, v| st.recv = Some(v),
-            &size,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &McEmuState<V>| Some((mc.cross_neighbor(u, j), st.value.clone())),
+                |st, _, v| st.recv = Some(v),
+            )
+            .words(&size)
+            .pairwise()
+            .keyed(ScheduleKey::Dim(j))
+        });
     } else {
         let f = ((j - k) / m) as usize;
         let bit_in_field = (j - k) % m;
@@ -78,19 +80,21 @@ pub fn mc_exchange_dim<V: Clone + Send + Sync + 'static>(
         // Hop patterns depend only on (f, stage), not on which bit of the
         // field is exchanged — same key scheme as `prefix::metacube`.
         for i in 0..k {
-            machine.exchange_keyed_sized(
-                ScheduleKey::Window {
+            machine.cycle(|c| {
+                c.message(
+                    |u, st: &McEmuState<V>| {
+                        let rel = mc.class_of(u) ^ f;
+                        (rel != 0 && rel.trailing_zeros() == i && !st.bag.is_empty())
+                            .then(|| (mc.cross_neighbor(u, i), st.bag.clone()))
+                    },
+                    |st, _, bag: Vec<(usize, V)>| st.bag.extend(bag),
+                )
+                .words(|bag| bag.iter().map(|(_, v)| size(v)).sum())
+                .keyed(ScheduleKey::Window {
                     j: f as u32,
                     hop: i as u8,
-                },
-                |u, st: &McEmuState<V>| {
-                    let rel = mc.class_of(u) ^ f;
-                    (rel != 0 && rel.trailing_zeros() == i && !st.bag.is_empty())
-                        .then(|| (mc.cross_neighbor(u, i), st.bag.clone()))
-                },
-                |st, _, bag: Vec<(usize, V)>| st.bag.extend(bag),
-                |bag| bag.iter().map(|(_, v)| size(v)).sum(),
-            );
+                })
+            });
             machine.setup(|u, st| {
                 let rel = mc.class_of(u) ^ f;
                 if rel != 0 && rel.trailing_zeros() == i {
@@ -99,16 +103,18 @@ pub fn mc_exchange_dim<V: Clone + Send + Sync + 'static>(
             });
         }
         // Real exchange between class-f companions.
-        machine.pairwise_keyed_sized(
-            ScheduleKey::Dim(j),
-            |u, st: &McEmuState<V>| {
-                (mc.class_of(u) == f && !st.bag.is_empty())
-                    .then(|| mc.cube_neighbor(u, bit_in_field))
-            },
-            |_, st| st.bag.clone(),
-            |st, _, bag: Vec<(usize, V)>| st.bag = bag,
-            |bag| bag.iter().map(|(_, v)| size(v)).sum(),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st| {
+                    (mc.class_of(u) == f && !st.bag.is_empty())
+                        .then(|| (mc.cube_neighbor(u, bit_in_field), st.bag.clone()))
+                },
+                |st, _, bag: Vec<(usize, V)>| st.bag = bag,
+            )
+            .words(|bag| bag.iter().map(|(_, v)| size(v)).sum())
+            .pairwise()
+            .keyed(ScheduleKey::Dim(j))
+        });
         machine.setup(|u, st| {
             if mc.class_of(u) == f {
                 let mine = st
@@ -123,27 +129,29 @@ pub fn mc_exchange_dim<V: Clone + Send + Sync + 'static>(
         });
         // Outbound binomial scatter of the partner bag.
         for i in (0..k).rev() {
-            machine.exchange_keyed_sized(
-                ScheduleKey::Window {
+            machine.cycle(|c| {
+                c.message(
+                    |u, st: &McEmuState<V>| {
+                        let rel = mc.class_of(u) ^ f;
+                        if rel & ((1 << (i + 1)) - 1) != 0 || st.bag.is_empty() {
+                            return None;
+                        }
+                        let outgoing: Vec<(usize, V)> = st
+                            .bag
+                            .iter()
+                            .filter(|(c, _)| (c ^ f) >> i & 1 == 1)
+                            .cloned()
+                            .collect();
+                        (!outgoing.is_empty()).then(|| (mc.cross_neighbor(u, i), outgoing))
+                    },
+                    |st, _, bag: Vec<(usize, V)>| st.bag = bag,
+                )
+                .words(|bag| bag.iter().map(|(_, v)| size(v)).sum())
+                .keyed(ScheduleKey::Window {
                     j: f as u32,
                     hop: (k + i) as u8,
-                },
-                |u, st: &McEmuState<V>| {
-                    let rel = mc.class_of(u) ^ f;
-                    if rel & ((1 << (i + 1)) - 1) != 0 || st.bag.is_empty() {
-                        return None;
-                    }
-                    let outgoing: Vec<(usize, V)> = st
-                        .bag
-                        .iter()
-                        .filter(|(c, _)| (c ^ f) >> i & 1 == 1)
-                        .cloned()
-                        .collect();
-                    (!outgoing.is_empty()).then(|| (mc.cross_neighbor(u, i), outgoing))
-                },
-                |st, _, bag: Vec<(usize, V)>| st.bag = bag,
-                |bag| bag.iter().map(|(_, v)| size(v)).sum(),
-            );
+                })
+            });
             machine.setup(|u, st| {
                 let rel = mc.class_of(u) ^ f;
                 if rel & ((1 << (i + 1)) - 1) == 0 {

@@ -195,11 +195,13 @@ where
     loop {
         let dropped_before = machine.metrics().dropped_messages;
         let dest_of = &*dest_of;
-        machine.exchange_sized(
-            |u, st| dest_of[u].map(|dst| (dst, plan_msg(u, st))),
-            &deliver,
-            &words,
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st| dest_of[u].map(|dst| (dst, plan_msg(u, st))),
+                &deliver,
+            )
+            .words(&words)
+        });
         if machine.metrics().dropped_messages == dropped_before {
             return retries;
         }

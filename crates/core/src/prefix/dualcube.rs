@@ -169,12 +169,14 @@ pub fn d_prefix<M: Monoid>(
     // Step 2: exchange cluster totals over the cross-edges (the same
     // compiled pattern step 4 replays).
     machine.begin_phase("step 2: exchange totals via cross-edges");
-    machine.pairwise_keyed(
-        ScheduleKey::Cross,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st| st.t.clone(),
-        |st, _, t| st.temp = Some(t),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st| Some((d.cross_neighbor(u), st.t.clone())),
+            |st, _, t| st.temp = Some(t),
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     // Seed the step-3 scan variables (a free data movement inside the
     // node, like Algorithm 1's initialisation).
     machine.setup(|_, st| {
@@ -193,12 +195,14 @@ pub fn d_prefix<M: Monoid>(
 
     // Step 4: exchange s′ and fold it in on the left everywhere.
     machine.begin_phase("step 4: exchange s' and combine");
-    machine.pairwise_keyed(
-        ScheduleKey::Cross,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st| st.s2.clone(),
-        |st, _, s2| st.temp = Some(s2),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st| Some((d.cross_neighbor(u), st.s2.clone())),
+            |st, _, s2| st.temp = Some(s2),
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     machine.compute(1, |_, st| {
         let temp = st.temp.take().expect("cross exchange reaches every node");
         st.s = temp.combine(&st.s);
@@ -210,11 +214,13 @@ pub fn d_prefix<M: Monoid>(
     // theorem's arithmetic counts.
     machine.begin_phase("step 5: class-1 folds in class-0 grand total");
     if step5 == Step5Mode::PaperFaithful {
-        machine.exchange_keyed(
-            ScheduleKey::Custom(0),
-            |u, st| (d.class_of(u) == Class::One).then(|| (d.cross_neighbor(u), st.t2.clone())),
-            |st, _, t2| st.temp = Some(t2),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st| (d.class_of(u) == Class::One).then(|| (d.cross_neighbor(u), st.t2.clone())),
+                |st, _, t2| st.temp = Some(t2),
+            )
+            .keyed(ScheduleKey::Custom(0))
+        });
         // The delivered value is the receiver's own class's grand total —
         // not needed; discard (see module docs).
         machine.setup(|_, st| {
@@ -358,18 +364,21 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
 
     // Step 2: exchange cluster totals over the cross-edges.
     machine.begin_phase("step 2: exchange totals via cross-edges");
-    machine.pairwise_lanes_keyed(
-        ScheduleKey::Cross,
-        lanes,
-        &seed,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st, window| window.clone_from_slice(&st.t),
-        |st, _, window| {
-            for (t, w) in st.temp.iter_mut().zip(window) {
-                std::mem::swap(t, w);
-            }
-        },
-    );
+    machine.cycle(|c| {
+        c.lanes(
+            lanes,
+            &seed,
+            |u, _| Some(d.cross_neighbor(u)),
+            |_, st, window| window.clone_from_slice(&st.t),
+            |st, _, window| {
+                for (t, w) in st.temp.iter_mut().zip(window) {
+                    std::mem::swap(t, w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     machine.setup(|_, st| {
         for k in 0..st.t2.len() {
             st.t2[k] = std::mem::replace(&mut st.temp[k], M::identity());
@@ -385,18 +394,21 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
 
     // Step 4: exchange s′ and fold it in on the left everywhere.
     machine.begin_phase("step 4: exchange s' and combine");
-    machine.pairwise_lanes_keyed(
-        ScheduleKey::Cross,
-        lanes,
-        &seed,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, st, window| window.clone_from_slice(&st.s2),
-        |st, _, window| {
-            for (t, w) in st.temp.iter_mut().zip(window) {
-                std::mem::swap(t, w);
-            }
-        },
-    );
+    machine.cycle(|c| {
+        c.lanes(
+            lanes,
+            &seed,
+            |u, _| Some(d.cross_neighbor(u)),
+            |_, st, window| window.clone_from_slice(&st.s2),
+            |st, _, window| {
+                for (t, w) in st.temp.iter_mut().zip(window) {
+                    std::mem::swap(t, w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Cross)
+    });
     machine.compute(1, |_, st| {
         for k in 0..st.s.len() {
             let temp = std::mem::replace(&mut st.temp[k], M::identity());
@@ -407,16 +419,18 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     // Step 5: class-1 nodes fold in the class-0 grand total.
     machine.begin_phase("step 5: class-1 folds in class-0 grand total");
     if step5 == Step5Mode::PaperFaithful {
-        machine.exchange_lanes_keyed(
-            ScheduleKey::Custom(0),
-            lanes,
-            &seed,
-            |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
-            |_, st, window| window.clone_from_slice(&st.t2),
-            // Delivered values are the receiver's own class's grand
-            // totals — discarded, as in the single-lane run.
-            |_, _, _| {},
-        );
+        machine.cycle(|c| {
+            c.lanes(
+                lanes,
+                &seed,
+                |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
+                |_, st, window| window.clone_from_slice(&st.t2),
+                // Delivered values are the receiver's own class's grand
+                // totals — discarded, as in the single-lane run.
+                |_, _, _| {},
+            )
+            .keyed(ScheduleKey::Custom(0))
+        });
     }
     machine.compute(1, |u, st| {
         if d.class_of(u) == Class::One {
@@ -456,23 +470,26 @@ fn batched_cluster_ascend_round<M: Monoid>(
     seed: &M,
     vars: ScanVars,
 ) {
-    machine.pairwise_lanes_keyed(
-        ScheduleKey::Dim(i),
-        lanes,
-        seed,
-        |u, _| Some(d.cluster_neighbor(u, i)),
-        move |_, st, window| {
-            window.clone_from_slice(match vars {
-                ScanVars::Step1 => &st.t,
-                ScanVars::Step3 => &st.t2,
-            })
-        },
-        |st, _, window| {
-            for (t, w) in st.temp.iter_mut().zip(window) {
-                std::mem::swap(t, w);
-            }
-        },
-    );
+    machine.cycle(|c| {
+        c.lanes(
+            lanes,
+            seed,
+            |u, _| Some(d.cluster_neighbor(u, i)),
+            move |_, st, window| {
+                window.clone_from_slice(match vars {
+                    ScanVars::Step1 => &st.t,
+                    ScanVars::Step3 => &st.t2,
+                })
+            },
+            |st, _, window| {
+                for (t, w) in st.temp.iter_mut().zip(window) {
+                    std::mem::swap(t, w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(i))
+    });
     machine.compute(1, |u, st| {
         let high_side = bit(d.node_id(u), i);
         let (t, s) = match vars {
@@ -512,15 +529,22 @@ fn cluster_ascend_round<M: Monoid>(
 ) {
     // Steps 1 and 3 sweep the same cluster dimensions, so step 3 replays
     // the schedules step 1 compiled.
-    machine.pairwise_keyed(
-        ScheduleKey::Dim(i),
-        |u, _| Some(d.cluster_neighbor(u, i)),
-        move |_, st| match vars {
-            ScanVars::Step1 => st.t.clone(),
-            ScanVars::Step3 => st.t2.clone(),
-        },
-        |st, _, t| st.temp = Some(t),
-    );
+    machine.cycle(|c| {
+        c.message(
+            move |u, st| {
+                Some((
+                    d.cluster_neighbor(u, i),
+                    match vars {
+                        ScanVars::Step1 => st.t.clone(),
+                        ScanVars::Step3 => st.t2.clone(),
+                    },
+                ))
+            },
+            |st, _, t| st.temp = Some(t),
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(i))
+    });
     machine.compute(1, |u, st| {
         let temp = st.temp.take().expect("cluster exchange reaches every node");
         let high_side = bit(d.node_id(u), i);

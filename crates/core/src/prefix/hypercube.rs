@@ -220,18 +220,21 @@ fn batched_ascend_round<M: Monoid>(
     lanes: usize,
     seed: &M,
 ) {
-    machine.pairwise_lanes_keyed(
-        ScheduleKey::Dim(i),
-        lanes,
-        seed,
-        |u, _| Some(u ^ (1usize << i)),
-        |_, st, window| window.clone_from_slice(&st.t),
-        |st, _, window| {
-            for (t, w) in st.temp.iter_mut().zip(window) {
-                std::mem::swap(t, w);
-            }
-        },
-    );
+    machine.cycle(|c| {
+        c.lanes(
+            lanes,
+            seed,
+            |u, _| Some(u ^ (1usize << i)),
+            |_, st, window| window.clone_from_slice(&st.t),
+            |st, _, window| {
+                for (t, w) in st.temp.iter_mut().zip(window) {
+                    std::mem::swap(t, w);
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(i))
+    });
     machine.compute(1, |u, st| {
         let high = bit(u, i);
         for k in 0..st.t.len() {
@@ -250,12 +253,14 @@ fn batched_ascend_round<M: Monoid>(
 /// dimension, then fold. (`d_prefix` performs the same round inside every
 /// cluster simultaneously — see `prefix::dualcube`.)
 fn ascend_round<M: Monoid>(machine: &mut Machine<'_, Hypercube, CubeState<M>>, i: u32) {
-    machine.pairwise_keyed(
-        ScheduleKey::Dim(i),
-        |u, _| Some(u ^ (1usize << i)),
-        |_, st| st.t.clone(),
-        |st, _, t| st.temp = Some(t),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st| Some((u ^ (1usize << i), st.t.clone())),
+            |st, _, t| st.temp = Some(t),
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(i))
+    });
     machine.compute(1, |u, st| {
         let temp = st.temp.take().expect("exchange delivered to every node");
         if bit(u, i) {

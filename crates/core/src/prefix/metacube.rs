@@ -116,12 +116,14 @@ pub fn mc_prefix<M: Monoid>(mc: &Metacube, input: &[M], kind: PrefixKind) -> McP
     for j in 0..mc.address_bits() {
         if j < k {
             // Class dimension: a direct cross-edge at every node.
-            machine.pairwise_keyed(
-                ScheduleKey::Dim(j),
-                |u, _| Some(mc.cross_neighbor(u, j)),
-                |_, st: &McState<M>| st.t.clone(),
-                |st, _, t| st.recv = Some(t),
-            );
+            machine.cycle(|c| {
+                c.message(
+                    |u, st: &McState<M>| Some((mc.cross_neighbor(u, j), st.t.clone())),
+                    |st, _, t| st.recv = Some(t),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(j))
+            });
         } else {
             field_dim_window(mc, &mut machine, j);
         }
@@ -174,19 +176,21 @@ fn field_dim_window<M: Monoid>(
     // At stage i, nodes whose class differs from f with lowest set bit i
     // forward their whole bag across class bit i.
     for i in 0..k {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window {
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &McState<M>| {
+                    let rel = mc.class_of(u) ^ f;
+                    (rel != 0 && rel.trailing_zeros() == i && !st.bag.is_empty())
+                        .then(|| (mc.cross_neighbor(u, i), st.bag.clone()))
+                },
+                |st, _, bag: Vec<(usize, M)>| st.bag.extend(bag),
+            )
+            .words(|bag| bag.len() as u64)
+            .keyed(ScheduleKey::Window {
                 j: f as u32,
                 hop: i as u8,
-            },
-            |u, st: &McState<M>| {
-                let rel = mc.class_of(u) ^ f;
-                (rel != 0 && rel.trailing_zeros() == i && !st.bag.is_empty())
-                    .then(|| (mc.cross_neighbor(u, i), st.bag.clone()))
-            },
-            |st, _, bag: Vec<(usize, M)>| st.bag.extend(bag),
-            |bag| bag.len() as u64,
-        );
+            })
+        });
         // Senders hand off their bags entirely.
         machine.setup(|u, st| {
             let rel = mc.class_of(u) ^ f;
@@ -197,17 +201,20 @@ fn field_dim_window<M: Monoid>(
     }
 
     // Exchange: class-f companions swap bags along the real dimension.
-    machine.pairwise_keyed_sized(
-        ScheduleKey::Dim(j),
-        |u, st: &McState<M>| {
-            (mc.class_of(u) == f && !st.bag.is_empty()).then(|| mc.cube_neighbor(u, bit_in_field))
-        },
-        |_, st| st.bag.clone(),
-        |st, _, bag: Vec<(usize, M)>| {
-            st.bag = bag; // the partner-side bag replaces our own
-        },
-        |bag| bag.len() as u64,
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st| {
+                (mc.class_of(u) == f && !st.bag.is_empty())
+                    .then(|| (mc.cube_neighbor(u, bit_in_field), st.bag.clone()))
+            },
+            |st, _, bag: Vec<(usize, M)>| {
+                st.bag = bag; // the partner-side bag replaces our own
+            },
+        )
+        .words(|bag| bag.len() as u64)
+        .pairwise()
+        .keyed(ScheduleKey::Dim(j))
+    });
     // Class-f nodes can already pick out their own partner value.
     machine.setup(|u, st| {
         if mc.class_of(u) == f {
@@ -225,29 +232,31 @@ fn field_dim_window<M: Monoid>(
     // Outbound: binomial scatter of the partner bag back over the class
     // k-cube; each node ends with exactly its class's entry.
     for i in (0..k).rev() {
-        machine.exchange_keyed_sized(
-            ScheduleKey::Window {
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &McState<M>| {
+                    let rel = mc.class_of(u) ^ f;
+                    // Current holders have rel with zero low-(i+1) bits; they
+                    // forward the entries whose class-rel has bit i set.
+                    if rel & ((1 << (i + 1)) - 1) != 0 || st.bag.is_empty() {
+                        return None;
+                    }
+                    let outgoing: Vec<(usize, M)> = st
+                        .bag
+                        .iter()
+                        .filter(|(c, _)| (c ^ f) >> i & 1 == 1)
+                        .cloned()
+                        .collect();
+                    (!outgoing.is_empty()).then(|| (mc.cross_neighbor(u, i), outgoing))
+                },
+                |st, _, bag: Vec<(usize, M)>| st.bag = bag,
+            )
+            .words(|bag| bag.len() as u64)
+            .keyed(ScheduleKey::Window {
                 j: f as u32,
                 hop: (k + i) as u8,
-            },
-            |u, st: &McState<M>| {
-                let rel = mc.class_of(u) ^ f;
-                // Current holders have rel with zero low-(i+1) bits; they
-                // forward the entries whose class-rel has bit i set.
-                if rel & ((1 << (i + 1)) - 1) != 0 || st.bag.is_empty() {
-                    return None;
-                }
-                let outgoing: Vec<(usize, M)> = st
-                    .bag
-                    .iter()
-                    .filter(|(c, _)| (c ^ f) >> i & 1 == 1)
-                    .cloned()
-                    .collect();
-                (!outgoing.is_empty()).then(|| (mc.cross_neighbor(u, i), outgoing))
-            },
-            |st, _, bag: Vec<(usize, M)>| st.bag = bag,
-            |bag| bag.len() as u64,
-        );
+            })
+        });
         machine.setup(|u, st| {
             let rel = mc.class_of(u) ^ f;
             if rel & ((1 << (i + 1)) - 1) == 0 {

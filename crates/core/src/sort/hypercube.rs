@@ -108,12 +108,14 @@ fn compare_exchange_round<K: Ord + Clone + Send + Sync + 'static>(
     j: u32,
     descending: impl Fn(usize) -> bool + Sync,
 ) {
-    machine.pairwise_keyed(
-        ScheduleKey::Dim(j),
-        |u, _| Some(u ^ (1usize << j)),
-        |_, st| st.key.clone(),
-        |st, _, k| st.recv = Some(k),
-    );
+    machine.cycle(|c| {
+        c.message(
+            |u, st| Some((u ^ (1usize << j), st.key.clone())),
+            |st, _, k| st.recv = Some(k),
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(j))
+    });
     machine.compute(1, |u, st| {
         let other = st.recv.take().expect("pairwise reached every node");
         let keep_min = bit(u, j) == descending(u);

@@ -83,12 +83,14 @@ pub fn ring_sort<K: Ord + Clone + Send + Sync + 'static>(
     // whole N-round sweep replays two compiled schedules.
     for round in 0..n_nodes {
         let parity = round % 2;
-        machine.pairwise_keyed(
-            ScheduleKey::Custom(parity as u32),
-            |u, _| partner(u, parity),
-            |_, st: &RingState<K>| st.key.clone(),
-            |st, _, k| st.recv = Some(k),
-        );
+        machine.cycle(|c| {
+            c.message(
+                |u, st: &RingState<K>| partner(u, parity).map(|v| (v, st.key.clone())),
+                |st, _, k| st.recv = Some(k),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Custom(parity as u32))
+        });
         machine.compute(1, |u, st| {
             let Some(other) = st.recv.take() else {
                 return; // endpoint sitting this round out

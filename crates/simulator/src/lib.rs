@@ -11,11 +11,16 @@
 //! A [`Machine`] holds one state value per node of a
 //! [`dc_topology::Topology`] and advances through:
 //!
-//! * **communication cycles** ([`Machine::exchange`] /
-//!   [`Machine::pairwise`]) — validated every cycle: messages must travel
-//!   along edges, and no node may send or receive more than one message,
-//!   so every reported `T_comm` is simultaneously a machine-checked proof
-//!   that the algorithm's schedule is legal under the paper's model;
+//! * **communication cycles** ([`Machine::try_cycle`] /
+//!   [`Machine::cycle`], described by a [`Comm`]) — validated every
+//!   cycle: messages must travel along edges, and no node may send or
+//!   receive more than one message, so every reported `T_comm` is
+//!   simultaneously a machine-checked proof that the algorithm's schedule
+//!   is legal under the paper's model. One primitive covers every cycle
+//!   the algorithms run: a [`Comm`] moves one message per sender or `K`
+//!   lane values per sender (lane-batched runs), optionally requires a
+//!   symmetric matching, and optionally names its pattern (see the
+//!   [`comm`] module docs);
 //! * **computation cycles** ([`Machine::compute`]) — O(1) local work per
 //!   node per cycle, the unit of the theorems' `T_comp`.
 //!
@@ -24,11 +29,10 @@
 //! breakdowns used by the worked-example experiments.
 //!
 //! Fixed communication patterns — the common case in the paper's
-//! ascend/descend algorithms — can be named with a [`ScheduleKey`] via the
-//! keyed entry points ([`Machine::pairwise_keyed`],
-//! [`Machine::exchange_keyed`]): the first cycle under a key validates and
-//! compiles the pattern, later cycles replay it without the sequential
-//! validation pass while still detecting (and rejecting) any deviation.
+//! ascend/descend algorithms — can be named with a [`ScheduleKey`]
+//! ([`Comm::keyed`]): the first cycle under a key validates and compiles
+//! the pattern, later cycles replay it without the sequential validation
+//! pass while still detecting (and rejecting) any deviation.
 //! See the [`schedule`] module docs for why replay cannot weaken the
 //! model checking.
 //!
@@ -57,6 +61,7 @@
 // §E22/§E23). Everything outside that module remains unsafe-free.
 #![deny(unsafe_code)]
 
+pub mod comm;
 mod error;
 pub mod fault;
 mod machine;
@@ -66,6 +71,7 @@ pub mod parallel;
 pub mod router;
 pub mod schedule;
 
+pub use comm::{Comm, Payload};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::{Machine, TraceEntry};

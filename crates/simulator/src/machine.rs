@@ -1,6 +1,7 @@
 //! The synchronous multicomputer: one state per node, stepped through
 //! communication and computation cycles under 1-port validation.
 
+use crate::comm::{Comm, Payload};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::metrics::LinkUtil;
@@ -25,9 +26,12 @@ use std::time::Instant;
 /// cycles for as long as the element type `E` stays the same (the steady
 /// state of every cycle loop). A cycle with a new element type swaps in a
 /// fresh vector; the old one is dropped. The plan slab instantiates it at
-/// `E = Option<(NodeId, M)>`; the delivery payload slab at
-/// `E = Option<M>` — sources travel separately in the dense `u32`
-/// `Scratch::inbox_src` array, so small-`M` payload slots stop paying the
+/// `E = Option<(NodeId, Msg)>`; the staging slab at the payload form's
+/// slot type — one `Inbox<M>` per node for a moved message, `K` lane
+/// values per node for lanes (SoA layout: lane `k` of every node sits at
+/// a fixed offset inside its window, so the K-wide compute folds
+/// vectorize). Sources travel separately in the dense `u32`
+/// `Scratch::srcs` table, so small-`M` payload slots stop paying a
 /// `usize` source plus its padding.
 struct TypedSlot(Option<Box<dyn Any + Send>>);
 
@@ -36,10 +40,10 @@ impl TypedSlot {
         TypedSlot(None)
     }
 
-    /// The buffer for element type `E`, *cleared* but with its capacity
-    /// intact. Allocates only on first use or when `E` changed since the
-    /// previous cycle.
-    fn cleared<E: Send + Sync + 'static>(&mut self) -> &mut Vec<E> {
+    /// The buffer for element type `E`, contents as the last cycle of the
+    /// same type left them. Allocates only on first use or when `E`
+    /// changed since the previous cycle.
+    fn typed<E: Send + Sync + 'static>(&mut self) -> &mut Vec<E> {
         let fresh = match &self.0 {
             Some(b) => !b.is::<Vec<E>>(),
             None => true,
@@ -47,98 +51,53 @@ impl TypedSlot {
         if fresh {
             self.0 = Some(Box::new(Vec::<E>::new()));
         }
-        let v: &mut Vec<E> = self
-            .0
+        self.0
             .as_mut()
             .expect("slot populated above")
             .downcast_mut()
-            .expect("slot typed above");
+            .expect("slot typed above")
+    }
+
+    /// The buffer for element type `E`, *cleared* but with its capacity
+    /// intact.
+    fn cleared<E: Send + Sync + 'static>(&mut self) -> &mut Vec<E> {
+        let v = self.typed::<E>();
         v.clear();
         v
     }
 
-    /// The payload slab for message type `M` at length `n`, **contents
-    /// preserved**. The inbox discipline keeps the slab all-`None`
-    /// between cycles (delivery `take`s every slot; error paths clear),
-    /// so when the type and length already match this skips the O(n)
-    /// `None` prefill a cleared slab would need — the difference between
-    /// a replayed cycle doing two passes over the slab and three.
-    fn warm<M: Send + Sync + 'static>(&mut self, n: usize) -> &mut Vec<Option<M>> {
-        let reusable = match &self.0 {
-            Some(b) => b
-                .downcast_ref::<Vec<Option<M>>>()
-                .is_some_and(|v| v.len() == n),
-            None => false,
-        };
-        if !reusable {
-            let v = self.cleared::<Option<M>>();
-            v.resize_with(n, || None);
-            return v;
-        }
-        let v: &mut Vec<Option<M>> = self
-            .0
-            .as_mut()
-            .expect("slot populated above")
-            .downcast_mut()
-            .expect("slot typed above");
-        debug_assert!(
-            v.iter().all(Option::is_none),
-            "warm inbox slab must be all-None between cycles"
-        );
-        v
-    }
-}
-
-/// A reusable, type-erased **lane buffer** `Vec<V>` of length
-/// `n × lanes`: node `u` owns the window `[u·lanes, (u+1)·lanes)`. The
-/// lane-batched cycle stages K payload values per delivered message into
-/// the receiver's window (SoA layout — lane `k` of every node sits at a
-/// fixed offset inside its window, so the K-wide compute folds
-/// vectorize). Reallocated only when the value type or total length
-/// changes; stale contents between cycles are fine because
-/// `Scratch::lane_src` gates which windows delivery reads and a staged
-/// window is always fully overwritten by `fill` first.
-struct LaneSlot(Option<Box<dyn Any + Send>>);
-
-impl LaneSlot {
-    const fn new() -> Self {
-        LaneSlot(None)
-    }
-
-    /// The lane buffer for value type `V` at total length `len`,
-    /// contents unspecified (stale from earlier cycles). Allocates only
-    /// on first use, on a type change, or on a length change — never in
-    /// the steady state. `seed` initialises any newly created slots.
-    fn strided<V: Clone + Send + Sync + 'static>(&mut self, len: usize, seed: &V) -> &mut Vec<V> {
-        let fresh = match &self.0 {
-            Some(b) => !b.is::<Vec<V>>(),
-            None => true,
-        };
-        if fresh {
-            self.0 = Some(Box::new(Vec::<V>::new()));
-        }
-        let v: &mut Vec<V> = self
-            .0
-            .as_mut()
-            .expect("slot populated above")
-            .downcast_mut()
-            .expect("slot typed above");
+    /// The staging slab for slot type `E` at length `len`, **contents
+    /// preserved** when the type and length already match, else rebuilt
+    /// from `fresh` slots. Skipping the per-cycle prefill is sound for
+    /// both payload forms: a message slab stays all-empty between cycles
+    /// (delivery takes every staged slot; failed cycles discard theirs),
+    /// and stale lane windows are gated off by `Scratch::srcs` — a
+    /// staged window is always fully overwritten by `fill` first. That
+    /// is the difference between a replayed cycle doing two passes over
+    /// the slab and three.
+    fn staging<E: Send + Sync + 'static>(
+        &mut self,
+        len: usize,
+        fresh: impl FnMut() -> E,
+    ) -> &mut Vec<E> {
+        let v = self.typed::<E>();
         if v.len() != len {
             v.clear();
-            v.resize(len, seed.clone());
+            v.resize_with(len, fresh);
         }
         v
     }
 }
 
 /// Per-cycle scratch buffers owned by the machine so that a steady-state
-/// cycle performs **zero heap allocations**: the plan slots, the
-/// receive-conflict tables (sequential and atomic), the deliver inbox,
-/// and the pairwise partner table are all reused across cycles (pinned by
-/// the counting-allocator test in `tests/zero_alloc.rs`). Purely
-/// transient — contents never survive past the cycle that filled them, so
-/// cloning a machine starts the clone with empty scratch and
-/// equality/trace semantics are unaffected.
+/// cycle performs **zero heap allocations**: the plan slab, the
+/// validation tables (the sequential receive table, and the sharded
+/// passes' plain-`u32` claim table with its exchange bins), the sender
+/// table and the staging slab are all reused across cycles (pinned by the
+/// counting-allocator test in `tests/zero_alloc.rs`). Purely transient —
+/// contents never survive past the cycle that filled them, so cloning a
+/// machine starts the clone with empty scratch and equality/trace
+/// semantics are unaffected.
 struct Scratch {
     /// `recv_from[dst]` = sending node during sequential validation
     /// ([`NO_SRC`] = no sender yet). `u32` — node ids fit by the
@@ -161,29 +120,16 @@ struct Scratch {
     /// written only by dispatch slot `k` during pass A and drained
     /// read-only during pass B). Bins keep their capacity across cycles.
     exchange: Vec<ExchangeRow>,
-    /// Pairwise partner choices, reused by `try_pairwise_sized`
-    /// ([`NO_PARTNER`] = the node sits out; see [`pack_partner`]).
-    partners: Vec<u32>,
-    /// Plan-phase output slots (`Option<(NodeId, M)>` per node), keyed by
-    /// message type.
+    /// Plan-phase output slots (`Option<(NodeId, Msg)>` per node), keyed
+    /// by the payload form's plan message type.
     plans: TypedSlot,
-    /// Staged message sources for the deliver phase: `inbox_src[dst]` is
-    /// the packed sender id, [`NO_SRC`] when nothing was staged. The
-    /// presence gate of the split inbox layout — the payload slab is only
-    /// read where a source is set (full/replay paths additionally keep
-    /// the payload `Option` as the move-out gate).
-    inbox_src: Vec<u32>,
-    /// Deliver-phase message payloads (`Option<M>` per node, threaded and
-    /// replay paths), keyed by message type. Split from the sources so a
-    /// small `M` costs `4 + sizeof(Option<M>)` bytes per node instead of
-    /// a 16–24-byte `Option<(usize, M)>` slot.
-    payload: TypedSlot,
-    /// Staged lane senders: `lane_src[dst]` names the node whose lane
-    /// window was filled for `dst` this cycle ([`NO_SRC`] = silent).
-    lane_src: Vec<u32>,
-    /// Lane payload windows (`lanes` values per node), keyed by value
-    /// type.
-    lanebuf: LaneSlot,
+    /// The sender table of the deliver phase: `srcs[dst]` is the node
+    /// whose message was staged for `dst` this cycle, [`NO_SRC`] when
+    /// nothing was staged.
+    srcs: Vec<u32>,
+    /// The staging slab: `width` slots per node, keyed by the payload
+    /// form's slot type (see [`TypedSlot`]).
+    stage: TypedSlot,
 }
 
 impl Scratch {
@@ -193,12 +139,9 @@ impl Scratch {
             claims: Vec::new(),
             shard_bounds: Vec::new(),
             exchange: Vec::new(),
-            partners: Vec::new(),
             plans: TypedSlot::new(),
-            inbox_src: Vec::new(),
-            payload: TypedSlot::new(),
-            lane_src: Vec::new(),
-            lanebuf: LaneSlot::new(),
+            srcs: Vec::new(),
+            stage: TypedSlot::new(),
         }
     }
 }
@@ -215,22 +158,6 @@ impl Scratch {
 #[derive(Default)]
 struct ExchangeRow {
     bins: Vec<Vec<(u32, u32)>>,
-}
-
-/// `Scratch::partners` sentinel for "no partner this cycle".
-const NO_PARTNER: u32 = u32::MAX;
-
-/// Packs a pairwise partner choice into the dense `u32` table.
-/// Out-of-range ids (possible only from a buggy partner function on a
-/// sub-4G topology, since construction bounds `n`) are clamped to a value
-/// that is still `≥ num_nodes`, so validation keeps reporting
-/// [`SimError::OutOfRange`] for them.
-#[inline]
-fn pack_partner(p: Option<NodeId>) -> u32 {
-    match p {
-        None => NO_PARTNER,
-        Some(v) => v.min(NO_PARTNER as usize - 1) as u32,
-    }
 }
 
 impl fmt::Debug for Scratch {
@@ -330,15 +257,18 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 
 /// A synchronous message-passing machine over a [`Topology`].
 ///
-/// Algorithms drive the machine through three primitives:
+/// Algorithms drive the machine through two primitives:
 ///
-/// * [`Machine::exchange`] — one communication cycle: every node may send
-///   one message to one neighbour; the machine validates adjacency and the
-///   1-port constraint (≤1 send, ≤1 receive per node per cycle) before
-///   delivering.
-/// * [`Machine::pairwise`] — the common special case of a symmetric
-///   exchange along a perfect (partial) matching, e.g. one dimension of an
-///   ascend/descend algorithm.
+/// * [`Machine::try_cycle`] / [`Machine::cycle`] — one communication
+///   cycle, described by a [`Comm`]: every node may send one message to
+///   one neighbour; the machine validates adjacency and the 1-port
+///   constraint (≤1 send, ≤1 receive per node per cycle) before
+///   delivering. The descriptor picks the payload form — one moved
+///   message per sender, or `K` lane values per sender for lane-batched
+///   runs — and optionally requires a symmetric matching
+///   ([`Comm::pairwise`], e.g. one dimension of an ascend/descend
+///   algorithm) and names the pattern ([`Comm::keyed`]). See the
+///   [`crate::comm`] module docs.
 /// * [`Machine::compute`] — one computation phase of local work per node,
 ///   charged as one or more computation cycles.
 ///
@@ -349,16 +279,16 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 /// # Keyed cycles: compiled schedules
 ///
 /// The paper's algorithms run *fixed, data-oblivious* communication
-/// patterns, repeated across hundreds of cycles. The keyed entry points
-/// ([`Machine::pairwise_keyed`], [`Machine::exchange_keyed`] and their
-/// sized/`try_` forms) let an algorithm name its pattern with a
-/// [`ScheduleKey`]: the first cycle under a key runs full validation and
-/// compiles the matching; later cycles **replay** it, skipping adjacency
-/// queries, the receive-conflict table, and the pairwise symmetry
-/// pre-pass. Replay still re-evaluates every node's plan against the
-/// compiled pattern and rejects any deviation with
-/// [`SimError::ScheduleDeviation`], so a key can never launder an invalid
-/// schedule — see the [`crate::schedule`] module docs.
+/// patterns, repeated across hundreds of cycles. A keyed cycle
+/// ([`Comm::keyed`]) names its pattern with a [`ScheduleKey`]: the first
+/// cycle under a key runs full validation and compiles the matching;
+/// later cycles **replay** it, skipping adjacency queries, the
+/// receive-conflict table, and the pairwise symmetry pre-check. Replay
+/// still re-evaluates every node's plan against the compiled pattern and
+/// rejects any deviation with [`SimError::ScheduleDeviation`], so a key
+/// can never launder an invalid schedule — see the [`crate::schedule`]
+/// module docs. Both payload forms share one keyed dispatcher, one
+/// full-cycle path and one replay path, monomorphised per form.
 ///
 /// # Execution backend
 ///
@@ -370,18 +300,20 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 ///
 /// 1. **plan** — `plan(u, &state)` for every node, read-only, parallel;
 /// 2. **validate** — the 1-port matching check. The threaded backend
-///    runs it as two parallel reduction passes (local checks plus an
-///    atomic lowest-sender claim per receiver, then conflict detection)
-///    whose lowest-node-index violation reduction reproduces the
-///    sequential first-violation-in-node-order report **bit-identically**
-///    at any worker count;
+///    runs it as three passes over shard-aligned node ranges: local
+///    checks plus a plain-`u32` lowest-sender claim per receiver (claims
+///    on another slot's range are staged in exchange bins), a drain of
+///    those bins, then conflict detection. Their lowest-node-index
+///    violation reduction reproduces the sequential
+///    first-violation-in-node-order report **bit-identically** at any
+///    worker or shard count;
 /// 3. **deliver** — receiver-driven: since a validated cycle delivers at
-///    most one message per node, messages are scattered into a per-node
-///    inbox and each worker mutates only its own node's state.
+///    most one message per node, messages are staged into a per-node
+///    window and each worker mutates only its own nodes' states.
 ///
 /// A keyed *replay* cycle collapses plan + validate into one pass (each
 /// receiver evaluates its compiled sender's plan straight into its own
-/// inbox slot) followed by deliver — no sequential O(n) phase on either
+/// window) followed by deliver — no sequential O(n) phase on either
 /// backend.
 ///
 /// Simulated metrics never depend on the backend; the parallel backend is
@@ -410,11 +342,10 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 /// let q = Hypercube::new(3);
 /// let mut m = Machine::new(&q, (0..8u64).collect::<Vec<_>>());
 /// for i in 0..3 {
-///     m.pairwise(
-///         |u, _| Some(u ^ (1 << i)),
-///         |_, &s| s,
-///         |s, _, other| *s += other,
-///     );
+///     m.cycle(|c| {
+///         c.message(|u, &s| Some((u ^ (1 << i), s)), |s, _, other| *s += other)
+///             .pairwise()
+///     });
 ///     m.compute(1, |_, _| {});
 /// }
 /// assert!(m.states().iter().all(|&s| s == 28));
@@ -647,8 +578,8 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         self.replay
     }
 
-    /// Enables or disables schedule capture-and-replay for the keyed
-    /// entry points. Off, every keyed cycle takes the full
+    /// Enables or disables schedule capture-and-replay for keyed cycles
+    /// ([`Comm::keyed`]). Off, every keyed cycle takes the full
     /// validate-every-cycle path (the A/B baseline); results, traces, and
     /// step metrics are identical either way — only wall-clock and the
     /// [`Metrics::schedule_hits`] / [`Metrics::schedule_misses`]
@@ -1086,117 +1017,65 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         rec.send(&event);
     }
 
-    /// One communication cycle. `plan(u, state)` returns the (destination,
-    /// message) this node sends, or `None` to stay silent; `deliver` runs
-    /// at each receiving node. Returns the number of messages delivered.
+    /// One communication cycle, described by the [`Comm`] that `comm`
+    /// builds from the blank descriptor it is handed — a payload form
+    /// ([`Comm::message`] or [`Comm::lanes`]), optionally
+    /// [`Comm::pairwise`] and [`Comm::keyed`]; see the [`crate::comm`]
+    /// module docs. Returns the number of messages delivered.
     ///
     /// Steady-state cycles are **allocation-free** (with tracing off): the
-    /// plan, validation, and inbox buffers live in machine-owned scratch
+    /// plan, validation, and staging buffers live in machine-owned scratch
     /// storage and are reused across cycles, so a cycle loop touches the
-    /// heap only on its first iteration (or when the message type `M`
-    /// changes between cycles).
+    /// heap only on its first iteration, on a keyed cycle's compile, or
+    /// when the payload type changes between cycles.
     ///
     /// # Errors
     ///
-    /// Any violation of the 1-port synchronous model: sending to a
-    /// non-neighbour or to itself, an id out of range, or two messages
-    /// converging on one receiver. On error the cycle is *not* applied and
-    /// no step is counted, so a test can probe illegal schedules without
+    /// Any violation of the 1-port synchronous model. A pairwise cycle
+    /// first checks symmetry, in node order, over the whole matching
+    /// ([`SimError::AsymmetricPair`], or [`SimError::OutOfRange`] for a
+    /// partner past the machine). Then each sender in node order is
+    /// checked for an id out of range, a message to itself, a failed
+    /// endpoint, a non-neighbour, a downed link, and last a second
+    /// message converging on its receiver. A keyed cycle replaying its
+    /// compiled schedule instead fails with
+    /// [`SimError::ScheduleDeviation`] for the lowest node whose plan
+    /// left the pattern. Reports are identical on every backend, worker
+    /// count and shard count. On error the cycle is *not* applied and no
+    /// step is counted, so a test can probe illegal schedules without
     /// corrupting the machine.
-    pub fn try_exchange<M: Send + Sync + 'static>(
+    pub fn try_cycle<F: Payload<S>>(
         &mut self,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
+        comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
     ) -> Result<usize, SimError>
     where
         S: Send + Sync,
     {
-        self.try_exchange_sized(plan, deliver, |_| 1)
-    }
-
-    /// [`Machine::try_exchange`] with explicit payload sizes: `words(msg)`
-    /// reports how many elements the message carries, feeding
-    /// [`Metrics::message_words`] (block-transfer algorithms pass the
-    /// block length; everything else uses the 1-word default).
-    pub fn try_exchange_sized<M: Send + Sync + 'static>(
-        &mut self,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
+        let comm = comm(Comm::blank());
         let start = self.obs_cycle_start();
-        self.exchange_inner(plan, deliver, words, None, ObsCtx::unkeyed(start))
-    }
-
-    /// [`Machine::try_exchange_sized`] under a [`ScheduleKey`]: the first
-    /// cycle with `key` validates fully and compiles the pattern; later
-    /// cycles replay it (see the [`crate::schedule`] module docs).
-    ///
-    /// # Errors
-    ///
-    /// On the compile cycle, exactly [`Machine::try_exchange_sized`]'s
-    /// errors. On a replay cycle, a plan that no longer matches the
-    /// compiled pattern fails with [`SimError::ScheduleDeviation`] (for
-    /// the lowest deviating node, deterministically on every backend);
-    /// the cycle is not applied and no step is counted.
-    pub fn try_exchange_keyed_sized<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        if !self.replay {
-            return self.exchange_inner(
-                plan,
-                deliver,
-                words,
-                None,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Bypass,
-                    start,
-                },
-            );
-        }
         // Apply due fault events *before* consulting the cache: a crash
         // at this boundary bumps the epoch and must veto the replay.
         self.advance_faults();
+        let Some(key) = comm.key else {
+            return self.full_cycle(&comm.form, comm.pairwise, None, ObsCtx::unkeyed(start));
+        };
+        let obs = |cache| ObsCtx {
+            key: Some(key),
+            cache,
+            start,
+        };
+        if !self.replay {
+            return self.full_cycle(&comm.form, comm.pairwise, None, obs(CacheStatus::Bypass));
+        }
         if self.schedules.contains(key) {
-            let result = self.replay_cycle(
-                key,
-                plan,
-                deliver,
-                words,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Hit,
-                    start,
-                },
-            );
+            let result = self.replay_cycle(key, &comm.form, obs(CacheStatus::Hit));
             if result.is_ok() {
                 self.metrics.schedule_hits += 1;
             }
             result
         } else {
-            let result = self.exchange_inner(
-                plan,
-                deliver,
-                words,
-                Some(key),
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Miss,
-                    start,
-                },
-            );
+            let result =
+                self.full_cycle(&comm.form, comm.pairwise, Some(key), obs(CacheStatus::Miss));
             if result.is_ok() {
                 self.metrics.schedule_misses += 1;
             }
@@ -1204,70 +1083,99 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
-    /// One-word-payload form of [`Machine::try_exchange_keyed_sized`].
-    pub fn try_exchange_keyed<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        self.try_exchange_keyed_sized(key, plan, deliver, |_| 1)
-    }
-
-    /// Panicking form of [`Machine::try_exchange_keyed`].
+    /// [`Machine::try_cycle`] that panics on a model violation — the form
+    /// algorithm implementations use, since their schedules are supposed
+    /// to be legal by construction.
+    ///
+    /// ```
+    /// use dc_simulator::{Machine, ScheduleKey};
+    /// use dc_topology::Hypercube;
+    ///
+    /// let q = Hypercube::new(3);
+    /// let mut m = Machine::new(&q, (0..8u64).collect::<Vec<_>>());
+    /// for sweep in 0..2 {
+    ///     for i in 0..3u32 {
+    ///         m.cycle(|c| {
+    ///             c.message(move |u, &s| Some((u ^ (1 << i), s)), |s, _, v| *s += v)
+    ///                 .pairwise()
+    ///                 .keyed(ScheduleKey::Dim(i))
+    ///         });
+    ///     }
+    /// }
+    /// // The second sweep replayed the three patterns the first compiled.
+    /// assert_eq!(m.metrics().schedule_misses, 3);
+    /// assert_eq!(m.metrics().schedule_hits, 3);
+    /// ```
     #[track_caller]
-    pub fn exchange_keyed<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> usize
+    pub fn cycle<F: Payload<S>>(&mut self, comm: impl FnOnce(Comm<S>) -> Comm<S, F>) -> usize
     where
         S: Send + Sync,
     {
-        match self.try_exchange_keyed(key, plan, deliver) {
+        match self.try_cycle(comm) {
             Ok(count) => count,
             Err(e) => panic!("communication-model violation: {e}"),
         }
     }
 
-    /// Panicking form of [`Machine::try_exchange_keyed_sized`].
+    /// `cycle(|c| c.lanes(lanes, seed, pair, fill, deliver).pairwise().keyed(key))`,
+    /// kept by name for the repository benchmark's probes
+    /// (`perfbench/src/probe.rs`). New code calls [`Machine::cycle`].
     #[track_caller]
-    pub fn exchange_keyed_sized<M: Send + Sync + 'static>(
+    pub fn pairwise_lanes_keyed<V: Clone + Send + Sync + 'static>(
         &mut self,
         key: ScheduleKey,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
+        lanes: usize,
+        seed: &V,
+        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
+        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
+        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
     ) -> usize
     where
         S: Send + Sync,
     {
-        match self.try_exchange_keyed_sized(key, plan, deliver, words) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
+        self.cycle(|c| {
+            c.lanes(lanes, seed, pair, fill, deliver)
+                .pairwise()
+                .keyed(key)
+        })
     }
 
-    /// The full (non-replay) communication cycle: plan, validate,
-    /// optionally compile the pattern under `capture`, deliver.
-    fn exchange_inner<M: Send + Sync + 'static>(
+    /// `cycle(|c| c.lanes(lanes, seed, plan, fill, deliver).keyed(key))`,
+    /// kept by name for the repository benchmark's probes
+    /// (`perfbench/src/probe.rs`). New code calls [`Machine::cycle`].
+    #[track_caller]
+    pub fn exchange_lanes_keyed<V: Clone + Send + Sync + 'static>(
         &mut self,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
+        key: ScheduleKey,
+        lanes: usize,
+        seed: &V,
+        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
+        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
+        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
+    ) -> usize
+    where
+        S: Send + Sync,
+    {
+        self.cycle(|c| c.lanes(lanes, seed, plan, fill, deliver).keyed(key))
+    }
+
+    /// The full (non-replay) cycle of either payload form: plan,
+    /// validate, optionally compile the pattern under `capture`, stage,
+    /// deliver. The compiled pattern holds destinations only, so both
+    /// forms share the schedule cache.
+    fn full_cycle<F: Payload<S>>(
+        &mut self,
+        form: &F,
+        pairwise: bool,
         capture: Option<ScheduleKey>,
         obs: ObsCtx,
     ) -> Result<usize, SimError>
     where
         S: Send + Sync,
     {
-        self.advance_faults();
         let n = self.states.len();
         let threaded = self.threaded();
+        let width = form.width();
         let record_links = self.recorder.is_some();
         // Resolve the flat link-table stride before scratch is borrowed
         // (lazy: unrecorded machines never compute it).
@@ -1280,45 +1188,58 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
 
         // Phase 1 — plan: read-only over the states, one slot per node,
-        // written into the reusable scratch buffer. The claim table is
-        // reset shard-locally inside validation pass A, so the plan
-        // dispatch stays a pure read of the states.
-        let plans = self.scratch.plans.cleared::<Option<(NodeId, M)>>();
+        // written into the reusable scratch buffer. A lane plan carries
+        // destinations only: payloads go straight into the lane windows
+        // after validation. The claim table is reset shard-locally inside
+        // validation pass A, so the plan dispatch stays a pure read of
+        // the states.
+        let plans = self.scratch.plans.cleared::<Option<(NodeId, F::Msg)>>();
         if threaded {
             plans.resize_with(n, || None);
             par_zip_apply(plans, &self.states, &|u, slot, s| {
-                *slot = plan(u, s);
+                *slot = form.plan(u, s);
             });
         } else {
-            plans.extend(self.states.iter().enumerate().map(|(u, s)| plan(u, s)));
+            plans.extend(self.states.iter().enumerate().map(|(u, s)| form.plan(u, s)));
         }
 
-        // Phase 2 — validate the cycle before touching any state. The
-        // sequential backend walks the plans in node order and stops at
-        // the first violation. The threaded backend runs the sharded
-        // claim passes and reports the lowest-index violation, which
-        // is provably the same one (see the doc of `validate_sharded`).
-        let acc = if threaded {
-            Self::validate_sharded(
-                self.topo,
-                plans,
-                &mut self.scratch.claims,
-                &mut self.scratch.exchange,
-                &self.scratch.shard_bounds,
-                &self.faults,
-                &words,
-                n,
-            )
-        } else {
-            Self::validate_sequential(
-                self.topo,
-                plans,
-                &mut self.scratch.recv_from,
-                &self.faults,
-                &words,
-                n,
-            )
-        };
+        // Phase 2 — validate the cycle before touching any state. A
+        // pairwise cycle first checks symmetry on the planned
+        // destinations, so its error is precise (the 1-port checks would
+        // report an asymmetric pair as a receive conflict or not at
+        // all). The sequential backend then walks the plans in node order
+        // and stops at the first violation. The threaded backend runs the
+        // sharded claim passes and reports the lowest-index violation,
+        // which is provably the same one (see the doc of
+        // `validate_sharded`).
+        let mut acc = CycleAcc::EMPTY;
+        if pairwise {
+            acc = Self::check_symmetry(plans, threaded);
+        }
+        if acc.violation.is_none() {
+            let words = |msg: &F::Msg| form.words(msg);
+            acc = if threaded {
+                Self::validate_sharded(
+                    self.topo,
+                    plans,
+                    &mut self.scratch.claims,
+                    &mut self.scratch.exchange,
+                    &self.scratch.shard_bounds,
+                    &self.faults,
+                    &words,
+                    n,
+                )
+            } else {
+                Self::validate_sequential(
+                    self.topo,
+                    plans,
+                    &mut self.scratch.recv_from,
+                    &self.faults,
+                    &words,
+                    n,
+                )
+            };
+        }
         if let Some((_, e)) = acc.violation {
             // Drop the undelivered messages eagerly rather than letting
             // them linger in scratch until the next cycle overwrites it.
@@ -1359,86 +1280,70 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             }
         });
 
-        // Phase 3 — deliver. The validated matching guarantees at most one
-        // inbound message per node, so the parallel backend scatters the
-        // messages into a per-node inbox (also reusable scratch) and lets
-        // each worker mutate only its own node's state. Messages to a
-        // node with an armed drop are lost here — after validation (the
-        // sender cannot tell) but before delivery, excluded from the
-        // delivered/words counters. The compiled pattern above keeps the
-        // *full* matching: drops are transient, schedules are not.
+        // Phase 3 — stage, then deliver. Staging runs on this thread in
+        // sender order: it moves each message (or fills each lane window
+        // from its sender's *pre-cycle* state — states are only read
+        // here) into the receiver's window of the staging slab and
+        // records the sender in `srcs`. Messages to a node with an armed
+        // drop are lost here — after validation (the sender cannot tell)
+        // but before delivery, excluded from the delivered/words
+        // counters. The compiled pattern above keeps the *full*
+        // matching: drops are transient, schedules are not. The validated
+        // matching stages at most one message per receiver, so delivery
+        // then runs receiver-driven, each worker mutating only its own
+        // nodes' states and windows. A planned message was already
+        // computed from its sender's pre-cycle state, so the sequential
+        // backend delivers it right here in sender order and skips the
+        // slab passes (lanes cannot: a later `fill` must not see a state
+        // an earlier delivery changed).
         let drops_active = self.faults.has_drops();
-        // Link accounting (simulated utilization, not wall-clock) runs
-        // only while a recorder is installed — the `false` branch keeps
-        // the common path to one boolean test per delivered message.
         let mut dropped = 0u64;
         let mut dropped_words = 0u64;
-        if threaded {
-            // Split inbox: packed `u32` sources + payload slab. The
-            // staging loop runs on this thread, so the source array needs
-            // no clearing — delivery gates on the payload `Option`, which
-            // the warm-slab discipline keeps all-`None` between cycles.
-            let srcs = &mut self.scratch.inbox_src;
-            if srcs.len() != n {
-                srcs.clear();
-                srcs.resize(n, NO_SRC);
+        let srcs = &mut self.scratch.srcs;
+        let mut slab = None;
+        if threaded || !F::PLANNED {
+            srcs.clear();
+            srcs.resize(n, NO_SRC);
+            slab = Some(self.scratch.stage.staging(n * width, || form.fresh()));
+        }
+        for (src, p) in plans.iter_mut().enumerate() {
+            let Some((dst, msg)) = p.take() else {
+                continue;
+            };
+            if drops_active && self.faults.dropped(dst) {
+                dropped += 1;
+                dropped_words += form.words(&msg);
+                continue;
             }
-            let payload = self.scratch.payload.warm::<M>(n);
-            for (src, p) in plans.iter_mut().enumerate() {
-                if let Some((dst, msg)) = p.take() {
-                    if drops_active && self.faults.dropped(dst) {
-                        dropped += 1;
-                        dropped_words += words(&msg);
-                    } else {
-                        if record_links {
-                            let w = words(&msg);
-                            let cross = self.topo.is_cross_edge(src, dst);
-                            self.metrics.link_util.record(cross, w);
-                            let slot = link_slot(self.topo, ports, src, dst);
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.record_link(slot, w, cross);
-                            }
-                        }
-                        srcs[dst] = src as u32;
-                        payload[dst] = Some(msg);
-                    }
+            // Link accounting (simulated utilization, not wall-clock)
+            // runs only while a recorder is installed — the `false`
+            // branch keeps the common path to one boolean test per
+            // delivered message.
+            if record_links {
+                let w = form.words(&msg);
+                let cross = self.topo.is_cross_edge(src, dst);
+                self.metrics.link_util.record(cross, w);
+                let slot = link_slot(self.topo, ports, src, dst);
+                if let Some(rec) = self.recorder.as_mut() {
+                    rec.record_link(slot, w, cross);
                 }
             }
-            let srcs: &[u32] = srcs;
-            par_lane_apply_bounds(
-                &self.scratch.shard_bounds,
-                &mut self.states,
-                1,
-                payload,
-                &|u, s, slot| {
-                    if let Some(msg) = slot[0].take() {
-                        deliver(s, srcs[u] as usize, msg);
-                    }
-                },
-            );
-        } else {
-            for (src, p) in plans.iter_mut().enumerate() {
-                if let Some((dst, msg)) = p.take() {
-                    if drops_active && self.faults.dropped(dst) {
-                        dropped += 1;
-                        dropped_words += words(&msg);
-                    } else {
-                        if record_links {
-                            let w = words(&msg);
-                            let cross = self.topo.is_cross_edge(src, dst);
-                            self.metrics.link_util.record(cross, w);
-                            let slot = link_slot(self.topo, ports, src, dst);
-                            if let Some(rec) = self.recorder.as_mut() {
-                                rec.record_link(slot, w, cross);
-                            }
-                        }
-                        deliver(&mut self.states[dst], src, msg);
-                    }
+            match slab.as_deref_mut() {
+                Some(slab) => {
+                    let window = &mut slab[dst * width..(dst + 1) * width];
+                    form.stage(src, &self.states[src], msg, window);
+                    srcs[dst] = src as u32;
                 }
+                None => form.deliver_planned(&mut self.states[dst], src, msg),
             }
         }
-        self.metrics
-            .record_comm_words(acc.delivered as u64 - dropped, acc.words - dropped_words);
+        if let Some(slab) = slab {
+            let bounds = &self.scratch.shard_bounds;
+            Self::deliver_staged(form, bounds, &mut self.states, srcs, slab, threaded);
+        }
+        let delivered = acc.delivered as u64 - dropped;
+        let words = acc.words - dropped_words;
+        self.metrics.record_comm_words(delivered, words);
         self.metrics.dropped_messages += dropped;
         if drops_active {
             self.faults.clear_drops();
@@ -1449,15 +1354,43 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             // before this cycle consulted the cache).
             self.schedules.insert(c);
         }
-        self.emit_comm(
-            obs,
-            threaded,
-            acc.delivered as u64 - dropped,
-            acc.words - dropped_words,
-            dropped,
-            1,
-        );
-        Ok(acc.delivered - dropped as usize)
+        self.emit_comm(obs, threaded, delivered, words, dropped, width as u32);
+        Ok(delivered as usize)
+    }
+
+    /// The pairwise symmetry pre-check, on the destinations already in
+    /// the plan slab: every sender's destination must send back to it.
+    /// The threaded form is pure reads of the shared slab reduced to the
+    /// lowest-index violation — identical to the sequential
+    /// first-hit-in-node-order report.
+    fn check_symmetry<M: Sync>(plans: &[Option<(NodeId, M)>], threaded: bool) -> CycleAcc {
+        let n = plans.len();
+        let check = |u: usize, acc: &mut CycleAcc| {
+            if let Some((v, _)) = plans[u] {
+                if v >= n {
+                    acc.violate(
+                        u,
+                        SimError::OutOfRange {
+                            node: v,
+                            num_nodes: n,
+                        },
+                    );
+                } else if !matches!(plans[v], Some((back, _)) if back == u) {
+                    acc.violate(u, SimError::AsymmetricPair { a: u, b: v });
+                }
+            }
+        };
+        if threaded {
+            return par_for_reduce(n, CycleAcc::EMPTY, &check, CycleAcc::merge);
+        }
+        let mut acc = CycleAcc::EMPTY;
+        for u in 0..n {
+            check(u, &mut acc);
+            if acc.violation.is_some() {
+                break;
+            }
+        }
+        acc
     }
 
     /// The sequential backend's validation: one walk over the plans in
@@ -1688,20 +1621,19 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         local.merge(conflicts)
     }
 
-    /// A keyed cycle served from the cache: one fused plan+verify+scatter
-    /// pass, then deliver. Each receiver `u` evaluates its compiled
-    /// sender's plan straight into `u`'s own inbox slot (so the pass
-    /// parallelises with zero cross-chunk writes); nodes the schedule
-    /// says are silent evaluate their own plan and check it still is
-    /// silent. Every node's plan is thus evaluated exactly once — same as
-    /// the full path — and any deviation from the compiled pattern fails
-    /// the cycle deterministically before any state is touched.
-    fn replay_cycle<M: Send + Sync + 'static>(
+    /// A keyed cycle of either payload form served from the cache: one
+    /// fused plan+verify+stage pass, then deliver. Each receiver `u`
+    /// evaluates its compiled sender's plan and stages the message
+    /// straight into `u`'s own window (so the pass parallelises with zero
+    /// cross-chunk writes); nodes the schedule says are silent evaluate
+    /// their own plan and check it still is silent. Every node's plan is
+    /// thus evaluated exactly once — same as the full path — and any
+    /// deviation from the compiled pattern fails the cycle
+    /// deterministically before any state is touched.
+    fn replay_cycle<F: Payload<S>>(
         &mut self,
         key: ScheduleKey,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
+        form: &F,
         obs: ObsCtx,
     ) -> Result<usize, SimError>
     where
@@ -1709,6 +1641,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     {
         let n = self.states.len();
         let threaded = self.threaded();
+        let width = form.width();
         let record_links = self.recorder.is_some();
         if record_links {
             // Resolve the link-table stride eagerly: the deferred flush
@@ -1742,17 +1675,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             .get_mut(key)
             .expect("caller checked the cache");
         let sched_delivered = sched.delivered;
-        // Split inbox: `srcs[u]` carries the packed sender (`NO_SRC` =
-        // silent), written unconditionally by every receiver's fused
-        // pass, so stale values never leak across cycles (and the array
-        // needs no per-cycle clearing); the payload slab holds the
-        // message and stays the move-out gate.
-        let srcs = &mut self.scratch.inbox_src;
-        if srcs.len() != n {
-            srcs.clear();
-            srcs.resize(n, NO_SRC);
-        }
-        let payload = self.scratch.payload.warm::<M>(n);
+        // The sender table: `srcs[u]` carries the packed sender (`NO_SRC`
+        // = silent), written unconditionally by every receiver's fused
+        // pass, so stale values never leak across cycles (and the table
+        // needs no per-cycle clearing — only the length matters).
+        let srcs = &mut self.scratch.srcs;
+        srcs.resize(n, NO_SRC);
+        let slab = self.scratch.stage.staging(n * width, || form.fresh());
         let states = &self.states;
         let faults = &self.faults;
         // Crashes and link cuts bump the epoch, which evicts the
@@ -1761,26 +1690,26 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // handling: the dropped message is validated but never staged.
         let drops_active = faults.has_drops();
         let enc = &sched.enc[..];
-        let eval = |u: usize, src_slot: &mut u32, slot: &mut Option<M>, acc: &mut CycleAcc| {
+        let eval = |u: usize, src_slot: &mut u32, window: &mut [F::Slot], acc: &mut CycleAcc| {
             *src_slot = NO_SRC;
             let e = enc[u];
             let src = (e & NO_SRC) as usize;
             if src != NO_SRC as usize {
-                match plan(src, &states[src]) {
+                match form.plan(src, &states[src]) {
                     Some((dst, msg)) if dst == u => {
                         if drops_active && faults.dropped(u) {
                             // Lost in flight; counted after the pass.
                         } else {
                             acc.delivered += 1;
-                            acc.words += words(&msg);
+                            acc.words += form.words(&msg);
+                            form.stage(src, &states[src], msg, window);
                             *src_slot = src as u32;
-                            *slot = Some(msg);
                         }
                     }
                     _ => acc.violate(src, SimError::ScheduleDeviation { key, node: src }),
                 }
             }
-            if e & SENDS_BIT == 0 && plan(u, &states[u]).is_some() {
+            if e & SENDS_BIT == 0 && form.plan(u, &states[u]).is_some() {
                 acc.violate(u, SimError::ScheduleDeviation { key, node: u });
             }
         };
@@ -1788,1049 +1717,17 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             par_lane_reduce_bounds(
                 &self.scratch.shard_bounds,
                 srcs,
-                1,
-                payload,
+                width,
+                slab,
                 CycleAcc::EMPTY,
-                &|u, src_slot, window, acc| eval(u, src_slot, &mut window[0], acc),
+                &eval,
                 CycleAcc::merge,
             )
         } else {
             let mut acc = CycleAcc::EMPTY;
-            for (u, (src_slot, slot)) in srcs.iter_mut().zip(payload.iter_mut()).enumerate() {
-                eval(u, src_slot, slot, &mut acc);
-            }
-            acc
-        };
-        if let Some((_, e)) = acc.violation {
-            // The deviating cycle is not applied: drop anything staged
-            // (restoring the payload slab's all-`None` warm invariant).
-            for slot in payload.iter_mut() {
-                *slot = None;
-            }
-            return Err(e);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
-            trace.push((phase, sched.trace_pairs()));
-        }
-        // Deferred link accounting over the staged inbox (one slot per
-        // delivered message — drops were excluded during the fused pass).
-        // Replay schedules are fixed, so the per-dst counts accumulate in
-        // the schedule's `AcctPlan` and resolve to link slots only at the
-        // flush points; the cycle itself pays two plain increments and a
-        // precomputed cross bit per message — no `port_of` resolution.
-        if record_links {
-            let acct = sched.acct.as_deref_mut().expect("attached above");
-            let mut util = LinkUtil::default();
-            for (dst, slot) in payload.iter().enumerate() {
-                if let Some(msg) = slot {
-                    let w = words(msg);
-                    acct.msgs[dst] += 1;
-                    acct.words[dst] += w;
-                    util.record(acct.is_cross(dst), w);
-                }
-            }
-            acct.dirty = true;
-            self.metrics.link_util.add_bulk(util);
-        }
-        let srcs: &[u32] = srcs;
-        if threaded {
-            par_lane_apply_bounds(
-                &self.scratch.shard_bounds,
-                &mut self.states,
-                1,
-                payload,
-                &|u, s, slot| {
-                    if let Some(msg) = slot[0].take() {
-                        deliver(s, srcs[u] as usize, msg);
-                    }
-                },
-            );
-        } else {
-            for (u, slot) in payload.iter_mut().enumerate() {
-                if let Some(msg) = slot.take() {
-                    deliver(&mut self.states[u], srcs[u] as usize, msg);
-                }
-            }
-        }
-        let delivered = acc.delivered;
-        let dropped = (sched_delivered - delivered) as u64;
-        self.metrics.record_comm_words(delivered as u64, acc.words);
-        self.metrics.dropped_messages += dropped;
-        if drops_active {
-            self.faults.clear_drops();
-        }
-        self.emit_comm(obs, threaded, delivered as u64, acc.words, dropped, 1);
-        Ok(delivered)
-    }
-
-    /// [`Machine::try_exchange`] that panics on a model violation — the
-    /// form algorithm implementations use, since their schedules are
-    /// supposed to be legal by construction. Steady-state cycles are
-    /// allocation-free — see [`Machine::try_exchange`].
-    #[track_caller]
-    pub fn exchange<M: Send + Sync + 'static>(
-        &mut self,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_exchange(plan, deliver) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// Fills `out` with each node's chosen partner, packed via
-    /// [`pack_partner`], in parallel when threaded. (`out` is the
-    /// reusable scratch buffer, moved out of `self` during the call so
-    /// the state borrow stays clean.)
-    fn collect_partners_into(
-        &self,
-        pair: &(impl Fn(NodeId, &S) -> Option<NodeId> + Sync),
-        out: &mut Vec<u32>,
-    ) where
-        S: Send + Sync,
-    {
-        out.clear();
-        if self.threaded() {
-            out.resize(self.states.len(), NO_PARTNER);
-            par_zip_apply(out, &self.states, &|u, slot, s| {
-                *slot = pack_partner(pair(u, s));
-            });
-        } else {
-            out.extend(
-                self.states
-                    .iter()
-                    .enumerate()
-                    .map(|(u, s)| pack_partner(pair(u, s))),
-            );
-        }
-    }
-
-    /// One symmetric pairwise exchange cycle: `pair(u, state)` names `u`'s
-    /// partner (or `None` to sit out); partners must name each other.
-    /// Every participating node sends `msg(u, state)` to its partner and
-    /// `deliver(state, partner, message)` runs at each participant.
-    ///
-    /// Like [`Machine::try_exchange`], steady-state cycles perform zero
-    /// heap allocations (the partner table is machine-owned scratch too).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::AsymmetricPair`] if the matching is not symmetric, plus
-    /// everything [`Machine::try_exchange`] can report.
-    pub fn try_pairwise<M: Send + Sync + 'static>(
-        &mut self,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        self.try_pairwise_sized(pair, msg, deliver, |_| 1)
-    }
-
-    /// [`Machine::try_pairwise`] with explicit payload sizes (see
-    /// [`Machine::try_exchange_sized`]).
-    pub fn try_pairwise_sized<M: Send + Sync + 'static>(
-        &mut self,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        self.pairwise_inner(pair, msg, deliver, words, None, ObsCtx::unkeyed(start))
-    }
-
-    /// [`Machine::try_pairwise_sized`] under a [`ScheduleKey`]. A replay
-    /// cycle skips the symmetry pre-pass along with the rest of
-    /// validation: symmetry is a property of the pattern, and the pattern
-    /// is re-checked against the compiled schedule (an asymmetric
-    /// deviation surfaces as [`SimError::ScheduleDeviation`]).
-    ///
-    /// ```
-    /// use dc_simulator::{Machine, ScheduleKey};
-    /// use dc_topology::Hypercube;
-    ///
-    /// let q = Hypercube::new(3);
-    /// let mut m = Machine::new(&q, (0..8u64).collect::<Vec<_>>());
-    /// for sweep in 0..2 {
-    ///     for i in 0..3u32 {
-    ///         m.pairwise_keyed(
-    ///             ScheduleKey::Dim(i),
-    ///             move |u, _| Some(u ^ (1 << i)),
-    ///             |_, &s| s,
-    ///             |s, _, v| *s += v,
-    ///         );
-    ///     }
-    /// }
-    /// // The second sweep replayed the three patterns the first compiled.
-    /// assert_eq!(m.metrics().schedule_misses, 3);
-    /// assert_eq!(m.metrics().schedule_hits, 3);
-    /// ```
-    pub fn try_pairwise_keyed_sized<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        if !self.replay {
-            return self.pairwise_inner(
-                pair,
-                msg,
-                deliver,
-                words,
-                None,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Bypass,
-                    start,
-                },
-            );
-        }
-        // As in `try_exchange_keyed_sized`: fault events first, so an
-        // epoch bump at this boundary forces the recompile path.
-        self.advance_faults();
-        if self.schedules.contains(key) {
-            let result = self.replay_cycle(
-                key,
-                |u, s| pair(u, s).map(|v| (v, msg(u, s))),
-                deliver,
-                words,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Hit,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_hits += 1;
-            }
-            result
-        } else {
-            let result = self.pairwise_inner(
-                pair,
-                msg,
-                deliver,
-                words,
-                Some(key),
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Miss,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_misses += 1;
-            }
-            result
-        }
-    }
-
-    /// One-word-payload form of [`Machine::try_pairwise_keyed_sized`].
-    pub fn try_pairwise_keyed<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        self.try_pairwise_keyed_sized(key, pair, msg, deliver, |_| 1)
-    }
-
-    /// Panicking form of [`Machine::try_pairwise_keyed`].
-    #[track_caller]
-    pub fn pairwise_keyed<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_pairwise_keyed(key, pair, msg, deliver) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// Panicking form of [`Machine::try_pairwise_keyed_sized`].
-    #[track_caller]
-    pub fn pairwise_keyed_sized<M: Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_pairwise_keyed_sized(key, pair, msg, deliver, words) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// The pairwise symmetry pre-check: every named partner must name
-    /// back. The threaded form is pure reads of the shared partner table
-    /// reduced to the lowest-index violation — identical to the
-    /// sequential first-hit-in-node-order report.
-    fn validate_symmetry(partners: &[u32], n: usize, threaded: bool) -> Result<(), SimError> {
-        if threaded {
-            let table = partners;
-            let acc = par_for_reduce(
-                n,
-                CycleAcc::EMPTY,
-                &|u, acc| {
-                    let p = table[u];
-                    if p != NO_PARTNER {
-                        let v = p as usize;
-                        if v >= n {
-                            acc.violate(
-                                u,
-                                SimError::OutOfRange {
-                                    node: v,
-                                    num_nodes: n,
-                                },
-                            );
-                        } else if table[v] != u as u32 {
-                            acc.violate(u, SimError::AsymmetricPair { a: u, b: v });
-                        }
-                    }
-                },
-                CycleAcc::merge,
-            );
-            match acc.violation {
-                Some((_, e)) => Err(e),
-                None => Ok(()),
-            }
-        } else {
-            for (u, &p) in partners.iter().enumerate() {
-                if p != NO_PARTNER {
-                    let v = p as usize;
-                    if v >= n {
-                        return Err(SimError::OutOfRange {
-                            node: v,
-                            num_nodes: n,
-                        });
-                    }
-                    if partners[v] != u as u32 {
-                        return Err(SimError::AsymmetricPair { a: u, b: v });
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
-
-    /// The full (non-replay) pairwise cycle: partner collection, symmetry
-    /// pre-validation, then the exchange (optionally compiling under
-    /// `capture`).
-    fn pairwise_inner<M: Send + Sync + 'static>(
-        &mut self,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-        capture: Option<ScheduleKey>,
-        obs: ObsCtx,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let n = self.states.len();
-        // Pre-validate symmetry so the error is precise (try_exchange
-        // would report it as a receive conflict or not at all). The
-        // partner table is reusable scratch, moved out for the duration
-        // of the cycle and always restored before returning.
-        let mut partners = std::mem::take(&mut self.scratch.partners);
-        self.collect_partners_into(&pair, &mut partners);
-        let symmetric = Self::validate_symmetry(&partners, n, self.threaded());
-        let result = match symmetric {
-            Ok(()) => self.exchange_inner(
-                |u, s| {
-                    let p = partners[u];
-                    (p != NO_PARTNER).then(|| (p as usize, msg(u, s)))
-                },
-                |s, from, m| deliver(s, from, m),
-                words,
-                capture,
-                obs,
-            ),
-            Err(e) => Err(e),
-        };
-        self.scratch.partners = partners;
-        result
-    }
-
-    /// Panicking form of [`Machine::try_pairwise_sized`].
-    #[track_caller]
-    pub fn pairwise_sized<M: Send + Sync + 'static>(
-        &mut self,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_pairwise_sized(pair, msg, deliver, words) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// Panicking form of [`Machine::try_exchange_sized`].
-    #[track_caller]
-    pub fn exchange_sized<M: Send + Sync + 'static>(
-        &mut self,
-        plan: impl Fn(NodeId, &S) -> Option<(NodeId, M)> + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-        words: impl Fn(&M) -> u64 + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_exchange_sized(plan, deliver, words) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// Panicking form of [`Machine::try_pairwise`]. Steady-state cycles
-    /// are allocation-free — see [`Machine::try_pairwise`].
-    #[track_caller]
-    pub fn pairwise<M: Send + Sync + 'static>(
-        &mut self,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        msg: impl Fn(NodeId, &S) -> M + Sync,
-        deliver: impl Fn(&mut S, NodeId, M) + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_pairwise(pair, msg, deliver) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// One **lane-batched** communication cycle: K independent payload
-    /// values ride each delivered message through a single plan /
-    /// validate / deliver pass. `plan(u, state)` names the destination
-    /// (payload-free — lanes are filled separately); `fill(src, state,
-    /// window)` writes the sender's K lane values into the receiver's
-    /// window of the machine-owned lane buffer; `deliver(state, src,
-    /// window)` folds the window into the receiver. Each message is
-    /// charged `lanes` words ([`Metrics::message_words`] =
-    /// K·messages), so K batched instances cost exactly K single-lane
-    /// runs in simulated words while sharing one cycle's engine
-    /// overhead. Steady-state cycles are allocation-free: the lane
-    /// buffer (`n × lanes` values) and the staged-sender table are
-    /// machine-owned scratch, reused while `V` and `lanes` stay fixed.
-    ///
-    /// Within one cycle every `fill` observes the senders' *pre-cycle*
-    /// states (staging completes before delivery mutates anything), so
-    /// symmetric exchanges where both sides read each other are exact.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Machine::try_exchange`]'s errors; on error the cycle is
-    /// not applied and no step is counted.
-    ///
-    /// # Panics
-    ///
-    /// If `lanes == 0`.
-    pub fn try_exchange_lanes<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        lanes: usize,
-        seed: &V,
-        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        self.lanes_inner(
-            lanes,
-            seed,
-            plan,
-            fill,
-            deliver,
-            None,
-            ObsCtx::unkeyed(start),
-        )
-    }
-
-    /// [`Machine::try_exchange_lanes`] under a [`ScheduleKey`]: the
-    /// first cycle compiles the pattern, later cycles replay it — one
-    /// schedule lookup and one fused verify+stage pass for all K lanes
-    /// (see [`Machine::try_exchange_keyed_sized`] for the replay
-    /// contract).
-    pub fn try_exchange_lanes_keyed<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        lanes: usize,
-        seed: &V,
-        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        if !self.replay {
-            return self.lanes_inner(
-                lanes,
-                seed,
-                plan,
-                fill,
-                deliver,
-                None,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Bypass,
-                    start,
-                },
-            );
-        }
-        // As in `try_exchange_keyed_sized`: fault events first, so an
-        // epoch bump at this boundary forces the recompile path.
-        self.advance_faults();
-        if self.schedules.contains(key) {
-            let result = self.replay_lanes_cycle(
-                key,
-                lanes,
-                seed,
-                plan,
-                fill,
-                deliver,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Hit,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_hits += 1;
-            }
-            result
-        } else {
-            let result = self.lanes_inner(
-                lanes,
-                seed,
-                plan,
-                fill,
-                deliver,
-                Some(key),
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Miss,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_misses += 1;
-            }
-            result
-        }
-    }
-
-    /// Panicking form of [`Machine::try_exchange_lanes_keyed`].
-    #[track_caller]
-    pub fn exchange_lanes_keyed<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        lanes: usize,
-        seed: &V,
-        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_exchange_lanes_keyed(key, lanes, seed, plan, fill, deliver) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// Lane-batched form of [`Machine::try_pairwise`]: a symmetric
-    /// matching with K payload values per message (see
-    /// [`Machine::try_exchange_lanes`] for the lane contract).
-    pub fn try_pairwise_lanes<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        lanes: usize,
-        seed: &V,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        self.pairwise_lanes_inner(
-            lanes,
-            seed,
-            pair,
-            fill,
-            deliver,
-            None,
-            ObsCtx::unkeyed(start),
-        )
-    }
-
-    /// [`Machine::try_pairwise_lanes`] under a [`ScheduleKey`]. As with
-    /// [`Machine::try_pairwise_keyed_sized`], a replay cycle skips the
-    /// symmetry pre-pass: the pattern is re-checked against the compiled
-    /// schedule instead.
-    pub fn try_pairwise_lanes_keyed<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        lanes: usize,
-        seed: &V,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let start = self.obs_cycle_start();
-        if !self.replay {
-            return self.pairwise_lanes_inner(
-                lanes,
-                seed,
-                pair,
-                fill,
-                deliver,
-                None,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Bypass,
-                    start,
-                },
-            );
-        }
-        self.advance_faults();
-        if self.schedules.contains(key) {
-            let result = self.replay_lanes_cycle(
-                key,
-                lanes,
-                seed,
-                pair,
-                fill,
-                deliver,
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Hit,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_hits += 1;
-            }
-            result
-        } else {
-            let result = self.pairwise_lanes_inner(
-                lanes,
-                seed,
-                pair,
-                fill,
-                deliver,
-                Some(key),
-                ObsCtx {
-                    key: Some(key),
-                    cache: CacheStatus::Miss,
-                    start,
-                },
-            );
-            if result.is_ok() {
-                self.metrics.schedule_misses += 1;
-            }
-            result
-        }
-    }
-
-    /// Panicking form of [`Machine::try_pairwise_lanes_keyed`].
-    #[track_caller]
-    pub fn pairwise_lanes_keyed<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        lanes: usize,
-        seed: &V,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-    ) -> usize
-    where
-        S: Send + Sync,
-    {
-        match self.try_pairwise_lanes_keyed(key, lanes, seed, pair, fill, deliver) {
-            Ok(count) => count,
-            Err(e) => panic!("communication-model violation: {e}"),
-        }
-    }
-
-    /// The full (non-replay) lane-batched pairwise cycle: partner
-    /// collection and symmetry pre-validation exactly as
-    /// [`Machine::try_pairwise`], then the lane exchange.
-    #[allow(clippy::too_many_arguments)]
-    fn pairwise_lanes_inner<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        lanes: usize,
-        seed: &V,
-        pair: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-        capture: Option<ScheduleKey>,
-        obs: ObsCtx,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        let n = self.states.len();
-        // The partner table is reusable scratch, moved out for the
-        // duration of the cycle and always restored before returning —
-        // as in `pairwise_inner`.
-        let mut partners = std::mem::take(&mut self.scratch.partners);
-        self.collect_partners_into(&pair, &mut partners);
-        let symmetric = Self::validate_symmetry(&partners, n, self.threaded());
-        let result = match symmetric {
-            Ok(()) => self.lanes_inner(
-                lanes,
-                seed,
-                |u, _| {
-                    let p = partners[u];
-                    (p != NO_PARTNER).then_some(p as usize)
-                },
-                fill,
-                deliver,
-                capture,
-                obs,
-            ),
-            Err(e) => Err(e),
-        };
-        self.scratch.partners = partners;
-        result
-    }
-
-    /// The full (non-replay) lane-batched communication cycle: plan
-    /// (destinations only), validate, optionally compile under
-    /// `capture`, then stage every delivered message's K lane values
-    /// into the receivers' windows and deliver. The validated pattern is
-    /// identical to what [`Machine::try_exchange`] would compute for the
-    /// same destinations, so lane cycles share the schedule cache with
-    /// their single-lane counterparts.
-    #[allow(clippy::too_many_arguments)]
-    fn lanes_inner<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        lanes: usize,
-        seed: &V,
-        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-        capture: Option<ScheduleKey>,
-        obs: ObsCtx,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        assert!(lanes > 0, "a lane-batched cycle needs at least one lane");
-        self.advance_faults();
-        let n = self.states.len();
-        let threaded = self.threaded();
-        let lane_words = lanes as u64;
-        let record_links = self.recorder.is_some();
-        let ports = if record_links { self.link_ports() } else { 0 };
-
-        // Resolve the shard-aligned dispatch bounds before scratch is
-        // borrowed field-by-field below (the rebuild needs `&mut self`).
-        if threaded {
-            self.shard_bounds();
-        }
-
-        // Phase 1 — plan. Destinations only: payloads go straight into
-        // the lane windows after validation, so the plan slab carries
-        // unit messages.
-        let plans = self.scratch.plans.cleared::<Option<(NodeId, ())>>();
-        if threaded {
-            plans.resize_with(n, || None);
-            par_zip_apply(plans, &self.states, &|u, slot, s| {
-                *slot = plan(u, s).map(|dst| (dst, ()));
-            });
-        } else {
-            plans.extend(
-                self.states
-                    .iter()
-                    .enumerate()
-                    .map(|(u, s)| plan(u, s).map(|dst| (dst, ()))),
-            );
-        }
-
-        // Phase 2 — validate, with every message charged `lanes` words.
-        let acc = if threaded {
-            Self::validate_sharded(
-                self.topo,
-                plans,
-                &mut self.scratch.claims,
-                &mut self.scratch.exchange,
-                &self.scratch.shard_bounds,
-                &self.faults,
-                &|_: &()| lane_words,
-                n,
-            )
-        } else {
-            Self::validate_sequential(
-                self.topo,
-                plans,
-                &mut self.scratch.recv_from,
-                &self.faults,
-                &|_: &()| lane_words,
-                n,
-            )
-        };
-        if let Some((_, e)) = acc.violation {
-            plans.clear();
-            return Err(e);
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
-            trace.push((
-                phase,
-                plans
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(src, p)| p.as_ref().map(|&(dst, _)| (src, dst)))
-                    .collect(),
-            ));
-        }
-        let compiled = capture.map(|key| {
-            // Construction already bounds node counts below `NO_SRC`.
-            debug_assert!(n < NO_SRC as usize);
-            let mut enc = vec![NO_SRC; n];
-            for (src, p) in plans.iter().enumerate() {
-                if let Some((dst, _)) = p {
-                    enc[src] |= SENDS_BIT;
-                    enc[*dst] = (enc[*dst] & SENDS_BIT) | src as u32;
-                }
-            }
-            CompiledSchedule {
-                key,
-                enc,
-                delivered: acc.delivered,
-                epoch: self.faults.epoch(),
-                acct: None,
-            }
-        });
-
-        // Phase 3 — stage + deliver. Staging fills each receiver's lane
-        // window from its sender's *pre-cycle* state (states are only
-        // read here); delivery then folds the windows in, each worker
-        // touching only its own node's state and window.
-        let drops_active = self.faults.has_drops();
-        let mut dropped = 0u64;
-        let lane_src = &mut self.scratch.lane_src;
-        lane_src.clear();
-        lane_src.resize(n, NO_SRC);
-        let lanebuf = self.scratch.lanebuf.strided::<V>(n * lanes, seed);
-        for (src, p) in plans.iter_mut().enumerate() {
-            if let Some((dst, ())) = p.take() {
-                if drops_active && self.faults.dropped(dst) {
-                    dropped += 1;
-                } else {
-                    if record_links {
-                        let cross = self.topo.is_cross_edge(src, dst);
-                        self.metrics.link_util.record(cross, lane_words);
-                        let slot = link_slot(self.topo, ports, src, dst);
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.record_link(slot, lane_words, cross);
-                        }
-                    }
-                    fill(
-                        src,
-                        &self.states[src],
-                        &mut lanebuf[dst * lanes..(dst + 1) * lanes],
-                    );
-                    lane_src[dst] = src as u32;
-                }
-            }
-        }
-        if threaded {
-            let srcs: &[u32] = lane_src;
-            par_lane_apply_bounds(
-                &self.scratch.shard_bounds,
-                &mut self.states,
-                lanes,
-                lanebuf,
-                &|u, s, window| {
-                    if srcs[u] != NO_SRC {
-                        deliver(s, srcs[u] as usize, window);
-                    }
-                },
-            );
-        } else {
-            for (u, (s, window)) in self
-                .states
+            for (u, (src_slot, window)) in srcs
                 .iter_mut()
-                .zip(lanebuf.chunks_exact_mut(lanes))
-                .enumerate()
-            {
-                if lane_src[u] != NO_SRC {
-                    deliver(s, lane_src[u] as usize, window);
-                }
-            }
-        }
-        let delivered = acc.delivered as u64 - dropped;
-        self.metrics
-            .record_comm_words(delivered, delivered * lane_words);
-        self.metrics.dropped_messages += dropped;
-        if drops_active {
-            self.faults.clear_drops();
-        }
-        if let Some(c) = compiled {
-            // No eviction to handle: the epoch sweep removed any stale
-            // same-key entry before this cycle consulted the cache.
-            self.schedules.insert(c);
-        }
-        self.emit_comm(
-            obs,
-            threaded,
-            delivered,
-            delivered * lane_words,
-            dropped,
-            lanes as u32,
-        );
-        Ok(acc.delivered - dropped as usize)
-    }
-
-    /// A lane-batched keyed cycle served from the cache: one fused
-    /// verify+stage pass over the compiled pattern (each receiver checks
-    /// its compiled sender's plan and fills its own lane window), then
-    /// deliver — the replay contract of [`Machine::try_exchange_keyed_sized`]
-    /// with K values riding each message.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_lanes_cycle<V: Clone + Send + Sync + 'static>(
-        &mut self,
-        key: ScheduleKey,
-        lanes: usize,
-        seed: &V,
-        plan: impl Fn(NodeId, &S) -> Option<NodeId> + Sync,
-        fill: impl Fn(NodeId, &S, &mut [V]) + Sync,
-        deliver: impl Fn(&mut S, NodeId, &mut [V]) + Sync,
-        obs: ObsCtx,
-    ) -> Result<usize, SimError>
-    where
-        S: Send + Sync,
-    {
-        assert!(lanes > 0, "a lane-batched cycle needs at least one lane");
-        let n = self.states.len();
-        let threaded = self.threaded();
-        let lane_words = lanes as u64;
-        let record_links = self.recorder.is_some();
-        if record_links {
-            // Same deferred-accounting setup as `replay_cycle`: resolve
-            // the stride (flush helpers treat `None` as "nothing
-            // pending") and attach the plan with its cross-edge bitset.
-            self.link_ports();
-            let topo = self.topo;
-            let sched = self
-                .schedules
-                .get_mut(key)
-                .expect("caller checked the cache");
-            if sched.acct.is_none() {
-                let mut acct = Box::new(AcctPlan::new(n));
-                for (dst, &e) in sched.enc.iter().enumerate() {
-                    let src = (e & NO_SRC) as usize;
-                    if src != NO_SRC as usize && topo.is_cross_edge(src, dst) {
-                        acct.set_cross(dst);
-                    }
-                }
-                sched.acct = Some(acct);
-            }
-        }
-        if threaded {
-            self.shard_bounds();
-        }
-        let sched = self
-            .schedules
-            .get_mut(key)
-            .expect("caller checked the cache");
-        let sched_delivered = sched.delivered;
-        let lane_src = &mut self.scratch.lane_src;
-        // Every entry is written by the fused pass below, so only the
-        // length matters — no clearing pass.
-        lane_src.resize(n, NO_SRC);
-        let lanebuf = self.scratch.lanebuf.strided::<V>(n * lanes, seed);
-        let states = &self.states;
-        let faults = &self.faults;
-        let drops_active = faults.has_drops();
-        let enc = &sched.enc[..];
-        let eval = |u: usize, src_slot: &mut u32, window: &mut [V], acc: &mut CycleAcc| {
-            *src_slot = NO_SRC;
-            let e = enc[u];
-            let src = (e & NO_SRC) as usize;
-            if src != NO_SRC as usize {
-                match plan(src, &states[src]) {
-                    Some(dst) if dst == u => {
-                        if drops_active && faults.dropped(u) {
-                            // Lost in flight; counted after the pass.
-                        } else {
-                            acc.delivered += 1;
-                            acc.words += lane_words;
-                            fill(src, &states[src], window);
-                            *src_slot = src as u32;
-                        }
-                    }
-                    _ => acc.violate(src, SimError::ScheduleDeviation { key, node: src }),
-                }
-            }
-            if e & SENDS_BIT == 0 && plan(u, &states[u]).is_some() {
-                acc.violate(u, SimError::ScheduleDeviation { key, node: u });
-            }
-        };
-        let acc = if threaded {
-            par_lane_reduce_bounds(
-                &self.scratch.shard_bounds,
-                lane_src,
-                lanes,
-                lanebuf,
-                CycleAcc::EMPTY,
-                &|u, src_slot, window, acc| eval(u, src_slot, window, acc),
-                CycleAcc::merge,
-            )
-        } else {
-            let mut acc = CycleAcc::EMPTY;
-            for (u, (src_slot, window)) in lane_src
-                .iter_mut()
-                .zip(lanebuf.chunks_exact_mut(lanes))
+                .zip(slab.chunks_exact_mut(width))
                 .enumerate()
             {
                 eval(u, src_slot, window, &mut acc);
@@ -2839,54 +1736,38 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         };
         if let Some((_, e)) = acc.violation {
             // The deviating cycle is not applied: delivery never runs,
-            // and the stale staged windows are gated off by the next
-            // cycle's own staging.
+            // and whatever the pass staged is dropped (a message slab
+            // returns to all-empty; stale lane windows are gated off by
+            // the next cycle's own staging).
+            form.discard(slab);
             return Err(e);
         }
         if let Some(trace) = self.trace.as_mut() {
             let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
             trace.push((phase, sched.trace_pairs()));
         }
-        // Deferred link accounting over the staged senders (drops were
-        // excluded during the fused pass) — see `replay_cycle`.
+        // Deferred link accounting over the staged senders (one per
+        // delivered message — drops were excluded during the fused pass).
+        // Replay schedules are fixed, so the per-dst counts accumulate in
+        // the schedule's `AcctPlan` and resolve to link slots only at the
+        // flush points; the cycle itself pays two plain increments and a
+        // precomputed cross bit per message — no `port_of` resolution.
         if record_links {
             let acct = sched.acct.as_deref_mut().expect("attached above");
             let mut util = LinkUtil::default();
-            for (dst, &src) in lane_src.iter().enumerate() {
+            for (dst, (&src, window)) in srcs.iter().zip(slab.chunks_exact(width)).enumerate() {
                 if src != NO_SRC {
+                    let w = form.staged_words(window);
                     acct.msgs[dst] += 1;
-                    acct.words[dst] += lane_words;
-                    util.record(acct.is_cross(dst), lane_words);
+                    acct.words[dst] += w;
+                    util.record(acct.is_cross(dst), w);
                 }
             }
             acct.dirty = true;
             self.metrics.link_util.add_bulk(util);
         }
-        if threaded {
-            let srcs: &[u32] = lane_src;
-            par_lane_apply_bounds(
-                &self.scratch.shard_bounds,
-                &mut self.states,
-                lanes,
-                lanebuf,
-                &|u, s, window| {
-                    if srcs[u] != NO_SRC {
-                        deliver(s, srcs[u] as usize, window);
-                    }
-                },
-            );
-        } else {
-            for (u, (s, window)) in self
-                .states
-                .iter_mut()
-                .zip(lanebuf.chunks_exact_mut(lanes))
-                .enumerate()
-            {
-                if lane_src[u] != NO_SRC {
-                    deliver(s, lane_src[u] as usize, window);
-                }
-            }
-        }
+        let bounds = &self.scratch.shard_bounds;
+        Self::deliver_staged(form, bounds, &mut self.states, srcs, slab, threaded);
         let delivered = acc.delivered;
         let dropped = (sched_delivered - delivered) as u64;
         self.metrics.record_comm_words(delivered as u64, acc.words);
@@ -2900,9 +1781,40 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             delivered as u64,
             acc.words,
             dropped,
-            lanes as u32,
+            width as u32,
         );
         Ok(delivered)
+    }
+
+    /// The deliver phase of both paths: each receiver `u` hands its
+    /// window of the staging slab, with its staged sender `srcs[u]`, to
+    /// the payload form — on the threaded backend over the shard-aligned
+    /// dispatch slots, so each worker touches only its own nodes' states
+    /// and windows.
+    fn deliver_staged<F: Payload<S>>(
+        form: &F,
+        bounds: &[usize],
+        states: &mut [S],
+        srcs: &[u32],
+        slab: &mut [F::Slot],
+        threaded: bool,
+    ) where
+        S: Send,
+    {
+        let width = form.width();
+        if threaded {
+            par_lane_apply_bounds(bounds, states, width, slab, &|u, s, window| {
+                form.deliver(s, srcs[u], window);
+            });
+        } else {
+            for (u, (s, window)) in states
+                .iter_mut()
+                .zip(slab.chunks_exact_mut(width))
+                .enumerate()
+            {
+                form.deliver(s, srcs[u], window);
+            }
+        }
     }
 
     /// Runs `f` once per node, on the configured backend. With
@@ -3013,7 +1925,7 @@ mod tests {
     fn exchange_delivers_and_counts() {
         let mut m = machine(2);
         // Everyone sends its value across dimension 0.
-        let delivered = m.exchange(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v);
+        let delivered = m.cycle(|c| c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v));
         assert_eq!(delivered, 4);
         assert_eq!(m.states(), &[1, 1, 5, 5]);
         assert_eq!(m.metrics().comm_steps, 1);
@@ -3024,10 +1936,12 @@ mod tests {
     fn non_adjacent_send_rejected() {
         let mut m = machine(2);
         let err = m
-            .try_exchange(
-                |u, &s| if u == 0 { Some((3, s)) } else { None },
-                |_, _, _: u64| {},
-            )
+            .try_cycle(|c| {
+                c.message(
+                    |u, &s| if u == 0 { Some((3, s)) } else { None },
+                    |_, _, _: u64| {},
+                )
+            })
             .unwrap_err();
         assert_eq!(err, SimError::NotAdjacent { src: 0, dst: 3 });
         // Machine untouched, no step counted.
@@ -3040,14 +1954,16 @@ mod tests {
         let mut m = machine(2);
         // Nodes 1 and 2 both send to node 0 (a neighbour of both in Q_2).
         let err = m
-            .try_exchange(
-                |u, &s| match u {
-                    1 => Some((0, s)),
-                    2 => Some((0, s)),
-                    _ => None,
-                },
-                |_, _, _: u64| {},
-            )
+            .try_cycle(|c| {
+                c.message(
+                    |u, &s| match u {
+                        1 => Some((0, s)),
+                        2 => Some((0, s)),
+                        _ => None,
+                    },
+                    |_, _, _: u64| {},
+                )
+            })
             .unwrap_err();
         match err {
             SimError::RecvConflict { node, .. } => assert_eq!(node, 0),
@@ -3059,10 +1975,12 @@ mod tests {
     fn self_message_rejected() {
         let mut m = machine(2);
         let err = m
-            .try_exchange(
-                |u, &s| if u == 1 { Some((1, s)) } else { None },
-                |_, _, _: u64| {},
-            )
+            .try_cycle(|c| {
+                c.message(
+                    |u, &s| if u == 1 { Some((1, s)) } else { None },
+                    |_, _, _: u64| {},
+                )
+            })
             .unwrap_err();
         assert_eq!(err, SimError::SelfMessage { node: 1 });
     }
@@ -3071,10 +1989,12 @@ mod tests {
     fn out_of_range_rejected() {
         let mut m = machine(2);
         let err = m
-            .try_exchange(
-                |u, &s| if u == 0 { Some((9, s)) } else { None },
-                |_, _, _: u64| {},
-            )
+            .try_cycle(|c| {
+                c.message(
+                    |u, &s| if u == 0 { Some((9, s)) } else { None },
+                    |_, _, _: u64| {},
+                )
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -3089,11 +2009,10 @@ mod tests {
     fn asymmetric_pair_rejected() {
         let mut m = machine(2);
         let err = m
-            .try_pairwise(
-                |u, _| if u == 0 { Some(1) } else { None },
-                |_, &s| s,
-                |_, _, _| {},
-            )
+            .try_cycle(|c| {
+                c.message(|u, &s| (u == 0).then_some((1, s)), |_, _, _| {})
+                    .pairwise()
+            })
             .unwrap_err();
         assert_eq!(err, SimError::AsymmetricPair { a: 0, b: 1 });
     }
@@ -3102,16 +2021,21 @@ mod tests {
     #[should_panic(expected = "communication-model violation")]
     fn exchange_panics_on_violation() {
         let mut m = machine(2);
-        m.exchange(
-            |u, &s| if u == 0 { Some((3, s)) } else { None },
-            |_, _, _: u64| {},
-        );
+        m.cycle(|c| {
+            c.message(
+                |u, &s| if u == 0 { Some((3, s)) } else { None },
+                |_, _, _: u64| {},
+            )
+        });
     }
 
     #[test]
     fn pairwise_swaps_values() {
         let mut m = machine(3);
-        m.pairwise(|u, _| Some(u ^ 0b100), |_, &s| s, |s, _, v| *s = v);
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 0b100, s)), |s, _, v| *s = v)
+                .pairwise()
+        });
         assert_eq!(m.states(), &[4, 5, 6, 7, 0, 1, 2, 3]);
         assert_eq!(m.metrics().comm_steps, 1);
         assert_eq!(m.metrics().messages, 8);
@@ -3121,11 +2045,10 @@ mod tests {
     fn partial_matching_allowed() {
         let mut m = machine(2);
         // Only the pair {0, 1} exchanges.
-        let count = m.pairwise(
-            |u, _| if u < 2 { Some(u ^ 1) } else { None },
-            |_, &s| s,
-            |s, _, v| *s = v,
-        );
+        let count = m.cycle(|c| {
+            c.message(|u, &s| (u < 2).then_some((u ^ 1, s)), |s, _, v| *s = v)
+                .pairwise()
+        });
         assert_eq!(count, 2);
         assert_eq!(m.states(), &[1, 0, 2, 3]);
     }
@@ -3137,13 +2060,15 @@ mod tests {
         plain.enable_trace();
         keyed.enable_trace();
         for _ in 0..4 {
-            plain.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
-            keyed.pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            );
+            plain.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+            });
+            keyed.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            });
         }
         assert_eq!(plain.states(), keyed.states());
         assert_eq!(plain.phased_trace(), keyed.phased_trace());
@@ -3161,11 +2086,10 @@ mod tests {
         // silent-node self-check of the replay pass.
         let mut m = machine(2);
         for round in 0..3u64 {
-            let delivered = m.exchange_keyed(
-                ScheduleKey::Custom(7),
-                |u, &s| (u == 0).then_some((1, s)),
-                |s, _, v| *s += v,
-            );
+            let delivered = m.cycle(|c| {
+                c.message(|u, &s| (u == 0).then_some((1, s)), |s, _, v| *s += v)
+                    .keyed(ScheduleKey::Custom(7))
+            });
             assert_eq!(delivered, 1, "round {round}");
         }
         assert_eq!(m.metrics().schedule_misses, 1);
@@ -3176,22 +2100,20 @@ mod tests {
     #[test]
     fn deviating_replay_rejected_and_machine_untouched() {
         let mut m = machine(2);
-        m.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         let before = m.states().to_vec();
         let comm = m.metrics().comm_steps;
         // Same key, different pattern: nodes pair across dim 1 instead.
         let err = m
-            .try_pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(u ^ 2),
-                |_, &s| s,
-                |s, _, v| *s = v,
-            )
+            .try_cycle(|c| {
+                c.message(|u, &s| Some((u ^ 2, s)), |s, _, v| *s = v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Cross)
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -3204,12 +2126,11 @@ mod tests {
         assert_eq!(m.metrics().comm_steps, comm, "no step charged");
         assert_eq!(m.metrics().schedule_hits, 0);
         // The compiled schedule is still intact and replayable.
-        m.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         assert_eq!(m.metrics().schedule_hits, 1);
     }
 
@@ -3217,20 +2138,18 @@ mod tests {
     fn newly_speaking_node_rejected_on_replay() {
         let mut m = machine(2);
         // Compile: only {0, 1} exchange.
-        m.pairwise_keyed(
-            ScheduleKey::Custom(1),
-            |u, _| (u < 2).then_some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| (u < 2).then_some((u ^ 1, s)), |s, _, v| *s = v)
+                .pairwise()
+                .keyed(ScheduleKey::Custom(1))
+        });
         // Replay with node 2 and 3 joining in: deviation at node 2.
         let err = m
-            .try_pairwise_keyed(
-                ScheduleKey::Custom(1),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s = v,
-            )
+            .try_cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Custom(1))
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -3247,12 +2166,11 @@ mod tests {
         m.set_schedule_replay(false);
         assert!(!m.schedule_replay());
         for _ in 0..3 {
-            m.pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            );
+            m.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Cross)
+            });
         }
         assert_eq!(m.compiled_schedules(), 0);
         assert_eq!(m.metrics().schedule_hits, 0);
@@ -3263,21 +2181,19 @@ mod tests {
     #[test]
     fn clear_schedules_forces_recompile() {
         let mut m = machine(2);
-        m.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         assert_eq!(m.compiled_schedules(), 1);
         m.clear_schedules();
         assert_eq!(m.compiled_schedules(), 0);
-        m.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         assert_eq!(m.metrics().schedule_misses, 2);
     }
 
@@ -3289,7 +2205,11 @@ mod tests {
         let mut a = machine(2);
         for key in [ScheduleKey::Cross, ScheduleKey::Custom(7)] {
             for _ in 0..2 {
-                a.pairwise_keyed(key, |u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+                a.cycle(|c| {
+                    c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                        .pairwise()
+                        .keyed(key)
+                });
             }
         }
         assert_eq!(a.metrics().schedule_misses, 2);
@@ -3303,17 +2223,20 @@ mod tests {
         b.adopt_schedules(&mut bank);
         assert!(bank.is_empty(), "adoption drains the bank");
         for key in [ScheduleKey::Cross, ScheduleKey::Custom(7)] {
-            b.pairwise_keyed(key, |u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+            b.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(key)
+            });
         }
         assert_eq!(b.metrics().schedule_misses, 0, "warm bank: no recompiles");
         assert_eq!(b.metrics().schedule_hits, 2);
         // And a third key extends the set before donating back.
-        b.pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        b.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Dim(0))
+        });
         b.donate_schedules(&mut bank);
         assert_eq!(bank.len(), 3);
     }
@@ -3323,12 +2246,11 @@ mod tests {
     fn schedule_bank_rejects_mismatched_node_count() {
         let mut bank = ScheduleBank::new();
         let mut a = machine(2);
-        a.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        a.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         a.donate_schedules(&mut bank);
         let mut b = machine(3); // 8 nodes, bank warmed on 4
         b.adopt_schedules(&mut bank);
@@ -3339,12 +2261,11 @@ mod tests {
     fn schedule_bank_refuses_faulted_adopter() {
         let mut bank = ScheduleBank::new();
         let mut a = machine(2);
-        a.pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        a.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
         a.donate_schedules(&mut bank);
         let mut b = machine(2);
         b.inject_fault(FaultKind::NodeCrash { node: 3 });
@@ -3359,9 +2280,14 @@ mod tests {
         let mut plain = machine(2);
         let plan = |u: usize, &s: &u64| if u == 0 { Some((3, s)) } else { None };
         let a = keyed
-            .try_exchange_keyed(ScheduleKey::Custom(9), plan, |_, _, _: u64| {})
+            .try_cycle(|c| {
+                c.message(plan, |_, _, _: u64| {})
+                    .keyed(ScheduleKey::Custom(9))
+            })
             .unwrap_err();
-        let b = plain.try_exchange(plan, |_, _, _: u64| {}).unwrap_err();
+        let b = plain
+            .try_cycle(|c| c.message(plan, |_, _, _: u64| {}))
+            .unwrap_err();
         assert_eq!(a, b);
         // The failed cycle compiled nothing.
         assert_eq!(keyed.compiled_schedules(), 0);
@@ -3438,7 +2364,10 @@ mod tests {
             let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
             m.enable_trace();
             for i in 0..13 {
-                m.pairwise(|u, _| Some(u ^ (1 << i)), |_, &s| s, |s, _, v| *s += v);
+                m.cycle(|c| {
+                    c.message(|u, &s| Some((u ^ (1 << i), s)), |s, _, v| *s += v)
+                        .pairwise()
+                });
                 m.compute(1, |u, s| *s = s.wrapping_add(u as u64));
             }
             let trace = m.phased_trace().to_vec();
@@ -3469,12 +2398,14 @@ mod tests {
             m.enable_trace();
             for sweep in 0..3 {
                 for i in 0..13u32 {
-                    m.pairwise_keyed(
-                        ScheduleKey::Dim(i),
-                        move |u, _| Some(u ^ (1usize << i)),
-                        |_, &s| s,
-                        move |s, _, v| *s = s.wrapping_mul(31).wrapping_add(v + sweep),
-                    );
+                    m.cycle(|c| {
+                        c.message(
+                            move |u, &s| Some((u ^ (1usize << i), s)),
+                            move |s, _, v| *s = s.wrapping_mul(31).wrapping_add(v + sweep),
+                        )
+                        .pairwise()
+                        .keyed(ScheduleKey::Dim(i))
+                    });
                 }
             }
             let trace = m.phased_trace().to_vec();
@@ -3497,29 +2428,99 @@ mod tests {
         assert_eq!(baseline, par_baseline, "threaded validate-every-cycle");
     }
 
+    /// A cycle's payload form, as one more input to the error-semantics
+    /// probes: a moved message, or `K` lanes per message.
+    #[derive(Clone, Copy, Debug)]
+    enum Form {
+        Message,
+        Lanes(usize),
+    }
+
+    const FORMS: [Form; 3] = [Form::Message, Form::Lanes(1), Form::Lanes(3)];
+
+    /// One cycle in `form` where node `u` sends to `dst(u)` (its own id
+    /// as the payload), requiring a symmetric matching when `pairwise`.
+    fn try_form(
+        m: &mut Machine<'_, Hypercube, u64>,
+        form: Form,
+        pairwise: bool,
+        dst: impl Fn(NodeId) -> Option<NodeId> + Sync,
+    ) -> Result<usize, SimError> {
+        match form {
+            Form::Message => m.try_cycle(|c| {
+                let c = c.message(|u, _| dst(u).map(|v| (v, u as u64)), |_, _, _| {});
+                if pairwise {
+                    c.pairwise()
+                } else {
+                    c
+                }
+            }),
+            Form::Lanes(k) => m.try_cycle(|c| {
+                let c = c.lanes(
+                    k,
+                    &0,
+                    |u, _| dst(u),
+                    |u, _, w| w.fill(u as u64),
+                    |_, _, _| {},
+                );
+                if pairwise {
+                    c.pairwise()
+                } else {
+                    c
+                }
+            }),
+        }
+    }
+
     /// Model violations must be reported identically (same variant, same
-    /// nodes) by both backends, with the machine left untouched.
+    /// nodes) by both backends and both payload forms, with the machine
+    /// left untouched.
     #[test]
     fn parallel_backend_error_semantics_bit_identical() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
-        let probe = |exec: ExecMode| {
+        let probe = |exec: ExecMode, form: Form, case: usize| {
             let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
-            // Every node sends to node u|1 across dim 0: odd nodes self-send
-            // (caught first at node 1), and pairs collide — the backends
-            // must agree on which violation is surfaced.
-            let err = m
-                .try_exchange(|u, _| Some((u | 1, u as u64)), |_, _, _| {})
-                .unwrap_err();
+            let result = match case {
+                // Every node sends to node u|1 across dim 0: odd nodes
+                // self-send (caught first at node 1), and pairs collide —
+                // the backends must agree on which violation is surfaced.
+                0 => try_form(&mut m, form, false, |u| Some(u | 1)),
+                // Node 4097 sits out of a dim-0 matching, so its partner
+                // 4096 is left unpaired.
+                1 => try_form(&mut m, form, true, |u| (u != 4097).then_some(u ^ 1)),
+                // The upper half sends two dimensions away.
+                2 => try_form(&mut m, form, false, |u| (u >= n / 2).then_some(u ^ 3)),
+                // A full dim-0 exchange through a crashed node.
+                _ => {
+                    m.inject_fault(FaultKind::NodeCrash { node: 5000 });
+                    try_form(&mut m, form, true, |u| Some(u ^ 1))
+                }
+            };
             assert_eq!(m.metrics().comm_steps, 0);
-            err
+            assert!(m.states().iter().all(|&s| s == 0), "machine untouched");
+            result.unwrap_err()
         };
+        let expected = [
+            SimError::SelfMessage { node: 1 },
+            SimError::AsymmetricPair { a: 4096, b: 4097 },
+            SimError::NotAdjacent {
+                src: n / 2,
+                dst: n / 2 + 3,
+            },
+            SimError::NodeFailed { node: 5000 },
+        ];
         let _guard = crate::parallel::test_override_guard();
-        let seq = probe(ExecMode::Sequential);
-        crate::parallel::set_worker_threads(4);
-        let par = probe(ExecMode::parallel());
-        crate::parallel::set_worker_threads(0);
-        assert_eq!(seq, par);
+        for (case, want) in expected.into_iter().enumerate() {
+            for form in FORMS {
+                let seq = probe(ExecMode::Sequential, form, case);
+                crate::parallel::set_worker_threads(4);
+                let par = probe(ExecMode::parallel(), form, case);
+                crate::parallel::set_worker_threads(0);
+                assert_eq!(seq, want, "case {case}, {form:?}, sequential");
+                assert_eq!(par, want, "case {case}, {form:?}, threaded");
+            }
+        }
     }
 
     #[test]
@@ -3531,18 +2532,19 @@ mod tests {
         assert_eq!(m.fault_epoch(), 1);
         // 1 as sender: NodeFailed{1} (node 0 stays silent).
         let err = m
-            .try_exchange(|u, &s| (u == 1).then_some((0, s)), |_, _, _: u64| {})
+            .try_cycle(|c| c.message(|u, &s| (u == 1).then_some((0, s)), |_, _, _: u64| {}))
             .unwrap_err();
         assert_eq!(err, SimError::NodeFailed { node: 1 });
         // 1 as receiver: also NodeFailed{1}.
         let err = m
-            .try_exchange(|u, &s| (u == 0).then_some((1, s)), |_, _, _: u64| {})
+            .try_cycle(|c| c.message(|u, &s| (u == 0).then_some((1, s)), |_, _, _: u64| {}))
             .unwrap_err();
         assert_eq!(err, SimError::NodeFailed { node: 1 });
         // Machine untouched, no cycle charged.
         assert_eq!(m.metrics().comm_steps, 0);
         // Traffic avoiding node 1 still flows.
-        let n = m.try_exchange(|u, &s| (u == 2).then_some((3, s)), |s, _, v: u64| *s += v);
+        let n =
+            m.try_cycle(|c| c.message(|u, &s| (u == 2).then_some((3, s)), |s, _, v: u64| *s += v));
         assert_eq!(n, Ok(1));
     }
 
@@ -3552,11 +2554,14 @@ mod tests {
         m.inject_fault(FaultKind::LinkDown { a: 0, b: 1 });
         assert_eq!(m.links_down(), &[(0, 1)]);
         let err = m
-            .try_exchange(|u, &s| (u == 1).then_some((0, s)), |_, _, _: u64| {})
+            .try_cycle(|c| c.message(|u, &s| (u == 1).then_some((0, s)), |_, _, _: u64| {}))
             .unwrap_err();
         assert_eq!(err, SimError::LinkDown { src: 1, dst: 0 });
         // Both endpoints still talk over their other links.
-        let n = m.try_pairwise(|u, _| Some(u ^ 2), |_, &s| s, |s, _, v| *s += v);
+        let n = m.try_cycle(|c| {
+            c.message(|u, &s| Some((u ^ 2, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         assert_eq!(n, Ok(4));
     }
 
@@ -3576,14 +2581,23 @@ mod tests {
         let mut m = machine(2);
         m.set_fault_plan(FaultPlan::new().message_drop(1, 0));
         // Cycle 0: no drop armed yet.
-        let n = m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+        let n = m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         assert_eq!(n, 4);
         // Cycle 1: messages to node 0 vanish; everyone else delivers.
-        let n = m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+        let n = m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         assert_eq!(n, 3);
         assert_eq!(m.metrics().dropped_messages, 1);
         // Cycle 2: transient — back to full delivery.
-        let n = m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+        let n = m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         assert_eq!(n, 4);
         assert_eq!(m.metrics().messages, 11);
         assert_eq!(m.metrics().comm_steps, 3);
@@ -3598,23 +2612,21 @@ mod tests {
     #[test]
     fn fault_epoch_invalidates_compiled_schedule() {
         let mut m = machine(2);
-        m.pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Dim(0))
+        });
         assert_eq!(m.metrics().schedule_misses, 1);
         assert_eq!(m.compiled_schedules(), 1);
         m.inject_fault(FaultKind::NodeCrash { node: 3 });
         assert_eq!(m.compiled_schedules(), 0, "epoch bump evicts the entry");
         let err = m
-            .try_pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            )
+            .try_cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            })
             .unwrap_err();
         // Lowest offending sender is 2, whose receiver 3 is the corpse.
         assert_eq!(err, SimError::NodeFailed { node: 3 });
@@ -3622,12 +2634,11 @@ mod tests {
         // A rerouted pattern that avoids node 3 recompiles under the new
         // epoch and replays thereafter.
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| (u < 2).then_some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            );
+            m.cycle(|c| {
+                c.message(|u, &s| (u < 2).then_some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            });
         }
         assert_eq!(m.metrics().schedule_misses, 2);
         assert_eq!(m.metrics().schedule_hits, 1);
@@ -3641,12 +2652,11 @@ mod tests {
         let mut m = machine(2);
         m.set_fault_plan(FaultPlan::new().node_crash(2, 0));
         let run = |m: &mut Machine<'static, Hypercube, u64>| {
-            m.try_pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            )
+            m.try_cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Cross)
+            })
         };
         assert!(run(&mut m).is_ok(), "cycle 0 compiles");
         assert!(run(&mut m).is_ok(), "cycle 1 replays");
@@ -3668,43 +2678,58 @@ mod tests {
     fn parallel_conflict_attribution_matches_sequential() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
-        let probe = |exec: ExecMode| {
+        let probe = |exec: ExecMode, form: Form| {
             let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
             // Nodes 8 and 512 both target node 0 (dims 3 and 9); node
             // 2048 targets it too (dim 11). Lowest sender 8 claims,
             // second-lowest 512 is reported.
-            m.try_exchange(
-                |u, _| matches!(u, 8 | 512 | 2048).then_some((0usize, u as u64)),
-                |_, _, _| {},
-            )
+            try_form(&mut m, form, false, |u| {
+                matches!(u, 8 | 512 | 2048).then_some(0)
+            })
             .unwrap_err()
         };
         let _guard = crate::parallel::test_override_guard();
-        let seq = probe(ExecMode::Sequential);
-        assert_eq!(
-            seq,
-            SimError::RecvConflict {
-                node: 0,
-                first_src: 8,
-                second_src: 512
+        for form in FORMS {
+            let seq = probe(ExecMode::Sequential, form);
+            assert_eq!(
+                seq,
+                SimError::RecvConflict {
+                    node: 0,
+                    first_src: 8,
+                    second_src: 512
+                },
+                "{form:?}"
+            );
+            for workers in [2, 3, 4, 7] {
+                crate::parallel::set_worker_threads(workers);
+                assert_eq!(
+                    probe(ExecMode::parallel(), form),
+                    seq,
+                    "{form:?} at {workers} workers"
+                );
             }
-        );
-        for workers in [2, 3, 4, 7] {
-            crate::parallel::set_worker_threads(workers);
-            assert_eq!(probe(ExecMode::parallel()), seq, "at {workers} workers");
+            crate::parallel::set_worker_threads(0);
         }
-        crate::parallel::set_worker_threads(0);
     }
 
     #[test]
     fn phased_trace_attributes_cycles_to_their_phases() {
         let mut m = machine(2);
         m.enable_trace();
-        m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         m.begin_phase("a");
-        m.pairwise(|u, _| Some(u ^ 2), |_, &s| s, |s, _, v| *s += v);
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 2, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         m.begin_phase("b");
-        m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+        });
         let phases: Vec<Option<u32>> = m.phased_trace().iter().map(|(p, _)| *p).collect();
         assert_eq!(phases, vec![None, Some(0), Some(1)]);
         assert_eq!(
@@ -3723,18 +2748,17 @@ mod tests {
         assert!(m.is_recording());
         m.begin_phase("sweep");
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s += v,
-            );
+            m.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            });
         }
         m.compute(2, |_, s| *s += 1);
         // A failed cycle emits nothing (it charges no step either).
         let before = sink.lock().unwrap().len();
         let _ = m
-            .try_exchange(|u, &s| (u == 0).then_some((3, s)), |_, _, _: u64| {})
+            .try_cycle(|c| c.message(|u, &s| (u == 0).then_some((3, s)), |_, _, _: u64| {}))
             .unwrap_err();
         assert_eq!(
             sink.lock().unwrap().len(),
@@ -3800,12 +2824,14 @@ mod tests {
                 let mut m = Machine::new(topo, (0..n as u64).map(|u| u + 100 * k as u64).collect());
                 for _ in 0..2 {
                     for i in 0..3 {
-                        m.pairwise_keyed(
-                            ScheduleKey::Dim(i),
-                            move |u, _| Some(u ^ (1usize << i)),
-                            |_, &s| s,
-                            |s, _, v| *s = s.wrapping_mul(31).wrapping_add(v),
-                        );
+                        m.cycle(|c| {
+                            c.message(
+                                move |u, &s| Some((u ^ (1usize << i), s)),
+                                |s, _, v| *s = s.wrapping_mul(31).wrapping_add(v),
+                            )
+                            .pairwise()
+                            .keyed(ScheduleKey::Dim(i))
+                        });
                     }
                 }
                 m.into_parts().0
@@ -3817,18 +2843,21 @@ mod tests {
         let mut m = Machine::new(topo, init);
         for _ in 0..2 {
             for i in 0..3 {
-                m.pairwise_lanes_keyed(
-                    ScheduleKey::Dim(i),
-                    K,
-                    &0u64,
-                    move |u, _| Some(u ^ (1usize << i)),
-                    |_, s, w| w.copy_from_slice(s),
-                    |s, _, w| {
-                        for (x, v) in s.iter_mut().zip(w.iter()) {
-                            *x = x.wrapping_mul(31).wrapping_add(*v);
-                        }
-                    },
-                );
+                m.cycle(|c| {
+                    c.lanes(
+                        K,
+                        &0u64,
+                        move |u, _| Some(u ^ (1usize << i)),
+                        |_, s, w| w.copy_from_slice(s),
+                        |s, _, w| {
+                            for (x, v) in s.iter_mut().zip(w.iter()) {
+                                *x = x.wrapping_mul(31).wrapping_add(*v);
+                            }
+                        },
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(i))
+                });
             }
         }
         for (u, state) in m.states().iter().enumerate() {
@@ -3848,21 +2877,23 @@ mod tests {
     #[test]
     fn lane_replay_shares_cache_with_single_lane_cycles() {
         let mut m = machine(2);
-        m.pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s += v,
-        );
+        m.cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                .pairwise()
+                .keyed(ScheduleKey::Dim(0))
+        });
         assert_eq!(m.metrics().schedule_misses, 1);
-        m.pairwise_lanes_keyed(
-            ScheduleKey::Dim(0),
-            2,
-            &0u64,
-            |u, _| Some(u ^ 1),
-            |_, &s, w| w.fill(s),
-            |s, _, w| *s += w[0] + w[1],
-        );
+        m.cycle(|c| {
+            c.lanes(
+                2,
+                &0u64,
+                |u, _| Some(u ^ 1),
+                |_, &s, w| w.fill(s),
+                |s, _, w| *s += w[0] + w[1],
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(0))
+        });
         assert_eq!(m.metrics().schedule_hits, 1);
         assert_eq!(m.metrics().schedule_misses, 1);
     }
@@ -3870,25 +2901,29 @@ mod tests {
     #[test]
     fn lane_replay_deviation_rejected_and_machine_untouched() {
         let mut m = machine(2);
-        m.exchange_lanes_keyed(
-            ScheduleKey::Custom(3),
-            2,
-            &0u64,
-            |u, _| (u == 0).then_some(1),
-            |_, &s, w| w.fill(s),
-            |s, _, w| *s += w[0] + w[1],
-        );
-        let before = m.states().to_vec();
-        let comm = m.metrics().comm_steps;
-        let err = m
-            .try_exchange_lanes_keyed(
-                ScheduleKey::Custom(3),
+        m.cycle(|c| {
+            c.lanes(
                 2,
                 &0u64,
-                |u, _| (u == 1).then_some(0),
+                |u, _| (u == 0).then_some(1),
                 |_, &s, w| w.fill(s),
                 |s, _, w| *s += w[0] + w[1],
             )
+            .keyed(ScheduleKey::Custom(3))
+        });
+        let before = m.states().to_vec();
+        let comm = m.metrics().comm_steps;
+        let err = m
+            .try_cycle(|c| {
+                c.lanes(
+                    2,
+                    &0u64,
+                    |u, _| (u == 1).then_some(0),
+                    |_, &s, w| w.fill(s),
+                    |s, _, w| *s += w[0] + w[1],
+                )
+                .keyed(ScheduleKey::Custom(3))
+            })
             .unwrap_err();
         assert_eq!(
             err,
@@ -3908,13 +2943,16 @@ mod tests {
         let mut m = machine(2);
         m.set_fault_plan(FaultPlan::new().message_drop(0, 0));
         let delivered = m
-            .try_pairwise_lanes(
-                4,
-                &0u64,
-                |u, _| Some(u ^ 1),
-                |_, &s, w| w.fill(s),
-                |s, _, w| *s += w.iter().sum::<u64>(),
-            )
+            .try_cycle(|c| {
+                c.lanes(
+                    4,
+                    &0u64,
+                    |u, _| Some(u ^ 1),
+                    |_, &s, w| w.fill(s),
+                    |s, _, w| *s += w.iter().sum::<u64>(),
+                )
+                .pairwise()
+            })
             .unwrap();
         assert_eq!(delivered, 3, "the drop loses node 0's inbound message");
         assert_eq!(m.metrics().dropped_messages, 1);
@@ -3936,14 +2974,17 @@ mod tests {
             m.record_into(sink.clone());
             // One compile + one replay cycle under the same key.
             for _ in 0..2 {
-                m.pairwise_lanes_keyed(
-                    ScheduleKey::Dim(0),
-                    K,
-                    &0u64,
-                    |u, _| Some(u ^ 1),
-                    |_, &s, w| w.fill(s),
-                    |s, _, w| *s += w[0],
-                );
+                m.cycle(|c| {
+                    c.lanes(
+                        K,
+                        &0u64,
+                        |u, _| Some(u ^ 1),
+                        |_, &s, w| w.fill(s),
+                        |s, _, w| *s += w[0],
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+                });
             }
             let events = sink.lock().unwrap().events();
             for e in &events {
@@ -3971,13 +3012,15 @@ mod tests {
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_rejected() {
         let mut m = machine(2);
-        let _ = m.try_exchange_lanes(
-            0,
-            &0u64,
-            |_, _| None::<usize>,
-            |_, _, _: &mut [u64]| {},
-            |_, _, _| {},
-        );
+        let _ = m.try_cycle(|c| {
+            c.lanes(
+                0,
+                &0u64,
+                |_, _| None::<usize>,
+                |_, _, _: &mut [u64]| {},
+                |_, _, _| {},
+            )
+        });
     }
 
     /// Lane cycles are deterministic across backends, worker counts, and
@@ -3999,18 +3042,21 @@ mod tests {
             m.set_schedule_replay(replay);
             for _ in 0..3 {
                 for i in 0..4u32 {
-                    m.pairwise_lanes_keyed(
-                        ScheduleKey::Dim(i),
-                        K,
-                        &0u64,
-                        move |u, _| Some(u ^ (1usize << i)),
-                        |_, s, w| w.copy_from_slice(s),
-                        |s, _, w| {
-                            for (x, v) in s.iter_mut().zip(w.iter()) {
-                                *x = x.wrapping_mul(5).wrapping_add(*v);
-                            }
-                        },
-                    );
+                    m.cycle(|c| {
+                        c.lanes(
+                            K,
+                            &0u64,
+                            move |u, _| Some(u ^ (1usize << i)),
+                            |_, s, w| w.copy_from_slice(s),
+                            |s, _, w| {
+                                for (x, v) in s.iter_mut().zip(w.iter()) {
+                                    *x = x.wrapping_mul(5).wrapping_add(*v);
+                                }
+                            },
+                        )
+                        .pairwise()
+                        .keyed(ScheduleKey::Dim(i))
+                    });
                 }
             }
             let (states, mut metrics) = m.into_parts();
@@ -4049,7 +3095,10 @@ mod tests {
         crate::obs::with_recording(shared, || {
             let mut m = machine(2);
             assert!(m.is_recording());
-            m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |s, _, v| *s += v);
+            m.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
+                    .pairwise()
+            });
         });
         let m = machine(2);
         assert!(!m.is_recording(), "scope ended, new machines are bare");

@@ -19,12 +19,14 @@ use dc_topology::{DualCube, Topology};
 /// neighbour — legal in every epoch of the churn loop below, which only
 /// cuts *cluster* links.
 fn cross_cycle(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, key: ScheduleKey) {
-    m.pairwise_keyed(
-        key,
-        |u, _| Some(d.cross_neighbor(u)),
-        |_, &s| s,
-        |s, _, v| *s = s.wrapping_add(v),
-    );
+    m.cycle(|c| {
+        c.message(
+            |u, &s| Some((d.cross_neighbor(u), s)),
+            |s, _, v| *s = s.wrapping_add(v),
+        )
+        .pairwise()
+        .keyed(key)
+    });
 }
 
 /// The first `count` distinct cluster links of `d`, endpoint-normalised

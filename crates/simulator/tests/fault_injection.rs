@@ -101,12 +101,11 @@ fn assert_matrix_identical(
 }
 
 fn dim_swap(m: &mut Machine<'_, Hypercube, u64>, dim: usize) -> Result<usize, SimError> {
-    m.try_pairwise_keyed(
-        ScheduleKey::Dim(dim as u32),
-        move |u, _| Some(u ^ (1 << dim)),
-        |_, &s| s,
-        |s, _, v| *s = v,
-    )
+    m.try_cycle(|c| {
+        c.message(move |u, &s| Some((u ^ (1 << dim), s)), |s, _, v| *s = v)
+            .pairwise()
+            .keyed(ScheduleKey::Dim(dim as u32))
+    })
 }
 
 /// THE adversarial test: a schedule compiled pre-fault is never replayed
@@ -158,19 +157,23 @@ fn epoch_bump_recompiles_a_rerouted_plan_under_the_same_key() {
         }
         m.inject_fault(FaultKind::NodeCrash { node: 3 });
         // Same key, rerouted plan: the corpse and its partner sit out.
-        log.push(m.try_pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| (u != 2 && u != 3).then_some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        ));
+        log.push(m.try_cycle(|c| {
+            c.message(
+                |u, &s| (u != 2 && u != 3).then_some((u ^ 1, s)),
+                |s, _, v| *s = v,
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(0))
+        }));
         // And the rerouted pattern replays fine afterwards.
-        log.push(m.try_pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| (u != 2 && u != 3).then_some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        ));
+        log.push(m.try_cycle(|c| {
+            c.message(
+                |u, &s| (u != 2 && u != 3).then_some((u ^ 1, s)),
+                |s, _, v| *s = v,
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(0))
+        }));
         log
     });
     assert_eq!(outcome.cycles[2], Ok(6), "six survivors still swap");

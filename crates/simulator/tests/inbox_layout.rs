@@ -145,12 +145,14 @@ proptest! {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
                 for _ in 0..cycles {
-                    mc.pairwise_keyed(
-                        ScheduleKey::Dim(dim),
-                        |u, _| pair(u),
-                        |u, &s| payload(u, s),
-                        |s, src, v: u64| deliver_scalar(s, src, v),
-                    );
+                    mc.cycle(|c| {
+                        c.message(
+                            |u, &s| pair(u).map(|v| (v, payload(u, s))),
+                            |s, src, v: u64| deliver_scalar(s, src, v),
+                        )
+                        .pairwise()
+                        .keyed(ScheduleKey::Dim(dim))
+                    });
                 }
                 mc.states().to_vec()
             });
@@ -158,9 +160,8 @@ proptest! {
         }
     }
 
-    /// The raw (unkeyed, asymmetric) `exchange` path — sequential inline
-    /// delivery vs the threaded split-inbox scatter — matches the
-    /// reference too.
+    /// The raw (unkeyed, asymmetric) moved-message path, on both
+    /// backends, matches the reference too.
     #[test]
     fn exchange_matches_option_slab_reference(seed: u64, m in 2u32..=5, dim in 0u32..5) {
         let dim = dim % m;
@@ -174,10 +175,7 @@ proptest! {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
                 for _ in 0..cycles {
-                    mc.exchange(
-                        |u, &s| plan(u).map(|d| (d, payload(u, s))),
-                        |s, src, v: u64| deliver_scalar(s, src, v),
-                    );
+                    mc.cycle(|c| c.message(|u, &s| plan(u).map(|d| (d, payload(u, s))), |s, src, v: u64| deliver_scalar(s, src, v)));
                 }
                 mc.states().to_vec()
             });
@@ -202,22 +200,15 @@ proptest! {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
                 for _ in 0..cycles {
-                    mc.pairwise_lanes_keyed(
-                        ScheduleKey::Dim(dim),
-                        lanes,
-                        &0u64,
-                        |u, _| pair(u),
-                        |_, &s, window: &mut [u64]| {
+                    mc.cycle(|c| c.lanes(lanes, &0u64, |u, _| pair(u), |_, &s, window: &mut [u64]| {
                             for (kk, w) in window.iter_mut().enumerate() {
                                 *w = mix(s, kk as u64);
                             }
-                        },
-                        |s, src, window| {
+                        }, |s, src, window| {
                             for (kk, w) in window.iter().enumerate() {
                                 *s = s.wrapping_add(mix(*w, (src + kk) as u64));
                             }
-                        },
-                    );
+                        }).pairwise().keyed(ScheduleKey::Dim(dim)));
                 }
                 mc.states().to_vec()
             });

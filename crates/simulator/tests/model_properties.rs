@@ -15,11 +15,7 @@ proptest! {
         let dim = dim % m;
         let q = Hypercube::new(m);
         let mut machine = Machine::new(&q, (0..q.num_nodes() as u64).collect::<Vec<_>>());
-        let delivered = machine.try_pairwise(
-            |u, _| Some(u ^ (1usize << dim)),
-            |_, &s| s,
-            |s, _, v| *s = v,
-        ).unwrap();
+        let delivered = machine.try_cycle(|c| c.message(|u, &s| Some((u ^ (1usize << dim), s)), |s, _, v| *s = v).pairwise()).unwrap();
         prop_assert_eq!(delivered, q.num_nodes());
         // Values swapped across the dimension.
         for (u, &s) in machine.states().iter().enumerate() {
@@ -45,10 +41,7 @@ proptest! {
             .collect();
         let sends = plan.iter().flatten().count();
         let mut machine = Machine::new(&q, vec![0u8; n]);
-        let result = machine.try_exchange(
-            |u, _| plan[u].map(|d| (d, ())),
-            |_, _, _| {},
-        );
+        let result = machine.try_cycle(|c| c.message(|u, _| plan[u].map(|d| (d, ())), |_, _, _| {}));
         match result {
             Ok(delivered) => {
                 prop_assert_eq!(delivered, sends, "all messages delivered");
@@ -106,7 +99,7 @@ proptest! {
         let run = |rounds: u64| {
             let mut m = Machine::new(&q, vec![1u64; 8]);
             for i in 0..rounds {
-                m.pairwise(|u, _| Some(u ^ (1usize << (i % 3))), |_, &s| s, |s, _, v| *s += v);
+                m.cycle(|c| c.message(|u, &s| Some((u ^ (1usize << (i % 3)), s)), |s, _, v| *s += v).pairwise());
                 m.compute(1, |_, _| {});
             }
             m.metrics().clone()

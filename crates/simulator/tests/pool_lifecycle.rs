@@ -39,11 +39,13 @@ impl Drop for PinnedWorkers {
 /// value-dependent local step. Any misrouted, lost, or reordered message
 /// under the threaded backend changes the end state.
 fn one_cycle(m: &mut Machine<'_, Hypercube, u64>, dim: u32) {
-    m.pairwise(
-        move |u, _| Some(u ^ (1usize << dim)),
-        |_, &s| s,
-        |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-    );
+    m.cycle(|c| {
+        c.message(
+            move |u, &s| Some((u ^ (1usize << dim), s)),
+            |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+        )
+        .pairwise()
+    });
     m.compute(1, |u, s| *s = s.rotate_left((u % 7) as u32));
 }
 
@@ -136,7 +138,7 @@ proptest! {
     /// [`Machine::set_exec`]) must be bit-identical — states, metrics,
     /// and trace — to the same cycle sequence run fully sequentially.
     /// This is the scratch-reuse torture test: every switch hands the
-    /// reused plan/inbox/partner buffers to the other backend.
+    /// reused plan, sender and staging buffers to the other backend.
     #[test]
     fn interleaved_exec_modes_stay_bit_identical(
         cycles in vec((any::<bool>(), 0u32..5), 1..16),

@@ -108,29 +108,35 @@ fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
     let dim = (op >> 3) as usize % 4;
     match op % 6 {
         0 => {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(dim as u32),
-                move |u, _| Some(u ^ (1usize << dim)),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    move |u, &s| Some((u ^ (1usize << dim), s)),
+                    |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(dim as u32))
+            });
         }
         1 => {
-            m.exchange_keyed(
-                ScheduleKey::Window {
+            m.cycle(|c| {
+                c.message(
+                    move |u, &s| (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s)),
+                    |s, _, v| *s ^= v,
+                )
+                .keyed(ScheduleKey::Window {
                     j: dim as u32,
                     hop: 0,
-                },
-                move |u, &s| (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s)),
-                |s, _, v| *s ^= v,
-            );
+                })
+            });
         }
         2 => {
-            m.pairwise(
-                move |u, _| Some(u ^ (1usize << dim)),
-                |_, &s| (s, 1u64),
-                |s, _, v: (u64, u64)| *s = s.rotate_left(1).wrapping_add(v.0 + v.1),
-            );
+            m.cycle(|c| {
+                c.message(
+                    move |u, &s| Some((u ^ (1usize << dim), (s, 1u64))),
+                    |s, _, v: (u64, u64)| *s = s.rotate_left(1).wrapping_add(v.0 + v.1),
+                )
+                .pairwise()
+            });
         }
         3 => {
             m.compute(1 + (op % 3) as u64, |u, s| {
@@ -139,22 +145,25 @@ fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
         }
         4 => {
             let lanes = 2 + (op >> 6) as usize; // 2..=5
-            m.pairwise_lanes_keyed(
-                ScheduleKey::Dim(dim as u32),
-                lanes,
-                &0u64,
-                move |u, _| Some(u ^ (1usize << dim)),
-                |_, &s, window| {
-                    for (k, w) in window.iter_mut().enumerate() {
-                        *w = s.wrapping_add(k as u64);
-                    }
-                },
-                |s, _, window| {
-                    for w in window.iter() {
-                        *s = s.rotate_left(3) ^ w;
-                    }
-                },
-            );
+            m.cycle(|c| {
+                c.lanes(
+                    lanes,
+                    &0u64,
+                    move |u, _| Some(u ^ (1usize << dim)),
+                    |_, &s, window| {
+                        for (k, w) in window.iter_mut().enumerate() {
+                            *w = s.wrapping_add(k as u64);
+                        }
+                    },
+                    |s, _, window| {
+                        for w in window.iter() {
+                            *s = s.rotate_left(3) ^ w;
+                        }
+                    },
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(dim as u32))
+            });
         }
         _ => {
             *phase_no += 1;
@@ -208,32 +217,32 @@ fn fault_epoch_surfaces_identically_in_events() {
     let scenario = |m: &mut Machine<'_, Hypercube, u64>| {
         m.begin_phase("pre-fault");
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = s.wrapping_add(v))
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            });
         }
         m.inject_fault(FaultKind::NodeCrash { node: 3 });
         m.begin_phase("post-fault");
         // The old pattern now touches the corpse: the failed attempt must
         // emit no event.
-        let err = m.try_pairwise_keyed(
-            ScheduleKey::Dim(0),
-            |u, _| Some(u ^ 1),
-            |_, &s| s,
-            |s, _, v| *s = s.wrapping_add(v),
-        );
+        let err = m.try_cycle(|c| {
+            c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = s.wrapping_add(v))
+                .pairwise()
+                .keyed(ScheduleKey::Dim(0))
+        });
         assert!(err.is_err());
         // Rerouted traffic avoiding node 3 flows under the new epoch.
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Custom(1),
-                |u, _| (u < 2).then_some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| (u < 2).then_some((u ^ 1, s)),
+                    |s, _, v| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Custom(1))
+            });
         }
         m.compute(1, |_, s| *s = s.wrapping_add(1));
     };
@@ -277,23 +286,25 @@ fn message_drops_excluded_from_link_report_across_matrix() {
         // Cycles 2+ run clean (replay path after compile at cycle 0).
         m.set_fault_plan(FaultPlan::new().message_drop(0, 1).message_drop(1, 0));
         for _ in 0..3 {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(0),
-                |u, _| Some(u ^ 1),
-                |_, &s| s,
-                |s, _, v| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s = s.wrapping_add(v))
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(0))
+            });
         }
         // A lane-batched cycle under the same key: 3 lanes per message,
         // so each undropped message adds 3 words to its link.
-        m.pairwise_lanes_keyed(
-            ScheduleKey::Dim(0),
-            3,
-            &0u64,
-            |u, _| Some(u ^ 1),
-            |_, &s, window| window.fill(s),
-            |s, _, window| *s = s.wrapping_add(window[0]),
-        );
+        m.cycle(|c| {
+            c.lanes(
+                3,
+                &0u64,
+                |u, _| Some(u ^ 1),
+                |_, &s, window| window.fill(s),
+                |s, _, window| *s = s.wrapping_add(window[0]),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(0))
+        });
     };
     let q = Hypercube::new(2);
     let (baseline_report, baseline_events) = with_default_exec(ExecMode::Sequential, || {
@@ -365,12 +376,7 @@ proptest! {
                         let mut m = Machine::new(&q, (0..n).map(|u| init(k, u)).collect());
                         for _ in 0..sweeps {
                             for d in 0..dim {
-                                m.pairwise_keyed(
-                                    ScheduleKey::Dim(d),
-                                    move |u, _| Some(u ^ (1usize << d)),
-                                    |_, &s| s,
-                                    |s, _, v| *s = s.rotate_left(5).wrapping_add(v),
-                                );
+                                m.cycle(|c| c.message(move |u, &s| Some((u ^ (1usize << d), s)), |s, _, v| *s = s.rotate_left(5).wrapping_add(v)).pairwise().keyed(ScheduleKey::Dim(d)));
                             }
                         }
                         m.into_parts().0
@@ -388,18 +394,11 @@ proptest! {
                     let mut m = Machine::new(&q, states);
                     for _ in 0..sweeps {
                         for d in 0..dim {
-                            m.pairwise_lanes_keyed(
-                                ScheduleKey::Dim(d),
-                                lanes,
-                                &0u64,
-                                move |u, _| Some(u ^ (1usize << d)),
-                                |_, s, window| window.clone_from_slice(s),
-                                |s, _, window| {
+                            m.cycle(|c| c.lanes(lanes, &0u64, move |u, _| Some(u ^ (1usize << d)), |_, s, window| window.clone_from_slice(s), |s, _, window| {
                                     for (x, w) in s.iter_mut().zip(window) {
                                         *x = x.rotate_left(5).wrapping_add(*w);
                                     }
-                                },
-                            );
+                                }).pairwise().keyed(ScheduleKey::Dim(d)));
                         }
                     }
                     m.into_parts().0
@@ -424,12 +423,14 @@ fn perfetto_export_is_well_formed_on_both_backends() {
     let scenario = |m: &mut Machine<'_, Hypercube, u64>| {
         m.begin_phase("sweep 1");
         for dim in 0..3usize {
-            m.pairwise_keyed(
-                ScheduleKey::Dim(dim as u32),
-                move |u, _| Some(u ^ (1usize << dim)),
-                |_, &s| s,
-                |s, _, v| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    move |u, &s| Some((u ^ (1usize << dim), s)),
+                    |s, _, v| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(dim as u32))
+            });
         }
         m.begin_phase("sweep 2");
         m.compute(2, |_, s| *s = s.wrapping_mul(3));

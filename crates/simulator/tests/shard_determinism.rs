@@ -109,34 +109,40 @@ fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut
     let dim = (op >> 3) as u32 % dims;
     match op % 6 {
         0 => {
-            m.pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(d.cross_neighbor(u)),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| Some((d.cross_neighbor(u), s)),
+                    |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+            });
         }
         1 => {
             // Half-speaking keyed exchange on a cluster edge: the lower
             // endpoint speaks, structurally (never state-dependent, so
             // replay-on and replay-off runs see the same plan).
-            m.exchange_keyed(
-                ScheduleKey::Window { j: dim, hop: 0 },
-                move |u, &s| {
-                    let v = d.cluster_neighbor(u, dim);
-                    (u < v).then_some((v, s))
-                },
-                |s, _, v| *s ^= v,
-            );
+            m.cycle(|c| {
+                c.message(
+                    move |u, &s| {
+                        let v = d.cluster_neighbor(u, dim);
+                        (u < v).then_some((v, s))
+                    },
+                    |s, _, v| *s ^= v,
+                )
+                .keyed(ScheduleKey::Window { j: dim, hop: 0 })
+            });
         }
         2 => {
             // Unkeyed: full sharded validation (claims + exchange bins)
             // every cycle.
-            m.pairwise(
-                |u, _| Some(d.cross_neighbor(u)),
-                |_, &s| (s, 1u64),
-                |s, _, v: (u64, u64)| *s = s.rotate_left(1).wrapping_add(v.0 + v.1),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| Some((d.cross_neighbor(u), (s, 1u64))),
+                    |s, _, v: (u64, u64)| *s = s.rotate_left(1).wrapping_add(v.0 + v.1),
+                )
+                .pairwise()
+            });
         }
         3 => {
             m.compute(1 + (op % 3) as u64, |u, s| {
@@ -145,22 +151,25 @@ fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut
         }
         4 => {
             let lanes = 2 + (op >> 6) as usize; // 2..=5
-            m.pairwise_lanes_keyed(
-                ScheduleKey::Cross,
-                lanes,
-                &0u64,
-                |u, _| Some(d.cross_neighbor(u)),
-                |_, &s, window| {
-                    for (k, w) in window.iter_mut().enumerate() {
-                        *w = s.wrapping_add(k as u64);
-                    }
-                },
-                |s, _, window| {
-                    for w in window.iter() {
-                        *s = s.rotate_left(3) ^ w;
-                    }
-                },
-            );
+            m.cycle(|c| {
+                c.lanes(
+                    lanes,
+                    &0u64,
+                    |u, _| Some(d.cross_neighbor(u)),
+                    |_, &s, window| {
+                        for (k, w) in window.iter_mut().enumerate() {
+                            *w = s.wrapping_add(k as u64);
+                        }
+                    },
+                    |s, _, window| {
+                        for w in window.iter() {
+                            *s = s.rotate_left(3) ^ w;
+                        }
+                    },
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+            });
         }
         _ => {
             *phase_no += 1;
@@ -212,33 +221,49 @@ proptest! {
     }
 
     /// A receive conflict is blamed on the same `(node, first, second)`
-    /// triple at every shard count — the sharded validator's exchange
+    /// triple at every shard count and in both payload forms (a moved
+    /// message, or `K ∈ {1, 3}` lanes) — the sharded validator's exchange
     /// bins must reproduce the sequential walk's error site even when
     /// the contested receiver sits in another shard than both senders.
     #[test]
-    fn conflict_error_sites_match_across_shard_counts(target in 0usize..32) {
+    fn conflict_error_sites_match_across_shard_counts(target in 0usize..32, form in 0usize..3) {
         // Everyone sends to `target` (via illegal non-edges for most
         // senders — the lowest violation wins deterministically).
         let d = DualCube::new(3);
-        let expect = with_default_exec(ExecMode::Sequential, || {
+        let fan_in = |shards: usize| {
             let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
-            m.set_shards(1);
-            m.try_exchange(
-                |u, _| (u != target).then_some((target, u as u64)),
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            )
+            m.set_shards(shards);
+            let dst = |u: usize| (u != target).then_some(target);
+            match form {
+                0 => m.try_cycle(|c| {
+                    c.message(|u, _| dst(u).map(|v| (v, u as u64)), |s, _, v: u64| {
+                        *s = s.wrapping_add(v)
+                    })
+                }),
+                k => m.try_cycle(|c| {
+                    c.lanes(2 * k - 1, &0u64, |u, _| dst(u), |u, _, w| w.fill(u as u64), |s, _, w| {
+                        *s = s.wrapping_add(w[0])
+                    })
+                }),
+            }
             .expect_err("fan-in to one node cannot be a matching")
-        });
+        };
+        let expect = with_default_exec(ExecMode::Sequential, || fan_in(1));
+        if form > 0 {
+            let message = with_default_exec(ExecMode::Sequential, || {
+                let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
+                m.set_shards(1);
+                m.try_cycle(|c| {
+                    c.message(|u, _| (u != target).then_some((target, u as u64)), |_, _, _| {})
+                })
+                .expect_err("fan-in to one node cannot be a matching")
+            });
+            prop_assert_eq!(&expect, &message, "lane form diverged from the message form");
+        }
         for (mode, _replay, workers, shards) in configs() {
             let got = with_default_exec(mode, || {
                 let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
-                m.set_shards(shards);
-                m.try_exchange(
-                    |u, _| (u != target).then_some((target, u as u64)),
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                )
-                .expect_err("fan-in to one node cannot be a matching")
+                fan_in(shards)
             });
             prop_assert_eq!(
                 format!("{got}"), format!("{expect}"),
@@ -261,35 +286,41 @@ fn boundary_crash_is_identical_across_shard_counts() {
         let d = *m.topology();
         m.set_fault_plan(FaultPlan::new().node_crash(2, 3));
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(d.cross_neighbor(u)),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| Some((d.cross_neighbor(u), s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+            });
         }
         // Node 3 is now dead: the old pattern must fail, blaming node 3.
-        let err = m.try_pairwise_keyed(
-            ScheduleKey::Cross,
-            |u, _| Some(d.cross_neighbor(u)),
-            |_, &s| s,
-            |s, _, v: u64| *s = s.wrapping_add(v),
-        );
+        let err = m.try_cycle(|c| {
+            c.message(
+                |u, &s| Some((d.cross_neighbor(u), s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Cross)
+        });
         match err {
             Err(SimError::NodeFailed { node }) => assert_eq!(node, 3),
             other => panic!("expected NodeFailed for node 3, got {other:?}"),
         }
         // Reroute around the corpse and keep going under the new epoch.
         for _ in 0..2 {
-            m.pairwise_keyed(
-                ScheduleKey::Custom(7),
-                |u, _| {
-                    let v = d.cross_neighbor(u);
-                    (u != 3 && v != 3).then_some(v)
-                },
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| {
+                        let v = d.cross_neighbor(u);
+                        (u != 3 && v != 3).then_some((v, s))
+                    },
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Custom(7))
+            });
         }
         m.compute(1, |_, s| *s = s.wrapping_add(1));
     };

@@ -1,6 +1,6 @@
 //! Steady-state cycles are allocation-free: after a warm-up cycle has
-//! sized the machine's reusable scratch (plan slab, receiver map, partner
-//! buffer, threaded inbox), further `pairwise`/`exchange`/`compute`
+//! sized the machine's reusable scratch (plan slab, receiver map, sender
+//! table, staging slab), further communication and `compute`
 //! cycles must hit the global allocator **zero** times (with tracing
 //! off). Pinned here with a counting wrapper around the system allocator
 //! — this is the regression guard for the scratch-reuse machinery in
@@ -54,15 +54,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One representative cycle: a pairwise dimension exchange (partner
-/// collection + plan staging + validation + delivery) and a local
+/// One representative cycle: a pairwise dimension exchange (plan +
+/// symmetry check + validation + staging + delivery) and a local
 /// compute step.
 fn one_cycle<T: Topology + Sync>(m: &mut Machine<'_, T, u64>, dim: u32) {
-    m.pairwise(
-        move |u, _| Some(u ^ (1usize << dim)),
-        |_, &s| s,
-        |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-    );
+    m.cycle(|c| {
+        c.message(
+            move |u, &s| Some((u ^ (1usize << dim), s)),
+            |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+        )
+        .pairwise()
+    });
     m.compute(1, |u, s| *s = s.rotate_left((u % 7) as u32));
 }
 
@@ -112,18 +114,22 @@ fn steady_state_cycles_do_not_allocate() {
 
         // Switching message types re-sizes the typed slots once, then the
         // new type is steady-state too.
-        m.pairwise(
-            |u, _| Some(u ^ 1),
-            |_, &s| (s, s),
-            |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
-        );
+        m.cycle(|c| {
+            c.message(
+                |u, &s| Some((u ^ 1, (s, s))),
+                |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
+            )
+            .pairwise()
+        });
         let retyped_delta = steady_delta(3, || {
             for _ in 0..50 {
-                m.pairwise(
-                    |u, _| Some(u ^ 1),
-                    |_, &s| (s, s),
-                    |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
-                );
+                m.cycle(|c| {
+                    c.message(
+                        |u, &s| Some((u ^ 1, (s, s))),
+                        |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
+                    )
+                    .pairwise()
+                });
             }
         });
         assert_eq!(
@@ -135,21 +141,25 @@ fn steady_state_cycles_do_not_allocate() {
         // one replay warm-up (sizes the inbox), then replays are free. ---
         let mut k = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
         for _ in 0..2 {
-            k.pairwise_keyed(
-                ScheduleKey::Dim(2),
-                |u, _| Some(u ^ 4),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            k.cycle(|c| {
+                c.message(
+                    |u, &s| Some((u ^ 4, s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(2))
+            });
         }
         let replay_delta = steady_delta(3, || {
             for _ in 0..100 {
-                k.pairwise_keyed(
-                    ScheduleKey::Dim(2),
-                    |u, _| Some(u ^ 4),
-                    |_, &s| s,
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                );
+                k.cycle(|c| {
+                    c.message(
+                        |u, &s| Some((u ^ 4, s)),
+                        |s, _, v: u64| *s = s.wrapping_add(v),
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(2))
+                });
             }
         });
         assert_eq!(
@@ -226,23 +236,8 @@ fn steady_state_cycles_do_not_allocate() {
         let lanes = 8usize;
         let mut lm = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
         for _ in 0..2 {
-            lm.pairwise_lanes_keyed(
-                ScheduleKey::Dim(3),
-                lanes,
-                &0u64,
-                |u, _| Some(u ^ 8),
-                |_, &s, window| window.fill(s),
-                |s, _, window| {
-                    for w in window.iter() {
-                        *s = s.wrapping_add(*w);
-                    }
-                },
-            );
-        }
-        let lane_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                lm.pairwise_lanes_keyed(
-                    ScheduleKey::Dim(3),
+            lm.cycle(|c| {
+                c.lanes(
                     lanes,
                     &0u64,
                     |u, _| Some(u ^ 8),
@@ -252,7 +247,28 @@ fn steady_state_cycles_do_not_allocate() {
                             *s = s.wrapping_add(*w);
                         }
                     },
-                );
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(3))
+            });
+        }
+        let lane_delta = steady_delta(3, || {
+            for _ in 0..100 {
+                lm.cycle(|c| {
+                    c.lanes(
+                        lanes,
+                        &0u64,
+                        |u, _| Some(u ^ 8),
+                        |_, &s, window| window.fill(s),
+                        |s, _, window| {
+                            for w in window.iter() {
+                                *s = s.wrapping_add(*w);
+                            }
+                        },
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(3))
+                });
             }
         });
         assert_eq!(
@@ -265,23 +281,8 @@ fn steady_state_cycles_do_not_allocate() {
         set_worker_threads(4);
         let mut lp = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
         for _ in 0..2 {
-            lp.pairwise_lanes_keyed(
-                ScheduleKey::Dim(3),
-                lanes,
-                &0u64,
-                |u, _| Some(u ^ 8),
-                |_, &s, window| window.fill(s),
-                |s, _, window| {
-                    for w in window.iter() {
-                        *s = s.wrapping_add(*w);
-                    }
-                },
-            );
-        }
-        let lane_par_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                lp.pairwise_lanes_keyed(
-                    ScheduleKey::Dim(3),
+            lp.cycle(|c| {
+                c.lanes(
                     lanes,
                     &0u64,
                     |u, _| Some(u ^ 8),
@@ -291,7 +292,28 @@ fn steady_state_cycles_do_not_allocate() {
                             *s = s.wrapping_add(*w);
                         }
                     },
-                );
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(3))
+            });
+        }
+        let lane_par_delta = steady_delta(3, || {
+            for _ in 0..100 {
+                lp.cycle(|c| {
+                    c.lanes(
+                        lanes,
+                        &0u64,
+                        |u, _| Some(u ^ 8),
+                        |_, &s, window| window.fill(s),
+                        |s, _, window| {
+                            for w in window.iter() {
+                                *s = s.wrapping_add(*w);
+                            }
+                        },
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(3))
+                });
             }
         });
         set_worker_threads(0);
@@ -303,21 +325,25 @@ fn steady_state_cycles_do_not_allocate() {
         // --- Threaded keyed replay: same guarantee on the pool path. ---
         let mut pk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
         for _ in 0..2 {
-            pk.pairwise_keyed(
-                ScheduleKey::Dim(1),
-                |u, _| Some(u ^ 2),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            pk.cycle(|c| {
+                c.message(
+                    |u, &s| Some((u ^ 2, s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(1))
+            });
         }
         let par_replay_delta = steady_delta(3, || {
             for _ in 0..100 {
-                pk.pairwise_keyed(
-                    ScheduleKey::Dim(1),
-                    |u, _| Some(u ^ 2),
-                    |_, &s| s,
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                );
+                pk.cycle(|c| {
+                    c.message(
+                        |u, &s| Some((u ^ 2, s)),
+                        |s, _, v: u64| *s = s.wrapping_add(v),
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(1))
+                });
             }
         });
         set_worker_threads(0);
@@ -337,10 +363,12 @@ fn steady_state_cycles_do_not_allocate() {
         sm.set_shards(16);
         assert_eq!(sm.shards(), 16);
         let seam = |m: &mut Machine<'_, Hypercube, u64>, dim: u32| {
-            m.exchange(
-                move |u, s: &u64| Some((u ^ (1usize << dim), *s)),
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    move |u, s: &u64| Some((u ^ (1usize << dim), *s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+            });
         };
         for dim in 0..6 {
             seam(&mut sm, dim); // warm every dimension's seam pattern
@@ -360,21 +388,25 @@ fn steady_state_cycles_do_not_allocate() {
         let mut sk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
         sk.set_shards(16);
         for _ in 0..2 {
-            sk.pairwise_keyed(
-                ScheduleKey::Dim(2),
-                |u, _| Some(u ^ 4),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            sk.cycle(|c| {
+                c.message(
+                    |u, &s| Some((u ^ 4, s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(2))
+            });
         }
         let shard_replay_delta = steady_delta(3, || {
             for _ in 0..100 {
-                sk.pairwise_keyed(
-                    ScheduleKey::Dim(2),
-                    |u, _| Some(u ^ 4),
-                    |_, &s| s,
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                );
+                sk.cycle(|c| {
+                    c.message(
+                        |u, &s| Some((u ^ 4, s)),
+                        |s, _, v: u64| *s = s.wrapping_add(v),
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(2))
+                });
             }
         });
         set_worker_threads(0);
@@ -405,12 +437,14 @@ fn d10_steady_state_cycles_do_not_allocate() {
     with_default_exec(ExecMode::Sequential, || {
         let mut m = Machine::with_exec(&d, init, ExecMode::Sequential);
         let cross = |m: &mut Machine<'_, DualCube, u64>| {
-            m.pairwise_keyed(
-                ScheduleKey::Cross,
-                |u, _| Some(d.cross_neighbor(u)),
-                |_, &s| s,
-                |s, _, v: u64| *s = s.wrapping_add(v),
-            );
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| Some((d.cross_neighbor(u), s)),
+                    |s, _, v: u64| *s = s.wrapping_add(v),
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+            });
         };
         for _ in 0..2 {
             cross(&mut m); // compile + replay warm-up sizes every buffer

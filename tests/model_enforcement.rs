@@ -17,7 +17,7 @@ fn cannot_send_across_missing_dual_cube_edges() {
     assert!(!d.is_edge(u, v), "cluster-id bits do not make edges");
     let mut m = Machine::new(&d, vec![0u8; d.num_nodes()]);
     let err = m
-        .try_exchange(|w, &s| (w == u).then_some((v, s)), |_, _, _| {})
+        .try_cycle(|c| c.message(|w, &s| (w == u).then_some((v, s)), |_, _, _| {}))
         .unwrap_err();
     assert_eq!(err, SimError::NotAdjacent { src: u, dst: v });
 }
@@ -32,7 +32,7 @@ fn recursive_presentation_missing_dimensions_rejected() {
     assert!(!rec.has_direct_edge(r, 1));
     let mut m = Machine::new(&rec, vec![0u8; rec.num_nodes()]);
     let err = m
-        .try_exchange(|w, &s| (w == r).then_some((r ^ 2, s)), |_, _, _| {})
+        .try_cycle(|c| c.message(|w, &s| (w == r).then_some((r ^ 2, s)), |_, _, _| {}))
         .unwrap_err();
     assert!(matches!(err, SimError::NotAdjacent { .. }));
 }
@@ -49,16 +49,18 @@ fn naive_single_cycle_three_hop_schedule_is_illegal() {
     let j = 1u32;
     let mut m = Machine::new(&rec, (0..rec.num_nodes() as u32).collect::<Vec<_>>());
     let err = m
-        .try_exchange(
-            |r, &s| {
-                if rec.has_direct_edge(r, j) {
-                    Some((r ^ (1usize << j), s)) // own exchange
-                } else {
-                    Some((r ^ 1, s)) // simultaneous cross-edge hand-off
-                }
-            },
-            |_, _, _| {},
-        )
+        .try_cycle(|c| {
+            c.message(
+                |r, &s| {
+                    if rec.has_direct_edge(r, j) {
+                        Some((r ^ (1usize << j), s)) // own exchange
+                    } else {
+                        Some((r ^ 1, s)) // simultaneous cross-edge hand-off
+                    }
+                },
+                |_, _, _| {},
+            )
+        })
         .unwrap_err();
     assert!(
         matches!(err, SimError::RecvConflict { .. }),
@@ -74,7 +76,7 @@ fn ccc_enforces_its_own_sparser_adjacency() {
     let v = c.node(3, 0);
     let mut m = Machine::new(&c, vec![(); c.num_nodes()]);
     let err = m
-        .try_exchange(|w, _| (w == u).then_some((v, ())), |_, _, _| {})
+        .try_cycle(|c| c.message(|w, _| (w == u).then_some((v, ())), |_, _, _| {}))
         .unwrap_err();
     assert_eq!(err, SimError::NotAdjacent { src: u, dst: v });
 }
@@ -87,14 +89,17 @@ fn failed_cycles_leave_no_trace() {
     let mut m = Machine::new(&q, (0..8u32).collect::<Vec<_>>());
     for _ in 0..3 {
         let _ = m
-            .try_exchange(|u, &s| (u == 0).then_some((7, s)), |st, _, v| *st += v)
+            .try_cycle(|c| c.message(|u, &s| (u == 0).then_some((7, s)), |st, _, v| *st += v))
             .unwrap_err();
     }
     assert_eq!(m.metrics().comm_steps, 0);
     assert_eq!(m.metrics().messages, 0);
     assert_eq!(m.states(), &[0, 1, 2, 3, 4, 5, 6, 7]);
     // And the machine still works afterwards.
-    m.pairwise(|u, _| Some(u ^ 1), |_, &s| s, |st, _, v| *st = v);
+    m.cycle(|c| {
+        c.message(|u, &s| Some((u ^ 1, s)), |st, _, v| *st = v)
+            .pairwise()
+    });
     assert_eq!(m.states(), &[1, 0, 3, 2, 5, 4, 7, 6]);
 }
 
@@ -105,11 +110,13 @@ fn pairwise_matching_must_be_symmetric_on_dual_cube() {
     // Node 0 pairs with its cross neighbour, but the neighbour pairs with
     // nobody.
     let err = m
-        .try_pairwise(
-            |u, _| (u == 0).then(|| d.cross_neighbor(0)),
-            |_, &s| s,
-            |_, _, _| {},
-        )
+        .try_cycle(|c| {
+            c.message(
+                |u, &s| (u == 0).then(|| (d.cross_neighbor(0), s)),
+                |_, _, _| {},
+            )
+            .pairwise()
+        })
         .unwrap_err();
     assert!(matches!(err, SimError::AsymmetricPair { a: 0, .. }));
 }

@@ -83,20 +83,26 @@ fn keyed_program(
             let dim = (op as u32 / 3) % q.dim();
             match op % 3 {
                 0 => {
-                    m.pairwise_keyed(
-                        ScheduleKey::Dim(dim),
-                        move |u, _| Some(u ^ (1usize << dim)),
-                        |_, &s| s,
-                        |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-                    );
+                    m.cycle(|c| {
+                        c.message(
+                            move |u, &s| Some((u ^ (1usize << dim), s)),
+                            |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+                        )
+                        .pairwise()
+                        .keyed(ScheduleKey::Dim(dim))
+                    });
                 }
                 1 => {
                     // Half-speaking exchange: the dim-low half sends up.
-                    m.exchange_keyed(
-                        ScheduleKey::Window { j: dim, hop: 0 },
-                        move |u, &s| (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s)),
-                        |s, _, v| *s ^= v,
-                    );
+                    m.cycle(|c| {
+                        c.message(
+                            move |u, &s| {
+                                (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s))
+                            },
+                            |s, _, v| *s ^= v,
+                        )
+                        .keyed(ScheduleKey::Window { j: dim, hop: 0 })
+                    });
                 }
                 _ => {
                     m.compute(1, |u, s| *s = s.rotate_left((u % 13) as u32));
@@ -165,13 +171,9 @@ proptest! {
                 let init: Vec<u64> = (0..n as u64).collect();
                 let mut mach = Machine::with_exec(&q, init.clone(), exec);
                 let r = if keyed {
-                    mach.try_exchange_keyed(
-                        ScheduleKey::Custom(7),
-                        |u, _| Some((dst[u], ())),
-                        |_, _, ()| {},
-                    )
+                    mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}).keyed(ScheduleKey::Custom(7)))
                 } else {
-                    mach.try_exchange(|u, _| Some((dst[u], ())), |_, _, ()| {})
+                    mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}))
                 };
                 let err = r.expect_err("plan contains a violation");
                 assert_eq!(mach.states(), &init[..], "failed cycle mutated states");
@@ -204,11 +206,14 @@ fn deviating_keyed_plan_is_rejected_not_laundered() {
     with_schedule_replay(true, || {
         let mut m = Machine::new(&q, vec![0u64; q.num_nodes()]);
         // Compile the dim-0 pattern under the key.
-        m.exchange_keyed(key, |u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v);
+        m.cycle(|c| {
+            c.message(|u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v)
+                .keyed(key)
+        });
         let before = m.states().to_vec();
         // Same key, different (but legal) pattern: must error, not replay.
         let err = m
-            .try_exchange_keyed(key, legal_elsewhere, |s, _, v| *s = v)
+            .try_cycle(|c| c.message(legal_elsewhere, |s, _, v| *s = v).keyed(key))
             .expect_err("deviating plan slipped through replay");
         assert_eq!(err, SimError::ScheduleDeviation { key, node: 0 });
         assert_eq!(m.states(), &before[..], "rejected cycle mutated states");
@@ -216,9 +221,12 @@ fn deviating_keyed_plan_is_rejected_not_laundered() {
 
     with_schedule_replay(false, || {
         let mut m = Machine::new(&q, vec![0u64; q.num_nodes()]);
-        m.exchange_keyed(key, |u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v);
+        m.cycle(|c| {
+            c.message(|u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v)
+                .keyed(key)
+        });
         let delivered = m
-            .try_exchange_keyed(key, legal_elsewhere, |s, _, v| *s = v)
+            .try_cycle(|c| c.message(legal_elsewhere, |s, _, v| *s = v).keyed(key))
             .expect("the deviating plan is legal under full validation");
         assert_eq!(delivered, q.num_nodes());
     });
