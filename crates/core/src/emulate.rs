@@ -170,9 +170,125 @@ pub fn exchange_dim_sized<V: Clone + Send + Sync + 'static>(
     });
 }
 
+/// The lane slabs of emulated dimension exchanges over
+/// [`Comm::rows`](dc_simulator::Comm::rows): K lanes per node of the
+/// algorithm's value, the landing slab for the partner's value, and the
+/// two forward slabs of the 3-cycle window. Row `r` of every slab holds
+/// recursive node `r`'s K lanes (`slab[r*K..(r+1)*K]`). Two forward slabs
+/// keep every cycle's sources and destinations apart: hop 0 fills
+/// `fwd_a`, hop 1 moves `values → partner` and `fwd_a → fwd_b`, hop 2
+/// moves `fwd_b → partner`.
+#[derive(Debug, Clone)]
+pub(crate) struct EmuSlabs<V> {
+    lanes: usize,
+    /// The current values: lane `k` of row `r` belongs to instance `k`.
+    pub(crate) values: Vec<V>,
+    partner: Vec<V>,
+    fwd_a: Vec<V>,
+    fwd_b: Vec<V>,
+}
+
+impl<V: Clone> EmuSlabs<V> {
+    /// Wraps an `n × lanes` value slab (row `r` = recursive node `r`).
+    ///
+    /// # Panics
+    ///
+    /// If `lanes == 0` or the slab is empty or not a whole number of rows.
+    pub(crate) fn new(lanes: usize, values: Vec<V>) -> Self {
+        assert!(
+            lanes > 0 && !values.is_empty() && values.len().is_multiple_of(lanes),
+            "need a non-empty slab of whole {lanes}-lane rows"
+        );
+        let spare = vec![values[0].clone(); values.len()];
+        EmuSlabs {
+            lanes,
+            partner: spare.clone(),
+            fwd_a: spare.clone(),
+            fwd_b: spare,
+            values,
+        }
+    }
+}
+
+/// Slab counterpart of [`exchange_dim`]: one emulated dimension-`j`
+/// exchange advancing all K lanes, then `apply(r, own, partner)` once per
+/// node over its rows. The schedule is the single-lane one, cycle for
+/// cycle and key for key ([`dim_comm_cost`]`(j)` cycles); each message
+/// carries K words (2K on the window's middle hop, which moves two slab
+/// pairs), so `message_words` scales exactly as K single-lane runs.
+pub(crate) fn exchange_dim_rows<V: Clone + Send + Sync>(
+    machine: &mut Machine<'_, RecDualCube, ()>,
+    slabs: &mut EmuSlabs<V>,
+    j: u32,
+    apply: impl Fn(NodeId, &mut [V], &[V]) + Sync,
+) {
+    let rec = *machine.topology();
+    assert!(
+        j < rec.dims(),
+        "dimension {j} out of range for {}",
+        rec.name()
+    );
+    let EmuSlabs {
+        lanes,
+        values,
+        partner,
+        fwd_a,
+        fwd_b,
+    } = slabs;
+    let lanes = *lanes;
+    if j == 0 {
+        machine.cycle(|c| {
+            c.rows(lanes, |r, _| Some(r ^ 1), [(&values[..], &mut partner[..])])
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+        });
+    } else {
+        // Cycle 1: linkless nodes hand their values across dimension 0.
+        machine.cycle(|c| {
+            c.rows(
+                lanes,
+                |r, _| (!rec.has_direct_edge(r, j)).then_some(r ^ 1),
+                [(&values[..], &mut fwd_a[..])],
+            )
+            .keyed(ScheduleKey::Window { j, hop: 0 })
+        });
+        // Cycle 2: linked nodes exchange (own, forwarded) along dimension j.
+        machine.cycle(|c| {
+            c.rows(
+                lanes,
+                |r, _| rec.has_direct_edge(r, j).then(|| r ^ (1usize << j)),
+                [
+                    (&values[..], &mut partner[..]),
+                    (&fwd_a[..], &mut fwd_b[..]),
+                ],
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Window { j, hop: 1 })
+        });
+        // Cycle 3: forwarded values return across dimension 0.
+        machine.cycle(|c| {
+            c.rows(
+                lanes,
+                |r, _| rec.has_direct_edge(r, j).then_some(r ^ 1),
+                [(&fwd_b[..], &mut partner[..])],
+            )
+            .keyed(ScheduleKey::Window { j, hop: 2 })
+        });
+    }
+    machine.compute_rows(
+        lanes,
+        [&mut values[..]],
+        [&partner[..]],
+        |r, [own], [other]| apply(r, own, other),
+    );
+}
+
 /// Per-node state for **lane-batched** emulated dimension exchanges: K
 /// independent values in structure-of-arrays layout plus the two K-wide
-/// transit buffers the 3-cycle schedule needs.
+/// transit buffers the 3-cycle schedule needs. Kept, with
+/// [`batched_emu_machine`] and [`exchange_dim_lanes`], for the
+/// repository benchmark's probes (`perfbench/src/probe.rs`); the batched
+/// sort runs on lane slabs (DESIGN.md §10).
 #[derive(Debug, Clone)]
 pub struct BatchedEmuState<V> {
     /// The node's K current values, lane `k` belonging to instance `k`.
@@ -182,7 +298,8 @@ pub struct BatchedEmuState<V> {
 }
 
 /// Builds a machine over the recursive presentation carrying K lanes per
-/// node: `values[r]` (length K) is placed on recursive node `r`.
+/// node: `values[r]` (length K) is placed on recursive node `r`. Kept for
+/// the repository benchmark's probes.
 pub fn batched_emu_machine<'t, V: Clone>(
     rec: &'t RecDualCube,
     values: Vec<Vec<V>>,
@@ -205,13 +322,15 @@ pub fn batched_emu_machine<'t, V: Clone>(
     )
 }
 
-/// Lane-batched [`exchange_dim`]: one emulated dimension-`j` exchange
-/// advancing all K lanes at once. The schedule is identical to the
-/// single-lane one — the same [`dim_comm_cost`]`(j)` cycles under the
-/// same [`ScheduleKey`]s — but each cycle moves K values per message
-/// (cycle 2 of the 3-hop window moves 2K: the sender's own K lanes plus
-/// the K it is forwarding), so `message_words` scales exactly as K
-/// single-lane runs while the engine overhead is paid once.
+/// Lane-batched [`exchange_dim`], kept for the repository benchmark's
+/// probes (the batched sort runs on lane slabs, DESIGN.md §10): one
+/// emulated dimension-`j` exchange advancing all K lanes at once. The
+/// schedule is identical to the single-lane one — the same
+/// [`dim_comm_cost`]`(j)` cycles under the same [`ScheduleKey`]s — but
+/// each cycle moves K values per message (cycle 2 of the 3-hop window
+/// moves 2K: the sender's own K lanes plus the K it is forwarding), so
+/// `message_words` scales exactly as K single-lane runs while the engine
+/// overhead is paid once.
 pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
     machine: &mut Machine<'_, RecDualCube, BatchedEmuState<V>>,
     j: u32,
@@ -452,6 +571,54 @@ mod tests {
                 assert_eq!(metrics.comp_steps, 1);
             }
         }
+    }
+
+    #[test]
+    fn row_exchange_delivers_partner_values_every_dimension() {
+        // Slab analogue of the single-lane delivery test: with apply =
+        // "keep partner", node r's lane k must hold the original lane-k
+        // value of r ^ (1 << j), at the single-lane run's step counts.
+        let lanes = 3;
+        for n in 1..=3u32 {
+            let rec = RecDualCube::new(n);
+            for j in 0..rec.dims() {
+                let values = (0..rec.num_nodes() * lanes).collect::<Vec<_>>();
+                let mut slabs = EmuSlabs::new(lanes, values);
+                let mut m = Machine::new(&rec, vec![(); rec.num_nodes()]);
+                exchange_dim_rows(&mut m, &mut slabs, j, |_, own, other| {
+                    own.clone_from_slice(other)
+                });
+                for (r, row) in slabs.values.chunks_exact(lanes).enumerate() {
+                    let partner = r ^ (1 << j);
+                    for (k, &v) in row.iter().enumerate() {
+                        assert_eq!(v, partner * lanes + k, "n={n} j={j} r={r} k={k}");
+                    }
+                }
+                assert_eq!(m.metrics().comm_steps, dim_comm_cost(j), "n={n} j={j}");
+                assert_eq!(m.metrics().comp_steps, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn row_exchange_charges_k_single_runs_words() {
+        // Every hop charges `lanes` words per message, and the middle hop
+        // (two slab pairs) 2·lanes: K single-lane runs' words exactly.
+        let lanes = 4;
+        let rec = RecDualCube::new(2);
+        let single = {
+            let mut m = emu_machine(&rec, (0..rec.num_nodes()).collect::<Vec<_>>());
+            exchange_dim(&mut m, 2, |_, _, &p| p);
+            m.into_parts().1
+        };
+        let mut slabs = EmuSlabs::new(lanes, vec![0usize; rec.num_nodes() * lanes]);
+        let mut m = Machine::new(&rec, vec![(); rec.num_nodes()]);
+        exchange_dim_rows(&mut m, &mut slabs, 2, |_, own, other| {
+            own.clone_from_slice(other)
+        });
+        let metrics = m.into_parts().1;
+        assert_eq!(metrics.messages, single.messages);
+        assert_eq!(metrics.message_words, single.message_words * lanes as u64);
     }
 
     #[test]

@@ -35,8 +35,9 @@
 //!    class-1 nodes (1 comp).
 
 use crate::ops::Monoid;
+use crate::prefix::hypercube::ascend_rows;
 use crate::prefix::PrefixKind;
-use crate::run::{PhaseSnapshot, Recording};
+use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
 use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey};
 use dc_topology::{bits::bit, Class, DualCube, Topology};
 
@@ -255,22 +256,6 @@ pub fn d_prefix<M: Monoid>(
     }
 }
 
-/// Per-node state of [`batched_d_prefix`]: the five variables of
-/// Algorithm 2 in structure-of-arrays layout, lane `k` of every vector
-/// belonging to instance `k`.
-#[derive(Debug, Clone)]
-pub struct BatchedDPrefixState<M> {
-    /// Cluster totals, one per lane.
-    pub t: Vec<M>,
-    /// Running prefixes, one per lane; the final answers after step 5.
-    pub s: Vec<M>,
-    /// Step-3 totals `t′`, one per lane.
-    pub t2: Vec<M>,
-    /// Step-3 diminished prefixes `s′`, one per lane.
-    pub s2: Vec<M>,
-    temp: Vec<M>,
-}
-
 /// Result of a [`batched_d_prefix`] run.
 #[derive(Debug, Clone)]
 pub struct BatchedDPrefixRun<M> {
@@ -284,11 +269,14 @@ pub struct BatchedDPrefixRun<M> {
     pub metrics: Metrics,
 }
 
-/// Runs K independent instances of Algorithm 2 through lane-batched
-/// machine cycles: `inputs[k]` is instance `k`'s input in data-index
-/// order. One schedule lookup / validation / delivery sweep per cycle
-/// advances all K instances; results are bit-identical to K separate
-/// [`d_prefix`] runs.
+/// Runs K independent instances of Algorithm 2 on lane slabs: `inputs[k]`
+/// is instance `k`'s input in data-index order. Each paper variable
+/// (`t`, `s`, `t′`, `s′`, and the landing buffer) is one `n × K` slab
+/// whose row `u` holds node `u`'s K lanes; every exchange moves rows
+/// along the validated (or replayed) matching straight from one slab into
+/// another ([`dc_simulator::Comm::rows`]), and every fold runs over
+/// contiguous rows ([`Machine::compute_rows`]). Results are
+/// bit-identical to K separate [`d_prefix`] runs.
 pub fn batched_d_prefix<M: Monoid>(
     d: &DualCube,
     inputs: &[Vec<M>],
@@ -313,7 +301,8 @@ pub fn batched_d_prefix<M: Monoid>(
 /// request; because compiled schedules are destination-only, a bank
 /// warmed at one lane count serves any other. Results are bit-identical
 /// to [`batched_d_prefix`]; only `schedule_misses` and wall-clock
-/// differ.
+/// differ. A call allocates a fixed number of buffers (the five slabs
+/// and the K outputs), whatever the machine size.
 pub fn batched_d_prefix_reusing<M: Monoid>(
     d: &DualCube,
     inputs: &[Vec<M>],
@@ -332,180 +321,96 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             d.name()
         );
     }
-    let states: Vec<BatchedDPrefixState<M>> = (0..d.num_nodes())
-        .map(|u| {
-            let c: Vec<M> = inputs
-                .iter()
-                .map(|inp| inp[d.linear_index(u)].clone())
-                .collect();
-            BatchedDPrefixState {
-                s: c.iter()
-                    .map(|c| match kind {
-                        PrefixKind::Inclusive => c.clone(),
-                        PrefixKind::Diminished => M::identity(),
-                    })
-                    .collect(),
-                t: c,
-                t2: vec![M::identity(); lanes],
-                s2: vec![M::identity(); lanes],
-                temp: vec![M::identity(); lanes],
-            }
-        })
-        .collect();
-    let mut machine = Machine::with_exec(d, states, exec);
+    let n = d.num_nodes();
+    // Node u holds c[lin(u)] in every lane.
+    let mut t = lane_slab(inputs, |u| d.linear_index(u));
+    let mut s = match kind {
+        PrefixKind::Inclusive => t.clone(),
+        PrefixKind::Diminished => vec![M::identity(); n * lanes],
+    };
+    let mut t2 = vec![M::identity(); n * lanes];
+    let mut s2 = vec![M::identity(); n * lanes];
+    let mut temp = vec![M::identity(); n * lanes];
+    let mut machine = Machine::with_exec(d, vec![(); n], exec);
     machine.adopt_schedules(bank);
-    let seed = M::identity();
+    // Steps 1 and 3 sweep the cluster dimensions: bit i of the node id
+    // marks the high side, as in the single-lane round.
+    let neighbor = |i| move |u| d.cluster_neighbor(u, i);
+    let high = |i| move |u| bit(d.node_id(u), i);
 
     // Step 1: Cube_prefix inside every cluster, all lanes at once.
     machine.begin_phase("step 1: Cube_prefix inside clusters");
     for i in 0..d.cluster_dim() {
-        batched_cluster_ascend_round(d, &mut machine, i, lanes, &seed, ScanVars::Step1);
+        let slabs = [&mut t[..], &mut s[..], &mut temp[..]];
+        ascend_rows(&mut machine, lanes, i, neighbor(i), high(i), slabs);
     }
 
-    // Step 2: exchange cluster totals over the cross-edges.
+    // Step 2: exchange cluster totals over the cross-edges, straight into
+    // t′ (s′ starts at the identity).
     machine.begin_phase("step 2: exchange totals via cross-edges");
     machine.cycle(|c| {
-        c.lanes(
+        c.rows(
             lanes,
-            &seed,
             |u, _| Some(d.cross_neighbor(u)),
-            |_, st, window| window.clone_from_slice(&st.t),
-            |st, _, window| {
-                for (t, w) in st.temp.iter_mut().zip(window) {
-                    std::mem::swap(t, w);
-                }
-            },
+            [(&t[..], &mut t2[..])],
         )
         .pairwise()
         .keyed(ScheduleKey::Cross)
-    });
-    machine.setup(|_, st| {
-        for k in 0..st.t2.len() {
-            st.t2[k] = std::mem::replace(&mut st.temp[k], M::identity());
-            st.s2[k] = M::identity();
-        }
     });
 
     // Step 3: diminished Cube_prefix over the received totals.
     machine.begin_phase("step 3: Cube_prefix over received totals");
     for i in 0..d.cluster_dim() {
-        batched_cluster_ascend_round(d, &mut machine, i, lanes, &seed, ScanVars::Step3);
+        let slabs = [&mut t2[..], &mut s2[..], &mut temp[..]];
+        ascend_rows(&mut machine, lanes, i, neighbor(i), high(i), slabs);
     }
 
     // Step 4: exchange s′ and fold it in on the left everywhere.
     machine.begin_phase("step 4: exchange s' and combine");
     machine.cycle(|c| {
-        c.lanes(
+        c.rows(
             lanes,
-            &seed,
             |u, _| Some(d.cross_neighbor(u)),
-            |_, st, window| window.clone_from_slice(&st.s2),
-            |st, _, window| {
-                for (t, w) in st.temp.iter_mut().zip(window) {
-                    std::mem::swap(t, w);
-                }
-            },
+            [(&s2[..], &mut temp[..])],
         )
         .pairwise()
         .keyed(ScheduleKey::Cross)
     });
-    machine.compute(1, |_, st| {
-        for k in 0..st.s.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            st.s[k] = temp.combine(&st.s[k]);
+    machine.compute_rows(lanes, [&mut s[..]], [&temp[..]], |_, [s], [temp]| {
+        for (s, x) in s.iter_mut().zip(temp) {
+            *s = x.combine(s);
         }
     });
 
     // Step 5: class-1 nodes fold in the class-0 grand total.
     machine.begin_phase("step 5: class-1 folds in class-0 grand total");
     if step5 == Step5Mode::PaperFaithful {
+        // The delivered values are the receivers' own class's grand
+        // totals, landing in the spent buffer — unused, as in the
+        // single-lane run.
         machine.cycle(|c| {
-            c.lanes(
+            c.rows(
                 lanes,
-                &seed,
                 |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
-                |_, st, window| window.clone_from_slice(&st.t2),
-                // Delivered values are the receiver's own class's grand
-                // totals — discarded, as in the single-lane run.
-                |_, _, _| {},
+                [(&t2[..], &mut temp[..])],
             )
             .keyed(ScheduleKey::Custom(0))
         });
     }
-    machine.compute(1, |u, st| {
+    machine.compute_rows(lanes, [&mut s[..]], [&t2[..]], |u, [s], [t2]| {
         if d.class_of(u) == Class::One {
-            for k in 0..st.s.len() {
-                st.s[k] = st.t2[k].combine(&st.s[k]);
+            for (s, x) in s.iter_mut().zip(t2) {
+                *s = x.combine(s);
             }
         }
     });
 
     machine.donate_schedules(bank);
-    let (states, metrics) = machine.into_parts();
-    let mut prefixes = vec![Vec::new(); lanes];
-    for p in &mut prefixes {
-        p.resize(states.len(), None);
-    }
-    for (u, st) in states.into_iter().enumerate() {
-        for (k, s) in st.s.into_iter().enumerate() {
-            prefixes[k][d.linear_index(u)] = Some(s);
-        }
-    }
     BatchedDPrefixRun {
-        prefixes: prefixes
-            .into_iter()
-            .map(|p| p.into_iter().map(|s| s.expect("bijection")).collect())
-            .collect(),
-        metrics,
+        // Data index i lives on node lin⁻¹(i).
+        prefixes: lane_outputs(&s, lanes, |i| d.from_linear_index(i)),
+        metrics: machine.into_parts().1,
     }
-}
-
-/// Lane-batched [`cluster_ascend_round`]: one K-wide exchange of the
-/// scanned totals, then a K-wide fold per node.
-fn batched_cluster_ascend_round<M: Monoid>(
-    d: &DualCube,
-    machine: &mut Machine<'_, DualCube, BatchedDPrefixState<M>>,
-    i: u32,
-    lanes: usize,
-    seed: &M,
-    vars: ScanVars,
-) {
-    machine.cycle(|c| {
-        c.lanes(
-            lanes,
-            seed,
-            |u, _| Some(d.cluster_neighbor(u, i)),
-            move |_, st, window| {
-                window.clone_from_slice(match vars {
-                    ScanVars::Step1 => &st.t,
-                    ScanVars::Step3 => &st.t2,
-                })
-            },
-            |st, _, window| {
-                for (t, w) in st.temp.iter_mut().zip(window) {
-                    std::mem::swap(t, w);
-                }
-            },
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Dim(i))
-    });
-    machine.compute(1, |u, st| {
-        let high_side = bit(d.node_id(u), i);
-        let (t, s) = match vars {
-            ScanVars::Step1 => (&mut st.t, &mut st.s),
-            ScanVars::Step3 => (&mut st.t2, &mut st.s2),
-        };
-        for k in 0..t.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            if high_side {
-                t[k] = temp.combine(&t[k]);
-                s[k] = temp.combine(&s[k]);
-            } else {
-                t[k] = t[k].combine(&temp);
-            }
-        }
-    });
 }
 
 /// Which `(total, prefix)` variable pair an ascend round scans: step 1
@@ -759,6 +664,34 @@ mod tests {
             Step5Mode::PaperFaithful,
             Recording::Off,
         );
+    }
+
+    #[test]
+    fn batched_noncommutative_lanes_match_single_runs() {
+        // Concat is order-sensitive, so a lane mix-up or a fold on the
+        // wrong side shows; both kinds and both step-5 modes.
+        for n in 1..=4 {
+            let d = DualCube::new(n);
+            let inputs: Vec<Vec<Concat>> = (0..3)
+                .map(|k| letters(d.num_nodes() + k).split_off(k))
+                .collect();
+            for kind in [PrefixKind::Inclusive, PrefixKind::Diminished] {
+                for step5 in [Step5Mode::PaperFaithful, Step5Mode::LocalFold] {
+                    let batch = batched_d_prefix(&d, &inputs, kind, step5);
+                    for (k, input) in inputs.iter().enumerate() {
+                        let single = d_prefix(&d, input, kind, step5, Recording::Off);
+                        assert_eq!(batch.prefixes[k], single.prefixes, "n={n} lane {k}");
+                        if k == 0 {
+                            let (b, s) = (&batch.metrics, &single.metrics);
+                            assert_eq!(b.comm_steps, s.comm_steps, "n={n}");
+                            assert_eq!(b.comp_steps, s.comp_steps, "n={n}");
+                            assert_eq!(b.messages, s.messages, "n={n}");
+                            assert_eq!(b.message_words, 3 * s.message_words, "n={n}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

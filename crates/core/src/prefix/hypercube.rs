@@ -15,9 +15,9 @@
 
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
-use crate::run::{PhaseSnapshot, Recording};
+use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
 use dc_simulator::{Machine, Metrics, ScheduleKey};
-use dc_topology::{bits::bit, Hypercube, Topology};
+use dc_topology::{bits::bit, Hypercube, NodeId, Topology};
 
 /// Per-node state of `Cube_prefix`.
 #[derive(Debug, Clone)]
@@ -114,19 +114,6 @@ pub fn cube_prefix<M: Monoid>(
     }
 }
 
-/// Per-node state of [`batched_cube_prefix`]: K independent instances in
-/// structure-of-arrays layout — lane `k` of every vector belongs to
-/// instance `k`.
-#[derive(Debug, Clone)]
-pub struct BatchedCubeState<M> {
-    /// Running subcube totals, one per lane.
-    pub t: Vec<M>,
-    /// Running subcube prefixes, one per lane.
-    pub s: Vec<M>,
-    /// Landing buffer for the partner's totals (K wide).
-    temp: Vec<M>,
-}
-
 /// Result of a [`batched_cube_prefix`] run.
 #[derive(Debug, Clone)]
 pub struct BatchedCubePrefixRun<M> {
@@ -141,12 +128,13 @@ pub struct BatchedCubePrefixRun<M> {
     pub metrics: Metrics,
 }
 
-/// Runs K independent instances of Algorithm 1 through one lane-batched
-/// machine cycle per round: `inputs[k]` is instance `k`'s input (one
-/// value per node). All K instances share a single schedule lookup,
-/// validation/replay pass, and delivery sweep per dimension, with the
-/// fold running K-wide per node; results are bit-identical to K separate
-/// [`cube_prefix`] runs.
+/// Runs K independent instances of Algorithm 1 on lane slabs:
+/// `inputs[k]` is instance `k`'s input (one value per node). Each paper
+/// variable (`t`, `s`, and the landing buffer) is one `n × K` slab whose
+/// row `u` holds node `u`'s K lanes, so every round is one row move of
+/// the `t` slab ([`dc_simulator::Comm::rows`]) and one fold over
+/// contiguous rows ([`Machine::compute_rows`]). Results are
+/// bit-identical to K separate [`cube_prefix`] runs.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::batched_cube_prefix, PrefixKind};
@@ -178,72 +166,61 @@ pub fn batched_cube_prefix<M: Monoid>(
             q.name()
         );
     }
-    let states: Vec<BatchedCubeState<M>> = (0..q.num_nodes())
-        .map(|u| BatchedCubeState {
-            t: inputs.iter().map(|inp| inp[u].clone()).collect(),
-            s: inputs
-                .iter()
-                .map(|inp| match kind {
-                    PrefixKind::Inclusive => inp[u].clone(),
-                    PrefixKind::Diminished => M::identity(),
-                })
-                .collect(),
-            temp: vec![M::identity(); lanes],
-        })
-        .collect();
-    let mut machine = Machine::new(q, states);
-    let seed = M::identity();
+    let n = q.num_nodes();
+    let mut t = lane_slab(inputs, |u| u);
+    let mut s = match kind {
+        PrefixKind::Inclusive => t.clone(),
+        PrefixKind::Diminished => vec![M::identity(); n * lanes],
+    };
+    let mut temp = vec![M::identity(); n * lanes];
+    let mut machine = Machine::new(q, vec![(); n]);
     for i in 0..q.dim() {
         machine.begin_phase(format!("dimension {i}"));
-        batched_ascend_round(&mut machine, i, lanes, &seed);
-    }
-    let (states, metrics) = machine.into_parts();
-    let totals = states[0].t.clone();
-    let mut prefixes = vec![Vec::with_capacity(q.num_nodes()); lanes];
-    for st in states {
-        for (k, s) in st.s.into_iter().enumerate() {
-            prefixes[k].push(s);
-        }
+        ascend_rows(
+            &mut machine,
+            lanes,
+            i,
+            |u| u ^ (1usize << i),
+            |u| bit(u, i),
+            [&mut t, &mut s, &mut temp],
+        );
     }
     BatchedCubePrefixRun {
-        prefixes,
-        totals,
-        metrics,
+        prefixes: lane_outputs(&s, lanes, |u| u),
+        totals: t[..lanes].to_vec(),
+        metrics: machine.into_parts().1,
     }
 }
 
-/// The lane-batched dimension-`i` round: one K-wide exchange of the `t`
-/// lanes, then a K-wide fold — the vectorizable inner loop of the batch.
-fn batched_ascend_round<M: Monoid>(
-    machine: &mut Machine<'_, Hypercube, BatchedCubeState<M>>,
-    i: u32,
+/// One round of the ascend sweep over lane slabs, all K lanes at once:
+/// the `t` rows travel to `partner(u)` and land in `temp` (keyed
+/// [`ScheduleKey::Dim`]`(i)`), then every node folds. Where `high(u)`
+/// (the partner's half precedes `u`'s in index order) the incoming total
+/// goes on the left of both `t` and `s`; elsewhere on the right of `t`.
+/// [`batched_cube_prefix`] runs it across dimension `i`; Algorithm 2's
+/// steps 1 and 3 run it inside every cluster (see `prefix::dualcube`).
+pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
+    machine: &mut Machine<'_, T, ()>,
     lanes: usize,
-    seed: &M,
+    i: u32,
+    partner: impl Fn(NodeId) -> NodeId + Sync,
+    high: impl Fn(NodeId) -> bool + Sync,
+    [t, s, temp]: [&mut [M]; 3],
 ) {
     machine.cycle(|c| {
-        c.lanes(
-            lanes,
-            seed,
-            |u, _| Some(u ^ (1usize << i)),
-            |_, st, window| window.clone_from_slice(&st.t),
-            |st, _, window| {
-                for (t, w) in st.temp.iter_mut().zip(window) {
-                    std::mem::swap(t, w);
-                }
-            },
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Dim(i))
+        c.rows(lanes, |u, _| Some(partner(u)), [(&*t, &mut *temp)])
+            .pairwise()
+            .keyed(ScheduleKey::Dim(i))
     });
-    machine.compute(1, |u, st| {
-        let high = bit(u, i);
-        for k in 0..st.t.len() {
-            let temp = std::mem::replace(&mut st.temp[k], M::identity());
-            if high {
-                st.t[k] = temp.combine(&st.t[k]);
-                st.s[k] = temp.combine(&st.s[k]);
-            } else {
-                st.t[k] = st.t[k].combine(&temp);
+    machine.compute_rows(lanes, [t, s], [temp], |u, [t, s], [temp]| {
+        if high(u) {
+            for ((t, s), x) in t.iter_mut().zip(s).zip(temp) {
+                *t = x.combine(t);
+                *s = x.combine(s);
+            }
+        } else {
+            for (t, x) in t.iter_mut().zip(temp) {
+                *t = t.combine(x);
             }
         }
     });

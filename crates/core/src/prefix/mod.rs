@@ -21,11 +21,12 @@
 //!   simulated run is checked against.
 //!
 //! The batched entry points ([`hypercube::batched_cube_prefix`],
-//! [`dualcube::batched_d_prefix`]) run K independent instances through
-//! lane-batched machine cycles: one schedule lookup / validation /
-//! delivery sweep per cycle advances all K lanes, amortizing the
-//! per-cycle engine overhead while producing bit-identical results to K
-//! single-lane runs (DESIGN.md §10).
+//! [`dualcube::batched_d_prefix`]) run K independent instances on lane
+//! slabs — one `n × K` slab per paper variable, row `u` holding node
+//! `u`'s K lanes: one schedule lookup / validation / row move per cycle
+//! advances all K lanes, amortizing the per-cycle engine overhead while
+//! producing bit-identical results to K single-lane runs (DESIGN.md
+//! §10).
 
 pub mod dualcube;
 pub mod hypercube;

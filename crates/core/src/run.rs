@@ -56,6 +56,37 @@ impl Recording {
     }
 }
 
+/// The `n × K` lane slab of `K = inputs.len()` instances, the layout of
+/// the batched runs: row `u` holds node `u`'s lanes, so slot `u*K + k`
+/// is `inputs[k][index(u)]`.
+pub(crate) fn lane_slab<M: Clone>(inputs: &[Vec<M>], index: impl Fn(usize) -> usize) -> Vec<M> {
+    let n = inputs[0].len();
+    let mut slab = Vec::with_capacity(n * inputs.len());
+    for u in 0..n {
+        let i = index(u);
+        slab.extend(inputs.iter().map(|input| input[i].clone()));
+    }
+    slab
+}
+
+/// The lanes of an `n × lanes` slab as `lanes` outputs: output `k` lists
+/// lane `k` of row `row(0)`, `row(1)`, …. One pass over the rows.
+pub(crate) fn lane_outputs<M: Clone>(
+    slab: &[M],
+    lanes: usize,
+    row: impl Fn(usize) -> usize,
+) -> Vec<Vec<M>> {
+    let n = slab.len() / lanes;
+    let mut outputs: Vec<Vec<M>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
+    for i in 0..n {
+        let at = row(i) * lanes;
+        for (output, value) in outputs.iter_mut().zip(&slab[at..at + lanes]) {
+            output.push(value.clone());
+        }
+    }
+    outputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,10 +37,8 @@
 //! every cycle. Totals: `6n² − 7n + 2` communication and `2n² − n`
 //! comparison steps exactly (within the theorem's `6n²`/`2n²`).
 
-use crate::emulate::{
-    batched_emu_machine, emu_machine, exchange_dim, exchange_dim_lanes, BatchedEmuState, EmuState,
-};
-use crate::run::{PhaseSnapshot, Recording, Run};
+use crate::emulate::{emu_machine, exchange_dim, exchange_dim_rows, EmuSlabs, EmuState};
+use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording, Run};
 use crate::sort::SortOrder;
 use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
@@ -153,12 +151,13 @@ pub struct BatchedSortRun<K> {
     pub metrics: Metrics,
 }
 
-/// Sorts K independent key sets with Algorithm 3 through lane-batched
-/// emulated exchanges: `keys[k]` is instance `k`'s input (one key per
-/// recursive node). All K instances ride one schedule lookup /
-/// validation / delivery sweep per cycle, with the compare-exchange fold
-/// running K-wide per node; each instance's output is bit-identical to a
-/// separate [`d_sort`] run.
+/// Sorts K independent key sets with Algorithm 3 on lane slabs: `keys[k]`
+/// is instance `k`'s input (one key per recursive node). The keys, the
+/// partner's keys and the window's two forward buffers are each one
+/// `n × K` slab, so every emulated hop moves rows along
+/// one validated (or replayed) matching and every compare-exchange runs
+/// K-wide over contiguous rows; each instance's output is bit-identical
+/// to a separate [`d_sort`] run.
 ///
 /// ```
 /// use dc_core::sort::{dualcube::batched_d_sort, SortOrder};
@@ -192,7 +191,9 @@ pub fn batched_d_sort<K: Ord + Clone + Send + Sync + 'static>(
 /// rounds once ever instead of once per request. Compiled schedules are
 /// destination-only, so a bank warmed at one lane count serves any
 /// other. Results are bit-identical to [`batched_d_sort`]; only
-/// `schedule_misses` and wall-clock differ.
+/// `schedule_misses` and wall-clock differ. A call allocates a fixed
+/// number of buffers (the four slabs and the K outputs), whatever the
+/// machine size.
 pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     keys: &[Vec<K>],
@@ -211,12 +212,8 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
         );
     }
     let n = rec.n();
-    let seed = keys[0][0].clone();
-    let values: Vec<Vec<K>> = (0..rec.num_nodes())
-        .map(|r| keys.iter().map(|inst| inst[r].clone()).collect())
-        .collect();
-    let mut machine = batched_emu_machine(rec, values, &seed);
-    machine.set_exec(exec);
+    let mut slabs = EmuSlabs::new(lanes, lane_slab(keys, |r| r));
+    let mut machine = Machine::with_exec(rec, vec![(); rec.num_nodes()], exec);
     machine.adopt_schedules(bank);
 
     for level in 1..=n {
@@ -227,13 +224,13 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
                 top - 1
             ));
             for j in (0..top).rev() {
-                batched_compare_round(&mut machine, j, lanes, &seed, move |r| bit(r, top));
+                compare_rows(&mut machine, &mut slabs, j, move |r| bit(r, top));
             }
         }
         machine.begin_phase(format!("level {level}: merge loop 2 (dims {top}..=0)"));
         let tag = order.tag();
         for j in (0..=top).rev() {
-            batched_compare_round(&mut machine, j, lanes, &seed, move |r| {
+            compare_rows(&mut machine, &mut slabs, j, move |r| {
                 if level == n {
                     tag
                 } else {
@@ -244,32 +241,35 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     }
 
     machine.donate_schedules(bank);
-    let (states, metrics) = machine.into_parts();
-    let mut outputs = vec![Vec::with_capacity(rec.num_nodes()); lanes];
-    for st in states {
-        for (k, v) in st.values.into_iter().enumerate() {
-            outputs[k].push(v);
-        }
+    BatchedSortRun {
+        outputs: lane_outputs(&slabs.values, lanes, |r| r),
+        metrics: machine.into_parts().1,
     }
-    BatchedSortRun { outputs, metrics }
 }
 
-/// Lane-batched [`compare_round`]: the same emulated dimension-`j`
-/// schedule, with the keep-min/keep-max comparison applied per lane.
-fn batched_compare_round<K: Ord + Clone + Send + Sync + 'static>(
-    machine: &mut Machine<'_, RecDualCube, BatchedEmuState<K>>,
+/// Slab counterpart of [`compare_round`]: the same emulated
+/// dimension-`j` schedule, then each node keeps the minimum or maximum
+/// of every lane pair. The direction is one per node, so it is decided
+/// once, outside the lane loop; on a tie a node keeps its own key.
+fn compare_rows<K: Ord + Clone + Send + Sync>(
+    machine: &mut Machine<'_, RecDualCube, ()>,
+    slabs: &mut EmuSlabs<K>,
     j: u32,
-    lanes: usize,
-    seed: &K,
     descending: impl Fn(NodeId) -> bool + Sync,
 ) {
-    exchange_dim_lanes(machine, j, lanes, seed, |r, own, other| {
-        let keep_min = bit(r, j) == descending(r);
-        let own_is_kept = if keep_min { own <= other } else { own >= other };
-        if own_is_kept {
-            own.clone()
+    exchange_dim_rows(machine, slabs, j, |r, own, other| {
+        if bit(r, j) == descending(r) {
+            for (own, other) in own.iter_mut().zip(other) {
+                if other < own {
+                    own.clone_from(other);
+                }
+            }
         } else {
-            other.clone()
+            for (own, other) in own.iter_mut().zip(other) {
+                if other > own {
+                    own.clone_from(other);
+                }
+            }
         }
     });
 }
@@ -450,6 +450,49 @@ mod tests {
         let mut expect = keys.clone();
         expect.sort();
         assert_eq!(run.output, expect);
+    }
+
+    /// Keys that compare by `key` alone, so equal keys stay
+    /// distinguishable by `tag`: a compare-exchange that swapped on a
+    /// tie would show.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Tagged {
+        key: u8,
+        tag: u16,
+    }
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn batched_ties_keep_the_single_runs_keys() {
+        let rec = RecDualCube::new(3);
+        let keys: Vec<Vec<Tagged>> = (0..3u16)
+            .map(|k| {
+                (0..32u16)
+                    .map(|r| Tagged {
+                        key: ((r * 5 + k) % 4) as u8,
+                        tag: 100 * k + r,
+                    })
+                    .collect()
+            })
+            .collect();
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            let run = batched_d_sort(&rec, &keys, order);
+            for (k, instance) in keys.iter().enumerate() {
+                let single = d_sort(&rec, instance, order, Recording::Off);
+                assert_eq!(run.outputs[k], single.output, "lane {k} {order:?}");
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! * [`bitonic`] — sequence predicates and a sequential Batcher network
 //!   used as the reference and in property tests (0–1 principle).
 //!
-//! [`dualcube::batched_d_sort`] runs K independent key sets through
-//! lane-batched emulated exchanges — one schedule per cycle for all K
-//! lanes, results bit-identical to K single-lane runs (DESIGN.md §10).
+//! [`dualcube::batched_d_sort`] runs K independent key sets on lane
+//! slabs — one `n × K` slab per variable, one schedule per cycle for all
+//! K lanes, results bit-identical to K single-lane runs (DESIGN.md §10).
 
 pub mod bitonic;
 pub mod dualcube;

@@ -37,7 +37,7 @@ use dc_topology::{DualCube, RecDualCube};
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,6 +109,11 @@ struct Shared {
 }
 
 /// A running serving frontend over the dual-cube engine.
+///
+/// [`Server::shutdown`] returns the final [`ServiceReport`]. Dropping a
+/// server without it still closes admission, drains and joins the
+/// fleet (so tickets already admitted resolve), and stops the sampler:
+/// no thread outlives the server.
 pub struct Server {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<Metrics>>,
@@ -239,27 +244,59 @@ impl Server {
         }
     }
 
-    /// Closes admission, drains every already-admitted request, joins
-    /// the fleet, and returns the [`ServiceReport`] built from the
-    /// registry's final snapshot.
-    pub fn shutdown(mut self) -> ServiceReport {
-        {
-            let mut state = self.shared.state.lock().expect("queue lock");
-            state.shutdown = true;
-        }
+    /// Closes admission and wakes every worker. Each drains the queue
+    /// dry before it leaves, so every admitted request still runs.
+    fn close_admission(&self) {
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.shutdown = true;
+        drop(state);
         self.shared.work_ready.notify_all();
-        let mut metrics = Metrics::new();
-        for handle in self.handles.drain(..) {
-            metrics.absorb(&handle.join().expect("worker panicked"));
-        }
-        // Stop the sampler only after the fleet is joined: its final
-        // sample then sees exactly the totals the report carries.
+    }
+
+    /// Stops the sampler, if one is attached, logging a failed series.
+    /// Called only after the fleet is joined: the final sample then sees
+    /// exactly the totals the report carries.
+    fn stop_sampler(&mut self) {
         if let Some(sampler) = self.sampler.take() {
             if let Err(err) = sampler.stop() {
                 eprintln!("dc-serve: stats sampler failed: {err}");
             }
         }
+    }
+
+    /// Closes admission, drains every already-admitted request, joins
+    /// the fleet, and returns the [`ServiceReport`] built from the
+    /// registry's final snapshot.
+    pub fn shutdown(mut self) -> ServiceReport {
+        self.close_admission();
+        let mut metrics = Metrics::new();
+        for handle in self.handles.drain(..) {
+            metrics.absorb(&handle.join().expect("worker panicked"));
+        }
+        self.stop_sampler();
         ServiceReport::from_snapshot(self.shared.stats.snapshot(), metrics)
+    }
+}
+
+impl Drop for Server {
+    /// The shutdown sequence without the report, for a server dropped
+    /// without [`Server::shutdown`] (which leaves nothing to do here): a
+    /// worker that panicked or a failed sampler is logged, not raised.
+    fn drop(&mut self) {
+        if self.handles.is_empty() && self.sampler.is_none() {
+            return;
+        }
+        self.close_admission();
+        for handle in self.handles.drain(..) {
+            if handle.join().is_err() {
+                eprintln!("dc-serve: a worker panicked before the server was dropped");
+            }
+        }
+        self.stop_sampler();
     }
 }
 
@@ -415,4 +452,59 @@ fn finish(
     };
     stats.record_served(worker, response.latency());
     pending.slot.fulfil(response);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Weak;
+
+    /// A sampler target whose buffer the test keeps a handle on.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().expect("buffer lock").extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn dropping_a_server_releases_its_threads() {
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let mut server = Server::start(ServerConfig::default().workers(2));
+        server.sample_stats(
+            Duration::from_millis(1),
+            SnapshotFormat::Jsonl,
+            Box::new(SharedBuf(Arc::clone(&buf))),
+        );
+        let shape = Shape {
+            op: OpKind::PrefixSum,
+            n: 2,
+        };
+        let ticket = server
+            .submit(Request {
+                shape,
+                payload: Payload::Seeded(7),
+            })
+            .expect("admitted");
+        let shared: Weak<Shared> = Arc::downgrade(&server.shared);
+        drop(server);
+        assert!(
+            shared.upgrade().is_none(),
+            "a worker outlived the server and still holds its state"
+        );
+        assert_eq!(
+            Arc::strong_count(&buf),
+            1,
+            "the sampler outlived the server and still holds its writer"
+        );
+        // The request admitted before the drop still resolved.
+        assert_eq!(ticket.wait().output.len(), shape.num_nodes());
+        assert!(!buf.lock().expect("buffer lock").is_empty());
+    }
 }

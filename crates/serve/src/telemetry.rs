@@ -71,7 +71,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -791,12 +791,14 @@ impl Sampler {
     }
 
     /// Signals the thread, waits for its final sample, and returns any
-    /// write error the series hit.
+    /// write error the series hit (or that the thread panicked).
     pub(crate) fn stop(self) -> io::Result<()> {
         let (lock, cvar) = &*self.stop;
-        *lock.lock().expect("sampler lock") = true;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
         cvar.notify_all();
-        self.handle.join().expect("sampler thread panicked")
+        self.handle
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("sampler thread panicked")))
     }
 }
 

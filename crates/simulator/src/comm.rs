@@ -7,8 +7,10 @@
 //!
 //! * the **payload form** — a moved message `M` per sender
 //!   ([`Comm::message`], one word per message unless [`Comm::words`]
-//!   says otherwise), or `K` lane values of `V` per sender
-//!   ([`Comm::lanes`], `K` words per message);
+//!   says otherwise); `K` lane values of `V` per sender, moved from
+//!   caller-owned lane slabs ([`Comm::rows`], `K` words per slab pair);
+//!   or `K` lane values staged through per-node state ([`Comm::lanes`],
+//!   `K` words per message, kept for the repository benchmark's probes);
 //! * an optional **key** ([`Comm::keyed`]) naming the pattern for
 //!   compile-once / replay-after (see the [`crate::schedule`] docs);
 //! * the **pairwise** flag ([`Comm::pairwise`]), which requires the
@@ -36,13 +38,36 @@
 //! });
 //! assert_eq!(m.states(), &[10, 10, 10, 10]);
 //! assert_eq!(m.metrics().message_words, 4 + 2 * 4);
+//!
+//! // Rows: node `u` owns row `u` (two lanes) of each slab; a cycle moves
+//! // row `src` of the source slab into row `u` of the destination slab.
+//! let mut r = Machine::new(&q, vec![(); 4]);
+//! let values: Vec<u64> = (0..8).collect();
+//! let mut partner = vec![0u64; 8];
+//! r.cycle(|c| {
+//!     c.rows(2, |u, _| Some(u ^ 1), [(&values[..], &mut partner[..])])
+//!         .pairwise()
+//!         .keyed(ScheduleKey::Dim(0))
+//! });
+//! assert_eq!(partner, [2, 3, 0, 1, 6, 7, 4, 5]);
+//! assert_eq!(r.metrics().message_words, 4 * 2);
 //! ```
 //!
 //! Each payload form is a type implementing the sealed [`Payload`] trait,
 //! so the machine's one full-cycle path and one replay path are
 //! monomorphised per form: no dynamic dispatch and no per-node branch on
 //! the form in either hot loop.
+//!
+//! The rows form is the lane data plane of the paper algorithms'
+//! batched runs (DESIGN.md §10): each paper variable is one `n × K` slab
+//! the caller owns, and the machine's per-node state is `()`. Because the
+//! source and destination of a row move are separate slabs, the cycle
+//! needs no staging copy: once the matching is validated (or replayed),
+//! each receiver's row is copied straight from its sender's row, and a
+//! failed cycle writes no row. [`Machine::compute_rows`](crate::Machine::compute_rows)
+//! is the matching computation phase, handing each live node its rows.
 
+use crate::parallel::{par_lane_apply_bounds, par_rows_bounds};
 use crate::schedule::{ScheduleKey, NO_SRC};
 use dc_topology::NodeId;
 use std::marker::PhantomData;
@@ -50,8 +75,8 @@ use std::marker::PhantomData;
 /// One communication cycle's description, built inside the closure passed
 /// to [`Machine::try_cycle`](crate::Machine::try_cycle) /
 /// [`Machine::cycle`](crate::Machine::cycle) from the blank `Comm<S>`
-/// the machine provides: pick a payload form ([`Comm::message`] or
-/// [`Comm::lanes`]), then optionally [`Comm::pairwise`] and
+/// the machine provides: pick a payload form ([`Comm::message`],
+/// [`Comm::rows`] or [`Comm::lanes`]), then optionally [`Comm::pairwise`] and
 /// [`Comm::keyed`] (in any order). See the [module docs](crate::comm).
 #[must_use = "a Comm describes a cycle; return it to `Machine::cycle` to run it"]
 pub struct Comm<S, F = ()> {
@@ -103,7 +128,44 @@ impl<S> Comm<S> {
         })
     }
 
-    /// The lane form: `K = lanes` independent payload values ride each
+    /// The rows form: `K = width` independent payload values ride each
+    /// delivered message, moved between caller-owned lane slabs. Every
+    /// slab holds `width` values per node, row `u` at
+    /// `slab[u*width..(u+1)*width]`. `plan(u, state)` names node `u`'s
+    /// destination (or `None`); for each validated message `src → u` and
+    /// each `(source, destination)` pair, row `src` of the source slab is
+    /// copied into row `u` of the destination slab. Each message is
+    /// charged `width × pairs` words, and recorded events report that
+    /// many lanes.
+    ///
+    /// Rows move only after the whole cycle validates (or replays), so a
+    /// failed cycle writes no row; a dropped message leaves its
+    /// receiver's rows as they were. Source and destination are distinct
+    /// borrows, so every copy reads pre-cycle values without a staging
+    /// slab.
+    ///
+    /// # Panics
+    ///
+    /// If `width == 0` or `pairs` is empty; when the cycle delivers, if
+    /// a slab does not hold `width` values per node.
+    pub fn rows<'a, V, P, const N: usize>(
+        self,
+        width: usize,
+        plan: P,
+        pairs: [(&'a [V], &'a mut [V]); N],
+    ) -> Comm<S, Rows<'a, V, P, N>>
+    where
+        V: Clone + Send + Sync,
+        P: Fn(NodeId, &S) -> Option<NodeId> + Sync,
+    {
+        assert!(width > 0, "a row cycle needs at least one lane");
+        assert!(N > 0, "a row cycle needs at least one slab pair");
+        self.with(Rows { width, plan, pairs })
+    }
+
+    /// The lane form, kept for the repository benchmark's probes
+    /// (`perfbench/src/probe.rs`); new code moves lanes with
+    /// [`Comm::rows`]. `K = lanes` independent payload values ride each
     /// delivered message. `plan(u, state)` names the destination only;
     /// `fill(src, state, window)` writes the sender's `K` values into the
     /// receiver's window of the machine-owned lane buffer; `deliver(state,
@@ -211,9 +273,17 @@ pub struct Lanes<'v, V, P, Fi, D> {
     deliver: D,
 }
 
-/// A cycle payload form: implemented by [`Message`] and [`Lanes`] only
-/// (sealed), and what [`Machine::try_cycle`](crate::Machine::try_cycle)
-/// is generic over.
+/// The row payload form (built by [`Comm::rows`]): `N` slab pairs of
+/// `width` values per node.
+pub struct Rows<'a, V, P, const N: usize> {
+    width: usize,
+    plan: P,
+    pairs: [(&'a [V], &'a mut [V]); N],
+}
+
+/// A cycle payload form: implemented by [`Message`], [`Rows`] and
+/// [`Lanes`] only (sealed), and what
+/// [`Machine::try_cycle`](crate::Machine::try_cycle) is generic over.
 pub trait Payload<S>: form::Form<S> {}
 
 impl<S, F: form::Form<S>> Payload<S> for F {}
@@ -223,10 +293,41 @@ impl<S, F: form::Form<S>> Payload<S> for F {}
 /// delivered message into its receiver's `width()`-slot window of one
 /// staging slab (the sequential backend delivers a planned message
 /// straight from the plan slab instead); the replay path stages straight
-/// from the compiled pattern. Delivery then runs per receiver over its
-/// own window.
+/// from the compiled pattern. Either path records each receiver's sender
+/// in the sender table, then runs the form's delivery once: the message
+/// and lane forms over each receiver's window, the row form as one row
+/// gather (its staging slab is `()` per node and never touched).
 pub(crate) mod form {
     use super::*;
+    use std::ops::Range;
+
+    /// The message and lane forms' delivery: `deliver(state, src,
+    /// window)` for every node, on the threaded backend over the
+    /// shard-aligned dispatch slots, so each worker touches only its own
+    /// nodes' states and windows.
+    fn each_window<S: Send, Slot: Send>(
+        states: &mut [S],
+        srcs: &[u32],
+        slab: &mut [Slot],
+        bounds: &[usize],
+        threaded: bool,
+        width: usize,
+        deliver: impl Fn(&mut S, u32, &mut [Slot]) + Sync,
+    ) {
+        if threaded {
+            par_lane_apply_bounds(bounds, states, width, slab, &|u, s, window| {
+                deliver(s, srcs[u], window);
+            });
+        } else {
+            for ((s, &src), window) in states
+                .iter_mut()
+                .zip(srcs)
+                .zip(slab.chunks_exact_mut(width))
+            {
+                deliver(s, src, window);
+            }
+        }
+    }
 
     /// One staged moved message. A private newtype (not a bare
     /// `Option<M>`) so the type-keyed staging slab can never hand a
@@ -248,8 +349,10 @@ pub(crate) mod form {
         /// after validation, from pre-cycle states, so lanes always stage.
         const PLANNED: bool;
 
-        /// Staging slots per node: 1 for a message, `K` for lanes.
+        /// Staging slots per node: 1 for a message or rows, `K` for lanes.
         fn width(&self) -> usize;
+        /// Lanes one message carries, as recorded events report them.
+        fn lanes(&self) -> u32;
         /// Node `u`'s (destination, message), or `None` when silent.
         fn plan(&self, u: NodeId, s: &S) -> Option<(NodeId, Self::Msg)>;
         /// Words charged for one message.
@@ -260,9 +363,20 @@ pub(crate) mod form {
         fn stage(&self, src: NodeId, s: &S, msg: Self::Msg, window: &mut [Self::Slot]);
         /// Words of the message staged in `window`.
         fn staged_words(&self, window: &[Self::Slot]) -> u64;
-        /// Delivers `window` to its receiver; `src` is the staged sender
-        /// ([`NO_SRC`] = nothing staged this cycle).
-        fn deliver(&self, s: &mut S, src: u32, window: &mut [Self::Slot]);
+        /// Delivers the validated cycle: `srcs[u]` is the sender staged
+        /// for receiver `u` ([`NO_SRC`] = nothing delivered to `u`), and
+        /// `slab` holds `width()` staged slots per node. On the threaded
+        /// backend each dispatch slot of `bounds` handles its own
+        /// receivers.
+        fn deliver(
+            &mut self,
+            states: &mut [S],
+            srcs: &[u32],
+            slab: &mut [Self::Slot],
+            bounds: &[usize],
+            threaded: bool,
+        ) where
+            S: Send;
         /// Drops whatever a failed cycle staged.
         fn discard(&self, slab: &mut [Self::Slot]);
         /// Delivers a planned message without staging it (only called
@@ -283,6 +397,10 @@ pub(crate) mod form {
 
         #[inline]
         fn width(&self) -> usize {
+            1
+        }
+
+        fn lanes(&self) -> u32 {
             1
         }
 
@@ -314,12 +432,22 @@ pub(crate) mod form {
         /// cycles (delivery takes every staged message, failed cycles
         /// discard theirs), so a warm slab is reused without a clearing
         /// pass.
-        #[inline]
-        fn deliver(&self, s: &mut S, src: u32, window: &mut [Inbox<M>]) {
-            if let Some(msg) = window[0].0.take() {
-                debug_assert_ne!(src, NO_SRC, "a staged message outlived its cycle");
-                (self.deliver)(s, src as NodeId, msg);
-            }
+        fn deliver(
+            &mut self,
+            states: &mut [S],
+            srcs: &[u32],
+            slab: &mut [Inbox<M>],
+            bounds: &[usize],
+            threaded: bool,
+        ) where
+            S: Send,
+        {
+            each_window(states, srcs, slab, bounds, threaded, 1, |s, src, window| {
+                if let Some(msg) = window[0].0.take() {
+                    debug_assert_ne!(src, NO_SRC, "a staged message outlived its cycle");
+                    (self.deliver)(s, src as NodeId, msg);
+                }
+            });
         }
 
         fn discard(&self, slab: &mut [Inbox<M>]) {
@@ -350,6 +478,10 @@ pub(crate) mod form {
             self.lanes
         }
 
+        fn lanes(&self) -> u32 {
+            self.lanes as u32
+        }
+
         #[inline]
         fn plan(&self, u: NodeId, s: &S) -> Option<(NodeId, ())> {
             (self.plan)(u, s).map(|dst| (dst, ()))
@@ -377,17 +509,123 @@ pub(crate) mod form {
         /// Gated on the sender table: stale windows from earlier cycles
         /// are never read, and a staged window was fully overwritten by
         /// `fill` first.
-        #[inline]
-        fn deliver(&self, s: &mut S, src: u32, window: &mut [V]) {
-            if src != NO_SRC {
-                (self.deliver)(s, src as NodeId, window);
-            }
+        fn deliver(
+            &mut self,
+            states: &mut [S],
+            srcs: &[u32],
+            slab: &mut [V],
+            bounds: &[usize],
+            threaded: bool,
+        ) where
+            S: Send,
+        {
+            let width = self.lanes;
+            each_window(
+                states,
+                srcs,
+                slab,
+                bounds,
+                threaded,
+                width,
+                |s, src, window| {
+                    if src != NO_SRC {
+                        (self.deliver)(s, src as NodeId, window);
+                    }
+                },
+            );
         }
 
         fn discard(&self, _: &mut [V]) {}
 
         fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
             unreachable!("lane payloads are filled after validation, never planned");
+        }
+    }
+
+    impl<S, V, P, const N: usize> Form<S> for Rows<'_, V, P, N>
+    where
+        V: Clone + Send + Sync,
+        P: Fn(NodeId, &S) -> Option<NodeId> + Sync,
+    {
+        type Msg = ();
+        type Slot = ();
+        const PLANNED: bool = false;
+
+        #[inline]
+        fn width(&self) -> usize {
+            1
+        }
+
+        fn lanes(&self) -> u32 {
+            (self.width * N) as u32
+        }
+
+        #[inline]
+        fn plan(&self, u: NodeId, s: &S) -> Option<(NodeId, ())> {
+            (self.plan)(u, s).map(|dst| (dst, ()))
+        }
+
+        #[inline]
+        fn words(&self, _: &()) -> u64 {
+            (self.width * N) as u64
+        }
+
+        fn fresh(&self) {}
+
+        /// Nothing to stage: the caller records the sender, and the rows
+        /// move in [`Form::deliver`].
+        #[inline]
+        fn stage(&self, _: NodeId, _: &S, (): (), _: &mut [()]) {}
+
+        #[inline]
+        fn staged_words(&self, _: &[()]) -> u64 {
+            (self.width * N) as u64
+        }
+
+        /// The row gather: every receiver `u` with a sender copies row
+        /// `srcs[u]` of each source slab into its own row of the paired
+        /// destination slab. Receivers split by the dispatch bounds, so
+        /// each worker writes only its own rows.
+        fn deliver(
+            &mut self,
+            _: &mut [S],
+            srcs: &[u32],
+            _: &mut [()],
+            bounds: &[usize],
+            threaded: bool,
+        ) where
+            S: Send,
+        {
+            let (width, n) = (self.width, srcs.len());
+            let sources = self.pairs.each_ref().map(|(source, _)| *source);
+            let dests = self.pairs.each_mut().map(|(_, dest)| &mut **dest);
+            assert!(
+                sources.iter().all(|s| s.len() == n * width)
+                    && dests.iter().all(|d| d.len() == n * width),
+                "every row slab must hold {width} values per node of {n}"
+            );
+            let gather = |nodes: Range<usize>, dests: [&mut [V]; N]| {
+                let senders = &srcs[nodes];
+                for (dest, source) in dests.into_iter().zip(sources) {
+                    for (row, &src) in dest.chunks_exact_mut(width).zip(senders) {
+                        if src != NO_SRC {
+                            let at = src as usize * width;
+                            row.clone_from_slice(&source[at..at + width]);
+                        }
+                    }
+                }
+            };
+            if threaded {
+                par_rows_bounds(bounds, width, dests, &gather);
+            } else {
+                gather(0..n, dests);
+            }
+        }
+
+        fn discard(&self, _: &mut [()]) {}
+
+        fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
+            unreachable!("rows move after validation, never planned");
         }
     }
 }

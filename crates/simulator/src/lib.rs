@@ -17,10 +17,11 @@
 //!   receive more than one message, so every reported `T_comm` is
 //!   simultaneously a machine-checked proof that the algorithm's schedule
 //!   is legal under the paper's model. One primitive covers every cycle
-//!   the algorithms run: a [`Comm`] moves one message per sender or `K`
-//!   lane values per sender (lane-batched runs), optionally requires a
-//!   symmetric matching, and optionally names its pattern (see the
-//!   [`comm`] module docs);
+//!   the algorithms run: a [`Comm`] moves one message per sender, or `K`
+//!   lane values per sender between caller-owned lane slabs (lane-batched
+//!   runs, with [`Machine::compute_rows`] as their computation phase),
+//!   optionally requires a symmetric matching, and optionally names its
+//!   pattern (see the [`comm`] module docs);
 //! * **computation cycles** ([`Machine::compute`]) — O(1) local work per
 //!   node per cycle, the unit of the theorems' `T_comp`.
 //!

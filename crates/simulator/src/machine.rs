@@ -11,8 +11,8 @@ use crate::obs::{
     Recorder, SharedSink,
 };
 use crate::parallel::{
-    par_apply_forced, par_for_reduce, par_lane_apply_bounds, par_lane_reduce_bounds,
-    par_slab_reduce, par_zip_apply, ExecMode,
+    par_apply_forced, par_for_reduce, par_lane_reduce_bounds, par_rows_bounds, par_slab_reduce,
+    par_zip_apply, ExecMode,
 };
 use crate::schedule::{
     self, AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC, SENDS_BIT,
@@ -265,12 +265,13 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 ///   constraint (≤1 send, ≤1 receive per node per cycle) before
 ///   delivering. The descriptor picks the payload form — one moved
 ///   message per sender, or `K` lane values per sender for lane-batched
-///   runs — and optionally requires a symmetric matching
-///   ([`Comm::pairwise`], e.g. one dimension of an ascend/descend
-///   algorithm) and names the pattern ([`Comm::keyed`]). See the
-///   [`crate::comm`] module docs.
+///   runs (rows of caller-owned slabs, [`Comm::rows`]) — and optionally
+///   requires a symmetric matching ([`Comm::pairwise`], e.g. one
+///   dimension of an ascend/descend algorithm) and names the pattern
+///   ([`Comm::keyed`]). See the [`crate::comm`] module docs.
 /// * [`Machine::compute`] — one computation phase of local work per node,
-///   charged as one or more computation cycles.
+///   charged as one or more computation cycles ([`Machine::compute_rows`]
+///   is the same phase over lane slabs).
 ///
 /// The node-local closures receive only the node's own id and state — the
 /// same information a real SPMD process would have — which keeps simulated
@@ -1051,13 +1052,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     where
         S: Send + Sync,
     {
-        let comm = comm(Comm::blank());
+        let mut comm = comm(Comm::blank());
         let start = self.obs_cycle_start();
         // Apply due fault events *before* consulting the cache: a crash
         // at this boundary bumps the epoch and must veto the replay.
         self.advance_faults();
         let Some(key) = comm.key else {
-            return self.full_cycle(&comm.form, comm.pairwise, None, ObsCtx::unkeyed(start));
+            return self.full_cycle(&mut comm.form, comm.pairwise, None, ObsCtx::unkeyed(start));
         };
         let obs = |cache| ObsCtx {
             key: Some(key),
@@ -1065,17 +1066,26 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             start,
         };
         if !self.replay {
-            return self.full_cycle(&comm.form, comm.pairwise, None, obs(CacheStatus::Bypass));
+            return self.full_cycle(
+                &mut comm.form,
+                comm.pairwise,
+                None,
+                obs(CacheStatus::Bypass),
+            );
         }
         if self.schedules.contains(key) {
-            let result = self.replay_cycle(key, &comm.form, obs(CacheStatus::Hit));
+            let result = self.replay_cycle(key, &mut comm.form, obs(CacheStatus::Hit));
             if result.is_ok() {
                 self.metrics.schedule_hits += 1;
             }
             result
         } else {
-            let result =
-                self.full_cycle(&comm.form, comm.pairwise, Some(key), obs(CacheStatus::Miss));
+            let result = self.full_cycle(
+                &mut comm.form,
+                comm.pairwise,
+                Some(key),
+                obs(CacheStatus::Miss),
+            );
             if result.is_ok() {
                 self.metrics.schedule_misses += 1;
             }
@@ -1159,13 +1169,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         self.cycle(|c| c.lanes(lanes, seed, plan, fill, deliver).keyed(key))
     }
 
-    /// The full (non-replay) cycle of either payload form: plan,
-    /// validate, optionally compile the pattern under `capture`, stage,
-    /// deliver. The compiled pattern holds destinations only, so both
-    /// forms share the schedule cache.
+    /// The full (non-replay) cycle of any payload form: plan, validate,
+    /// optionally compile the pattern under `capture`, stage, deliver.
+    /// The compiled pattern holds destinations only, so every form shares
+    /// the schedule cache.
     fn full_cycle<F: Payload<S>>(
         &mut self,
-        form: &F,
+        form: &mut F,
         pairwise: bool,
         capture: Option<ScheduleKey>,
         obs: ObsCtx,
@@ -1295,7 +1305,8 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // computed from its sender's pre-cycle state, so the sequential
         // backend delivers it right here in sender order and skips the
         // slab passes (lanes cannot: a later `fill` must not see a state
-        // an earlier delivery changed).
+        // an earlier delivery changed). Rows stage nothing: the sender
+        // table is all their delivery needs.
         let drops_active = self.faults.has_drops();
         let mut dropped = 0u64;
         let mut dropped_words = 0u64;
@@ -1339,7 +1350,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
         if let Some(slab) = slab {
             let bounds = &self.scratch.shard_bounds;
-            Self::deliver_staged(form, bounds, &mut self.states, srcs, slab, threaded);
+            form.deliver(&mut self.states, srcs, slab, bounds, threaded);
         }
         let delivered = acc.delivered as u64 - dropped;
         let words = acc.words - dropped_words;
@@ -1354,7 +1365,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             // before this cycle consulted the cache).
             self.schedules.insert(c);
         }
-        self.emit_comm(obs, threaded, delivered, words, dropped, width as u32);
+        self.emit_comm(obs, threaded, delivered, words, dropped, form.lanes());
         Ok(delivered as usize)
     }
 
@@ -1621,7 +1632,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         local.merge(conflicts)
     }
 
-    /// A keyed cycle of either payload form served from the cache: one
+    /// A keyed cycle of any payload form served from the cache: one
     /// fused plan+verify+stage pass, then deliver. Each receiver `u`
     /// evaluates its compiled sender's plan and stages the message
     /// straight into `u`'s own window (so the pass parallelises with zero
@@ -1633,7 +1644,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     fn replay_cycle<F: Payload<S>>(
         &mut self,
         key: ScheduleKey,
-        form: &F,
+        form: &mut F,
         obs: ObsCtx,
     ) -> Result<usize, SimError>
     where
@@ -1735,10 +1746,10 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             acc
         };
         if let Some((_, e)) = acc.violation {
-            // The deviating cycle is not applied: delivery never runs,
-            // and whatever the pass staged is dropped (a message slab
-            // returns to all-empty; stale lane windows are gated off by
-            // the next cycle's own staging).
+            // The deviating cycle is not applied: delivery never runs
+            // (so no row moves), and whatever the pass staged is dropped
+            // (a message slab returns to all-empty; stale lane windows
+            // are gated off by the next cycle's own staging).
             form.discard(slab);
             return Err(e);
         }
@@ -1767,7 +1778,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             self.metrics.link_util.add_bulk(util);
         }
         let bounds = &self.scratch.shard_bounds;
-        Self::deliver_staged(form, bounds, &mut self.states, srcs, slab, threaded);
+        form.deliver(&mut self.states, srcs, slab, bounds, threaded);
         let delivered = acc.delivered;
         let dropped = (sched_delivered - delivered) as u64;
         self.metrics.record_comm_words(delivered as u64, acc.words);
@@ -1781,40 +1792,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             delivered as u64,
             acc.words,
             dropped,
-            width as u32,
+            form.lanes(),
         );
         Ok(delivered)
-    }
-
-    /// The deliver phase of both paths: each receiver `u` hands its
-    /// window of the staging slab, with its staged sender `srcs[u]`, to
-    /// the payload form — on the threaded backend over the shard-aligned
-    /// dispatch slots, so each worker touches only its own nodes' states
-    /// and windows.
-    fn deliver_staged<F: Payload<S>>(
-        form: &F,
-        bounds: &[usize],
-        states: &mut [S],
-        srcs: &[u32],
-        slab: &mut [F::Slot],
-        threaded: bool,
-    ) where
-        S: Send,
-    {
-        let width = form.width();
-        if threaded {
-            par_lane_apply_bounds(bounds, states, width, slab, &|u, s, window| {
-                form.deliver(s, srcs[u], window);
-            });
-        } else {
-            for (u, (s, window)) in states
-                .iter_mut()
-                .zip(slab.chunks_exact_mut(width))
-                .enumerate()
-            {
-                form.deliver(s, srcs[u], window);
-            }
-        }
     }
 
     /// Runs `f` once per node, on the configured backend. With
@@ -1895,6 +1875,76 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         self.apply(f, true);
         self.metrics.record_comp(steps, element_ops);
         self.emit_comp(start, threaded, steps, element_ops);
+    }
+
+    /// One local computation cycle over lane slabs, charged like
+    /// `compute(1, …)`: one computation step and `num_nodes` element
+    /// operations. Every slab holds `width` values per node (row `u` =
+    /// `slab[u*width..(u+1)*width]`, the layout of [`Comm::rows`]);
+    /// `f(u, rows, read)` runs exactly once per live node with `u`'s rows
+    /// of the `W` written slabs and of the `R` read ones. Crashed nodes
+    /// are skipped, so their rows freeze. On the threaded backend the
+    /// written slabs split by the shard bounds, so each worker folds its
+    /// own nodes' contiguous rows.
+    ///
+    /// ```
+    /// use dc_simulator::Machine;
+    /// use dc_topology::Hypercube;
+    ///
+    /// let q = Hypercube::new(1);
+    /// let mut m = Machine::new(&q, vec![(); 2]);
+    /// let mut t = vec![1u64, 2, 3, 4]; // two lanes per node
+    /// let temp = vec![10u64, 20, 30, 40];
+    /// m.compute_rows(2, [&mut t[..]], [&temp[..]], |_, [t], [temp]| {
+    ///     for (t, x) in t.iter_mut().zip(temp) {
+    ///         *t += x;
+    ///     }
+    /// });
+    /// assert_eq!(t, [11, 22, 33, 44]);
+    /// assert_eq!(m.metrics().comp_steps, 1);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// If a slab does not hold `width` values per node.
+    pub fn compute_rows<V, const W: usize, const R: usize>(
+        &mut self,
+        width: usize,
+        rows: [&mut [V]; W],
+        read: [&[V]; R],
+        f: impl Fn(NodeId, [&mut [V]; W], [&[V]; R]) + Sync,
+    ) where
+        V: Send + Sync,
+    {
+        let n = self.states.len();
+        assert!(
+            rows.iter().all(|r| r.len() == n * width) && read.iter().all(|r| r.len() == n * width),
+            "every row slab must hold {width} values per node of {n}"
+        );
+        let start = self.obs_cycle_start();
+        let threaded = self.threaded();
+        if threaded {
+            self.shard_bounds();
+        }
+        let faults = &self.faults;
+        let frozen = faults.any_failed();
+        let fold = |nodes: std::ops::Range<usize>, mut rows: [&mut [V]; W]| {
+            for (at, u) in nodes.enumerate() {
+                if frozen && faults.is_failed(u) {
+                    continue;
+                }
+                let own = at * width..(at + 1) * width;
+                let mine = rows.each_mut().map(|r| &mut r[own.clone()]);
+                f(u, mine, read.map(|r| &r[u * width..(u + 1) * width]));
+            }
+        };
+        if threaded {
+            par_rows_bounds(&self.scratch.shard_bounds, width, rows, &fold);
+        } else {
+            fold(0..n, rows);
+        }
+        self.metrics.record_comp(1, n as u64);
+        self.emit_comp(start, threaded, 1, n as u64);
     }
 
     /// Applies `f` to every node *without* charging any simulated cost —
@@ -2429,14 +2479,21 @@ mod tests {
     }
 
     /// A cycle's payload form, as one more input to the error-semantics
-    /// probes: a moved message, or `K` lanes per message.
+    /// probes: a moved message, `K` lanes per message, or `K`-lane rows.
     #[derive(Clone, Copy, Debug)]
     enum Form {
         Message,
         Lanes(usize),
+        Rows(usize),
     }
 
-    const FORMS: [Form; 3] = [Form::Message, Form::Lanes(1), Form::Lanes(3)];
+    const FORMS: [Form; 5] = [
+        Form::Message,
+        Form::Lanes(1),
+        Form::Lanes(3),
+        Form::Rows(1),
+        Form::Rows(3),
+    ];
 
     /// One cycle in `form` where node `u` sends to `dst(u)` (its own id
     /// as the payload), requiring a symmetric matching when `pairwise`.
@@ -2469,6 +2526,23 @@ mod tests {
                     c
                 }
             }),
+            Form::Rows(k) => {
+                let n = m.num_nodes();
+                let rows: Vec<u64> = (0..n * k).map(|i| (i / k) as u64).collect();
+                let mut landed = vec![0u64; n * k];
+                let result = m.try_cycle(|c| {
+                    let c = c.rows(k, |u, _| dst(u), [(&rows[..], &mut landed[..])]);
+                    if pairwise {
+                        c.pairwise()
+                    } else {
+                        c
+                    }
+                });
+                if result.is_err() {
+                    assert!(landed.iter().all(|&v| v == 0), "a failed cycle wrote a row");
+                }
+                result
+            }
         }
     }
 
@@ -3008,6 +3082,172 @@ mod tests {
         assert_eq!(total.link_util.cube_words, 16 * K as u64);
     }
 
+    /// Rows move along the matching between separate slabs: row `src`
+    /// of each source slab lands in row `u` of its destination slab, a
+    /// message is charged `K × pairs` words, and a replay moves the same
+    /// rows the compile cycle did.
+    #[test]
+    fn rows_move_along_the_matching_and_replay_identically() {
+        const K: usize = 3;
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        let a: Vec<u64> = (0..4 * K as u64).collect();
+        let b: Vec<u64> = a.iter().map(|v| 100 + v).collect();
+        for _ in 0..2 {
+            let (mut a2, mut b2) = (vec![0; 4 * K], vec![0; 4 * K]);
+            m.cycle(|c| {
+                c.rows(
+                    K,
+                    |u, _| Some(u ^ 2),
+                    [(&a[..], &mut a2[..]), (&b[..], &mut b2[..])],
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(1))
+            });
+            for u in 0..4 {
+                let from = (u ^ 2) * K;
+                assert_eq!(a2[u * K..(u + 1) * K], a[from..from + K], "row {u}");
+                assert_eq!(b2[u * K..(u + 1) * K], b[from..from + K], "row {u}");
+            }
+        }
+        let metrics = m.metrics();
+        assert_eq!((metrics.schedule_misses, metrics.schedule_hits), (1, 1));
+        assert_eq!(metrics.messages, 8);
+        assert_eq!(metrics.message_words, 8 * 2 * K as u64);
+    }
+
+    /// A rows replay whose plan left its compiled pattern fails with the
+    /// deviation error before any row moves, and charges nothing.
+    #[test]
+    fn rows_replay_deviation_writes_no_row() {
+        let q = Hypercube::new(3);
+        let mut m = Machine::new(&q, vec![(); 8]);
+        let rows: Vec<u64> = (1..=8).collect();
+        let mut landed = vec![0u64; 8];
+        m.cycle(|c| {
+            c.rows(1, |u, _| Some(u ^ 1), [(&rows[..], &mut landed[..])])
+                .keyed(ScheduleKey::Custom(3))
+        });
+        let before = landed.clone();
+        let mut fresh = [0u64; 8];
+        let err = m
+            .try_cycle(|c| {
+                c.rows(1, |u, _| Some(u ^ 2), [(&rows[..], &mut fresh[..])])
+                    .keyed(ScheduleKey::Custom(3))
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::ScheduleDeviation {
+                key: ScheduleKey::Custom(3),
+                node: 0
+            }
+        );
+        assert!(
+            fresh.iter().all(|&v| v == 0),
+            "the failed replay wrote a row"
+        );
+        assert_eq!(landed, before);
+        assert_eq!(m.metrics().comm_steps, 1);
+        assert_eq!(m.metrics().message_words, 8);
+    }
+
+    /// A dropped message leaves its receiver's row as it was and counts
+    /// one dropped message; the others deliver `K` words each.
+    #[test]
+    fn rows_message_drop_leaves_the_receivers_row() {
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        m.set_fault_plan(FaultPlan::new().message_drop(0, 0));
+        let rows: Vec<u64> = (0..8).collect();
+        let mut landed = vec![99u64; 8];
+        let delivered = m
+            .try_cycle(|c| {
+                c.rows(2, |u, _| Some(u ^ 1), [(&rows[..], &mut landed[..])])
+                    .pairwise()
+            })
+            .unwrap();
+        assert_eq!(delivered, 3, "the drop loses node 0's inbound message");
+        assert_eq!(landed, [99, 99, 0, 1, 6, 7, 4, 5]);
+        assert_eq!(m.metrics().dropped_messages, 1);
+        assert_eq!(m.metrics().message_words, 3 * 2);
+    }
+
+    /// The row compute phase runs once per live node over its own rows,
+    /// freezes crashed nodes' rows, and charges what `compute(1, …)`
+    /// charges.
+    #[test]
+    fn compute_rows_folds_live_rows_and_freezes_crashed_ones() {
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        m.inject_fault(FaultKind::NodeCrash { node: 2 });
+        let mut t: Vec<u64> = (0..8).collect();
+        let add: Vec<u64> = vec![10; 8];
+        m.compute_rows(2, [&mut t[..]], [&add[..]], |u, [t], [add]| {
+            for (t, a) in t.iter_mut().zip(add) {
+                *t += a + u as u64;
+            }
+        });
+        assert_eq!(t, [10, 11, 13, 14, 4, 5, 19, 20]);
+        assert_eq!(m.metrics().comp_steps, 1);
+        assert_eq!(m.metrics().element_ops, 4);
+    }
+
+    /// Recorded rows cycles stamp `K × pairs` lanes on their events and
+    /// charge that many words per message to the link counters.
+    #[test]
+    fn recorded_rows_cycles_report_k_times_pairs_lanes() {
+        let _guard = crate::obs::test_recorder_guard();
+        const K: usize = 3;
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        let sink = crate::obs::shared(crate::obs::MemorySink::new());
+        m.record_into(sink.clone());
+        let (a, b) = (vec![1u64; 4 * K], vec![2u64; 4 * K]);
+        for _ in 0..2 {
+            let (mut a2, mut b2) = (vec![0; 4 * K], vec![0; 4 * K]);
+            m.cycle(|c| {
+                c.rows(
+                    K,
+                    |u, _| Some(u ^ 1),
+                    [(&a[..], &mut a2[..]), (&b[..], &mut b2[..])],
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(0))
+            });
+        }
+        let events = sink.lock().unwrap().events();
+        assert_eq!(events.len(), 2);
+        for e in &events {
+            if let crate::obs::Event::Cycle(c) = e {
+                assert_eq!(c.lanes, 2 * K as u32);
+                assert_eq!(c.words, c.messages * 2 * K as u64);
+            }
+        }
+        let report = m.link_report().expect("recording");
+        assert_eq!(report.cube_messages, 8);
+        assert_eq!(report.cube_words, 8 * 2 * K as u64);
+        assert_eq!(m.metrics().link_util.cube_words, 8 * 2 * K as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn zero_row_width_rejected() {
+        let q = Hypercube::new(1);
+        let mut m = Machine::new(&q, vec![(); 2]);
+        let (a, mut b) = (vec![0u8; 2], vec![0u8; 2]);
+        m.cycle(|c| c.rows(0, |u, _| Some(u ^ 1), [(&a[..], &mut b[..])]));
+    }
+
+    #[test]
+    #[should_panic(expected = "values per node")]
+    fn short_row_slab_rejected() {
+        let q = Hypercube::new(1);
+        let mut m = Machine::new(&q, vec![(); 2]);
+        let (a, mut b) = (vec![0u8; 4], vec![0u8; 3]);
+        m.cycle(|c| c.rows(2, |u, _| Some(u ^ 1), [(&a[..], &mut b[..])]));
+    }
+
     #[test]
     #[should_panic(expected = "at least one lane")]
     fn zero_lanes_rejected() {
@@ -3066,6 +3306,92 @@ mod tests {
         };
         let _guard = crate::parallel::test_override_guard();
         let baseline = run(ExecMode::Sequential, false);
+        assert_eq!(
+            baseline,
+            run(ExecMode::Sequential, true),
+            "sequential replay"
+        );
+        for workers in [2usize, 4] {
+            crate::parallel::set_worker_threads(workers);
+            assert_eq!(
+                baseline,
+                run(ExecMode::parallel(), true),
+                "threaded replay at {workers} workers"
+            );
+            assert_eq!(
+                baseline,
+                run(ExecMode::parallel(), false),
+                "threaded validate-every-cycle at {workers} workers"
+            );
+        }
+        crate::parallel::set_worker_threads(0);
+    }
+
+    /// The rows form on a machine past the parallel threshold: the same
+    /// slabs after the same cycles on both backends, replay on or off,
+    /// at 2 and 4 workers, and equal to the lanes form's per-node states
+    /// for the same fold.
+    #[test]
+    fn rows_cycles_match_across_backends_replay_and_the_lane_form() {
+        let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
+        let n = topo.num_nodes();
+        const K: usize = 3;
+        let init = |u: u64| [u, u.wrapping_mul(7), u ^ 0x55];
+        let run = |exec: ExecMode, replay: bool| {
+            let mut m = Machine::with_exec(topo, vec![(); n], exec);
+            m.set_schedule_replay(replay);
+            let mut cur: Vec<u64> = (0..n as u64).flat_map(init).collect();
+            let mut temp = vec![0u64; n * K];
+            for _ in 0..3 {
+                for i in 0..4u32 {
+                    m.cycle(|c| {
+                        c.rows(
+                            K,
+                            move |u, _| Some(u ^ (1usize << i)),
+                            [(&cur[..], &mut temp[..])],
+                        )
+                        .pairwise()
+                        .keyed(ScheduleKey::Dim(i))
+                    });
+                    m.compute_rows(K, [&mut cur[..]], [&temp[..]], |_, [x], [v]| {
+                        for (x, v) in x.iter_mut().zip(v) {
+                            *x = x.wrapping_mul(5).wrapping_add(*v);
+                        }
+                    });
+                }
+            }
+            let mut metrics = m.into_parts().1;
+            metrics.schedule_hits = 0;
+            metrics.schedule_misses = 0;
+            (cur, metrics)
+        };
+        let _guard = crate::parallel::test_override_guard();
+        let baseline = run(ExecMode::Sequential, false);
+        let mut lanes = Machine::with_exec(
+            topo,
+            (0..n as u64).map(|u| init(u).to_vec()).collect(),
+            ExecMode::Sequential,
+        );
+        for _ in 0..3 {
+            for i in 0..4u32 {
+                lanes.cycle(|c| {
+                    c.lanes(
+                        K,
+                        &0u64,
+                        move |u, _| Some(u ^ (1usize << i)),
+                        |_, s, w| w.copy_from_slice(s),
+                        |s, _, w| {
+                            for (x, v) in s.iter_mut().zip(w.iter()) {
+                                *x = x.wrapping_mul(5).wrapping_add(*v);
+                            }
+                        },
+                    )
+                    .pairwise()
+                });
+            }
+        }
+        assert_eq!(baseline.0, lanes.states().concat(), "rows vs lanes");
+        assert_eq!(baseline.1.message_words, lanes.metrics().message_words);
         assert_eq!(
             baseline,
             run(ExecMode::Sequential, true),

@@ -394,6 +394,44 @@ pub(crate) fn par_lane_apply_bounds<A: Send, V: Send>(
     );
 }
 
+/// Row-slab pass over the dispatch bounds: each of the `N` slabs holds
+/// `width` values per node (row `u` = `slab[u*width..(u+1)*width]`), and
+/// slot `k` receives its node range `bounds[k]..bounds[k+1]` with those
+/// nodes' rows of every slab, split on this thread with safe
+/// `split_at_mut`. The shape of the row gather and the row compute
+/// phase: each slot writes its own receivers' rows and nothing else.
+/// Runs `f` once over all nodes on a single-threaded host or one slot.
+pub(crate) fn par_rows_bounds<V: Send, const N: usize>(
+    bounds: &[usize],
+    width: usize,
+    slabs: [&mut [V]; N],
+    f: &(impl Fn(std::ops::Range<usize>, [&mut [V]; N]) + Sync),
+) {
+    let slots = bounds.len() - 1;
+    debug_assert!(slots <= MAX_THREADS);
+    if available_threads() == 1 || slots <= 1 {
+        f(bounds[0]..bounds[slots], slabs);
+        return;
+    }
+    let mut parts: [[&mut [V]; N]; MAX_THREADS] =
+        std::array::from_fn(|_| std::array::from_fn(|_| Default::default()));
+    let mut rest = slabs;
+    for (slot, part) in parts[..slots].iter_mut().enumerate() {
+        let len = (bounds[slot + 1] - bounds[slot]) * width;
+        for (cell, slab) in part.iter_mut().zip(rest.iter_mut()) {
+            let (head, tail) = std::mem::take(slab).split_at_mut(len);
+            *cell = head;
+            *slab = tail;
+        }
+    }
+    par_apply_forced(&mut parts[..slots], &|slot, part| {
+        f(
+            bounds[slot]..bounds[slot + 1],
+            part.each_mut().map(|rows| &mut **rows),
+        )
+    });
+}
+
 /// Chunk-granular sharded pass: slot `k` receives its whole bounds range
 /// of `a` as one `&mut` slice plus exclusive ownership of `slabs[k]`,
 /// folding into a per-slot accumulator reduced in slot order. The shape

@@ -101,12 +101,12 @@ fn record_run(
 /// Interprets one random byte as a machine operation. The mix covers
 /// every emission site: keyed pairwise (compile + replay), keyed
 /// half-speaking exchange, unkeyed pairwise, multi-step compute,
-/// lane-batched keyed pairwise (sharing the `Dim` keys with the
-/// single-lane op, so replay crosses between the two forms), and phase
-/// boundaries.
+/// lane-batched keyed pairwise in both lane forms (sharing the `Dim`
+/// keys with the single-lane op, so replay crosses between the forms),
+/// and phase boundaries.
 fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
     let dim = (op >> 3) as usize % 4;
-    match op % 6 {
+    match op % 7 {
         0 => {
             m.cycle(|c| {
                 c.message(
@@ -163,6 +163,31 @@ fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
                 )
                 .pairwise()
                 .keyed(ScheduleKey::Dim(dim as u32))
+            });
+        }
+        5 => {
+            // Two slab pairs of K lanes, so events report 2K lanes.
+            let lanes = 1 + (op >> 6) as usize; // 1..=4
+            let rows: Vec<u64> = m
+                .states()
+                .iter()
+                .flat_map(|&s| (0..lanes as u64).map(move |k| s.wrapping_add(k)))
+                .collect();
+            let (mut a, mut b) = (vec![0u64; rows.len()], vec![0u64; rows.len()]);
+            m.cycle(|c| {
+                c.rows(
+                    lanes,
+                    move |u, _| Some(u ^ (1usize << dim)),
+                    [(&rows[..], &mut a[..]), (&rows[..], &mut b[..])],
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(dim as u32))
+            });
+            m.setup(|u, s| {
+                let row = u * lanes..(u + 1) * lanes;
+                for (x, y) in a[row.clone()].iter().zip(&b[row]) {
+                    *s = s.rotate_left(3) ^ x ^ y.rotate_left(1);
+                }
             });
         }
         _ => {
@@ -354,8 +379,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// A K-lane batched run is bit-identical to K independent single-lane
-    /// runs, under every (backend, replay, workers) configuration — the
-    /// lane determinism contract of DESIGN.md §10.
+    /// runs, under every (backend, replay, workers) configuration and in
+    /// both lane forms (staged lanes, and slab rows with a row compute
+    /// phase) — the lane determinism contract of DESIGN.md §10.
     #[test]
     fn lane_batched_equals_k_single_lane_runs(
         lanes in 1usize..=5,
@@ -404,11 +430,37 @@ proptest! {
                     m.into_parts().0
                 })
             });
+            let rows: Vec<u64> = with_default_exec(mode, || {
+                with_schedule_replay(replay, || {
+                    let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
+                    let mut cur: Vec<u64> =
+                        (0..n).flat_map(|u| (0..lanes).map(move |k| init(k, u))).collect();
+                    let mut temp = vec![0u64; cur.len()];
+                    let mut m = Machine::new(&q, vec![(); n]);
+                    for _ in 0..sweeps {
+                        for d in 0..dim {
+                            m.cycle(|c| c.rows(lanes, move |u, _| Some(u ^ (1usize << d)), [(&cur[..], &mut temp[..])]).pairwise().keyed(ScheduleKey::Dim(d)));
+                            m.compute_rows(lanes, [&mut cur[..]], [&temp[..]], |_, [x], [w]| {
+                                for (x, w) in x.iter_mut().zip(w) {
+                                    *x = x.rotate_left(5).wrapping_add(*w);
+                                }
+                            });
+                        }
+                    }
+                    cur
+                })
+            });
             for (k, single) in singles.iter().enumerate() {
                 let lane_k: Vec<u64> = batched.iter().map(|s| s[k]).collect();
                 prop_assert_eq!(
                     &lane_k, single,
                     "lane {} diverged ({:?}, replay={}, workers={})",
+                    k, mode, replay, workers
+                );
+                let row_k: Vec<u64> = rows.iter().skip(k).step_by(lanes).copied().collect();
+                prop_assert_eq!(
+                    &row_k, single,
+                    "row lane {} diverged ({:?}, replay={}, workers={})",
                     k, mode, replay, workers
                 );
             }

@@ -102,12 +102,12 @@ fn run(
 /// Interprets one random byte as a machine operation, mixing every
 /// sharded code path: keyed cross/dimension replays (cross-edges are
 /// *always* shard-boundary traffic at `S ≥ 4`), unkeyed full-validation
-/// exchanges, lane-batched keyed cycles, compute steps, and phase
-/// boundaries.
+/// exchanges, lane-batched keyed cycles (staged lanes and slab rows),
+/// compute steps, and phase boundaries.
 fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
     let dims = d.cluster_dim();
     let dim = (op >> 3) as u32 % dims;
-    match op % 6 {
+    match op % 7 {
         0 => {
             m.cycle(|c| {
                 c.message(
@@ -171,6 +171,32 @@ fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut
                 .keyed(ScheduleKey::Cross)
             });
         }
+        5 => {
+            // Rows over a cross-shard keyed pattern: each node's state
+            // spread over K lanes of a slab, moved along the cross-edges
+            // into a second slab, then folded back in.
+            let lanes = 1 + (op >> 6) as usize; // 1..=4
+            let rows: Vec<u64> = m
+                .states()
+                .iter()
+                .flat_map(|&s| (0..lanes as u64).map(move |k| s.wrapping_add(k)))
+                .collect();
+            let mut landed = vec![0u64; rows.len()];
+            m.cycle(|c| {
+                c.rows(
+                    lanes,
+                    |u, _| Some(d.cross_neighbor(u)),
+                    [(&rows[..], &mut landed[..])],
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Cross)
+            });
+            m.setup(|u, s| {
+                for w in &landed[u * lanes..(u + 1) * lanes] {
+                    *s = s.rotate_left(3) ^ w;
+                }
+            });
+        }
         _ => {
             *phase_no += 1;
             m.begin_phase(format!("phase {phase_no}"));
@@ -221,12 +247,13 @@ proptest! {
     }
 
     /// A receive conflict is blamed on the same `(node, first, second)`
-    /// triple at every shard count and in both payload forms (a moved
-    /// message, or `K ∈ {1, 3}` lanes) — the sharded validator's exchange
-    /// bins must reproduce the sequential walk's error site even when
-    /// the contested receiver sits in another shard than both senders.
+    /// triple at every shard count and in every payload form (a moved
+    /// message, `K ∈ {1, 3}` lanes, or `K ∈ {1, 3}` rows) — the sharded
+    /// validator's exchange bins must reproduce the sequential walk's
+    /// error site even when the contested receiver sits in another shard
+    /// than both senders.
     #[test]
-    fn conflict_error_sites_match_across_shard_counts(target in 0usize..32, form in 0usize..3) {
+    fn conflict_error_sites_match_across_shard_counts(target in 0usize..32, form in 0usize..5) {
         // Everyone sends to `target` (via illegal non-edges for most
         // senders — the lowest violation wins deterministically).
         let d = DualCube::new(3);
@@ -240,11 +267,19 @@ proptest! {
                         *s = s.wrapping_add(v)
                     })
                 }),
-                k => m.try_cycle(|c| {
-                    c.lanes(2 * k - 1, &0u64, |u, _| dst(u), |u, _, w| w.fill(u as u64), |s, _, w| {
+                1 | 2 => m.try_cycle(|c| {
+                    c.lanes(2 * form - 1, &0u64, |u, _| dst(u), |u, _, w| w.fill(u as u64), |s, _, w| {
                         *s = s.wrapping_add(w[0])
                     })
                 }),
+                _ => {
+                    let lanes = 2 * (form - 2) - 1;
+                    let rows = vec![1u64; d.num_nodes() * lanes];
+                    let mut landed = vec![0u64; rows.len()];
+                    let err = m.try_cycle(|c| c.rows(lanes, |u, _| dst(u), [(&rows[..], &mut landed[..])]));
+                    assert!(landed.iter().all(|&v| v == 0), "a failed cycle wrote a row");
+                    err
+                }
             }
             .expect_err("fan-in to one node cannot be a matching")
         };
@@ -258,7 +293,7 @@ proptest! {
                 })
                 .expect_err("fan-in to one node cannot be a matching")
             });
-            prop_assert_eq!(&expect, &message, "lane form diverged from the message form");
+            prop_assert_eq!(&expect, &message, "lane or row form diverged from the message form");
         }
         for (mode, _replay, workers, shards) in configs() {
             let got = with_default_exec(mode, || {

@@ -1,8 +1,8 @@
 //! Steady-state cycles are allocation-free: after a warm-up cycle has
 //! sized the machine's reusable scratch (plan slab, receiver map, sender
-//! table, staging slab), further communication and `compute`
-//! cycles must hit the global allocator **zero** times (with tracing
-//! off). Pinned here with a counting wrapper around the system allocator
+//! table, staging slab), further communication, `compute` and
+//! `compute_rows` cycles must hit the global allocator **zero** times
+//! (with tracing off), in every payload form. Pinned here with a counting wrapper around the system allocator
 //! — this is the regression guard for the scratch-reuse machinery in
 //! `Machine` (see `machine.rs` rustdoc) and the acceptance criterion of
 //! the persistent-pool PR. Keyed replay cycles get the same guarantee
@@ -414,6 +414,66 @@ fn steady_state_cycles_do_not_allocate() {
             shard_replay_delta, 0,
             "sharded steady-state replay cycles allocated {shard_replay_delta} times"
         );
+
+        // --- Rows cycles and row compute phases over caller-owned lane
+        // slabs, on both backends (the threaded leg with 4 pinned
+        // workers): once every key is compiled and the sender table is
+        // sized, keyed replays, unkeyed full cycles and compute phases
+        // split and walk the slabs without touching the heap. ---
+        for (exec, workers) in [
+            (ExecMode::Sequential, 0),
+            (ExecMode::Parallel { threshold: 1 }, 4),
+        ] {
+            set_worker_threads(workers);
+            let n = q.num_nodes();
+            let mut cur: Vec<u64> = (0..(n * lanes) as u64).collect();
+            let (mut temp, mut spare) = (vec![0u64; n * lanes], vec![0u64; n * lanes]);
+            let mut rm = Machine::with_exec(&q, vec![(); n], exec);
+            for _ in 0..2 {
+                for dim in 0..6 {
+                    rows_round(&mut rm, lanes, dim, [&mut cur, &mut temp, &mut spare]);
+                }
+            }
+            let rows_delta = steady_delta(3, || {
+                for round in 0..60u32 {
+                    rows_round(&mut rm, lanes, round % 6, [&mut cur, &mut temp, &mut spare]);
+                }
+            });
+            set_worker_threads(0);
+            assert_eq!(
+                rows_delta, 0,
+                "steady-state rows cycles and row compute phases allocated {rows_delta} times ({exec:?})"
+            );
+        }
+    });
+}
+
+/// One round over lane slabs: a keyed rows exchange of `cur` into `temp`
+/// across `dim`, an unkeyed rows cycle of `cur` into `spare` across
+/// dimension 0, then a row compute phase folding both back into `cur`.
+fn rows_round(
+    m: &mut Machine<'_, Hypercube, ()>,
+    lanes: usize,
+    dim: u32,
+    [cur, temp, spare]: [&mut [u64]; 3],
+) {
+    m.cycle(|c| {
+        c.rows(
+            lanes,
+            move |u, _| Some(u ^ (1usize << dim)),
+            [(&*cur, &mut *temp)],
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(dim))
+    });
+    m.cycle(|c| {
+        c.rows(lanes, |u, _| Some(u ^ 1), [(&*cur, &mut *spare)])
+            .pairwise()
+    });
+    m.compute_rows(lanes, [cur], [&*temp, &*spare], |u, [x], [a, b]| {
+        for ((x, a), b) in x.iter_mut().zip(a).zip(b) {
+            *x = x.rotate_left((u % 7) as u32) ^ a.wrapping_add(*b);
+        }
     });
 }
 

@@ -12,12 +12,12 @@
 //! `#[ignore]`d — run them with `cargo test --release -- --ignored`).
 
 use dc_core::ops::{Concat, Sum};
-use dc_core::prefix::dualcube::{d_prefix, Step5Mode};
+use dc_core::prefix::dualcube::{batched_d_prefix_reusing, d_prefix, Step5Mode};
 use dc_core::prefix::PrefixKind;
 use dc_core::run::Recording;
-use dc_core::sort::dualcube::d_sort;
+use dc_core::sort::dualcube::{batched_d_sort_reusing, d_sort};
 use dc_core::sort::SortOrder;
-use dc_simulator::{set_worker_threads, with_default_exec, ExecMode};
+use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, ScheduleBank};
 use dc_topology::{DualCube, RecDualCube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -127,6 +127,83 @@ fn prefix_backends_agree_on_d7_at_default_threshold() {
     let par = with_default_exec(ExecMode::parallel(), f);
     drop(workers);
     assert_eq!(seq, par);
+}
+
+/// The two paths `dc-serve` runs, `batched_d_prefix_reusing` and
+/// `batched_d_sort_reusing`, on `D_7` at the default threshold, where
+/// the threaded backend really threads: at K ∈ {1, 3, 16} both backends
+/// must return every lane equal to a single-lane run on its input, with
+/// identical metrics.
+#[test]
+fn batched_backends_agree_on_d7_at_default_threshold() {
+    batched_backends_agree(7);
+}
+
+#[test]
+#[ignore = "large; run with --release -- --ignored"]
+fn batched_backends_agree_on_the_headline_machine_d8() {
+    batched_backends_agree(8);
+}
+
+fn batched_backends_agree(n: u32) {
+    let d = DualCube::new(n);
+    let rec = RecDualCube::new(n);
+    let nodes = d.num_nodes() as i64;
+    // A distinct input per lane, so a lane mix-up cannot cancel out.
+    let raw: Vec<Vec<i64>> = (0..16)
+        .map(|k| {
+            (0..nodes)
+                .map(|x| (x.wrapping_mul(0x2545_F491) ^ (k << 40)).rotate_left(k as u32 + 3))
+                .collect()
+        })
+        .collect();
+    let sums = |lane: &[i64]| lane.iter().copied().map(Sum).collect::<Vec<_>>();
+    let single = with_default_exec(ExecMode::Sequential, || {
+        raw.iter()
+            .map(|lane| {
+                let p = d_prefix(
+                    &d,
+                    &sums(lane),
+                    PrefixKind::Inclusive,
+                    Step5Mode::PaperFaithful,
+                    Recording::Off,
+                );
+                let s = d_sort(&rec, lane, SortOrder::Ascending, Recording::Off);
+                (p.prefixes, s.output)
+            })
+            .collect::<Vec<_>>()
+    });
+    for lanes in [1usize, 3, 16] {
+        let inputs: Vec<Vec<Sum>> = raw[..lanes].iter().map(|l| sums(l)).collect();
+        let keys = &raw[..lanes];
+        let run = |exec| {
+            let p = batched_d_prefix_reusing(
+                &d,
+                &inputs,
+                PrefixKind::Inclusive,
+                Step5Mode::PaperFaithful,
+                exec,
+                &mut ScheduleBank::new(),
+            );
+            let s = batched_d_sort_reusing(
+                &rec,
+                keys,
+                SortOrder::Ascending,
+                exec,
+                &mut ScheduleBank::new(),
+            );
+            (p.prefixes, p.metrics, s.outputs, s.metrics)
+        };
+        let seq = run(ExecMode::Sequential);
+        let workers = PinnedWorkers::pin(4);
+        let par = run(ExecMode::parallel());
+        drop(workers);
+        assert_eq!(seq, par, "K={lanes}: threaded backend diverged");
+        for (k, (prefixes, sorted)) in single[..lanes].iter().enumerate() {
+            assert_eq!(&seq.0[k], prefixes, "prefix lane {k} of {lanes}");
+            assert_eq!(&seq.2[k], sorted, "sort lane {k} of {lanes}");
+        }
+    }
 }
 
 #[test]

@@ -15,14 +15,14 @@
 //! exact error full validation would.
 
 use dc_core::ops::Sum;
-use dc_core::prefix::dualcube::{d_prefix, Step5Mode};
+use dc_core::prefix::dualcube::{batched_d_prefix_reusing, d_prefix, Step5Mode};
 use dc_core::prefix::PrefixKind;
 use dc_core::run::Recording;
-use dc_core::sort::dualcube::d_sort;
+use dc_core::sort::dualcube::{batched_d_sort_reusing, d_sort};
 use dc_core::sort::SortOrder;
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, Machine, Metrics,
-    ScheduleKey, SimError,
+    ScheduleBank, ScheduleKey, SimError,
 };
 use dc_topology::{DualCube, Hypercube, RecDualCube, Topology};
 use proptest::collection::vec;
@@ -271,6 +271,112 @@ fn paper_algorithms_agree_replay_on_vs_off() {
     }
 }
 
+/// The two paths `dc-serve` runs, `batched_d_prefix_reusing` and
+/// `batched_d_sort_reusing`, at K ∈ {1, 3, 16}: sequential and threaded
+/// (4 pinned workers), replay on and off, each on a cold bank and then
+/// the same bank warm. Every lane must equal a single-lane run on its
+/// input; the scrubbed metrics must agree across all configurations and
+/// equal a single run's, with `message_words` scaled by K.
+#[test]
+fn batched_paper_algorithms_agree_replay_on_vs_off() {
+    batched_agree_replay_on_vs_off(3, [ExecMode::Sequential, FORCE_PARALLEL]);
+}
+
+/// [`batched_paper_algorithms_agree_replay_on_vs_off`] on `D_n` under the
+/// two backends in `execs` (the threaded one with 4 pinned workers).
+fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
+    let d = DualCube::new(n);
+    let rec = RecDualCube::new(n);
+    let n = d.num_nodes() as i64;
+    // A distinct input per lane, so a lane mix-up cannot cancel out.
+    let raw: Vec<Vec<i64>> = (0..16)
+        .map(|k| (0..n).map(|x| (x * 37 + k * 101) % 113 - 50).collect())
+        .collect();
+    let sums = |lane: &[i64]| lane.iter().copied().map(Sum).collect::<Vec<_>>();
+    let single = with_default_exec(ExecMode::Sequential, || {
+        raw.iter()
+            .map(|lane| {
+                let p = d_prefix(
+                    &d,
+                    &sums(lane),
+                    PrefixKind::Inclusive,
+                    Step5Mode::PaperFaithful,
+                    Recording::Off,
+                );
+                let s = d_sort(&rec, lane, SortOrder::Ascending, Recording::Off);
+                ((p.prefixes, p.metrics), (s.output, s.metrics))
+            })
+            .collect::<Vec<_>>()
+    });
+    for lanes in [1usize, 3, 16] {
+        let inputs: Vec<Vec<Sum>> = raw[..lanes].iter().map(|l| sums(l)).collect();
+        let keys = &raw[..lanes];
+        let mut seen: Option<(Metrics, Metrics)> = None;
+        for exec in execs {
+            let workers = PinnedWorkers::pin(if exec == ExecMode::Sequential { 0 } else { 4 });
+            for replay in [true, false] {
+                let runs = with_default_exec(exec, || {
+                    with_schedule_replay(replay, || {
+                        let (mut prefix_bank, mut sort_bank) =
+                            (ScheduleBank::new(), ScheduleBank::new());
+                        [(); 2].map(|()| {
+                            let p = batched_d_prefix_reusing(
+                                &d,
+                                &inputs,
+                                PrefixKind::Inclusive,
+                                Step5Mode::PaperFaithful,
+                                exec,
+                                &mut prefix_bank,
+                            );
+                            let s = batched_d_sort_reusing(
+                                &rec,
+                                keys,
+                                SortOrder::Ascending,
+                                exec,
+                                &mut sort_bank,
+                            );
+                            (p, s)
+                        })
+                    })
+                });
+                for (p, s) in runs {
+                    for (k, ((prefixes, _), (sorted, _))) in single[..lanes].iter().enumerate() {
+                        assert_eq!(
+                            &p.prefixes[k], prefixes,
+                            "prefix lane {k} of {lanes} ({exec:?}, replay={replay})"
+                        );
+                        assert_eq!(
+                            &s.outputs[k], sorted,
+                            "sort lane {k} of {lanes} ({exec:?}, replay={replay})"
+                        );
+                    }
+                    let metrics = (scrubbed(p.metrics), scrubbed(s.metrics));
+                    match &seen {
+                        None => seen = Some(metrics),
+                        Some(first) => assert_eq!(
+                            first, &metrics,
+                            "K={lanes} metrics diverged ({exec:?}, replay={replay})"
+                        ),
+                    }
+                }
+            }
+            drop(workers);
+        }
+        let (prefix, sort) = seen.expect("every configuration ran");
+        let ((_, prefix_one), (_, sort_one)) = &single[0];
+        for (batched, one) in [(prefix, prefix_one), (sort, sort_one)] {
+            assert_eq!(batched.comm_steps, one.comm_steps, "K={lanes}");
+            assert_eq!(batched.comp_steps, one.comp_steps, "K={lanes}");
+            assert_eq!(batched.messages, one.messages, "K={lanes}");
+            assert_eq!(
+                batched.message_words,
+                lanes as u64 * one.message_words,
+                "K={lanes}"
+            );
+        }
+    }
+}
+
 #[test]
 #[ignore = "large; run with --release -- --ignored"]
 fn d8_prefix_replay_agrees_with_validation() {
@@ -322,4 +428,10 @@ fn d8_sort_replay_agrees_with_validation() {
     assert_eq!(reference, run(ExecMode::parallel(), false));
     assert_eq!(reference, run(ExecMode::parallel(), true));
     drop(workers);
+}
+
+#[test]
+#[ignore = "large; run with --release -- --ignored"]
+fn d8_batched_replay_agrees_with_validation() {
+    batched_agree_replay_on_vs_off(8, [ExecMode::Sequential, ExecMode::parallel()]);
 }
