@@ -6,6 +6,10 @@
 //! `D_prefix` and the equal-sized `Cube_prefix` track each other (both do
 //! `Θ(N log N)` simulated work) with the dual-cube slightly ahead on
 //! rounds-dominated sizes, and that large-`k` cost grows linearly in `k`.
+//! Both `d_prefix` and `cube_prefix` run their algorithm's lane-slab body
+//! at one lane (rows cycles over `()` machine state, DESIGN.md §10), the
+//! same body a served batch runs; EXPERIMENTS.md §E32 compares these legs
+//! with the per-node bodies they replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dc_core::ops::Sum;

@@ -3,7 +3,11 @@
 //!
 //! The shape to check: `D_sort` trails the hypercube baseline by roughly
 //! its communication-step ratio (→ 3× as `n` grows, experiment E7), since
-//! wall time in the simulator is dominated by per-cycle work.
+//! wall time in the simulator is dominated by per-cycle work. `d_sort`
+//! runs Algorithm 3's lane-slab body at one lane (rows cycles over `()`
+//! machine state, DESIGN.md §10) while the hypercube baseline keeps the
+//! moved-message form, so the ratio also carries the difference between
+//! the two cycle forms (EXPERIMENTS.md §E32).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dc_core::run::Recording;

@@ -412,21 +412,9 @@ pub fn exchange_dim_lanes<V: Clone + Send + Sync + 'static>(
     });
 }
 
-/// A full emulated **descend** sweep (dimensions high → low), the shape of
-/// bitonic merging; `apply` is called per dimension as in
-/// [`exchange_dim`].
-pub fn descend<V: Clone + Send + Sync + 'static>(
-    machine: &mut Machine<'_, RecDualCube, EmuState<V>>,
-    apply: impl Fn(u32, NodeId, &V, &V) -> V + Sync,
-) {
-    let dims = machine.topology().dims();
-    for j in (0..dims).rev() {
-        exchange_dim(machine, j, |r, a, b| apply(j, r, a, b));
-    }
-}
-
 /// A full emulated **ascend** sweep (dimensions low → high), the shape of
-/// prefix/reduction algorithms.
+/// prefix/reduction algorithms; `apply` is called per dimension as in
+/// [`exchange_dim`].
 pub fn ascend<V: Clone + Send + Sync + 'static>(
     machine: &mut Machine<'_, RecDualCube, EmuState<V>>,
     apply: impl Fn(u32, NodeId, &V, &V) -> V + Sync,
@@ -498,17 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn descend_and_ascend_touch_every_dimension_once() {
+    fn ascend_touches_every_dimension_once() {
         let rec = RecDualCube::new(2);
         let mut m = emu_machine(&rec, vec![0u32; 8]);
-        descend(&mut m, |_, _, own, _| own + 1);
-        assert!(m.states().iter().all(|st| st.value == 3)); // 2n−1 = 3 dims
-        let comm = m.metrics().comm_steps;
-        // dims 2 and 1 cost 3 each; dim 0 costs 1.
-        assert_eq!(comm, 2 * 3 + 1);
         ascend(&mut m, |_, _, own, _| own + 10);
-        assert!(m.states().iter().all(|st| st.value == 33));
-        assert_eq!(m.metrics().comm_steps, 2 * (2 * 3 + 1));
+        // 2n−1 = 3 dims: dims 2 and 1 cost 3 cycles each, dim 0 costs 1.
+        assert!(m.states().iter().all(|st| st.value == 30));
+        assert_eq!(m.metrics().comm_steps, 2 * 3 + 1);
     }
 
     #[test]

@@ -33,6 +33,17 @@
 //!    purely local update and saves one communication step — the ablation
 //!    of experiment E11. Both modes then fold `t′` in on the left at
 //!    class-1 nodes (1 comp).
+//!
+//! ## One body
+//!
+//! The five steps are written once, over lane slabs: each paper variable
+//! (`t`, `s`, `t′`, `s′`, and a landing buffer) is one `n × K` slab whose
+//! row `u` holds node `u`'s K lanes, every exchange moves rows along the
+//! step's matching ([`dc_simulator::Comm::rows`]), and every fold runs
+//! over rows ([`Machine::compute_rows`]). [`d_prefix`] is the body's
+//! one-lane call and [`batched_d_prefix_reusing`] its K-lane call; the
+//! Figure 3 panels come from an observer the body calls at each step
+//! boundary.
 
 use crate::ops::Monoid;
 use crate::prefix::hypercube::ascend_rows;
@@ -54,10 +65,10 @@ pub enum Step5Mode {
     LocalFold,
 }
 
-/// Per-node state of `D_prefix`, mirroring the four variables of
-/// Algorithm 2 plus the input and a landing buffer.
+/// One node's Algorithm 2 variables at a step boundary: an entry of a
+/// Figure 3 panel ([`DPrefixRun::phases`]).
 #[derive(Debug, Clone)]
-pub struct DPrefixState<M> {
+pub struct DPrefixView<M> {
     /// The node's input value `c`.
     pub c: M,
     /// Cluster total (step 1), as in `Cube_prefix`.
@@ -68,11 +79,7 @@ pub struct DPrefixState<M> {
     pub t2: M,
     /// Step-3 diminished prefix `s′` over other-class cluster totals.
     pub s2: M,
-    temp: Option<M>,
 }
-
-/// A phase snapshot view of one node (for the Figure 3 reproduction).
-pub type DPrefixView<M> = DPrefixState<M>;
 
 /// Result of a [`d_prefix`] run.
 #[derive(Debug, Clone)]
@@ -94,7 +101,12 @@ pub struct DPrefixRun<M> {
 
 /// Runs Algorithm 2 on `D_n` with one input value per node, in data-index
 /// order (`input[i]` is placed on the node whose
-/// [`DualCube::linear_index`] is `i`).
+/// [`DualCube::linear_index`] is `i`): the one-lane call of the body
+/// [`batched_d_prefix_reusing`] runs. The machine is built here with
+/// [`Machine::new`], so the default backend, the ambient recorder and
+/// the replay default apply. Under [`Recording::Phases`] the body's
+/// observer keeps the six Figure 3 panels; [`Recording::Trace`] also
+/// keeps every cycle's messages.
 ///
 /// ```
 /// use dc_core::prefix::{dualcube::{d_prefix, Step5Mode}, PrefixKind};
@@ -124,133 +136,45 @@ pub fn d_prefix<M: Monoid>(
         "need one input value per node of {}",
         d.name()
     );
-    // Place input[lin(u)] on node u.
-    let states: Vec<DPrefixState<M>> = (0..d.num_nodes())
-        .map(|u| {
-            let c = input[d.linear_index(u)].clone();
-            DPrefixState {
-                t: c.clone(),
-                s: match kind {
-                    PrefixKind::Inclusive => c.clone(),
-                    PrefixKind::Diminished => M::identity(),
-                },
-                t2: M::identity(),
-                s2: M::identity(),
-                c,
-                temp: None,
-            }
-        })
-        .collect();
-    let mut machine = Machine::new(d, states);
+    let mut machine = Machine::new(d, vec![(); d.num_nodes()]);
     if recording.tracing() {
         machine.enable_trace();
     }
     let mut phases = Vec::new();
-    let mut snap = |label: &str, m: &Machine<DualCube, DPrefixState<M>>| {
-        if recording.enabled() {
-            let mut values: Vec<Option<DPrefixView<M>>> = vec![None; m.num_nodes()];
-            for (u, st) in m.states().iter().enumerate() {
-                values[d.linear_index(u)] = Some(st.clone());
+    let s = d_prefix_body(
+        &mut machine,
+        &[input],
+        kind,
+        step5,
+        &mut |label, [t, s, t2, s2]| {
+            if recording.enabled() {
+                let view = |(i, c): (usize, &M)| {
+                    let u = d.from_linear_index(i);
+                    DPrefixView {
+                        c: c.clone(),
+                        t: t[u].clone(),
+                        s: s[u].clone(),
+                        t2: t2[u].clone(),
+                        s2: s2[u].clone(),
+                    }
+                };
+                phases.push(PhaseSnapshot {
+                    label: label.to_string(),
+                    values: input.iter().enumerate().map(view).collect(),
+                });
             }
-            phases.push(PhaseSnapshot {
-                label: label.to_string(),
-                values: values.into_iter().map(|v| v.expect("bijection")).collect(),
-            });
-        }
-    };
-    snap("(a) original data distribution", &machine);
-
-    // Step 1: Cube_prefix inside every cluster (over c, requested kind).
-    machine.begin_phase("step 1: Cube_prefix inside clusters");
-    for i in 0..d.cluster_dim() {
-        cluster_ascend_round(d, &mut machine, i, ScanVars::Step1);
-    }
-    snap("(b) prefix inside cluster (t, s)", &machine);
-
-    // Step 2: exchange cluster totals over the cross-edges (the same
-    // compiled pattern step 4 replays).
-    machine.begin_phase("step 2: exchange totals via cross-edges");
-    machine.cycle(|c| {
-        c.message(
-            |u, st| Some((d.cross_neighbor(u), st.t.clone())),
-            |st, _, t| st.temp = Some(t),
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Cross)
-    });
-    // Seed the step-3 scan variables (a free data movement inside the
-    // node, like Algorithm 1's initialisation).
-    machine.setup(|_, st| {
-        st.t2 = st.temp.take().expect("cross exchange reaches every node");
-        st.s2 = M::identity();
-    });
-    snap("(c) exchange t via cross-edge", &machine);
-
-    // Step 3: diminished Cube_prefix inside every cluster over the
-    // received totals.
-    machine.begin_phase("step 3: Cube_prefix over received totals");
-    for i in 0..d.cluster_dim() {
-        cluster_ascend_round(d, &mut machine, i, ScanVars::Step3);
-    }
-    snap("(d) prefix inside cluster (t', s')", &machine);
-
-    // Step 4: exchange s′ and fold it in on the left everywhere.
-    machine.begin_phase("step 4: exchange s' and combine");
-    machine.cycle(|c| {
-        c.message(
-            |u, st| Some((d.cross_neighbor(u), st.s2.clone())),
-            |st, _, s2| st.temp = Some(s2),
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Cross)
-    });
-    machine.compute(1, |_, st| {
-        let temp = st.temp.take().expect("cross exchange reaches every node");
-        st.s = temp.combine(&st.s);
-    });
-    snap("(e) get s' and prefix one time", &machine);
-
-    // Step 5: class-1 nodes fold in the class-0 grand total (their own
-    // t′). PaperFaithful additionally spends the cross-edge round the
-    // theorem's arithmetic counts.
-    machine.begin_phase("step 5: class-1 folds in class-0 grand total");
-    if step5 == Step5Mode::PaperFaithful {
-        machine.cycle(|c| {
-            c.message(
-                |u, st| (d.class_of(u) == Class::One).then(|| (d.cross_neighbor(u), st.t2.clone())),
-                |st, _, t2| st.temp = Some(t2),
-            )
-            .keyed(ScheduleKey::Custom(0))
-        });
-        // The delivered value is the receiver's own class's grand total —
-        // not needed; discard (see module docs).
-        machine.setup(|_, st| {
-            st.temp = None;
-        });
-    }
-    machine.compute(1, |u, st| {
-        if d.class_of(u) == Class::One {
-            st.s = st.t2.combine(&st.s);
-        }
-    });
-    snap("(f) final result", &machine);
-
+        },
+    );
     let trace = machine
         .phased_trace()
         .iter()
         .map(|(_, msgs)| msgs.clone())
         .collect();
-    let (states, metrics) = machine.into_parts();
-    let mut prefixes: Vec<Option<M>> = vec![None; states.len()];
-    for (u, st) in states.into_iter().enumerate() {
-        prefixes[d.linear_index(u)] = Some(st.s);
-    }
     DPrefixRun {
-        prefixes: prefixes
-            .into_iter()
-            .map(|p| p.expect("bijection"))
+        prefixes: (0..s.len())
+            .map(|i| s[d.from_linear_index(i)].clone())
             .collect(),
-        metrics,
+        metrics: machine.into_parts().1,
         phases,
         trace,
     }
@@ -270,13 +194,9 @@ pub struct BatchedDPrefixRun<M> {
 }
 
 /// Runs K independent instances of Algorithm 2 on lane slabs: `inputs[k]`
-/// is instance `k`'s input in data-index order. Each paper variable
-/// (`t`, `s`, `t′`, `s′`, and the landing buffer) is one `n × K` slab
-/// whose row `u` holds node `u`'s K lanes; every exchange moves rows
-/// along the validated (or replayed) matching straight from one slab into
-/// another ([`dc_simulator::Comm::rows`]), and every fold runs over
-/// contiguous rows ([`Machine::compute_rows`]). Results are
-/// bit-identical to K separate [`d_prefix`] runs.
+/// is instance `k`'s input in data-index order. It is the body
+/// [`d_prefix`] runs at K = 1 (see the module docs), so lane `k` equals
+/// a [`d_prefix`] run on `inputs[k]`.
 pub fn batched_d_prefix<M: Monoid>(
     d: &DualCube,
     inputs: &[Vec<M>],
@@ -321,32 +241,58 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             d.name()
         );
     }
-    let n = d.num_nodes();
+    let mut machine = Machine::with_exec(d, vec![(); d.num_nodes()], exec);
+    machine.adopt_schedules(bank);
+    let s = d_prefix_body(&mut machine, inputs, kind, step5, &mut |_, _| {});
+    machine.donate_schedules(bank);
+    BatchedDPrefixRun {
+        // Data index i lives on node lin⁻¹(i).
+        prefixes: lane_outputs(&s, lanes, |i| d.from_linear_index(i)),
+        metrics: machine.into_parts().1,
+    }
+}
+
+/// Algorithm 2's variables at a step boundary, one `n × K` slab each:
+/// `[t, s, t′, s′]`.
+type Panel<'a, M> = [&'a [M]; 4];
+
+/// Algorithm 2 on `K = inputs.len()` lanes (the module docs' five
+/// steps), returning the final `s` slab. `observe` sees the panel before
+/// step 1 and after each step, labelled as Figure 3's panels (a)–(f).
+fn d_prefix_body<M: Monoid>(
+    machine: &mut Machine<'_, DualCube, ()>,
+    inputs: &[impl AsRef<[M]>],
+    kind: PrefixKind,
+    step5: Step5Mode,
+    observe: &mut impl FnMut(&str, Panel<'_, M>),
+) -> Vec<M> {
+    let (d, lanes) = (machine.topology(), inputs.len());
     // Node u holds c[lin(u)] in every lane.
     let mut t = lane_slab(inputs, |u| d.linear_index(u));
     let mut s = match kind {
         PrefixKind::Inclusive => t.clone(),
-        PrefixKind::Diminished => vec![M::identity(); n * lanes],
+        PrefixKind::Diminished => vec![M::identity(); t.len()],
     };
-    let mut t2 = vec![M::identity(); n * lanes];
-    let mut s2 = vec![M::identity(); n * lanes];
-    let mut temp = vec![M::identity(); n * lanes];
-    let mut machine = Machine::with_exec(d, vec![(); n], exec);
-    machine.adopt_schedules(bank);
-    // Steps 1 and 3 sweep the cluster dimensions: bit i of the node id
-    // marks the high side, as in the single-lane round.
+    let mut t2 = vec![M::identity(); t.len()];
+    let mut s2 = vec![M::identity(); t.len()];
+    let mut temp = vec![M::identity(); t.len()];
+    // Steps 1 and 3 sweep the cluster dimensions. Within a cluster, data
+    // indices follow node ids, so Algorithm 1's "if u > ū_i" becomes
+    // "bit i of the node id is set".
     let neighbor = |i| move |u| d.cluster_neighbor(u, i);
     let high = |i| move |u| bit(d.node_id(u), i);
+    observe("(a) original data distribution", [&t, &s, &t2, &s2]);
 
-    // Step 1: Cube_prefix inside every cluster, all lanes at once.
+    // Step 1: Cube_prefix inside every cluster (over c, requested kind).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
     for i in 0..d.cluster_dim() {
         let slabs = [&mut t[..], &mut s[..], &mut temp[..]];
-        ascend_rows(&mut machine, lanes, i, neighbor(i), high(i), slabs);
+        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
     }
+    observe("(b) prefix inside cluster (t, s)", [&t, &s, &t2, &s2]);
 
     // Step 2: exchange cluster totals over the cross-edges, straight into
-    // t′ (s′ starts at the identity).
+    // t′ (s′ starts at the identity). Step 4 replays the same pattern.
     machine.begin_phase("step 2: exchange totals via cross-edges");
     machine.cycle(|c| {
         c.rows(
@@ -357,13 +303,16 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
         .pairwise()
         .keyed(ScheduleKey::Cross)
     });
+    observe("(c) exchange t via cross-edge", [&t, &s, &t2, &s2]);
 
-    // Step 3: diminished Cube_prefix over the received totals.
+    // Step 3: diminished Cube_prefix over the received totals (replaying
+    // the schedules step 1 compiled).
     machine.begin_phase("step 3: Cube_prefix over received totals");
     for i in 0..d.cluster_dim() {
         let slabs = [&mut t2[..], &mut s2[..], &mut temp[..]];
-        ascend_rows(&mut machine, lanes, i, neighbor(i), high(i), slabs);
+        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
     }
+    observe("(d) prefix inside cluster (t', s')", [&t, &s, &t2, &s2]);
 
     // Step 4: exchange s′ and fold it in on the left everywhere.
     machine.begin_phase("step 4: exchange s' and combine");
@@ -381,13 +330,16 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             *s = x.combine(s);
         }
     });
+    observe("(e) get s' and prefix one time", [&t, &s, &t2, &s2]);
 
-    // Step 5: class-1 nodes fold in the class-0 grand total.
+    // Step 5: class-1 nodes fold in the class-0 grand total (their own
+    // t′). PaperFaithful additionally spends the cross-edge round the
+    // theorem's arithmetic counts.
     machine.begin_phase("step 5: class-1 folds in class-0 grand total");
     if step5 == Step5Mode::PaperFaithful {
         // The delivered values are the receivers' own class's grand
-        // totals, landing in the spent buffer — unused, as in the
-        // single-lane run.
+        // totals, landing in the spent buffer — unused (see the module
+        // docs).
         machine.cycle(|c| {
             c.rows(
                 lanes,
@@ -404,66 +356,8 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
             }
         }
     });
-
-    machine.donate_schedules(bank);
-    BatchedDPrefixRun {
-        // Data index i lives on node lin⁻¹(i).
-        prefixes: lane_outputs(&s, lanes, |i| d.from_linear_index(i)),
-        metrics: machine.into_parts().1,
-    }
-}
-
-/// Which `(total, prefix)` variable pair an ascend round scans: step 1
-/// works on `(t, s)`, step 3 on `(t′, s′)`.
-#[derive(Clone, Copy)]
-enum ScanVars {
-    Step1,
-    Step3,
-}
-
-/// One ascend round at cluster dimension `i`, running simultaneously in
-/// every cluster of both classes.
-///
-/// The comparison "if `u > ū_i`" of Algorithm 1 becomes "bit `i` of the
-/// node id is set": within a cluster, data indices are ordered by node id.
-fn cluster_ascend_round<M: Monoid>(
-    d: &DualCube,
-    machine: &mut Machine<'_, DualCube, DPrefixState<M>>,
-    i: u32,
-    vars: ScanVars,
-) {
-    // Steps 1 and 3 sweep the same cluster dimensions, so step 3 replays
-    // the schedules step 1 compiled.
-    machine.cycle(|c| {
-        c.message(
-            move |u, st| {
-                Some((
-                    d.cluster_neighbor(u, i),
-                    match vars {
-                        ScanVars::Step1 => st.t.clone(),
-                        ScanVars::Step3 => st.t2.clone(),
-                    },
-                ))
-            },
-            |st, _, t| st.temp = Some(t),
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Dim(i))
-    });
-    machine.compute(1, |u, st| {
-        let temp = st.temp.take().expect("cluster exchange reaches every node");
-        let high_side = bit(d.node_id(u), i);
-        let (t, s) = match vars {
-            ScanVars::Step1 => (&mut st.t, &mut st.s),
-            ScanVars::Step3 => (&mut st.t2, &mut st.s2),
-        };
-        if high_side {
-            *t = temp.combine(t);
-            *s = temp.combine(s);
-        } else {
-            *t = t.combine(&temp);
-        }
-    });
+    observe("(f) final result", [&t, &s, &t2, &s2]);
+    s
 }
 
 #[cfg(test)]
@@ -681,6 +575,11 @@ mod tests {
                     for (k, input) in inputs.iter().enumerate() {
                         let single = d_prefix(&d, input, kind, step5, Recording::Off);
                         assert_eq!(batch.prefixes[k], single.prefixes, "n={n} lane {k}");
+                        assert_eq!(
+                            batch.prefixes[k],
+                            sequential_prefix(input, kind),
+                            "n={n} lane {k} vs reference"
+                        );
                         if k == 0 {
                             let (b, s) = (&batch.metrics, &single.metrics);
                             assert_eq!(b.comm_steps, s.comm_steps, "n={n}");

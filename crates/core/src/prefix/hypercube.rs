@@ -12,23 +12,18 @@
 //! non-commutative operations combine in index order.
 //!
 //! Cost: `m` communication steps and `m` computation steps.
+//!
+//! One body runs the algorithm for every caller: [`cube_prefix`] is its
+//! one-lane call and [`batched_cube_prefix`] its K-lane call. Each paper
+//! variable is one `n × K` lane slab (row `u` holds node `u`'s K lanes),
+//! so a round is one row move of the `t` slab and one fold over rows.
 
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
 use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
 use dc_simulator::{Machine, Metrics, ScheduleKey};
 use dc_topology::{bits::bit, Hypercube, NodeId, Topology};
-
-/// Per-node state of `Cube_prefix`.
-#[derive(Debug, Clone)]
-pub(crate) struct CubeState<M> {
-    /// Running subcube total.
-    pub t: M,
-    /// Running subcube prefix.
-    pub s: M,
-    /// Landing buffer for the partner's total.
-    pub temp: Option<M>,
-}
+use std::fmt;
 
 /// Result of a [`cube_prefix`] run.
 #[derive(Debug, Clone)]
@@ -45,7 +40,10 @@ pub struct CubePrefixRun<M> {
     pub phases: Vec<PhaseSnapshot<(M, M)>>,
 }
 
-/// Runs Algorithm 1 on `Q_m` with one input value per node.
+/// Runs Algorithm 1 on `Q_m` with one input value per node: the
+/// one-lane call of the body [`batched_cube_prefix`] runs. Under
+/// [`Recording::Phases`] the body's observer keeps `(t, s)` of every
+/// node before the first round and after each one.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::cube_prefix, PrefixKind};
@@ -72,44 +70,20 @@ pub fn cube_prefix<M: Monoid>(
         "need one input value per node of {}",
         q.name()
     );
-    let states: Vec<CubeState<M>> = input
-        .iter()
-        .map(|c| CubeState {
-            t: c.clone(),
-            s: match kind {
-                PrefixKind::Inclusive => c.clone(),
-                PrefixKind::Diminished => M::identity(),
-            },
-            temp: None,
-        })
-        .collect();
-    let mut machine = Machine::new(q, states);
+    let mut machine = Machine::new(q, vec![(); q.num_nodes()]);
     let mut phases = Vec::new();
-    let mut snap = |label: &str, m: &Machine<Hypercube, CubeState<M>>| {
+    let [t, s] = cube_prefix_body(&mut machine, &[input], kind, &mut |label, [t, s]| {
         if recording.enabled() {
             phases.push(PhaseSnapshot {
                 label: label.to_string(),
-                values: m
-                    .states()
-                    .iter()
-                    .map(|s| (s.t.clone(), s.s.clone()))
-                    .collect(),
+                values: t.iter().cloned().zip(s.iter().cloned()).collect(),
             });
         }
-    };
-    snap("init", &machine);
-    for i in 0..q.dim() {
-        machine.begin_phase(format!("dimension {i}"));
-        ascend_round(&mut machine, i);
-        snap(&format!("after dimension {i}"), &machine);
-    }
-    let (states, metrics) = machine.into_parts();
-    let total = states[0].t.clone();
-    debug_assert!(states.iter().all(|st| st.temp.is_none()));
+    });
     CubePrefixRun {
-        prefixes: states.into_iter().map(|st| st.s).collect(),
-        total,
-        metrics,
+        prefixes: s,
+        total: t[0].clone(),
+        metrics: machine.into_parts().1,
         phases,
     }
 }
@@ -133,8 +107,9 @@ pub struct BatchedCubePrefixRun<M> {
 /// variable (`t`, `s`, and the landing buffer) is one `n × K` slab whose
 /// row `u` holds node `u`'s K lanes, so every round is one row move of
 /// the `t` slab ([`dc_simulator::Comm::rows`]) and one fold over
-/// contiguous rows ([`Machine::compute_rows`]). Results are
-/// bit-identical to K separate [`cube_prefix`] runs.
+/// contiguous rows ([`Machine::compute_rows`]). [`cube_prefix`] is the
+/// same body at K = 1, so lane `k` equals a [`cube_prefix`] run on
+/// `inputs[k]`.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::batched_cube_prefix, PrefixKind};
@@ -166,25 +141,8 @@ pub fn batched_cube_prefix<M: Monoid>(
             q.name()
         );
     }
-    let n = q.num_nodes();
-    let mut t = lane_slab(inputs, |u| u);
-    let mut s = match kind {
-        PrefixKind::Inclusive => t.clone(),
-        PrefixKind::Diminished => vec![M::identity(); n * lanes],
-    };
-    let mut temp = vec![M::identity(); n * lanes];
-    let mut machine = Machine::new(q, vec![(); n]);
-    for i in 0..q.dim() {
-        machine.begin_phase(format!("dimension {i}"));
-        ascend_rows(
-            &mut machine,
-            lanes,
-            i,
-            |u| u ^ (1usize << i),
-            |u| bit(u, i),
-            [&mut t, &mut s, &mut temp],
-        );
-    }
+    let mut machine = Machine::new(q, vec![(); q.num_nodes()]);
+    let [t, s] = cube_prefix_body(&mut machine, inputs, kind, &mut |_, _| {});
     BatchedCubePrefixRun {
         prefixes: lane_outputs(&s, lanes, |u| u),
         totals: t[..lanes].to_vec(),
@@ -192,13 +150,47 @@ pub fn batched_cube_prefix<M: Monoid>(
     }
 }
 
+/// Algorithm 1 on `K = inputs.len()` lanes: the ascend sweep over
+/// dimensions `0 … m−1`, returning the final `[t, s]` slabs. `observe`
+/// sees `[t, s]` before the first round (`"init"`) and after each
+/// (`"after dimension i"`).
+fn cube_prefix_body<M: Monoid>(
+    machine: &mut Machine<'_, Hypercube, ()>,
+    inputs: &[impl AsRef<[M]>],
+    kind: PrefixKind,
+    observe: &mut impl FnMut(fmt::Arguments<'_>, [&[M]; 2]),
+) -> [Vec<M>; 2] {
+    let (q, lanes) = (machine.topology(), inputs.len());
+    let mut t = lane_slab(inputs, |u| u);
+    let mut s = match kind {
+        PrefixKind::Inclusive => t.clone(),
+        PrefixKind::Diminished => vec![M::identity(); t.len()],
+    };
+    let mut temp = vec![M::identity(); t.len()];
+    observe(format_args!("init"), [&t, &s]);
+    for i in 0..q.dim() {
+        machine.begin_phase(format!("dimension {i}"));
+        ascend_rows(
+            machine,
+            lanes,
+            i,
+            |u| u ^ (1usize << i),
+            |u| bit(u, i),
+            [&mut t, &mut s, &mut temp],
+        );
+        observe(format_args!("after dimension {i}"), [&t, &s]);
+    }
+    [t, s]
+}
+
 /// One round of the ascend sweep over lane slabs, all K lanes at once:
 /// the `t` rows travel to `partner(u)` and land in `temp` (keyed
 /// [`ScheduleKey::Dim`]`(i)`), then every node folds. Where `high(u)`
-/// (the partner's half precedes `u`'s in index order) the incoming total
-/// goes on the left of both `t` and `s`; elsewhere on the right of `t`.
-/// [`batched_cube_prefix`] runs it across dimension `i`; Algorithm 2's
-/// steps 1 and 3 run it inside every cluster (see `prefix::dualcube`).
+/// (the partner's half precedes `u`'s in index order, the paper's
+/// "if `u > ū_i`") the incoming total goes on the left of both `t` and
+/// `s`; elsewhere on the right of `t`. Algorithm 1 runs it across
+/// dimension `i`; Algorithm 2's steps 1 and 3 run it inside every
+/// cluster (see `prefix::dualcube`).
 pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
     machine: &mut Machine<'_, T, ()>,
     lanes: usize,
@@ -222,30 +214,6 @@ pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
             for (t, x) in t.iter_mut().zip(temp) {
                 *t = t.combine(x);
             }
-        }
-    });
-}
-
-/// One dimension-`i` round of the ascend sweep: exchange `t` across the
-/// dimension, then fold. (`d_prefix` performs the same round inside every
-/// cluster simultaneously — see `prefix::dualcube`.)
-fn ascend_round<M: Monoid>(machine: &mut Machine<'_, Hypercube, CubeState<M>>, i: u32) {
-    machine.cycle(|c| {
-        c.message(
-            |u, st| Some((u ^ (1usize << i), st.t.clone())),
-            |st, _, t| st.temp = Some(t),
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Dim(i))
-    });
-    machine.compute(1, |u, st| {
-        let temp = st.temp.take().expect("exchange delivered to every node");
-        if bit(u, i) {
-            // Partner's half precedes ours in index order: apply on the left.
-            st.t = temp.combine(&st.t);
-            st.s = temp.combine(&st.s);
-        } else {
-            st.t = st.t.combine(&temp);
         }
     });
 }
@@ -347,6 +315,9 @@ mod tests {
                 let single = cube_prefix(&q, input, kind, Recording::Off);
                 assert_eq!(run.prefixes[k], single.prefixes, "lane {k} {kind:?}");
                 assert_eq!(run.totals[k], single.total, "lane {k} {kind:?}");
+                assert_eq!(run.prefixes[k], sequential_prefix(input, kind), "lane {k}");
+                let fold = input.iter().fold(Sum::identity(), |acc, x| acc.combine(x));
+                assert_eq!(run.totals[k], fold, "lane {k} {kind:?} total");
             }
             // One schedule per dimension, each message carrying 5 lanes.
             assert_eq!(run.metrics.comm_steps, 4);

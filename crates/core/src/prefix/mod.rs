@@ -24,9 +24,9 @@
 //! [`dualcube::batched_d_prefix`]) run K independent instances on lane
 //! slabs — one `n × K` slab per paper variable, row `u` holding node
 //! `u`'s K lanes: one schedule lookup / validation / row move per cycle
-//! advances all K lanes, amortizing the per-cycle engine overhead while
-//! producing bit-identical results to K single-lane runs (DESIGN.md
-//! §10).
+//! advances all K lanes, amortizing the per-cycle engine overhead
+//! (DESIGN.md §10). The single-instance entry points are the same bodies
+//! at K = 1, so each lane equals a single-instance run.
 
 pub mod dualcube;
 pub mod hypercube;

@@ -57,14 +57,17 @@ impl Recording {
 }
 
 /// The `n × K` lane slab of `K = inputs.len()` instances, the layout of
-/// the batched runs: row `u` holds node `u`'s lanes, so slot `u*K + k`
-/// is `inputs[k][index(u)]`.
-pub(crate) fn lane_slab<M: Clone>(inputs: &[Vec<M>], index: impl Fn(usize) -> usize) -> Vec<M> {
-    let n = inputs[0].len();
+/// the paper algorithms' bodies: row `u` holds node `u`'s lanes, so slot
+/// `u*K + k` is `inputs[k][index(u)]`.
+pub(crate) fn lane_slab<M: Clone>(
+    inputs: &[impl AsRef<[M]>],
+    index: impl Fn(usize) -> usize,
+) -> Vec<M> {
+    let n = inputs[0].as_ref().len();
     let mut slab = Vec::with_capacity(n * inputs.len());
     for u in 0..n {
         let i = index(u);
-        slab.extend(inputs.iter().map(|input| input[i].clone()));
+        slab.extend(inputs.iter().map(|input| input.as_ref()[i].clone()));
     }
     slab
 }

@@ -30,24 +30,41 @@
 //!         keep-min at u  ⇔  u_j = dir(u),  dir = tag if ℓ = n else u_{2ℓ−1}
 //! ```
 //!
-//! Each dimension-`j` round is an emulated compare-exchange
-//! ([`crate::emulate::exchange_dim`]): 1 cycle for `j = 0`, 3 cycles
-//! otherwise, with the direct-edge half of the machine piggybacking its
-//! exchange on the middle hop — the simulator verifies 1-port legality of
-//! every cycle. Totals: `6n² − 7n + 2` communication and `2n² − n`
-//! comparison steps exactly (within the theorem's `6n²`/`2n²`).
+//! Each dimension-`j` round is an emulated compare-exchange (the 3-hop
+//! window of [`crate::emulate`], over lane slabs): 1 cycle for `j = 0`,
+//! 3 cycles otherwise, with the direct-edge half of the machine
+//! piggybacking its exchange on the middle hop — the simulator verifies
+//! 1-port legality of every cycle. Totals: `6n² − 7n + 2` communication
+//! and `2n² − n` comparison steps exactly (within the theorem's
+//! `6n²`/`2n²`).
+//!
+//! ## One body
+//!
+//! The network is written once, over lane slabs: the keys, the partner's
+//! keys and the window's two forward buffers are each one `n × K` slab
+//! whose row `r` holds recursive node `r`'s K lanes. [`d_sort`] is the
+//! body's one-lane call and [`batched_d_sort_reusing`] its K-lane call;
+//! the Figure 5–6 panels come from an observer the body calls after each
+//! merge loop. The middle hop moves two slab pairs, so a recorded
+//! [`dc_simulator::Event::Cycle`] reports `lanes = 2` for it even at
+//! K = 1 (2 words either way).
 
-use crate::emulate::{emu_machine, exchange_dim, exchange_dim_rows, EmuSlabs, EmuState};
+use crate::emulate::{exchange_dim_rows, EmuSlabs};
 use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording, Run};
 use crate::sort::SortOrder;
 use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
+use std::fmt;
 
 /// Sorts one key per node of `D_n` (recursive presentation) with
-/// Algorithm 3.
+/// Algorithm 3: the one-lane call of the body [`batched_d_sort_reusing`]
+/// runs. The machine is built here with [`Machine::new`], so the default
+/// backend, the ambient recorder and the replay default apply.
 ///
 /// `keys[r]` starts on recursive node `r`; on return `output[r]` is the
-/// key that node holds, sorted by recursive node id in `order`.
+/// key that node holds, sorted by recursive node id in `order`. Under
+/// [`Recording::Phases`] the body's observer keeps every node's key
+/// before the first level and after each merge loop.
 ///
 /// ```
 /// use dc_core::sort::{dualcube::d_sort, SortOrder};
@@ -72,67 +89,27 @@ pub fn d_sort<K: Ord + Clone + Send + Sync + 'static>(
         "need one key per node of {}",
         rec.name()
     );
-    let n = rec.n();
-    let mut machine = emu_machine(rec, keys.to_vec());
+    let mut machine = Machine::new(rec, vec![(); rec.num_nodes()]);
     if recording.tracing() {
         machine.enable_trace();
     }
     let mut phases = Vec::new();
-    let mut snap = |label: String, mach: &Machine<RecDualCube, EmuState<K>>| {
+    let output = d_sort_body(&mut machine, &[keys], order, &mut |label, values| {
         if recording.enabled() {
             phases.push(PhaseSnapshot {
-                label,
-                values: mach.states().iter().map(|s| s.value.clone()).collect(),
+                label: label.to_string(),
+                values: values.to_vec(),
             });
         }
-    };
-    snap("input".into(), &machine);
-
-    for level in 1..=n {
-        let top = 2 * level - 2; // highest dimension of this level's sub-cubes
-
-        // Merge loop 1 (absent at level 1): make each sub-dual-cube one
-        // bitonic sequence sorted ascending in its lower half and
-        // descending in its upper half.
-        if level >= 2 {
-            machine.begin_phase(format!(
-                "level {level}: merge loop 1 (dims {}..=0)",
-                top - 1
-            ));
-            for j in (0..top).rev() {
-                compare_round(&mut machine, j, move |r| bit(r, top));
-            }
-            if recording.enabled() {
-                snap(format!("level {level}: after merge loop 1"), &machine);
-            }
-        }
-
-        // Merge loop 2: sort each sub-dual-cube in its direction.
-        machine.begin_phase(format!("level {level}: merge loop 2 (dims {top}..=0)"));
-        let tag = order.tag();
-        for j in (0..=top).rev() {
-            compare_round(&mut machine, j, move |r| {
-                if level == n {
-                    tag
-                } else {
-                    bit(r, 2 * level - 1)
-                }
-            });
-        }
-        if recording.enabled() {
-            snap(format!("level {level}: after merge loop 2"), &machine);
-        }
-    }
-
+    });
     let trace = machine
         .phased_trace()
         .iter()
         .map(|(_, msgs)| msgs.clone())
         .collect();
-    let (states, metrics) = machine.into_parts();
     Run {
-        output: states.into_iter().map(|s| s.value).collect(),
-        metrics,
+        output,
+        metrics: machine.into_parts().1,
         phases,
         trace,
     }
@@ -152,12 +129,11 @@ pub struct BatchedSortRun<K> {
 }
 
 /// Sorts K independent key sets with Algorithm 3 on lane slabs: `keys[k]`
-/// is instance `k`'s input (one key per recursive node). The keys, the
-/// partner's keys and the window's two forward buffers are each one
-/// `n × K` slab, so every emulated hop moves rows along
-/// one validated (or replayed) matching and every compare-exchange runs
-/// K-wide over contiguous rows; each instance's output is bit-identical
-/// to a separate [`d_sort`] run.
+/// is instance `k`'s input (one key per recursive node). Every emulated
+/// hop moves rows along one validated (or replayed) matching and every
+/// compare-exchange runs K-wide over contiguous rows. It is the body
+/// [`d_sort`] runs at K = 1 (see the module docs), so each instance's
+/// output equals a [`d_sort`] run on it.
 ///
 /// ```
 /// use dc_core::sort::{dualcube::batched_d_sort, SortOrder};
@@ -211,26 +187,53 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
             rec.name()
         );
     }
-    let n = rec.n();
-    let mut slabs = EmuSlabs::new(lanes, lane_slab(keys, |r| r));
     let mut machine = Machine::with_exec(rec, vec![(); rec.num_nodes()], exec);
     machine.adopt_schedules(bank);
+    let values = d_sort_body(&mut machine, keys, order, &mut |_, _| {});
+    machine.donate_schedules(bank);
+    BatchedSortRun {
+        outputs: lane_outputs(&values, lanes, |r| r),
+        metrics: machine.into_parts().1,
+    }
+}
 
+/// Algorithm 3 on `K = keys.len()` lanes: the unrolled recursion of the
+/// module docs, returning the final key slab. `observe` sees the key
+/// slab before level 1 (`"input"`) and after each merge loop.
+fn d_sort_body<K: Ord + Clone + Send + Sync>(
+    machine: &mut Machine<'_, RecDualCube, ()>,
+    keys: &[impl AsRef<[K]>],
+    order: SortOrder,
+    observe: &mut impl FnMut(fmt::Arguments<'_>, &[K]),
+) -> Vec<K> {
+    let n = machine.topology().n();
+    let mut slabs = EmuSlabs::new(keys.len(), lane_slab(keys, |r| r));
+    observe(format_args!("input"), &slabs.values);
     for level in 1..=n {
-        let top = 2 * level - 2;
+        let top = 2 * level - 2; // highest dimension of this level's sub-cubes
+
+        // Merge loop 1 (absent at level 1): make each sub-dual-cube one
+        // bitonic sequence sorted ascending in its lower half and
+        // descending in its upper half.
         if level >= 2 {
             machine.begin_phase(format!(
                 "level {level}: merge loop 1 (dims {}..=0)",
                 top - 1
             ));
             for j in (0..top).rev() {
-                compare_rows(&mut machine, &mut slabs, j, move |r| bit(r, top));
+                compare_rows(machine, &mut slabs, j, move |r| bit(r, top));
             }
+            observe(
+                format_args!("level {level}: after merge loop 1"),
+                &slabs.values,
+            );
         }
+
+        // Merge loop 2: sort each sub-dual-cube in its direction.
         machine.begin_phase(format!("level {level}: merge loop 2 (dims {top}..=0)"));
         let tag = order.tag();
         for j in (0..=top).rev() {
-            compare_rows(&mut machine, &mut slabs, j, move |r| {
+            compare_rows(machine, &mut slabs, j, move |r| {
                 if level == n {
                     tag
                 } else {
@@ -238,19 +241,19 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
                 }
             });
         }
+        observe(
+            format_args!("level {level}: after merge loop 2"),
+            &slabs.values,
+        );
     }
-
-    machine.donate_schedules(bank);
-    BatchedSortRun {
-        outputs: lane_outputs(&slabs.values, lanes, |r| r),
-        metrics: machine.into_parts().1,
-    }
+    slabs.values
 }
 
-/// Slab counterpart of [`compare_round`]: the same emulated
-/// dimension-`j` schedule, then each node keeps the minimum or maximum
-/// of every lane pair. The direction is one per node, so it is decided
-/// once, outside the lane loop; on a tie a node keeps its own key.
+/// One emulated compare-exchange round over dimension `j`, all K lanes
+/// at once; `descending(r)` is the merge direction at node `r`. In an
+/// ascending region the node with bit `j` clear keeps the minimum. The
+/// direction is one per node, so it is decided once, outside the lane
+/// loop; on a tie a node keeps its own key.
 fn compare_rows<K: Ord + Clone + Send + Sync>(
     machine: &mut Machine<'_, RecDualCube, ()>,
     slabs: &mut EmuSlabs<K>,
@@ -274,27 +277,15 @@ fn compare_rows<K: Ord + Clone + Send + Sync>(
     });
 }
 
-/// One emulated compare-exchange round over dimension `j`;
-/// `descending(r)` is the merge direction at node `r`. In an ascending
-/// region the node with bit `j` clear keeps the minimum.
-fn compare_round<K: Ord + Clone + Send + Sync + 'static>(
-    machine: &mut Machine<'_, RecDualCube, EmuState<K>>,
-    j: u32,
-    descending: impl Fn(NodeId) -> bool + Sync,
-) {
-    exchange_dim(machine, j, |r, own, other| {
-        let keep_min = bit(r, j) == descending(r);
-        let own_is_kept = if keep_min { own <= other } else { own >= other };
-        if own_is_kept {
-            own.clone()
-        } else {
-            other.clone()
-        }
-    });
-}
+/// The plain-array model of the network that the integration tests use
+/// as their oracle, included so it is written once.
+#[cfg(test)]
+#[path = "../../../../tests/support/mod.rs"]
+mod support;
 
 #[cfg(test)]
 mod tests {
+    use super::support::sort_network_model;
     use super::*;
     use crate::theory;
     use proptest::prelude::*;
@@ -491,6 +482,8 @@ mod tests {
             for (k, instance) in keys.iter().enumerate() {
                 let single = d_sort(&rec, instance, order, Recording::Off);
                 assert_eq!(run.outputs[k], single.output, "lane {k} {order:?}");
+                let model = sort_network_model(instance, rec.n(), order.tag());
+                assert_eq!(run.outputs[k], model, "lane {k} {order:?} vs network model");
             }
         }
     }
@@ -506,6 +499,8 @@ mod tests {
             for (k, instance) in keys.iter().enumerate() {
                 let single = d_sort(&rec, instance, order, Recording::Off);
                 assert_eq!(run.outputs[k], single.output, "lane {k} {order:?}");
+                let model = sort_network_model(instance, rec.n(), order.tag());
+                assert_eq!(run.outputs[k], model, "lane {k} {order:?} vs network model");
             }
             // The batch pays the single-lane schedule once; words scale
             // with the lane count.

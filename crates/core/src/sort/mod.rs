@@ -21,7 +21,8 @@
 //!
 //! [`dualcube::batched_d_sort`] runs K independent key sets on lane
 //! slabs — one `n × K` slab per variable, one schedule per cycle for all
-//! K lanes, results bit-identical to K single-lane runs (DESIGN.md §10).
+//! K lanes (DESIGN.md §10). [`dualcube::d_sort`] is the same body at
+//! K = 1, so each lane equals a single-instance run.
 
 pub mod bitonic;
 pub mod dualcube;

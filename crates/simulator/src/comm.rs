@@ -58,13 +58,14 @@
 //! monomorphised per form: no dynamic dispatch and no per-node branch on
 //! the form in either hot loop.
 //!
-//! The rows form is the lane data plane of the paper algorithms'
-//! batched runs (DESIGN.md §10): each paper variable is one `n × K` slab
-//! the caller owns, and the machine's per-node state is `()`. Because the
-//! source and destination of a row move are separate slabs, the cycle
-//! needs no staging copy: once the matching is validated (or replayed),
-//! each receiver's row is copied straight from its sender's row, and a
-//! failed cycle writes no row. [`Machine::compute_rows`](crate::Machine::compute_rows)
+//! The rows form is the data plane of the paper algorithms, batched and
+//! single-instance alike (DESIGN.md §10): each paper variable is one
+//! `n × K` slab the caller owns (K = 1 for a single instance), and the
+//! machine's per-node state is `()`. Because the source and destination
+//! of a row move are separate slabs, the cycle needs no staging copy:
+//! once the matching is validated (or replayed), each receiver's row is
+//! copied straight from its sender's row, and a failed cycle writes no
+//! row. [`Machine::compute_rows`](crate::Machine::compute_rows)
 //! is the matching computation phase, handing each live node its rows.
 
 use crate::parallel::{par_lane_apply_bounds, par_rows_bounds};
@@ -609,8 +610,7 @@ pub(crate) mod form {
                 for (dest, source) in dests.into_iter().zip(sources) {
                     for (row, &src) in dest.chunks_exact_mut(width).zip(senders) {
                         if src != NO_SRC {
-                            let at = src as usize * width;
-                            row.clone_from_slice(&source[at..at + width]);
+                            copy_row(row, source, src as usize * width);
                         }
                     }
                 }
@@ -627,5 +627,21 @@ pub(crate) mod form {
         fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
             unreachable!("rows move after validation, never planned");
         }
+    }
+
+    /// Copies `source[at..at + row.len()]` into `row`: every lane but the
+    /// last in bulk, then the last on its own. A `clone_from_slice`, or
+    /// an element loop the compiler turns into one, calls `memcpy` with a
+    /// run-time length, which costs more than a one-lane row's copy; this
+    /// way a one-lane row is a single move, and a wider row's bulk copy
+    /// still starts at the row's first lane (DESIGN.md §10).
+    #[inline]
+    fn copy_row<V: Clone>(row: &mut [V], source: &[V], at: usize) {
+        let from = &source[at..at + row.len()];
+        let (last, init) = row.split_last_mut().expect("a row has a lane");
+        for (d, s) in init.iter_mut().zip(from) {
+            d.clone_from(s);
+        }
+        last.clone_from(&from[init.len()]);
     }
 }

@@ -1906,7 +1906,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     ///
     /// # Panics
     ///
-    /// If a slab does not hold `width` values per node.
+    /// If `width` is 0, or a slab does not hold `width` values per node.
     pub fn compute_rows<V, const W: usize, const R: usize>(
         &mut self,
         width: usize,
@@ -1917,6 +1917,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         V: Send + Sync,
     {
         let n = self.states.len();
+        assert!(width > 0, "a row compute phase needs at least one lane");
         assert!(
             rows.iter().all(|r| r.len() == n * width) && read.iter().all(|r| r.len() == n * width),
             "every row slab must hold {width} values per node of {n}"
@@ -1928,14 +1929,17 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
         let faults = &self.faults;
         let frozen = faults.any_failed();
-        let fold = |nodes: std::ops::Range<usize>, mut rows: [&mut [V]; W]| {
-            for (at, u) in nodes.enumerate() {
-                if frozen && faults.is_failed(u) {
-                    continue;
+        // One row iterator per slab, advanced in step: no slab is
+        // re-sliced per node.
+        let fold = |nodes: std::ops::Range<usize>, rows: [&mut [V]; W]| {
+            let mut rows = rows.map(|r| r.chunks_exact_mut(width));
+            let mut read = read.map(|r| r[nodes.start * width..].chunks_exact(width));
+            for u in nodes {
+                let mine = rows.each_mut().map(|r| r.next().expect("one row per node"));
+                let theirs = read.each_mut().map(|r| r.next().expect("one row per node"));
+                if !(frozen && faults.is_failed(u)) {
+                    f(u, mine, theirs);
                 }
-                let own = at * width..(at + 1) * width;
-                let mine = rows.each_mut().map(|r| &mut r[own.clone()]);
-                f(u, mine, read.map(|r| &r[u * width..(u + 1) * width]));
             }
         };
         if threaded {
@@ -3237,6 +3241,15 @@ mod tests {
         let mut m = Machine::new(&q, vec![(); 2]);
         let (a, mut b) = (vec![0u8; 2], vec![0u8; 2]);
         m.cycle(|c| c.rows(0, |u, _| Some(u ^ 1), [(&a[..], &mut b[..])]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn zero_width_row_compute_rejected() {
+        let q = Hypercube::new(1);
+        let mut m = Machine::new(&q, vec![(); 2]);
+        let mut t: Vec<u8> = Vec::new();
+        m.compute_rows(0, [&mut t[..]], [], |_, _, []| {});
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! work is embarrassingly parallel. [`Machine`](crate::Machine) runs under
 //! an [`ExecMode`]: in `Parallel` mode every communication cycle splits
 //! into a read-only *plan* phase parallelised over the states, a
-//! sequential O(n) *validation* of the 1-port matching (so `SimError`
-//! semantics and trace recording stay bit-identical to the sequential
-//! backend), and a receiver-driven *deliver* phase in which each worker
-//! mutates only its own node's state; `compute` and `setup` cycles are
-//! chunked directly. The executors here are the primitives for those
-//! phases, built on a lazily-initialised **persistent worker pool**
-//! (the private `pool` module): long-lived threads parked on a condvar between cycles and
-//! woken by an epoch-counter fork-join barrier, so a steady-state cycle
+//! *validation* of the 1-port matching sharded along the machine's shard
+//! map (claim passes that reduce to the lowest-index violation, so
+//! `SimError` semantics and trace recording stay bit-identical to the
+//! sequential backend; DESIGN.md §12), and a receiver-driven *deliver*
+//! phase in which each worker mutates only its own nodes' states or rows;
+//! `compute` and `setup` cycles are chunked directly. The executors here
+//! are the primitives for those phases, built on a lazily-initialised
+//! **persistent worker pool** (the private `pool` module): long-lived
+//! threads parked on a condvar between cycles and woken by an
+//! epoch-counter fork-join barrier, so a steady-state cycle
 //! costs three wake/join rounds instead of three rounds of OS thread
 //! spawns (rayon and crossbeam are not in the dependency set — see
 //! DESIGN.md §6 for the pool architecture and the measured difference
@@ -60,7 +62,7 @@ pub(crate) fn take_dispatch_stats() -> (u64, u64, u64) {
 
 /// Minimum number of nodes before threads are spawned; below this the
 /// sequential loop wins on overhead. The default threshold of
-/// [`ExecMode::Parallel`] and the cutoff of [`par_apply`].
+/// [`ExecMode::Parallel`].
 pub const PAR_THRESHOLD: usize = 4096;
 
 /// How a [`Machine`](crate::Machine) executes the per-node work of each
@@ -159,21 +161,10 @@ impl Default for ExecMode {
     }
 }
 
-/// Applies `f(index, &mut item)` to every element, splitting the slice
-/// over the available cores when it is at least [`PAR_THRESHOLD`] long.
-pub fn par_apply<S: Send>(states: &mut [S], f: impl Fn(usize, &mut S) + Sync) {
-    if states.len() < PAR_THRESHOLD {
-        for (i, s) in states.iter_mut().enumerate() {
-            f(i, s);
-        }
-        return;
-    }
-    par_apply_forced(states, &f);
-}
-
-/// [`par_apply`] without the length cutoff: always dispatches on the
-/// persistent pool (unless the host has a single core or the slice is
-/// empty). The machine applies its own [`ExecMode`] threshold before
+/// Applies `f(index, &mut item)` to every element, the slice split into
+/// one chunk per worker of the persistent pool (inline on a single-core
+/// host or for a slice of at most one element). There is no length
+/// cutoff: the machine applies its own [`ExecMode`] threshold before
 /// calling this.
 pub fn par_apply_forced<S: Send>(states: &mut [S], f: &(impl Fn(usize, &mut S) + Sync)) {
     let len = states.len();
@@ -205,26 +196,6 @@ pub fn par_zip_apply<A: Send, B: Sync>(
         return;
     }
     pool::zip_apply_chunked(threads, a, b, f);
-}
-
-/// Applies `f(index, &mut a[i], &mut b[i])` in parallel over two
-/// equal-length slices — the *deliver* phase's shape (each worker takes
-/// node `i`'s inbox slot and mutates node `i`'s state, and nothing else).
-pub fn par_zip_apply_mut<A: Send, B: Send>(
-    a: &mut [A],
-    b: &mut [B],
-    f: &(impl Fn(usize, &mut A, &mut B) + Sync),
-) {
-    assert_eq!(a.len(), b.len(), "zipped slices must match");
-    let len = a.len();
-    let threads = available_threads();
-    if threads == 1 || len <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    pool::zip_apply_mut_chunked(threads, a, b, f);
 }
 
 /// Folds `f(i, &mut acc)` over `0..len` with a chunk-local accumulator
@@ -261,87 +232,17 @@ pub fn par_for_reduce<R: Copy + Send + Sync>(
         .expect("threads >= 2")
 }
 
-/// [`par_for_reduce`] fused with a mutable pass over `items` (each index
-/// may write only its own element) — the replay pass's shape: stage node
-/// `i`'s inbound message into its inbox slot while reducing the deviation
-/// check and word count. Same determinism contract as
-/// [`par_for_reduce`].
-pub fn par_apply_reduce<A: Send, R: Copy + Send + Sync>(
-    items: &mut [A],
-    init: R,
-    f: &(impl Fn(usize, &mut A, &mut R) + Sync),
-    fold: impl Fn(R, R) -> R,
-) -> R {
-    let len = items.len();
-    let threads = available_threads();
-    if threads == 1 || len <= 1 {
-        let mut acc = init;
-        for (i, x) in items.iter_mut().enumerate() {
-            f(i, x, &mut acc);
-        }
-        return acc;
-    }
-    let mut out = [init; MAX_THREADS];
-    pool::apply_reduce_chunked(threads, items, init, f, &mut out[..threads]);
-    out[..threads]
-        .iter()
-        .copied()
-        .reduce(fold)
-        .expect("threads >= 2")
-}
-
-/// [`par_apply_reduce`] over an element slice plus a **lane-strided**
-/// companion buffer: element `i` owns `lanes[i*stride..(i+1)*stride]`,
-/// and `f` receives both mutably along with the chunk-local accumulator.
-/// The shape of the lane-batched staging/delivery passes: each receiver
-/// writes its own lane window and nothing else. Same determinism
-/// contract as [`par_for_reduce`].
-pub fn par_lane_reduce<A: Send, V: Send, R: Copy + Send + Sync>(
-    a: &mut [A],
-    stride: usize,
-    lanes: &mut [V],
-    init: R,
-    f: &(impl Fn(usize, &mut A, &mut [V], &mut R) + Sync),
-    fold: impl Fn(R, R) -> R,
-) -> R {
-    let len = a.len();
-    assert_eq!(lanes.len(), len * stride, "lane buffer must be len*stride");
-    let threads = available_threads();
-    if threads == 1 || len <= 1 {
-        let mut acc = init;
-        for (i, (x, w)) in a.iter_mut().zip(lanes.chunks_exact_mut(stride)).enumerate() {
-            f(i, x, w, &mut acc);
-        }
-        return acc;
-    }
-    let mut out = [init; MAX_THREADS];
-    pool::zip_strided_reduce_chunked(threads, a, stride, lanes, init, f, &mut out[..threads]);
-    out[..threads]
-        .iter()
-        .copied()
-        .reduce(fold)
-        .expect("threads >= 2")
-}
-
-/// [`par_lane_reduce`] without the accumulator — the lane *delivery*
-/// phase's shape (each worker folds node `i`'s lane window into node
-/// `i`'s state, and nothing else).
-pub fn par_lane_apply<A: Send, V: Send>(
-    a: &mut [A],
-    stride: usize,
-    lanes: &mut [V],
-    f: &(impl Fn(usize, &mut A, &mut [V]) + Sync),
-) {
-    par_lane_reduce(a, stride, lanes, (), &|i, x, w, _| f(i, x, w), |_, _| ());
-}
-
-/// [`par_lane_reduce`] with an explicit slot → element-range partition
-/// instead of the uniform chunking: slot `k` owns
-/// `a[bounds[k]..bounds[k+1]]` (and the stride-scaled window of
-/// `lanes`). The machine passes shard-aligned bounds so each dispatch
+/// Folds `f(i, &mut a[i], window_i, &mut acc)` over an element slice
+/// plus a **lane-strided** companion buffer (element `i` owns
+/// `lanes[i*stride..(i+1)*stride]`), with one chunk-local accumulator
+/// per dispatch slot: slot `k` owns `a[bounds[k]..bounds[k+1]]` and the
+/// stride-scaled window of `lanes`. The shape of the replay pass (each
+/// receiver stages its own window while reducing the deviation check and
+/// word count). The machine passes shard-aligned bounds so each dispatch
 /// slot touches whole shards — see `ShardMap::slot_bounds_into`. Bounds
-/// ascend, so the slot-order fold is still a fold in ascending node
-/// order: bit-identical to the sequential loop at any slot count.
+/// ascend, so the slot-order fold is a fold in ascending node order:
+/// with an associative, commutative `fold` whose `init` is an identity,
+/// bit-identical to the sequential loop at any slot count.
 pub(crate) fn par_lane_reduce_bounds<A: Send, V: Send, R: Copy + Send + Sync>(
     bounds: &[usize],
     a: &mut [A],
@@ -520,17 +421,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_slice_runs_sequentially_and_correctly() {
-        let mut v: Vec<u64> = (0..100).collect();
-        par_apply(&mut v, |i, s| *s += i as u64);
-        assert!(v.iter().enumerate().all(|(i, &s)| s == 2 * i as u64));
-    }
-
-    #[test]
     fn large_slice_matches_sequential_result() {
         let mut par: Vec<u64> = (0..(PAR_THRESHOLD * 3 + 17) as u64).collect();
         let mut seq = par.clone();
-        par_apply(&mut par, |i, s| {
+        par_apply_forced(&mut par, &|i, s| {
             *s = s.wrapping_mul(31).wrapping_add(i as u64)
         });
         for (i, s) in seq.iter_mut().enumerate() {
@@ -542,7 +436,7 @@ mod tests {
     #[test]
     fn indices_are_global_not_per_chunk() {
         let mut v = vec![0usize; PAR_THRESHOLD * 2];
-        par_apply(&mut v, |i, s| *s = i);
+        par_apply_forced(&mut v, &|i, s| *s = i);
         assert!(v.iter().enumerate().all(|(i, &s)| s == i));
     }
 
@@ -579,24 +473,6 @@ mod tests {
         let mut dst = vec![0u64; n];
         par_zip_apply(&mut dst, &src, &|i, d, s| *d = s * 2 + i as u64);
         assert!(dst.iter().enumerate().all(|(i, &d)| d == 3 * i as u64));
-    }
-
-    #[test]
-    fn zip_apply_mut_moves_values_out_of_companion() {
-        let n = PAR_THRESHOLD + 3;
-        let mut inbox: Vec<Option<u64>> =
-            (0..n as u64).map(|i| (i % 3 == 0).then_some(i)).collect();
-        let mut states = vec![0u64; n];
-        par_zip_apply_mut(&mut states, &mut inbox, &|_, s, slot| {
-            if let Some(v) = slot.take() {
-                *s = v + 1;
-            }
-        });
-        for (i, &s) in states.iter().enumerate() {
-            let expect = if i % 3 == 0 { i as u64 + 1 } else { 0 };
-            assert_eq!(s, expect);
-        }
-        assert!(inbox.iter().all(|slot| slot.is_none()));
     }
 
     #[test]
@@ -638,26 +514,6 @@ mod tests {
             );
             assert_eq!(got, Some(731), "at {workers} workers");
         }
-        set_worker_threads(0);
-    }
-
-    #[test]
-    fn apply_reduce_mutates_and_reduces() {
-        let _guard = test_override_guard();
-        set_worker_threads(4);
-        let n = PAR_THRESHOLD + 5;
-        let mut v = vec![0u64; n];
-        let sum = par_apply_reduce(
-            &mut v,
-            0u64,
-            &|i, s, acc| {
-                *s = i as u64 * 2;
-                *acc += *s;
-            },
-            |a, b| a + b,
-        );
-        assert_eq!(sum, (0..n as u64).map(|i| i * 2).sum::<u64>());
-        assert!(v.iter().enumerate().all(|(i, &s)| s == i as u64 * 2));
         set_worker_threads(0);
     }
 

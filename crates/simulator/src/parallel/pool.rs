@@ -470,133 +470,18 @@ pub(super) fn for_reduce_chunked<R: Copy + Send + Sync>(
     });
 }
 
-/// Pool-backed form of [`super::par_apply_reduce`]: chunked `&mut`
-/// iteration (the replay pass writes each node's inbox slot) fused with
-/// the per-slot accumulator of [`for_reduce_chunked`].
-pub(super) fn apply_reduce_chunked<A: Send, R: Copy + Send + Sync>(
-    slots: usize,
-    items: &mut [A],
-    init: R,
-    f: &(impl Fn(usize, &mut A, &mut R) + Sync),
-    out: &mut [R],
-) {
-    debug_assert_eq!(out.len(), slots);
-    let len = items.len();
-    let chunk = len.div_ceil(slots);
-    let base = SendPtr(items.as_mut_ptr());
-    let out_base = SendPtr(out.as_mut_ptr());
-    fork_join(slots, &|slot| {
-        let range = slot_range(slot, chunk, len);
-        let mut acc = init;
-        if !range.is_empty() {
-            let start = range.start;
-            // SAFETY: disjoint item ranges + fork-join barrier, as in
-            // `apply_chunked`.
-            let part =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(start), range.len()) };
-            for (i, x) in part.iter_mut().enumerate() {
-                f(start + i, x, &mut acc);
-            }
-        }
-        // SAFETY: slot-private `out` cell, as in `for_reduce_chunked`.
-        unsafe {
-            *out_base.get().add(slot) = acc;
-        }
-    });
-}
-
-/// Pool-backed form of [`super::par_lane_reduce`]: chunked `&mut`
+/// Pool-backed form of [`super::par_lane_reduce_bounds`]: chunked `&mut`
 /// iteration over `a` fused with the matching **stride-scaled** chunk of
 /// the lane buffer `v` (`v[i*stride..(i+1)*stride]` belongs to element
-/// `i`) and a per-slot accumulator. Slot `k` owns `a[k·chunk, (k+1)·chunk)`
-/// and `v[k·chunk·stride, (k+1)·chunk·stride)` — the same partition
-/// arithmetic as the other chunked entry points, scaled by the stride, so
-/// the element → lane-window mapping is fixed and disjoint.
-pub(super) fn zip_strided_reduce_chunked<A: Send, V: Send, R: Copy + Send + Sync>(
-    slots: usize,
-    a: &mut [A],
-    stride: usize,
-    v: &mut [V],
-    init: R,
-    f: &(impl Fn(usize, &mut A, &mut [V], &mut R) + Sync),
-    out: &mut [R],
-) {
-    debug_assert_eq!(out.len(), slots);
-    let len = a.len();
-    debug_assert_eq!(v.len(), len * stride);
-    let chunk = len.div_ceil(slots);
-    let base_a = SendPtr(a.as_mut_ptr());
-    let base_v = SendPtr(v.as_mut_ptr());
-    let out_base = SendPtr(out.as_mut_ptr());
-    fork_join(slots, &|slot| {
-        let range = slot_range(slot, chunk, len);
-        let mut acc = init;
-        if !range.is_empty() {
-            let start = range.start;
-            // SAFETY: disjoint element ranges of `a`, and the identical
-            // ranges of `v` scaled by `stride` (still disjoint), plus the
-            // fork-join barrier, as in `apply_reduce_chunked`.
-            let (pa, pv) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut(base_a.get().add(start), range.len()),
-                    std::slice::from_raw_parts_mut(
-                        base_v.get().add(start * stride),
-                        range.len() * stride,
-                    ),
-                )
-            };
-            for (i, (x, lanes)) in pa.iter_mut().zip(pv.chunks_exact_mut(stride)).enumerate() {
-                f(start + i, x, lanes, &mut acc);
-            }
-        }
-        // SAFETY: slot-private `out` cell, as in `for_reduce_chunked`.
-        unsafe {
-            *out_base.get().add(slot) = acc;
-        }
-    });
-}
-
-/// Pool-backed form of [`super::par_zip_apply_mut`]: both slices mutable.
-pub(super) fn zip_apply_mut_chunked<A: Send, B: Send>(
-    slots: usize,
-    a: &mut [A],
-    b: &mut [B],
-    f: &(impl Fn(usize, &mut A, &mut B) + Sync),
-) {
-    let len = a.len();
-    debug_assert_eq!(len, b.len());
-    let chunk = len.div_ceil(slots);
-    let base_a = SendPtr(a.as_mut_ptr());
-    let base_b = SendPtr(b.as_mut_ptr());
-    fork_join(slots, &|slot| {
-        let range = slot_range(slot, chunk, len);
-        if range.is_empty() {
-            return;
-        }
-        let start = range.start;
-        // SAFETY: disjoint ranges of both slices + fork-join barrier.
-        let (pa, pb) = unsafe {
-            (
-                std::slice::from_raw_parts_mut(base_a.get().add(start), range.len()),
-                std::slice::from_raw_parts_mut(base_b.get().add(start), range.len()),
-            )
-        };
-        for (i, (x, y)) in pa.iter_mut().zip(pb.iter_mut()).enumerate() {
-            f(start + i, x, y);
-        }
-    });
-}
-
-/// Bounds-based form of [`zip_strided_reduce_chunked`]: instead of the
-/// uniform `len.div_ceil(slots)` split, slot `k` owns the element range
-/// `bounds[k]..bounds[k+1]` (strictly ascending, `bounds[0] == 0`, last
-/// entry `== a.len()`), with the companion buffer `v` scaled by `stride`
-/// as before. The machine builds the bounds from its shard map so every
+/// `i`) and a per-slot accumulator deposited at `out[slot]`. Slot `k`
+/// owns the element range `bounds[k]..bounds[k+1]` (ascending,
+/// `bounds[0] == 0`, last entry `== a.len()`) and its stride-scaled image
+/// in `v`. The machine builds the bounds from its shard map so every
 /// dispatch slot owns whole shards — the same worker touches the same
 /// contiguous state/inbox slices cycle after cycle (stable affinity,
-/// first-touch allocation), and the slot-order fold of `out` remains a
-/// fold in ascending node order, preserving the determinism contract of
-/// the chunked form at any slot count.
+/// first-touch allocation), and the slot-order fold of `out` is a fold
+/// in ascending node order, so the result is the sequential loop's at
+/// any slot count.
 pub(super) fn zip_strided_reduce_bounds<A: Send, V: Send, R: Copy + Send + Sync>(
     bounds: &[usize],
     a: &mut [A],

@@ -217,8 +217,9 @@ fn zero_one_principle_exhaustive_d3_sampled_dense() {
 }
 
 /// The README's payload-lanes example, kept honest: 16 lanes through
-/// `batched_d_prefix` are bit-identical to 16 single runs, share one
-/// schedule's step counts, and charge `K × messages` words.
+/// `batched_d_prefix` are bit-identical to 16 single runs and to the
+/// sequential reference, share one schedule's step counts, and charge
+/// `K × messages` words.
 #[test]
 fn readme_payload_lanes_example() {
     use dc_core::prefix::dualcube::batched_d_prefix;
@@ -237,6 +238,7 @@ fn readme_payload_lanes_example() {
             Recording::Off,
         );
         assert_eq!(lane, &single.prefixes);
+        assert_eq!(lane, &sequential_prefix(input, PrefixKind::Inclusive));
     }
     assert_eq!(batch.metrics.comm_steps, 7);
     assert_eq!(batch.metrics.message_words, 16 * batch.metrics.messages);

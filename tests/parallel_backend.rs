@@ -13,7 +13,7 @@
 
 use dc_core::ops::{Concat, Sum};
 use dc_core::prefix::dualcube::{batched_d_prefix_reusing, d_prefix, Step5Mode};
-use dc_core::prefix::PrefixKind;
+use dc_core::prefix::{sequential_prefix, PrefixKind};
 use dc_core::run::Recording;
 use dc_core::sort::dualcube::{batched_d_sort_reusing, d_sort};
 use dc_core::sort::SortOrder;
@@ -21,6 +21,9 @@ use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, ScheduleBank
 use dc_topology::{DualCube, RecDualCube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+mod support;
+use support::sort_network_model;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
@@ -173,6 +176,15 @@ fn batched_backends_agree(n: u32) {
             })
             .collect::<Vec<_>>()
     });
+    let oracles: Vec<(Vec<Sum>, Vec<i64>)> = raw
+        .iter()
+        .map(|lane| {
+            (
+                sequential_prefix(&sums(lane), PrefixKind::Inclusive),
+                sort_network_model(lane, n, SortOrder::Ascending.tag()),
+            )
+        })
+        .collect();
     for lanes in [1usize, 3, 16] {
         let inputs: Vec<Vec<Sum>> = raw[..lanes].iter().map(|l| sums(l)).collect();
         let keys = &raw[..lanes];
@@ -202,6 +214,13 @@ fn batched_backends_agree(n: u32) {
         for (k, (prefixes, sorted)) in single[..lanes].iter().enumerate() {
             assert_eq!(&seq.0[k], prefixes, "prefix lane {k} of {lanes}");
             assert_eq!(&seq.2[k], sorted, "sort lane {k} of {lanes}");
+        }
+        for (k, (prefixes, sorted)) in oracles[..lanes].iter().enumerate() {
+            assert_eq!(&seq.0[k], prefixes, "prefix lane {k} of {lanes} vs oracle");
+            assert_eq!(
+                &seq.2[k], sorted,
+                "sort lane {k} of {lanes} vs network model"
+            );
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use dc_core::ops::Sum;
 use dc_core::prefix::dualcube::{batched_d_prefix_reusing, d_prefix, Step5Mode};
-use dc_core::prefix::PrefixKind;
+use dc_core::prefix::{sequential_prefix, PrefixKind};
 use dc_core::run::Recording;
 use dc_core::sort::dualcube::{batched_d_sort_reusing, d_sort};
 use dc_core::sort::SortOrder;
@@ -27,6 +27,9 @@ use dc_simulator::{
 use dc_topology::{DualCube, Hypercube, RecDualCube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+mod support;
+use support::sort_network_model;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
@@ -275,8 +278,10 @@ fn paper_algorithms_agree_replay_on_vs_off() {
 /// `batched_d_sort_reusing`, at K ∈ {1, 3, 16}: sequential and threaded
 /// (4 pinned workers), replay on and off, each on a cold bank and then
 /// the same bank warm. Every lane must equal a single-lane run on its
-/// input; the scrubbed metrics must agree across all configurations and
-/// equal a single run's, with `message_words` scaled by K.
+/// input and an oracle that does not run on the machine
+/// (`sequential_prefix`, and the plain-array model of Algorithm 3's
+/// network); the scrubbed metrics must agree across all configurations
+/// and equal a single run's, with `message_words` scaled by K.
 #[test]
 fn batched_paper_algorithms_agree_replay_on_vs_off() {
     batched_agree_replay_on_vs_off(3, [ExecMode::Sequential, FORCE_PARALLEL]);
@@ -308,6 +313,15 @@ fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
             })
             .collect::<Vec<_>>()
     });
+    let oracles: Vec<(Vec<Sum>, Vec<i64>)> = raw
+        .iter()
+        .map(|lane| {
+            (
+                sequential_prefix(&sums(lane), PrefixKind::Inclusive),
+                sort_network_model(lane, rec.n(), SortOrder::Ascending.tag()),
+            )
+        })
+        .collect();
     for lanes in [1usize, 3, 16] {
         let inputs: Vec<Vec<Sum>> = raw[..lanes].iter().map(|l| sums(l)).collect();
         let keys = &raw[..lanes];
@@ -348,6 +362,16 @@ fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
                         assert_eq!(
                             &s.outputs[k], sorted,
                             "sort lane {k} of {lanes} ({exec:?}, replay={replay})"
+                        );
+                    }
+                    for (k, (prefixes, sorted)) in oracles[..lanes].iter().enumerate() {
+                        assert_eq!(
+                            &p.prefixes[k], prefixes,
+                            "prefix lane {k} of {lanes} vs oracle ({exec:?}, replay={replay})"
+                        );
+                        assert_eq!(
+                            &s.outputs[k], sorted,
+                            "sort lane {k} of {lanes} vs network model ({exec:?}, replay={replay})"
                         );
                     }
                     let metrics = (scrubbed(p.metrics), scrubbed(s.metrics));

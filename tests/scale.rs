@@ -15,6 +15,24 @@ use dc_core::sort::SortOrder;
 use dc_core::theory;
 use dc_simulator::{with_default_exec, ExecMode};
 use dc_topology::{DualCube, RecDualCube, Topology};
+use std::sync::{Mutex, MutexGuard};
+
+/// libtest runs a binary's tests on parallel threads, but the memory
+/// ceilings read the process-wide `VmHWM`: every test here holds this
+/// lock for its whole run, so a ceiling test never sees a neighbour's
+/// footprint.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Resets the process's peak resident set (`VmHWM`) to its current
+/// resident set, so a later [`vm_hwm_kb`] reports the peak of what ran
+/// in between (Linux `clear_refs` code 5; a no-op without procfs).
+fn reset_vm_hwm() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
 
 /// The process's peak resident set (`VmHWM`) in KiB, from
 /// `/proc/self/status`; 0 where procfs is unavailable (non-Linux).
@@ -33,6 +51,7 @@ fn vm_hwm_kb() -> u64 {
 
 #[test]
 fn prefix_on_eight_thousand_nodes() {
+    let _serial = serial();
     let n = 7; // 8192 nodes
     let d = DualCube::new(n);
     let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
@@ -50,6 +69,7 @@ fn prefix_on_eight_thousand_nodes() {
 
 #[test]
 fn sort_on_two_thousand_nodes() {
+    let _serial = serial();
     let n = 6; // 2048 nodes
     let rec = RecDualCube::new(n);
     let keys: Vec<u64> = (0..rec.num_nodes() as u64)
@@ -62,6 +82,7 @@ fn sort_on_two_thousand_nodes() {
 
 #[test]
 fn collectives_on_eight_thousand_nodes() {
+    let _serial = serial();
     let d = DualCube::new(7);
     let b = broadcast(&d, 4321, 7u8);
     assert!(b.values.iter().all(|&v| v == 7));
@@ -76,6 +97,7 @@ fn collectives_on_eight_thousand_nodes() {
 #[test]
 #[ignore = "large; run with --release -- --ignored"]
 fn prefix_on_the_headline_machine_d8() {
+    let _serial = serial();
     let n = 8;
     let d = DualCube::new(n);
     assert_eq!(d.num_nodes(), 32_768);
@@ -98,6 +120,7 @@ fn prefix_on_the_headline_machine_d8() {
 #[test]
 #[ignore = "large; run with --release -- --ignored"]
 fn sort_on_the_headline_machine_d8() {
+    let _serial = serial();
     let n = 8;
     let rec = RecDualCube::new(n);
     let keys: Vec<u64> = (0..rec.num_nodes() as u64)
@@ -109,10 +132,11 @@ fn sort_on_the_headline_machine_d8() {
     assert_eq!(run.metrics.comp_steps, theory::sort_comp_exact(n)); // 120
 }
 
-/// The README "Scaling up" snippet, verbatim — if this drifts from
-/// README.md, update both.
+/// The README "Scaling up" snippet, verbatim after the file's lock — if
+/// this drifts from README.md, update both.
 #[test]
 fn readme_scaling_up_example() {
+    let _serial = serial();
     let rec = RecDualCube::new(6); // 2^11 = 2048 nodes;
     let keys: Vec<u64> = (0..rec.num_nodes() as u64).rev().collect();
     let run = with_default_exec(ExecMode::parallel(), || {
@@ -126,10 +150,11 @@ fn readme_scaling_up_example() {
 /// The scale acceptance run of the dense-layout PR: a full `D_10`
 /// `d_sort` (524 288 keys, 5 532 communication steps) on the threaded
 /// backend, completing within a 1 GiB peak-RSS ceiling. The dominant
-/// residents are the key states, the split-inbox scratch (payload
-/// slab plus `u32` source array), and the compiled-schedule cache (one packed
-/// `u32` per node per key) — see the bytes/node table in DESIGN.md §11
-/// and the measured VmHWM in EXPERIMENTS.md §E27. The 1 GiB assert
+/// residents are Algorithm 3's four key slabs, the cycle scratch (plan
+/// slab plus `u32` sender and claim tables), and the compiled-schedule
+/// cache (one packed `u32` per node per key) — see the bytes/node tables
+/// in DESIGN.md §11 and the measured VmHWM in EXPERIMENTS.md §E27 and
+/// §E32. The 1 GiB assert
 /// leaves headroom for allocator and pool variance without masking a
 /// layout regression, which would cost a ×4–×8 multiple.
 ///
@@ -137,6 +162,8 @@ fn readme_scaling_up_example() {
 #[test]
 #[ignore = "D_10 scale (524k nodes, minutes in debug); run with --release -- --ignored"]
 fn d10_sort_within_memory_ceiling() {
+    let _serial = serial();
+    reset_vm_hwm();
     let rec = RecDualCube::new(10);
     let n = rec.num_nodes();
     assert_eq!(n, 524_288);
@@ -164,7 +191,7 @@ fn d10_sort_within_memory_ceiling() {
 /// The scale acceptance run of the sharded-engine PR: a full `D_11`
 /// `d_sort` (2 097 152 keys) on the threaded sharded backend within a
 /// 2 GiB peak-RSS ceiling. The per-node residents are the same as the
-/// `D_10` run above — key states, split-inbox scratch, compiled-schedule
+/// `D_10` run above — key slabs, cycle scratch, compiled-schedule
 /// cache — plus the shard exchange bins, which must stay `O(seam)` per
 /// shard pair rather than `O(n)`; a bins regression (or any layout
 /// regression) would blow straight through the ceiling at this size.
@@ -174,6 +201,8 @@ fn d10_sort_within_memory_ceiling() {
 #[test]
 #[ignore = "D_11 scale (2M nodes, ~a minute in release); run with --release -- --ignored"]
 fn d11_sort_within_memory_ceiling() {
+    let _serial = serial();
+    reset_vm_hwm();
     let rec = RecDualCube::new(11);
     let n = rec.num_nodes();
     assert_eq!(n, 2_097_152);
