@@ -28,6 +28,7 @@
 //! Dimension 0 (the cross-edge, present everywhere) costs a single cycle.
 
 use crate::ops::Monoid;
+use crate::run::{lane_slab_into, refill};
 use dc_simulator::{Machine, ScheduleKey};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
 
@@ -178,8 +179,15 @@ pub fn exchange_dim_sized<V: Clone + Send + Sync + 'static>(
 /// keep every cycle's sources and destinations apart: hop 0 fills
 /// `fwd_a`, hop 1 moves `values → partner` and `fwd_a → fwd_b`, hop 2
 /// moves `fwd_b → partner`.
+///
+/// Algorithm 3 runs on one set
+/// ([`SortSlabs`](crate::sort::dualcube::SortSlabs)), which a caller
+/// can keep from batch to batch. A set starts empty; every run reloads
+/// the value slab and refills the other three the way a fresh set
+/// starts, so a reused set carries nothing from one run to the next but
+/// the capacity of the largest batch it has run.
 #[derive(Debug, Clone)]
-pub(crate) struct EmuSlabs<V> {
+pub struct EmuSlabs<V> {
     lanes: usize,
     /// The current values: lane `k` of row `r` belongs to instance `k`.
     pub(crate) values: Vec<V>,
@@ -188,24 +196,44 @@ pub(crate) struct EmuSlabs<V> {
     fwd_b: Vec<V>,
 }
 
+impl<V> Default for EmuSlabs<V> {
+    fn default() -> Self {
+        EmuSlabs {
+            lanes: 0,
+            values: Vec::new(),
+            partner: Vec::new(),
+            fwd_a: Vec::new(),
+            fwd_b: Vec::new(),
+        }
+    }
+}
+
 impl<V: Clone> EmuSlabs<V> {
-    /// Wraps an `n × lanes` value slab (row `r` = recursive node `r`).
+    /// Loads the value slab with the `K = inputs.len()` instances, lane
+    /// `k` of row `r` holding `inputs[k][r]`.
+    pub(crate) fn load(&mut self, inputs: &[impl AsRef<[V]>]) {
+        self.lanes = inputs.len();
+        lane_slab_into(&mut self.values, inputs, |r| r, V::clone);
+    }
+
+    /// Sizes the partner and forward slabs to the value slab, each
+    /// filled with its first value: a placeholder every live receiver
+    /// overwrites before it is read, and the row a dropped message
+    /// leaves behind.
     ///
     /// # Panics
     ///
-    /// If `lanes == 0` or the slab is empty or not a whole number of rows.
-    pub(crate) fn new(lanes: usize, values: Vec<V>) -> Self {
+    /// If the lane count is 0 or the value slab is empty or not a whole
+    /// number of rows.
+    pub(crate) fn reset(&mut self) {
+        let (lanes, len) = (self.lanes, self.values.len());
         assert!(
-            lanes > 0 && !values.is_empty() && values.len().is_multiple_of(lanes),
+            lanes > 0 && len > 0 && len.is_multiple_of(lanes),
             "need a non-empty slab of whole {lanes}-lane rows"
         );
-        let spare = vec![values[0].clone(); values.len()];
-        EmuSlabs {
-            lanes,
-            partner: spare.clone(),
-            fwd_a: spare.clone(),
-            fwd_b: spare,
-            values,
+        let seed = &self.values[0];
+        for spare in [&mut self.partner, &mut self.fwd_a, &mut self.fwd_b] {
+            refill(spare, len, seed.clone());
         }
     }
 }
@@ -566,8 +594,12 @@ mod tests {
         for n in 1..=3u32 {
             let rec = RecDualCube::new(n);
             for j in 0..rec.dims() {
-                let values = (0..rec.num_nodes() * lanes).collect::<Vec<_>>();
-                let mut slabs = EmuSlabs::new(lanes, values);
+                let inputs: Vec<Vec<usize>> = (0..lanes)
+                    .map(|k| (0..rec.num_nodes()).map(|r| r * lanes + k).collect())
+                    .collect();
+                let mut slabs = EmuSlabs::default();
+                slabs.load(&inputs);
+                slabs.reset();
                 let mut m = Machine::new(&rec, vec![(); rec.num_nodes()]);
                 exchange_dim_rows(&mut m, &mut slabs, j, |_, own, other| {
                     own.clone_from_slice(other)
@@ -595,7 +627,9 @@ mod tests {
             exchange_dim(&mut m, 2, |_, _, &p| p);
             m.into_parts().1
         };
-        let mut slabs = EmuSlabs::new(lanes, vec![0usize; rec.num_nodes() * lanes]);
+        let mut slabs = EmuSlabs::default();
+        slabs.load(&vec![vec![0usize; rec.num_nodes()]; lanes]);
+        slabs.reset();
         let mut m = Machine::new(&rec, vec![(); rec.num_nodes()]);
         exchange_dim_rows(&mut m, &mut slabs, 2, |_, own, other| {
             own.clone_from_slice(other)

@@ -56,6 +56,20 @@ impl Monoid for Sum {
 }
 impl Commutative for Sum {}
 
+/// Lets plain `i64` lanes feed a [`Sum`] prefix in place (see
+/// [`batched_d_prefix_in_place`](crate::prefix::dualcube::batched_d_prefix_in_place)).
+impl From<i64> for Sum {
+    fn from(x: i64) -> Self {
+        Sum(x)
+    }
+}
+
+impl From<Sum> for i64 {
+    fn from(s: Sum) -> Self {
+        s.0
+    }
+}
+
 /// Maximum under the natural order of `i64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Max(pub i64);

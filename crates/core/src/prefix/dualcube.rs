@@ -40,15 +40,19 @@
 //! (`t`, `s`, `t′`, `s′`, and a landing buffer) is one `n × K` slab whose
 //! row `u` holds node `u`'s K lanes, every exchange moves rows along the
 //! step's matching ([`dc_simulator::Comm::rows`]), and every fold runs
-//! over rows ([`Machine::compute_rows`]). [`d_prefix`] is the body's
-//! one-lane call and [`batched_d_prefix_reusing`] its K-lane call; the
-//! Figure 3 panels come from an observer the body calls at each step
-//! boundary.
+//! over rows ([`Machine::compute_rows`]). The slabs form one
+//! [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
+//! run the body on a fresh set (one lane and K lanes), and
+//! [`batched_d_prefix_in_place`] on a set its caller keeps from batch to
+//! batch. The Figure 3 panels come from an observer the body calls at
+//! each step boundary.
 
 use crate::ops::Monoid;
 use crate::prefix::hypercube::ascend_rows;
 use crate::prefix::PrefixKind;
-use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
+use crate::run::{
+    lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, Recording,
+};
 use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey};
 use dc_topology::{bits::bit, Class, DualCube, Topology};
 
@@ -141,9 +145,11 @@ pub fn d_prefix<M: Monoid>(
         machine.enable_trace();
     }
     let mut phases = Vec::new();
-    let s = d_prefix_body(
+    let mut slabs = PrefixSlabs::default();
+    slabs.load(d, &[input], M::clone);
+    d_prefix_body(
         &mut machine,
-        &[input],
+        &mut slabs,
         kind,
         step5,
         &mut |label, [t, s, t2, s2]| {
@@ -171,8 +177,8 @@ pub fn d_prefix<M: Monoid>(
         .map(|(_, msgs)| msgs.clone())
         .collect();
     DPrefixRun {
-        prefixes: (0..s.len())
-            .map(|i| s[d.from_linear_index(i)].clone())
+        prefixes: (0..input.len())
+            .map(|i| slabs.s[d.from_linear_index(i)].clone())
             .collect(),
         metrics: machine.into_parts().1,
         phases,
@@ -221,8 +227,9 @@ pub fn batched_d_prefix<M: Monoid>(
 /// request; because compiled schedules are destination-only, a bank
 /// warmed at one lane count serves any other. Results are bit-identical
 /// to [`batched_d_prefix`]; only `schedule_misses` and wall-clock
-/// differ. A call allocates a fixed number of buffers (the five slabs
-/// and the K outputs), whatever the machine size.
+/// differ. A call allocates a fixed number of buffers (a fresh
+/// [`PrefixSlabs`] set and the K outputs), whatever the machine size;
+/// [`batched_d_prefix_in_place`] allocates neither.
 pub fn batched_d_prefix_reusing<M: Monoid>(
     d: &DualCube,
     inputs: &[Vec<M>],
@@ -231,24 +238,130 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     exec: ExecMode,
     bank: &mut ScheduleBank,
 ) -> BatchedDPrefixRun<M> {
-    let lanes = inputs.len();
-    assert!(lanes > 0, "a batched prefix needs at least one instance");
-    for (k, input) in inputs.iter().enumerate() {
-        assert_eq!(
-            input.len(),
-            d.num_nodes(),
-            "instance {k}: need one input value per node of {}",
-            d.name()
-        );
-    }
-    let mut machine = Machine::with_exec(d, vec![(); d.num_nodes()], exec);
-    machine.adopt_schedules(bank);
-    let s = d_prefix_body(&mut machine, inputs, kind, step5, &mut |_, _| {});
-    machine.donate_schedules(bank);
+    let mut slabs = PrefixSlabs::default();
+    slabs.load(d, inputs, M::clone);
+    let metrics = run_batch(d, &mut slabs, kind, step5, exec, bank);
     BatchedDPrefixRun {
         // Data index i lives on node lin⁻¹(i).
-        prefixes: lane_outputs(&s, lanes, |i| d.from_linear_index(i)),
-        metrics: machine.into_parts().1,
+        prefixes: lane_outputs(&slabs.s, inputs.len(), |i| d.from_linear_index(i)),
+        metrics,
+    }
+}
+
+/// [`batched_d_prefix_reusing`] in place, on a slab set the caller keeps:
+/// lane `k`'s input is `lanes[k]` (data-index order), and on return
+/// `lanes[k]` holds that instance's prefixes. Values enter the slabs
+/// through `M::from` and leave through `Into<X>` inside the two
+/// transposes, so `i64` lanes run a [`Sum`](crate::ops::Sum) prefix with
+/// no separate conversion pass. Results and [`Metrics`] equal
+/// [`batched_d_prefix_reusing`]'s on the same inputs.
+///
+/// A warm call — a bank that has seen the shape, a set that has run a
+/// batch at least as large — allocates no buffer that grows with the
+/// lanes: the machine's per-node sender table is the one buffer sized by
+/// the machine that it still allocates.
+///
+/// ```
+/// use dc_core::ops::Sum;
+/// use dc_core::prefix::dualcube::{batched_d_prefix_in_place, PrefixSlabs, Step5Mode};
+/// use dc_core::prefix::PrefixKind;
+/// use dc_simulator::{ExecMode, ScheduleBank};
+/// use dc_topology::DualCube;
+///
+/// let d = DualCube::new(2); // 8 nodes
+/// let (mut bank, mut slabs) = (ScheduleBank::new(), PrefixSlabs::<Sum>::default());
+/// let mut lanes = vec![vec![1i64; 8], (1..=8).collect()];
+/// let metrics = batched_d_prefix_in_place(&d, &mut lanes, PrefixKind::Inclusive,
+///     Step5Mode::PaperFaithful, ExecMode::Sequential, &mut bank, &mut slabs);
+/// assert_eq!(lanes[0], (1..=8).collect::<Vec<i64>>());
+/// assert_eq!(lanes[1], [1, 3, 6, 10, 15, 21, 28, 36]);
+/// assert_eq!(metrics.comm_steps, 2 * 2 + 1); // Theorem 1, shared by both lanes
+/// ```
+pub fn batched_d_prefix_in_place<X: Clone, M: Monoid + From<X> + Into<X>>(
+    d: &DualCube,
+    lanes: &mut [Vec<X>],
+    kind: PrefixKind,
+    step5: Step5Mode,
+    exec: ExecMode,
+    bank: &mut ScheduleBank,
+    slabs: &mut PrefixSlabs<M>,
+) -> Metrics {
+    slabs.load(d, lanes, |x| M::from(x.clone()));
+    let metrics = run_batch(d, slabs, kind, step5, exec, bank);
+    lane_outputs_into(
+        &slabs.s,
+        lanes,
+        |i| d.from_linear_index(i),
+        |s| s.clone().into(),
+    );
+    metrics
+}
+
+/// Runs the body over a loaded set on a machine with backend `exec` that
+/// adopts `bank`'s schedules first and donates them back after.
+fn run_batch<M: Monoid>(
+    d: &DualCube,
+    slabs: &mut PrefixSlabs<M>,
+    kind: PrefixKind,
+    step5: Step5Mode,
+    exec: ExecMode,
+    bank: &mut ScheduleBank,
+) -> Metrics {
+    let mut machine = Machine::with_exec(d, vec![(); d.num_nodes()], exec);
+    machine.adopt_schedules(bank);
+    d_prefix_body(&mut machine, slabs, kind, step5, &mut |_, _| {});
+    machine.donate_schedules(bank);
+    machine.into_parts().1
+}
+
+/// Algorithm 2's lane slabs — `t`, `s`, `t′`, `s′` and the landing
+/// buffer `temp`, one `n × K` slab each, row `u` holding node `u`'s K
+/// lanes — as one set a caller can keep from batch to batch
+/// ([`batched_d_prefix_in_place`]). A set starts empty. Every run
+/// re-initialises every slab the way a fresh set starts, so a reused set
+/// gives a fresh call's answers, and keeps the capacity of the largest
+/// batch it has run.
+#[derive(Debug)]
+pub struct PrefixSlabs<M> {
+    lanes: usize,
+    t: Vec<M>,
+    s: Vec<M>,
+    t2: Vec<M>,
+    s2: Vec<M>,
+    temp: Vec<M>,
+}
+
+impl<M> Default for PrefixSlabs<M> {
+    fn default() -> Self {
+        PrefixSlabs {
+            lanes: 0,
+            t: Vec::new(),
+            s: Vec::new(),
+            t2: Vec::new(),
+            s2: Vec::new(),
+            temp: Vec::new(),
+        }
+    }
+}
+
+impl<M: Monoid> PrefixSlabs<M> {
+    /// Loads `t` with the `K = inputs.len()` instances, `convert`ing each
+    /// value: node `u` holds `c[lin(u)]` in every lane.
+    fn load<X>(&mut self, d: &DualCube, inputs: &[impl AsRef<[X]>], convert: impl Fn(&X) -> M) {
+        assert!(
+            !inputs.is_empty(),
+            "a batched prefix needs at least one instance"
+        );
+        for (k, input) in inputs.iter().enumerate() {
+            assert_eq!(
+                input.as_ref().len(),
+                d.num_nodes(),
+                "instance {k}: need one input value per node of {}",
+                d.name()
+            );
+        }
+        self.lanes = inputs.len();
+        lane_slab_into(&mut self.t, inputs, |u| d.linear_index(u), convert);
     }
 }
 
@@ -256,32 +369,43 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
 /// `[t, s, t′, s′]`.
 type Panel<'a, M> = [&'a [M]; 4];
 
-/// Algorithm 2 on `K = inputs.len()` lanes (the module docs' five
-/// steps), returning the final `s` slab. `observe` sees the panel before
-/// step 1 and after each step, labelled as Figure 3's panels (a)–(f).
+/// Algorithm 2 on the K lanes of a loaded set (the module docs' five
+/// steps), leaving the final prefixes in its `s` slab. `observe` sees
+/// the panel before step 1 and after each step, labelled as Figure 3's
+/// panels (a)–(f).
 fn d_prefix_body<M: Monoid>(
     machine: &mut Machine<'_, DualCube, ()>,
-    inputs: &[impl AsRef<[M]>],
+    slabs: &mut PrefixSlabs<M>,
     kind: PrefixKind,
     step5: Step5Mode,
     observe: &mut impl FnMut(&str, Panel<'_, M>),
-) -> Vec<M> {
-    let (d, lanes) = (machine.topology(), inputs.len());
-    // Node u holds c[lin(u)] in every lane.
-    let mut t = lane_slab(inputs, |u| d.linear_index(u));
-    let mut s = match kind {
-        PrefixKind::Inclusive => t.clone(),
-        PrefixKind::Diminished => vec![M::identity(); t.len()],
-    };
-    let mut t2 = vec![M::identity(); t.len()];
-    let mut s2 = vec![M::identity(); t.len()];
-    let mut temp = vec![M::identity(); t.len()];
+) {
+    let d = machine.topology();
+    let PrefixSlabs {
+        lanes,
+        t,
+        s,
+        t2,
+        s2,
+        temp,
+    } = slabs;
+    let (lanes, len) = (*lanes, t.len());
+    // The caller loaded t; every other slab starts as in a fresh set,
+    // whatever an earlier batch left in it (a dropped message leaves
+    // its receiver's row as it was).
+    match kind {
+        PrefixKind::Inclusive => s.clone_from(t),
+        PrefixKind::Diminished => refill(s, len, M::identity()),
+    }
+    for slab in [&mut *t2, &mut *s2, &mut *temp] {
+        refill(slab, len, M::identity());
+    }
     // Steps 1 and 3 sweep the cluster dimensions. Within a cluster, data
     // indices follow node ids, so Algorithm 1's "if u > ū_i" becomes
     // "bit i of the node id is set".
     let neighbor = |i| move |u| d.cluster_neighbor(u, i);
     let high = |i| move |u| bit(d.node_id(u), i);
-    observe("(a) original data distribution", [&t, &s, &t2, &s2]);
+    observe("(a) original data distribution", [t, s, t2, s2]);
 
     // Step 1: Cube_prefix inside every cluster (over c, requested kind).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
@@ -289,7 +413,7 @@ fn d_prefix_body<M: Monoid>(
         let slabs = [&mut t[..], &mut s[..], &mut temp[..]];
         ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
     }
-    observe("(b) prefix inside cluster (t, s)", [&t, &s, &t2, &s2]);
+    observe("(b) prefix inside cluster (t, s)", [t, s, t2, s2]);
 
     // Step 2: exchange cluster totals over the cross-edges, straight into
     // t′ (s′ starts at the identity). Step 4 replays the same pattern.
@@ -303,7 +427,7 @@ fn d_prefix_body<M: Monoid>(
         .pairwise()
         .keyed(ScheduleKey::Cross)
     });
-    observe("(c) exchange t via cross-edge", [&t, &s, &t2, &s2]);
+    observe("(c) exchange t via cross-edge", [t, s, t2, s2]);
 
     // Step 3: diminished Cube_prefix over the received totals (replaying
     // the schedules step 1 compiled).
@@ -312,7 +436,7 @@ fn d_prefix_body<M: Monoid>(
         let slabs = [&mut t2[..], &mut s2[..], &mut temp[..]];
         ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
     }
-    observe("(d) prefix inside cluster (t', s')", [&t, &s, &t2, &s2]);
+    observe("(d) prefix inside cluster (t', s')", [t, s, t2, s2]);
 
     // Step 4: exchange s′ and fold it in on the left everywhere.
     machine.begin_phase("step 4: exchange s' and combine");
@@ -330,7 +454,7 @@ fn d_prefix_body<M: Monoid>(
             *s = x.combine(s);
         }
     });
-    observe("(e) get s' and prefix one time", [&t, &s, &t2, &s2]);
+    observe("(e) get s' and prefix one time", [t, s, t2, s2]);
 
     // Step 5: class-1 nodes fold in the class-0 grand total (their own
     // t′). PaperFaithful additionally spends the cross-edge round the
@@ -356,8 +480,7 @@ fn d_prefix_body<M: Monoid>(
             }
         }
     });
-    observe("(f) final result", [&t, &s, &t2, &s2]);
-    s
+    observe("(f) final result", [t, s, t2, s2]);
 }
 
 #[cfg(test)]
@@ -634,6 +757,59 @@ mod tests {
             second.metrics.schedule_hits,
             first.metrics.schedule_hits + first.metrics.schedule_misses
         );
+    }
+
+    #[test]
+    fn reused_slab_set_gives_a_fresh_calls_answers() {
+        // One set carried through a wide, a narrow and a one-lane batch
+        // on two machine sizes, for both kinds and both step-5 modes.
+        // Concat is order-sensitive and its identity is empty, so a scan
+        // that starts from an earlier batch's rows (s′, or s in a
+        // diminished scan, not reset to the identity) shows.
+        let mut slabs = PrefixSlabs::<Concat>::default();
+        for kind in [PrefixKind::Inclusive, PrefixKind::Diminished] {
+            for step5 in [Step5Mode::PaperFaithful, Step5Mode::LocalFold] {
+                for (n, lanes) in [(4, 16), (3, 3), (4, 1)] {
+                    let d = DualCube::new(n);
+                    let inputs: Vec<Vec<Concat>> = (0..lanes)
+                        .map(|k| letters(d.num_nodes() + k).split_off(k))
+                        .collect();
+                    let fresh = batched_d_prefix_reusing(
+                        &d,
+                        &inputs,
+                        kind,
+                        step5,
+                        ExecMode::Sequential,
+                        &mut ScheduleBank::new(),
+                    );
+                    let mut values = inputs.clone();
+                    let metrics = batched_d_prefix_in_place(
+                        &d,
+                        &mut values,
+                        kind,
+                        step5,
+                        ExecMode::Sequential,
+                        &mut ScheduleBank::new(),
+                        &mut slabs,
+                    );
+                    let case = format!("{kind:?} {step5:?} n={n} K={lanes}");
+                    assert_eq!(metrics, fresh.metrics, "{case}");
+                    assert_eq!(
+                        batched_d_prefix(&d, &inputs, kind, step5).prefixes,
+                        fresh.prefixes,
+                        "{case}"
+                    );
+                    for (k, input) in inputs.iter().enumerate() {
+                        assert_eq!(values[k], fresh.prefixes[k], "{case} lane {k}");
+                        assert_eq!(
+                            values[k],
+                            sequential_prefix(input, kind),
+                            "{case} lane {k} vs reference"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -63,17 +63,38 @@ pub(crate) fn lane_slab<M: Clone>(
     inputs: &[impl AsRef<[M]>],
     index: impl Fn(usize) -> usize,
 ) -> Vec<M> {
-    let n = inputs[0].as_ref().len();
-    let mut slab = Vec::with_capacity(n * inputs.len());
-    for u in 0..n {
-        let i = index(u);
-        slab.extend(inputs.iter().map(|input| input.as_ref()[i].clone()));
-    }
+    let mut slab = Vec::new();
+    lane_slab_into(&mut slab, inputs, index, M::clone);
     slab
 }
 
+/// [`lane_slab`] into a slab the caller owns, converting each value on
+/// the way in: `slab` is cleared and refilled, so a reused slab keeps
+/// its capacity.
+pub(crate) fn lane_slab_into<X, M>(
+    slab: &mut Vec<M>,
+    inputs: &[impl AsRef<[X]>],
+    index: impl Fn(usize) -> usize,
+    convert: impl Fn(&X) -> M,
+) {
+    let n = inputs[0].as_ref().len();
+    slab.clear();
+    slab.reserve(n * inputs.len());
+    for u in 0..n {
+        let i = index(u);
+        slab.extend(inputs.iter().map(|input| convert(&input.as_ref()[i])));
+    }
+}
+
+/// Sets `slab` to `len` copies of `value`, keeping its capacity: how a
+/// reused slab starts a run the way a fresh one would.
+pub(crate) fn refill<M: Clone>(slab: &mut Vec<M>, len: usize, value: M) {
+    slab.clear();
+    slab.resize(len, value);
+}
+
 /// The lanes of an `n × lanes` slab as `lanes` outputs: output `k` lists
-/// lane `k` of row `row(0)`, `row(1)`, …. One pass over the rows.
+/// lane `k` of row `row(0)`, `row(1)`, ….
 pub(crate) fn lane_outputs<M: Clone>(
     slab: &[M],
     lanes: usize,
@@ -81,13 +102,31 @@ pub(crate) fn lane_outputs<M: Clone>(
 ) -> Vec<Vec<M>> {
     let n = slab.len() / lanes;
     let mut outputs: Vec<Vec<M>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
+    lane_outputs_into(slab, &mut outputs, row, M::clone);
+    outputs
+}
+
+/// [`lane_outputs`] into vectors the caller owns, converting each value
+/// on the way out: output `k` is cleared and refilled with lane `k`, so
+/// a vector that already holds `n` values gets its answer without
+/// allocating. One pass over the rows.
+pub(crate) fn lane_outputs_into<M, X>(
+    slab: &[M],
+    outputs: &mut [Vec<X>],
+    row: impl Fn(usize) -> usize,
+    convert: impl Fn(&M) -> X,
+) {
+    let lanes = outputs.len();
+    let n = slab.len() / lanes;
+    for output in outputs.iter_mut() {
+        output.clear();
+    }
     for i in 0..n {
         let at = row(i) * lanes;
         for (output, value) in outputs.iter_mut().zip(&slab[at..at + lanes]) {
-            output.push(value.clone());
+            output.push(convert(value));
         }
     }
-    outputs
 }
 
 #[cfg(test)]

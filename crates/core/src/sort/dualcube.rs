@@ -42,15 +42,17 @@
 //!
 //! The network is written once, over lane slabs: the keys, the partner's
 //! keys and the window's two forward buffers are each one `n × K` slab
-//! whose row `r` holds recursive node `r`'s K lanes. [`d_sort`] is the
-//! body's one-lane call and [`batched_d_sort_reusing`] its K-lane call;
-//! the Figure 5–6 panels come from an observer the body calls after each
-//! merge loop. The middle hop moves two slab pairs, so a recorded
+//! whose row `r` holds recursive node `r`'s K lanes, together one
+//! [`SortSlabs`] set. [`d_sort`] and [`batched_d_sort_reusing`] run the
+//! body on a fresh set (one lane and K lanes), and
+//! [`batched_d_sort_in_place`] on a set its caller keeps from batch to
+//! batch. The Figure 5–6 panels come from an observer the body calls
+//! after each merge loop. The middle hop moves two slab pairs, so a recorded
 //! [`dc_simulator::Event::Cycle`] reports `lanes = 2` for it even at
 //! K = 1 (2 words either way).
 
 use crate::emulate::{exchange_dim_rows, EmuSlabs};
-use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording, Run};
+use crate::run::{lane_outputs, lane_outputs_into, PhaseSnapshot, Recording, Run};
 use crate::sort::SortOrder;
 use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
@@ -94,7 +96,9 @@ pub fn d_sort<K: Ord + Clone + Send + Sync + 'static>(
         machine.enable_trace();
     }
     let mut phases = Vec::new();
-    let output = d_sort_body(&mut machine, &[keys], order, &mut |label, values| {
+    let mut slabs = SortSlabs::default();
+    slabs.load(&[keys]);
+    d_sort_body(&mut machine, &mut slabs, order, &mut |label, values| {
         if recording.enabled() {
             phases.push(PhaseSnapshot {
                 label: label.to_string(),
@@ -108,7 +112,7 @@ pub fn d_sort<K: Ord + Clone + Send + Sync + 'static>(
         .map(|(_, msgs)| msgs.clone())
         .collect();
     Run {
-        output,
+        output: slabs.values,
         metrics: machine.into_parts().1,
         phases,
         trace,
@@ -168,8 +172,9 @@ pub fn batched_d_sort<K: Ord + Clone + Send + Sync + 'static>(
 /// destination-only, so a bank warmed at one lane count serves any
 /// other. Results are bit-identical to [`batched_d_sort`]; only
 /// `schedule_misses` and wall-clock differ. A call allocates a fixed
-/// number of buffers (the four slabs and the K outputs), whatever the
-/// machine size.
+/// number of buffers (a fresh [`SortSlabs`] set and the K outputs),
+/// whatever the machine size; [`batched_d_sort_in_place`] allocates
+/// neither.
 pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     keys: &[Vec<K>],
@@ -177,8 +182,66 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     exec: ExecMode,
     bank: &mut ScheduleBank,
 ) -> BatchedSortRun<K> {
-    let lanes = keys.len();
-    assert!(lanes > 0, "a batched sort needs at least one instance");
+    let mut slabs = SortSlabs::default();
+    load(rec, keys, &mut slabs);
+    let metrics = run_batch(rec, &mut slabs, order, exec, bank);
+    BatchedSortRun {
+        outputs: lane_outputs(&slabs.values, keys.len(), |r| r),
+        metrics,
+    }
+}
+
+/// [`batched_d_sort_reusing`] in place, on a slab set the caller keeps:
+/// lane `k`'s input is `keys[k]` (one key per recursive node), and on
+/// return `keys[k]` holds that instance's sorted keys. Results and
+/// [`Metrics`] equal [`batched_d_sort_reusing`]'s on the same keys.
+///
+/// A warm call — a bank that has seen the shape, a set that has run a
+/// batch at least as large — allocates no buffer that grows with the
+/// lanes: the machine's per-node sender table is the one buffer sized by
+/// the machine that it still allocates.
+///
+/// ```
+/// use dc_core::sort::dualcube::{batched_d_sort_in_place, SortSlabs};
+/// use dc_core::sort::SortOrder;
+/// use dc_simulator::{ExecMode, ScheduleBank};
+/// use dc_topology::RecDualCube;
+///
+/// let rec = RecDualCube::new(2);
+/// let (mut bank, mut slabs) = (ScheduleBank::new(), SortSlabs::default());
+/// let mut keys = vec![vec![5i64, 3, 8, 1, 9, 2, 7, 4], vec![7, 7, 0, 2, 5, 1, 3, 6]];
+/// let metrics = batched_d_sort_in_place(&rec, &mut keys, SortOrder::Ascending,
+///     ExecMode::Sequential, &mut bank, &mut slabs);
+/// assert_eq!(keys[0], [1, 2, 3, 4, 5, 7, 8, 9]);
+/// assert_eq!(keys[1], [0, 1, 2, 3, 5, 6, 7, 7]);
+/// assert_eq!(metrics.comm_steps, 12); // 6n²−7n+2, shared by both lanes
+/// ```
+pub fn batched_d_sort_in_place<K: Ord + Clone + Send + Sync + 'static>(
+    rec: &RecDualCube,
+    keys: &mut [Vec<K>],
+    order: SortOrder,
+    exec: ExecMode,
+    bank: &mut ScheduleBank,
+    slabs: &mut SortSlabs<K>,
+) -> Metrics {
+    load(rec, keys, slabs);
+    let metrics = run_batch(rec, slabs, order, exec, bank);
+    lane_outputs_into(&slabs.values, keys, |r| r, K::clone);
+    metrics
+}
+
+/// Algorithm 3's lane slabs: the keys, the partner's keys and the
+/// window's two forward buffers, one `n × K` slab each (see
+/// [`EmuSlabs`]). A set starts empty ([`Default`]) and keeps the
+/// capacity of the largest batch it has run.
+pub type SortSlabs<K> = EmuSlabs<K>;
+
+/// Checks the K instances and loads them into the set's key slab.
+fn load<K: Clone>(rec: &RecDualCube, keys: &[Vec<K>], slabs: &mut SortSlabs<K>) {
+    assert!(
+        !keys.is_empty(),
+        "a batched sort needs at least one instance"
+    );
     for (k, instance) in keys.iter().enumerate() {
         assert_eq!(
             instance.len(),
@@ -187,27 +250,39 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
             rec.name()
         );
     }
-    let mut machine = Machine::with_exec(rec, vec![(); rec.num_nodes()], exec);
-    machine.adopt_schedules(bank);
-    let values = d_sort_body(&mut machine, keys, order, &mut |_, _| {});
-    machine.donate_schedules(bank);
-    BatchedSortRun {
-        outputs: lane_outputs(&values, lanes, |r| r),
-        metrics: machine.into_parts().1,
-    }
+    slabs.load(keys);
 }
 
-/// Algorithm 3 on `K = keys.len()` lanes: the unrolled recursion of the
-/// module docs, returning the final key slab. `observe` sees the key
-/// slab before level 1 (`"input"`) and after each merge loop.
+/// Runs the body over a loaded set on a machine with backend `exec` that
+/// adopts `bank`'s schedules first and donates them back after.
+fn run_batch<K: Ord + Clone + Send + Sync + 'static>(
+    rec: &RecDualCube,
+    slabs: &mut SortSlabs<K>,
+    order: SortOrder,
+    exec: ExecMode,
+    bank: &mut ScheduleBank,
+) -> Metrics {
+    let mut machine = Machine::with_exec(rec, vec![(); rec.num_nodes()], exec);
+    machine.adopt_schedules(bank);
+    d_sort_body(&mut machine, slabs, order, &mut |_, _| {});
+    machine.donate_schedules(bank);
+    machine.into_parts().1
+}
+
+/// Algorithm 3 on the K lanes of a loaded set: the unrolled recursion of
+/// the module docs, leaving the sorted keys in its key slab. `observe`
+/// sees the key slab before level 1 (`"input"`) and after each merge
+/// loop.
 fn d_sort_body<K: Ord + Clone + Send + Sync>(
     machine: &mut Machine<'_, RecDualCube, ()>,
-    keys: &[impl AsRef<[K]>],
+    slabs: &mut SortSlabs<K>,
     order: SortOrder,
     observe: &mut impl FnMut(fmt::Arguments<'_>, &[K]),
-) -> Vec<K> {
+) {
     let n = machine.topology().n();
-    let mut slabs = EmuSlabs::new(keys.len(), lane_slab(keys, |r| r));
+    // The spare slabs start as in a fresh set, whatever an earlier batch
+    // left in them.
+    slabs.reset();
     observe(format_args!("input"), &slabs.values);
     for level in 1..=n {
         let top = 2 * level - 2; // highest dimension of this level's sub-cubes
@@ -221,7 +296,7 @@ fn d_sort_body<K: Ord + Clone + Send + Sync>(
                 top - 1
             ));
             for j in (0..top).rev() {
-                compare_rows(machine, &mut slabs, j, move |r| bit(r, top));
+                compare_rows(machine, slabs, j, move |r| bit(r, top));
             }
             observe(
                 format_args!("level {level}: after merge loop 1"),
@@ -233,7 +308,7 @@ fn d_sort_body<K: Ord + Clone + Send + Sync>(
         machine.begin_phase(format!("level {level}: merge loop 2 (dims {top}..=0)"));
         let tag = order.tag();
         for j in (0..=top).rev() {
-            compare_rows(machine, &mut slabs, j, move |r| {
+            compare_rows(machine, slabs, j, move |r| {
                 if level == n {
                     tag
                 } else {
@@ -246,7 +321,6 @@ fn d_sort_body<K: Ord + Clone + Send + Sync>(
             &slabs.values,
         );
     }
-    slabs.values
 }
 
 /// One emulated compare-exchange round over dimension `j`, all K lanes
@@ -484,6 +558,58 @@ mod tests {
                 assert_eq!(run.outputs[k], single.output, "lane {k} {order:?}");
                 let model = sort_network_model(instance, rec.n(), order.tag());
                 assert_eq!(run.outputs[k], model, "lane {k} {order:?} vs network model");
+            }
+        }
+    }
+
+    #[test]
+    fn reused_slab_set_gives_a_fresh_calls_answers() {
+        // One set carried through a wide, a narrow and a one-lane batch
+        // on two machine sizes, in both orders. Tagged ties keep their
+        // own key, so a spare slab left holding an earlier batch's rows
+        // would show even where the keys compare equal.
+        let mut slabs = SortSlabs::default();
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            for (n, lanes) in [(4u32, 16u16), (3, 3), (4, 1)] {
+                let rec = RecDualCube::new(n);
+                let keys: Vec<Vec<Tagged>> = (0..lanes)
+                    .map(|k| {
+                        (0..rec.num_nodes() as u16)
+                            .map(|r| Tagged {
+                                key: ((r * 5 + k) % 4) as u8,
+                                tag: 1000 * k + r,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let fresh = batched_d_sort_reusing(
+                    &rec,
+                    &keys,
+                    order,
+                    ExecMode::Sequential,
+                    &mut ScheduleBank::new(),
+                );
+                let mut values = keys.clone();
+                let metrics = batched_d_sort_in_place(
+                    &rec,
+                    &mut values,
+                    order,
+                    ExecMode::Sequential,
+                    &mut ScheduleBank::new(),
+                    &mut slabs,
+                );
+                let case = format!("{order:?} n={n} K={lanes}");
+                assert_eq!(metrics, fresh.metrics, "{case}");
+                assert_eq!(
+                    batched_d_sort(&rec, &keys, order).outputs,
+                    fresh.outputs,
+                    "{case}"
+                );
+                for (k, instance) in keys.iter().enumerate() {
+                    assert_eq!(values[k], fresh.outputs[k], "{case} lane {k}");
+                    let model = sort_network_model(instance, n, order.tag());
+                    assert_eq!(values[k], model, "{case} lane {k} vs network model");
+                }
             }
         }
     }

@@ -12,6 +12,13 @@
 //! every cycle, so warmth changes wall-clock and `schedule_misses`,
 //! never results.
 //!
+//! Each worker also owns one lane-slab set per algorithm
+//! ([`PrefixSlabs`], [`SortSlabs`]) and runs prefix and sort batches in
+//! place: the requests' `i64` vectors go into the slabs with one strided
+//! copy and the answers come back into the same vectors, which become
+//! the responses' outputs. A warm batch therefore allocates nothing that
+//! grows with the machine but the machine's own sender table.
+//!
 //! Every server carries a [`StatsRegistry`]: workers tally into their
 //! own cache-line-aligned shards, admission counts rejections by
 //! cause, and [`Server::stats`] reads a consistent-enough
@@ -28,9 +35,9 @@ use crate::telemetry::{Sampler, SnapshotFormat, StatsRegistry, StatsSnapshot};
 use crate::ticket::{Slot, Ticket};
 use dc_core::collectives::allreduce::allreduce_reusing;
 use dc_core::ops::Sum;
-use dc_core::prefix::dualcube::{batched_d_prefix_reusing, Step5Mode};
+use dc_core::prefix::dualcube::{batched_d_prefix_in_place, PrefixSlabs, Step5Mode};
 use dc_core::prefix::PrefixKind;
-use dc_core::sort::dualcube::batched_d_sort_reusing;
+use dc_core::sort::dualcube::{batched_d_sort_in_place, SortSlabs};
 use dc_core::sort::SortOrder;
 use dc_simulator::{ExecMode, Metrics, ScheduleBank};
 use dc_topology::{DualCube, RecDualCube};
@@ -300,12 +307,26 @@ impl Drop for Server {
     }
 }
 
+/// What a worker keeps from batch to batch: one schedule bank per shape
+/// it has served, and one lane-slab set per algorithm. The sets are not
+/// per shape: a worker runs one batch at a time, so each set serves
+/// every shape of its algorithm in turn, while per-shape sets would keep
+/// every shape's slabs resident. A set keeps the capacity of the largest
+/// batch it has run, as the banks keep every shape's schedules.
+#[derive(Default)]
+struct Warm {
+    banks: HashMap<Shape, ScheduleBank>,
+    prefix: PrefixSlabs<Sum>,
+    sort: SortSlabs<i64>,
+}
+
 /// One worker: grab the oldest-head batch, serve it on a machine warmed
-/// from this worker's per-shape bank, repeat until shutdown drains the
-/// queue dry. Counters stream into the worker's registry shard as the
-/// traffic flows; only the engine [`Metrics`] rollup rides the join.
+/// from this worker's bank for the shape and on its slab sets, repeat
+/// until shutdown drains the queue dry. Counters stream into the
+/// worker's registry shard as the traffic flows; only the engine
+/// [`Metrics`] rollup rides the join.
 fn worker_loop(shared: &Shared, worker: usize, max_lanes: usize, exec: ExecMode) -> Metrics {
-    let mut banks: HashMap<Shape, ScheduleBank> = HashMap::new();
+    let mut warm = Warm::default();
     let mut rollup = Metrics::new();
     loop {
         let grabbed = {
@@ -323,31 +344,45 @@ fn worker_loop(shared: &Shared, worker: usize, max_lanes: usize, exec: ExecMode)
         let Some((shape, batch)) = grabbed else {
             return rollup;
         };
-        let bank = banks.entry(shape).or_default();
         shared.stats.set_worker_busy(worker, true);
-        serve_batch(shape, batch, exec, bank, &shared.stats, worker, &mut rollup);
+        serve_batch(
+            shape,
+            batch,
+            exec,
+            &mut warm,
+            &shared.stats,
+            worker,
+            &mut rollup,
+        );
         shared.stats.set_worker_busy(worker, false);
     }
 }
 
 /// Runs one grabbed batch and fulfils its tickets. Lane-capable ops
-/// ride all requests on one machine run; all-reduce (no lane variant)
-/// runs per request, still through the warm bank, and counts one
-/// "batch" per run so `batches` always means machine runs.
+/// ride all requests on one machine run, in place: each request's
+/// `values` vector is its lane's input and comes back as its response's
+/// output. All-reduce (no lane variant) runs per request, still through
+/// the warm bank, and counts one "batch" per run so `batches` always
+/// means machine runs.
 fn serve_batch(
     shape: Shape,
     batch: Vec<Pending>,
     exec: ExecMode,
-    bank: &mut ScheduleBank,
+    warm: &mut Warm,
     stats: &StatsRegistry,
     worker: usize,
     rollup: &mut Metrics,
 ) {
     let picked_up = Instant::now();
+    let bank = warm.banks.entry(shape).or_default();
     if shape.op == OpKind::AllReduceSum {
         let d = DualCube::new(shape.n);
-        for pending in batch {
-            let values: Vec<Sum> = pending.values.iter().copied().map(Sum).collect();
+        for mut pending in batch {
+            // Same size and alignment: the collect reuses the allocation.
+            let values: Vec<Sum> = std::mem::take(&mut pending.values)
+                .into_iter()
+                .map(Sum)
+                .collect();
             let started = Instant::now();
             let run = allreduce_reusing(&d, &values, exec, bank);
             stats.record_run(
@@ -371,41 +406,31 @@ fn serve_batch(
     }
 
     let lanes = batch.len();
-    let mut inputs = Vec::with_capacity(lanes);
+    let mut values = Vec::with_capacity(lanes);
     let mut waiters = Vec::with_capacity(lanes);
     for mut pending in batch {
-        inputs.push(std::mem::take(&mut pending.values));
+        values.push(std::mem::take(&mut pending.values));
         waiters.push(pending);
     }
 
-    let (outputs, metrics): (Vec<Vec<i64>>, Metrics) = match shape.op {
-        OpKind::PrefixSum => {
-            let d = DualCube::new(shape.n);
-            let sums: Vec<Vec<Sum>> = inputs
-                .iter()
-                .map(|lane| lane.iter().copied().map(Sum).collect())
-                .collect();
-            let run = batched_d_prefix_reusing(
-                &d,
-                &sums,
-                PrefixKind::Inclusive,
-                Step5Mode::PaperFaithful,
-                exec,
-                bank,
-            );
-            (
-                run.prefixes
-                    .into_iter()
-                    .map(|lane| lane.into_iter().map(|s| s.0).collect())
-                    .collect(),
-                run.metrics,
-            )
-        }
-        OpKind::SortI64 => {
-            let rec = RecDualCube::new(shape.n);
-            let run = batched_d_sort_reusing(&rec, &inputs, SortOrder::Ascending, exec, bank);
-            (run.outputs, run.metrics)
-        }
+    let metrics = match shape.op {
+        OpKind::PrefixSum => batched_d_prefix_in_place(
+            &DualCube::new(shape.n),
+            &mut values,
+            PrefixKind::Inclusive,
+            Step5Mode::PaperFaithful,
+            exec,
+            bank,
+            &mut warm.prefix,
+        ),
+        OpKind::SortI64 => batched_d_sort_in_place(
+            &RecDualCube::new(shape.n),
+            &mut values,
+            SortOrder::Ascending,
+            exec,
+            bank,
+            &mut warm.sort,
+        ),
         OpKind::AllReduceSum => unreachable!("handled above"),
     };
     stats.record_run(
@@ -415,7 +440,7 @@ fn serve_batch(
         metrics.schedule_misses,
     );
     rollup.absorb(&metrics);
-    for (pending, output) in waiters.into_iter().zip(outputs) {
+    for (pending, output) in waiters.into_iter().zip(values) {
         finish(
             pending,
             output,
