@@ -37,10 +37,14 @@
 //! ## One body
 //!
 //! The five steps are written once, over lane slabs: each paper variable
-//! (`t`, `s`, `t′`, `s′`, and a landing buffer) is one `n × K` slab whose
-//! row `u` holds node `u`'s K lanes, every exchange moves rows along the
-//! step's matching ([`dc_simulator::Comm::rows`]), and every fold runs
-//! over rows ([`Machine::compute_rows`]). The slabs form one
+//! (`t`, `s`, `t′` and `s′`) is one `n × K` slab whose row `u` holds node
+//! `u`'s K lanes. Every exchange-and-combine round (steps 1, 3, 4 and
+//! the paper's step 5) is one exchange-and-fold cycle
+//! ([`dc_simulator::Comm::fold_rows`]) in which each node folds its
+//! sender's row in where it lies, so no slab holds landed rows; step 2
+//! moves rows straight into `t′` ([`dc_simulator::Comm::rows`]), and
+//! the local step 5 folds over rows ([`Machine::compute_rows`]). The
+//! slabs form one
 //! [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
 //! run the body on a fresh set (one lane and K lanes), and
 //! [`batched_d_prefix_in_place`] on a set its caller keeps from batch to
@@ -53,7 +57,7 @@ use crate::prefix::PrefixKind;
 use crate::run::{
     lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, Recording,
 };
-use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey};
+use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey, Travel};
 use dc_topology::{bits::bit, Class, DualCube, Topology};
 
 /// How to realise step 5 of Algorithm 2 (see the module docs).
@@ -314,9 +318,10 @@ fn run_batch<M: Monoid>(
     machine.into_parts().1
 }
 
-/// Algorithm 2's lane slabs — `t`, `s`, `t′`, `s′` and the landing
-/// buffer `temp`, one `n × K` slab each, row `u` holding node `u`'s K
-/// lanes — as one set a caller can keep from batch to batch
+/// Algorithm 2's lane slabs — `t`, `s`, `t′` and `s′`, one `n × K` slab
+/// each, row `u` holding node `u`'s K lanes, plus the buffer in which the
+/// machine stages steps 1 and 3's travelling rows — as one set a caller
+/// can keep from batch to batch
 /// ([`batched_d_prefix_in_place`]). A set starts empty. Every run
 /// re-initialises every slab the way a fresh set starts, so a reused set
 /// gives a fresh call's answers, and keeps the capacity of the largest
@@ -328,7 +333,11 @@ pub struct PrefixSlabs<M> {
     s: Vec<M>,
     t2: Vec<M>,
     s2: Vec<M>,
-    temp: Vec<M>,
+    /// Pre-round rows of the ascend rounds' travelling slab: two rows
+    /// where the machine walks pairs (`D_8` at K = 16), a copy of the
+    /// slab where it snapshots (see [`dc_simulator::Travel::Folded`]).
+    /// Never read across rounds, so never re-initialised.
+    stage: Vec<M>,
 }
 
 impl<M> Default for PrefixSlabs<M> {
@@ -339,7 +348,7 @@ impl<M> Default for PrefixSlabs<M> {
             s: Vec::new(),
             t2: Vec::new(),
             s2: Vec::new(),
-            temp: Vec::new(),
+            stage: Vec::new(),
         }
     }
 }
@@ -387,7 +396,7 @@ fn d_prefix_body<M: Monoid>(
         s,
         t2,
         s2,
-        temp,
+        stage,
     } = slabs;
     let (lanes, len) = (*lanes, t.len());
     // The caller loaded t; every other slab starts as in a fresh set,
@@ -397,7 +406,7 @@ fn d_prefix_body<M: Monoid>(
         PrefixKind::Inclusive => s.clone_from(t),
         PrefixKind::Diminished => refill(s, len, M::identity()),
     }
-    for slab in [&mut *t2, &mut *s2, &mut *temp] {
+    for slab in [&mut *t2, &mut *s2] {
         refill(slab, len, M::identity());
     }
     // Steps 1 and 3 sweep the cluster dimensions. Within a cluster, data
@@ -410,8 +419,8 @@ fn d_prefix_body<M: Monoid>(
     // Step 1: Cube_prefix inside every cluster (over c, requested kind).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
     for i in 0..d.cluster_dim() {
-        let slabs = [&mut t[..], &mut s[..], &mut temp[..]];
-        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
+        let slabs = [&mut t[..], &mut s[..]];
+        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs, stage);
     }
     observe("(b) prefix inside cluster (t, s)", [t, s, t2, s2]);
 
@@ -433,53 +442,60 @@ fn d_prefix_body<M: Monoid>(
     // the schedules step 1 compiled).
     machine.begin_phase("step 3: Cube_prefix over received totals");
     for i in 0..d.cluster_dim() {
-        let slabs = [&mut t2[..], &mut s2[..], &mut temp[..]];
-        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs);
+        let slabs = [&mut t2[..], &mut s2[..]];
+        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs, stage);
     }
     observe("(d) prefix inside cluster (t', s')", [t, s, t2, s2]);
 
-    // Step 4: exchange s′ and fold it in on the left everywhere.
+    // Step 4: exchange s′ and fold the cross-neighbour's in on the left
+    // everywhere, as it lands.
     machine.begin_phase("step 4: exchange s' and combine");
     machine.cycle(|c| {
-        c.rows(
+        c.fold_rows(
             lanes,
             |u, _| Some(d.cross_neighbor(u)),
-            [(&s2[..], &mut temp[..])],
+            Travel::Read(&s2[..]),
+            [&mut s[..]],
+            [],
+            |_, [s], [], their_s2| {
+                let Some(x) = their_s2 else { return };
+                for (s, x) in s.iter_mut().zip(x) {
+                    *s = x.combine(s);
+                }
+            },
         )
         .pairwise()
         .keyed(ScheduleKey::Cross)
     });
-    machine.compute_rows(lanes, [&mut s[..]], [&temp[..]], |_, [s], [temp]| {
-        for (s, x) in s.iter_mut().zip(temp) {
-            *s = x.combine(s);
-        }
-    });
     observe("(e) get s' and prefix one time", [t, s, t2, s2]);
 
     // Step 5: class-1 nodes fold in the class-0 grand total (their own
-    // t′). PaperFaithful additionally spends the cross-edge round the
-    // theorem's arithmetic counts.
+    // t′). PaperFaithful folds it in the cross-edge round the theorem's
+    // arithmetic counts: the class-0 receivers ignore the delivered
+    // value, their own class's grand total (see the module docs).
     machine.begin_phase("step 5: class-1 folds in class-0 grand total");
-    if step5 == Step5Mode::PaperFaithful {
-        // The delivered values are the receivers' own class's grand
-        // totals, landing in the spent buffer — unused (see the module
-        // docs).
-        machine.cycle(|c| {
-            c.rows(
-                lanes,
-                |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
-                [(&t2[..], &mut temp[..])],
-            )
-            .keyed(ScheduleKey::Custom(0))
-        });
-    }
-    machine.compute_rows(lanes, [&mut s[..]], [&t2[..]], |u, [s], [t2]| {
+    let class1_fold = |u, [s]: [&mut [M]; 1], [t2]: [&[M]; 1]| {
         if d.class_of(u) == Class::One {
             for (s, x) in s.iter_mut().zip(t2) {
                 *s = x.combine(s);
             }
         }
-    });
+    };
+    if step5 == Step5Mode::PaperFaithful {
+        machine.cycle(|c| {
+            c.fold_rows(
+                lanes,
+                |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
+                Travel::Read(&t2[..]),
+                [&mut s[..]],
+                [&t2[..]],
+                |u, s, t2, _| class1_fold(u, s, t2),
+            )
+            .keyed(ScheduleKey::Custom(0))
+        });
+    } else {
+        machine.compute_rows(lanes, [&mut s[..]], [&t2[..]], class1_fold);
+    }
     observe("(f) final result", [t, s, t2, s2]);
 }
 

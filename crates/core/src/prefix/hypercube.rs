@@ -16,12 +16,15 @@
 //! One body runs the algorithm for every caller: [`cube_prefix`] is its
 //! one-lane call and [`batched_cube_prefix`] its K-lane call. Each paper
 //! variable is one `n × K` lane slab (row `u` holds node `u`'s K lanes),
-//! so a round is one row move of the `t` slab and one fold over rows.
+//! so a round is one exchange-and-fold cycle over the `t` and `s` slabs.
+//! The round rewrites the `t` slab it sends, so each fold reads its
+//! partner's pre-round `t` row from the staging buffer the machine fills
+//! (see [`dc_simulator::Travel::Folded`]), never in place.
 
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
 use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
-use dc_simulator::{Machine, Metrics, ScheduleKey};
+use dc_simulator::{Machine, Metrics, ScheduleKey, Travel};
 use dc_topology::{bits::bit, Hypercube, NodeId, Topology};
 use std::fmt;
 
@@ -104,12 +107,12 @@ pub struct BatchedCubePrefixRun<M> {
 
 /// Runs K independent instances of Algorithm 1 on lane slabs:
 /// `inputs[k]` is instance `k`'s input (one value per node). Each paper
-/// variable (`t`, `s`, and the landing buffer) is one `n × K` slab whose
-/// row `u` holds node `u`'s K lanes, so every round is one row move of
-/// the `t` slab ([`dc_simulator::Comm::rows`]) and one fold over
-/// contiguous rows ([`Machine::compute_rows`]). [`cube_prefix`] is the
-/// same body at K = 1, so lane `k` equals a [`cube_prefix`] run on
-/// `inputs[k]`.
+/// variable (`t` and `s`) is one `n × K` slab whose row `u` holds node
+/// `u`'s K lanes, so every round is one exchange-and-fold cycle
+/// ([`dc_simulator::Comm::fold_rows`]): the `t` rows travel between
+/// partners and each node folds its partner's row into its own `t` and
+/// `s` rows in the same pass. [`cube_prefix`] is the same body at K = 1,
+/// so lane `k` equals a [`cube_prefix`] run on `inputs[k]`.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::batched_cube_prefix, PrefixKind};
@@ -166,7 +169,7 @@ fn cube_prefix_body<M: Monoid>(
         PrefixKind::Inclusive => t.clone(),
         PrefixKind::Diminished => vec![M::identity(); t.len()],
     };
-    let mut temp = vec![M::identity(); t.len()];
+    let mut stage = Vec::new();
     observe(format_args!("init"), [&t, &s]);
     for i in 0..q.dim() {
         machine.begin_phase(format!("dimension {i}"));
@@ -176,19 +179,23 @@ fn cube_prefix_body<M: Monoid>(
             i,
             |u| u ^ (1usize << i),
             |u| bit(u, i),
-            [&mut t, &mut s, &mut temp],
+            [&mut t, &mut s],
+            &mut stage,
         );
         observe(format_args!("after dimension {i}"), [&t, &s]);
     }
     [t, s]
 }
 
-/// One round of the ascend sweep over lane slabs, all K lanes at once:
-/// the `t` rows travel to `partner(u)` and land in `temp` (keyed
-/// [`ScheduleKey::Dim`]`(i)`), then every node folds. Where `high(u)`
-/// (the partner's half precedes `u`'s in index order, the paper's
-/// "if `u > ū_i`") the incoming total goes on the left of both `t` and
-/// `s`; elsewhere on the right of `t`. Algorithm 1 runs it across
+/// One round of the ascend sweep over lane slabs, all K lanes at once,
+/// as one exchange-and-fold cycle (keyed [`ScheduleKey::Dim`]`(i)`): the
+/// `t` rows travel between `u` and `partner(u)`, and each node folds its
+/// partner's pre-round `t` row in as it lands. Where `high(u)` (the
+/// partner's half precedes `u`'s in index order, the paper's "if
+/// `u > ū_i`") the incoming total goes on the left of both `t` and `s`;
+/// elsewhere on the right of `t`. The machine stages pre-round `t` rows
+/// in `stage`, which the caller keeps (see
+/// [`dc_simulator::Travel::Folded`]). Algorithm 1 runs the round across
 /// dimension `i`; Algorithm 2's steps 1 and 3 run it inside every
 /// cluster (see `prefix::dualcube`).
 pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
@@ -197,24 +204,32 @@ pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
     i: u32,
     partner: impl Fn(NodeId) -> NodeId + Sync,
     high: impl Fn(NodeId) -> bool + Sync,
-    [t, s, temp]: [&mut [M]; 3],
+    [t, s]: [&mut [M]; 2],
+    stage: &mut Vec<M>,
 ) {
     machine.cycle(|c| {
-        c.rows(lanes, |u, _| Some(partner(u)), [(&*t, &mut *temp)])
-            .pairwise()
-            .keyed(ScheduleKey::Dim(i))
-    });
-    machine.compute_rows(lanes, [t, s], [temp], |u, [t, s], [temp]| {
-        if high(u) {
-            for ((t, s), x) in t.iter_mut().zip(s).zip(temp) {
-                *t = x.combine(t);
-                *s = x.combine(s);
-            }
-        } else {
-            for (t, x) in t.iter_mut().zip(temp) {
-                *t = t.combine(x);
-            }
-        }
+        c.fold_rows(
+            lanes,
+            |u, _| Some(partner(u)),
+            Travel::Folded(stage),
+            [t, s],
+            [],
+            |u, [t, s], [], partner_t| {
+                let Some(x) = partner_t else { return };
+                if high(u) {
+                    for ((t, s), x) in t.iter_mut().zip(s).zip(x) {
+                        *t = x.combine(t);
+                        *s = x.combine(s);
+                    }
+                } else {
+                    for (t, x) in t.iter_mut().zip(x) {
+                        *t = t.combine(x);
+                    }
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(i))
     });
 }
 

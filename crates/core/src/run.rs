@@ -109,7 +109,10 @@ pub(crate) fn lane_outputs<M: Clone>(
 /// [`lane_outputs`] into vectors the caller owns, converting each value
 /// on the way out: output `k` is cleared and refilled with lane `k`, so
 /// a vector that already holds `n` values gets its answer without
-/// allocating. One pass over the rows.
+/// allocating. One pass over the rows, in tiles of [`TILE`] data
+/// indices: inside a tile, each output takes its [`TILE`] values in one
+/// run of pushes while the tile's rows stay in cache, instead of every
+/// row pushing one value into each of the K outputs in turn.
 pub(crate) fn lane_outputs_into<M, X>(
     slab: &[M],
     outputs: &mut [Vec<X>],
@@ -121,13 +124,20 @@ pub(crate) fn lane_outputs_into<M, X>(
     for output in outputs.iter_mut() {
         output.clear();
     }
-    for i in 0..n {
-        let at = row(i) * lanes;
-        for (output, value) in outputs.iter_mut().zip(&slab[at..at + lanes]) {
-            output.push(convert(value));
+    let mut rows = [0; TILE];
+    for start in (0..n).step_by(TILE) {
+        let rows = &mut rows[..TILE.min(n - start)];
+        for (i, at) in rows.iter_mut().enumerate() {
+            *at = row(start + i) * lanes;
+        }
+        for (k, output) in outputs.iter_mut().enumerate() {
+            output.extend(rows.iter().map(|&at| convert(&slab[at + k])));
         }
     }
 }
+
+/// Data indices per tile of [`lane_outputs_into`].
+const TILE: usize = 8;
 
 #[cfg(test)]
 mod tests {

@@ -72,7 +72,7 @@ pub mod parallel;
 pub mod router;
 pub mod schedule;
 
-pub use comm::{Comm, Payload};
+pub use comm::{Comm, Payload, Travel};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::{Machine, TraceEntry};

@@ -1,6 +1,7 @@
 //! The synchronous multicomputer: one state per node, stepped through
 //! communication and computation cycles under 1-port validation.
 
+use crate::comm::form::Ctx;
 use crate::comm::{Comm, Payload};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -1045,6 +1046,14 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// count and shard count. On error the cycle is *not* applied and no
     /// step is counted, so a test can probe illegal schedules without
     /// corrupting the machine.
+    ///
+    /// A [`Comm::fold_rows`] cycle that succeeds is also charged the
+    /// computation step its delivery ran (see there).
+    ///
+    /// # Panics
+    ///
+    /// If a [`Comm::fold_rows`] cycle whose travelling slab is also
+    /// folded is not [`Comm::pairwise`]; nothing is charged first.
     pub fn try_cycle<F: Payload<S>>(
         &mut self,
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
@@ -1053,6 +1062,29 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send + Sync,
     {
         let mut comm = comm(Comm::blank());
+        assert!(
+            comm.pairwise || !comm.form.requires_pairwise(),
+            "a fold cycle whose travelling slab is folded too must be pairwise"
+        );
+        let delivered = self.run_comm(&mut comm)?;
+        if F::FOLDS {
+            // The fold ran inside the delivery; its computation step
+            // follows the cycle's, as `compute_rows` after a rows cycle
+            // would. Its event carries no duration of its own: the
+            // cycle's covers the fold.
+            let (start, ops) = (self.obs_cycle_start(), self.states.len() as u64);
+            self.metrics.record_comp(1, ops);
+            self.emit_comp(start, self.threaded(), 1, ops);
+        }
+        Ok(delivered)
+    }
+
+    /// The communication half of [`Machine::try_cycle`]: due faults, then
+    /// the keyed dispatch to the full or the replay path.
+    fn run_comm<F: Payload<S>>(&mut self, comm: &mut Comm<S, F>) -> Result<usize, SimError>
+    where
+        S: Send + Sync,
+    {
         let start = self.obs_cycle_start();
         // Apply due fault events *before* consulting the cache: a crash
         // at this boundary bumps the epoch and must veto the replay.
@@ -1349,8 +1381,12 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             }
         }
         if let Some(slab) = slab {
-            let bounds = &self.scratch.shard_bounds;
-            form.deliver(&mut self.states, srcs, slab, bounds, threaded);
+            let ctx = Ctx {
+                bounds: &self.scratch.shard_bounds,
+                threaded,
+                faults: &self.faults,
+            };
+            form.deliver(&mut self.states, srcs, slab, ctx);
         }
         let delivered = acc.delivered as u64 - dropped;
         let words = acc.words - dropped_words;
@@ -1777,8 +1813,12 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             acct.dirty = true;
             self.metrics.link_util.add_bulk(util);
         }
-        let bounds = &self.scratch.shard_bounds;
-        form.deliver(&mut self.states, srcs, slab, bounds, threaded);
+        let ctx = Ctx {
+            bounds: &self.scratch.shard_bounds,
+            threaded,
+            faults: &self.faults,
+        };
+        form.deliver(&mut self.states, srcs, slab, ctx);
         let delivered = acc.delivered;
         let dropped = (sched_delivered - delivered) as u64;
         self.metrics.record_comm_words(delivered as u64, acc.words);
@@ -1965,6 +2005,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::Travel;
     use crate::parallel::PAR_THRESHOLD;
     use dc_topology::Hypercube;
 
@@ -2483,20 +2524,25 @@ mod tests {
     }
 
     /// A cycle's payload form, as one more input to the error-semantics
-    /// probes: a moved message, `K` lanes per message, or `K`-lane rows.
+    /// probes: a moved message, `K` lanes per message, `K`-lane rows, or
+    /// a `K`-lane fold (its travelling slab folded on a pairwise cycle,
+    /// read-only otherwise).
     #[derive(Clone, Copy, Debug)]
     enum Form {
         Message,
         Lanes(usize),
         Rows(usize),
+        Fold(usize),
     }
 
-    const FORMS: [Form; 5] = [
+    const FORMS: [Form; 7] = [
         Form::Message,
         Form::Lanes(1),
         Form::Lanes(3),
         Form::Rows(1),
         Form::Rows(3),
+        Form::Fold(1),
+        Form::Fold(3),
     ];
 
     /// One cycle in `form` where node `u` sends to `dst(u)` (its own id
@@ -2544,6 +2590,40 @@ mod tests {
                 });
                 if result.is_err() {
                     assert!(landed.iter().all(|&v| v == 0), "a failed cycle wrote a row");
+                }
+                result
+            }
+            Form::Fold(k) => {
+                let n = m.num_nodes();
+                let from: Vec<u64> = (0..n * k).map(|i| (i / k) as u64 + 1).collect();
+                let (mut t, mut stage) = (from.clone(), Vec::new());
+                let result = m.try_cycle(|c| {
+                    let travel = if pairwise {
+                        Travel::Folded(&mut stage)
+                    } else {
+                        Travel::Read(&from[..])
+                    };
+                    let c = c.fold_rows(
+                        k,
+                        |u, _| dst(u),
+                        travel,
+                        [&mut t[..]],
+                        [],
+                        |_, [t], [], msg| {
+                            for (t, x) in t.iter_mut().zip(msg.into_iter().flatten()) {
+                                *t += x;
+                            }
+                        },
+                    );
+                    if pairwise {
+                        c.pairwise()
+                    } else {
+                        c
+                    }
+                });
+                if result.is_err() {
+                    assert_eq!(t, from, "a failed cycle folded a row");
+                    assert_eq!(m.metrics().comp_steps, 0, "a failed cycle charged its fold");
                 }
                 result
             }
@@ -3195,6 +3275,135 @@ mod tests {
         assert_eq!(t, [10, 11, 13, 14, 4, 5, 19, 20]);
         assert_eq!(m.metrics().comp_steps, 1);
         assert_eq!(m.metrics().element_ops, 4);
+    }
+
+    /// A fold cycle folds each live node's sender row in place (a
+    /// folded travelling slab read as it was before the cycle), charges
+    /// one communication and one computation step, and replays the same.
+    #[test]
+    fn fold_rows_folds_pre_cycle_rows_and_charges_both_steps() {
+        const K: usize = 2;
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        let mut t: Vec<u64> = (0..4 * K as u64).collect();
+        let (mut s, mut stage) = ([0u64; 4 * K], Vec::new());
+        for round in 0..2 {
+            let before = t.clone();
+            m.cycle(|c| {
+                c.fold_rows(
+                    K,
+                    |u, _| Some(u ^ 2),
+                    Travel::Folded(&mut stage),
+                    [&mut t[..], &mut s[..]],
+                    [],
+                    |_, [t, s], [], msg| {
+                        for ((t, s), x) in t.iter_mut().zip(s).zip(msg.expect("all pair up")) {
+                            *s = *t;
+                            *t = 10 * *t + x;
+                        }
+                    },
+                )
+                .pairwise()
+                .keyed(ScheduleKey::Dim(1))
+            });
+            for u in 0..4 {
+                for k in 0..K {
+                    let (mine, theirs) = (before[u * K + k], before[(u ^ 2) * K + k]);
+                    assert_eq!(t[u * K + k], 10 * mine + theirs, "round {round} row {u}");
+                    assert_eq!(s[u * K + k], mine, "round {round} row {u}");
+                }
+            }
+        }
+        let metrics = m.metrics();
+        assert_eq!((metrics.comm_steps, metrics.comp_steps), (2, 2));
+        assert_eq!((metrics.schedule_misses, metrics.schedule_hits), (1, 1));
+        assert_eq!(metrics.element_ops, 2 * 4);
+        assert_eq!(metrics.message_words, 2 * 4 * K as u64);
+    }
+
+    /// A dropped message reaches its fold as `None`, on a read-only and
+    /// on a folded travelling slab alike, and is counted as a rows cycle
+    /// counts it: one dropped message, its `K` words not charged.
+    #[test]
+    fn fold_rows_message_drop_reaches_the_fold_as_none() {
+        let q = Hypercube::new(2);
+        for folded in [false, true] {
+            let mut m = Machine::new(&q, vec![(); 4]);
+            m.set_fault_plan(FaultPlan::new().message_drop(0, 0));
+            let from: Vec<u64> = (0..8).collect();
+            let (mut t, mut stage) = (vec![100u64; 8], Vec::new());
+            if folded {
+                t.clone_from(&from);
+            }
+            let travel = if folded {
+                Travel::Folded(&mut stage)
+            } else {
+                Travel::Read(&from[..])
+            };
+            let delivered = m
+                .try_cycle(|c| {
+                    c.fold_rows(
+                        2,
+                        |u, _| Some(u ^ 1),
+                        travel,
+                        [&mut t[..]],
+                        [],
+                        |_, [t], [], msg| match msg {
+                            Some(x) => t.copy_from_slice(x),
+                            None => t.fill(99),
+                        },
+                    )
+                    .pairwise()
+                })
+                .unwrap();
+            assert_eq!(delivered, 3, "the drop loses node 0's inbound message");
+            assert_eq!(t, [99, 99, 0, 1, 6, 7, 4, 5], "folded={folded}");
+            let metrics = m.metrics();
+            assert_eq!(metrics.dropped_messages, 1);
+            assert_eq!(metrics.message_words, 3 * 2);
+            assert_eq!((metrics.comm_steps, metrics.comp_steps), (1, 1));
+        }
+    }
+
+    /// A fold skips a crashed node, so its rows freeze, and a silent
+    /// live node folds with `None`.
+    #[test]
+    fn fold_rows_freezes_crashed_nodes() {
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        m.inject_fault(FaultKind::NodeCrash { node: 3 });
+        let from: Vec<u64> = vec![5; 4];
+        let mut t: Vec<u64> = vec![1; 4];
+        m.cycle(|c| {
+            c.fold_rows(
+                1,
+                |u, _| (u < 2).then_some(u ^ 1),
+                Travel::Read(&from[..]),
+                [&mut t[..]],
+                [],
+                |_, [t], [], msg| t[0] += msg.map_or(100, |x| x[0]),
+            )
+        });
+        assert_eq!(t, [6, 6, 101, 1]);
+        assert_eq!(m.metrics().element_ops, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be pairwise")]
+    fn folded_travelling_slab_needs_a_pairwise_cycle() {
+        let q = Hypercube::new(1);
+        let mut m = Machine::new(&q, vec![(); 2]);
+        let (mut t, mut stage) = ([0u8; 2], Vec::new());
+        m.cycle(|c| {
+            c.fold_rows(
+                1,
+                |u, _| Some(u ^ 1),
+                Travel::Folded(&mut stage),
+                [&mut t[..]],
+                [],
+                |_, _, [], _| {},
+            )
+        });
     }
 
     /// Recorded rows cycles stamp `K × pairs` lanes on their events and

@@ -16,7 +16,7 @@
 use dc_simulator::obs::{self, CacheStatus, MemorySink};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, Event, ExecMode, FaultKind,
-    FaultPlan, Machine, ScheduleKey,
+    FaultPlan, Machine, ScheduleKey, Travel,
 };
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
@@ -103,10 +103,11 @@ fn record_run(
 /// half-speaking exchange, unkeyed pairwise, multi-step compute,
 /// lane-batched keyed pairwise in both lane forms (sharing the `Dim`
 /// keys with the single-lane op, so replay crosses between the forms),
-/// and phase boundaries.
+/// a keyed half-speaking exchange-and-fold round (a communication and a
+/// computation event from one cycle), and phase boundaries.
 fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
     let dim = (op >> 3) as usize % 4;
-    match op % 7 {
+    match op % 8 {
         0 => {
             m.cycle(|c| {
                 c.message(
@@ -187,6 +188,40 @@ fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
                 let row = u * lanes..(u + 1) * lanes;
                 for (x, y) in a[row.clone()].iter().zip(&b[row]) {
                     *s = s.rotate_left(3) ^ x ^ y.rotate_left(1);
+                }
+            });
+        }
+        6 => {
+            // The lower half of each `dim` pair sends its row of a
+            // read-only slab; every node folds, receivers the message.
+            let lanes = 1 + (op >> 6) as usize; // 1..=4
+            let from: Vec<u64> = m
+                .states()
+                .iter()
+                .flat_map(|&s| (0..lanes as u64).map(move |k| s ^ k))
+                .collect();
+            let mut t = vec![1u64; from.len()];
+            m.cycle(|c| {
+                c.fold_rows(
+                    lanes,
+                    move |u, _| (u & (1usize << dim) == 0).then_some(u | (1usize << dim)),
+                    Travel::Read(&from[..]),
+                    [&mut t[..]],
+                    [],
+                    |_, [t], [], msg| {
+                        for (k, t) in t.iter_mut().enumerate() {
+                            *t = msg.map_or(2, |x| x[k].wrapping_add(3));
+                        }
+                    },
+                )
+                .keyed(ScheduleKey::Window {
+                    j: dim as u32,
+                    hop: 1,
+                })
+            });
+            m.setup(|u, s| {
+                for w in &t[u * lanes..(u + 1) * lanes] {
+                    *s = s.rotate_left(5) ^ w;
                 }
             });
         }

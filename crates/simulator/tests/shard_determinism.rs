@@ -15,7 +15,7 @@
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultPlan, Machine,
-    ScheduleKey, SimError,
+    ScheduleKey, SimError, Travel,
 };
 use dc_topology::{DualCube, Topology};
 use proptest::collection::vec;
@@ -102,12 +102,12 @@ fn run(
 /// Interprets one random byte as a machine operation, mixing every
 /// sharded code path: keyed cross/dimension replays (cross-edges are
 /// *always* shard-boundary traffic at `S ≥ 4`), unkeyed full-validation
-/// exchanges, lane-batched keyed cycles (staged lanes and slab rows),
-/// compute steps, and phase boundaries.
+/// exchanges, lane-batched keyed cycles (staged lanes, slab rows, and
+/// exchange-and-fold rounds), compute steps, and phase boundaries.
 fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
     let dims = d.cluster_dim();
     let dim = (op >> 3) as u32 % dims;
-    match op % 7 {
+    match op % 8 {
         0 => {
             m.cycle(|c| {
                 c.message(
@@ -193,6 +193,49 @@ fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut
             });
             m.setup(|u, s| {
                 for w in &landed[u * lanes..(u + 1) * lanes] {
+                    *s = s.rotate_left(3) ^ w;
+                }
+            });
+        }
+        6 => {
+            // An exchange-and-fold round over lane slabs: the travelling
+            // slab folded too, on a cluster dimension (class 1's flip a
+            // shard bit at `S ≥ 4`) or the cross-edges (crossing every
+            // shard seam at `S ≥ 4`), picked by bit 5, which neither
+            // `op % 8` nor `dim` reads on `D_3`.
+            let lanes = 1 + (op >> 6) as usize; // 1..=4
+            let mut t: Vec<u64> = m
+                .states()
+                .iter()
+                .flat_map(|&s| (0..lanes as u64).map(move |k| s.wrapping_add(k)))
+                .collect();
+            let mut stage = Vec::new();
+            let (plan, key): (Box<dyn Fn(usize) -> usize + Sync>, _) = if op & 0x20 == 0 {
+                (
+                    Box::new(move |u| d.cluster_neighbor(u, dim)),
+                    ScheduleKey::Dim(dim),
+                )
+            } else {
+                (Box::new(|u| d.cross_neighbor(u)), ScheduleKey::Cross)
+            };
+            m.cycle(|c| {
+                c.fold_rows(
+                    lanes,
+                    |u, _| Some(plan(u)),
+                    Travel::Folded(&mut stage),
+                    [&mut t[..]],
+                    [],
+                    |u, [t], [], msg| {
+                        for (t, x) in t.iter_mut().zip(msg.into_iter().flatten()) {
+                            *t = t.wrapping_mul(31).wrapping_add(x ^ u as u64);
+                        }
+                    },
+                )
+                .pairwise()
+                .keyed(key)
+            });
+            m.setup(|u, s| {
+                for w in &t[u * lanes..(u + 1) * lanes] {
                     *s = s.rotate_left(3) ^ w;
                 }
             });

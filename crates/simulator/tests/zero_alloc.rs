@@ -1,7 +1,7 @@
 //! Steady-state cycles are allocation-free: after a warm-up cycle has
 //! sized the machine's reusable scratch (plan slab, receiver map, sender
-//! table, staging slab), further communication, `compute` and
-//! `compute_rows` cycles must hit the global allocator **zero** times
+//! table, staging slab), further communication, `compute`
+//! and `compute_rows` cycles must hit the global allocator **zero** times
 //! (with tracing off), in every payload form. Pinned here with a counting wrapper around the system allocator
 //! — this is the regression guard for the scratch-reuse machinery in
 //! `Machine` (see `machine.rs` rustdoc) and the acceptance criterion of
@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Machine, ScheduleKey};
+use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Machine, ScheduleKey, Travel};
 use dc_topology::faulty::Faulty;
 use dc_topology::{DualCube, Hypercube, Topology};
 
@@ -445,6 +445,84 @@ fn steady_state_cycles_do_not_allocate() {
                 "steady-state rows cycles and row compute phases allocated {rows_delta} times ({exec:?})"
             );
         }
+
+        // --- Exchange-and-fold cycles on both backends: once the keys
+        // are compiled and the caller's staging buffer is sized, a fold
+        // cycle allocates nothing. Q_13 at 16 lanes (1 MiB slabs) takes
+        // the sequential pair walk; Q_6 at 8 lanes the snapshot fold. ---
+        for (dim, lanes) in [(6u32, 8usize), (13, 16)] {
+            let fq = Hypercube::new(dim);
+            let n = fq.num_nodes();
+            for (exec, workers) in [
+                (ExecMode::Sequential, 0),
+                (ExecMode::Parallel { threshold: 1 }, 4),
+            ] {
+                set_worker_threads(workers);
+                let mut t: Vec<u64> = (0..(n * lanes) as u64).collect();
+                let (mut s, mut stage) = (vec![1u64; n * lanes], Vec::new());
+                let mut fm = Machine::with_exec(&fq, vec![(); n], exec);
+                for _ in 0..2 {
+                    for d in 0..dim {
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s], &mut stage);
+                    }
+                }
+                let fold_delta = steady_delta(3, || {
+                    for d in 0..dim {
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s], &mut stage);
+                    }
+                });
+                set_worker_threads(0);
+                assert_eq!(
+                    fold_delta, 0,
+                    "steady-state fold cycles allocated {fold_delta} times (Q_{dim}, {exec:?})"
+                );
+            }
+        }
+    });
+}
+
+/// One exchange-and-fold round of Algorithm 1's shape: `t` travels
+/// across `dim` (staged in the caller's `stage`) and folds into both `t`
+/// and `s`, then a half-speaking fold reads `s` as a read-only
+/// travelling slab.
+fn fold_round(
+    m: &mut Machine<'_, Hypercube, ()>,
+    lanes: usize,
+    dim: u32,
+    [t, s]: [&mut [u64]; 2],
+    stage: &mut Vec<u64>,
+) {
+    m.cycle(|c| {
+        c.fold_rows(
+            lanes,
+            move |u, _| Some(u ^ (1usize << dim)),
+            Travel::Folded(stage),
+            [&mut *t, &mut *s],
+            [],
+            |u, [t, s], [], msg| {
+                for ((t, s), x) in t.iter_mut().zip(s).zip(msg.into_iter().flatten()) {
+                    *s = s.wrapping_add(*x);
+                    *t = t.rotate_left((u % 7) as u32) ^ x;
+                }
+            },
+        )
+        .pairwise()
+        .keyed(ScheduleKey::Dim(dim))
+    });
+    m.cycle(|c| {
+        c.fold_rows(
+            lanes,
+            |u, _| (u & 1 == 0).then_some(u + 1),
+            Travel::Read(&*s),
+            [&mut *t],
+            [],
+            |_, [t], [], msg| {
+                for (t, x) in t.iter_mut().zip(msg.into_iter().flatten()) {
+                    *t ^= x;
+                }
+            },
+        )
+        .keyed(ScheduleKey::Custom(1))
     });
 }
 
