@@ -323,9 +323,10 @@ fn run_batch<M: Monoid>(
 /// machine stages steps 1 and 3's travelling rows — as one set a caller
 /// can keep from batch to batch
 /// ([`batched_d_prefix_in_place`]). A set starts empty. Every run
-/// re-initialises every slab the way a fresh set starts, so a reused set
-/// gives a fresh call's answers, and keeps the capacity of the largest
-/// batch it has run.
+/// re-initialises the slabs a step reads before writing the way a fresh
+/// set starts, and sizes `t′`, which step 2 writes in full before any
+/// step reads it, so a reused set gives a fresh call's answers; it keeps
+/// the capacity of the largest batch it has run.
 #[derive(Debug)]
 pub struct PrefixSlabs<M> {
     lanes: usize,
@@ -399,16 +400,17 @@ fn d_prefix_body<M: Monoid>(
         stage,
     } = slabs;
     let (lanes, len) = (*lanes, t.len());
-    // The caller loaded t; every other slab starts as in a fresh set,
-    // whatever an earlier batch left in it (a dropped message leaves
-    // its receiver's row as it was).
+    // The caller loaded t; s and s′ start as in a fresh set, whatever an
+    // earlier batch left in them. t′ is only sized: step 2's pairwise
+    // cross exchange writes every row of it, and no machine that runs
+    // this body carries a fault plan, so no dropped message can leave a
+    // stale row (a fresh set still starts at the identity).
     match kind {
         PrefixKind::Inclusive => s.clone_from(t),
         PrefixKind::Diminished => refill(s, len, M::identity()),
     }
-    for slab in [&mut *t2, &mut *s2] {
-        refill(slab, len, M::identity());
-    }
+    refill(s2, len, M::identity());
+    t2.resize(len, M::identity());
     // Steps 1 and 3 sweep the cluster dimensions. Within a cluster, data
     // indices follow node ids, so Algorithm 1's "if u > ū_i" becomes
     // "bit i of the node id is set".

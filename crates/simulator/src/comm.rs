@@ -195,11 +195,12 @@ impl<S> Comm<S> {
     ///   pair by pair, so the cycle must be [`Comm::pairwise`]
     ///   ([`Machine::try_cycle`](crate::Machine::try_cycle) panics
     ///   otherwise). The machine stages pre-cycle rows in the caller's
-    ///   `stage` buffer: for wide rows in a large slab, the sequential
-    ///   backend walks the pairs in node order through two staged rows;
-    ///   otherwise, and always on the threaded backend, it snapshots
-    ///   the whole slab there first. The buffer keeps its capacity, so a
-    ///   caller that keeps it from call to call allocates nothing.
+    ///   `stage` buffer: for wide rows in a large slab, a one-slot cycle
+    ///   (the sequential backend) walks the pairs in node order through
+    ///   two staged rows; otherwise, and whenever the cycle has more
+    ///   than one slot, it snapshots the whole slab there first. The
+    ///   buffer keeps its capacity, so a caller that keeps it from call
+    ///   to call allocates nothing.
     ///
     /// A fold cycle is charged exactly as the [`Comm::rows`] cycle and
     /// the [`Machine::compute_rows`](crate::Machine::compute_rows) phase
@@ -365,27 +366,27 @@ impl<S, M, P, D, W> Comm<S, Message<M, P, D, W>> {
 
 /// The moved-message payload form (built by [`Comm::message`]).
 pub struct Message<M, P, D, W> {
-    plan: P,
-    deliver: D,
-    words: W,
+    pub(crate) plan: P,
+    pub(crate) deliver: D,
+    pub(crate) words: W,
     msg: PhantomData<fn() -> M>,
 }
 
 /// The lane payload form (built by [`Comm::lanes`]).
 pub struct Lanes<'v, V, P, Fi, D> {
-    lanes: usize,
-    seed: &'v V,
-    plan: P,
-    fill: Fi,
-    deliver: D,
+    pub(crate) lanes: usize,
+    pub(crate) seed: &'v V,
+    pub(crate) plan: P,
+    pub(crate) fill: Fi,
+    pub(crate) deliver: D,
 }
 
 /// The row payload form (built by [`Comm::rows`]): `N` slab pairs of
 /// `width` values per node.
 pub struct Rows<'a, V, P, const N: usize> {
-    width: usize,
-    plan: P,
-    pairs: [(&'a [V], &'a mut [V]); N],
+    pub(crate) width: usize,
+    pub(crate) plan: P,
+    pub(crate) pairs: [(&'a [V], &'a mut [V]); N],
 }
 
 /// Where a [`Comm::fold_rows`] cycle's messages come from.
@@ -404,31 +405,32 @@ pub enum Travel<'a, V> {
 /// The fold payload form (built by [`Comm::fold_rows`]): `W` written and
 /// `R` read slabs of `width` values per node.
 pub struct FoldRows<'a, V, P, Fo, const W: usize, const R: usize> {
-    width: usize,
-    plan: P,
-    travel: Travel<'a, V>,
-    rows: [&'a mut [V]; W],
-    read: [&'a [V]; R],
-    fold: Fo,
+    pub(crate) width: usize,
+    pub(crate) plan: P,
+    pub(crate) travel: Travel<'a, V>,
+    pub(crate) rows: [&'a mut [V]; W],
+    pub(crate) read: [&'a [V]; R],
+    pub(crate) fold: Fo,
 }
 
 /// A cycle payload form: implemented by [`Message`], [`Rows`],
 /// [`FoldRows`] and [`Lanes`] only (sealed), and what
-/// [`Machine::try_cycle`](crate::Machine::try_cycle) is generic over.
-pub trait Payload<S>: form::Form<S> {}
+/// [`Machine::try_cycle`](crate::Machine::try_cycle) and the reference
+/// machine ([`crate::reference::RefMachine`]) are generic over.
+pub trait Payload<S>: form::Form<S> + crate::reference::Naive<S> {}
 
-impl<S, F: form::Form<S>> Payload<S> for F {}
+impl<S, F: form::Form<S> + crate::reference::Naive<S>> Payload<S> for F {}
 
 /// The machine-facing side of a payload form. The full-cycle path plans
 /// into a slab of `Option<(NodeId, Msg)>`, validates, and stages each
 /// delivered message into its receiver's `width()`-slot window of one
-/// staging slab (the sequential backend delivers a planned message
-/// straight from the plan slab instead); the replay path stages straight
-/// from the compiled pattern. Either path records each receiver's sender
-/// in the sender table, then runs the form's delivery once: the message
-/// and lane forms over each receiver's window, the row form as one row
-/// gather and the fold form as one fold pass (their staging slab is `()`
-/// per node and never touched).
+/// staging slab (a one-slot cycle delivers a planned message straight
+/// from the plan slab instead); the replay path stages straight from the
+/// compiled pattern. Either path records each receiver's sender in the
+/// sender table, then runs the form's delivery once over the dispatch
+/// bounds: the message and lane forms over each receiver's window, the
+/// row form as one row gather and the fold form as one fold pass (their
+/// staging slab is `()` per node and never touched).
 pub(crate) mod form {
     use super::*;
     use std::ops::Range;
@@ -436,18 +438,17 @@ pub(crate) mod form {
     /// What a delivery uses of the machine besides the states and the
     /// staged cycle.
     pub struct Ctx<'m> {
-        /// The shard-aligned dispatch bounds of a threaded cycle.
+        /// The cycle's dispatch bounds: one slot `[0, n]` on the
+        /// sequential backend, the shard-aligned slots on the threaded
+        /// one.
         pub(crate) bounds: &'m [usize],
-        /// Whether the cycle runs on the threaded backend.
-        pub(crate) threaded: bool,
         /// The machine's faults: a fold skips crashed nodes.
         pub(crate) faults: &'m FaultState,
     }
 
     /// The message and lane forms' delivery: `deliver(state, src,
-    /// window)` for every node, on the threaded backend over the
-    /// shard-aligned dispatch slots, so each worker touches only its own
-    /// nodes' states and windows.
+    /// window)` for every node, over the dispatch slots, so each worker
+    /// touches only its own nodes' states and windows.
     fn each_window<S: Send, Slot: Send>(
         states: &mut [S],
         srcs: &[u32],
@@ -456,19 +457,9 @@ pub(crate) mod form {
         width: usize,
         deliver: impl Fn(&mut S, u32, &mut [Slot]) + Sync,
     ) {
-        if ctx.threaded {
-            par_lane_apply_bounds(ctx.bounds, states, width, slab, &|u, s, window| {
-                deliver(s, srcs[u], window);
-            });
-        } else {
-            for ((s, &src), window) in states
-                .iter_mut()
-                .zip(srcs)
-                .zip(slab.chunks_exact_mut(width))
-            {
-                deliver(s, src, window);
-            }
-        }
+        par_lane_apply_bounds(ctx.bounds, states, width, slab, &|u, s, window| {
+            deliver(s, srcs[u], window);
+        });
     }
 
     /// One staged moved message. A private newtype (not a bare
@@ -485,8 +476,8 @@ pub(crate) mod form {
         /// One staging-slab element.
         type Slot: Send + Sync + 'static;
 
-        /// Whether the plan carries the whole payload, so the sequential
-        /// full path may deliver it straight from the plan slab in sender
+        /// Whether the plan carries the whole payload, so a one-slot full
+        /// cycle may deliver it straight from the plan slab in sender
         /// order ([`Form::deliver_planned`]). A lane window is filled only
         /// after validation, from pre-cycle states, so lanes always stage.
         const PLANNED: bool;
@@ -515,9 +506,8 @@ pub(crate) mod form {
         fn staged_words(&self, window: &[Self::Slot]) -> u64;
         /// Delivers the validated cycle: `srcs[u]` is the sender staged
         /// for receiver `u` ([`NO_SRC`] = nothing delivered to `u`), and
-        /// `slab` holds `width()` staged slots per node. On the threaded
-        /// backend each dispatch slot of `ctx.bounds` handles its own
-        /// receivers.
+        /// `slab` holds `width()` staged slots per node. Each dispatch
+        /// slot of `ctx.bounds` handles its own receivers.
         fn deliver(
             &mut self,
             states: &mut [S],
@@ -736,11 +726,7 @@ pub(crate) mod form {
                     }
                 }
             };
-            if ctx.threaded {
-                par_rows_bounds(ctx.bounds, width, dests, &gather);
-            } else {
-                gather(0..n, dests);
-            }
+            par_rows_bounds(ctx.bounds, width, dests, &gather);
         }
 
         fn discard(&self, _: &mut [()]) {}
@@ -798,10 +784,11 @@ pub(crate) mod form {
 
         /// The fold pass. A read-only travelling slab is read in place by
         /// every receiver. A folded one is snapshotted into the caller's
-        /// stage first on the threaded backend (so no worker reads a row
-        /// another has rewritten, whichever ranges a pair spans) and for
-        /// narrow rows or small slabs; the sequential backend walks wide
-        /// rows of a large slab pair by pair ([`walks_pairs`]).
+        /// stage first when the cycle has more than one slot (so no
+        /// worker reads a row another has rewritten, whichever ranges a
+        /// pair spans) and for narrow rows or small slabs; a one-slot
+        /// cycle walks wide rows of a large slab pair by pair
+        /// ([`walks_pairs`]).
         fn deliver(&mut self, states: &mut [S], srcs: &[u32], _: &mut [()], ctx: Ctx<'_>)
         where
             S: Send,
@@ -823,26 +810,17 @@ pub(crate) mod form {
             };
             let slabs = rows.iter().map(|r| &**r).chain(read).chain(read_only);
             check_slabs(width, n, slabs);
-            let Ctx {
-                bounds,
-                threaded,
-                faults,
-            } = ctx;
-            let split = threaded.then_some(bounds);
+            let Ctx { bounds, faults } = ctx;
+            let one_slot = bounds.len() == 2;
             let from: &[V] = match travel {
                 Travel::Read(from) => from,
-                Travel::Folded(stage) if threaded || !walks_pairs::<V>(n, width) => {
+                Travel::Folded(stage) if !one_slot || !walks_pairs::<V>(n, width) => {
                     let travelling: &[V] = rows[0];
                     let snapshot = sized(stage, n * width, travelling);
-                    match split {
-                        Some(bounds) => {
-                            par_rows_bounds(bounds, width, [snapshot], &|nodes, [part]| {
-                                let at = nodes.start * width..nodes.end * width;
-                                part.clone_from_slice(&travelling[at]);
-                            });
-                        }
-                        None => snapshot.clone_from_slice(travelling),
-                    }
+                    par_rows_bounds(bounds, width, [snapshot], &|nodes, [part]| {
+                        let at = nodes.start * width..nodes.end * width;
+                        part.clone_from_slice(&travelling[at]);
+                    });
                     stage
                 }
                 Travel::Folded(stage) => {
@@ -852,7 +830,7 @@ pub(crate) mod form {
                 }
             };
             let msg = |u| sender_row(from, srcs[u], width);
-            fold_each(n, width, rows, read, msg, faults, split, fold);
+            fold_each(width, rows, read, msg, faults, bounds, fold);
         }
 
         fn discard(&self, _: &mut [()]) {}
@@ -862,7 +840,7 @@ pub(crate) mod form {
         }
     }
 
-    /// Whether the sequential fold of a folded travelling slab walks
+    /// Whether the one-slot fold of a folded travelling slab walks
     /// pairs rather than folding from a snapshot. The walk saves the
     /// snapshot's extra pass over the slab, which pays only once the
     /// slabs spill out of a core's cache: narrow rows or small slabs are
@@ -904,21 +882,18 @@ pub(crate) mod form {
 
     /// The fold form's pass over all nodes, shaped like
     /// [`Machine::compute_rows`](crate::Machine::compute_rows): `f(u,
-    /// rows, read, msg(u))` once per live node `u` of `0..n`, with `u`'s
-    /// rows of the `W` written and `R` read slabs. With dispatch
-    /// `bounds` (the threaded backend) the written slabs split by them,
-    /// so each worker folds its own nodes' contiguous rows. One row
-    /// iterator per slab, advanced in step: no slab is re-sliced per
-    /// node.
-    #[allow(clippy::too_many_arguments)]
+    /// rows, read, msg(u))` once per live node `u`, with `u`'s rows of
+    /// the `W` written and `R` read slabs. The written slabs split by the
+    /// dispatch `bounds`, so each worker folds its own nodes' contiguous
+    /// rows. One row iterator per slab, advanced in step: no slab is
+    /// re-sliced per node.
     fn fold_each<'m, V: Send + Sync + 'm, const W: usize, const R: usize>(
-        n: usize,
         width: usize,
         rows: [&mut [V]; W],
         read: [&[V]; R],
         msg: impl Fn(NodeId) -> Option<&'m [V]> + Sync,
         faults: &FaultState,
-        bounds: Option<&[usize]>,
+        bounds: &[usize],
         f: &(impl Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>) + Sync),
     ) {
         let frozen = faults.any_failed();
@@ -933,13 +908,10 @@ pub(crate) mod form {
                 }
             }
         };
-        match bounds {
-            Some(bounds) => par_rows_bounds(bounds, width, rows, &pass),
-            None => pass(0..n, rows),
-        }
+        par_rows_bounds(bounds, width, rows, &pass);
     }
 
-    /// The sequential fold of a pairwise cycle whose travelling slab is
+    /// The one-slot fold of a pairwise cycle whose travelling slab is
     /// the first written one: one walk over the pairs in node order, each
     /// pair folded at its lower node. The two travelling rows a pair delivers
     /// are copied into the two-row `staged` buffer before either node

@@ -45,6 +45,11 @@
 //! so replay can never outlive the fault state that validated it. See the
 //! [`fault`] module docs.
 //!
+//! [`reference::RefMachine`] is a deliberately naive machine with the
+//! same semantics — no scratch, shards, threads or schedule cache — that
+//! the determinism tests hold every backend, shard count and replay
+//! setting to. See the [`reference`](mod@reference) module docs.
+//!
 //! Observability is opt-in and zero-cost when off: installing a recorder
 //! ([`Machine::record_into`], or [`with_recording`] around code that
 //! builds machines internally) streams one structured [`Event`] per
@@ -69,6 +74,7 @@ mod machine;
 mod metrics;
 pub mod obs;
 pub mod parallel;
+pub mod reference;
 pub mod router;
 pub mod schedule;
 

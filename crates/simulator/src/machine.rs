@@ -12,9 +12,9 @@ use crate::obs::{
     Recorder, SharedSink,
 };
 use crate::parallel::{
-    par_apply_forced, par_for_reduce, par_lane_reduce_bounds, par_rows_bounds, par_slab_reduce,
-    par_zip_apply, ExecMode,
+    par_lane_reduce_bounds, par_range_reduce, par_rows_bounds, par_slab_reduce, ExecMode,
 };
+use crate::reference::Cycles;
 use crate::schedule::{
     self, AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC, SENDS_BIT,
 };
@@ -59,14 +59,6 @@ impl TypedSlot {
             .expect("slot typed above")
     }
 
-    /// The buffer for element type `E`, *cleared* but with its capacity
-    /// intact.
-    fn cleared<E: Send + Sync + 'static>(&mut self) -> &mut Vec<E> {
-        let v = self.typed::<E>();
-        v.clear();
-        v
-    }
-
     /// The staging slab for slot type `E` at length `len`, **contents
     /// preserved** when the type and length already match, else rebuilt
     /// from `fresh` slots. Skipping the per-cycle prefill is sound for
@@ -91,38 +83,39 @@ impl TypedSlot {
 }
 
 /// Per-cycle scratch buffers owned by the machine so that a steady-state
-/// cycle performs **zero heap allocations**: the plan slab, the
-/// validation tables (the sequential receive table, and the sharded
-/// passes' plain-`u32` claim table with its exchange bins), the sender
-/// table and the staging slab are all reused across cycles (pinned by the
-/// counting-allocator test in `tests/zero_alloc.rs`). Purely transient —
-/// contents never survive past the cycle that filled them, so cloning a
-/// machine starts the clone with empty scratch and equality/trace
-/// semantics are unaffected.
+/// cycle performs **zero heap allocations**: the dispatch bounds, the
+/// plan slab, the validation passes' plain-`u32` claim table with its
+/// exchange bins, the sender table and the staging slab are all reused
+/// across cycles (pinned by the counting-allocator test in
+/// `tests/zero_alloc.rs`), on both backends — the sequential one is the
+/// same engine run over one dispatch slot. Purely transient — contents
+/// never survive past the cycle that filled them, so cloning a machine
+/// starts the clone with empty scratch and equality/trace semantics are
+/// unaffected.
 struct Scratch {
-    /// `recv_from[dst]` = sending node during sequential validation
-    /// ([`NO_SRC`] = no sender yet). `u32` — node ids fit by the
-    /// [`Machine::new`] construction bound, and halving the table keeps
-    /// D_10+ validation inside cache.
-    recv_from: Vec<u32>,
-    /// The sharded validation passes' claim table: `claims[dst]` =
-    /// lowest locally-valid sender targeting `dst` this cycle
-    /// ([`NO_SRC`] = none). Plain `u32`, **not** atomic: each dispatch
-    /// slot owns a contiguous shard range and min-merges only inside it;
-    /// cross-shard claims travel through [`ExchangeRow`] bins instead of
-    /// `fetch_min` contention.
+    /// The validation passes' claim table: `claims[dst]` = lowest
+    /// locally-valid sender targeting `dst` this cycle ([`NO_SRC`] =
+    /// none). `u32` — node ids fit by the [`Machine::new`] construction
+    /// bound, and halving the table keeps D_10+ validation inside cache.
+    /// Plain, **not** atomic: each dispatch slot owns a contiguous node
+    /// range and claims only inside it; claims on another slot's range
+    /// travel through [`ExchangeRow`] bins instead of `fetch_min`
+    /// contention.
     claims: Vec<u32>,
-    /// Shard-aligned dispatch bounds for the current cycle (slot `k`
-    /// owns nodes `shard_bounds[k]..shard_bounds[k+1]`), rebuilt each
-    /// threaded cycle from the shard map and worker count (≤ 33 entries
-    /// — the rebuild is noise, the reuse keeps it allocation-free).
-    shard_bounds: Vec<usize>,
-    /// Per-slot staging rows for cross-shard claims (`exchange[k]` is
-    /// written only by dispatch slot `k` during pass A and drained
-    /// read-only during pass B). Bins keep their capacity across cycles.
+    /// The dispatch bounds of the current pass (slot `k` owns nodes
+    /// `bounds[k]..bounds[k+1]`): `[0, n]` on the sequential backend,
+    /// else the shard map's slots for the worker count (≤ 33 entries —
+    /// the rebuild is noise, the reuse keeps it allocation-free).
+    bounds: Vec<usize>,
+    /// Per-slot staging rows for claims on another slot's range
+    /// (`exchange[k]` is written only by dispatch slot `k` during pass A
+    /// and drained read-only during pass B). Bins keep their capacity
+    /// across cycles.
     exchange: Vec<ExchangeRow>,
     /// Plan-phase output slots (`Option<(NodeId, Msg)>` per node), keyed
-    /// by the payload form's plan message type.
+    /// by the payload form's plan message type. Kept at length `n`
+    /// between cycles: the plan pass overwrites every slot, and delivery
+    /// takes every message it stages.
     plans: TypedSlot,
     /// The sender table of the deliver phase: `srcs[dst]` is the node
     /// whose message was staged for `dst` this cycle, [`NO_SRC`] when
@@ -136,9 +129,8 @@ struct Scratch {
 impl Scratch {
     const fn new() -> Self {
         Scratch {
-            recv_from: Vec::new(),
             claims: Vec::new(),
-            shard_bounds: Vec::new(),
+            bounds: Vec::new(),
             exchange: Vec::new(),
             plans: TypedSlot::new(),
             srcs: Vec::new(),
@@ -147,10 +139,10 @@ impl Scratch {
     }
 }
 
-/// One dispatch slot's SPSC staging area for **cross-shard claims**
-/// during the sharded validation pass. In pass A slot `k` appends the
-/// `(src, dst)` pairs whose destination lives outside its own shard
-/// range to `bins[slot_of(dst)]` (single producer); in pass B the
+/// One dispatch slot's SPSC staging area for **cross-slot claims**
+/// during validation. In pass A slot `k` appends the `(src, dst)` pairs
+/// whose destination lives outside its own node range to
+/// `bins[slot_of(dst)]` (single producer); in pass B the
 /// destination slot drains every row's bin for itself (single consumer,
 /// min-merging into its own claim range). No atomics anywhere — the
 /// fork-join barrier between the passes is the only synchronisation.
@@ -206,8 +198,9 @@ impl CycleAcc {
     /// Fold for the slot-order reduction: counters sum; the
     /// lowest-index violation wins, and on an index tie the **left**
     /// operand's error wins — left is always the earlier slot, or the
-    /// earlier validation pass (local checks before conflict checks,
-    /// mirroring the sequential per-node check order).
+    /// earlier validation pass (pass A before pass C, so a sender's
+    /// local check outranks a conflict blamed on it, mirroring the
+    /// documented per-sender check order).
     fn merge(self, other: CycleAcc) -> CycleAcc {
         let violation = match (self.violation, other.violation) {
             (Some((a, _)), Some((b, _))) => {
@@ -294,32 +287,39 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 ///
 /// # Execution backend
 ///
-/// Each cycle's per-node work runs under an [`ExecMode`]. The default,
-/// [`ExecMode::parallel`], spreads the work of machines with at least
-/// [`crate::parallel::PAR_THRESHOLD`] nodes over the host cores; smaller
-/// machines (and any machine under [`ExecMode::Sequential`]) use plain
-/// loops. An unkeyed communication cycle splits into three phases:
+/// Each cycle's per-node work runs over the machine's *dispatch bounds*:
+/// ascending node ranges, one per dispatch slot. Under the default
+/// [`ExecMode::parallel`], a machine with at least
+/// [`crate::parallel::PAR_THRESHOLD`] nodes gets the shard-aligned slots
+/// of its shard map, one per host worker; smaller machines, and any
+/// machine under [`ExecMode::Sequential`], get the one slot `[0, n]`,
+/// which every pass runs inline. The sequential backend is the same
+/// engine with one slot. An unkeyed communication cycle splits into
+/// three phases:
 ///
-/// 1. **plan** — `plan(u, &state)` for every node, read-only, parallel;
-/// 2. **validate** — the 1-port matching check. The threaded backend
-///    runs it as three passes over shard-aligned node ranges: local
-///    checks plus a plain-`u32` lowest-sender claim per receiver (claims
-///    on another slot's range are staged in exchange bins), a drain of
-///    those bins, then conflict detection. Their lowest-node-index
-///    violation reduction reproduces the sequential
-///    first-violation-in-node-order report **bit-identically** at any
-///    worker or shard count;
+/// 1. **plan** — `plan(u, &state)` for every node, read-only;
+/// 2. **validate** — the 1-port matching check, as claim passes over the
+///    slots: local checks plus a plain-`u32` lowest-sender claim per
+///    receiver (a second claimant in the receiver's own slot is a
+///    conflict on the spot; claims on another slot's range are staged in
+///    exchange bins), then, only when a bin was staged, a drain of the
+///    bins and a conflict pass. Their lowest-node-index violation
+///    reduction is the first violation in node order at any worker or
+///    shard count, and one slot walks the plans once;
 /// 3. **deliver** — receiver-driven: since a validated cycle delivers at
 ///    most one message per node, messages are staged into a per-node
-///    window and each worker mutates only its own nodes' states.
+///    window and each slot mutates only its own nodes' states (a
+///    one-slot cycle delivers a moved message straight from the plan
+///    slab, in sender order).
 ///
 /// A keyed *replay* cycle collapses plan + validate into one pass (each
 /// receiver evaluates its compiled sender's plan straight into its own
-/// window) followed by deliver — no sequential O(n) phase on either
-/// backend.
+/// window) followed by deliver.
 ///
-/// Simulated metrics never depend on the backend; the parallel backend is
-/// observationally identical and only changes wall-clock time.
+/// Simulated metrics never depend on the backend; the threaded backend is
+/// observationally identical and only changes wall-clock time. The naive
+/// [`crate::reference::RefMachine`] is the oracle the determinism tests
+/// hold both backends to.
 ///
 /// # Fault injection
 ///
@@ -417,6 +417,145 @@ fn flush_acct_into<T: Topology + ?Sized>(
         }
     }
     acct.reset_counts();
+}
+
+/// The plan pass over one dispatch slot: `part[i]` becomes the plan of
+/// node `start + i`, whose state is `states[i]`.
+fn plan_range<S, F: Payload<S>>(
+    form: &F,
+    states: &[S],
+    start: usize,
+    part: &mut [Option<(NodeId, F::Msg)>],
+) {
+    for ((slot, s), u) in part.iter_mut().zip(states).zip(start..) {
+        *slot = form.plan(u, s);
+    }
+}
+
+/// The first pairwise-symmetry violation among the senders in `nodes`:
+/// a destination past the machine, or one that does not send back.
+fn asymmetry_in<M>(
+    plans: &[Option<(NodeId, M)>],
+    nodes: std::ops::Range<usize>,
+) -> Option<(usize, SimError)> {
+    let n = plans.len();
+    for u in nodes {
+        if let Some((v, _)) = plans[u] {
+            if v >= n {
+                let e = SimError::OutOfRange {
+                    node: v,
+                    num_nodes: n,
+                };
+                return Some((u, e));
+            } else if !matches!(plans[v], Some((back, _)) if back == u) {
+                return Some((u, SimError::AsymmetricPair { a: u, b: v }));
+            }
+        }
+    }
+    None
+}
+
+/// Validation pass A over the dispatch slot whose node range starts at
+/// `start` and whose claim cells are `chunk` (see `Machine::validate`):
+/// resets the cells and the slot's exchange `row`, then walks the
+/// slot's senders in node order, stopping at the first violation. A
+/// locally valid sender claims its receiver's cell when the receiver is
+/// in range (a held cell is a receive conflict), else stages the claim
+/// in the bin of the receiver's slot. A separate function, not a
+/// closure body, so the tables arrive as arguments the walk may assume
+/// unaliased.
+#[allow(clippy::too_many_arguments)]
+fn claim_range<T: Topology + ?Sized, M>(
+    topo: &T,
+    faults: &FaultState,
+    plans: &[Option<(NodeId, M)>],
+    words: &impl Fn(&M) -> u64,
+    bounds: &[usize],
+    start: usize,
+    chunk: &mut [u32],
+    row: &mut ExchangeRow,
+) -> CycleAcc {
+    let n = plans.len();
+    chunk.fill(NO_SRC);
+    for bin in row.bins.iter_mut() {
+        bin.clear();
+    }
+    let mut acc = CycleAcc::EMPTY;
+    let end = start + chunk.len();
+    for (p, src) in plans[start..end].iter().zip(start..) {
+        let Some((dst, msg)) = p else {
+            continue;
+        };
+        let dst = *dst;
+        // The position-independent checks, in the documented order.
+        let local = if dst >= n {
+            Some(SimError::OutOfRange {
+                node: dst,
+                num_nodes: n,
+            })
+        } else if dst == src {
+            Some(SimError::SelfMessage { node: src })
+        } else if faults.is_failed(src) {
+            Some(SimError::NodeFailed { node: src })
+        } else if faults.is_failed(dst) {
+            Some(SimError::NodeFailed { node: dst })
+        } else if !topo.is_edge(src, dst) {
+            Some(SimError::NotAdjacent { src, dst })
+        } else if faults.link_is_down(src, dst) {
+            Some(SimError::LinkDown { src, dst })
+        } else {
+            None
+        };
+        if let Some(e) = local {
+            acc.violate(src, e);
+            break;
+        }
+        // `src < n < NO_SRC` by the construction bound, so packed claims
+        // order exactly like node ids.
+        match chunk.get_mut(dst.wrapping_sub(start)) {
+            Some(c) if *c != NO_SRC => {
+                let first_src = *c as usize;
+                let e = SimError::RecvConflict {
+                    node: dst,
+                    first_src,
+                    second_src: src,
+                };
+                acc.violate(src, e);
+                break;
+            }
+            Some(c) => *c = src as u32,
+            None => {
+                let dst_slot = bounds.partition_point(|&b| b <= dst) - 1;
+                row.bins[dst_slot].push((src as u32, dst as u32));
+            }
+        }
+        acc.delivered += 1;
+        acc.words += words(msg);
+    }
+    acc
+}
+
+/// Validation pass C over the senders in `nodes`: the first whose
+/// receiver's claim cell names another sender.
+fn conflict_in<M>(
+    plans: &[Option<(NodeId, M)>],
+    claims: &[u32],
+    nodes: std::ops::Range<usize>,
+) -> Option<(usize, SimError)> {
+    let n = plans.len();
+    for (p, src) in plans[nodes.clone()].iter().zip(nodes) {
+        if let Some((dst, _)) = *p {
+            if dst < n && dst != src && claims[dst] as usize != src {
+                let e = SimError::RecvConflict {
+                    node: dst,
+                    first_src: claims[dst] as usize,
+                    second_src: src,
+                };
+                return Some((src, e));
+            }
+        }
+    }
+    None
 }
 
 impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
@@ -546,13 +685,19 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
-    /// Rebuilds `scratch.shard_bounds` for the current worker count and
-    /// returns the number of dispatch slots it describes.
-    fn shard_bounds(&mut self) -> usize {
-        let map = self.shard_map();
-        let workers = crate::parallel::available_threads();
-        map.slot_bounds_into(workers, &mut self.scratch.shard_bounds);
-        self.scratch.shard_bounds.len() - 1
+    /// Rebuilds `scratch.bounds`, the dispatch slots of the next pass:
+    /// the shard map's slots for the worker count on the threaded
+    /// backend, else the one slot `[0, n]`. Besides labelling events,
+    /// this is the only place the backend is read.
+    fn dispatch_bounds(&mut self) {
+        if self.exec.is_parallel_for(self.states.len()) {
+            let map = self.shard_map();
+            let workers = crate::parallel::available_threads();
+            map.slot_bounds_into(workers, &mut self.scratch.bounds);
+        } else {
+            self.scratch.bounds.clear();
+            self.scratch.bounds.extend([0, self.states.len()]);
+        }
     }
 
     /// [`Machine::new`] with an explicit execution backend.
@@ -776,12 +921,6 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
-    /// Whether this machine's cycles currently run on the threaded
-    /// backend (mode is parallel *and* the machine is large enough).
-    fn threaded(&self) -> bool {
-        self.exec.is_parallel_for(self.states.len())
-    }
-
     /// Starts recording a space-time trace: each subsequent communication
     /// cycle appends the list of `(src, dst)` messages it delivered,
     /// tagged with the metrics phase active when the cycle ran.
@@ -923,17 +1062,24 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         Some(Instant::now())
     }
 
+    /// The backend label of recorded events.
+    fn backend(&self) -> Backend {
+        if self.exec.is_parallel_for(self.states.len()) {
+            Backend::Threaded {
+                workers: crate::parallel::available_threads(),
+            }
+        } else {
+            Backend::Sequential
+        }
+    }
+
     /// Emits the [`Event::Cycle`] for a communication cycle that just
     /// charged its metrics. No-op without a recorder.
-    fn emit_comm(
-        &mut self,
-        obs: ObsCtx,
-        threaded: bool,
-        messages: u64,
-        words: u64,
-        dropped: u64,
-        lanes: u32,
-    ) {
+    fn emit_comm(&mut self, obs: ObsCtx, messages: u64, words: u64, dropped: u64, lanes: u32) {
+        if self.recorder.is_none() {
+            return;
+        }
+        let backend = self.backend();
         let phase = self.current_phase();
         let fault_epoch = self.faults.epoch();
         let cycle = self.metrics.comm_steps - 1;
@@ -955,13 +1101,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             dropped,
             lanes,
             ops: 0,
-            backend: if threaded {
-                Backend::Threaded {
-                    workers: crate::parallel::available_threads(),
-                }
-            } else {
-                Backend::Sequential
-            },
+            backend,
             at_ns: rec.now_ns(),
             dur_ns: obs
                 .start
@@ -979,7 +1119,11 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// Emits the [`Event::Cycle`] for a computation phase that just
     /// charged `steps` cycles and `ops` element operations. No-op
     /// without a recorder.
-    fn emit_comp(&mut self, start: Option<Instant>, threaded: bool, steps: u64, ops: u64) {
+    fn emit_comp(&mut self, start: Option<Instant>, steps: u64, ops: u64) {
+        if self.recorder.is_none() {
+            return;
+        }
+        let backend = self.backend();
         let phase = self.current_phase();
         let fault_epoch = self.faults.epoch();
         let cycle = self.metrics.comp_steps - steps;
@@ -1001,13 +1145,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             dropped: 0,
             lanes: 1,
             ops,
-            backend: if threaded {
-                Backend::Threaded {
-                    workers: crate::parallel::available_threads(),
-                }
-            } else {
-                Backend::Sequential
-            },
+            backend,
             at_ns: rec.now_ns(),
             dur_ns: start.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
             pool: (dispatches > 0).then_some(PoolDispatchStats {
@@ -1074,7 +1212,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             // cycle's covers the fold.
             let (start, ops) = (self.obs_cycle_start(), self.states.len() as u64);
             self.metrics.record_comp(1, ops);
-            self.emit_comp(start, self.threaded(), 1, ops);
+            self.emit_comp(start, 1, ops);
         }
         Ok(delivered)
     }
@@ -1216,71 +1354,52 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send + Sync,
     {
         let n = self.states.len();
-        let threaded = self.threaded();
         let width = form.width();
         let record_links = self.recorder.is_some();
-        // Resolve the flat link-table stride before scratch is borrowed
-        // (lazy: unrecorded machines never compute it).
+        // Resolve the flat link-table stride and the dispatch bounds
+        // before scratch is borrowed field by field below (lazy:
+        // unrecorded machines never compute the stride).
         let ports = if record_links { self.link_ports() } else { 0 };
-
-        // Resolve the shard-aligned dispatch bounds before scratch is
-        // borrowed field-by-field below (the rebuild needs `&mut self`).
-        if threaded {
-            self.shard_bounds();
-        }
+        self.dispatch_bounds();
+        let bounds = &self.scratch.bounds[..];
+        let one_slot = bounds.len() == 2;
 
         // Phase 1 — plan: read-only over the states, one slot per node,
         // written into the reusable scratch buffer. A lane plan carries
         // destinations only: payloads go straight into the lane windows
-        // after validation. The claim table is reset shard-locally inside
-        // validation pass A, so the plan dispatch stays a pure read of
-        // the states.
-        let plans = self.scratch.plans.cleared::<Option<(NodeId, F::Msg)>>();
-        if threaded {
+        // after validation. The claim table is reset slot-locally inside
+        // validation pass A, so the plan pass stays a pure read of the
+        // states.
+        let plans = self.scratch.plans.typed::<Option<(NodeId, F::Msg)>>();
+        if plans.len() != n {
+            plans.clear();
             plans.resize_with(n, || None);
-            par_zip_apply(plans, &self.states, &|u, slot, s| {
-                *slot = form.plan(u, s);
-            });
-        } else {
-            plans.extend(self.states.iter().enumerate().map(|(u, s)| form.plan(u, s)));
         }
+        let states = &self.states[..];
+        par_rows_bounds(bounds, 1, [&mut plans[..]], &|nodes, [part]| {
+            plan_range(&*form, &states[nodes.clone()], nodes.start, part);
+        });
 
         // Phase 2 — validate the cycle before touching any state. A
         // pairwise cycle first checks symmetry on the planned
         // destinations, so its error is precise (the 1-port checks would
         // report an asymmetric pair as a receive conflict or not at
-        // all). The sequential backend then walks the plans in node order
-        // and stops at the first violation. The threaded backend runs the
-        // sharded claim passes and reports the lowest-index violation,
-        // which is provably the same one (see the doc of
-        // `validate_sharded`).
+        // all). The claim passes then report the lowest-index violation,
+        // the first one in node order (see the doc of `validate`).
         let mut acc = CycleAcc::EMPTY;
         if pairwise {
-            acc = Self::check_symmetry(plans, threaded);
+            acc = Self::check_symmetry(plans, bounds);
         }
         if acc.violation.is_none() {
-            let words = |msg: &F::Msg| form.words(msg);
-            acc = if threaded {
-                Self::validate_sharded(
-                    self.topo,
-                    plans,
-                    &mut self.scratch.claims,
-                    &mut self.scratch.exchange,
-                    &self.scratch.shard_bounds,
-                    &self.faults,
-                    &words,
-                    n,
-                )
-            } else {
-                Self::validate_sequential(
-                    self.topo,
-                    plans,
-                    &mut self.scratch.recv_from,
-                    &self.faults,
-                    &words,
-                    n,
-                )
-            };
+            acc = Self::validate(
+                self.topo,
+                plans,
+                &mut self.scratch.claims,
+                &mut self.scratch.exchange,
+                bounds,
+                &self.faults,
+                &|msg| form.words(msg),
+            );
         }
         if let Some((_, e)) = acc.violation {
             // Drop the undelivered messages eagerly rather than letting
@@ -1332,19 +1451,19 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // counters. The compiled pattern above keeps the *full*
         // matching: drops are transient, schedules are not. The validated
         // matching stages at most one message per receiver, so delivery
-        // then runs receiver-driven, each worker mutating only its own
+        // then runs receiver-driven, each slot mutating only its own
         // nodes' states and windows. A planned message was already
-        // computed from its sender's pre-cycle state, so the sequential
-        // backend delivers it right here in sender order and skips the
-        // slab passes (lanes cannot: a later `fill` must not see a state
-        // an earlier delivery changed). Rows stage nothing: the sender
+        // computed from its sender's pre-cycle state, so a one-slot cycle
+        // delivers it right here in sender order and skips the slab
+        // passes (lanes cannot: a later `fill` must not see a state an
+        // earlier delivery changed). Rows stage nothing: the sender
         // table is all their delivery needs.
         let drops_active = self.faults.has_drops();
         let mut dropped = 0u64;
         let mut dropped_words = 0u64;
         let srcs = &mut self.scratch.srcs;
         let mut slab = None;
-        if threaded || !F::PLANNED {
+        if !(one_slot && F::PLANNED) {
             srcs.clear();
             srcs.resize(n, NO_SRC);
             slab = Some(self.scratch.stage.staging(n * width, || form.fresh()));
@@ -1382,8 +1501,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
         if let Some(slab) = slab {
             let ctx = Ctx {
-                bounds: &self.scratch.shard_bounds,
-                threaded,
+                bounds,
                 faults: &self.faults,
             };
             form.deliver(&mut self.states, srcs, slab, ctx);
@@ -1401,138 +1519,67 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             // before this cycle consulted the cache).
             self.schedules.insert(c);
         }
-        self.emit_comm(obs, threaded, delivered, words, dropped, form.lanes());
+        self.emit_comm(obs, delivered, words, dropped, form.lanes());
         Ok(delivered as usize)
     }
 
     /// The pairwise symmetry pre-check, on the destinations already in
     /// the plan slab: every sender's destination must send back to it.
-    /// The threaded form is pure reads of the shared slab reduced to the
-    /// lowest-index violation — identical to the sequential
-    /// first-hit-in-node-order report.
-    fn check_symmetry<M: Sync>(plans: &[Option<(NodeId, M)>], threaded: bool) -> CycleAcc {
-        let n = plans.len();
-        let check = |u: usize, acc: &mut CycleAcc| {
-            if let Some((v, _)) = plans[u] {
-                if v >= n {
-                    acc.violate(
-                        u,
-                        SimError::OutOfRange {
-                            node: v,
-                            num_nodes: n,
-                        },
-                    );
-                } else if !matches!(plans[v], Some((back, _)) if back == u) {
-                    acc.violate(u, SimError::AsymmetricPair { a: u, b: v });
-                }
+    /// Pure reads of the shared slab, each slot stopping at its first
+    /// violation, reduced to the lowest-index one — the first in node
+    /// order.
+    fn check_symmetry<M: Sync>(plans: &[Option<(NodeId, M)>], bounds: &[usize]) -> CycleAcc {
+        let check = |nodes, acc: &mut CycleAcc| {
+            if let Some((u, e)) = asymmetry_in(plans, nodes) {
+                acc.violate(u, e);
             }
         };
-        if threaded {
-            return par_for_reduce(n, CycleAcc::EMPTY, &check, CycleAcc::merge);
-        }
-        let mut acc = CycleAcc::EMPTY;
-        for u in 0..n {
-            check(u, &mut acc);
-            if acc.violation.is_some() {
-                break;
-            }
-        }
-        acc
+        par_range_reduce(bounds, CycleAcc::EMPTY, &check, CycleAcc::merge)
     }
 
-    /// The sequential backend's validation: one walk over the plans in
-    /// node order, stopping at the first violation. `recv_from` is the
-    /// reusable receive-conflict table (reset here each cycle).
-    fn validate_sequential<M: Send + Sync + 'static>(
-        topo: &T,
-        plans: &[Option<(NodeId, M)>],
-        recv_from: &mut Vec<u32>,
-        faults: &FaultState,
-        words: &(impl Fn(&M) -> u64 + Sync),
-        n: usize,
-    ) -> CycleAcc {
-        recv_from.clear();
-        recv_from.resize(n, NO_SRC);
-        let mut acc = CycleAcc::EMPTY;
-        for (src, p) in plans.iter().enumerate() {
-            if let Some((dst, msg)) = p {
-                let dst = *dst;
-                if dst >= n {
-                    acc.violate(
-                        src,
-                        SimError::OutOfRange {
-                            node: dst,
-                            num_nodes: n,
-                        },
-                    );
-                } else if dst == src {
-                    acc.violate(src, SimError::SelfMessage { node: src });
-                } else if faults.is_failed(src) {
-                    acc.violate(src, SimError::NodeFailed { node: src });
-                } else if faults.is_failed(dst) {
-                    acc.violate(src, SimError::NodeFailed { node: dst });
-                } else if !topo.is_edge(src, dst) {
-                    acc.violate(src, SimError::NotAdjacent { src, dst });
-                } else if faults.link_is_down(src, dst) {
-                    acc.violate(src, SimError::LinkDown { src, dst });
-                } else if recv_from[dst] != NO_SRC {
-                    acc.violate(
-                        src,
-                        SimError::RecvConflict {
-                            node: dst,
-                            first_src: recv_from[dst] as usize,
-                            second_src: src,
-                        },
-                    );
-                }
-                if acc.violation.is_some() {
-                    break;
-                }
-                recv_from[dst] = src as u32;
-                acc.delivered += 1;
-                acc.words += words(msg);
-            }
-        }
-        acc
-    }
-
-    /// The threaded backend's deterministic validation, sharded: claim
-    /// passes with **no cross-shard atomics** anywhere.
+    /// The 1-port validation: claim passes over the dispatch slots with
+    /// **no atomics** anywhere.
     ///
-    /// **Pass A (local checks + shard-local claims).** Each dispatch slot
-    /// owns a shard-aligned node range (see `ShardMap::slot_bounds_into`):
-    /// it resets its own claim range, clears its own exchange row, then
-    /// checks its senders in the sequential order — out-of-range →
-    /// self-message → failed endpoint → non-adjacent → downed link (all
+    /// **Pass A (local checks + slot-local claims).** Each dispatch slot
+    /// owns an ascending node range (shard-aligned on the threaded
+    /// backend, see `ShardMap::slot_bounds_into`; `[0, n]` on the
+    /// sequential one): it resets its own claim range, clears its own
+    /// exchange row, then checks its senders in node order — out-of-range
+    /// → self-message → failed endpoint → non-adjacent → downed link (all
     /// position-independent). A locally *valid* sender whose receiver
-    /// lives in the same range min-merges into the plain claim cell
-    /// directly; a cross-shard receiver is staged as `(src, dst)` into the
-    /// owning row's bin for the destination slot (single producer).
-    /// **Pass B (drain).** Each slot drains every row's bin addressed to
-    /// it (single consumer) and min-merges into its own claim range, so
-    /// after the barrier `claims[dst]` holds the exact minimum
-    /// locally-valid sender targeting `dst` — the same value the old
-    /// atomic `fetch_min` converged to, now with plain `u32` stores.
-    /// **Pass C (conflicts).** Every sender whose claim cell names someone
-    /// else records a receive conflict. All passes reduce the
-    /// lowest-sender-index violation (counters summing alongside), folded
-    /// in slot order, then pass A's result merges before pass C's.
+    /// lives in the same range claims the plain claim cell, or, when the
+    /// cell is already held, reports a receive conflict naming the holder
+    /// as `first_src`; a receiver in another range is staged as `(src,
+    /// dst)` into the owning row's bin for the destination slot (single
+    /// producer). A slot stops at its first violation.
+    /// **Pass B (drain)**, only when pass A staged a bin: each slot
+    /// drains every row's bin addressed to it (single consumer) and
+    /// min-merges into its own claim range, so `claims[dst]` holds the
+    /// lowest claimant of `dst` that pass A walked.
+    /// **Pass C (conflicts)**, only when pass B ran: each slot reports its
+    /// first sender whose claim cell names someone else. Every pass
+    /// reduces the lowest-sender-index violation (counters summing
+    /// alongside), folded in slot order, and pass A's result merges
+    /// before pass C's.
     ///
-    /// Why this reproduces the sequential report bit-identically: the
-    /// sequential walk surfaces the violation with the lowest sender
-    /// index, checking locally before conflicts at each sender. Local
-    /// violations are position-independent, so pass A finds the same set.
-    /// For conflicts, the sequential walk fingers the *second-lowest*
-    /// sender of the contested receiver and names the lowest as
-    /// `first_src` — exactly what the exact-min claim cell + "am I the
-    /// claimant?" yields, at any slot count, because pass A + B compute
-    /// the true minimum regardless of scheduling. A locally-invalid
-    /// sender never claims, and any bogus conflict pass C records for it
-    /// sits at the same index as its pass-A local violation, which the
-    /// merge-order tiebreak (pass A first) discards — mirroring the
-    /// sequential per-sender check order.
-    #[allow(clippy::too_many_arguments)]
-    fn validate_sharded<M: Send + Sync + 'static>(
+    /// Why this is the first violation `V` in node order at any slot
+    /// count, with `first_src` the lowest sender into the contested
+    /// receiver and `second_src` the second-lowest: every report is at an
+    /// index of at least `V` — a local violation or a real conflict, or a
+    /// sender past its slot's stop (it never claimed), whose pass-C report
+    /// sits above that slot's own. The slot holding `V` walks up to `V`,
+    /// so a local violation at `V` is found, and outranks a pass-C report
+    /// at the same index by the merge order. If `V` is a receive
+    /// conflict, its receiver's two lowest claimants, both at most `V`,
+    /// were walked and claimed: if both share the receiver's range, pass
+    /// A reports `V` naming the right holder; otherwise a bin was staged,
+    /// pass B's cell holds the lowest claimant, and pass C reports `V`
+    /// correctly. A pass-A report that names the wrong `first_src` needs a
+    /// lower claimant in another range, so it sits above `V`. Without a
+    /// staged bin every claim stayed in its receiver's range and pass A
+    /// saw every conflict, so one slot walks the plans once and stops at
+    /// the first violation, like a walk in node order.
+    fn validate<M: Send + Sync + 'static>(
         topo: &T,
         plans: &[Option<(NodeId, M)>],
         claims: &mut Vec<u32>,
@@ -1540,8 +1587,8 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         bounds: &[usize],
         faults: &FaultState,
         words: &(impl Fn(&M) -> u64 + Sync),
-        n: usize,
     ) -> CycleAcc {
+        let n = plans.len();
         let slots = bounds.len() - 1;
         if claims.len() != n {
             claims.clear();
@@ -1561,106 +1608,47 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             exchange.as_mut_slice(),
             CycleAcc::EMPTY,
             &|_slot, start, chunk, row, acc| {
-                chunk.fill(NO_SRC);
-                for bin in row.bins.iter_mut() {
-                    bin.clear();
-                }
-                let end = start + chunk.len();
-                for (off, p) in plans[start..end].iter().enumerate() {
-                    let src = start + off;
-                    let Some((dst, msg)) = p else {
-                        continue;
-                    };
-                    let dst = *dst;
-                    if dst >= n {
-                        acc.violate(
-                            src,
-                            SimError::OutOfRange {
-                                node: dst,
-                                num_nodes: n,
-                            },
-                        );
-                    } else if dst == src {
-                        acc.violate(src, SimError::SelfMessage { node: src });
-                    } else if faults.is_failed(src) {
-                        acc.violate(src, SimError::NodeFailed { node: src });
-                    } else if faults.is_failed(dst) {
-                        acc.violate(src, SimError::NodeFailed { node: dst });
-                    } else if !topo.is_edge(src, dst) {
-                        acc.violate(src, SimError::NotAdjacent { src, dst });
-                    } else if faults.link_is_down(src, dst) {
-                        acc.violate(src, SimError::LinkDown { src, dst });
-                    } else {
-                        // `src < n < NO_SRC` by the construction bound,
-                        // so packed claims order exactly like node ids.
-                        if dst >= start && dst < end {
-                            let c = &mut chunk[dst - start];
-                            if (src as u32) < *c {
-                                *c = src as u32;
-                            }
-                        } else {
-                            let dst_slot = bounds.partition_point(|&b| b <= dst) - 1;
-                            row.bins[dst_slot].push((src as u32, dst as u32));
-                        }
-                        acc.delivered += 1;
-                        acc.words += words(msg);
-                    }
-                }
+                *acc = acc.merge(claim_range(
+                    topo, faults, plans, words, bounds, start, chunk, row,
+                ));
             },
             CycleAcc::merge,
         );
-        if local.violation.is_none() && local.delivered == 0 {
-            // Nobody spoke: no claims were made, so no conflicts exist.
-            return local;
-        }
         if exchange
             .iter()
-            .any(|row| row.bins.iter().any(|b| !b.is_empty()))
+            .all(|row| row.bins.iter().all(|b| b.is_empty()))
         {
-            // Pass B runs only when pass A actually staged a cross-shard
-            // claim. The rows are read-only here (captured shared); the
-            // per-slot slabs are unit placeholders since each slot's
-            // exclusive write target is its claim range.
-            let rows: &[ExchangeRow] = exchange;
-            let mut units = [(); 32];
-            par_slab_reduce(
-                bounds,
-                claims.as_mut_slice(),
-                &mut units[..slots],
-                (),
-                &|slot, start, chunk, _unit, _acc| {
-                    for row in rows {
-                        for &(src, dst) in &row.bins[slot] {
-                            let c = &mut chunk[dst as usize - start];
-                            if src < *c {
-                                *c = src;
-                            }
-                        }
-                    }
-                },
-                |(), ()| (),
-            );
+            return local;
         }
-        let claims: &[u32] = claims;
-        let conflicts = par_for_reduce(
-            n,
-            CycleAcc::EMPTY,
-            &|src, acc| {
-                if let Some((dst, _)) = &plans[src] {
-                    let dst = *dst;
-                    if dst < n && dst != src {
-                        let first = claims[dst] as usize;
-                        if first != src {
-                            acc.violate(
-                                src,
-                                SimError::RecvConflict {
-                                    node: dst,
-                                    first_src: first,
-                                    second_src: src,
-                                },
-                            );
+        // The rows are read-only here (captured shared); the per-slot
+        // slabs are unit placeholders since each slot's exclusive write
+        // target is its claim range.
+        let rows: &[ExchangeRow] = exchange;
+        let mut units = [(); 32];
+        par_slab_reduce(
+            bounds,
+            claims.as_mut_slice(),
+            &mut units[..slots],
+            (),
+            &|slot, start, chunk, _unit, _acc| {
+                for row in rows {
+                    for &(src, dst) in &row.bins[slot] {
+                        let c = &mut chunk[dst as usize - start];
+                        if src < *c {
+                            *c = src;
                         }
                     }
+                }
+            },
+            |(), ()| (),
+        );
+        let claims: &[u32] = claims;
+        let conflicts = par_range_reduce(
+            bounds,
+            CycleAcc::EMPTY,
+            &|nodes, acc| {
+                if let Some((src, e)) = conflict_in(plans, claims, nodes) {
+                    acc.violate(src, e);
                 }
             },
             CycleAcc::merge,
@@ -1687,7 +1675,6 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send + Sync,
     {
         let n = self.states.len();
-        let threaded = self.threaded();
         let width = form.width();
         let record_links = self.recorder.is_some();
         if record_links {
@@ -1714,9 +1701,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 sched.acct = Some(acct);
             }
         }
-        if threaded {
-            self.shard_bounds();
-        }
+        self.dispatch_bounds();
         let sched = self
             .schedules
             .get_mut(key)
@@ -1760,27 +1745,15 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 acc.violate(u, SimError::ScheduleDeviation { key, node: u });
             }
         };
-        let acc = if threaded {
-            par_lane_reduce_bounds(
-                &self.scratch.shard_bounds,
-                srcs,
-                width,
-                slab,
-                CycleAcc::EMPTY,
-                &eval,
-                CycleAcc::merge,
-            )
-        } else {
-            let mut acc = CycleAcc::EMPTY;
-            for (u, (src_slot, window)) in srcs
-                .iter_mut()
-                .zip(slab.chunks_exact_mut(width))
-                .enumerate()
-            {
-                eval(u, src_slot, window, &mut acc);
-            }
-            acc
-        };
+        let acc = par_lane_reduce_bounds(
+            &self.scratch.bounds,
+            srcs,
+            width,
+            slab,
+            CycleAcc::EMPTY,
+            &eval,
+            CycleAcc::merge,
+        );
         if let Some((_, e)) = acc.violation {
             // The deviating cycle is not applied: delivery never runs
             // (so no row moves), and whatever the pass staged is dropped
@@ -1814,8 +1787,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             self.metrics.link_util.add_bulk(util);
         }
         let ctx = Ctx {
-            bounds: &self.scratch.shard_bounds,
-            threaded,
+            bounds: &self.scratch.bounds,
             faults: &self.faults,
         };
         form.deliver(&mut self.states, srcs, slab, ctx);
@@ -1826,18 +1798,11 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         if drops_active {
             self.faults.clear_drops();
         }
-        self.emit_comm(
-            obs,
-            threaded,
-            delivered as u64,
-            acc.words,
-            dropped,
-            form.lanes(),
-        );
+        self.emit_comm(obs, delivered as u64, acc.words, dropped, form.lanes());
         Ok(delivered)
     }
 
-    /// Runs `f` once per node, on the configured backend. With
+    /// Runs `f` once per node, over the dispatch bounds. With
     /// `respect_faults`, crashed nodes are skipped — their states are
     /// frozen at the moment of the crash (computation phases honour
     /// this; out-of-band [`Machine::setup`] does not).
@@ -1845,29 +1810,17 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     where
         S: Send,
     {
-        let threaded = self.threaded();
+        self.dispatch_bounds();
         let faults = &self.faults;
-        let states = &mut self.states;
-        if respect_faults && faults.any_failed() {
-            let frozen = |u: NodeId, s: &mut S| {
-                if !faults.is_failed(u) {
+        let frozen = respect_faults && faults.any_failed();
+        let states = &mut self.states[..];
+        par_rows_bounds(&self.scratch.bounds, 1, [states], &|nodes, [part]| {
+            for (u, s) in nodes.zip(part) {
+                if !(frozen && faults.is_failed(u)) {
                     f(u, s);
                 }
-            };
-            if threaded {
-                par_apply_forced(states, &frozen);
-            } else {
-                for (u, s) in states.iter_mut().enumerate() {
-                    frozen(u, s);
-                }
             }
-        } else if threaded {
-            par_apply_forced(states, &f);
-        } else {
-            for (u, s) in states.iter_mut().enumerate() {
-                f(u, s);
-            }
-        }
+        });
     }
 
     /// One local computation **phase**, charged as `steps` computation
@@ -1892,11 +1845,10 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send,
     {
         let start = self.obs_cycle_start();
-        let threaded = self.threaded();
         let ops = steps * self.states.len() as u64;
         self.apply(f, true);
         self.metrics.record_comp(steps, ops);
-        self.emit_comp(start, threaded, steps, ops);
+        self.emit_comp(start, steps, ops);
     }
 
     /// Like [`Machine::compute`] but charges exactly `element_ops` total
@@ -1911,10 +1863,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send,
     {
         let start = self.obs_cycle_start();
-        let threaded = self.threaded();
         self.apply(f, true);
         self.metrics.record_comp(steps, element_ops);
-        self.emit_comp(start, threaded, steps, element_ops);
+        self.emit_comp(start, steps, element_ops);
     }
 
     /// One local computation cycle over lane slabs, charged like
@@ -1923,9 +1874,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// `slab[u*width..(u+1)*width]`, the layout of [`Comm::rows`]);
     /// `f(u, rows, read)` runs exactly once per live node with `u`'s rows
     /// of the `W` written slabs and of the `R` read ones. Crashed nodes
-    /// are skipped, so their rows freeze. On the threaded backend the
-    /// written slabs split by the shard bounds, so each worker folds its
-    /// own nodes' contiguous rows.
+    /// are skipped, so their rows freeze. The written slabs split by the
+    /// dispatch bounds, so each worker folds its own nodes' contiguous
+    /// rows.
     ///
     /// ```
     /// use dc_simulator::Machine;
@@ -1963,10 +1914,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             "every row slab must hold {width} values per node of {n}"
         );
         let start = self.obs_cycle_start();
-        let threaded = self.threaded();
-        if threaded {
-            self.shard_bounds();
-        }
+        self.dispatch_bounds();
         let faults = &self.faults;
         let frozen = faults.any_failed();
         // One row iterator per slab, advanced in step: no slab is
@@ -1982,13 +1930,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 }
             }
         };
-        if threaded {
-            par_rows_bounds(&self.scratch.shard_bounds, width, rows, &fold);
-        } else {
-            fold(0..n, rows);
-        }
+        par_rows_bounds(&self.scratch.bounds, width, rows, &fold);
         self.metrics.record_comp(1, n as u64);
-        self.emit_comp(start, threaded, 1, n as u64);
+        self.emit_comp(start, 1, n as u64);
     }
 
     /// Applies `f` to every node *without* charging any simulated cost —
@@ -2002,12 +1946,80 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     }
 }
 
+/// The engine's side of the interface it shares with the reference
+/// machine.
+impl<T: Topology + ?Sized + Sync, S: Send + Sync> Cycles<S> for Machine<'_, T, S> {
+    fn try_cycle<F: Payload<S>>(
+        &mut self,
+        comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
+    ) -> Result<usize, SimError> {
+        Machine::try_cycle(self, comm)
+    }
+
+    fn compute(&mut self, steps: u64, f: impl Fn(NodeId, &mut S) + Sync) {
+        Machine::compute(self, steps, f);
+    }
+
+    fn compute_counted(&mut self, steps: u64, element_ops: u64, f: impl Fn(NodeId, &mut S) + Sync) {
+        Machine::compute_counted(self, steps, element_ops, f);
+    }
+
+    fn compute_rows<V: Send + Sync, const W: usize, const R: usize>(
+        &mut self,
+        width: usize,
+        rows: [&mut [V]; W],
+        read: [&[V]; R],
+        f: impl Fn(NodeId, [&mut [V]; W], [&[V]; R]) + Sync,
+    ) {
+        Machine::compute_rows(self, width, rows, read, f);
+    }
+
+    fn setup(&mut self, f: impl Fn(NodeId, &mut S) + Sync) {
+        Machine::setup(self, f);
+    }
+
+    fn begin_phase(&mut self, label: impl Into<String>) {
+        Machine::begin_phase(self, label);
+    }
+
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        Machine::set_fault_plan(self, plan);
+    }
+
+    fn inject_fault(&mut self, kind: FaultKind) {
+        Machine::inject_fault(self, kind);
+    }
+
+    fn states(&self) -> &[S] {
+        Machine::states(self)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        Machine::metrics(self)
+    }
+
+    fn phased_trace(&self) -> &[TraceEntry] {
+        Machine::phased_trace(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::Travel;
     use crate::parallel::PAR_THRESHOLD;
+    use crate::reference::{model_counters, Cycles, RefMachine};
     use dc_topology::Hypercube;
+
+    /// A program's outcome on either machine: states, the counters both
+    /// machines charge, and the space-time trace.
+    fn outcome<S: Clone>(m: &impl Cycles<S>) -> (Vec<S>, Metrics, Vec<TraceEntry>) {
+        (
+            m.states().to_vec(),
+            model_counters(m.metrics()),
+            m.phased_trace().to_vec(),
+        )
+    }
 
     fn machine(dim: u32) -> Machine<'static, Hypercube, u64> {
         // Leak a tiny topology to get a 'static reference in tests.
@@ -2449,15 +2461,14 @@ mod tests {
     }
 
     /// A machine big enough to clear PAR_THRESHOLD must produce identical
-    /// states, metrics, and traces on both backends (Q_13 = 8192 nodes).
+    /// states, metrics, and traces on both backends (Q_13 = 8192 nodes),
+    /// and the reference machine's.
     #[test]
     fn parallel_backend_matches_sequential_on_large_machine() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
         assert!(n >= PAR_THRESHOLD);
-        let run = |exec: ExecMode| {
-            let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
-            m.enable_trace();
+        fn program(m: &mut impl Cycles<u64>) {
             for i in 0..13 {
                 m.cycle(|c| {
                     c.message(|u, &s| Some((u ^ (1 << i), s)), |s, _, v| *s += v)
@@ -2465,6 +2476,11 @@ mod tests {
                 });
                 m.compute(1, |u, s| *s = s.wrapping_add(u as u64));
             }
+        }
+        let run = |exec: ExecMode| {
+            let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
+            m.enable_trace();
+            program(&mut m);
             let trace = m.phased_trace().to_vec();
             let (states, metrics) = m.into_parts();
             (states, metrics, trace)
@@ -2479,18 +2495,23 @@ mod tests {
         assert_eq!(seq.0, par.0, "states");
         assert_eq!(seq.1, par.1, "metrics");
         assert_eq!(seq.2, par.2, "traces");
+        let mut oracle = RefMachine::new(topo, (0..n as u64).collect());
+        program(&mut oracle);
+        assert_eq!(
+            (seq.0, model_counters(&seq.1), seq.2),
+            outcome(&oracle),
+            "reference machine"
+        );
     }
 
     /// Keyed replay on the threaded backend must match the sequential
-    /// validate-every-cycle run bit-for-bit (Q_13 clears PAR_THRESHOLD).
+    /// validate-every-cycle run and the reference machine bit-for-bit
+    /// (Q_13 clears PAR_THRESHOLD).
     #[test]
     fn keyed_replay_matches_across_backends_on_large_machine() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
-        let run = |exec: ExecMode, replay: bool| {
-            let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
-            m.set_schedule_replay(replay);
-            m.enable_trace();
+        fn program(m: &mut impl Cycles<u64>) {
             for sweep in 0..3 {
                 for i in 0..13u32 {
                     m.cycle(|c| {
@@ -2503,16 +2524,21 @@ mod tests {
                     });
                 }
             }
-            let trace = m.phased_trace().to_vec();
-            let (states, mut metrics) = m.into_parts();
+        }
+        let run = |exec: ExecMode, replay: bool| {
+            let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
+            m.set_schedule_replay(replay);
+            m.enable_trace();
+            program(&mut m);
             // The observability counters are the one intended difference
             // between the replay-on and replay-off legs.
-            metrics.schedule_hits = 0;
-            metrics.schedule_misses = 0;
-            (states, metrics, trace)
+            outcome(&m)
         };
         let _guard = crate::parallel::test_override_guard();
         let baseline = run(ExecMode::Sequential, false);
+        let mut oracle = RefMachine::new(topo, (0..n as u64).collect());
+        program(&mut oracle);
+        assert_eq!(baseline, outcome(&oracle), "reference machine");
         let seq_replay = run(ExecMode::Sequential, true);
         assert_eq!(baseline, seq_replay, "sequential replay");
         crate::parallel::set_worker_threads(4);
@@ -2548,7 +2574,7 @@ mod tests {
     /// One cycle in `form` where node `u` sends to `dst(u)` (its own id
     /// as the payload), requiring a symmetric matching when `pairwise`.
     fn try_form(
-        m: &mut Machine<'_, Hypercube, u64>,
+        m: &mut impl Cycles<u64>,
         form: Form,
         pairwise: bool,
         dst: impl Fn(NodeId) -> Option<NodeId> + Sync,
@@ -2577,7 +2603,7 @@ mod tests {
                 }
             }),
             Form::Rows(k) => {
-                let n = m.num_nodes();
+                let n = m.states().len();
                 let rows: Vec<u64> = (0..n * k).map(|i| (i / k) as u64).collect();
                 let mut landed = vec![0u64; n * k];
                 let result = m.try_cycle(|c| {
@@ -2594,7 +2620,7 @@ mod tests {
                 result
             }
             Form::Fold(k) => {
-                let n = m.num_nodes();
+                let n = m.states().len();
                 let from: Vec<u64> = (0..n * k).map(|i| (i / k) as u64 + 1).collect();
                 let (mut t, mut stage) = (from.clone(), Vec::new());
                 let result = m.try_cycle(|c| {
@@ -2631,33 +2657,40 @@ mod tests {
     }
 
     /// Model violations must be reported identically (same variant, same
-    /// nodes) by both backends and both payload forms, with the machine
-    /// left untouched.
+    /// nodes) by both backends, every payload form and the reference
+    /// machine, with the machine left untouched.
     #[test]
     fn parallel_backend_error_semantics_bit_identical() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
-        let probe = |exec: ExecMode, form: Form, case: usize| {
-            let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
+        fn probe(m: &mut impl Cycles<u64>, form: Form, case: usize) -> SimError {
+            let n = m.states().len();
             let result = match case {
                 // Every node sends to node u|1 across dim 0: odd nodes
                 // self-send (caught first at node 1), and pairs collide —
                 // the backends must agree on which violation is surfaced.
-                0 => try_form(&mut m, form, false, |u| Some(u | 1)),
+                0 => try_form(m, form, false, |u| Some(u | 1)),
                 // Node 4097 sits out of a dim-0 matching, so its partner
                 // 4096 is left unpaired.
-                1 => try_form(&mut m, form, true, |u| (u != 4097).then_some(u ^ 1)),
+                1 => try_form(m, form, true, |u| (u != 4097).then_some(u ^ 1)),
                 // The upper half sends two dimensions away.
-                2 => try_form(&mut m, form, false, |u| (u >= n / 2).then_some(u ^ 3)),
+                2 => try_form(m, form, false, |u| (u >= n / 2).then_some(u ^ 3)),
                 // A full dim-0 exchange through a crashed node.
                 _ => {
                     m.inject_fault(FaultKind::NodeCrash { node: 5000 });
-                    try_form(&mut m, form, true, |u| Some(u ^ 1))
+                    try_form(m, form, true, |u| Some(u ^ 1))
                 }
             };
             assert_eq!(m.metrics().comm_steps, 0);
             assert!(m.states().iter().all(|&s| s == 0), "machine untouched");
             result.unwrap_err()
+        }
+        let engine = |exec, form, case| {
+            probe(
+                &mut Machine::with_exec(topo, vec![0u64; n], exec),
+                form,
+                case,
+            )
         };
         let expected = [
             SimError::SelfMessage { node: 1 },
@@ -2671,12 +2704,14 @@ mod tests {
         let _guard = crate::parallel::test_override_guard();
         for (case, want) in expected.into_iter().enumerate() {
             for form in FORMS {
-                let seq = probe(ExecMode::Sequential, form, case);
+                let seq = engine(ExecMode::Sequential, form, case);
                 crate::parallel::set_worker_threads(4);
-                let par = probe(ExecMode::parallel(), form, case);
+                let par = engine(ExecMode::parallel(), form, case);
                 crate::parallel::set_worker_threads(0);
+                let oracle = probe(&mut RefMachine::new(topo, vec![0u64; n]), form, case);
                 assert_eq!(seq, want, "case {case}, {form:?}, sequential");
                 assert_eq!(par, want, "case {case}, {form:?}, threaded");
+                assert_eq!(oracle, want, "case {case}, {form:?}, reference machine");
             }
         }
     }
@@ -2829,44 +2864,63 @@ mod tests {
         );
     }
 
-    /// A pure receive-conflict (no local violations): the parallel
-    /// reduction must finger the second-lowest sender and name the lowest
-    /// as `first_src`, exactly like the sequential walk.
+    /// A pure receive-conflict (no local violations): every backend and
+    /// worker count must finger the second-lowest sender and name the
+    /// lowest as `first_src`, like the reference machine's walk in node
+    /// order. Two fan-ins:
+    ///
+    /// * nodes 8, 512 and 2048 all target node 0 (dims 3, 9 and 11):
+    ///   every claimant sits in a later slot than the receiver, or in its
+    ///   own;
+    /// * nodes 0, 4097 and 4098 all target node 4096 (dims 12, 0 and 1):
+    ///   at 2, 3, 4 and 7 workers the lowest claimant sits in an earlier
+    ///   slot than the receiver, while the two higher ones share its
+    ///   slot, so validation pass A sees 4098 collide with 4097 and names
+    ///   the wrong `first_src` — the conflict pass must outrank it.
     #[test]
     fn parallel_conflict_attribution_matches_sequential() {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
-        let probe = |exec: ExecMode, form: Form| {
-            let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
-            // Nodes 8 and 512 both target node 0 (dims 3 and 9); node
-            // 2048 targets it too (dim 11). Lowest sender 8 claims,
-            // second-lowest 512 is reported.
-            try_form(&mut m, form, false, |u| {
-                matches!(u, 8 | 512 | 2048).then_some(0)
-            })
-            .unwrap_err()
-        };
-        let _guard = crate::parallel::test_override_guard();
-        for form in FORMS {
-            let seq = probe(ExecMode::Sequential, form);
-            assert_eq!(
-                seq,
+        type FanIn = fn(NodeId) -> Option<NodeId>;
+        let cases: [(FanIn, SimError); 2] = [
+            (
+                |u| matches!(u, 8 | 512 | 2048).then_some(0),
                 SimError::RecvConflict {
                     node: 0,
                     first_src: 8,
-                    second_src: 512
+                    second_src: 512,
                 },
-                "{form:?}"
-            );
-            for workers in [2, 3, 4, 7] {
-                crate::parallel::set_worker_threads(workers);
-                assert_eq!(
-                    probe(ExecMode::parallel(), form),
-                    seq,
-                    "{form:?} at {workers} workers"
-                );
+            ),
+            (
+                |u| matches!(u, 0 | 4097 | 4098).then_some(4096),
+                SimError::RecvConflict {
+                    node: 4096,
+                    first_src: 0,
+                    second_src: 4097,
+                },
+            ),
+        ];
+        let _guard = crate::parallel::test_override_guard();
+        for (dst, want) in cases {
+            for form in FORMS {
+                let mut oracle = RefMachine::new(topo, vec![0u64; n]);
+                let got = try_form(&mut oracle, form, false, dst).unwrap_err();
+                assert_eq!(got, want, "{form:?}, reference machine");
+                let probe = |exec| {
+                    let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
+                    try_form(&mut m, form, false, dst).unwrap_err()
+                };
+                assert_eq!(probe(ExecMode::Sequential), want, "{form:?}, sequential");
+                for workers in [2, 3, 4, 7] {
+                    crate::parallel::set_worker_threads(workers);
+                    assert_eq!(
+                        probe(ExecMode::parallel()),
+                        want,
+                        "{form:?} at {workers} workers"
+                    );
+                }
+                crate::parallel::set_worker_threads(0);
             }
-            crate::parallel::set_worker_threads(0);
         }
     }
 
@@ -3493,15 +3547,12 @@ mod tests {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
         const K: usize = 3;
-        let run = |exec: ExecMode, replay: bool| {
-            let mut m = Machine::with_exec(
-                topo,
-                (0..n as u64)
-                    .map(|u| vec![u, u.wrapping_mul(7), u ^ 0x55])
-                    .collect(),
-                exec,
-            );
-            m.set_schedule_replay(replay);
+        let init = || {
+            (0..n as u64)
+                .map(|u| vec![u, u.wrapping_mul(7), u ^ 0x55])
+                .collect()
+        };
+        fn program(m: &mut impl Cycles<Vec<u64>>) {
             for _ in 0..3 {
                 for i in 0..4u32 {
                     m.cycle(|c| {
@@ -3521,13 +3572,19 @@ mod tests {
                     });
                 }
             }
-            let (states, mut metrics) = m.into_parts();
-            metrics.schedule_hits = 0;
-            metrics.schedule_misses = 0;
-            (states, metrics)
+        }
+        let run = |exec: ExecMode, replay: bool| {
+            let mut m = Machine::with_exec(topo, init(), exec);
+            m.set_schedule_replay(replay);
+            m.enable_trace();
+            program(&mut m);
+            outcome(&m)
         };
         let _guard = crate::parallel::test_override_guard();
         let baseline = run(ExecMode::Sequential, false);
+        let mut oracle = RefMachine::new(topo, init());
+        program(&mut oracle);
+        assert_eq!(baseline, outcome(&oracle), "reference machine");
         assert_eq!(
             baseline,
             run(ExecMode::Sequential, true),
@@ -3558,10 +3615,12 @@ mod tests {
         let topo: &'static Hypercube = Box::leak(Box::new(Hypercube::new(13)));
         let n = topo.num_nodes();
         const K: usize = 3;
-        let init = |u: u64| [u, u.wrapping_mul(7), u ^ 0x55];
-        let run = |exec: ExecMode, replay: bool| {
-            let mut m = Machine::with_exec(topo, vec![(); n], exec);
-            m.set_schedule_replay(replay);
+        fn init(u: u64) -> [u64; K] {
+            [u, u.wrapping_mul(7), u ^ 0x55]
+        }
+        /// The rounds on `m`, returning the final value slab.
+        fn program(m: &mut impl Cycles<()>) -> Vec<u64> {
+            let n = m.states().len();
             let mut cur: Vec<u64> = (0..n as u64).flat_map(init).collect();
             let mut temp = vec![0u64; n * K];
             for _ in 0..3 {
@@ -3582,13 +3641,20 @@ mod tests {
                     });
                 }
             }
-            let mut metrics = m.into_parts().1;
-            metrics.schedule_hits = 0;
-            metrics.schedule_misses = 0;
-            (cur, metrics)
+            cur
+        }
+        let run = |exec: ExecMode, replay: bool| {
+            let mut m = Machine::with_exec(topo, vec![(); n], exec);
+            m.set_schedule_replay(replay);
+            m.enable_trace();
+            let cur = program(&mut m);
+            (cur, outcome(&m))
         };
         let _guard = crate::parallel::test_override_guard();
         let baseline = run(ExecMode::Sequential, false);
+        let mut oracle = RefMachine::new(topo, vec![(); n]);
+        let cur = program(&mut oracle);
+        assert_eq!(baseline, (cur, outcome(&oracle)), "reference machine");
         let mut lanes = Machine::with_exec(
             topo,
             (0..n as u64).map(|u| init(u).to_vec()).collect(),
@@ -3612,8 +3678,9 @@ mod tests {
                 });
             }
         }
-        assert_eq!(baseline.0, lanes.states().concat(), "rows vs lanes");
-        assert_eq!(baseline.1.message_words, lanes.metrics().message_words);
+        let (cur, (_, counters, _)) = &baseline;
+        assert_eq!(*cur, lanes.states().concat(), "rows vs lanes");
+        assert_eq!(counters.message_words, lanes.metrics().message_words);
         assert_eq!(
             baseline,
             run(ExecMode::Sequential, true),

@@ -1,32 +1,34 @@
 //! Host-side parallelism for large machines.
 //!
 //! The simulated network is synchronous, so within one cycle the per-node
-//! work is embarrassingly parallel. [`Machine`](crate::Machine) runs under
-//! an [`ExecMode`]: in `Parallel` mode every communication cycle splits
-//! into a read-only *plan* phase parallelised over the states, a
-//! *validation* of the 1-port matching sharded along the machine's shard
-//! map (claim passes that reduce to the lowest-index violation, so
-//! `SimError` semantics and trace recording stay bit-identical to the
-//! sequential backend; DESIGN.md §12), and a receiver-driven *deliver*
-//! phase in which each worker mutates only its own nodes' states or rows;
-//! `compute` and `setup` cycles are chunked directly. The executors here
-//! are the primitives for those phases, built on a lazily-initialised
+//! work is embarrassingly parallel. [`Machine`](crate::Machine) runs every
+//! per-node pass of a cycle — plan, the pairwise symmetry check, the
+//! claim passes of the 1-port validation, replay, delivery, and the
+//! `compute`, `compute_rows` and `setup` phases — over its *dispatch
+//! bounds*: ascending node ranges, one per dispatch slot. Under
+//! [`ExecMode::Sequential`] (or below the parallel threshold) the bounds
+//! are the one slot `[0, n]`, and every executor here runs it inline on
+//! the calling thread; on the threaded backend they are the shard-aligned
+//! slots of the machine's shard map, one per worker (DESIGN.md §6, §12).
+//! Validation reduces the lowest-index violation over the slots, so
+//! `SimError` semantics and trace recording are the same at every slot
+//! count. The multi-slot executors are built on a lazily-initialised
 //! **persistent worker pool** (the private `pool` module): long-lived
 //! threads parked on a condvar between cycles and woken by an
-//! epoch-counter fork-join barrier, so a steady-state cycle
-//! costs three wake/join rounds instead of three rounds of OS thread
-//! spawns (rayon and crossbeam are not in the dependency set — see
-//! DESIGN.md §6 for the pool architecture and the measured difference
-//! against the earlier `std::thread::scope` backend).
+//! epoch-counter fork-join barrier, so a steady-state cycle costs a few
+//! wake/join rounds instead of rounds of OS thread spawns (rayon and
+//! crossbeam are not in the dependency set — see DESIGN.md §6 for the
+//! pool architecture and the measured difference against the earlier
+//! `std::thread::scope` backend).
 //!
-//! Determinism: workers receive disjoint `(node id, &mut state)` pairs, so
-//! the result is identical to the sequential loop regardless of
-//! scheduling. The determinism tests in `dc-core`'s
-//! `tests/parallel_backend.rs` pin this at the algorithm level: parallel
-//! and sequential runs must agree state-for-state and metric-for-metric.
-//! Panics raised inside the per-node closures are propagated to the
-//! caller (with their original payload) exactly as `std::thread::scope`
-//! would, and leave the pool reusable.
+//! Determinism: slots receive disjoint node ranges, so the result is
+//! identical to the one-slot run regardless of scheduling. The
+//! determinism tests in `dc-core`'s `tests/parallel_backend.rs` pin this
+//! at the algorithm level: parallel and sequential runs must agree
+//! state-for-state and metric-for-metric. Panics raised inside the
+//! per-node closures are propagated to the caller (with their original
+//! payload) exactly as `std::thread::scope` would, and leave the pool
+//! reusable.
 
 #[allow(unsafe_code)]
 mod pool;
@@ -178,60 +180,6 @@ pub fn par_apply_forced<S: Send>(states: &mut [S], f: &(impl Fn(usize, &mut S) +
     pool::apply_chunked(threads, states, f);
 }
 
-/// Applies `f(index, &mut a[i], &b[i])` in parallel over two equal-length
-/// slices — the *plan* phase's shape (write one plan slot per node while
-/// reading that node's state).
-pub fn par_zip_apply<A: Send, B: Sync>(
-    a: &mut [A],
-    b: &[B],
-    f: &(impl Fn(usize, &mut A, &B) + Sync),
-) {
-    assert_eq!(a.len(), b.len(), "zipped slices must match");
-    let len = a.len();
-    let threads = available_threads();
-    if threads == 1 || len <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    pool::zip_apply_chunked(threads, a, b, f);
-}
-
-/// Folds `f(i, &mut acc)` over `0..len` with a chunk-local accumulator
-/// per worker, then folds the per-chunk results **in slot order** — the
-/// shape of the parallel validation passes (read shared plan slots /
-/// atomic claim cells, reduce a lowest-index violation plus counters).
-///
-/// Determinism: the slot → index-range partition is fixed by `len` and
-/// the worker count, and the final fold runs left-to-right over the slot
-/// results on the calling thread. With an associative, commutative
-/// `fold` whose `init` is an identity (sums, min-index reductions — the
-/// only uses here), the result is bit-identical to the sequential loop
-/// at **any** worker count.
-pub fn par_for_reduce<R: Copy + Send + Sync>(
-    len: usize,
-    init: R,
-    f: &(impl Fn(usize, &mut R) + Sync),
-    fold: impl Fn(R, R) -> R,
-) -> R {
-    let threads = available_threads();
-    if threads == 1 || len <= 1 {
-        let mut acc = init;
-        for i in 0..len {
-            f(i, &mut acc);
-        }
-        return acc;
-    }
-    let mut out = [init; MAX_THREADS];
-    pool::for_reduce_chunked(threads, len, init, f, &mut out[..threads]);
-    out[..threads]
-        .iter()
-        .copied()
-        .reduce(fold)
-        .expect("threads >= 2")
-}
-
 /// Folds `f(i, &mut a[i], window_i, &mut acc)` over an element slice
 /// plus a **lane-strided** companion buffer (element `i` owns
 /// `lanes[i*stride..(i+1)*stride]`), with one chunk-local accumulator
@@ -368,6 +316,29 @@ pub(crate) fn par_slab_reduce<A: Send, B: Send, R: Copy + Send + Sync>(
         .expect("slots >= 2")
 }
 
+/// Read-only pass over the dispatch bounds: `f(nodes, &mut acc)` once per
+/// slot with its node range, the per-slot accumulators folded in slot
+/// order. The shape of the passes that only read shared tables (the
+/// pairwise symmetry check, the conflict pass). Inline for one slot.
+pub(crate) fn par_range_reduce<R: Copy + Send + Sync>(
+    bounds: &[usize],
+    init: R,
+    f: &(impl Fn(std::ops::Range<usize>, &mut R) + Sync),
+    fold: impl Fn(R, R) -> R,
+) -> R {
+    let slots = bounds.len() - 1;
+    debug_assert!(slots <= MAX_THREADS);
+    let mut out = [init; MAX_THREADS];
+    par_apply_forced(&mut out[..slots], &|slot, acc| {
+        f(bounds[slot]..bounds[slot + 1], acc)
+    });
+    out[..slots]
+        .iter()
+        .copied()
+        .reduce(fold)
+        .expect("at least one slot")
+}
+
 /// Upper bound on worker threads, so huge hosts (or careless overrides)
 /// don't oversubscribe.
 const MAX_THREADS: usize = 32;
@@ -464,57 +435,6 @@ mod tests {
         }
         let mut empty: Vec<usize> = Vec::new();
         par_apply_forced(&mut empty, &|_, _| unreachable!());
-    }
-
-    #[test]
-    fn zip_apply_reads_companion_slice() {
-        let n = PAR_THRESHOLD + 7;
-        let src: Vec<u64> = (0..n as u64).collect();
-        let mut dst = vec![0u64; n];
-        par_zip_apply(&mut dst, &src, &|i, d, s| *d = s * 2 + i as u64);
-        assert!(dst.iter().enumerate().all(|(i, &d)| d == 3 * i as u64));
-    }
-
-    #[test]
-    fn for_reduce_matches_sequential_fold_at_any_worker_count() {
-        let _guard = test_override_guard();
-        let len = PAR_THRESHOLD + 13;
-        let expect: u64 = (0..len as u64).sum();
-        for &workers in &[1usize, 2, 3, 5, 8] {
-            set_worker_threads(workers);
-            let got = par_for_reduce(len, 0u64, &|i, acc| *acc += i as u64, |a, b| a + b);
-            assert_eq!(got, expect, "at {workers} workers");
-        }
-        set_worker_threads(0);
-    }
-
-    #[test]
-    fn for_reduce_min_index_is_worker_count_invariant() {
-        let _guard = test_override_guard();
-        // "Violations" at a scatter of indices: the reduction must pick
-        // the lowest regardless of chunk boundaries.
-        let len = PAR_THRESHOLD * 2 + 7;
-        let hot = [4097usize, 5000, 731, 8190, 731 + PAR_THRESHOLD];
-        let min = |a: Option<usize>, b: Option<usize>| match (a, b) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (x, None) => x,
-            (None, y) => y,
-        };
-        for &workers in &[1usize, 2, 4, 7] {
-            set_worker_threads(workers);
-            let got = par_for_reduce(
-                len,
-                None,
-                &|i, acc: &mut Option<usize>| {
-                    if hot.contains(&i) {
-                        *acc = min(*acc, Some(i));
-                    }
-                },
-                min,
-            );
-            assert_eq!(got, Some(731), "at {workers} workers");
-        }
-        set_worker_threads(0);
     }
 
     #[test]

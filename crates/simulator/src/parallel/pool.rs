@@ -412,64 +412,6 @@ pub(super) fn apply_chunked<S: Send>(
     });
 }
 
-/// Pool-backed form of [`super::par_zip_apply`]: mutable `a`, shared `b`.
-pub(super) fn zip_apply_chunked<A: Send, B: Sync>(
-    slots: usize,
-    a: &mut [A],
-    b: &[B],
-    f: &(impl Fn(usize, &mut A, &B) + Sync),
-) {
-    let len = a.len();
-    debug_assert_eq!(len, b.len());
-    let chunk = len.div_ceil(slots);
-    let base = SendPtr(a.as_mut_ptr());
-    fork_join(slots, &|slot| {
-        let range = slot_range(slot, chunk, len);
-        if range.is_empty() {
-            return;
-        }
-        let start = range.start;
-        // SAFETY: disjoint ranges + fork-join barrier, as above. `b` is
-        // shared read-only, which `B: Sync` makes legal directly.
-        let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), range.len()) };
-        for (i, x) in part.iter_mut().enumerate() {
-            f(start + i, x, &b[start + i]);
-        }
-    });
-}
-
-/// Pool-backed form of [`super::par_for_reduce`]: pure index-space
-/// iteration with a per-slot accumulator. `f` only receives the index —
-/// any slices it reads are captured shared, so cross-chunk *reads* (the
-/// validation passes read arbitrary plan slots and atomic claim cells)
-/// are legal without carving the data into chunks. Each slot folds its
-/// own range into a private accumulator and deposits it at `out[slot]`;
-/// empty slots deposit `init`, so the caller can fold the whole `out`
-/// prefix in slot order.
-pub(super) fn for_reduce_chunked<R: Copy + Send + Sync>(
-    slots: usize,
-    len: usize,
-    init: R,
-    f: &(impl Fn(usize, &mut R) + Sync),
-    out: &mut [R],
-) {
-    debug_assert_eq!(out.len(), slots);
-    let chunk = len.div_ceil(slots);
-    let base = SendPtr(out.as_mut_ptr());
-    fork_join(slots, &|slot| {
-        let mut acc = init;
-        for i in slot_range(slot, chunk, len) {
-            f(i, &mut acc);
-        }
-        // SAFETY: slot `k` writes only `out[k]` — disjoint by
-        // construction — and the fork-join barrier keeps the `out`
-        // borrow alive until every slot has deposited.
-        unsafe {
-            *base.get().add(slot) = acc;
-        }
-    });
-}
-
 /// Pool-backed form of [`super::par_lane_reduce_bounds`]: chunked `&mut`
 /// iteration over `a` fused with the matching **stride-scaled** chunk of
 /// the lane buffer `v` (`v[i*stride..(i+1)*stride]` belongs to element
@@ -521,7 +463,9 @@ pub(super) fn zip_strided_reduce_bounds<A: Send, V: Send, R: Copy + Send + Sync>
                 f(start + i, x, lanes, &mut acc);
             }
         }
-        // SAFETY: slot-private `out` cell, as in `for_reduce_chunked`.
+        // SAFETY: slot `k` writes only `out[k]` — disjoint by
+        // construction — and the fork-join barrier keeps the `out`
+        // borrow alive until every slot has deposited.
         unsafe {
             *out_base.get().add(slot) = acc;
         }
@@ -565,7 +509,8 @@ pub(super) fn slab_reduce_bounds<A: Send, B: Send, R: Copy + Send + Sync>(
             let slab = unsafe { &mut *base_s.get().add(slot) };
             f(slot, start, chunk, slab, &mut acc);
         }
-        // SAFETY: slot-private `out` cell, as in `for_reduce_chunked`.
+        // SAFETY: slot-private `out` cell, as in
+        // `zip_strided_reduce_bounds`.
         unsafe {
             *out_base.get().add(slot) = acc;
         }

@@ -10,8 +10,10 @@
 //! / [`SimError::LinkDown`] if the pattern touches it) or succeeds afresh
 //! with a legal rerouted plan. Either way the outcome — error value,
 //! delivered counts, end states, fault metrics — is bit-identical on both
-//! backends, with and without replay.
+//! backends, with and without replay, and equal to the naive reference
+//! machine's ([`RefMachine`]).
 
+use dc_simulator::reference::{Cycles, RefMachine};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultKind, FaultPlan,
     Machine, ScheduleKey, SimError,
@@ -84,12 +86,36 @@ fn run_scenario(
     })
 }
 
+/// One run of the scenario on the reference machine.
+fn run_oracle(
+    scenario: impl Fn(&mut RefMachine<'_, Hypercube, u64>) -> Vec<Result<usize, SimError>>,
+) -> Outcome {
+    let q = Hypercube::new(3);
+    let mut m = RefMachine::new(&q, (0..q.num_nodes() as u64).collect());
+    let cycles = scenario(&mut m);
+    let (states, metrics) = m.into_parts();
+    Outcome {
+        cycles,
+        states,
+        comm_steps: metrics.comm_steps,
+        messages: metrics.messages,
+        dropped: metrics.dropped_messages,
+    }
+}
+
 /// Asserts the scenario's outcome is identical across the whole matrix
-/// and returns the (sequential, replay-off) baseline.
+/// and to the reference machine's (`oracle` is the same scenario on a
+/// [`RefMachine`]), and returns the (sequential, replay-off) baseline.
 fn assert_matrix_identical(
     scenario: impl Fn(&mut Machine<'_, Hypercube, u64>) -> Vec<Result<usize, SimError>>,
+    oracle: impl Fn(&mut RefMachine<'_, Hypercube, u64>) -> Vec<Result<usize, SimError>>,
 ) -> Outcome {
     let baseline = run_scenario(ExecMode::Sequential, false, 0, &scenario);
+    assert_eq!(
+        run_oracle(oracle),
+        baseline,
+        "the reference machine diverged"
+    );
     for (mode, replay, workers) in configs() {
         let got = run_scenario(mode, replay, workers, &scenario);
         assert_eq!(
@@ -100,7 +126,15 @@ fn assert_matrix_identical(
     baseline
 }
 
-fn dim_swap(m: &mut Machine<'_, Hypercube, u64>, dim: usize) -> Result<usize, SimError> {
+/// [`assert_matrix_identical`] on one scenario body over `m`, run on the
+/// engine and on the reference machine.
+macro_rules! matrix {
+    (|$m:ident| $body:expr) => {
+        assert_matrix_identical(|$m| $body, |$m| $body)
+    };
+}
+
+fn dim_swap(m: &mut impl Cycles<u64>, dim: usize) -> Result<usize, SimError> {
     m.try_cycle(|c| {
         c.message(move |u, &s| Some((u ^ (1 << dim), s)), |s, _, v| *s = v)
             .pairwise()
@@ -118,7 +152,7 @@ fn dim_swap(m: &mut Machine<'_, Hypercube, u64>, dim: usize) -> Result<usize, Si
 /// through the corpse and succeed.
 #[test]
 fn pre_fault_schedule_never_replayed_after_the_fault() {
-    let outcome = assert_matrix_identical(|m| {
+    let outcome = matrix!(|m| {
         let mut log = Vec::new();
         // Warm both patterns: compile cycle + replay cycles.
         for _ in 0..3 {
@@ -150,7 +184,7 @@ fn pre_fault_schedule_never_replayed_after_the_fault() {
 /// still swap.
 #[test]
 fn epoch_bump_recompiles_a_rerouted_plan_under_the_same_key() {
-    let outcome = assert_matrix_identical(|m| {
+    let outcome = matrix!(|m| {
         let mut log = Vec::new();
         for _ in 0..2 {
             log.push(dim_swap(m, 0));
@@ -189,7 +223,7 @@ fn epoch_bump_recompiles_a_rerouted_plan_under_the_same_key() {
 /// and reports the crash.
 #[test]
 fn scripted_crash_fires_at_its_boundary_in_every_config() {
-    let outcome = assert_matrix_identical(|m| {
+    let outcome = matrix!(|m| {
         m.set_fault_plan(FaultPlan::new().node_crash(2, 5));
         (0..4).map(|_| dim_swap(m, 1)).collect()
     });
@@ -208,7 +242,7 @@ fn scripted_crash_fires_at_its_boundary_in_every_config() {
 /// bit-identically across the matrix.
 #[test]
 fn scripted_drop_spoils_one_cycle_and_replay_continues() {
-    let outcome = assert_matrix_identical(|m| {
+    let outcome = matrix!(|m| {
         m.set_fault_plan(FaultPlan::new().message_drop(1, 6));
         (0..3).map(|_| dim_swap(m, 0)).collect()
     });
@@ -249,13 +283,18 @@ proptest! {
             plan = plan.message_drop(cycle, node);
         }
         let _ = seed;
-        let scenario = move |m: &mut Machine<'_, Hypercube, u64>| {
+        fn program(m: &mut impl Cycles<u64>, plan: &FaultPlan, dims: &[usize]) -> Vec<Result<usize, SimError>> {
             m.set_fault_plan(plan.clone());
             dims.iter().map(|&d| dim_swap(m, d)).collect()
-        };
-        let baseline = run_scenario(ExecMode::Sequential, false, 0, &scenario);
+        }
+        let scenario = |m: &mut Machine<'_, Hypercube, u64>| program(m, &plan, &dims);
+        let baseline = run_scenario(ExecMode::Sequential, false, 0, scenario);
+        prop_assert_eq!(
+            &run_oracle(|m| program(m, &plan, &dims)), &baseline,
+            "the reference machine diverged"
+        );
         for (mode, replay, workers) in configs() {
-            let got = run_scenario(mode, replay, workers, &scenario);
+            let got = run_scenario(mode, replay, workers, scenario);
             prop_assert_eq!(
                 &got, &baseline,
                 "config ({:?}, replay={}, workers={}) diverged", mode, replay, workers

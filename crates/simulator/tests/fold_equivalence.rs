@@ -15,10 +15,16 @@
 //! fold sees `None` exactly where the fused fold does. `D_7` at 16
 //! lanes (1 MiB slabs) drives the sequential pair walk; the smaller
 //! runs drive the snapshot fold.
+//!
+//! Both programs also run on the naive reference machine
+//! ([`RefMachine`]), which every configuration's slabs, counters and
+//! trace must match.
 
 use dc_simulator::obs::{self, MemorySink};
+use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, Event, ExecMode, FaultPlan, Machine, Metrics, ScheduleKey, Travel,
+    set_worker_threads, Event, ExecMode, FaultPlan, Machine, Metrics, ScheduleKey, TraceEntry,
+    Travel,
 };
 use dc_topology::{Class, DualCube, Topology};
 
@@ -70,29 +76,17 @@ fn read_fold(u: usize, [t]: [&mut [u64]; 1], [own]: [&[u64]; 1], msg: Option<&[u
 }
 
 /// What a run leaves: slabs, metrics, trace, normalized events.
-type Outcome = (
-    Vec<u64>,
-    Vec<u64>,
-    Metrics,
-    Vec<dc_simulator::TraceEntry>,
-    Vec<Event>,
-);
+type Outcome = (Vec<u64>, Vec<u64>, Metrics, Vec<TraceEntry>, Vec<Event>);
 
 /// A landed row, or `None` where the sentinel says nothing arrived.
 fn landed_row(x: &[u64]) -> Option<&[u64]> {
     (x[0] != EMPTY).then_some(x)
 }
 
-/// Runs the program fused (`fused`) or as rows + `compute_rows`.
-fn run(fused: bool, exec: ExecMode, replay: bool, shards: usize, n: u32, k: usize) -> Outcome {
-    let d = DualCube::new(n);
+/// Runs the program on `m`, fused (`fused`) or as rows +
+/// `compute_rows`, returning the `t` and `s` slabs.
+fn program(m: &mut impl Cycles<()>, d: DualCube, fused: bool, k: usize) -> (Vec<u64>, Vec<u64>) {
     let nodes = d.num_nodes();
-    let mut m = Machine::with_exec(&d, vec![(); nodes], exec);
-    m.set_schedule_replay(replay);
-    m.set_shards(shards);
-    m.enable_trace();
-    let sink = obs::shared(MemorySink::new());
-    m.record_into(sink.clone());
     m.set_fault_plan(
         FaultPlan::new()
             .message_drop(1, 3)
@@ -172,6 +166,19 @@ fn run(fused: bool, exec: ExecMode, replay: bool, shards: usize, n: u32, k: usiz
             }
         }
     }
+    (t, s)
+}
+
+/// Runs the program on the engine under one configuration.
+fn run(fused: bool, exec: ExecMode, replay: bool, shards: usize, n: u32, k: usize) -> Outcome {
+    let d = DualCube::new(n);
+    let mut m = Machine::with_exec(&d, vec![(); d.num_nodes()], exec);
+    m.set_schedule_replay(replay);
+    m.set_shards(shards);
+    m.enable_trace();
+    let sink = obs::shared(MemorySink::new());
+    m.record_into(sink.clone());
+    let (t, s) = program(&mut m, d, fused, k);
     let trace = m.phased_trace().to_vec();
     let metrics = m.into_parts().1;
     let events = sink.lock().unwrap().events();
@@ -182,6 +189,15 @@ fn run(fused: bool, exec: ExecMode, replay: bool, shards: usize, n: u32, k: usiz
         trace,
         events.iter().map(Event::normalized).collect(),
     )
+}
+
+/// Runs the program on the reference machine: slabs, counters, trace.
+fn oracle(fused: bool, n: u32, k: usize) -> (Vec<u64>, Vec<u64>, Metrics, Vec<TraceEntry>) {
+    let d = DualCube::new(n);
+    let mut m = RefMachine::new(&d, vec![(); d.num_nodes()]);
+    let (t, s) = program(&mut m, d, fused, k);
+    let trace = m.phased_trace().to_vec();
+    (t, s, m.into_parts().1, trace)
 }
 
 /// Every (backend, replay, workers, shards) configuration.
@@ -198,6 +214,12 @@ fn configs() -> Vec<(ExecMode, bool, usize, usize)> {
 }
 
 fn check(n: u32, k: usize, configs: &[(ExecMode, bool, usize, usize)]) {
+    let want = oracle(true, n, k);
+    assert_eq!(
+        want,
+        oracle(false, n, k),
+        "D_{n} K={k}: the oracle's own rounds"
+    );
     for &(exec, replay, workers, shards) in configs {
         let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
         let case = format!("D_{n} K={k} {exec:?} replay={replay} workers={workers} S={shards}");
@@ -209,6 +231,18 @@ fn check(n: u32, k: usize, configs: &[(ExecMode, bool, usize, usize)]) {
         assert_eq!(fused.3, reference.3, "trace: {case}");
         assert_eq!(fused.4, reference.4, "events: {case}");
         assert!(fused.2.dropped_messages > 0, "drops armed: {case}");
+        let (t, s, metrics, trace) = &want;
+        assert_eq!(&fused.0, t, "t slab against the reference machine: {case}");
+        assert_eq!(&fused.1, s, "s slab against the reference machine: {case}");
+        let counters = model_counters(&fused.2);
+        assert_eq!(
+            &counters, metrics,
+            "metrics against the reference machine: {case}"
+        );
+        assert_eq!(
+            &fused.3, trace,
+            "trace against the reference machine: {case}"
+        );
     }
 }
 

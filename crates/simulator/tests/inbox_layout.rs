@@ -1,9 +1,9 @@
 //! Split-inbox equivalence: delivery through the dense layout (`u32`
 //! source array + payload slab, `NO_SRC`-gated) must be bit-identical
-//! to the retired `Vec<Option<(src, msg)>>` inbox slab, whose semantics
-//! this suite keeps alive as an executable reference model — stage
-//! every validated message, then deliver in node order, handing each
-//! receiver its *source id* and payload.
+//! to an inbox of `(src, msg)` per receiver, the semantics of the naive
+//! reference machine ([`RefMachine`]): stage every validated message in
+//! a map keyed by receiver, then deliver, handing each receiver its
+//! *source id* and payload.
 //!
 //! Randomised over partner patterns and payload seeds, and crossed over
 //! the full matrix the dense layout had to preserve: backend
@@ -13,6 +13,7 @@
 //! source array, a stale sentinel, or an off-by-one lane stride shows
 //! up as a state mismatch, not just a wrong message count.
 
+use dc_simulator::reference::{Cycles, RefMachine};
 use dc_simulator::{with_schedule_replay, ExecMode, Machine, ScheduleKey};
 use dc_topology::{Hypercube, Topology};
 use proptest::prelude::*;
@@ -61,61 +62,79 @@ fn deliver_scalar(s: &mut u64, src: usize, v: u64) {
     *s = s.wrapping_add(mix(v, src as u64));
 }
 
-/// Reference model: the old Option-slab inbox, staged then drained in
-/// node order. `plan` gives each node's destination (or silence).
-fn reference(
-    n: usize,
+/// `cycles` keyed pairwise scalar cycles over `pair`'s matching.
+fn keyed_pairwise(
+    m: &mut impl Cycles<u64>,
     cycles: u32,
-    init: &[u64],
-    plan: impl Fn(usize) -> Option<usize>,
-) -> Vec<u64> {
-    let mut states = init.to_vec();
-    let mut inbox: Vec<Option<(usize, u64)>> = vec![None; n];
+    dim: u32,
+    pair: impl Fn(usize) -> Option<usize> + Sync,
+) {
     for _ in 0..cycles {
-        for (u, &s) in states.iter().enumerate() {
-            if let Some(dst) = plan(u) {
-                assert!(inbox[dst].is_none(), "reference plan must be 1-port legal");
-                inbox[dst] = Some((u, payload(u, s)));
-            }
-        }
-        for (u, slot) in inbox.iter_mut().enumerate() {
-            if let Some((src, v)) = slot.take() {
-                deliver_scalar(&mut states[u], src, v);
-            }
-        }
+        m.cycle(|c| {
+            c.message(
+                |u, &s| pair(u).map(|v| (v, payload(u, s))),
+                |s, src, v: u64| deliver_scalar(s, src, v),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(dim))
+        });
     }
-    states
 }
 
-/// Reference model for lane-strided cycles: the sender fills a K-wide
-/// window from its state; the receiver folds every lane with its index
-/// and the source id.
-fn reference_lanes(
-    n: usize,
+/// `cycles` unkeyed scalar cycles of `plan`.
+fn exchange(m: &mut impl Cycles<u64>, cycles: u32, plan: impl Fn(usize) -> Option<usize> + Sync) {
+    for _ in 0..cycles {
+        m.cycle(|c| {
+            c.message(
+                |u, &s| plan(u).map(|d| (d, payload(u, s))),
+                |s, src, v: u64| deliver_scalar(s, src, v),
+            )
+        });
+    }
+}
+
+/// `cycles` keyed pairwise lane cycles: the sender fills a K-wide window
+/// from its state; the receiver folds every lane with its index and the
+/// source id.
+fn keyed_lanes(
+    m: &mut impl Cycles<u64>,
     cycles: u32,
     lanes: usize,
-    init: &[u64],
-    pair: impl Fn(usize) -> Option<usize>,
-) -> Vec<u64> {
-    let mut states = init.to_vec();
-    let mut inbox: Vec<Option<(usize, Vec<u64>)>> = vec![None; n];
+    dim: u32,
+    pair: impl Fn(usize) -> Option<usize> + Sync,
+) {
     for _ in 0..cycles {
-        for (u, &s) in states.iter().enumerate() {
-            if let Some(dst) = pair(u) {
-                let window: Vec<u64> = (0..lanes).map(|k| mix(s, k as u64)).collect();
-                assert!(inbox[dst].is_none(), "reference plan must be 1-port legal");
-                inbox[dst] = Some((u, window));
-            }
-        }
-        for (u, slot) in inbox.iter_mut().enumerate() {
-            if let Some((src, window)) = slot.take() {
-                for (k, w) in window.iter().enumerate() {
-                    states[u] = states[u].wrapping_add(mix(*w, (src + k) as u64));
-                }
-            }
-        }
+        m.cycle(|c| {
+            c.lanes(
+                lanes,
+                &0u64,
+                |u, _| pair(u),
+                |_, &s, window: &mut [u64]| {
+                    for (kk, w) in window.iter_mut().enumerate() {
+                        *w = mix(s, kk as u64);
+                    }
+                },
+                |s, src, window| {
+                    for (kk, w) in window.iter().enumerate() {
+                        *s = s.wrapping_add(mix(*w, (src + kk) as u64));
+                    }
+                },
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(dim))
+        });
     }
-    states
+}
+
+/// The end states of `program` on the reference machine.
+fn reference(
+    q: &Hypercube,
+    init: &[u64],
+    program: impl Fn(&mut RefMachine<'_, Hypercube, u64>),
+) -> Vec<u64> {
+    let mut m = RefMachine::new(q, init.to_vec());
+    program(&mut m);
+    m.into_parts().0
 }
 
 /// The backend × replay matrix every machine-side run is checked under.
@@ -130,7 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Keyed pairwise cycles (the replayable path: compile once, replay
-    /// thereafter) match the Option-slab reference bit-for-bit on every
+    /// thereafter) match the reference machine bit-for-bit on every
     /// backend, with replay both on and off.
     #[test]
     fn keyed_pairwise_matches_option_slab_reference(seed: u64, m in 2u32..=5, dim in 0u32..5) {
@@ -140,20 +159,11 @@ proptest! {
         let init: Vec<u64> = (0..n).map(|u| mix(u as u64, seed ^ 0x5151)).collect();
         let pair = pair_pattern(dim, seed);
         let cycles = 4;
-        let want = reference(n, cycles, &init, pair);
+        let want = reference(&q, &init, |m| keyed_pairwise(m, cycles, dim, pair));
         for (mode, replay) in MODES {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                for _ in 0..cycles {
-                    mc.cycle(|c| {
-                        c.message(
-                            |u, &s| pair(u).map(|v| (v, payload(u, s))),
-                            |s, src, v: u64| deliver_scalar(s, src, v),
-                        )
-                        .pairwise()
-                        .keyed(ScheduleKey::Dim(dim))
-                    });
-                }
+                keyed_pairwise(&mut mc, cycles, dim, pair);
                 mc.states().to_vec()
             });
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}", mode, replay);
@@ -161,7 +171,7 @@ proptest! {
     }
 
     /// The raw (unkeyed, asymmetric) moved-message path, on both
-    /// backends, matches the reference too.
+    /// backends, matches the reference machine too.
     #[test]
     fn exchange_matches_option_slab_reference(seed: u64, m in 2u32..=5, dim in 0u32..5) {
         let dim = dim % m;
@@ -170,13 +180,11 @@ proptest! {
         let init: Vec<u64> = (0..n).map(|u| mix(u as u64, seed ^ 0x7272)).collect();
         let plan = exchange_plan(dim, seed);
         let cycles = 3;
-        let want = reference(n, cycles, &init, plan);
+        let want = reference(&q, &init, |m| exchange(m, cycles, plan));
         for (mode, replay) in MODES {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                for _ in 0..cycles {
-                    mc.cycle(|c| c.message(|u, &s| plan(u).map(|d| (d, payload(u, s))), |s, src, v: u64| deliver_scalar(s, src, v)));
-                }
+                exchange(&mut mc, cycles, plan);
                 mc.states().to_vec()
             });
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}", mode, replay);
@@ -184,8 +192,8 @@ proptest! {
     }
 
     /// Lane-strided keyed cycles, including K > 1 (the stride the dense
-    /// layout shares one `u32` source entry across), match the
-    /// per-window reference on the whole matrix.
+    /// layout shares one `u32` source entry across), match the reference
+    /// machine on the whole matrix.
     #[test]
     fn lanes_match_option_slab_reference(seed: u64, m in 2u32..=4, k in 0usize..2) {
         let lanes = [1usize, 3][k];
@@ -195,21 +203,11 @@ proptest! {
         let init: Vec<u64> = (0..n).map(|u| mix(u as u64, seed ^ 0x9393)).collect();
         let pair = pair_pattern(dim, seed);
         let cycles = 4;
-        let want = reference_lanes(n, cycles, lanes, &init, pair);
+        let want = reference(&q, &init, |m| keyed_lanes(m, cycles, lanes, dim, pair));
         for (mode, replay) in MODES {
             let got = with_schedule_replay(replay, || {
                 let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                for _ in 0..cycles {
-                    mc.cycle(|c| c.lanes(lanes, &0u64, |u, _| pair(u), |_, &s, window: &mut [u64]| {
-                            for (kk, w) in window.iter_mut().enumerate() {
-                                *w = mix(s, kk as u64);
-                            }
-                        }, |s, src, window| {
-                            for (kk, w) in window.iter().enumerate() {
-                                *s = s.wrapping_add(mix(*w, (src + kk) as u64));
-                            }
-                        }).pairwise().keyed(ScheduleKey::Dim(dim)));
-                }
+                keyed_lanes(&mut mc, cycles, lanes, dim, pair);
                 mc.states().to_vec()
             });
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}, lanes {}", mode, replay, lanes);

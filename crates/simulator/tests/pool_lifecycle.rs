@@ -9,8 +9,16 @@
 //! default-exec override lock for its whole body via
 //! [`with_default_exec`] (the default mode it installs is irrelevant —
 //! machines here pick their mode explicitly).
+//!
+//! The sequential backend is the same engine run over one dispatch
+//! slot, so it must never dispatch on the pool at all, whatever the
+//! worker count.
 
-use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Machine};
+use dc_simulator::obs::{self, MemorySink};
+use dc_simulator::reference::{model_counters, Cycles, RefMachine};
+use dc_simulator::{
+    set_worker_threads, with_default_exec, Comm, Event, ExecMode, Machine, ScheduleKey, Travel,
+};
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -38,7 +46,7 @@ impl Drop for PinnedWorkers {
 /// delivery folds the neighbour's value in non-commutatively, then a
 /// value-dependent local step. Any misrouted, lost, or reordered message
 /// under the threaded backend changes the end state.
-fn one_cycle(m: &mut Machine<'_, Hypercube, u64>, dim: u32) {
+fn one_cycle(m: &mut impl Cycles<u64>, dim: u32) {
     m.cycle(|c| {
         c.message(
             move |u, &s| Some((u ^ (1usize << dim), s)),
@@ -136,9 +144,10 @@ proptest! {
 
     /// A single machine switching backends cycle-by-cycle (via
     /// [`Machine::set_exec`]) must be bit-identical — states, metrics,
-    /// and trace — to the same cycle sequence run fully sequentially.
-    /// This is the scratch-reuse torture test: every switch hands the
-    /// reused plan, sender and staging buffers to the other backend.
+    /// and trace — to the same cycle sequence run fully sequentially and
+    /// on the reference machine. This is the scratch-reuse torture test:
+    /// every switch hands the reused plan, sender and staging buffers to
+    /// the other backend.
     #[test]
     fn interleaved_exec_modes_stay_bit_identical(
         cycles in vec((any::<bool>(), 0u32..5), 1..16),
@@ -172,6 +181,117 @@ proptest! {
                 mixed.phased_trace(),
                 "traces diverged"
             );
+
+            let mut oracle = RefMachine::new(&q, init.clone());
+            for &(_, dim) in &cycles {
+                one_cycle(&mut oracle, dim);
+            }
+            assert_eq!(mixed.states(), oracle.states(), "states against the reference machine");
+            assert_eq!(
+                &model_counters(mixed.metrics()),
+                oracle.metrics(),
+                "metrics against the reference machine"
+            );
+            assert_eq!(
+                mixed.phased_trace(),
+                oracle.phased_trace(),
+                "traces against the reference machine"
+            );
         });
     }
+}
+
+/// `c` under `key`, or unkeyed.
+fn maybe_keyed<F>(c: Comm<u64, F>, key: Option<ScheduleKey>) -> Comm<u64, F> {
+    match key {
+        Some(key) => c.keyed(key),
+        None => c,
+    }
+}
+
+/// A sequential machine with 4 workers pinned runs every pass inline:
+/// unkeyed, compile and replayed cycles of every payload form, `compute`
+/// and `compute_rows` all record no pool dispatch. (A pass left chunked
+/// by the host's worker count rather than by the machine's one-slot
+/// dispatch bounds would dispatch here.)
+#[test]
+fn one_slot_engine_never_touches_the_pool() {
+    let q = Hypercube::new(13); // past the parallel threshold
+    let n = q.num_nodes();
+    let k = 3;
+    with_default_exec(ExecMode::Sequential, || {
+        let _workers = PinnedWorkers::pin(4);
+        let mut m = Machine::with_exec(&q, vec![1u64; n], ExecMode::Sequential);
+        let sink = obs::shared(MemorySink::new());
+        m.record_into(sink.clone());
+        let (mut t, mut stage) = (vec![1u64; n * k], Vec::new());
+        let from = vec![2u64; n * k];
+        let mut landed = vec![0u64; n * k];
+        // Unkeyed, then compiled, then replayed.
+        for keyed in [false, true, true] {
+            let on = |key| keyed.then_some(key);
+            let pair = on(ScheduleKey::Dim(0));
+            m.cycle(|c| {
+                let c = c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v);
+                maybe_keyed(c.pairwise(), pair)
+            });
+            m.cycle(|c| {
+                let c = c.lanes(
+                    k,
+                    &0,
+                    |u, _| Some(u ^ 1),
+                    |_, &s, w| w.fill(s),
+                    |s, _, w| *s += w[0],
+                );
+                maybe_keyed(c.pairwise(), pair)
+            });
+            m.cycle(|c| {
+                let c = c.rows(k, |u, _| Some(u ^ 1), [(&from[..], &mut landed[..])]);
+                maybe_keyed(c.pairwise(), pair)
+            });
+            m.cycle(|c| {
+                let travel = Travel::Folded(&mut stage);
+                let c = c.fold_rows(
+                    k,
+                    |u, _| Some(u ^ 1),
+                    travel,
+                    [&mut t[..]],
+                    [],
+                    |_, [t], [], msg| t[0] += msg.map_or(0, |x| x[0]),
+                );
+                maybe_keyed(c.pairwise(), pair)
+            });
+            m.cycle(|c| {
+                let half = |u: usize, _: &u64| (u & 1 == 0).then_some(u ^ 1);
+                let travel = Travel::Read(&from[..]);
+                let c = c.fold_rows(k, half, travel, [&mut t[..]], [], |_, [t], [], msg| {
+                    t[0] += msg.map_or(0, |x| x[0])
+                });
+                maybe_keyed(c, on(ScheduleKey::Custom(0)))
+            });
+        }
+        m.compute(1, |_, s| *s += 1);
+        m.compute_rows(k, [&mut t[..]], [&from[..]], |_, [t], [x]| t[0] += x[0]);
+        // The forms share the `Dim(0)` schedule: two misses, eight hits.
+        assert_eq!(m.metrics().schedule_misses, 2);
+        assert_eq!(m.metrics().schedule_hits, 8);
+        let events = sink.lock().unwrap().events();
+        let cycles: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Cycle(c) => Some(c),
+                Event::Phase(_) => None,
+            })
+            .collect();
+        // 15 communication cycles, 6 of them folds with their own
+        // computation event, and the two computation phases.
+        assert_eq!(cycles.len(), 15 + 6 + 2);
+        for c in cycles {
+            assert_eq!(
+                c.pool, None,
+                "cycle {} ({:?}) dispatched on the pool",
+                c.cycle, c.kind
+            );
+        }
+    });
 }

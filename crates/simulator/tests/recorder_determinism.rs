@@ -12,11 +12,16 @@
 //! disposition: a replay-enabled run reports `miss` then `hit` where a
 //! replay-disabled run reports `bypass`, so comparisons across replay
 //! settings additionally collapse the cache status of keyed cycles.
+//!
+//! The random-program and lane-batching matrices also hold every
+//! configuration's states and counters to the naive reference machine
+//! ([`RefMachine`]), which records no events.
 
 use dc_simulator::obs::{self, CacheStatus, MemorySink};
+use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, Event, ExecMode, FaultKind,
-    FaultPlan, Machine, ScheduleKey, Travel,
+    FaultPlan, Machine, Metrics, ScheduleKey, Travel,
 };
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
@@ -76,14 +81,15 @@ fn cache_collapsed(events: &[Event]) -> Vec<Event> {
 }
 
 /// Runs `scenario` on a fresh recorded machine under one configuration,
-/// returning the emitted events and the end states.
+/// returning the emitted events, the end states and the counters a
+/// [`RefMachine`] charges too.
 fn record_run(
     mode: ExecMode,
     replay: bool,
     workers: usize,
     dim: u32,
     scenario: impl Fn(&mut Machine<'_, Hypercube, u64>),
-) -> (Vec<Event>, Vec<u64>) {
+) -> (Vec<Event>, Vec<u64>, Metrics) {
     with_default_exec(mode, || {
         with_schedule_replay(replay, || {
             let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
@@ -93,9 +99,22 @@ fn record_run(
             m.record_into(sink.clone());
             scenario(&mut m);
             let events = sink.lock().unwrap().events();
-            (events, m.into_parts().0)
+            let (states, metrics) = m.into_parts();
+            (events, states, model_counters(&metrics))
         })
     })
+}
+
+/// Runs `scenario` on a fresh reference machine over `Q_dim`: end states
+/// and counters.
+fn oracle_run(
+    dim: u32,
+    scenario: impl Fn(&mut RefMachine<'_, Hypercube, u64>),
+) -> (Vec<u64>, Metrics) {
+    let q = Hypercube::new(dim);
+    let mut m = RefMachine::new(&q, (0..q.num_nodes() as u64).collect());
+    scenario(&mut m);
+    m.into_parts()
 }
 
 /// Interprets one random byte as a machine operation. The mix covers
@@ -105,7 +124,7 @@ fn record_run(
 /// keys with the single-lane op, so replay crosses between the forms),
 /// a keyed half-speaking exchange-and-fold round (a communication and a
 /// computation event from one cycle), and phase boundaries.
-fn step(m: &mut Machine<'_, Hypercube, u64>, op: u8, phase_no: &mut u32) {
+fn step(m: &mut impl Cycles<u64>, op: u8, phase_no: &mut u32) {
     let dim = (op >> 3) as usize % 4;
     match op % 8 {
         0 => {
@@ -239,20 +258,28 @@ proptest! {
     /// event stream under every configuration.
     #[test]
     fn event_streams_identical_across_the_matrix(ops in vec(any::<u8>(), 1..40)) {
-        let scenario = |m: &mut Machine<'_, Hypercube, u64>| {
+        fn program(m: &mut impl Cycles<u64>, ops: &[u8]) {
             m.set_fault_plan(FaultPlan::new().message_drop(2, 1).message_drop(5, 0));
             let mut phase_no = 0;
-            for &op in &ops {
+            for &op in ops {
                 step(m, op, &mut phase_no);
             }
-        };
+        }
+        let scenario = |m: &mut Machine<'_, Hypercube, u64>| program(m, &ops);
         let baseline = record_run(ExecMode::Sequential, true, 0, 4, scenario);
         prop_assert!(!baseline.0.is_empty());
+        let (states, metrics) = oracle_run(4, |m| program(m, &ops));
+        prop_assert_eq!(&baseline.1, &states, "states diverged from the reference machine");
+        prop_assert_eq!(&baseline.2, &metrics, "counters diverged from the reference machine");
         for (mode, replay, workers) in configs() {
             let got = record_run(mode, replay, workers, 4, scenario);
             prop_assert_eq!(
                 &got.1, &baseline.1,
                 "states diverged ({:?}, replay={}, workers={})", mode, replay, workers
+            );
+            prop_assert_eq!(
+                &got.2, &baseline.2,
+                "counters diverged ({:?}, replay={}, workers={})", mode, replay, workers
             );
             if replay {
                 prop_assert_eq!(
@@ -416,7 +443,8 @@ proptest! {
     /// A K-lane batched run is bit-identical to K independent single-lane
     /// runs, under every (backend, replay, workers) configuration and in
     /// both lane forms (staged lanes, and slab rows with a row compute
-    /// phase) — the lane determinism contract of DESIGN.md §10.
+    /// phase) — the lane determinism contract of DESIGN.md §10 — and each
+    /// run's states and counters equal the reference machine's.
     #[test]
     fn lane_batched_equals_k_single_lane_runs(
         lanes in 1usize..=5,
@@ -429,62 +457,97 @@ proptest! {
         let init = |k: usize, u: usize| {
             seed.wrapping_mul(k as u64 + 1).wrapping_add((u as u64) << 7)
         };
+        fn single(m: &mut impl Cycles<u64>, dim: u32, sweeps: usize) {
+            for _ in 0..sweeps {
+                for d in 0..dim {
+                    m.cycle(|c| c.message(move |u, &s| Some((u ^ (1usize << d), s)), |s, _, v| *s = s.rotate_left(5).wrapping_add(v)).pairwise().keyed(ScheduleKey::Dim(d)));
+                }
+            }
+        }
+        fn batched(m: &mut impl Cycles<Vec<u64>>, dim: u32, sweeps: usize, lanes: usize) {
+            for _ in 0..sweeps {
+                for d in 0..dim {
+                    m.cycle(|c| c.lanes(lanes, &0u64, move |u, _| Some(u ^ (1usize << d)), |_, s, window| window.clone_from_slice(s), |s, _, window| {
+                            for (x, w) in s.iter_mut().zip(window) {
+                                *x = x.rotate_left(5).wrapping_add(*w);
+                            }
+                        }).pairwise().keyed(ScheduleKey::Dim(d)));
+                }
+            }
+        }
+        fn rows(m: &mut impl Cycles<()>, dim: u32, sweeps: usize, lanes: usize, cur: &mut [u64]) {
+            let mut temp = vec![0u64; cur.len()];
+            for _ in 0..sweeps {
+                for d in 0..dim {
+                    m.cycle(|c| c.rows(lanes, move |u, _| Some(u ^ (1usize << d)), [(&cur[..], &mut temp[..])]).pairwise().keyed(ScheduleKey::Dim(d)));
+                    m.compute_rows(lanes, [&mut cur[..]], [&temp[..]], |_, [x], [w]| {
+                        for (x, w) in x.iter_mut().zip(w) {
+                            *x = x.rotate_left(5).wrapping_add(*w);
+                        }
+                    });
+                }
+            }
+        }
+        let batched_init = || -> Vec<Vec<u64>> {
+            (0..n).map(|u| (0..lanes).map(|k| init(k, u)).collect()).collect()
+        };
+        let rows_init = || -> Vec<u64> {
+            (0..n).flat_map(|u| (0..lanes).map(move |k| init(k, u))).collect()
+        };
         // Reference: K single-lane machines, sequential with replay.
         let singles: Vec<Vec<u64>> = (0..lanes)
             .map(|k| {
                 with_default_exec(ExecMode::Sequential, || {
                     with_schedule_replay(true, || {
                         let mut m = Machine::new(&q, (0..n).map(|u| init(k, u)).collect());
-                        for _ in 0..sweeps {
-                            for d in 0..dim {
-                                m.cycle(|c| c.message(move |u, &s| Some((u ^ (1usize << d), s)), |s, _, v| *s = s.rotate_left(5).wrapping_add(v)).pairwise().keyed(ScheduleKey::Dim(d)));
-                            }
-                        }
+                        single(&mut m, dim, sweeps);
                         m.into_parts().0
                     })
                 })
             })
             .collect();
+        for (k, want) in singles.iter().enumerate() {
+            let mut m = RefMachine::new(&q, (0..n).map(|u| init(k, u)).collect());
+            single(&mut m, dim, sweeps);
+            prop_assert_eq!(m.states(), &want[..], "single lane {} against the reference machine", k);
+        }
+        let mut oracle = RefMachine::new(&q, batched_init());
+        batched(&mut oracle, dim, sweeps, lanes);
+        let oracle_batched = oracle.into_parts();
+        let mut oracle = RefMachine::new(&q, vec![(); n]);
+        let mut cur = rows_init();
+        rows(&mut oracle, dim, sweeps, lanes, &mut cur);
+        let oracle_rows = (cur, oracle.into_parts().1);
         for (mode, replay, workers) in configs() {
-            let batched: Vec<Vec<u64>> = with_default_exec(mode, || {
+            let (batched, batched_metrics) = with_default_exec(mode, || {
                 with_schedule_replay(replay, || {
                     let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                    let states: Vec<Vec<u64>> = (0..n)
-                        .map(|u| (0..lanes).map(|k| init(k, u)).collect())
-                        .collect();
-                    let mut m = Machine::new(&q, states);
-                    for _ in 0..sweeps {
-                        for d in 0..dim {
-                            m.cycle(|c| c.lanes(lanes, &0u64, move |u, _| Some(u ^ (1usize << d)), |_, s, window| window.clone_from_slice(s), |s, _, window| {
-                                    for (x, w) in s.iter_mut().zip(window) {
-                                        *x = x.rotate_left(5).wrapping_add(*w);
-                                    }
-                                }).pairwise().keyed(ScheduleKey::Dim(d)));
-                        }
-                    }
-                    m.into_parts().0
+                    let mut m = Machine::new(&q, batched_init());
+                    batched(&mut m, dim, sweeps, lanes);
+                    m.into_parts()
                 })
             });
-            let rows: Vec<u64> = with_default_exec(mode, || {
+            let (rows, rows_metrics) = with_default_exec(mode, || {
                 with_schedule_replay(replay, || {
                     let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                    let mut cur: Vec<u64> =
-                        (0..n).flat_map(|u| (0..lanes).map(move |k| init(k, u))).collect();
-                    let mut temp = vec![0u64; cur.len()];
+                    let mut cur = rows_init();
                     let mut m = Machine::new(&q, vec![(); n]);
-                    for _ in 0..sweeps {
-                        for d in 0..dim {
-                            m.cycle(|c| c.rows(lanes, move |u, _| Some(u ^ (1usize << d)), [(&cur[..], &mut temp[..])]).pairwise().keyed(ScheduleKey::Dim(d)));
-                            m.compute_rows(lanes, [&mut cur[..]], [&temp[..]], |_, [x], [w]| {
-                                for (x, w) in x.iter_mut().zip(w) {
-                                    *x = x.rotate_left(5).wrapping_add(*w);
-                                }
-                            });
-                        }
-                    }
-                    cur
+                    rows(&mut m, dim, sweeps, lanes, &mut cur);
+                    (cur, m.into_parts().1)
                 })
             });
+            prop_assert_eq!(
+                (&batched, model_counters(&batched_metrics)),
+                (&oracle_batched.0, oracle_batched.1.clone()),
+                "lanes against the reference machine ({:?}, replay={}, workers={})",
+                mode, replay, workers
+            );
+            prop_assert_eq!(
+                (&rows, model_counters(&rows_metrics)),
+                (&oracle_rows.0, oracle_rows.1.clone()),
+                "rows against the reference machine ({:?}, replay={}, workers={})",
+                mode, replay, workers
+            );
             for (k, single) in singles.iter().enumerate() {
                 let lane_k: Vec<u64> = batched.iter().map(|s| s[k]).collect();
                 prop_assert_eq!(
@@ -523,7 +586,7 @@ fn perfetto_export_is_well_formed_on_both_backends() {
         m.compute(2, |_, s| *s = s.wrapping_mul(3));
     };
     for (mode, replay, workers) in configs() {
-        let (events, _) = record_run(mode, replay, workers, 3, scenario);
+        let (events, ..) = record_run(mode, replay, workers, 3, scenario);
         let json = obs::export_perfetto(&events);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("]}\n") || json.ends_with("]}"));

@@ -1,21 +1,24 @@
 //! Shard determinism matrix: the sharded cycle engine must be
-//! **bit-identical** to the unsharded reference at every shard count.
+//! **bit-identical** to the naive reference machine
+//! ([`RefMachine`]) and to itself at every shard count.
 //!
-//! `Machine::set_shards(1)` keeps one shard per machine — the bitwise
-//! reference the engine treats as ground truth — while `S ∈ {4, 16}`
-//! partitions every hot table into the Section-4 recursion's contiguous
-//! ranges, with cross-shard claims staged through per-slot exchange bins
-//! instead of atomics. None of that is allowed to be observable: final
-//! states, metrics (message/word counters, schedule hits/misses),
-//! space-time traces, link reports, and *error sites* (which node a
-//! violation is blamed on) must match the reference exactly across
-//! sequential × threaded backends, replay on/off, single-lane and
-//! lane-batched cycles, and crash faults that straddle a shard boundary.
+//! `Machine::set_shards(1)` keeps one shard per machine, while
+//! `S ∈ {4, 16}` partitions every hot table into the Section-4
+//! recursion's contiguous ranges, with cross-shard claims staged through
+//! per-slot exchange bins instead of atomics. None of that is allowed to
+//! be observable: final states, metrics (message/word counters, schedule
+//! hits/misses), space-time traces, link reports, and *error sites*
+//! (which node a violation is blamed on) must match the sequential
+//! one-slot run exactly across sequential × threaded backends, replay
+//! on/off, single-lane and lane-batched cycles, and crash faults that
+//! straddle a shard boundary — and states, counters, traces and error
+//! sites must match [`RefMachine`]'s.
 
 use dc_simulator::obs::{self, MemorySink};
+use dc_simulator::reference::{Cycles, RefMachine};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultPlan, Machine,
-    ScheduleKey, SimError, Travel,
+    ScheduleKey, SimError, TraceEntry, Travel,
 };
 use dc_topology::{DualCube, Topology};
 use proptest::collection::vec;
@@ -42,8 +45,8 @@ impl Drop for PinnedWorkers {
 }
 
 /// Every (backend, replay, workers, shards) configuration the matrix
-/// runs. Shard counts only engage on the threaded backend (`S = 1` is
-/// the bitwise reference; the sequential rows pin the baseline).
+/// runs. Shard counts only engage on the threaded backend (the
+/// sequential rows pin the baseline).
 fn configs() -> Vec<(ExecMode, bool, usize, usize)> {
     vec![
         (ExecMode::Sequential, false, 0, 1),
@@ -56,6 +59,25 @@ fn configs() -> Vec<(ExecMode, bool, usize, usize)> {
         (FORCE_PARALLEL, false, 4, 16),
         (FORCE_PARALLEL, true, 4, 16),
     ]
+}
+
+/// What a run leaves that both machines produce: final states, the
+/// space-time trace, and the message/word counters.
+type Observed = (Vec<u64>, Vec<TraceEntry>, u64, u64);
+
+/// One run of `scenario` on a fresh [`RefMachine`] over `D_n`.
+fn oracle(n: u32, scenario: impl Fn(&mut RefMachine<'_, DualCube, u64>)) -> Observed {
+    let d = DualCube::new(n);
+    let mut m = RefMachine::new(&d, (0..d.num_nodes() as u64).collect());
+    scenario(&mut m);
+    let trace = m.phased_trace().to_vec();
+    let (states, metrics) = m.into_parts();
+    (states, trace, metrics.messages, metrics.message_words)
+}
+
+/// The engine run's [`Observed`] part.
+fn observed(run: &(Vec<u64>, Vec<TraceEntry>, Option<obs::LinkReport>, u64, u64)) -> Observed {
+    (run.0.clone(), run.1.clone(), run.3, run.4)
 }
 
 /// One run of `scenario` on a fresh machine under a configuration,
@@ -104,7 +126,7 @@ fn run(
 /// *always* shard-boundary traffic at `S ≥ 4`), unkeyed full-validation
 /// exchanges, lane-batched keyed cycles (staged lanes, slab rows, and
 /// exchange-and-fold rounds), compute steps, and phase boundaries.
-fn step(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
+fn step(m: &mut impl Cycles<u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
     let dims = d.cluster_dim();
     let dim = (op >> 3) as u32 % dims;
     match op % 8 {
@@ -256,14 +278,19 @@ proptest! {
     /// shard count.
     #[test]
     fn sharded_runs_match_the_unsharded_reference(ops in vec(any::<u8>(), 1..32)) {
-        let scenario = |m: &mut Machine<'_, DualCube, u64>| {
-            let d = *m.topology();
+        fn program(m: &mut impl Cycles<u64>, ops: &[u8]) {
+            let d = DualCube::new(3);
             let mut phase_no = 0;
-            for &op in &ops {
+            for &op in ops {
                 step(m, &d, op, &mut phase_no);
             }
-        };
-        let baseline = run(ExecMode::Sequential, true, 0, 1, 3, scenario);
+        }
+        let baseline = run(ExecMode::Sequential, true, 0, 1, 3, |m| program(m, &ops));
+        prop_assert_eq!(
+            observed(&baseline), oracle(3, |m| program(m, &ops)),
+            "the sequential run diverged from the reference machine"
+        );
+        let scenario = |m: &mut Machine<'_, DualCube, u64>| program(m, &ops);
         for (mode, replay, workers, shards) in configs() {
             let got = run(mode, replay, workers, shards, 3, scenario);
             prop_assert_eq!(
@@ -290,19 +317,18 @@ proptest! {
     }
 
     /// A receive conflict is blamed on the same `(node, first, second)`
-    /// triple at every shard count and in every payload form (a moved
-    /// message, `K ∈ {1, 3}` lanes, or `K ∈ {1, 3}` rows) — the sharded
-    /// validator's exchange bins must reproduce the sequential walk's
-    /// error site even when the contested receiver sits in another shard
-    /// than both senders.
+    /// triple at every shard count, in every payload form (a moved
+    /// message, `K ∈ {1, 3}` lanes, or `K ∈ {1, 3}` rows) and on the
+    /// reference machine — the sharded validator's exchange bins must
+    /// reproduce the walk in node order's error site even when the
+    /// contested receiver sits in another shard than both senders.
     #[test]
     fn conflict_error_sites_match_across_shard_counts(target in 0usize..32, form in 0usize..5) {
         // Everyone sends to `target` (via illegal non-edges for most
         // senders — the lowest violation wins deterministically).
         let d = DualCube::new(3);
-        let fan_in = |shards: usize| {
-            let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
-            m.set_shards(shards);
+        fn fan_in_on(m: &mut impl Cycles<u64>, form: usize, target: usize) -> SimError {
+            let n = m.states().len();
             let dst = |u: usize| (u != target).then_some(target);
             match form {
                 0 => m.try_cycle(|c| {
@@ -317,7 +343,7 @@ proptest! {
                 }),
                 _ => {
                     let lanes = 2 * (form - 2) - 1;
-                    let rows = vec![1u64; d.num_nodes() * lanes];
+                    let rows = vec![1u64; n * lanes];
                     let mut landed = vec![0u64; rows.len()];
                     let err = m.try_cycle(|c| c.rows(lanes, |u, _| dst(u), [(&rows[..], &mut landed[..])]));
                     assert!(landed.iter().all(|&v| v == 0), "a failed cycle wrote a row");
@@ -325,8 +351,15 @@ proptest! {
                 }
             }
             .expect_err("fan-in to one node cannot be a matching")
+        }
+        let fan_in = |shards: usize| {
+            let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
+            m.set_shards(shards);
+            fan_in_on(&mut m, form, target)
         };
         let expect = with_default_exec(ExecMode::Sequential, || fan_in(1));
+        let reference = fan_in_on(&mut RefMachine::new(&d, vec![0u64; d.num_nodes()]), form, target);
+        prop_assert_eq!(&expect, &reference, "the reference machine blamed another site");
         if form > 0 {
             let message = with_default_exec(ExecMode::Sequential, || {
                 let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
@@ -360,8 +393,8 @@ proptest! {
 #[test]
 fn boundary_crash_is_identical_across_shard_counts() {
     let n = 3u32;
-    let scenario = |m: &mut Machine<'_, DualCube, u64>| {
-        let d = *m.topology();
+    fn scenario(m: &mut impl Cycles<u64>) {
+        let d = DualCube::new(3);
         m.set_fault_plan(FaultPlan::new().node_crash(2, 3));
         for _ in 0..2 {
             m.cycle(|c| {
@@ -401,10 +434,15 @@ fn boundary_crash_is_identical_across_shard_counts() {
             });
         }
         m.compute(1, |_, s| *s = s.wrapping_add(1));
-    };
-    let baseline = run(ExecMode::Sequential, true, 0, 1, n, scenario);
+    }
+    let baseline = run(ExecMode::Sequential, true, 0, 1, n, |m| scenario(m));
+    assert_eq!(
+        observed(&baseline),
+        oracle(n, |m| scenario(m)),
+        "the sequential run diverged from the reference machine"
+    );
     for (mode, replay, workers, shards) in configs() {
-        let got = run(mode, replay, workers, shards, n, scenario);
+        let got = run(mode, replay, workers, shards, n, |m| scenario(m));
         assert_eq!(
             got, baseline,
             "boundary-crash run diverged ({mode:?}, replay={replay}, workers={workers}, shards={shards})"
