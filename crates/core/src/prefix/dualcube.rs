@@ -38,12 +38,15 @@
 //!
 //! The five steps are written once, over lane slabs: each paper variable
 //! (`t`, `s`, `t′` and `s′`) is one `n × K` slab whose row `u` holds node
-//! `u`'s K lanes. Every exchange-and-combine round (steps 1, 3, 4 and
-//! the paper's step 5) is one exchange-and-fold cycle
-//! ([`dc_simulator::Comm::fold_rows`]) in which each node folds its
-//! sender's row in where it lies, so no slab holds landed rows; step 2
-//! moves rows straight into `t′` ([`dc_simulator::Comm::rows`]), and
-//! the local step 5 folds over rows ([`Machine::compute_rows`]). The
+//! `u`'s K lanes. Every exchange-and-combine round is one fold cycle, so
+//! no slab holds landed rows: the ascend rounds of steps 1 and 3 fold
+//! each pair of a cluster dimension once, in place
+//! ([`dc_simulator::Comm::fold_pairs`] on a by-class
+//! [`dc_simulator::Flip`]: bit `i` of a class-0 node, bit `n−1+i` of a
+//! class-1 node), and steps 4 and the paper's step 5 fold each node's
+//! sender's row in where it lies ([`dc_simulator::Comm::fold_rows`]);
+//! step 2 moves rows straight into `t′` ([`dc_simulator::Comm::rows`]),
+//! and the local step 5 folds over rows ([`Machine::compute_rows`]). The
 //! slabs form one
 //! [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
 //! run the body on a fresh set (one lane and K lanes), and
@@ -57,8 +60,8 @@ use crate::prefix::PrefixKind;
 use crate::run::{
     lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, Recording,
 };
-use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey, Travel};
-use dc_topology::{bits::bit, Class, DualCube, Topology};
+use dc_simulator::{ExecMode, Flip, Machine, Metrics, ScheduleBank, ScheduleKey};
+use dc_topology::{Class, DualCube, Topology};
 
 /// How to realise step 5 of Algorithm 2 (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -319,9 +322,8 @@ fn run_batch<M: Monoid>(
 }
 
 /// Algorithm 2's lane slabs — `t`, `s`, `t′` and `s′`, one `n × K` slab
-/// each, row `u` holding node `u`'s K lanes, plus the buffer in which the
-/// machine stages steps 1 and 3's travelling rows — as one set a caller
-/// can keep from batch to batch
+/// each, row `u` holding node `u`'s K lanes — as one set a caller can
+/// keep from batch to batch
 /// ([`batched_d_prefix_in_place`]). A set starts empty. Every run
 /// re-initialises the slabs a step reads before writing the way a fresh
 /// set starts, and sizes `t′`, which step 2 writes in full before any
@@ -334,11 +336,6 @@ pub struct PrefixSlabs<M> {
     s: Vec<M>,
     t2: Vec<M>,
     s2: Vec<M>,
-    /// Pre-round rows of the ascend rounds' travelling slab: two rows
-    /// where the machine walks pairs (`D_8` at K = 16), a copy of the
-    /// slab where it snapshots (see [`dc_simulator::Travel::Folded`]).
-    /// Never read across rounds, so never re-initialised.
-    stage: Vec<M>,
 }
 
 impl<M> Default for PrefixSlabs<M> {
@@ -349,7 +346,6 @@ impl<M> Default for PrefixSlabs<M> {
             s: Vec::new(),
             t2: Vec::new(),
             s2: Vec::new(),
-            stage: Vec::new(),
         }
     }
 }
@@ -371,7 +367,7 @@ impl<M: Monoid> PrefixSlabs<M> {
             );
         }
         self.lanes = inputs.len();
-        lane_slab_into(&mut self.t, inputs, |u| d.linear_index(u), convert);
+        lane_slab_into(&mut self.t, inputs, |i| d.from_linear_index(i), convert);
     }
 }
 
@@ -397,7 +393,6 @@ fn d_prefix_body<M: Monoid>(
         s,
         t2,
         s2,
-        stage,
     } = slabs;
     let (lanes, len) = (*lanes, t.len());
     // The caller loaded t; s and s′ start as in a fresh set, whatever an
@@ -411,18 +406,18 @@ fn d_prefix_body<M: Monoid>(
     }
     refill(s2, len, M::identity());
     t2.resize(len, M::identity());
-    // Steps 1 and 3 sweep the cluster dimensions. Within a cluster, data
-    // indices follow node ids, so Algorithm 1's "if u > ū_i" becomes
-    // "bit i of the node id is set".
-    let neighbor = |i| move |u| d.cluster_neighbor(u, i);
-    let high = |i| move |u| bit(d.node_id(u), i);
+    // Steps 1 and 3 sweep the cluster dimensions: cluster dimension i
+    // flips bit i of the node-id field, raw bit i in class 0 and raw bit
+    // n−1+i in class 1. Within a cluster, data indices follow node ids,
+    // so Algorithm 1's "if u > ū_i" is "the flipped bit is set": the
+    // pair's high end.
+    let flip = |i| Flip::by_class(d.class_bit(), [i, d.cluster_dim() + i]);
     observe("(a) original data distribution", [t, s, t2, s2]);
 
     // Step 1: Cube_prefix inside every cluster (over c, requested kind).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
     for i in 0..d.cluster_dim() {
-        let slabs = [&mut t[..], &mut s[..]];
-        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs, stage);
+        ascend_rows(machine, lanes, i, flip(i), [&mut t[..], &mut s[..]]);
     }
     observe("(b) prefix inside cluster (t, s)", [t, s, t2, s2]);
 
@@ -444,8 +439,7 @@ fn d_prefix_body<M: Monoid>(
     // the schedules step 1 compiled).
     machine.begin_phase("step 3: Cube_prefix over received totals");
     for i in 0..d.cluster_dim() {
-        let slabs = [&mut t2[..], &mut s2[..]];
-        ascend_rows(machine, lanes, i, neighbor(i), high(i), slabs, stage);
+        ascend_rows(machine, lanes, i, flip(i), [&mut t2[..], &mut s2[..]]);
     }
     observe("(d) prefix inside cluster (t', s')", [t, s, t2, s2]);
 
@@ -456,7 +450,7 @@ fn d_prefix_body<M: Monoid>(
         c.fold_rows(
             lanes,
             |u, _| Some(d.cross_neighbor(u)),
-            Travel::Read(&s2[..]),
+            &s2[..],
             [&mut s[..]],
             [],
             |_, [s], [], their_s2| {
@@ -488,7 +482,7 @@ fn d_prefix_body<M: Monoid>(
             c.fold_rows(
                 lanes,
                 |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
-                Travel::Read(&t2[..]),
+                &t2[..],
                 [&mut s[..]],
                 [&t2[..]],
                 |u, s, t2, _| class1_fold(u, s, t2),

@@ -16,16 +16,16 @@
 //! One body runs the algorithm for every caller: [`cube_prefix`] is its
 //! one-lane call and [`batched_cube_prefix`] its K-lane call. Each paper
 //! variable is one `n × K` lane slab (row `u` holds node `u`'s K lanes),
-//! so a round is one exchange-and-fold cycle over the `t` and `s` slabs.
-//! The round rewrites the `t` slab it sends, so each fold reads its
-//! partner's pre-round `t` row from the staging buffer the machine fills
-//! (see [`dc_simulator::Travel::Folded`]), never in place.
+//! so a round is one pair-fold cycle over the `t` and `s` slabs
+//! ([`dc_simulator::Comm::fold_pairs`]): the round's matching is a bit
+//! flip ([`dc_simulator::Flip`]), and each pair folds once, in place,
+//! with both ends' pre-round `t` rows in hand.
 
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
 use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
-use dc_simulator::{Machine, Metrics, ScheduleKey, Travel};
-use dc_topology::{bits::bit, Hypercube, NodeId, Topology};
+use dc_simulator::{Flip, Machine, Metrics, ScheduleKey};
+use dc_topology::{Hypercube, Topology};
 use std::fmt;
 
 /// Result of a [`cube_prefix`] run.
@@ -108,11 +108,11 @@ pub struct BatchedCubePrefixRun<M> {
 /// Runs K independent instances of Algorithm 1 on lane slabs:
 /// `inputs[k]` is instance `k`'s input (one value per node). Each paper
 /// variable (`t` and `s`) is one `n × K` slab whose row `u` holds node
-/// `u`'s K lanes, so every round is one exchange-and-fold cycle
-/// ([`dc_simulator::Comm::fold_rows`]): the `t` rows travel between
-/// partners and each node folds its partner's row into its own `t` and
-/// `s` rows in the same pass. [`cube_prefix`] is the same body at K = 1,
-/// so lane `k` equals a [`cube_prefix`] run on `inputs[k]`.
+/// `u`'s K lanes, so every round is one pair-fold cycle
+/// ([`dc_simulator::Comm::fold_pairs`]): the `t` rows travel between
+/// partners and each pair folds both ends' `t` and `s` rows in the same
+/// pass. [`cube_prefix`] is the same body at K = 1, so lane `k` equals a
+/// [`cube_prefix`] run on `inputs[k]`.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::batched_cube_prefix, PrefixKind};
@@ -169,66 +169,60 @@ fn cube_prefix_body<M: Monoid>(
         PrefixKind::Inclusive => t.clone(),
         PrefixKind::Diminished => vec![M::identity(); t.len()],
     };
-    let mut stage = Vec::new();
     observe(format_args!("init"), [&t, &s]);
     for i in 0..q.dim() {
         machine.begin_phase(format!("dimension {i}"));
-        ascend_rows(
-            machine,
-            lanes,
-            i,
-            |u| u ^ (1usize << i),
-            |u| bit(u, i),
-            [&mut t, &mut s],
-            &mut stage,
-        );
+        ascend_rows(machine, lanes, i, Flip::uniform(i), [&mut t, &mut s]);
         observe(format_args!("after dimension {i}"), [&t, &s]);
     }
     [t, s]
 }
 
 /// One round of the ascend sweep over lane slabs, all K lanes at once,
-/// as one exchange-and-fold cycle (keyed [`ScheduleKey::Dim`]`(i)`): the
-/// `t` rows travel between `u` and `partner(u)`, and each node folds its
-/// partner's pre-round `t` row in as it lands. Where `high(u)` (the
-/// partner's half precedes `u`'s in index order, the paper's "if
-/// `u > ū_i`") the incoming total goes on the left of both `t` and `s`;
-/// elsewhere on the right of `t`. The machine stages pre-round `t` rows
-/// in `stage`, which the caller keeps (see
-/// [`dc_simulator::Travel::Folded`]). Algorithm 1 runs the round across
-/// dimension `i`; Algorithm 2's steps 1 and 3 run it inside every
-/// cluster (see `prefix::dualcube`).
+/// as one pair-fold cycle (keyed [`ScheduleKey::Dim`]`(i)`) on the pairs
+/// of `flip`: the `t` rows travel both ways, and each pair folds in
+/// place. The pair's high end (its flipped bit set: the partner's half
+/// precedes it in index order, the paper's "if `u > ū_i`") takes the
+/// low end's total on the left of both `t` and `s`; the low end takes
+/// the high end's total on the right of `t`. Both new totals are the
+/// same value, so it is combined once. Algorithm 1 runs the round
+/// across dimension `i`; Algorithm 2's steps 1 and 3 run it inside
+/// every cluster (see `prefix::dualcube`).
 pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
     machine: &mut Machine<'_, T, ()>,
     lanes: usize,
     i: u32,
-    partner: impl Fn(NodeId) -> NodeId + Sync,
-    high: impl Fn(NodeId) -> bool + Sync,
-    [t, s]: [&mut [M]; 2],
-    stage: &mut Vec<M>,
+    flip: Flip,
+    slabs: [&mut [M]; 2],
 ) {
     machine.cycle(|c| {
-        c.fold_rows(
+        c.fold_pairs(
             lanes,
-            |u, _| Some(partner(u)),
-            Travel::Folded(stage),
-            [t, s],
-            [],
-            |u, [t, s], [], partner_t| {
-                let Some(x) = partner_t else { return };
-                if high(u) {
-                    for ((t, s), x) in t.iter_mut().zip(s).zip(x) {
-                        *t = x.combine(t);
-                        *s = x.combine(s);
-                    }
-                } else {
-                    for (t, x) in t.iter_mut().zip(x) {
-                        *t = t.combine(x);
+            flip,
+            slabs,
+            |_, _, [lo_t, _], [hi_t, hi_s], got| match got {
+                [true, true] => {
+                    let pairs = lo_t.iter_mut().zip(hi_t.iter_mut()).zip(hi_s);
+                    for ((lo_t, hi_t), hi_s) in pairs {
+                        *hi_s = lo_t.combine(hi_s);
+                        *hi_t = lo_t.combine(hi_t);
+                        lo_t.clone_from(hi_t);
                     }
                 }
+                [true, false] => {
+                    for (lo_t, hi_t) in lo_t.iter_mut().zip(hi_t.iter()) {
+                        *lo_t = lo_t.combine(hi_t);
+                    }
+                }
+                [false, true] => {
+                    for ((lo_t, hi_t), hi_s) in lo_t.iter().zip(hi_t.iter_mut()).zip(hi_s) {
+                        *hi_s = lo_t.combine(hi_s);
+                        *hi_t = lo_t.combine(hi_t);
+                    }
+                }
+                [false, false] => {}
             },
         )
-        .pairwise()
         .keyed(ScheduleKey::Dim(i))
     });
 }

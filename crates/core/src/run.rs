@@ -57,32 +57,51 @@ impl Recording {
 }
 
 /// The `n × K` lane slab of `K = inputs.len()` instances, the layout of
-/// the paper algorithms' bodies: row `u` holds node `u`'s lanes, so slot
-/// `u*K + k` is `inputs[k][index(u)]`.
+/// the paper algorithms' bodies: data index `i` lives in row `row(i)`,
+/// so slot `row(i)*K + k` is `inputs[k][i]`.
 pub(crate) fn lane_slab<M: Clone>(
     inputs: &[impl AsRef<[M]>],
-    index: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> usize,
 ) -> Vec<M> {
     let mut slab = Vec::new();
-    lane_slab_into(&mut slab, inputs, index, M::clone);
+    lane_slab_into(&mut slab, inputs, row, M::clone);
     slab
 }
 
 /// [`lane_slab`] into a slab the caller owns, converting each value on
-/// the way in: `slab` is cleared and refilled, so a reused slab keeps
-/// its capacity.
-pub(crate) fn lane_slab_into<X, M>(
+/// the way in; a reused slab of the right length is overwritten in
+/// place, any other is resized keeping its capacity. One pass over the
+/// data indices in tiles of [`TILE`], the transpose of
+/// [`lane_outputs_into`]: inside a tile, each input gives its [`TILE`]
+/// values from one run while the tile's rows stay in cache, instead of
+/// every row pulling one value from each of the K inputs in turn (a
+/// new cache line per lane wherever `row` scatters the indices, as the
+/// dual-cube's class-1 rows do).
+pub(crate) fn lane_slab_into<X, M: Clone>(
     slab: &mut Vec<M>,
     inputs: &[impl AsRef<[X]>],
-    index: impl Fn(usize) -> usize,
+    row: impl Fn(usize) -> usize,
     convert: impl Fn(&X) -> M,
 ) {
-    let n = inputs[0].as_ref().len();
-    slab.clear();
-    slab.reserve(n * inputs.len());
-    for u in 0..n {
-        let i = index(u);
-        slab.extend(inputs.iter().map(|input| convert(&input.as_ref()[i])));
+    let (lanes, n) = (inputs.len(), inputs[0].as_ref().len());
+    if slab.len() != n * lanes {
+        slab.clear();
+        if let Some(first) = inputs[0].as_ref().first() {
+            slab.resize(n * lanes, convert(first));
+        }
+    }
+    let mut rows = [0; TILE];
+    for start in (0..n).step_by(TILE) {
+        let rows = &mut rows[..TILE.min(n - start)];
+        for (j, at) in rows.iter_mut().enumerate() {
+            *at = row(start + j) * lanes;
+        }
+        for (k, input) in inputs.iter().enumerate() {
+            let values = &input.as_ref()[start..start + rows.len()];
+            for (&at, x) in rows.iter().zip(values) {
+                slab[at + k] = convert(x);
+            }
+        }
     }
 }
 
@@ -136,7 +155,7 @@ pub(crate) fn lane_outputs_into<M, X>(
     }
 }
 
-/// Data indices per tile of [`lane_outputs_into`].
+/// Data indices per tile of [`lane_slab_into`] and [`lane_outputs_into`].
 const TILE: usize = 8;
 
 #[cfg(test)]

@@ -11,9 +11,12 @@
 //!   caller-owned lane slabs ([`Comm::rows`], `K` words per slab pair);
 //!   `K` lane values per sender folded straight into the receiver's
 //!   rows, the cycle and its computation step in one pass
-//!   ([`Comm::fold_rows`], `K` words per message); or `K` lane values
-//!   staged through per-node state ([`Comm::lanes`], `K` words per
-//!   message, kept for the repository benchmark's probes);
+//!   ([`Comm::fold_rows`], `K` words per message); the same for the
+//!   pairs of a bit-flip matching ([`Flip`]), each pair folded once in
+//!   place at both ends ([`Comm::fold_pairs`], `K` words per message);
+//!   or `K` lane values staged through per-node state ([`Comm::lanes`],
+//!   `K` words per message, kept for the repository benchmark's
+//!   probes);
 //! * an optional **key** ([`Comm::keyed`]) naming the pattern for
 //!   compile-once / replay-after (see the [`crate::schedule`] docs);
 //! * the **pairwise** flag ([`Comm::pairwise`]), which requires the
@@ -72,24 +75,37 @@
 //! is the matching computation phase, handing each live node its rows.
 //!
 //! An exchange-and-combine round — move a row to the partner, then fold
-//! it in — is one [`Comm::fold_rows`] cycle: each live node's fold reads
-//! its sender's row where it lies, so the round makes one pass over the
-//! rows instead of a move into a landing slab and a fold that reads that
-//! slab back. The machine charges it exactly as the rows cycle plus
-//! [`Machine::compute_rows`](crate::Machine::compute_rows) it replaces.
+//! it in — is one fold cycle, charged exactly as the rows cycle plus
+//! [`Machine::compute_rows`](crate::Machine::compute_rows) it replaces:
+//!
+//! * [`Comm::fold_rows`], on any matching, when the travelling slab is
+//!   one the fold only reads: each live node's fold reads its sender's
+//!   row where it lies, so the round makes one pass over the rows
+//!   instead of a move into a landing slab and a fold that reads that
+//!   slab back;
+//! * [`Comm::fold_pairs`], when the matching is a [`Flip`] and the
+//!   travelling slab is folded too (Algorithm 1's ascend round): the
+//!   fold visits each pair once, with both ends' rows in hand, so both
+//!   read the other's pre-cycle row without any staging copy. The pairs
+//!   of a flip sit in blocks of `2m` rows, the low half against the
+//!   high half (`m` the flipped bit), so the walk needs no per-node
+//!   partner lookup. A keyed pair fold whose flip equals the one its
+//!   schedule was compiled with replays without evaluating any node's
+//!   plan (see the [`crate::schedule`] docs).
 
 use crate::fault::FaultState;
 use crate::parallel::{par_lane_apply_bounds, par_rows_bounds};
 use crate::schedule::{ScheduleKey, NO_SRC};
 use dc_topology::NodeId;
 use std::marker::PhantomData;
+use std::ops::Range;
 
 /// One communication cycle's description, built inside the closure passed
 /// to [`Machine::try_cycle`](crate::Machine::try_cycle) /
 /// [`Machine::cycle`](crate::Machine::cycle) from the blank `Comm<S>`
 /// the machine provides: pick a payload form ([`Comm::message`],
-/// [`Comm::rows`], [`Comm::fold_rows`] or [`Comm::lanes`]), then
-/// optionally [`Comm::pairwise`] and
+/// [`Comm::rows`], [`Comm::fold_rows`], [`Comm::fold_pairs`] or
+/// [`Comm::lanes`]), then optionally [`Comm::pairwise`] and
 /// [`Comm::keyed`] (in any order). See the [module docs](crate::comm).
 #[must_use = "a Comm describes a cycle; return it to `Machine::cycle` to run it"]
 pub struct Comm<S, F = ()> {
@@ -178,29 +194,14 @@ impl<S> Comm<S> {
 
     /// The fold form: an exchange-and-combine round over caller-owned
     /// lane slabs (the layout of [`Comm::rows`], `width` values per
-    /// node). `plan(u, state)` names node `u`'s destination (or `None`);
-    /// once the cycle validates (or replays), `fold(u, rows, read, msg)`
-    /// runs once per live node with `u`'s rows of the `W` written and
-    /// `R` read slabs, and `msg` = its sender's row of the travelling
-    /// slab, or `None` when nothing arrived (a silent node, or a dropped
-    /// message). Crashed nodes are skipped, so their rows freeze.
-    ///
-    /// The travelling slab is either
-    ///
-    /// * [`Travel::Read`] — a slab the fold only reads: on any matching,
-    ///   `msg` is the sender's row read in place; or
-    /// * [`Travel::Folded`]`(stage)` — the first written slab, which the
-    ///   fold also updates. Every fold must still read its sender's
-    ///   *pre-cycle* row, which a walk over one slab can only guarantee
-    ///   pair by pair, so the cycle must be [`Comm::pairwise`]
-    ///   ([`Machine::try_cycle`](crate::Machine::try_cycle) panics
-    ///   otherwise). The machine stages pre-cycle rows in the caller's
-    ///   `stage` buffer: for wide rows in a large slab, a one-slot cycle
-    ///   (the sequential backend) walks the pairs in node order through
-    ///   two staged rows; otherwise, and whenever the cycle has more
-    ///   than one slot, it snapshots the whole slab there first. The
-    ///   buffer keeps its capacity, so a caller that keeps it from call
-    ///   to call allocates nothing.
+    /// node), whose travelling slab `from` the fold only reads.
+    /// `plan(u, state)` names node `u`'s destination (or `None`); once
+    /// the cycle validates (or replays), `fold(u, rows, read, msg)` runs
+    /// once per live node with `u`'s rows of the `W` written and `R` read
+    /// slabs, and `msg` = its sender's row of `from`, read in place, or
+    /// `None` when nothing arrived (a silent node, or a dropped message).
+    /// Crashed nodes are skipped, so their rows freeze. A round whose
+    /// travelling slab is folded too is a [`Comm::fold_pairs`] cycle.
     ///
     /// A fold cycle is charged exactly as the [`Comm::rows`] cycle and
     /// the [`Machine::compute_rows`](crate::Machine::compute_rows) phase
@@ -210,44 +211,34 @@ impl<S> Comm<S> {
     /// failed cycle folds nothing and charges nothing.
     ///
     /// ```
-    /// use dc_simulator::comm::Travel;
     /// use dc_simulator::{Machine, ScheduleKey};
     /// use dc_topology::Hypercube;
     ///
-    /// // All-reduce on Q_2, two lanes per node: each round exchanges the
-    /// // running total across one dimension and adds the partner's row.
+    /// // The lower node of each dimension-1 pair sends its row of `from`;
+    /// // every node adds what it got, or 100 when nothing arrived.
     /// let q = Hypercube::new(2);
     /// let mut m = Machine::new(&q, vec![(); 4]);
-    /// let (mut t, mut stage): (Vec<u64>, _) = ((0..8).collect(), Vec::new());
-    /// for i in 0..2 {
-    ///     let travel = Travel::Folded(&mut stage);
-    ///     m.cycle(|c| {
-    ///         c.fold_rows(2, move |u, _| Some(u ^ (1 << i)), travel, [&mut t[..]], [],
-    ///             |_, [t], [], msg| {
-    ///                 for (t, x) in t.iter_mut().zip(msg.expect("every node pairs up")) {
-    ///                     *t += x;
-    ///                 }
-    ///             })
-    ///             .pairwise()
-    ///             .keyed(ScheduleKey::Dim(i))
-    ///     });
-    /// }
-    /// assert_eq!(t, [12, 16, 12, 16, 12, 16, 12, 16]);
-    /// // Each round: one communication and one computation step.
-    /// assert_eq!((m.metrics().comm_steps, m.metrics().comp_steps), (2, 2));
-    /// assert_eq!(m.metrics().message_words, 2 * 4 * 2);
+    /// let from: Vec<u64> = (1..=4).collect();
+    /// let mut t = vec![0u64; 4];
+    /// m.cycle(|c| {
+    ///     c.fold_rows(1, |u, _| (u < 2).then_some(u + 2), &from, [&mut t[..]], [],
+    ///         |_, [t], [], msg| t[0] += msg.map_or(100, |x| x[0]))
+    ///         .keyed(ScheduleKey::Custom(0))
+    /// });
+    /// assert_eq!(t, [100, 100, 1, 2]);
+    /// // One communication and one computation step.
+    /// assert_eq!((m.metrics().comm_steps, m.metrics().comp_steps), (1, 1));
     /// ```
     ///
     /// # Panics
     ///
-    /// If `width == 0`, or if [`Travel::Folded`] is given with no
-    /// written slab; when the cycle delivers, if a slab does not hold
+    /// If `width == 0`; when the cycle delivers, if a slab does not hold
     /// `width` values per node.
     pub fn fold_rows<'a, V, P, Fo, const W: usize, const R: usize>(
         self,
         width: usize,
         plan: P,
-        travel: Travel<'a, V>,
+        from: &'a [V],
         rows: [&'a mut [V]; W],
         read: [&'a [V]; R],
         fold: Fo,
@@ -258,17 +249,89 @@ impl<S> Comm<S> {
         Fo: Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>) + Sync,
     {
         assert!(width > 0, "a row cycle needs at least one lane");
-        if let Travel::Folded(_) = travel {
-            assert!(W > 0, "a folded travelling slab must be a written one");
-        }
         self.with(FoldRows {
             width,
             plan,
-            travel,
+            from,
             rows,
             read,
             fold,
         })
+    }
+
+    /// The pair-fold form: an exchange-and-combine round on the pairs of
+    /// `flip`, over caller-owned lane slabs (the layout of
+    /// [`Comm::rows`], `width` values per node), whose first slab
+    /// travels and is folded too. Pairwise by construction. Once the
+    /// cycle validates (or replays), `fold(lo, hi, lo_rows, hi_rows,
+    /// [lo_got, hi_got])` runs once per pair, with both ends' rows of the
+    /// `W` slabs, and updates both in place: `hi` is the end whose
+    /// flipped bit is set, and `lo_got` says whether `lo` received `hi`'s
+    /// row of the first slab (`false` when the message was dropped), and
+    /// `hi_got` the reverse. An end may read of the other only what its
+    /// message carried: the other's row of the first slab, and only when
+    /// it arrived (the reference machine,
+    /// [`crate::reference::RefMachine`], folds each end against a copy
+    /// that holds nothing else).
+    ///
+    /// Each message is charged `width` words, and the cycle exactly as a
+    /// [`Comm::fold_rows`] cycle: one communication step, then one
+    /// computation step of `num_nodes` element operations. A failed cycle
+    /// folds nothing and charges nothing; a cycle succeeds only when
+    /// every node is live, since every node sends.
+    ///
+    /// ```
+    /// use dc_simulator::{Flip, Machine, ScheduleKey};
+    /// use dc_topology::Hypercube;
+    ///
+    /// // All-reduce on Q_2, two lanes per node: each round folds the two
+    /// // running totals of a pair into both ends.
+    /// let q = Hypercube::new(2);
+    /// let mut m = Machine::new(&q, vec![(); 4]);
+    /// let mut t: Vec<u64> = (0..8).collect();
+    /// for i in 0..2 {
+    ///     m.cycle(|c| {
+    ///         c.fold_pairs(2, Flip::uniform(i), [&mut t[..]], |_, _, [lo], [hi], got| {
+    ///             assert_eq!(got, [true, true], "no message is dropped");
+    ///             for (lo, hi) in lo.iter_mut().zip(hi) {
+    ///                 *hi += *lo;
+    ///                 *lo = *hi;
+    ///             }
+    ///         })
+    ///         .keyed(ScheduleKey::Dim(i))
+    ///     });
+    /// }
+    /// assert_eq!(t, [12, 16, 12, 16, 12, 16, 12, 16]);
+    /// // Each round: one communication and one computation step.
+    /// assert_eq!((m.metrics().comm_steps, m.metrics().comp_steps), (2, 2));
+    /// assert_eq!(m.metrics().message_words, 2 * 4 * 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// If `width == 0` or there is no slab; when the cycle runs, if
+    /// `flip` selects its class by a bit other than the top address bit;
+    /// when it delivers, if a slab does not hold `width` values per node.
+    pub fn fold_pairs<'a, V, Fo, const W: usize>(
+        self,
+        width: usize,
+        flip: Flip,
+        rows: [&'a mut [V]; W],
+        fold: Fo,
+    ) -> Comm<S, FoldPairs<'a, V, Fo, W>>
+    where
+        V: Send + Sync,
+        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    {
+        assert!(width > 0, "a row cycle needs at least one lane");
+        assert!(W > 0, "a pair fold needs a travelling slab");
+        self.with(FoldPairs {
+            width,
+            flip,
+            rows,
+            fold,
+        })
+        .pairwise()
     }
 
     /// The lane form, kept for the repository benchmark's probes
@@ -320,8 +383,10 @@ impl<S, F> Comm<S, F> {
     /// fully and compiles the matching; later cycles replay it, and any
     /// deviation from the compiled pattern fails with
     /// [`SimError::ScheduleDeviation`](crate::SimError::ScheduleDeviation).
-    /// Both payload forms share one schedule cache (a compiled pattern
-    /// holds destinations only).
+    /// Every payload form shares one schedule cache (a compiled pattern
+    /// holds destinations, plus the [`Flip`] of a pair fold that
+    /// compiled it, so a later pair fold with an equal flip replays by
+    /// that equality alone).
     pub fn keyed(mut self, key: ScheduleKey) -> Self {
         self.key = Some(key);
         self
@@ -389,32 +454,117 @@ pub struct Rows<'a, V, P, const N: usize> {
     pub(crate) pairs: [(&'a [V], &'a mut [V]); N],
 }
 
-/// Where a [`Comm::fold_rows`] cycle's messages come from.
-#[derive(Debug)]
-pub enum Travel<'a, V> {
-    /// A slab the fold only reads: each receiver reads its sender's row
-    /// of it in place.
-    Read(&'a [V]),
-    /// The first written slab, which the fold also updates (pairwise
-    /// cycles only): each receiver reads its sender's row as it was
-    /// before the cycle, staged in the caller's buffer, which the
-    /// machine sizes (see [`Comm::fold_rows`]).
-    Folded(&'a mut Vec<V>),
-}
-
 /// The fold payload form (built by [`Comm::fold_rows`]): `W` written and
-/// `R` read slabs of `width` values per node.
+/// `R` read slabs of `width` values per node, and the read-only slab
+/// whose rows travel.
 pub struct FoldRows<'a, V, P, Fo, const W: usize, const R: usize> {
     pub(crate) width: usize,
     pub(crate) plan: P,
-    pub(crate) travel: Travel<'a, V>,
+    pub(crate) from: &'a [V],
     pub(crate) rows: [&'a mut [V]; W],
     pub(crate) read: [&'a [V]; R],
     pub(crate) fold: Fo,
 }
 
+/// A matching given as a value: node `u` pairs with `u ^ mask`, where
+/// `mask` is one single-bit mask per class of node, so the matching is
+/// an involution (pairwise) by construction. [`Flip::uniform`] flips
+/// the same bit everywhere — a hypercube dimension, or a dual-cube's
+/// cross edge (its class bit); [`Flip::by_class`] flips one bit in each
+/// class — a dual-cube cluster dimension, which flips bit `i` of a
+/// class-0 node and bit `n−1+i` of a class-1 node.
+///
+/// A [`Comm::fold_pairs`] cycle carries its flip, and a keyed one
+/// compiles it into its schedule: a later cycle under the key whose
+/// flip equals the compiled one replays without evaluating any node's
+/// plan (see the [`crate::schedule`] docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Flip {
+    /// The address bit that selects a node's class, or `None` for a
+    /// uniform flip.
+    class_bit: Option<u32>,
+    /// The bit class `c` flips.
+    bits: [u32; 2],
+}
+
+impl Flip {
+    /// Every node flips `bit`: `u ↦ u ^ (1 << bit)`.
+    ///
+    /// # Panics
+    ///
+    /// If `bit` does not fit a node id.
+    pub fn uniform(bit: u32) -> Flip {
+        assert!(bit < usize::BITS - 1, "flip bit {bit} past a node id");
+        Flip {
+            class_bit: None,
+            bits: [bit, bit],
+        }
+    }
+
+    /// A node whose `class_bit` is clear flips `bits[0]`, one whose
+    /// `class_bit` is set flips `bits[1]`. The class bit must be the top
+    /// address bit of the machine the cycle runs on (the dual-cube's),
+    /// which the cycle checks, so each class fills one half of the
+    /// machine.
+    ///
+    /// # Panics
+    ///
+    /// If a flipped bit is not below `class_bit` (a flip stays inside
+    /// its class).
+    pub fn by_class(class_bit: u32, bits: [u32; 2]) -> Flip {
+        assert!(
+            bits.iter().all(|&b| b < class_bit),
+            "a class flips a bit below its class bit {class_bit}, not {bits:?}"
+        );
+        Flip {
+            class_bit: Some(class_bit),
+            bits,
+        }
+    }
+
+    /// The node `u` pairs with.
+    #[inline]
+    pub fn partner(&self, u: NodeId) -> NodeId {
+        let class = self.class_bit.map_or(0, |c| (u >> c) & 1);
+        u ^ (1 << self.bits[class])
+    }
+
+    /// Panics unless a by-class flip's class bit is the top address bit
+    /// of an `n`-node machine.
+    pub(crate) fn check(&self, n: usize) {
+        if let Some(c) = self.class_bit {
+            assert!(
+                c < usize::BITS - 1 && n == 2 << c,
+                "a by-class flip's class bit {c} must be the top address bit of {n} nodes"
+            );
+        }
+    }
+
+    /// The flip's two regions of an `n`-node machine, one per class,
+    /// each with its half-block `m` (the flipped bit's value): the pairs
+    /// of a region are `(b + j, b + m + j)` for every block start `b` of
+    /// the region that is a multiple of `2m`, and `j < m`. A uniform
+    /// flip's second region is empty.
+    fn regions(&self, n: usize) -> [(Range<usize>, usize); 2] {
+        let half = |c: usize| 1usize << self.bits[c];
+        match self.class_bit {
+            Some(_) => [(0..n / 2, half(0)), (n / 2..n, half(1))],
+            None => [(0..n, half(0)), (n..n, half(0))],
+        }
+    }
+}
+
+/// The pair-fold payload form (built by [`Comm::fold_pairs`]): `W` slabs
+/// of `width` values per node, folded pair by pair along a [`Flip`].
+pub struct FoldPairs<'a, V, Fo, const W: usize> {
+    pub(crate) width: usize,
+    pub(crate) flip: Flip,
+    pub(crate) rows: [&'a mut [V]; W],
+    pub(crate) fold: Fo,
+}
+
 /// A cycle payload form: implemented by [`Message`], [`Rows`],
-/// [`FoldRows`] and [`Lanes`] only (sealed), and what
+/// [`FoldRows`], [`FoldPairs`] and [`Lanes`] only (sealed), and what
 /// [`Machine::try_cycle`](crate::Machine::try_cycle) and the reference
 /// machine ([`crate::reference::RefMachine`]) are generic over.
 pub trait Payload<S>: form::Form<S> + crate::reference::Naive<S> {}
@@ -429,11 +579,12 @@ impl<S, F: form::Form<S> + crate::reference::Naive<S>> Payload<S> for F {}
 /// compiled pattern. Either path records each receiver's sender in the
 /// sender table, then runs the form's delivery once over the dispatch
 /// bounds: the message and lane forms over each receiver's window, the
-/// row form as one row gather and the fold form as one fold pass (their
-/// staging slab is `()` per node and never touched).
+/// row form as one row gather and the fold forms as one fold pass (their
+/// staging slab is `()` per node and never touched). A pair fold
+/// replayed by [`Flip`] equality skips the plan, the sender table and
+/// the staging, and folds straight away ([`Form::deliver_flip`]).
 pub(crate) mod form {
     use super::*;
-    use std::ops::Range;
 
     /// What a delivery uses of the machine besides the states and the
     /// staged cycle.
@@ -442,7 +593,8 @@ pub(crate) mod form {
         /// sequential backend, the shard-aligned slots on the threaded
         /// one.
         pub(crate) bounds: &'m [usize],
-        /// The machine's faults: a fold skips crashed nodes.
+        /// The machine's faults: a fold skips crashed nodes, and a pair
+        /// fold learns from the armed drops which messages were lost.
         pub(crate) faults: &'m FaultState,
     }
 
@@ -485,9 +637,11 @@ pub(crate) mod form {
         /// each message, which the machine then charges after the cycle.
         const FOLDS: bool = false;
 
-        /// Whether the form is only sound on a [`Comm::pairwise`] cycle.
-        fn requires_pairwise(&self) -> bool {
-            false
+        /// The matching as a value, for a form built on one
+        /// ([`Comm::fold_pairs`]): its [`Flip`] and the words each of its
+        /// messages carries.
+        fn flip(&self) -> Option<(Flip, u64)> {
+            None
         }
 
         /// Staging slots per node: 1 for a message or rows, `K` for lanes.
@@ -521,6 +675,13 @@ pub(crate) mod form {
         /// Delivers a planned message without staging it (only called
         /// when [`Form::PLANNED`]).
         fn deliver_planned(&self, s: &mut S, src: NodeId, msg: Self::Msg);
+        /// Delivers a cycle whose matching is the form's [`Form::flip`],
+        /// with no sender table: every node sent, and a node received
+        /// unless `ctx.faults` drops its message (only called for a form
+        /// with a flip).
+        fn deliver_flip(&mut self, _ctx: Ctx<'_>) {
+            unreachable!("only a pair fold delivers by its flip");
+        }
     }
 
     impl<S, M, P, D, W> Form<S> for Message<M, P, D, W>
@@ -747,10 +908,6 @@ pub(crate) mod form {
         const PLANNED: bool = false;
         const FOLDS: bool = true;
 
-        fn requires_pairwise(&self) -> bool {
-            matches!(self.travel, Travel::Folded(_))
-        }
-
         #[inline]
         fn width(&self) -> usize {
             1
@@ -782,55 +939,19 @@ pub(crate) mod form {
             self.width as u64
         }
 
-        /// The fold pass. A read-only travelling slab is read in place by
-        /// every receiver. A folded one is snapshotted into the caller's
-        /// stage first when the cycle has more than one slot (so no
-        /// worker reads a row another has rewritten, whichever ranges a
-        /// pair spans) and for narrow rows or small slabs; a one-slot
-        /// cycle walks wide rows of a large slab pair by pair
-        /// ([`walks_pairs`]).
-        fn deliver(&mut self, states: &mut [S], srcs: &[u32], _: &mut [()], ctx: Ctx<'_>)
+        /// The fold pass: every live receiver reads its sender's row of
+        /// the travelling slab in place.
+        fn deliver(&mut self, _: &mut [S], srcs: &[u32], _: &mut [()], ctx: Ctx<'_>)
         where
             S: Send,
         {
-            let (width, n) = (self.width, srcs.len());
-            let FoldRows {
-                plan,
-                travel,
-                rows,
-                read,
-                fold,
-                ..
-            } = self;
-            let (plan, fold, read) = (&*plan, &*fold, *read);
-            let rows = rows.each_mut().map(|r| &mut **r);
-            let read_only = match travel {
-                Travel::Read(from) => Some(*from),
-                Travel::Folded(_) => None,
-            };
-            let slabs = rows.iter().map(|r| &**r).chain(read).chain(read_only);
-            check_slabs(width, n, slabs);
-            let Ctx { bounds, faults } = ctx;
-            let one_slot = bounds.len() == 2;
-            let from: &[V] = match travel {
-                Travel::Read(from) => from,
-                Travel::Folded(stage) if !one_slot || !walks_pairs::<V>(n, width) => {
-                    let travelling: &[V] = rows[0];
-                    let snapshot = sized(stage, n * width, travelling);
-                    par_rows_bounds(bounds, width, [snapshot], &|nodes, [part]| {
-                        let at = nodes.start * width..nodes.end * width;
-                        part.clone_from_slice(&travelling[at]);
-                    });
-                    stage
-                }
-                Travel::Folded(stage) => {
-                    let staged = sized(stage, 2 * width, rows[0]);
-                    let plan = |u: NodeId| plan(u, &states[u]);
-                    return fold_pairs(width, rows, read, srcs, plan, staged, faults, fold);
-                }
-            };
+            let (width, n, from) = (self.width, srcs.len(), self.from);
+            let slabs = self.rows.iter().map(|r| &**r).chain(self.read);
+            check_slabs(width, n, slabs.chain([from]));
+            let rows = self.rows.each_mut().map(|r| &mut **r);
             let msg = |u| sender_row(from, srcs[u], width);
-            fold_each(width, rows, read, msg, faults, bounds, fold);
+            let Ctx { bounds, faults } = ctx;
+            fold_each(width, rows, self.read, msg, faults, bounds, &self.fold);
         }
 
         fn discard(&self, _: &mut [()]) {}
@@ -840,29 +961,148 @@ pub(crate) mod form {
         }
     }
 
-    /// Whether the one-slot fold of a folded travelling slab walks
-    /// pairs rather than folding from a snapshot. The walk saves the
-    /// snapshot's extra pass over the slab, which pays only once the
-    /// slabs spill out of a core's cache: narrow rows or small slabs are
-    /// faster snapshotted (one bulk copy, then one branch-free fold
-    /// pass) than walked pair by pair. The thresholds — rows of a cache
-    /// line or more, slabs of 1 MiB or more — come from the measurements
-    /// in EXPERIMENTS.md §E34.
-    fn walks_pairs<V>(n: usize, width: usize) -> bool {
-        let row = width * std::mem::size_of::<V>();
-        row >= 64 && n * row >= 1 << 20
+    impl<S, V, Fo, const W: usize> Form<S> for FoldPairs<'_, V, Fo, W>
+    where
+        V: Send + Sync,
+        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    {
+        type Msg = ();
+        type Slot = ();
+        const PLANNED: bool = false;
+        const FOLDS: bool = true;
+
+        fn flip(&self) -> Option<(Flip, u64)> {
+            Some((self.flip, self.width as u64))
+        }
+
+        #[inline]
+        fn width(&self) -> usize {
+            1
+        }
+
+        fn lanes(&self) -> u32 {
+            self.width as u32
+        }
+
+        #[inline]
+        fn plan(&self, u: NodeId, _: &S) -> Option<(NodeId, ())> {
+            Some((self.flip.partner(u), ()))
+        }
+
+        #[inline]
+        fn words(&self, _: &()) -> u64 {
+            self.width as u64
+        }
+
+        fn fresh(&self) {}
+
+        /// Nothing to stage: the caller records the sender, and the fold
+        /// reads both rows of a pair in [`Form::deliver`].
+        #[inline]
+        fn stage(&self, _: NodeId, _: &S, (): (), _: &mut [()]) {}
+
+        #[inline]
+        fn staged_words(&self, _: &[()]) -> u64 {
+            self.width as u64
+        }
+
+        /// The pair walk of [`Form::deliver_flip`]: a validated or
+        /// replayed pair fold ran the flip's matching, so the sender
+        /// table says no more than the armed drops do.
+        fn deliver(&mut self, _: &mut [S], _: &[u32], _: &mut [()], ctx: Ctx<'_>)
+        where
+            S: Send,
+        {
+            Form::<S>::deliver_flip(self, ctx);
+        }
+
+        fn discard(&self, _: &mut [()]) {}
+
+        fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
+            unreachable!("folds run after validation, never planned");
+        }
+
+        /// Folds every pair of the flip once; a node received unless an
+        /// armed drop lost its message. Each dispatch slot folds the
+        /// blocks inside its own node range; a block that straddles two
+        /// slots (every block, when the flip is the top address bit)
+        /// folds afterwards on this thread. A successful pair fold has
+        /// no crashed node (every node sent), so no node is skipped.
+        fn deliver_flip(&mut self, ctx: Ctx<'_>) {
+            let Ctx { bounds, faults } = ctx;
+            let drops = faults.has_drops();
+            let got = &|u| !(drops && faults.dropped(u));
+            let (width, n) = (self.width, bounds[bounds.len() - 1]);
+            check_slabs(width, n, self.rows.iter().map(|r| &**r));
+            let (regions, fold) = (self.flip.regions(n), &self.fold);
+            let slabs = self.rows.each_mut().map(|r| &mut **r);
+            par_rows_bounds(bounds, width, slabs, &|nodes, mut part| {
+                // `nodes` is one slot's range, or all of them when the
+                // pass runs inline; either way, fold slot by slot.
+                let first = bounds.partition_point(|&b| b < nodes.start);
+                let slots = bounds[first..].windows(2);
+                for slot in slots.take_while(|w| w[1] <= nodes.end) {
+                    for (region, half) in &regions {
+                        let span = 2 * half;
+                        let start = slot[0].max(region.start).next_multiple_of(span);
+                        let end = slot[1].min(region.end) / span * span;
+                        if start < end {
+                            let blocks = start..end;
+                            fold_blocks(width, *half, blocks, nodes.start, &mut part, got, fold);
+                        }
+                    }
+                }
+            });
+            let mut rows = self.rows.each_mut().map(|r| &mut **r);
+            let mut last = None;
+            for &b in &bounds[1..bounds.len() - 1] {
+                for (region, half) in &regions {
+                    let span = 2 * half;
+                    let start = b / span * span;
+                    if region.start < b && b < region.end && start != b && last != Some(start) {
+                        last = Some(start);
+                        let block = start..start + span;
+                        fold_blocks(width, *half, block, 0, &mut rows, got, fold);
+                    }
+                }
+            }
+        }
     }
 
-    /// `stage` at `len` values, refilled from `like[..len]` only when its
-    /// length changed (a fold overwrites whatever it stages before
-    /// reading it, so the values only need to exist). Keeps the
-    /// capacity, so a reused buffer allocates nothing.
-    fn sized<'v, V: Clone>(stage: &'v mut Vec<V>, len: usize, like: &[V]) -> &'v mut [V] {
-        if stage.len() != len {
-            stage.clear();
-            stage.extend_from_slice(&like[..len]);
+    /// Folds the pairs of the blocks in `blocks` (both ends multiples of
+    /// `2 · half`): in each block of `2 · half` rows the low half pairs
+    /// with the high half, row for row, so the walk is two row iterators
+    /// per slab, with no partner lookup. `rows` hold the rows of nodes
+    /// `origin..`.
+    fn fold_blocks<V, const W: usize>(
+        width: usize,
+        half: usize,
+        blocks: Range<usize>,
+        origin: usize,
+        rows: &mut [&mut [V]; W],
+        got: &impl Fn(NodeId) -> bool,
+        fold: &impl Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]),
+    ) {
+        let at = (blocks.start - origin) * width..(blocks.end - origin) * width;
+        let mut spans = rows
+            .each_mut()
+            .map(|r| r[at.clone()].chunks_exact_mut(2 * half * width));
+        for base in blocks.step_by(2 * half) {
+            let mut halves = spans.each_mut().map(|b| {
+                let block = b.next().expect("one block per span");
+                block.split_at_mut(half * width)
+            });
+            let mut low = halves
+                .each_mut()
+                .map(|(l, _)| std::mem::take(l).chunks_exact_mut(width));
+            let mut high = halves.map(|(_, h)| h.chunks_exact_mut(width));
+            for lo in base..base + half {
+                let hi = lo + half;
+                let lo_rows = low.each_mut().map(|r| r.next().expect("one row per node"));
+                let hi_rows = high.each_mut().map(|r| r.next().expect("one row per node"));
+                fold(lo, hi, lo_rows, hi_rows, [got(lo), got(hi)]);
+            }
         }
-        stage
     }
 
     /// Sender `src`'s row of `from`, or `None` for [`NO_SRC`].
@@ -909,68 +1149,6 @@ pub(crate) mod form {
             }
         };
         par_rows_bounds(bounds, width, rows, &pass);
-    }
-
-    /// The one-slot fold of a pairwise cycle whose travelling slab is
-    /// the first written one: one walk over the pairs in node order, each
-    /// pair folded at its lower node. The two travelling rows a pair delivers
-    /// are copied into the two-row `staged` buffer before either node
-    /// folds, so every fold sees its sender's pre-cycle row, and both
-    /// rows of a pair are read and written while they are in cache.
-    ///
-    /// A node whose sender table entry is [`NO_SRC`] is silent or lost
-    /// its inbound message to a drop; `plan(u)` then names its partner
-    /// (if any), whose own entry may still name `u`.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_pairs<V: Clone, const W: usize, const R: usize>(
-        width: usize,
-        mut rows: [&mut [V]; W],
-        read: [&[V]; R],
-        srcs: &[u32],
-        plan: impl Fn(NodeId) -> Option<NodeId>,
-        staged: &mut [V],
-        faults: &FaultState,
-        f: &impl Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>),
-    ) {
-        let frozen = faults.any_failed();
-        let fold = |rows: &mut [&mut [V]; W], u: NodeId, msg: Option<&[V]>| {
-            if !(frozen && faults.is_failed(u)) {
-                let at = u * width..(u + 1) * width;
-                let mine = rows.each_mut().map(|r| &mut r[at.clone()]);
-                f(u, mine, read.map(|r| &r[at.clone()]), msg);
-            }
-        };
-        let (from_u, from_mate) = staged.split_at_mut(width);
-        for u in 0..srcs.len() {
-            // An upper node that received was folded with its pair at the
-            // lower node; `NO_SRC` exceeds every node id, so a node that
-            // received nothing falls through.
-            let src = srcs[u];
-            if (src as usize) < u {
-                continue;
-            }
-            let (v, to_u) = if src != NO_SRC {
-                (src as usize, true)
-            } else {
-                match plan(u) {
-                    Some(v) if v > u => (v, false),
-                    Some(_) => continue,
-                    None => {
-                        fold(&mut rows, u, None);
-                        continue;
-                    }
-                }
-            };
-            let to_mate = srcs[v] == u as u32;
-            if to_mate {
-                copy_row(from_u, rows[0], u * width);
-            }
-            if to_u {
-                copy_row(from_mate, rows[0], v * width);
-            }
-            fold(&mut rows, u, to_u.then_some(&*from_mate));
-            fold(&mut rows, v, to_mate.then_some(&*from_u));
-        }
     }
 
     /// Copies `source[at..at + row.len()]` into `row`: every lane but the

@@ -282,8 +282,11 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 /// still re-evaluates every node's plan against the compiled pattern and
 /// rejects any deviation with [`SimError::ScheduleDeviation`], so a key
 /// can never launder an invalid schedule — see the [`crate::schedule`]
-/// module docs. Both payload forms share one keyed dispatcher, one
-/// full-cycle path and one replay path, monomorphised per form.
+/// module docs. The one exception needs no evaluation: a pair fold
+/// ([`Comm::fold_pairs`]) whose [`Flip`](crate::Flip) equals the one
+/// the schedule was compiled with is that matching by construction.
+/// Every payload form shares one keyed dispatcher, one full-cycle path
+/// and one replay path, monomorphised per form.
 ///
 /// # Execution backend
 ///
@@ -314,7 +317,8 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 ///
 /// A keyed *replay* cycle collapses plan + validate into one pass (each
 /// receiver evaluates its compiled sender's plan straight into its own
-/// window) followed by deliver.
+/// window) followed by deliver; a pair fold replayed by flip equality
+/// skips that pass too and folds straight away.
 ///
 /// Simulated metrics never depend on the backend; the threaded backend is
 /// observationally identical and only changes wall-clock time. The naive
@@ -1185,13 +1189,15 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// step is counted, so a test can probe illegal schedules without
     /// corrupting the machine.
     ///
-    /// A [`Comm::fold_rows`] cycle that succeeds is also charged the
-    /// computation step its delivery ran (see there).
+    /// A [`Comm::fold_rows`] or [`Comm::fold_pairs`] cycle that succeeds
+    /// is also charged the computation step its delivery ran (see
+    /// there).
     ///
     /// # Panics
     ///
-    /// If a [`Comm::fold_rows`] cycle whose travelling slab is also
-    /// folded is not [`Comm::pairwise`]; nothing is charged first.
+    /// If a [`Comm::fold_pairs`] cycle's by-class
+    /// [`Flip`](crate::Flip) selects its class by a bit other than the
+    /// top address bit; nothing is charged first.
     pub fn try_cycle<F: Payload<S>>(
         &mut self,
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
@@ -1200,10 +1206,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send + Sync,
     {
         let mut comm = comm(Comm::blank());
-        assert!(
-            comm.pairwise || !comm.form.requires_pairwise(),
-            "a fold cycle whose travelling slab is folded too must be pairwise"
-        );
+        if let Some((flip, _)) = comm.form.flip() {
+            flip.check(self.states.len());
+        }
         let delivered = self.run_comm(&mut comm)?;
         if F::FOLDS {
             // The fold ran inside the delivery; its computation step
@@ -1243,8 +1248,16 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 obs(CacheStatus::Bypass),
             );
         }
-        if self.schedules.contains(key) {
-            let result = self.replay_cycle(key, &mut comm.form, obs(CacheStatus::Hit));
+        if let Some(compiled) = self.schedules.get(key).map(|s| s.flip) {
+            // A pair fold whose flip equals the compiled one is the
+            // compiled matching by construction; anything else proves
+            // it node by node.
+            let result = match comm.form.flip() {
+                Some((flip, words)) if compiled == Some(flip) => {
+                    self.flip_cycle(key, words, &mut comm.form, obs(CacheStatus::Hit))
+                }
+                _ => self.replay_cycle(key, &mut comm.form, obs(CacheStatus::Hit)),
+            };
             if result.is_ok() {
                 self.metrics.schedule_hits += 1;
             }
@@ -1435,6 +1448,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             CompiledSchedule {
                 key,
                 enc,
+                flip: form.flip().map(|(flip, _)| flip),
                 delivered: acc.delivered,
                 epoch: self.faults.epoch(),
                 acct: None,
@@ -1656,6 +1670,108 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         local.merge(conflicts)
     }
 
+    /// Readies a recorded replay of `key`'s schedule for deferred link
+    /// accounting: resolves the link-table stride eagerly (the deferred
+    /// flush helpers treat an unresolved stride as "no counts pending"),
+    /// and attaches the deferred-accounting plan on the schedule's first
+    /// recorded replay. The cross-edge bitset is schedule-determined, so
+    /// it is computed once here and no replay calls into the topology.
+    fn prepare_deferred_links(&mut self, key: ScheduleKey) {
+        self.link_ports();
+        let n = self.states.len();
+        let topo = self.topo;
+        let sched = self
+            .schedules
+            .get_mut(key)
+            .expect("caller checked the cache");
+        if sched.acct.is_none() {
+            let mut acct = Box::new(AcctPlan::new(n));
+            for (dst, &e) in sched.enc.iter().enumerate() {
+                let src = (e & NO_SRC) as usize;
+                if src != NO_SRC as usize && topo.is_cross_edge(src, dst) {
+                    acct.set_cross(dst);
+                }
+            }
+            sched.acct = Some(acct);
+        }
+    }
+
+    /// A keyed pair fold whose [`Flip`](crate::Flip) equals the one its
+    /// schedule was compiled with: the compile validated exactly this
+    /// matching, so no node's plan is evaluated and no sender table is
+    /// filled. Every node sends (a flip pairs them all) and receives
+    /// `words` words, unless an armed drop loses its message; crashes
+    /// and link cuts evict the schedule before a cycle gets here, so
+    /// every node is live. The form then folds each pair once
+    /// ([`Form::deliver_flip`]), and the cycle is charged, traced and
+    /// recorded as a replay of the same schedule.
+    ///
+    /// [`Form::deliver_flip`]: crate::comm::form::Form::deliver_flip
+    fn flip_cycle<F: Payload<S>>(
+        &mut self,
+        key: ScheduleKey,
+        words: u64,
+        form: &mut F,
+        obs: ObsCtx,
+    ) -> Result<usize, SimError>
+    where
+        S: Send + Sync,
+    {
+        let n = self.states.len();
+        let record_links = self.recorder.is_some();
+        if record_links {
+            self.prepare_deferred_links(key);
+        }
+        self.dispatch_bounds();
+        let sched = self
+            .schedules
+            .get_mut(key)
+            .expect("caller checked the cache");
+        debug_assert!(
+            !self.faults.any_failed(),
+            "a flip schedule outlived a crash"
+        );
+        let faults = &self.faults;
+        let drops_active = faults.has_drops();
+        let received = |u: &NodeId| !(drops_active && faults.dropped(*u));
+        let delivered = if drops_active {
+            (0..n).filter(received).count()
+        } else {
+            n
+        };
+        if let Some(trace) = self.trace.as_mut() {
+            let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
+            trace.push((phase, sched.trace_pairs()));
+        }
+        // Deferred link accounting, as a replay does it: one message of
+        // `words` words into every receiver whose message was not lost.
+        if record_links {
+            let acct = sched.acct.as_deref_mut().expect("attached above");
+            let mut util = LinkUtil::default();
+            for dst in (0..n).filter(received) {
+                acct.msgs[dst] += 1;
+                acct.words[dst] += words;
+                util.record(acct.is_cross(dst), words);
+            }
+            acct.dirty = true;
+            self.metrics.link_util.add_bulk(util);
+        }
+        let ctx = Ctx {
+            bounds: &self.scratch.bounds,
+            faults: &self.faults,
+        };
+        form.deliver_flip(ctx);
+        let dropped = (sched.delivered - delivered) as u64;
+        let words = delivered as u64 * words;
+        self.metrics.record_comm_words(delivered as u64, words);
+        self.metrics.dropped_messages += dropped;
+        if drops_active {
+            self.faults.clear_drops();
+        }
+        self.emit_comm(obs, delivered as u64, words, dropped, form.lanes());
+        Ok(delivered)
+    }
+
     /// A keyed cycle of any payload form served from the cache: one
     /// fused plan+verify+stage pass, then deliver. Each receiver `u`
     /// evaluates its compiled sender's plan and stages the message
@@ -1678,28 +1794,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         let width = form.width();
         let record_links = self.recorder.is_some();
         if record_links {
-            // Resolve the link-table stride eagerly: the deferred flush
-            // helpers treat an unresolved stride as "no counts pending".
-            self.link_ports();
-            // Lazily attach the deferred-accounting plan on a recorded
-            // replay's first sighting of this schedule. The cross-edge
-            // bitset is schedule-determined, so it is computed once here
-            // and the per-cycle loop below never calls into the topology.
-            let topo = self.topo;
-            let sched = self
-                .schedules
-                .get_mut(key)
-                .expect("caller checked the cache");
-            if sched.acct.is_none() {
-                let mut acct = Box::new(AcctPlan::new(n));
-                for (dst, &e) in sched.enc.iter().enumerate() {
-                    let src = (e & NO_SRC) as usize;
-                    if src != NO_SRC as usize && topo.is_cross_edge(src, dst) {
-                        acct.set_cross(dst);
-                    }
-                }
-                sched.acct = Some(acct);
-            }
+            self.prepare_deferred_links(key);
         }
         self.dispatch_bounds();
         let sched = self
@@ -2006,7 +2101,7 @@ impl<T: Topology + ?Sized + Sync, S: Send + Sync> Cycles<S> for Machine<'_, T, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Travel;
+    use crate::comm::Flip;
     use crate::parallel::PAR_THRESHOLD;
     use crate::reference::{model_counters, Cycles, RefMachine};
     use dc_topology::Hypercube;
@@ -2622,17 +2717,12 @@ mod tests {
             Form::Fold(k) => {
                 let n = m.states().len();
                 let from: Vec<u64> = (0..n * k).map(|i| (i / k) as u64 + 1).collect();
-                let (mut t, mut stage) = (from.clone(), Vec::new());
+                let mut t = from.clone();
                 let result = m.try_cycle(|c| {
-                    let travel = if pairwise {
-                        Travel::Folded(&mut stage)
-                    } else {
-                        Travel::Read(&from[..])
-                    };
                     let c = c.fold_rows(
                         k,
                         |u, _| dst(u),
-                        travel,
+                        &from[..],
                         [&mut t[..]],
                         [],
                         |_, [t], [], msg| {
@@ -3331,23 +3421,23 @@ mod tests {
         assert_eq!(m.metrics().element_ops, 4);
     }
 
-    /// A fold cycle folds each live node's sender row in place (a
-    /// folded travelling slab read as it was before the cycle), charges
-    /// one communication and one computation step, and replays the same.
+    /// A fold cycle folds each live node's sender row, read in place
+    /// from the travelling slab as it was before the cycle, charges one
+    /// communication and one computation step, and replays the same.
     #[test]
     fn fold_rows_folds_pre_cycle_rows_and_charges_both_steps() {
         const K: usize = 2;
         let q = Hypercube::new(2);
         let mut m = Machine::new(&q, vec![(); 4]);
         let mut t: Vec<u64> = (0..4 * K as u64).collect();
-        let (mut s, mut stage) = ([0u64; 4 * K], Vec::new());
+        let mut s = [0u64; 4 * K];
         for round in 0..2 {
             let before = t.clone();
             m.cycle(|c| {
                 c.fold_rows(
                     K,
                     |u, _| Some(u ^ 2),
-                    Travel::Folded(&mut stage),
+                    &before[..],
                     [&mut t[..], &mut s[..]],
                     [],
                     |_, [t, s], [], msg| {
@@ -3375,48 +3465,311 @@ mod tests {
         assert_eq!(metrics.message_words, 2 * 4 * K as u64);
     }
 
-    /// A dropped message reaches its fold as `None`, on a read-only and
-    /// on a folded travelling slab alike, and is counted as a rows cycle
-    /// counts it: one dropped message, its `K` words not charged.
+    /// The ascend-shaped pair fold on `t` and `s`: each end keeps its
+    /// pre-cycle `t` in `s` and folds the other end's pre-cycle `t` in.
+    fn swap_fold(
+        _: NodeId,
+        _: NodeId,
+        [lt, ls]: [&mut [u64]; 2],
+        [ht, hs]: [&mut [u64]; 2],
+        got: [bool; 2],
+    ) {
+        for (((lt, ls), ht), hs) in lt.iter_mut().zip(ls).zip(ht).zip(hs) {
+            let (a, b) = (*lt, *ht);
+            *ls = a;
+            *hs = b;
+            *lt = if got[0] { 10 * a + b } else { a + 1000 };
+            *ht = if got[1] { 10 * b + a } else { b + 1000 };
+        }
+    }
+
+    /// A pair fold folds both ends of every pair in place from their
+    /// pre-cycle rows, on a uniform and on a by-class flip, charges one
+    /// communication and one computation step, and replays the same
+    /// (the replay by flip equality included).
+    #[test]
+    fn fold_pairs_fold_both_ends_in_place_and_charge_both_steps() {
+        const K: usize = 2;
+        let q = Hypercube::new(3);
+        // Q_3's top bit splits it into halves: the low half flips bit 0,
+        // the high half bit 1.
+        for flip in [Flip::uniform(1), Flip::by_class(2, [0, 1])] {
+            let partner = |u: usize| flip.partner(u);
+            assert!((0..8).all(|u| partner(partner(u)) == u && partner(u) != u));
+            let mut m = Machine::new(&q, vec![(); 8]);
+            let mut t: Vec<u64> = (0..8 * K as u64).collect();
+            let mut s = [0u64; 8 * K];
+            for round in 0..3 {
+                let before = t.clone();
+                m.cycle(|c| {
+                    c.fold_pairs(K, flip, [&mut t[..], &mut s[..]], swap_fold)
+                        .keyed(ScheduleKey::Dim(1))
+                });
+                for u in 0..8 {
+                    for k in 0..K {
+                        let (mine, theirs) = (before[u * K + k], before[partner(u) * K + k]);
+                        let case = format!("{flip:?} round {round} row {u}");
+                        assert_eq!(t[u * K + k], 10 * mine + theirs, "{case}");
+                        assert_eq!(s[u * K + k], mine, "{case}");
+                    }
+                }
+            }
+            let metrics = m.metrics();
+            assert_eq!((metrics.comm_steps, metrics.comp_steps), (3, 3));
+            assert_eq!((metrics.schedule_misses, metrics.schedule_hits), (1, 2));
+            assert_eq!((metrics.messages, metrics.element_ops), (3 * 8, 3 * 8));
+            assert_eq!(metrics.message_words, 3 * 8 * K as u64);
+        }
+    }
+
+    /// A dropped message reaches its fold as `None` and is counted as a
+    /// rows cycle counts it: one dropped message, its `K` words not
+    /// charged.
     #[test]
     fn fold_rows_message_drop_reaches_the_fold_as_none() {
         let q = Hypercube::new(2);
-        for folded in [false, true] {
-            let mut m = Machine::new(&q, vec![(); 4]);
-            m.set_fault_plan(FaultPlan::new().message_drop(0, 0));
-            let from: Vec<u64> = (0..8).collect();
-            let (mut t, mut stage) = (vec![100u64; 8], Vec::new());
-            if folded {
-                t.clone_from(&from);
-            }
-            let travel = if folded {
-                Travel::Folded(&mut stage)
-            } else {
-                Travel::Read(&from[..])
-            };
-            let delivered = m
-                .try_cycle(|c| {
-                    c.fold_rows(
-                        2,
-                        |u, _| Some(u ^ 1),
-                        travel,
-                        [&mut t[..]],
-                        [],
-                        |_, [t], [], msg| match msg {
-                            Some(x) => t.copy_from_slice(x),
-                            None => t.fill(99),
-                        },
-                    )
+        let mut m = Machine::new(&q, vec![(); 4]);
+        m.set_fault_plan(FaultPlan::new().message_drop(0, 0));
+        let from: Vec<u64> = (0..8).collect();
+        let mut t = vec![100u64; 8];
+        let delivered = m
+            .try_cycle(|c| {
+                c.fold_rows(
+                    2,
+                    |u, _| Some(u ^ 1),
+                    &from[..],
+                    [&mut t[..]],
+                    [],
+                    |_, [t], [], msg| match msg {
+                        Some(x) => t.copy_from_slice(x),
+                        None => t.fill(99),
+                    },
+                )
+                .pairwise()
+            })
+            .unwrap();
+        assert_eq!(delivered, 3, "the drop loses node 0's inbound message");
+        assert_eq!(t, [99, 99, 0, 1, 6, 7, 4, 5]);
+        let metrics = m.metrics();
+        assert_eq!(metrics.dropped_messages, 1);
+        assert_eq!(metrics.message_words, 3 * 2);
+        assert_eq!((metrics.comm_steps, metrics.comp_steps), (1, 1));
+    }
+
+    /// Armed drops reach a pair fold as `got = false` at the receiving
+    /// end, on the compile cycle and on a replay by flip equality, and
+    /// are counted as a rows cycle counts them.
+    #[test]
+    fn fold_pairs_message_drops_reach_the_fold_as_not_got() {
+        const K: usize = 2;
+        let q = Hypercube::new(2);
+        let mut m = Machine::new(&q, vec![(); 4]);
+        let mut rows = Machine::new(&q, vec![(); 4]);
+        let plan = FaultPlan::new().message_drop(0, 0).message_drop(1, 3);
+        m.set_fault_plan(plan.clone());
+        rows.set_fault_plan(plan);
+        let mut t: Vec<u64> = (0..4 * K as u64).collect();
+        let mut s = [0u64; 4 * K];
+        for (cycle, lost) in [(0, 0), (1, 3)] {
+            let before = t.clone();
+            let delivered = m.cycle(|c| {
+                c.fold_pairs(K, Flip::uniform(0), [&mut t[..], &mut s[..]], swap_fold)
+                    .keyed(ScheduleKey::Dim(0))
+            });
+            let mut landed = [0u64; 4 * K];
+            let counted = rows.cycle(|c| {
+                c.rows(K, |u, _| Some(u ^ 1), [(&before[..], &mut landed[..])])
                     .pairwise()
-                })
-                .unwrap();
-            assert_eq!(delivered, 3, "the drop loses node 0's inbound message");
-            assert_eq!(t, [99, 99, 0, 1, 6, 7, 4, 5], "folded={folded}");
-            let metrics = m.metrics();
-            assert_eq!(metrics.dropped_messages, 1);
-            assert_eq!(metrics.message_words, 3 * 2);
-            assert_eq!((metrics.comm_steps, metrics.comp_steps), (1, 1));
+                    .keyed(ScheduleKey::Dim(0))
+            });
+            assert_eq!(delivered, 3, "cycle {cycle}");
+            assert_eq!(delivered, counted, "cycle {cycle}");
+            for u in 0..4 {
+                for k in 0..K {
+                    let (mine, theirs) = (before[u * K + k], before[(u ^ 1) * K + k]);
+                    let want = if u == lost {
+                        mine + 1000
+                    } else {
+                        10 * mine + theirs
+                    };
+                    assert_eq!(t[u * K + k], want, "cycle {cycle} row {u}");
+                }
+            }
         }
+        let (folded, moved) = (m.metrics(), rows.metrics());
+        assert_eq!(folded.dropped_messages, 2);
+        assert_eq!(
+            (
+                folded.messages,
+                folded.message_words,
+                folded.dropped_messages
+            ),
+            (moved.messages, moved.message_words, moved.dropped_messages)
+        );
+        assert_eq!((folded.schedule_misses, folded.schedule_hits), (1, 1));
+    }
+
+    /// A keyed pair fold whose flip differs from the one compiled under
+    /// its key fails with the deviation the per-node replay names — the
+    /// same a rows cycle with that plan gets — and leaves the slabs and
+    /// the metrics untouched.
+    #[test]
+    fn pair_fold_with_another_flip_deviates_and_changes_nothing() {
+        let q = Hypercube::new(3);
+        let key = ScheduleKey::Dim(0);
+        let mut m = Machine::new(&q, vec![(); 8]);
+        let mut t: Vec<u64> = (0..8).collect();
+        let mut s = [0u64; 8];
+        m.cycle(|c| {
+            c.fold_pairs(1, Flip::uniform(0), [&mut t[..], &mut s[..]], swap_fold)
+                .keyed(key)
+        });
+        let (t0, s0, metrics) = (t.clone(), s, m.metrics().clone());
+        for flip in [Flip::uniform(1), Flip::by_class(2, [0, 1])] {
+            let err = m
+                .try_cycle(|c| {
+                    c.fold_pairs(1, flip, [&mut t[..], &mut s[..]], swap_fold)
+                        .keyed(key)
+                })
+                .unwrap_err();
+            let mut rows = Machine::new(&q, vec![(); 8]);
+            let (from, mut landed) = (vec![0u64; 8], vec![0u64; 8]);
+            rows.cycle(|c| {
+                c.rows(1, |u, _| Some(u ^ 1), [(&from[..], &mut landed[..])])
+                    .keyed(key)
+            });
+            let want = rows
+                .try_cycle(|c| {
+                    c.rows(
+                        1,
+                        |u, _| Some(flip.partner(u)),
+                        [(&from[..], &mut landed[..])],
+                    )
+                    .keyed(key)
+                })
+                .unwrap_err();
+            assert!(matches!(err, SimError::ScheduleDeviation { .. }), "{err}");
+            assert_eq!(err, want, "{flip:?}");
+            assert_eq!((&t, &s), (&t0, &s0), "a deviating cycle folded a row");
+            assert_eq!(m.metrics(), &metrics, "a deviating cycle charged");
+        }
+        // The compiled flip still replays.
+        m.cycle(|c| {
+            c.fold_pairs(1, Flip::uniform(0), [&mut t[..], &mut s[..]], swap_fold)
+                .keyed(key)
+        });
+        assert_eq!(m.metrics().schedule_hits, 1);
+    }
+
+    /// One schedule cache serves both plan kinds: a schedule a
+    /// closure-planned rows cycle compiled replays an equal flip's pair
+    /// fold (node by node), and one a pair fold compiled replays the
+    /// rows cycle; every result equals the unkeyed run's.
+    #[test]
+    fn closure_and_flip_schedules_serve_each_other() {
+        let q = Hypercube::new(3);
+        let key = ScheduleKey::Dim(2);
+        let flip = Flip::uniform(2);
+        let run = |fold_first: bool, keyed: bool| {
+            let mut m = Machine::new(&q, vec![(); 8]);
+            m.enable_trace();
+            let mut t: Vec<u64> = (0..8).map(|u| u * 3 + 1).collect();
+            let mut s = vec![0u64; 8];
+            let mut landed = vec![0u64; 8];
+            for fold in [fold_first, !fold_first, fold_first, !fold_first] {
+                if fold {
+                    m.cycle(|c| {
+                        let c = c.fold_pairs(1, flip, [&mut t[..], &mut s[..]], swap_fold);
+                        if keyed {
+                            c.keyed(key)
+                        } else {
+                            c
+                        }
+                    });
+                } else {
+                    m.cycle(|c| {
+                        let c = c
+                            .rows(1, |u, _| Some(u ^ 4), [(&t[..], &mut landed[..])])
+                            .pairwise();
+                        if keyed {
+                            c.keyed(key)
+                        } else {
+                            c
+                        }
+                    });
+                }
+            }
+            let metrics = m.metrics().clone();
+            (t, s, landed, m.phased_trace().to_vec(), metrics)
+        };
+        for fold_first in [false, true] {
+            let plain = run(fold_first, false);
+            let keyed = run(fold_first, true);
+            assert_eq!(keyed.4.schedule_misses, 1, "fold first: {fold_first}");
+            assert_eq!(keyed.4.schedule_hits, 3, "fold first: {fold_first}");
+            assert_eq!(model_counters(&keyed.4), model_counters(&plain.4));
+            assert_eq!(
+                (keyed.0, keyed.1, keyed.2, keyed.3),
+                (plain.0, plain.1, plain.2, plain.3)
+            );
+        }
+    }
+
+    /// A crash after a pair fold compiled bumps the epoch, so the next
+    /// cycle under the key recompiles, and full validation blames the
+    /// node a closure plan of the same matching is blamed on.
+    #[test]
+    fn crash_after_compile_recompiles_a_pair_fold() {
+        let q = Hypercube::new(3);
+        let key = ScheduleKey::Dim(0);
+        let mut m = Machine::new(&q, vec![(); 8]);
+        let mut t: Vec<u64> = (0..8).collect();
+        let mut s = [0u64; 8];
+        m.cycle(|c| {
+            c.fold_pairs(1, Flip::uniform(0), [&mut t[..], &mut s[..]], swap_fold)
+                .keyed(key)
+        });
+        m.inject_fault(FaultKind::NodeCrash { node: 5 });
+        let (t0, comm) = (t.clone(), m.metrics().comm_steps);
+        let err = m
+            .try_cycle(|c| {
+                c.fold_pairs(1, Flip::uniform(0), [&mut t[..], &mut s[..]], swap_fold)
+                    .keyed(key)
+            })
+            .unwrap_err();
+        let mut closure = Machine::new(&q, vec![(); 8]);
+        closure.inject_fault(FaultKind::NodeCrash { node: 5 });
+        let (from, mut landed) = (vec![0u64; 8], vec![0u64; 8]);
+        let want = closure
+            .try_cycle(|c| {
+                c.rows(1, |u, _| Some(u ^ 1), [(&from[..], &mut landed[..])])
+                    .pairwise()
+                    .keyed(key)
+            })
+            .unwrap_err();
+        assert_eq!(err, SimError::NodeFailed { node: 5 });
+        assert_eq!(err, want);
+        assert_eq!(t, t0, "a failed cycle folded a row");
+        assert_eq!(m.metrics().comm_steps, comm);
+        assert_eq!(m.metrics().schedule_hits, 0, "never replayed post-fault");
+    }
+
+    /// A by-class flip's class bit must be the machine's top address
+    /// bit, so each class is one half of the machine.
+    #[test]
+    #[should_panic(expected = "top address bit")]
+    fn by_class_flip_needs_the_top_address_bit() {
+        let q = Hypercube::new(4);
+        let mut m = Machine::new(&q, vec![(); 16]);
+        let mut t = [0u8; 16];
+        m.cycle(|c| {
+            c.fold_pairs(
+                1,
+                Flip::by_class(2, [0, 1]),
+                [&mut t[..]],
+                |_, _, _, _, _| {},
+            )
+        });
     }
 
     /// A fold skips a crashed node, so its rows freeze, and a silent
@@ -3432,7 +3785,7 @@ mod tests {
             c.fold_rows(
                 1,
                 |u, _| (u < 2).then_some(u ^ 1),
-                Travel::Read(&from[..]),
+                &from[..],
                 [&mut t[..]],
                 [],
                 |_, [t], [], msg| t[0] += msg.map_or(100, |x| x[0]),
@@ -3440,24 +3793,6 @@ mod tests {
         });
         assert_eq!(t, [6, 6, 101, 1]);
         assert_eq!(m.metrics().element_ops, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be pairwise")]
-    fn folded_travelling_slab_needs_a_pairwise_cycle() {
-        let q = Hypercube::new(1);
-        let mut m = Machine::new(&q, vec![(); 2]);
-        let (mut t, mut stage) = ([0u8; 2], Vec::new());
-        m.cycle(|c| {
-            c.fold_rows(
-                1,
-                |u, _| Some(u ^ 1),
-                Travel::Folded(&mut stage),
-                [&mut t[..]],
-                [],
-                |_, _, [], _| {},
-            )
-        });
     }
 
     /// Recorded rows cycles stamp `K × pairs` lanes on their events and

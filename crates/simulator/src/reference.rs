@@ -28,12 +28,20 @@
 //! to a node with an armed drop is validated, traced and lost, and the
 //! drop is spent by the next cycle that succeeds.
 //!
+//! A pair fold ([`Comm::fold_pairs`]) runs its fold once per node
+//! rather than once per pair: each node folds as the `lo` or `hi` end
+//! against a copy of its partner that holds only what the node's message
+//! carried (the partner's row of the first slab, when it arrived) and
+//! the node's own rows everywhere else, and only the node's own result
+//! is kept. A fold that reads more of its partner than the message then
+//! gives a different answer here than on the engine.
+//!
 //! [`Cycles`] is the interface both machines share, so one program body,
 //! generic over `impl Cycles<S>`, drives either; [`model_counters`] is
 //! the part of [`Metrics`] both charge.
 
 use crate::comm::form::Form;
-use crate::comm::{Comm, FoldRows, Lanes, Message, Payload, Rows, Travel};
+use crate::comm::{Comm, FoldPairs, FoldRows, Lanes, Message, Payload, Rows};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::machine::TraceEntry;
@@ -171,10 +179,9 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
     ) -> Result<usize, SimError> {
         let mut comm = comm(Comm::blank());
-        assert!(
-            comm.pairwise || !comm.form.requires_pairwise(),
-            "a fold cycle whose travelling slab is folded too must be pairwise"
-        );
+        if let Some((flip, _)) = comm.form.flip() {
+            flip.check(self.states.len());
+        }
         let now = self.metrics.comm_steps;
         let (due, later) = self.pending.iter().partition(|e| e.at_cycle <= now);
         self.pending = later;
@@ -401,27 +408,67 @@ mod naive {
         fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, failed: &BTreeSet<NodeId>) {
             let (width, n) = (self.width, states.len());
             let FoldRows {
-                travel,
+                from,
                 rows,
                 read,
                 fold,
                 ..
             } = self;
-            let from = match travel {
-                Travel::Read(from) => from.to_vec(),
-                Travel::Folded(_) => rows[0].to_vec(),
-            };
             let slabs = rows.iter().map(|r| &**r).chain(read.iter().copied());
-            check_slabs(width, n, slabs.chain([&from[..]]));
+            check_slabs(width, n, slabs.chain([*from]));
             for u in (0..n).filter(|u| !failed.contains(u)) {
                 let at = u * width..(u + 1) * width;
-                let msg = inbox.get(&u).map(|&(src, ())| row(&from, src, width));
+                let msg = inbox.get(&u).map(|&(src, ())| row(from, src, width));
                 fold(
                     u,
                     rows.each_mut().map(|r| &mut r[at.clone()]),
                     read.map(|r| &r[at.clone()]),
                     msg,
                 );
+            }
+        }
+    }
+
+    impl<S, V: Clone, Fo, const W: usize> Naive<S> for FoldPairs<'_, V, Fo, W>
+    where
+        Self: Form<S, Msg = ()>,
+        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]),
+    {
+        /// Every node folds on its own, as `lo` or `hi`, against a copy
+        /// of its partner built from its own pre-cycle rows, with the
+        /// partner's first-slab row in place only when the message
+        /// arrived (see the [module docs](super)).
+        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, _: &BTreeSet<NodeId>) {
+            let (width, n) = (self.width, states.len());
+            check_slabs(width, n, self.rows.iter().map(|r| &**r));
+            let before: Vec<Vec<V>> = self.rows.iter().map(|r| r.to_vec()).collect();
+            let own =
+                |u| -> [Vec<V>; W] { std::array::from_fn(|k| row(&before[k], u, width).to_vec()) };
+            for u in 0..n {
+                let v = self.flip.partner(u);
+                let got = inbox.contains_key(&u);
+                let mut near = own(u);
+                let mut far = own(u);
+                if got {
+                    far[0] = row(&before[0], v, width).to_vec();
+                }
+                let (lo, hi) = (u.min(v), u.max(v));
+                let flags = [inbox.contains_key(&lo), inbox.contains_key(&hi)];
+                let (lo_rows, hi_rows) = if u == lo {
+                    (&mut near, &mut far)
+                } else {
+                    (&mut far, &mut near)
+                };
+                (self.fold)(
+                    lo,
+                    hi,
+                    lo_rows.each_mut().map(|r| &mut r[..]),
+                    hi_rows.each_mut().map(|r| &mut r[..]),
+                    flags,
+                );
+                for (slab, kept) in self.rows.iter_mut().zip(&near) {
+                    slab[u * width..(u + 1) * width].clone_from_slice(kept);
+                }
             }
         }
     }

@@ -14,7 +14,8 @@
 //! trace pairs are reconstructed on demand); subsequent cycles with the
 //! same key **replay** it — CUDA-graph style — skipping every validation
 //! structure, so a replayed cycle is plan → scatter → deliver with no
-//! sequential O(N) phase.
+//! sequential O(N) phase (and a pair fold replayed by its flip is
+//! deliver alone).
 //!
 //! # Why replay cannot launder an invalid schedule
 //!
@@ -31,7 +32,22 @@
 //! the machine checks the assertion every cycle; what replay skips is
 //! only the re-*derivation* of legality (adjacency, conflict-freedom,
 //! symmetry), which depends on the pattern alone.
+//!
+//! A pair fold ([`Comm::fold_pairs`](crate::Comm::fold_pairs)) carries
+//! its matching as a value, a [`Flip`]: node `u` pairs with `u ^
+//! mask(u)`, and nothing else — no state, no closure — decides where a
+//! node sends. The schedule a pair fold compiles records its flip. A
+//! later pair fold under the key whose flip **equals** the recorded one
+//! therefore runs exactly the matching the compile validated, and the
+//! equality is checked on every such cycle, so that cycle replays
+//! without evaluating any node's plan. Every other case — a different
+//! flip, a schedule a closure plan compiled, a closure-planned cycle on
+//! a schedule a flip compiled — takes the per-node check above and
+//! reports the same deviation. A crash or link cut evicts every
+//! schedule (see below), so a flip replays only while every node is
+//! live and every link up, as when it compiled.
 
+use crate::comm::Flip;
 use dc_topology::NodeId;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,6 +121,11 @@ pub(crate) struct CompiledSchedule {
     /// contiguous id ranges, this dense dst-indexed layout is already
     /// **shard-major**: a shard's receivers occupy one contiguous slice.
     pub enc: Vec<u32>,
+    /// The [`Flip`] of the pair fold that compiled the schedule
+    /// ([`Comm::fold_pairs`](crate::Comm::fold_pairs)), `None` when a
+    /// closure plan did. A later pair fold under the key whose flip
+    /// equals it replays by that equality alone.
+    pub flip: Option<Flip>,
     /// Messages the pattern delivers.
     pub delivered: usize,
     /// The fault epoch this schedule's legality was proved under. A
@@ -450,6 +471,7 @@ mod tests {
         cache.insert(CompiledSchedule {
             key: ScheduleKey::Cross,
             enc: vec![SENDS_BIT | 1, SENDS_BIT], // 0 ↔ 1 swap
+            flip: None,
             delivered: 2,
             epoch: 0,
             acct: None,
@@ -474,6 +496,7 @@ mod tests {
         cache.insert(CompiledSchedule {
             key: ScheduleKey::Dim(0),
             enc: vec![SENDS_BIT | 1, SENDS_BIT],
+            flip: None,
             delivered: 2,
             epoch: 0,
             acct: None,
@@ -494,6 +517,7 @@ mod tests {
         cache.insert(CompiledSchedule {
             key: ScheduleKey::Dim(0),
             enc: vec![NO_SRC, NO_SRC],
+            flip: None,
             delivered: 0,
             epoch: 1,
             acct: None,
@@ -514,6 +538,7 @@ mod tests {
             cache.insert(CompiledSchedule {
                 key: ScheduleKey::Custom(epoch as u32),
                 enc: vec![SENDS_BIT | 1, SENDS_BIT],
+                flip: None,
                 delivered: 2,
                 epoch,
                 acct: None,

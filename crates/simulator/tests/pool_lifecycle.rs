@@ -17,7 +17,7 @@
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, with_default_exec, Comm, Event, ExecMode, Machine, ScheduleKey, Travel,
+    set_worker_threads, with_default_exec, Comm, Event, ExecMode, Flip, Machine, ScheduleKey,
 };
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
@@ -224,13 +224,23 @@ fn one_slot_engine_never_touches_the_pool() {
         let mut m = Machine::with_exec(&q, vec![1u64; n], ExecMode::Sequential);
         let sink = obs::shared(MemorySink::new());
         m.record_into(sink.clone());
-        let (mut t, mut stage) = (vec![1u64; n * k], Vec::new());
+        let mut t = vec![1u64; n * k];
         let from = vec![2u64; n * k];
         let mut landed = vec![0u64; n * k];
-        // Unkeyed, then compiled, then replayed.
+        // Unkeyed, then compiled (by the pair fold, so its second keyed
+        // round replays by flip equality and the other forms replay its
+        // schedule node by node), then replayed.
         for keyed in [false, true, true] {
             let on = |key| keyed.then_some(key);
             let pair = on(ScheduleKey::Dim(0));
+            m.cycle(|c| {
+                let c = c.fold_pairs(k, Flip::uniform(0), [&mut t[..]], |_, _, [l], [h], got| {
+                    let (a, b) = (l[0], h[0]);
+                    l[0] += if got[0] { b } else { 0 };
+                    h[0] += if got[1] { a } else { 0 };
+                });
+                maybe_keyed(c, pair)
+            });
             m.cycle(|c| {
                 let c = c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v);
                 maybe_keyed(c.pairwise(), pair)
@@ -250,21 +260,8 @@ fn one_slot_engine_never_touches_the_pool() {
                 maybe_keyed(c.pairwise(), pair)
             });
             m.cycle(|c| {
-                let travel = Travel::Folded(&mut stage);
-                let c = c.fold_rows(
-                    k,
-                    |u, _| Some(u ^ 1),
-                    travel,
-                    [&mut t[..]],
-                    [],
-                    |_, [t], [], msg| t[0] += msg.map_or(0, |x| x[0]),
-                );
-                maybe_keyed(c.pairwise(), pair)
-            });
-            m.cycle(|c| {
                 let half = |u: usize, _: &u64| (u & 1 == 0).then_some(u ^ 1);
-                let travel = Travel::Read(&from[..]);
-                let c = c.fold_rows(k, half, travel, [&mut t[..]], [], |_, [t], [], msg| {
+                let c = c.fold_rows(k, half, &from[..], [&mut t[..]], [], |_, [t], [], msg| {
                     t[0] += msg.map_or(0, |x| x[0])
                 });
                 maybe_keyed(c, on(ScheduleKey::Custom(0)))

@@ -21,7 +21,7 @@ use dc_simulator::obs::{self, CacheStatus, MemorySink};
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, Event, ExecMode, FaultKind,
-    FaultPlan, Machine, Metrics, ScheduleKey, Travel,
+    FaultPlan, Flip, Machine, Metrics, ScheduleKey,
 };
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
@@ -122,8 +122,9 @@ fn oracle_run(
 /// half-speaking exchange, unkeyed pairwise, multi-step compute,
 /// lane-batched keyed pairwise in both lane forms (sharing the `Dim`
 /// keys with the single-lane op, so replay crosses between the forms),
-/// a keyed half-speaking exchange-and-fold round (a communication and a
-/// computation event from one cycle), and phase boundaries.
+/// a keyed half-speaking exchange-and-fold round or a keyed pair fold
+/// (a communication and a computation event from one cycle; the pair
+/// fold shares the `Dim` keys too), and phase boundaries.
 fn step(m: &mut impl Cycles<u64>, op: u8, phase_no: &mut u32) {
     let dim = (op >> 3) as usize % 4;
     match op % 8 {
@@ -211,8 +212,6 @@ fn step(m: &mut impl Cycles<u64>, op: u8, phase_no: &mut u32) {
             });
         }
         6 => {
-            // The lower half of each `dim` pair sends its row of a
-            // read-only slab; every node folds, receivers the message.
             let lanes = 1 + (op >> 6) as usize; // 1..=4
             let from: Vec<u64> = m
                 .states()
@@ -220,24 +219,56 @@ fn step(m: &mut impl Cycles<u64>, op: u8, phase_no: &mut u32) {
                 .flat_map(|&s| (0..lanes as u64).map(move |k| s ^ k))
                 .collect();
             let mut t = vec![1u64; from.len()];
-            m.cycle(|c| {
-                c.fold_rows(
-                    lanes,
-                    move |u, _| (u & (1usize << dim) == 0).then_some(u | (1usize << dim)),
-                    Travel::Read(&from[..]),
-                    [&mut t[..]],
-                    [],
-                    |_, [t], [], msg| {
-                        for (k, t) in t.iter_mut().enumerate() {
-                            *t = msg.map_or(2, |x| x[k].wrapping_add(3));
-                        }
-                    },
-                )
-                .keyed(ScheduleKey::Window {
-                    j: dim as u32,
-                    hop: 1,
-                })
-            });
+            if op & 0x20 == 0 {
+                // The lower half of each `dim` pair sends its row of a
+                // read-only slab; every node folds, receivers the message.
+                m.cycle(|c| {
+                    c.fold_rows(
+                        lanes,
+                        move |u, _| (u & (1usize << dim) == 0).then_some(u | (1usize << dim)),
+                        &from[..],
+                        [&mut t[..]],
+                        [],
+                        |_, [t], [], msg| {
+                            for (k, t) in t.iter_mut().enumerate() {
+                                *t = msg.map_or(2, |x| x[k].wrapping_add(3));
+                            }
+                        },
+                    )
+                    .keyed(ScheduleKey::Window {
+                        j: dim as u32,
+                        hop: 1,
+                    })
+                });
+            } else {
+                // A pair fold across `dim`, sharing the `Dim` key with
+                // the single-lane, lane and row ops (bit 5 picks it;
+                // neither `op % 8`, `dim` nor `lanes` reads it).
+                t.copy_from_slice(&from);
+                m.cycle(|c| {
+                    c.fold_pairs(
+                        lanes,
+                        Flip::uniform(dim as u32),
+                        [&mut t[..]],
+                        |lo, hi, [l], [h], got| {
+                            for (l, h) in l.iter_mut().zip(h) {
+                                let (a, b) = (*l, *h);
+                                *l = if got[0] {
+                                    a.wrapping_mul(31).wrapping_add(b ^ lo as u64)
+                                } else {
+                                    a ^ 9
+                                };
+                                *h = if got[1] {
+                                    b.wrapping_mul(31).wrapping_add(a ^ hi as u64)
+                                } else {
+                                    b ^ 9
+                                };
+                            }
+                        },
+                    )
+                    .keyed(ScheduleKey::Dim(dim as u32))
+                });
+            }
             m.setup(|u, s| {
                 for w in &t[u * lanes..(u + 1) * lanes] {
                     *s = s.rotate_left(5) ^ w;

@@ -13,10 +13,15 @@
 //! sequential backend and on the threaded one at `S ∈ {1, 4, 16}`
 //! shards and 2 or 4 workers; a failed cycle must leave states, slabs
 //! and `Metrics` as they were.
+//!
+//! Pair folds, whose matching is a flip rather than a plan, run their
+//! own matrix (drops, crashes and cut flip edges, keyed or not), and a
+//! fold that reads more of its partner than its message carried must
+//! disagree with the reference machine.
 
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, ExecMode, FaultPlan, Machine, Metrics, SimError, TraceEntry, Travel,
+    set_worker_threads, ExecMode, FaultPlan, Flip, Machine, Metrics, SimError, TraceEntry,
 };
 use dc_topology::{DualCube, NodeId, Topology};
 use proptest::collection::vec;
@@ -145,7 +150,7 @@ fn attempt(
         }
         Form::Fold(k) => {
             let from: Vec<u64> = (0..(n * k) as u64).map(|x| x * 5 + 2).collect();
-            let (mut t, mut stage) = (from.clone(), Vec::new());
+            let mut t = from.clone();
             let fold = |u: NodeId, [t]: [&mut [u64]; 1], []: [&[u64]; 0], msg: Option<&[u64]>| {
                 for (j, t) in t.iter_mut().enumerate() {
                     *t = match msg {
@@ -156,13 +161,11 @@ fn attempt(
             };
             let to = |u: NodeId, _: &u64| plan(u);
             let result = m.try_cycle(|c| {
+                let c = c.fold_rows(k, to, &from[..], [&mut t[..]], [], fold);
                 if pairwise {
-                    let travel = Travel::Folded(&mut stage);
-                    c.fold_rows(k, to, travel, [&mut t[..]], [], fold)
-                        .pairwise()
+                    c.pairwise()
                 } else {
-                    let travel = Travel::Read(&from[..]);
-                    c.fold_rows(k, to, travel, [&mut t[..]], [], fold)
+                    c
                 }
             });
             (result, t, from)
@@ -271,6 +274,181 @@ proptest! {
                 &got, &want,
                 "{:?}, pairwise={}, {:?}, S={}, workers={}", form, pairwise, exec, shards, workers
             );
+        }
+    }
+}
+
+/// What [`pair_fold_run`] leaves: every cycle's result, the two slabs,
+/// the counters both machines charge, and the trace.
+type PairOutcome = (
+    Vec<Result<usize, SimError>>,
+    Vec<u64>,
+    Vec<u64>,
+    Metrics,
+    Vec<TraceEntry>,
+);
+
+/// Four pair folds (keyed or not) along a base flip — the cross-edges
+/// (the top bit) or one cluster dimension (by class) — with message
+/// drops armed and, from the third cycle on, crashed nodes and cut flip
+/// edges: every cycle's result (or the error and where it is blamed),
+/// the slabs, counters and trace must equal the reference machine's on
+/// every configuration.
+fn pair_fold_run(
+    m: &mut impl Cycles<u64>,
+    flip: Flip,
+    k: usize,
+    keyed: bool,
+    faults: &FaultPlan,
+) -> PairOutcome {
+    m.set_fault_plan(faults.clone());
+    let n = m.states().len();
+    let mut t: Vec<u64> = (0..(n * k) as u64)
+        .map(|x| x.wrapping_mul(0x2545_F491))
+        .collect();
+    let mut s: Vec<u64> = (0..(n * k) as u64).map(|x| x ^ 0xABCD).collect();
+    let fold = |lo: NodeId,
+                hi: NodeId,
+                [lt, ls]: [&mut [u64]; 2],
+                [ht, hs]: [&mut [u64]; 2],
+                got: [bool; 2]| {
+        for (((lt, ls), ht), hs) in lt.iter_mut().zip(ls).zip(ht).zip(hs) {
+            let (a, b) = (*lt, *ht);
+            if got[0] {
+                *ls = ls.rotate_left(5) ^ b;
+                *lt = a.wrapping_mul(31).wrapping_add(b ^ lo as u64);
+            } else {
+                *lt = a.wrapping_add(7);
+            }
+            if got[1] {
+                *hs = hs.rotate_left(5) ^ a;
+                *ht = b.wrapping_mul(31).wrapping_add(a ^ hi as u64);
+            } else {
+                *ht = b.wrapping_add(7);
+            }
+        }
+    };
+    let results = (0..4)
+        .map(|_| {
+            m.try_cycle(|c| {
+                let c = c.fold_pairs(k, flip, [&mut t[..], &mut s[..]], fold);
+                if keyed {
+                    c.keyed(dc_simulator::ScheduleKey::Custom(5))
+                } else {
+                    c
+                }
+            })
+        })
+        .collect();
+    let counters = model_counters(m.metrics());
+    (results, t, s, counters, m.phased_trace().to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn pair_folds_under_faults_match_the_reference_machine(
+        dim in 3u32..=4,
+        base: u8,
+        k in 1usize..=3,
+        crashes in vec(any::<u16>(), 0..2),
+        cuts in vec(any::<u16>(), 0..2),
+        drops in vec((0u64..4, any::<u16>()), 0..3),
+        keyed: bool,
+    ) {
+        let d = DualCube::new(dim);
+        let n = d.num_nodes();
+        let flip = match base as u32 % (d.cluster_dim() + 1) {
+            0 => Flip::uniform(d.class_bit()),
+            j => Flip::by_class(d.class_bit(), [j - 1, d.cluster_dim() + j - 1]),
+        };
+        let mut faults = FaultPlan::new();
+        for &(at, u) in &drops {
+            faults = faults.message_drop(at, u as usize % n);
+        }
+        for &c in &crashes {
+            faults = faults.node_crash(2, c as usize % n);
+        }
+        for &c in &cuts {
+            let u = c as usize % n;
+            faults = faults.link_down(2, u, flip.partner(u));
+        }
+        let want = pair_fold_run(&mut RefMachine::new(&d, vec![0; n]), flip, k, keyed, &faults);
+        let mut configs = vec![(ExecMode::Sequential, 1, 0)];
+        for shards in [1, 4, 16] {
+            for workers in [2, 4] {
+                configs.push((FORCE_PARALLEL, shards, workers));
+            }
+        }
+        for (exec, shards, workers) in configs {
+            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
+            let mut m = Machine::with_exec(&d, vec![0; n], exec);
+            m.set_shards(shards);
+            m.enable_trace();
+            let got = pair_fold_run(&mut m, flip, k, keyed, &faults);
+            prop_assert_eq!(
+                &got, &want,
+                "{:?}, keyed={}, {:?}, S={}, workers={}", flip, keyed, exec, shards, workers
+            );
+        }
+    }
+}
+
+/// A pair fold must give each end only what its message carries: the
+/// partner's row of the first slab, and only when it arrived. A fold
+/// that also reads the partner's second slab, or reads the first-slab
+/// row of a dropped message, reads rows the reference machine replaced
+/// with the node's own, so the engine and the oracle disagree — the
+/// oracle catches the leak.
+#[test]
+fn pair_fold_reading_past_its_message_diverges_from_the_reference_machine() {
+    fn run(m: &mut impl Cycles<u64>, leak: usize) -> (Vec<u64>, Vec<u64>) {
+        // Cluster dimension 0 of `D_3`; node 5's message is lost, and 5
+        // is the high end of the pair {4, 5}.
+        let flip = Flip::by_class(4, [0, 2]);
+        m.set_fault_plan(FaultPlan::new().message_drop(0, 5));
+        let n = m.states().len();
+        let mut t: Vec<u64> = (0..n as u64).map(|x| x * 7 + 1).collect();
+        let mut s: Vec<u64> = (0..n as u64).map(|x| x * 11 + 3).collect();
+        m.cycle(|c| {
+            c.fold_pairs(
+                1,
+                flip,
+                [&mut t[..], &mut s[..]],
+                |_, _, [lt, ls], [ht, hs], got| {
+                    let (a, b, sa, sb) = (lt[0], ht[0], ls[0], hs[0]);
+                    match leak {
+                        // Honest: each end reads the other's `t` when it got it.
+                        0 => {
+                            lt[0] = if got[0] { a + b } else { a };
+                            ht[0] = if got[1] { a + b } else { b };
+                        }
+                        // Reads the partner's `s`, which never travels.
+                        1 => {
+                            lt[0] = if got[0] { a + b + sb } else { a };
+                            ht[0] = if got[1] { a + b + sa } else { b };
+                        }
+                        // Reads the partner's `t` even where it was dropped.
+                        _ => {
+                            lt[0] = a + b;
+                            ht[0] = a + b;
+                        }
+                    }
+                },
+            )
+        });
+        (t, s)
+    }
+    let d = DualCube::new(3);
+    let n = d.num_nodes();
+    for leak in 0..3 {
+        let engine = run(&mut Machine::new(&d, vec![0; n]), leak);
+        let oracle = run(&mut RefMachine::new(&d, vec![0; n]), leak);
+        if leak == 0 {
+            assert_eq!(engine, oracle, "the honest fold");
+        } else {
+            assert_ne!(engine, oracle, "leak {leak} went unseen");
         }
     }
 }

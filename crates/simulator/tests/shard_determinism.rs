@@ -17,8 +17,8 @@
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::reference::{Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultPlan, Machine,
-    ScheduleKey, SimError, TraceEntry, Travel,
+    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultPlan, Flip,
+    Machine, ScheduleKey, SimError, TraceEntry,
 };
 use dc_topology::{DualCube, Topology};
 use proptest::collection::vec;
@@ -220,40 +220,36 @@ fn step(m: &mut impl Cycles<u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
             });
         }
         6 => {
-            // An exchange-and-fold round over lane slabs: the travelling
-            // slab folded too, on a cluster dimension (class 1's flip a
-            // shard bit at `S ≥ 4`) or the cross-edges (crossing every
-            // shard seam at `S ≥ 4`), picked by bit 5, which neither
-            // `op % 8` nor `dim` reads on `D_3`.
+            // A pair fold over lane slabs, the travelling slab folded
+            // too, on a cluster dimension (a by-class flip; class 1's
+            // flip a shard bit at `S ≥ 4`) or the cross-edges (the top
+            // bit, one block straddling every shard seam at `S ≥ 4`),
+            // picked by bit 5, which neither `op % 8` nor `dim` reads
+            // on `D_3`.
             let lanes = 1 + (op >> 6) as usize; // 1..=4
             let mut t: Vec<u64> = m
                 .states()
                 .iter()
                 .flat_map(|&s| (0..lanes as u64).map(move |k| s.wrapping_add(k)))
                 .collect();
-            let mut stage = Vec::new();
-            let (plan, key): (Box<dyn Fn(usize) -> usize + Sync>, _) = if op & 0x20 == 0 {
-                (
-                    Box::new(move |u| d.cluster_neighbor(u, dim)),
-                    ScheduleKey::Dim(dim),
-                )
+            let (flip, key) = if op & 0x20 == 0 {
+                let bits = [dim, d.cluster_dim() + dim];
+                (Flip::by_class(d.class_bit(), bits), ScheduleKey::Dim(dim))
             } else {
-                (Box::new(|u| d.cross_neighbor(u)), ScheduleKey::Cross)
+                (Flip::uniform(d.class_bit()), ScheduleKey::Cross)
             };
             m.cycle(|c| {
-                c.fold_rows(
-                    lanes,
-                    |u, _| Some(plan(u)),
-                    Travel::Folded(&mut stage),
-                    [&mut t[..]],
-                    [],
-                    |u, [t], [], msg| {
-                        for (t, x) in t.iter_mut().zip(msg.into_iter().flatten()) {
-                            *t = t.wrapping_mul(31).wrapping_add(x ^ u as u64);
+                c.fold_pairs(lanes, flip, [&mut t[..]], |lo, hi, [l], [h], got| {
+                    for (l, h) in l.iter_mut().zip(h) {
+                        let (a, b) = (*l, *h);
+                        if got[0] {
+                            *l = a.wrapping_mul(31).wrapping_add(b ^ lo as u64);
                         }
-                    },
-                )
-                .pairwise()
+                        if got[1] {
+                            *h = b.wrapping_mul(31).wrapping_add(a ^ hi as u64);
+                        }
+                    }
+                })
                 .keyed(key)
             });
             m.setup(|u, s| {

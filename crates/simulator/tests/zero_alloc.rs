@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Machine, ScheduleKey, Travel};
+use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Flip, Machine, ScheduleKey};
 use dc_topology::faulty::Faulty;
 use dc_topology::{DualCube, Hypercube, Topology};
 
@@ -447,9 +447,9 @@ fn steady_state_cycles_do_not_allocate() {
         }
 
         // --- Exchange-and-fold cycles on both backends: once the keys
-        // are compiled and the caller's staging buffer is sized, a fold
-        // cycle allocates nothing. Q_13 at 16 lanes (1 MiB slabs) takes
-        // the sequential pair walk; Q_6 at 8 lanes the snapshot fold. ---
+        // are compiled, a pair fold (replayed by flip equality) and a
+        // read-only fold allocate nothing. Q_13 at 16 lanes runs 1 MiB
+        // slabs, Q_6 at 8 lanes small ones. ---
         for (dim, lanes) in [(6u32, 8usize), (13, 16)] {
             let fq = Hypercube::new(dim);
             let n = fq.num_nodes();
@@ -459,16 +459,16 @@ fn steady_state_cycles_do_not_allocate() {
             ] {
                 set_worker_threads(workers);
                 let mut t: Vec<u64> = (0..(n * lanes) as u64).collect();
-                let (mut s, mut stage) = (vec![1u64; n * lanes], Vec::new());
+                let mut s = vec![1u64; n * lanes];
                 let mut fm = Machine::with_exec(&fq, vec![(); n], exec);
                 for _ in 0..2 {
                     for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s], &mut stage);
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s]);
                     }
                 }
                 let fold_delta = steady_delta(3, || {
                     for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s], &mut stage);
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s]);
                     }
                 });
                 set_worker_threads(0);
@@ -481,39 +481,37 @@ fn steady_state_cycles_do_not_allocate() {
     });
 }
 
-/// One exchange-and-fold round of Algorithm 1's shape: `t` travels
-/// across `dim` (staged in the caller's `stage`) and folds into both `t`
-/// and `s`, then a half-speaking fold reads `s` as a read-only
+/// One exchange-and-fold round of Algorithm 1's shape: a pair fold of
+/// `t` across `dim`, folding the partner's `t` into both `t` and `s` at
+/// each end, then a half-speaking fold reading `s` as a read-only
 /// travelling slab.
-fn fold_round(
-    m: &mut Machine<'_, Hypercube, ()>,
-    lanes: usize,
-    dim: u32,
-    [t, s]: [&mut [u64]; 2],
-    stage: &mut Vec<u64>,
-) {
+fn fold_round(m: &mut Machine<'_, Hypercube, ()>, lanes: usize, dim: u32, [t, s]: [&mut [u64]; 2]) {
     m.cycle(|c| {
-        c.fold_rows(
+        c.fold_pairs(
             lanes,
-            move |u, _| Some(u ^ (1usize << dim)),
-            Travel::Folded(stage),
+            Flip::uniform(dim),
             [&mut *t, &mut *s],
-            [],
-            |u, [t, s], [], msg| {
-                for ((t, s), x) in t.iter_mut().zip(s).zip(msg.into_iter().flatten()) {
-                    *s = s.wrapping_add(*x);
-                    *t = t.rotate_left((u % 7) as u32) ^ x;
+            |lo, hi, [lo_t, lo_s], [hi_t, hi_s], got| {
+                for (((lo_t, lo_s), hi_t), hi_s) in lo_t.iter_mut().zip(lo_s).zip(hi_t).zip(hi_s) {
+                    let (a, b) = (*lo_t, *hi_t);
+                    if got[0] {
+                        *lo_s = lo_s.wrapping_add(b);
+                        *lo_t = a.rotate_left((lo % 7) as u32) ^ b;
+                    }
+                    if got[1] {
+                        *hi_s = hi_s.wrapping_add(a);
+                        *hi_t = b.rotate_left((hi % 7) as u32) ^ a;
+                    }
                 }
             },
         )
-        .pairwise()
         .keyed(ScheduleKey::Dim(dim))
     });
     m.cycle(|c| {
         c.fold_rows(
             lanes,
             |u, _| (u & 1 == 0).then_some(u + 1),
-            Travel::Read(&*s),
+            &*s,
             [&mut *t],
             [],
             |_, [t], [], msg| {
