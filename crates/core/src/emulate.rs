@@ -213,7 +213,7 @@ impl<V: Clone> EmuSlabs<V> {
     /// `k` of row `r` holding `inputs[k][r]`.
     pub(crate) fn load(&mut self, inputs: &[impl AsRef<[V]>]) {
         self.lanes = inputs.len();
-        lane_slab_into(&mut self.values, inputs, |r| r, V::clone);
+        lane_slab_into(&mut self.values, inputs, V::clone);
     }
 
     /// Sizes the partner and forward slabs to the value slab, each

@@ -9,6 +9,20 @@
 //! indices held inside every cluster are consecutive, ordered by node id.
 //! All class-0 data precedes all class-1 data.
 //!
+//! The slabs are laid out the same way: row `i` of every slab holds
+//! data index `i`, that is node `lin⁻¹(i)`. The body sets the machine's
+//! [`RowOrder`] to the swap `lin` is
+//! ([`RowOrder::swap_class_fields`]`(n−1)`), so the row forms find each
+//! node's row through it, while matchings, keys, compiled schedules,
+//! traces and faults stay in node ids. In this order every cluster is
+//! `2^(n−1)` consecutive rows, and cluster dimension `i` flips row bit
+//! `i` in both classes; the cross-edge pairs row `(0, a, b)` with row
+//! `(1, b, a)`, a `2^(n−1) × 2^(n−1)` block transpose of rows. Loading
+//! the inputs and reading the outputs are plain transposes with no
+//! permutation. In node order a class-1 cluster's rows would lie
+//! `2^(n−1)` rows apart, so every ascend round would stream the whole
+//! slab through the cache (DESIGN.md §10).
+//!
 //! ## The five steps
 //!
 //! 1. `Cube_prefix` inside every cluster simultaneously (`n−1` comm/comp):
@@ -37,17 +51,20 @@
 //! ## One body
 //!
 //! The five steps are written once, over lane slabs: each paper variable
-//! (`t`, `s`, `t′` and `s′`) is one `n × K` slab whose row `u` holds node
-//! `u`'s K lanes. Every exchange-and-combine round is one fold cycle, so
-//! no slab holds landed rows: the ascend rounds of steps 1 and 3 fold
-//! each pair of a cluster dimension once, in place
-//! ([`dc_simulator::Comm::fold_pairs`] on a by-class
+//! (`t`, `s`, `t′` and `s′`) is one `n × K` slab whose row `i` holds data
+//! index `i`'s K lanes. Every exchange-and-combine round is one fold
+//! cycle, so no slab holds landed rows: steps 1 and 3 are each one sweep
+//! of the `n−1` ascend rounds ([`Machine::sweep`]), each round folding
+//! every pair of a cluster dimension once, in place, by the pair-fold
+//! form ([`dc_simulator::Comm::fold_pairs`] on a by-class
 //! [`dc_simulator::Flip`]: bit `i` of a class-0 node, bit `n−1+i` of a
-//! class-1 node), and steps 4 and the paper's step 5 fold each node's
-//! sender's row in where it lies ([`dc_simulator::Comm::fold_rows`]);
-//! step 2 moves rows straight into `t′` ([`dc_simulator::Comm::rows`]),
-//! and the local step 5 folds over rows ([`Machine::compute_rows`]). The
-//! slabs form one
+//! class-1 node); once the rounds replay, the sweep runs all of them on
+//! one cluster, while its rows sit in cache, before the next cluster.
+//! Steps 4 and the paper's step 5 fold each node's sender's row in where
+//! it lies ([`dc_simulator::Comm::fold_rows`]); step 2 moves rows
+//! straight into `t′` ([`dc_simulator::Comm::rows`]), and the local
+//! step 5 folds over rows ([`Machine::compute_rows`]). The slabs form
+//! one
 //! [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
 //! run the body on a fresh set (one lane and K lanes), and
 //! [`batched_d_prefix_in_place`] on a set its caller keeps from batch to
@@ -55,12 +72,12 @@
 //! each step boundary.
 
 use crate::ops::Monoid;
-use crate::prefix::hypercube::ascend_rows;
+use crate::prefix::hypercube::ascend_fold;
 use crate::prefix::PrefixKind;
 use crate::run::{
     lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, Recording,
 };
-use dc_simulator::{ExecMode, Flip, Machine, Metrics, ScheduleBank, ScheduleKey};
+use dc_simulator::{ExecMode, Flip, Machine, Metrics, RowOrder, ScheduleBank, ScheduleKey};
 use dc_topology::{Class, DualCube, Topology};
 
 /// How to realise step 5 of Algorithm 2 (see the module docs).
@@ -161,15 +178,12 @@ pub fn d_prefix<M: Monoid>(
         step5,
         &mut |label, [t, s, t2, s2]| {
             if recording.enabled() {
-                let view = |(i, c): (usize, &M)| {
-                    let u = d.from_linear_index(i);
-                    DPrefixView {
-                        c: c.clone(),
-                        t: t[u].clone(),
-                        s: s[u].clone(),
-                        t2: t2[u].clone(),
-                        s2: s2[u].clone(),
-                    }
+                let view = |(i, c): (usize, &M)| DPrefixView {
+                    c: c.clone(),
+                    t: t[i].clone(),
+                    s: s[i].clone(),
+                    t2: t2[i].clone(),
+                    s2: s2[i].clone(),
                 };
                 phases.push(PhaseSnapshot {
                     label: label.to_string(),
@@ -184,9 +198,7 @@ pub fn d_prefix<M: Monoid>(
         .map(|(_, msgs)| msgs.clone())
         .collect();
     DPrefixRun {
-        prefixes: (0..input.len())
-            .map(|i| slabs.s[d.from_linear_index(i)].clone())
-            .collect(),
+        prefixes: slabs.s,
         metrics: machine.into_parts().1,
         phases,
         trace,
@@ -249,8 +261,7 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     slabs.load(d, inputs, M::clone);
     let metrics = run_batch(d, &mut slabs, kind, step5, exec, bank);
     BatchedDPrefixRun {
-        // Data index i lives on node lin⁻¹(i).
-        prefixes: lane_outputs(&slabs.s, inputs.len(), |i| d.from_linear_index(i)),
+        prefixes: lane_outputs(&slabs.s, inputs.len()),
         metrics,
     }
 }
@@ -295,12 +306,7 @@ pub fn batched_d_prefix_in_place<X: Clone, M: Monoid + From<X> + Into<X>>(
 ) -> Metrics {
     slabs.load(d, lanes, |x| M::from(x.clone()));
     let metrics = run_batch(d, slabs, kind, step5, exec, bank);
-    lane_outputs_into(
-        &slabs.s,
-        lanes,
-        |i| d.from_linear_index(i),
-        |s| s.clone().into(),
-    );
+    lane_outputs_into(&slabs.s, lanes, |s| s.clone().into());
     metrics
 }
 
@@ -322,8 +328,8 @@ fn run_batch<M: Monoid>(
 }
 
 /// Algorithm 2's lane slabs — `t`, `s`, `t′` and `s′`, one `n × K` slab
-/// each, row `u` holding node `u`'s K lanes — as one set a caller can
-/// keep from batch to batch
+/// each, row `i` holding data index `i`'s K lanes (see the module docs'
+/// data layout) — as one set a caller can keep from batch to batch
 /// ([`batched_d_prefix_in_place`]). A set starts empty. Every run
 /// re-initialises the slabs a step reads before writing the way a fresh
 /// set starts, and sizes `t′`, which step 2 writes in full before any
@@ -352,7 +358,7 @@ impl<M> Default for PrefixSlabs<M> {
 
 impl<M: Monoid> PrefixSlabs<M> {
     /// Loads `t` with the `K = inputs.len()` instances, `convert`ing each
-    /// value: node `u` holds `c[lin(u)]` in every lane.
+    /// value: row `i` holds `c[i]` in every lane.
     fn load<X>(&mut self, d: &DualCube, inputs: &[impl AsRef<[X]>], convert: impl Fn(&X) -> M) {
         assert!(
             !inputs.is_empty(),
@@ -367,7 +373,7 @@ impl<M: Monoid> PrefixSlabs<M> {
             );
         }
         self.lanes = inputs.len();
-        lane_slab_into(&mut self.t, inputs, |i| d.from_linear_index(i), convert);
+        lane_slab_into(&mut self.t, inputs, convert);
     }
 }
 
@@ -406,19 +412,27 @@ fn d_prefix_body<M: Monoid>(
     }
     refill(s2, len, M::identity());
     t2.resize(len, M::identity());
+    // Rows are data indices: row lin(u) holds node u.
+    machine.set_row_order(RowOrder::swap_class_fields(d.cluster_dim()));
     // Steps 1 and 3 sweep the cluster dimensions: cluster dimension i
     // flips bit i of the node-id field, raw bit i in class 0 and raw bit
-    // n−1+i in class 1. Within a cluster, data indices follow node ids,
-    // so Algorithm 1's "if u > ū_i" is "the flipped bit is set": the
-    // pair's high end.
-    let flip = |i| Flip::by_class(d.class_bit(), [i, d.cluster_dim() + i]);
+    // n−1+i in class 1 (bit i of the row in both). Within a cluster,
+    // data indices follow node ids, so Algorithm 1's "if u > ū_i" is
+    // "the flipped bit is set": the pair's high end. The rounds sit in
+    // a fixed array, so a warm call allocates nothing for them.
+    let mut rounds = [(ScheduleKey::Dim(0), Flip::uniform(0)); usize::BITS as usize];
+    let rounds = &mut rounds[..d.cluster_dim() as usize];
+    for (i, round) in (0..).zip(rounds.iter_mut()) {
+        *round = (
+            ScheduleKey::Dim(i),
+            Flip::by_class(d.class_bit(), [i, d.cluster_dim() + i]),
+        );
+    }
     observe("(a) original data distribution", [t, s, t2, s2]);
 
     // Step 1: Cube_prefix inside every cluster (over c, requested kind).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
-    for i in 0..d.cluster_dim() {
-        ascend_rows(machine, lanes, i, flip(i), [&mut t[..], &mut s[..]]);
-    }
+    machine.sweep(lanes, rounds, [&mut t[..], &mut s[..]], ascend_fold);
     observe("(b) prefix inside cluster (t, s)", [t, s, t2, s2]);
 
     // Step 2: exchange cluster totals over the cross-edges, straight into
@@ -438,9 +452,7 @@ fn d_prefix_body<M: Monoid>(
     // Step 3: diminished Cube_prefix over the received totals (replaying
     // the schedules step 1 compiled).
     machine.begin_phase("step 3: Cube_prefix over received totals");
-    for i in 0..d.cluster_dim() {
-        ascend_rows(machine, lanes, i, flip(i), [&mut t2[..], &mut s2[..]]);
-    }
+    machine.sweep(lanes, rounds, [&mut t2[..], &mut s2[..]], ascend_fold);
     observe("(d) prefix inside cluster (t', s')", [t, s, t2, s2]);
 
     // Step 4: exchange s′ and fold the cross-neighbour's in on the left

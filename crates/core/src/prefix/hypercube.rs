@@ -147,7 +147,7 @@ pub fn batched_cube_prefix<M: Monoid>(
     let mut machine = Machine::new(q, vec![(); q.num_nodes()]);
     let [t, s] = cube_prefix_body(&mut machine, inputs, kind, &mut |_, _| {});
     BatchedCubePrefixRun {
-        prefixes: lane_outputs(&s, lanes, |u| u),
+        prefixes: lane_outputs(&s, lanes),
         totals: t[..lanes].to_vec(),
         metrics: machine.into_parts().1,
     }
@@ -164,7 +164,7 @@ fn cube_prefix_body<M: Monoid>(
     observe: &mut impl FnMut(fmt::Arguments<'_>, [&[M]; 2]),
 ) -> [Vec<M>; 2] {
     let (q, lanes) = (machine.topology(), inputs.len());
-    let mut t = lane_slab(inputs, |u| u);
+    let mut t = lane_slab(inputs);
     let mut s = match kind {
         PrefixKind::Inclusive => t.clone(),
         PrefixKind::Diminished => vec![M::identity(); t.len()],
@@ -180,14 +180,9 @@ fn cube_prefix_body<M: Monoid>(
 
 /// One round of the ascend sweep over lane slabs, all K lanes at once,
 /// as one pair-fold cycle (keyed [`ScheduleKey::Dim`]`(i)`) on the pairs
-/// of `flip`: the `t` rows travel both ways, and each pair folds in
-/// place. The pair's high end (its flipped bit set: the partner's half
-/// precedes it in index order, the paper's "if `u > ū_i`") takes the
-/// low end's total on the left of both `t` and `s`; the low end takes
-/// the high end's total on the right of `t`. Both new totals are the
-/// same value, so it is combined once. Algorithm 1 runs the round
-/// across dimension `i`; Algorithm 2's steps 1 and 3 run it inside
-/// every cluster (see `prefix::dualcube`).
+/// of `flip`, folded by [`ascend_fold`]. Algorithm 1 runs the round
+/// across dimension `i`; Algorithm 2's steps 1 and 3 run every cluster
+/// dimension's round as one sweep (see `prefix::dualcube`).
 pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
     machine: &mut Machine<'_, T, ()>,
     lanes: usize,
@@ -196,35 +191,46 @@ pub(crate) fn ascend_rows<T: Topology + Sync, M: Monoid>(
     slabs: [&mut [M]; 2],
 ) {
     machine.cycle(|c| {
-        c.fold_pairs(
-            lanes,
-            flip,
-            slabs,
-            |_, _, [lo_t, _], [hi_t, hi_s], got| match got {
-                [true, true] => {
-                    let pairs = lo_t.iter_mut().zip(hi_t.iter_mut()).zip(hi_s);
-                    for ((lo_t, hi_t), hi_s) in pairs {
-                        *hi_s = lo_t.combine(hi_s);
-                        *hi_t = lo_t.combine(hi_t);
-                        lo_t.clone_from(hi_t);
-                    }
-                }
-                [true, false] => {
-                    for (lo_t, hi_t) in lo_t.iter_mut().zip(hi_t.iter()) {
-                        *lo_t = lo_t.combine(hi_t);
-                    }
-                }
-                [false, true] => {
-                    for ((lo_t, hi_t), hi_s) in lo_t.iter().zip(hi_t.iter_mut()).zip(hi_s) {
-                        *hi_s = lo_t.combine(hi_s);
-                        *hi_t = lo_t.combine(hi_t);
-                    }
-                }
-                [false, false] => {}
-            },
-        )
-        .keyed(ScheduleKey::Dim(i))
+        c.fold_pairs(lanes, flip, slabs, ascend_fold)
+            .keyed(ScheduleKey::Dim(i))
     });
+}
+
+/// The ascend round's fold on runs of pairs of `t` and `s` rows: the
+/// `t` rows travel both ways, and each pair folds in place. The pair's
+/// high end (its flipped bit set: the partner's half precedes it in
+/// index order, the paper's "if `u > ū_i`") takes the low end's total on
+/// the left of both `t` and `s`; the low end takes the high end's total
+/// on the right of `t`. Both new totals are the same value, so it is
+/// combined once. Element `j` of a low run pairs with element `j` of the
+/// high run, so one zip covers every lane of every pair in the run.
+pub(crate) fn ascend_fold<M: Monoid>(
+    [lo_t, _]: [&mut [M]; 2],
+    [hi_t, hi_s]: [&mut [M]; 2],
+    got: [bool; 2],
+) {
+    match got {
+        [true, true] => {
+            let pairs = lo_t.iter_mut().zip(hi_t.iter_mut()).zip(hi_s);
+            for ((lo_t, hi_t), hi_s) in pairs {
+                *hi_s = lo_t.combine(hi_s);
+                *hi_t = lo_t.combine(hi_t);
+                lo_t.clone_from(hi_t);
+            }
+        }
+        [true, false] => {
+            for (lo_t, hi_t) in lo_t.iter_mut().zip(hi_t.iter()) {
+                *lo_t = lo_t.combine(hi_t);
+            }
+        }
+        [false, true] => {
+            for ((lo_t, hi_t), hi_s) in lo_t.iter().zip(hi_t.iter_mut()).zip(hi_s) {
+                *hi_s = lo_t.combine(hi_s);
+                *hi_t = lo_t.combine(hi_t);
+            }
+        }
+        [false, false] => {}
+    }
 }
 
 #[cfg(test)]

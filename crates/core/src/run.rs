@@ -57,30 +57,24 @@ impl Recording {
 }
 
 /// The `n × K` lane slab of `K = inputs.len()` instances, the layout of
-/// the paper algorithms' bodies: data index `i` lives in row `row(i)`,
-/// so slot `row(i)*K + k` is `inputs[k][i]`.
-pub(crate) fn lane_slab<M: Clone>(
-    inputs: &[impl AsRef<[M]>],
-    row: impl Fn(usize) -> usize,
-) -> Vec<M> {
+/// the paper algorithms' bodies: row `i` holds data index `i`, so slot
+/// `i*K + k` is `inputs[k][i]`.
+pub(crate) fn lane_slab<M: Clone>(inputs: &[impl AsRef<[M]>]) -> Vec<M> {
     let mut slab = Vec::new();
-    lane_slab_into(&mut slab, inputs, row, M::clone);
+    lane_slab_into(&mut slab, inputs, M::clone);
     slab
 }
 
 /// [`lane_slab`] into a slab the caller owns, converting each value on
 /// the way in; a reused slab of the right length is overwritten in
 /// place, any other is resized keeping its capacity. One pass over the
-/// data indices in tiles of [`TILE`], the transpose of
-/// [`lane_outputs_into`]: inside a tile, each input gives its [`TILE`]
-/// values from one run while the tile's rows stay in cache, instead of
-/// every row pulling one value from each of the K inputs in turn (a
-/// new cache line per lane wherever `row` scatters the indices, as the
-/// dual-cube's class-1 rows do).
+/// rows in tiles of [`TILE`], the transpose of [`lane_outputs_into`]:
+/// inside a tile, each input gives its [`TILE`] values from one run
+/// while the tile's rows stay in cache, instead of every row pulling one
+/// value from each of the K inputs in turn.
 pub(crate) fn lane_slab_into<X, M: Clone>(
     slab: &mut Vec<M>,
     inputs: &[impl AsRef<[X]>],
-    row: impl Fn(usize) -> usize,
     convert: impl Fn(&X) -> M,
 ) {
     let (lanes, n) = (inputs.len(), inputs[0].as_ref().len());
@@ -90,16 +84,11 @@ pub(crate) fn lane_slab_into<X, M: Clone>(
             slab.resize(n * lanes, convert(first));
         }
     }
-    let mut rows = [0; TILE];
-    for start in (0..n).step_by(TILE) {
-        let rows = &mut rows[..TILE.min(n - start)];
-        for (j, at) in rows.iter_mut().enumerate() {
-            *at = row(start + j) * lanes;
-        }
+    for (start, tile) in (0..n).step_by(TILE).zip(slab.chunks_mut(TILE * lanes)) {
         for (k, input) in inputs.iter().enumerate() {
-            let values = &input.as_ref()[start..start + rows.len()];
-            for (&at, x) in rows.iter().zip(values) {
-                slab[at + k] = convert(x);
+            let values = &input.as_ref()[start..start + tile.len() / lanes];
+            for (at, x) in tile[k..].iter_mut().step_by(lanes).zip(values) {
+                *at = convert(x);
             }
         }
     }
@@ -113,49 +102,38 @@ pub(crate) fn refill<M: Clone>(slab: &mut Vec<M>, len: usize, value: M) {
 }
 
 /// The lanes of an `n × lanes` slab as `lanes` outputs: output `k` lists
-/// lane `k` of row `row(0)`, `row(1)`, ….
-pub(crate) fn lane_outputs<M: Clone>(
-    slab: &[M],
-    lanes: usize,
-    row: impl Fn(usize) -> usize,
-) -> Vec<Vec<M>> {
+/// lane `k` of rows `0, 1, …`.
+pub(crate) fn lane_outputs<M: Clone>(slab: &[M], lanes: usize) -> Vec<Vec<M>> {
     let n = slab.len() / lanes;
     let mut outputs: Vec<Vec<M>> = (0..lanes).map(|_| Vec::with_capacity(n)).collect();
-    lane_outputs_into(slab, &mut outputs, row, M::clone);
+    lane_outputs_into(slab, &mut outputs, M::clone);
     outputs
 }
 
 /// [`lane_outputs`] into vectors the caller owns, converting each value
 /// on the way out: output `k` is cleared and refilled with lane `k`, so
 /// a vector that already holds `n` values gets its answer without
-/// allocating. One pass over the rows, in tiles of [`TILE`] data
-/// indices: inside a tile, each output takes its [`TILE`] values in one
-/// run of pushes while the tile's rows stay in cache, instead of every
-/// row pushing one value into each of the K outputs in turn.
+/// allocating. One pass over the rows, in tiles of [`TILE`] rows: inside
+/// a tile, each output takes its [`TILE`] values in one run of pushes
+/// while the tile's rows stay in cache, instead of every row pushing one
+/// value into each of the K outputs in turn.
 pub(crate) fn lane_outputs_into<M, X>(
     slab: &[M],
     outputs: &mut [Vec<X>],
-    row: impl Fn(usize) -> usize,
     convert: impl Fn(&M) -> X,
 ) {
     let lanes = outputs.len();
-    let n = slab.len() / lanes;
     for output in outputs.iter_mut() {
         output.clear();
     }
-    let mut rows = [0; TILE];
-    for start in (0..n).step_by(TILE) {
-        let rows = &mut rows[..TILE.min(n - start)];
-        for (i, at) in rows.iter_mut().enumerate() {
-            *at = row(start + i) * lanes;
-        }
+    for tile in slab.chunks(TILE * lanes) {
         for (k, output) in outputs.iter_mut().enumerate() {
-            output.extend(rows.iter().map(|&at| convert(&slab[at + k])));
+            output.extend(tile[k..].iter().step_by(lanes).map(&convert));
         }
     }
 }
 
-/// Data indices per tile of [`lane_slab_into`] and [`lane_outputs_into`].
+/// Rows per tile of [`lane_slab_into`] and [`lane_outputs_into`].
 const TILE: usize = 8;
 
 #[cfg(test)]

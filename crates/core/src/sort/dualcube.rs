@@ -186,7 +186,7 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     load(rec, keys, &mut slabs);
     let metrics = run_batch(rec, &mut slabs, order, exec, bank);
     BatchedSortRun {
-        outputs: lane_outputs(&slabs.values, keys.len(), |r| r),
+        outputs: lane_outputs(&slabs.values, keys.len()),
         metrics,
     }
 }
@@ -226,7 +226,7 @@ pub fn batched_d_sort_in_place<K: Ord + Clone + Send + Sync + 'static>(
 ) -> Metrics {
     load(rec, keys, slabs);
     let metrics = run_batch(rec, slabs, order, exec, bank);
-    lane_outputs_into(&slabs.values, keys, |r| r, K::clone);
+    lane_outputs_into(&slabs.values, keys, K::clone);
     metrics
 }
 

@@ -88,10 +88,23 @@
 //!   fold visits each pair once, with both ends' rows in hand, so both
 //!   read the other's pre-cycle row without any staging copy. The pairs
 //!   of a flip sit in blocks of `2m` rows, the low half against the
-//!   high half (`m` the flipped bit), so the walk needs no per-node
-//!   partner lookup. A keyed pair fold whose flip equals the one its
-//!   schedule was compiled with replays without evaluating any node's
-//!   plan (see the [`crate::schedule`] docs).
+//!   high half (`m` the flipped bit), so one fold call takes the two
+//!   halves as runs, with no per-node partner lookup; a run is cut only
+//!   where an armed drop changes a pair's flags. A keyed pair fold
+//!   whose flip equals the one its schedule was compiled with replays
+//!   without evaluating any node's plan (see the [`crate::schedule`]
+//!   docs).
+//!
+//! Which slab row holds which node is the machine's [`RowOrder`]: node
+//! order by default, or the dual-cube's data order, in which every
+//! cluster is consecutive rows and a cluster dimension flips the same
+//! row bit in both classes. The row forms address rows through it, a
+//! pair fold maps its flip into row space, and everything else — plans,
+//! keys, schedules, traces, faults — stays in node ids. A run of pair
+//! folds over the same slabs is one
+//! [`Machine::sweep`](crate::Machine::sweep): once its rounds replay,
+//! it walks one block of rows at a time (one cluster, in data order)
+//! through every round, charging each round as its cycle.
 
 use crate::fault::FaultState;
 use crate::parallel::{par_lane_apply_bounds, par_rows_bounds};
@@ -263,16 +276,22 @@ impl<S> Comm<S> {
     /// `flip`, over caller-owned lane slabs (the layout of
     /// [`Comm::rows`], `width` values per node), whose first slab
     /// travels and is folded too. Pairwise by construction. Once the
-    /// cycle validates (or replays), `fold(lo, hi, lo_rows, hi_rows,
-    /// [lo_got, hi_got])` runs once per pair, with both ends' rows of the
-    /// `W` slabs, and updates both in place: `hi` is the end whose
-    /// flipped bit is set, and `lo_got` says whether `lo` received `hi`'s
-    /// row of the first slab (`false` when the message was dropped), and
-    /// `hi_got` the reverse. An end may read of the other only what its
-    /// message carried: the other's row of the first slab, and only when
-    /// it arrived (the reference machine,
-    /// [`crate::reference::RefMachine`], folds each end against a copy
-    /// that holds nothing else).
+    /// cycle validates (or replays), the pairs fold in **runs**:
+    /// `fold(lo, hi, [lo_got, hi_got])` gets, for each of the `W` slabs,
+    /// a run of low ends' rows and the run of their partners' rows, and
+    /// updates both in place. Element `j` of a low run pairs with element
+    /// `j` of its high run (the same lane of the same pair), and the
+    /// high end is the one whose flipped bit is set. Every pair of a run
+    /// shares its flags: `lo_got` says whether the low ends received the
+    /// high ends' rows of the first slab (`false` when the message was
+    /// dropped), and `hi_got` the reverse. With no drop armed, a run is
+    /// a whole half of a block of `2m` rows (`m` the flipped bit's
+    /// value, in row space, see [`RowOrder`]); a run is cut only where
+    /// an armed drop changes a pair's flags. An end may read of the
+    /// other only what its message carried: the other's row of the first
+    /// slab, and only when it arrived (the reference machine,
+    /// [`crate::reference::RefMachine`], folds one pair at a time, each
+    /// end against a copy that holds nothing else).
     ///
     /// Each message is charged `width` words, and the cycle exactly as a
     /// [`Comm::fold_rows`] cycle: one communication step, then one
@@ -291,7 +310,7 @@ impl<S> Comm<S> {
     /// let mut t: Vec<u64> = (0..8).collect();
     /// for i in 0..2 {
     ///     m.cycle(|c| {
-    ///         c.fold_pairs(2, Flip::uniform(i), [&mut t[..]], |_, _, [lo], [hi], got| {
+    ///         c.fold_pairs(2, Flip::uniform(i), [&mut t[..]], |[lo], [hi], got| {
     ///             assert_eq!(got, [true, true], "no message is dropped");
     ///             for (lo, hi) in lo.iter_mut().zip(hi) {
     ///                 *hi += *lo;
@@ -310,7 +329,8 @@ impl<S> Comm<S> {
     /// # Panics
     ///
     /// If `width == 0` or there is no slab; when the cycle runs, if
-    /// `flip` selects its class by a bit other than the top address bit;
+    /// `flip` selects its class by a bit other than the top address bit,
+    /// or is not a bit flip of rows under the machine's [`RowOrder`];
     /// when it delivers, if a slab does not hold `width` values per node.
     pub fn fold_pairs<'a, V, Fo, const W: usize>(
         self,
@@ -321,7 +341,7 @@ impl<S> Comm<S> {
     ) -> Comm<S, FoldPairs<'a, V, Fo, W>>
     where
         V: Send + Sync,
-        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+        Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
     {
         assert!(width > 0, "a row cycle needs at least one lane");
         assert!(W > 0, "a pair fold needs a travelling slab");
@@ -539,23 +559,149 @@ impl Flip {
             );
         }
     }
+}
 
-    /// The flip's two regions of an `n`-node machine, one per class,
-    /// each with its half-block `m` (the flipped bit's value): the pairs
-    /// of a region are `(b + j, b + m + j)` for every block start `b` of
-    /// the region that is a multiple of `2m`, and `j < m`. A uniform
-    /// flip's second region is empty.
-    fn regions(&self, n: usize) -> [(Range<usize>, usize); 2] {
-        let half = |c: usize| 1usize << self.bits[c];
-        match self.class_bit {
-            Some(_) => [(0..n / 2, half(0)), (n / 2..n, half(1))],
-            None => [(0..n, half(0)), (n..n, half(0))],
+/// Which row of a caller-owned lane slab holds each node's values in the
+/// row forms ([`Comm::rows`], [`Comm::fold_rows`], [`Comm::fold_pairs`])
+/// and in [`Machine::compute_rows`](crate::Machine::compute_rows): node
+/// `u`'s row is [`RowOrder::row`]`(u)`. The map is an involution, so it
+/// also sends a row back to its node. A machine's order is set with
+/// [`Machine::set_row_order`](crate::Machine::set_row_order); plans,
+/// matchings, keys, compiled schedules, traces, events and faults stay
+/// in node ids whatever the order.
+///
+/// [`RowOrder::NODE`], the default, is the identity.
+/// [`RowOrder::swap_class_fields`]`(w)` swaps the two `w`-bit fields
+/// below the top address bit `2w` of every node whose top bit is set: on
+/// `D_n`, with `w = n−1`, that is `DualCube::linear_index`, the paper's
+/// data order (Section 3), in which every cluster is `2^(n−1)`
+/// consecutive rows and cluster dimension `i` flips row bit `i` in both
+/// classes.
+///
+/// ```
+/// use dc_simulator::{Flip, RowOrder};
+///
+/// // D_3: a 5-bit id, class bit 4, two 2-bit fields.
+/// let order = RowOrder::swap_class_fields(2);
+/// assert_eq!(order.row(0b0_10_01), 0b0_10_01); // class 0: unchanged
+/// assert_eq!(order.row(0b1_10_01), 0b1_01_10); // class 1: fields swapped
+/// // Cluster dimension 1 flips bit 1 of class 0 and bit 3 of class 1:
+/// // bit 1 of every row.
+/// assert_eq!(
+///     order.flip(Flip::by_class(4, [1, 3])),
+///     Flip::by_class(4, [1, 1])
+/// );
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct RowOrder {
+    /// The width `w` of the two swapped fields; 0 for the identity,
+    /// which is also what swapping two empty fields gives.
+    field: u32,
+}
+
+impl RowOrder {
+    /// Node order: row `u` holds node `u`.
+    pub const NODE: RowOrder = RowOrder { field: 0 };
+
+    /// The order that swaps the two `field`-bit fields of every node id
+    /// whose bit `2·field` (the top address bit of a machine of
+    /// `2^(2·field+1)` nodes) is set. `swap_class_fields(0)` is
+    /// [`RowOrder::NODE`].
+    ///
+    /// # Panics
+    ///
+    /// If the class bit does not fit a node id.
+    pub fn swap_class_fields(field: u32) -> RowOrder {
+        assert!(
+            2 * field < usize::BITS - 1,
+            "a class bit at {} does not fit a node id",
+            2 * field
+        );
+        RowOrder { field }
+    }
+
+    /// The row that holds node `u` (and the node that row `u` holds).
+    #[inline]
+    pub fn row(self, u: NodeId) -> usize {
+        swap_fields(u, self.field)
+    }
+
+    /// `flip` in row space: the flip that pairs row `row(u)` with row
+    /// `row(flip.partner(u))`. Each class's flipped bit moves with the
+    /// swap, so it stays one bit per class.
+    ///
+    /// # Panics
+    ///
+    /// If `flip` flips the class bit under a swap of non-empty fields:
+    /// that pairs row `(0, a, b)` with row `(1, b, a)`, which is no bit
+    /// flip.
+    pub fn flip(self, flip: Flip) -> Flip {
+        let w = self.field;
+        if w == 0 {
+            return flip;
         }
+        let class_bit = 2 * w;
+        let bits = [0, 1].map(|class| {
+            let bit = flip.bits[class];
+            assert!(
+                bit != class_bit,
+                "flipping the class bit {class_bit} is no bit flip of rows in an order that swaps class-1 fields"
+            );
+            if class == 1 && bit < class_bit {
+                (bit + w) % class_bit
+            } else {
+                bit
+            }
+        });
+        Flip {
+            class_bit: Some(class_bit),
+            bits,
+        }
+    }
+
+    /// Panics unless the order fits an `n`-node machine: a swap's class
+    /// bit must be its top address bit.
+    pub(crate) fn check(self, n: usize) {
+        let w = self.field;
+        assert!(
+            w == 0 || n == 2 << (2 * w),
+            "a row order that swaps {w}-bit fields needs {} nodes, not {n}",
+            2usize << (2 * w)
+        );
     }
 }
 
+/// `u` with its two `w`-bit fields swapped when its bit `2w` is set.
+#[inline]
+fn swap_fields(u: usize, w: u32) -> usize {
+    if w == 0 || (u >> (2 * w)) & 1 == 0 {
+        return u;
+    }
+    let mask = (1usize << w) - 1;
+    (u & !(mask | mask << w)) | (u & mask) << w | (u >> w) & mask
+}
+
+/// Evaluates `$body` with `$row` bound to `$order`'s row map, compiled
+/// once for node order (where it is the identity) and once for a swap,
+/// so [`Machine::compute_rows`](crate::Machine::compute_rows) dispatches
+/// on the order once per phase, not once per row. (The row gathers
+/// branch once per slab instead: in a swap they also change the walk.)
+macro_rules! with_rows {
+    ($order:expr, |$row:ident| $body:expr) => {{
+        let order: $crate::comm::RowOrder = $order;
+        if order == $crate::comm::RowOrder::NODE {
+            let $row = |u: usize| u;
+            $body
+        } else {
+            let $row = move |u: usize| order.row(u);
+            $body
+        }
+    }};
+}
+pub(crate) use with_rows;
+
 /// The pair-fold payload form (built by [`Comm::fold_pairs`]): `W` slabs
-/// of `width` values per node, folded pair by pair along a [`Flip`].
+/// of `width` values per node, folded in runs of pairs along a [`Flip`].
 pub struct FoldPairs<'a, V, Fo, const W: usize> {
     pub(crate) width: usize,
     pub(crate) flip: Flip,
@@ -577,12 +723,14 @@ impl<S, F: form::Form<S> + crate::reference::Naive<S>> Payload<S> for F {}
 /// staging slab (a one-slot cycle delivers a planned message straight
 /// from the plan slab instead); the replay path stages straight from the
 /// compiled pattern. Either path records each receiver's sender in the
-/// sender table, then runs the form's delivery once over the dispatch
-/// bounds: the message and lane forms over each receiver's window, the
-/// row form as one row gather and the fold forms as one fold pass (their
-/// staging slab is `()` per node and never touched). A pair fold
-/// replayed by [`Flip`] equality skips the plan, the sender table and
-/// the staging, and folds straight away ([`Form::deliver_flip`]).
+/// sender table (the full path only for a form whose delivery reads it,
+/// [`Form::SENDERS`]), then runs the form's delivery once over the
+/// dispatch bounds: the message and lane forms over each receiver's
+/// window, the row form as one row gather and the fold forms as one fold
+/// pass (their staging slab is `()` per node and never touched), the row
+/// forms through the machine's [`RowOrder`]. A pair fold replayed by
+/// [`Flip`] equality skips the plan, the sender table and the staging,
+/// and folds straight away ([`Form::deliver_flip`]).
 pub(crate) mod form {
     use super::*;
 
@@ -591,11 +739,13 @@ pub(crate) mod form {
     pub struct Ctx<'m> {
         /// The cycle's dispatch bounds: one slot `[0, n]` on the
         /// sequential backend, the shard-aligned slots on the threaded
-        /// one.
+        /// one. A row form splits its slabs' rows by them.
         pub(crate) bounds: &'m [usize],
         /// The machine's faults: a fold skips crashed nodes, and a pair
         /// fold learns from the armed drops which messages were lost.
         pub(crate) faults: &'m FaultState,
+        /// Which row of a slab holds each node.
+        pub(crate) order: RowOrder,
     }
 
     /// The message and lane forms' delivery: `deliver(state, src,
@@ -636,6 +786,10 @@ pub(crate) mod form {
         /// Whether delivery also runs the computation step that combines
         /// each message, which the machine then charges after the cycle.
         const FOLDS: bool = false;
+        /// Whether delivery reads the sender table. A pair fold's does
+        /// not: its matching is its flip, and its drops come from the
+        /// fault state, so a full cycle need not fill the table.
+        const SENDERS: bool = true;
 
         /// The matching as a value, for a form built on one
         /// ([`Comm::fold_pairs`]): its [`Flip`] and the words each of its
@@ -861,10 +1015,12 @@ pub(crate) mod form {
             (self.width * N) as u64
         }
 
-        /// The row gather: every receiver `u` with a sender copies row
-        /// `srcs[u]` of each source slab into its own row of the paired
-        /// destination slab. Receivers split by the dispatch bounds, so
-        /// each worker writes only its own rows.
+        /// The row gather: every receiver `u` with a sender copies its
+        /// sender's row of each source slab into its own row of the
+        /// paired destination slab, both rows found through the order
+        /// (in node order, row `u` and row `srcs[u]`; otherwise in the
+        /// tiles of [`visit_rows`]). Destination rows split by the
+        /// dispatch bounds, so each worker writes only its own rows.
         fn deliver(&mut self, _: &mut [S], srcs: &[u32], _: &mut [()], ctx: Ctx<'_>)
         where
             S: Send,
@@ -877,14 +1033,25 @@ pub(crate) mod form {
                 n,
                 sources.iter().copied().chain(dests.iter().map(|d| &**d)),
             );
-            let gather = |nodes: Range<usize>, dests: [&mut [V]; N]| {
-                let senders = &srcs[nodes];
+            let order = ctx.order;
+            let gather = |rows: Range<usize>, dests: [&mut [V]; N]| {
                 for (dest, source) in dests.into_iter().zip(sources) {
-                    for (row, &src) in dest.chunks_exact_mut(width).zip(senders) {
-                        if src != NO_SRC {
-                            copy_row(row, source, src as usize * width);
+                    if order == RowOrder::NODE {
+                        let senders = &srcs[rows.clone()];
+                        for (row, &src) in dest.chunks_exact_mut(width).zip(senders) {
+                            if src != NO_SRC {
+                                copy_row(row, source, src as usize * width);
+                            }
                         }
+                        continue;
                     }
+                    visit_rows(order, rows.clone(), |r| {
+                        let src = srcs[order.row(r)];
+                        if src != NO_SRC {
+                            let row = &mut dest[(r - rows.start) * width..][..width];
+                            copy_row(row, source, order.row(src as usize) * width);
+                        }
+                    });
                 }
             };
             par_rows_bounds(ctx.bounds, width, dests, &gather);
@@ -949,9 +1116,7 @@ pub(crate) mod form {
             let slabs = self.rows.iter().map(|r| &**r).chain(self.read);
             check_slabs(width, n, slabs.chain([from]));
             let rows = self.rows.each_mut().map(|r| &mut **r);
-            let msg = |u| sender_row(from, srcs[u], width);
-            let Ctx { bounds, faults } = ctx;
-            fold_each(width, rows, self.read, msg, faults, bounds, &self.fold);
+            fold_each(width, rows, self.read, from, srcs, ctx, &self.fold);
         }
 
         fn discard(&self, _: &mut [()]) {}
@@ -964,12 +1129,13 @@ pub(crate) mod form {
     impl<S, V, Fo, const W: usize> Form<S> for FoldPairs<'_, V, Fo, W>
     where
         V: Send + Sync,
-        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+        Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
     {
         type Msg = ();
         type Slot = ();
         const PLANNED: bool = false;
         const FOLDS: bool = true;
+        const SENDERS: bool = false;
 
         fn flip(&self) -> Option<(Flip, u64)> {
             Some((self.flip, self.width as u64))
@@ -996,8 +1162,8 @@ pub(crate) mod form {
 
         fn fresh(&self) {}
 
-        /// Nothing to stage: the caller records the sender, and the fold
-        /// reads both rows of a pair in [`Form::deliver`].
+        /// Nothing to stage: the fold reads both rows of a pair in
+        /// [`Form::deliver`].
         #[inline]
         fn stage(&self, _: NodeId, _: &S, (): (), _: &mut [()]) {}
 
@@ -1007,8 +1173,8 @@ pub(crate) mod form {
         }
 
         /// The pair walk of [`Form::deliver_flip`]: a validated or
-        /// replayed pair fold ran the flip's matching, so the sender
-        /// table says no more than the armed drops do.
+        /// replayed pair fold ran the flip's matching, so a sender table
+        /// would say no more than the armed drops do.
         fn deliver(&mut self, _: &mut [S], _: &[u32], _: &mut [()], ctx: Ctx<'_>)
         where
             S: Send,
@@ -1022,66 +1188,141 @@ pub(crate) mod form {
             unreachable!("folds run after validation, never planned");
         }
 
-        /// Folds every pair of the flip once; a node received unless an
-        /// armed drop lost its message. Each dispatch slot folds the
-        /// blocks inside its own node range; a block that straddles two
-        /// slots (every block, when the flip is the top address bit)
-        /// folds afterwards on this thread. A successful pair fold has
-        /// no crashed node (every node sent), so no node is skipped.
+        /// Folds every pair of the flip once, in runs (see
+        /// [`walk_rounds`]); a node received unless an armed drop lost
+        /// its message. A successful pair fold has no crashed node
+        /// (every node sent), so no node is skipped.
         fn deliver_flip(&mut self, ctx: Ctx<'_>) {
-            let Ctx { bounds, faults } = ctx;
-            let drops = faults.has_drops();
-            let got = &|u| !(drops && faults.dropped(u));
-            let (width, n) = (self.width, bounds[bounds.len() - 1]);
-            check_slabs(width, n, self.rows.iter().map(|r| &**r));
-            let (regions, fold) = (self.flip.regions(n), &self.fold);
-            let slabs = self.rows.each_mut().map(|r| &mut **r);
-            par_rows_bounds(bounds, width, slabs, &|nodes, mut part| {
-                // `nodes` is one slot's range, or all of them when the
-                // pass runs inline; either way, fold slot by slot.
-                let first = bounds.partition_point(|&b| b < nodes.start);
-                let slots = bounds[first..].windows(2);
-                for slot in slots.take_while(|w| w[1] <= nodes.end) {
-                    for (region, half) in &regions {
-                        let span = 2 * half;
-                        let start = slot[0].max(region.start).next_multiple_of(span);
-                        let end = slot[1].min(region.end) / span * span;
-                        if start < end {
-                            let blocks = start..end;
-                            fold_blocks(width, *half, blocks, nodes.start, &mut part, got, fold);
-                        }
-                    }
-                }
-            });
+            let Ctx {
+                bounds,
+                faults,
+                order,
+            } = ctx;
+            let n = bounds[bounds.len() - 1];
+            check_slabs(self.width, n, self.rows.iter().map(|r| &**r));
+            let flip = order.flip(self.flip);
+            let got = |r| !faults.dropped(order.row(r));
+            let got = faults.has_drops().then_some(&got);
             let mut rows = self.rows.each_mut().map(|r| &mut **r);
-            let mut last = None;
-            for &b in &bounds[1..bounds.len() - 1] {
-                for (region, half) in &regions {
-                    let span = 2 * half;
-                    let start = b / span * span;
-                    if region.start < b && b < region.end && start != b && last != Some(start) {
-                        last = Some(start);
-                        let block = start..start + span;
-                        fold_blocks(width, *half, block, 0, &mut rows, got, fold);
+            walk_rounds(bounds, self.width, &mut rows, 1, &|_| flip, got, &self.fold);
+        }
+    }
+
+    /// Folds `rounds` rounds of pairs over the rows, round `r` on the
+    /// pairs of the row-space flip `flip(r)`, one **block** at a time: a
+    /// block is the smallest aligned row range closed under every
+    /// round's flip (in each class, `2^(b+1)` rows for the highest bit
+    /// `b` a round flips there), so it runs all rounds before the next
+    /// block starts, and blocks never exchange a value. Each dispatch
+    /// slot walks the blocks inside its own row range; a block that
+    /// straddles two slots walks afterwards on this thread. `got`, when
+    /// drops are armed, says whether row `r`'s node received; without
+    /// it every pair folds as one run per half-block.
+    pub(crate) fn walk_rounds<V: Send, const W: usize>(
+        bounds: &[usize],
+        width: usize,
+        rows: &mut [&mut [V]; W],
+        rounds: usize,
+        flip: &(impl Fn(usize) -> Flip + Sync),
+        got: Option<&(impl Fn(usize) -> bool + Sync)>,
+        fold: &(impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync),
+    ) {
+        let n = bounds[bounds.len() - 1];
+        let regions = block_regions(n, rounds, flip);
+        let walk = |block: Range<usize>, origin: usize, rows: &mut [&mut [V]; W]| {
+            for r in 0..rounds {
+                fold_round(width, flip(r), n, block.clone(), origin, rows, got, fold);
+            }
+        };
+        let slabs = rows.each_mut().map(|r| &mut **r);
+        par_rows_bounds(bounds, width, slabs, &|nodes, mut part| {
+            // `nodes` is one slot's range, or all of them when the pass
+            // runs inline; either way, walk slot by slot.
+            let first = bounds.partition_point(|&b| b < nodes.start);
+            let slots = bounds[first..].windows(2);
+            for slot in slots.take_while(|w| w[1] <= nodes.end) {
+                for (region, span) in &regions {
+                    let start = slot[0].max(region.start).next_multiple_of(*span);
+                    let end = slot[1].min(region.end) / span * span;
+                    for base in (start..end).step_by(*span) {
+                        walk(base..base + span, nodes.start, &mut part);
                     }
                 }
+            }
+        });
+        let mut last = None;
+        for &b in &bounds[1..bounds.len() - 1] {
+            for (region, span) in &regions {
+                let start = b / span * span;
+                if region.start < b && b < region.end && start != b && last != Some(start) {
+                    last = Some(start);
+                    walk(start..start + span, 0, rows);
+                }
+            }
+        }
+    }
+
+    /// The block regions of [`walk_rounds`]: one per class (each half of
+    /// the machine, with its block span), or the whole machine as one
+    /// block when a round pairs rows of the two halves.
+    fn block_regions(
+        n: usize,
+        rounds: usize,
+        flip: &impl Fn(usize) -> Flip,
+    ) -> [(Range<usize>, usize); 2] {
+        let mut top = [0; 2];
+        for r in 0..rounds {
+            let bits = flip(r).bits;
+            top = [0, 1].map(|c| top[c].max(bits[c]));
+        }
+        let span = top.map(|bit| 2usize << bit);
+        if span[0].max(span[1]) <= n / 2 {
+            [(0..n / 2, span[0]), (n / 2..n, span[1])]
+        } else {
+            [(0..n, n), (n..n, n)]
+        }
+    }
+
+    /// One round of [`walk_rounds`] inside `block`: a by-class flip
+    /// folds each class's part of the block on that class's bit.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_round<V, const W: usize>(
+        width: usize,
+        flip: Flip,
+        n: usize,
+        block: Range<usize>,
+        origin: usize,
+        rows: &mut [&mut [V]; W],
+        got: Option<&impl Fn(usize) -> bool>,
+        fold: &impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]),
+    ) {
+        if flip.class_bit.is_none() {
+            let half = 1 << flip.bits[0];
+            return fold_blocks(width, half, block, origin, rows, got, fold);
+        }
+        for (class, rows_of) in [0..n / 2, n / 2..n].into_iter().enumerate() {
+            let part = block.start.max(rows_of.start)..block.end.min(rows_of.end);
+            if part.start < part.end {
+                let half = 1 << flip.bits[class];
+                fold_blocks(width, half, part, origin, rows, got, fold);
             }
         }
     }
 
     /// Folds the pairs of the blocks in `blocks` (both ends multiples of
     /// `2 · half`): in each block of `2 · half` rows the low half pairs
-    /// with the high half, row for row, so the walk is two row iterators
-    /// per slab, with no partner lookup. `rows` hold the rows of nodes
-    /// `origin..`.
+    /// with the high half, row for row, so one fold call takes the two
+    /// halves as runs, with no partner lookup. With `got`, a run is cut
+    /// wherever a pair's flags change. `rows` hold the rows from
+    /// `origin` on.
     fn fold_blocks<V, const W: usize>(
         width: usize,
         half: usize,
         blocks: Range<usize>,
         origin: usize,
         rows: &mut [&mut [V]; W],
-        got: &impl Fn(NodeId) -> bool,
-        fold: &impl Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]),
+        got: Option<&impl Fn(usize) -> bool>,
+        fold: &impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]),
     ) {
         let at = (blocks.start - origin) * width..(blocks.end - origin) * width;
         let mut spans = rows
@@ -1092,23 +1333,26 @@ pub(crate) mod form {
                 let block = b.next().expect("one block per span");
                 block.split_at_mut(half * width)
             });
-            let mut low = halves
-                .each_mut()
-                .map(|(l, _)| std::mem::take(l).chunks_exact_mut(width));
-            let mut high = halves.map(|(_, h)| h.chunks_exact_mut(width));
-            for lo in base..base + half {
-                let hi = lo + half;
-                let lo_rows = low.each_mut().map(|r| r.next().expect("one row per node"));
-                let hi_rows = high.each_mut().map(|r| r.next().expect("one row per node"));
-                fold(lo, hi, lo_rows, hi_rows, [got(lo), got(hi)]);
+            let mut low = halves.each_mut().map(|(l, _)| std::mem::take(l));
+            let mut high = halves.map(|(_, h)| h);
+            let Some(got) = got else {
+                fold(low, high, [true, true]);
+                continue;
+            };
+            let flags = |j: usize| [got(base + j), got(base + half + j)];
+            let mut start = 0;
+            while start < half {
+                let run = flags(start);
+                let end = (start + 1..half).find(|&j| flags(j) != run).unwrap_or(half);
+                let cut = start * width..end * width;
+                fold(
+                    low.each_mut().map(|l| &mut l[cut.clone()]),
+                    high.each_mut().map(|h| &mut h[cut.clone()]),
+                    run,
+                );
+                start = end;
             }
         }
-    }
-
-    /// Sender `src`'s row of `from`, or `None` for [`NO_SRC`].
-    #[inline]
-    fn sender_row<V>(from: &[V], src: u32, width: usize) -> Option<&[V]> {
-        (src != NO_SRC).then(|| &from[src as usize * width..][..width])
     }
 
     /// Panics unless every slab holds `width` values for each of `n`
@@ -1120,36 +1364,106 @@ pub(crate) mod form {
         );
     }
 
-    /// The fold form's pass over all nodes, shaped like
+    /// The fold form's pass over all rows, shaped like
     /// [`Machine::compute_rows`](crate::Machine::compute_rows): `f(u,
-    /// rows, read, msg(u))` once per live node `u`, with `u`'s rows of
-    /// the `W` written and `R` read slabs. The written slabs split by the
-    /// dispatch `bounds`, so each worker folds its own nodes' contiguous
-    /// rows. One row iterator per slab, advanced in step: no slab is
-    /// re-sliced per node.
-    fn fold_each<'m, V: Send + Sync + 'm, const W: usize, const R: usize>(
+    /// rows, read, msg)` once per live node `u`, with `u`'s rows of the
+    /// `W` written and `R` read slabs, and `msg` its sender's row of
+    /// `from` (`srcs[u]`, [`NO_SRC`] for none). The written slabs split
+    /// by the dispatch bounds, so each worker folds its own contiguous
+    /// rows. In node order one row iterator per slab, advanced in step,
+    /// so no slab is re-sliced per row; in another order the rows are
+    /// visited in the tiles of [`visit_rows`].
+    fn fold_each<V: Send + Sync, const W: usize, const R: usize>(
         width: usize,
         rows: [&mut [V]; W],
         read: [&[V]; R],
-        msg: impl Fn(NodeId) -> Option<&'m [V]> + Sync,
-        faults: &FaultState,
-        bounds: &[usize],
+        from: &[V],
+        srcs: &[u32],
+        ctx: Ctx<'_>,
         f: &(impl Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>) + Sync),
     ) {
+        let Ctx {
+            bounds,
+            faults,
+            order,
+        } = ctx;
         let frozen = faults.any_failed();
-        let pass = |nodes: Range<usize>, rows: [&mut [V]; W]| {
-            let mut rows = rows.map(|r| r.chunks_exact_mut(width));
-            let mut read = read.map(|r| r[nodes.start * width..].chunks_exact(width));
-            for u in nodes {
-                let mine = rows.each_mut().map(|r| r.next().expect("one row per node"));
-                let theirs = read.each_mut().map(|r| r.next().expect("one row per node"));
+        let pass = |rows_at: Range<usize>, mut rows: [&mut [V]; W]| {
+            if order == RowOrder::NODE {
+                let mut rows = rows.map(|r| r.chunks_exact_mut(width));
+                let mut read = read.map(|r| r[rows_at.start * width..].chunks_exact(width));
+                for u in rows_at {
+                    let mine = rows.each_mut().map(|r| r.next().expect("one row per node"));
+                    let theirs = read.each_mut().map(|r| r.next().expect("one row per node"));
+                    if !(frozen && faults.is_failed(u)) {
+                        let src = srcs[u];
+                        let msg = (src != NO_SRC).then(|| row_at(from, src as usize, width));
+                        f(u, mine, theirs, msg);
+                    }
+                }
+                return;
+            }
+            visit_rows(order, rows_at.clone(), |r| {
+                let u = order.row(r);
                 if !(frozen && faults.is_failed(u)) {
-                    f(u, mine, theirs, msg(u));
+                    let at = (r - rows_at.start) * width;
+                    let mine = rows.each_mut().map(|s| &mut s[at..][..width]);
+                    let src = srcs[u];
+                    let msg = (src != NO_SRC).then(|| row_at(from, order.row(src as usize), width));
+                    f(u, mine, read.map(|s| row_at(s, r, width)), msg);
+                }
+            });
+        };
+        par_rows_bounds(bounds, width, rows, &pass)
+    }
+
+    /// Row `r` of a slab of `width` values per row.
+    #[inline]
+    fn row_at<V>(slab: &[V], r: usize, width: usize) -> &[V] {
+        &slab[r * width..][..width]
+    }
+
+    /// Calls `f(r)` once for every row `r` of `range`, in the order a
+    /// gather through `order` reads its sources best. Under a swap of
+    /// `w`-bit fields, a row `(c, h, l)` of the dual-cube's cross edge
+    /// reads row `(c′, l, h)`, so a walk in row order reads rows
+    /// `2^w` apart; when `range` holds whole groups of [`TILE`] high-field
+    /// values, the walk goes tile by tile, [`TILE`] high × [`TILE`]
+    /// low values, so the rows it reads are [`TILE`] runs of [`TILE`]
+    /// consecutive rows. Otherwise, and in node order, it walks `range`
+    /// in order.
+    #[inline(always)]
+    fn visit_rows(order: RowOrder, range: Range<usize>, mut f: impl FnMut(usize)) {
+        let w = order.field;
+        let group = TILE << w;
+        let tiled = w >= TILE.trailing_zeros()
+            && range.start.is_multiple_of(group)
+            && range.end.is_multiple_of(group);
+        // A walk in row order is one run of the whole range; a tiled walk
+        // is runs of TILE rows, TILE high-field values × TILE low ones per
+        // group. Both go through the one call of `f` below, which keeps
+        // `f` inlined (a second call site cost a swapped one-lane gather
+        // about 2.5 times the extra time over node order, EXPERIMENTS.md
+        // §E37).
+        let (group, lows, highs, run) = if tiled {
+            (group, (0..1 << w).step_by(TILE), TILE, TILE)
+        } else {
+            (range.len().max(1), (0..1).step_by(1), 1, range.len())
+        };
+        for base in range.step_by(group) {
+            for low in lows.clone() {
+                for high in 0..highs {
+                    let start = base + (high << w) + low;
+                    for r in start..start + run {
+                        f(r);
+                    }
                 }
             }
-        };
-        par_rows_bounds(bounds, width, rows, &pass);
+        }
     }
+
+    /// Rows per side of a tile of [`visit_rows`].
+    const TILE: usize = 8;
 
     /// Copies `source[at..at + row.len()]` into `row`: every lane but the
     /// last in bulk, then the last on its own. A `clone_from_slice`, or

@@ -353,6 +353,14 @@ impl FaultState {
         self.drops.contains(&dst)
     }
 
+    /// Whether no scripted event is due before communication cycle
+    /// `end`: every pending event names `end` or later.
+    pub(crate) fn quiet_before(&self, end: u64) -> bool {
+        self.pending
+            .get(self.next)
+            .is_none_or(|e| e.at_cycle >= end)
+    }
+
     /// Disarms the one-cycle drops after a cycle actually ran.
     pub(crate) fn clear_drops(&mut self) {
         self.drops.clear();

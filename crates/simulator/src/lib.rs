@@ -78,7 +78,7 @@ pub mod reference;
 pub mod router;
 pub mod schedule;
 
-pub use comm::{Comm, Flip, Payload};
+pub use comm::{Comm, Flip, Payload, RowOrder};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::{Machine, TraceEntry};

@@ -1,8 +1,8 @@
 //! The synchronous multicomputer: one state per node, stepped through
 //! communication and computation cycles under 1-port validation.
 
-use crate::comm::form::Ctx;
-use crate::comm::{Comm, Payload};
+use crate::comm::form::{walk_rounds, Ctx};
+use crate::comm::{with_rows, Comm, Flip, Payload, RowOrder};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::metrics::LinkUtil;
@@ -381,6 +381,9 @@ pub struct Machine<'t, T: Topology + ?Sized, S> {
     /// so the partition, and with it every first-touch allocation and
     /// worker affinity, stays fixed for the life of the machine.
     shard_map: Option<ShardMap>,
+    /// Which slab row holds each node in the row forms. See
+    /// [`Machine::set_row_order`].
+    order: RowOrder,
 }
 
 /// The flat link-table slot of the undirected link `{src, dst}`:
@@ -600,7 +603,40 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             link_ports: None,
             shard_req: 0,
             shard_map: None,
+            order: RowOrder::NODE,
         }
+    }
+
+    /// Sets which row of a caller-owned lane slab holds each node in
+    /// every later row cycle ([`Comm::rows`], [`Comm::fold_rows`],
+    /// [`Comm::fold_pairs`], [`Machine::sweep`]) and
+    /// [`Machine::compute_rows`]: node `u`'s row becomes
+    /// `order.row(u)`. Plans, matchings, keys, compiled schedules,
+    /// traces, events and faults stay in node ids, so a program run under
+    /// an order leaves the slabs of its node-order run with their rows
+    /// permuted by the order, and everything else as it was. The
+    /// default is [`RowOrder::NODE`].
+    ///
+    /// ```
+    /// use dc_simulator::{Machine, RowOrder};
+    /// use dc_topology::DualCube;
+    ///
+    /// let d = DualCube::new(2); // 8 nodes: class bit 2, 1-bit fields
+    /// let mut m = Machine::new(&d, vec![(); 8]);
+    /// m.set_row_order(RowOrder::swap_class_fields(1));
+    /// // Node 5 (class 1, fields 0 and 1) sits in row 6.
+    /// let mut rows = vec![0u64; 8];
+    /// m.compute_rows(1, [&mut rows[..]], [], |u, [row], []| row[0] = u as u64);
+    /// assert_eq!(rows, [0, 1, 2, 3, 4, 6, 5, 7]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// If the order does not fit the machine (a swap's class bit must be
+    /// the top address bit).
+    pub fn set_row_order(&mut self, order: RowOrder) {
+        order.check(self.states.len());
+        self.order = order;
     }
 
     /// The flat link-table stride, computed lazily (only recorded cycles
@@ -1197,7 +1233,8 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     ///
     /// If a [`Comm::fold_pairs`] cycle's by-class
     /// [`Flip`](crate::Flip) selects its class by a bit other than the
-    /// top address bit; nothing is charged first.
+    /// top address bit, or its flip is not a bit flip of rows under the
+    /// machine's [`RowOrder`]; nothing is charged first.
     pub fn try_cycle<F: Payload<S>>(
         &mut self,
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
@@ -1207,7 +1244,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     {
         let mut comm = comm(Comm::blank());
         if let Some((flip, _)) = comm.form.flip() {
-            flip.check(self.states.len());
+            self.check_flip(flip);
         }
         let delivered = self.run_comm(&mut comm)?;
         if F::FOLDS {
@@ -1308,6 +1345,167 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             Ok(count) => count,
             Err(e) => panic!("communication-model violation: {e}"),
         }
+    }
+
+    /// Runs `rounds` pair-fold rounds over one set of slabs with one
+    /// fold, in order: round `(key, flip)` is the cycle
+    /// `c.fold_pairs(width, flip, rows, &fold).keyed(key)` (see
+    /// [`Comm::fold_pairs`]), and each is charged, traced and recorded
+    /// exactly as that cycle is: one communication step, one computation
+    /// step, the same words, and a schedule hit or miss.
+    ///
+    /// When every round would replay by flip equality and no fault can
+    /// change between rounds (no armed drop, no fault-plan event due
+    /// inside the sweep), and no recorder is installed, the machine walks
+    /// the rows one **block** at a time through all rounds: a block is
+    /// the smallest aligned row range closed under every round's flip,
+    /// so blocks never exchange a value, and each stays in cache while
+    /// its rounds run. Under the dual-cube's data order
+    /// ([`RowOrder::swap_class_fields`]) a sweep of cluster dimensions
+    /// walks one cluster at a time; in node order a class-1 cluster is
+    /// strided, so class 1's block is its whole half; on a hypercube a
+    /// sweep of every dimension is one block. On the threaded backend
+    /// each dispatch slot walks the blocks inside its own rows, and
+    /// blocks straddling two slots walk afterwards on the calling
+    /// thread. Otherwise — a compile, a replay by plan, replay off, a
+    /// drop or a due fault, or a recorded run, whose cycles each keep
+    /// their own event and duration — the rounds run as separate cycles,
+    /// with their validation and errors.
+    ///
+    /// ```
+    /// use dc_simulator::{Flip, Machine, ScheduleKey};
+    /// use dc_topology::Hypercube;
+    ///
+    /// // All-reduce on Q_3 as one sweep of its three dimensions.
+    /// let q = Hypercube::new(3);
+    /// let mut m = Machine::new(&q, vec![(); 8]);
+    /// let rounds = [0, 1, 2].map(|i| (ScheduleKey::Dim(i), Flip::uniform(i)));
+    /// let mut t: Vec<u64> = (0..8).collect();
+    /// for _ in 0..2 {
+    ///     // The first sweep compiles its rounds; the second walks blocks.
+    ///     m.sweep(1, &rounds, [&mut t[..]], |[lo], [hi], _| {
+    ///         for (lo, hi) in lo.iter_mut().zip(hi) {
+    ///             *hi += *lo;
+    ///             *lo = *hi;
+    ///         }
+    ///     });
+    /// }
+    /// assert_eq!(t, [8 * 28; 8]);
+    /// assert_eq!((m.metrics().comm_steps, m.metrics().comp_steps), (6, 6));
+    /// assert_eq!((m.metrics().schedule_misses, m.metrics().schedule_hits), (3, 3));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The first failing round's [`SimError`], as its cycle reports it;
+    /// the rounds before it stay applied, and none after it runs.
+    ///
+    /// # Panics
+    ///
+    /// As [`Comm::fold_pairs`] does, for any round, before anything is
+    /// charged.
+    pub fn try_sweep<V, Fo, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        mut rows: [&mut [V]; W],
+        fold: Fo,
+    ) -> Result<(), SimError>
+    where
+        S: Send + Sync,
+        V: Clone + Send + Sync,
+        Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    {
+        for &(_, flip) in rounds {
+            self.check_flip(flip);
+        }
+        self.advance_faults();
+        if !self.sweeps_blocks(rounds) {
+            for &(key, flip) in rounds {
+                let rows = rows.each_mut().map(|r| &mut **r);
+                self.try_cycle(|c| c.fold_pairs(width, flip, rows, &fold).keyed(key))?;
+            }
+            return Ok(());
+        }
+        let n = self.states.len();
+        assert!(width > 0 && W > 0, "a pair fold needs a lane and a slab");
+        assert!(
+            rows.iter().all(|r| r.len() == n * width),
+            "every row slab must hold {width} values per node of {n}"
+        );
+        for &(key, _) in rounds {
+            self.charge_blocked_round(key, width as u64);
+        }
+        self.dispatch_bounds();
+        let order = self.order;
+        let flip = |r: usize| order.flip(rounds[r].1);
+        let all_got = None::<&fn(usize) -> bool>;
+        let (bounds, count) = (&self.scratch.bounds[..], rounds.len());
+        walk_rounds(bounds, width, &mut rows, count, &flip, all_got, &fold);
+        Ok(())
+    }
+
+    /// [`Machine::try_sweep`] that panics on a model violation, as
+    /// [`Machine::cycle`] does.
+    #[track_caller]
+    pub fn sweep<V, Fo, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        rows: [&mut [V]; W],
+        fold: Fo,
+    ) where
+        S: Send + Sync,
+        V: Clone + Send + Sync,
+        Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    {
+        if let Err(e) = self.try_sweep(width, rounds, rows, fold) {
+            panic!("communication-model violation: {e}");
+        }
+    }
+
+    /// Panics unless `flip` fits the machine: a by-class flip's class
+    /// bit is the top address bit, and the flip is a bit flip of rows
+    /// under the machine's order.
+    fn check_flip(&self, flip: Flip) {
+        flip.check(self.states.len());
+        self.order.flip(flip);
+    }
+
+    /// Whether [`Machine::try_sweep`] may walk `rounds` block by block:
+    /// every round replays by flip equality, nothing can change the
+    /// faults before the last round, and no recorder wants each cycle's
+    /// own event.
+    fn sweeps_blocks(&self, rounds: &[(ScheduleKey, Flip)]) -> bool {
+        let end = self.metrics.comm_steps + rounds.len() as u64;
+        self.replay
+            && self.recorder.is_none()
+            && !self.faults.has_drops()
+            && self.faults.quiet_before(end)
+            && rounds.iter().all(|&(key, flip)| {
+                self.schedules
+                    .get(key)
+                    .is_some_and(|s| s.flip == Some(flip))
+            })
+    }
+
+    /// Charges one round of a blocked sweep as its cycle would be
+    /// charged: a replay by flip equality in which every node sends and
+    /// receives `words` words (no drop is armed), then the fold's
+    /// computation step. No recorder is installed, so no event is due.
+    fn charge_blocked_round(&mut self, key: ScheduleKey, words: u64) {
+        let n = self.states.len() as u64;
+        let sched = self
+            .schedules
+            .get(key)
+            .expect("the sweep checked the cache");
+        if let Some(trace) = self.trace.as_mut() {
+            let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
+            trace.push((phase, sched.trace_pairs()));
+        }
+        self.metrics.record_comm_words(n, n * words);
+        self.metrics.schedule_hits += 1;
+        self.metrics.record_comp(1, n);
     }
 
     /// `cycle(|c| c.lanes(lanes, seed, pair, fill, deliver).pairwise().keyed(key))`,
@@ -1471,15 +1669,18 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // delivers it right here in sender order and skips the slab
         // passes (lanes cannot: a later `fill` must not see a state an
         // earlier delivery changed). Rows stage nothing: the sender
-        // table is all their delivery needs.
+        // table is all their delivery needs. A pair fold's delivery does
+        // not read the table, so its cycle leaves it as it was.
         let drops_active = self.faults.has_drops();
         let mut dropped = 0u64;
         let mut dropped_words = 0u64;
         let srcs = &mut self.scratch.srcs;
         let mut slab = None;
         if !(one_slot && F::PLANNED) {
-            srcs.clear();
-            srcs.resize(n, NO_SRC);
+            if F::SENDERS {
+                srcs.clear();
+                srcs.resize(n, NO_SRC);
+            }
             slab = Some(self.scratch.stage.staging(n * width, || form.fresh()));
         }
         for (src, p) in plans.iter_mut().enumerate() {
@@ -1508,7 +1709,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 Some(slab) => {
                     let window = &mut slab[dst * width..(dst + 1) * width];
                     form.stage(src, &self.states[src], msg, window);
-                    srcs[dst] = src as u32;
+                    if F::SENDERS {
+                        srcs[dst] = src as u32;
+                    }
                 }
                 None => form.deliver_planned(&mut self.states[dst], src, msg),
             }
@@ -1517,6 +1720,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             let ctx = Ctx {
                 bounds,
                 faults: &self.faults,
+                order: self.order,
             };
             form.deliver(&mut self.states, srcs, slab, ctx);
         }
@@ -1759,6 +1963,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         let ctx = Ctx {
             bounds: &self.scratch.bounds,
             faults: &self.faults,
+            order: self.order,
         };
         form.deliver_flip(ctx);
         let dropped = (sched.delivered - delivered) as u64;
@@ -1884,6 +2089,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         let ctx = Ctx {
             bounds: &self.scratch.bounds,
             faults: &self.faults,
+            order: self.order,
         };
         form.deliver(&mut self.states, srcs, slab, ctx);
         let delivered = acc.delivered;
@@ -1965,13 +2171,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
 
     /// One local computation cycle over lane slabs, charged like
     /// `compute(1, …)`: one computation step and `num_nodes` element
-    /// operations. Every slab holds `width` values per node (row `u` =
-    /// `slab[u*width..(u+1)*width]`, the layout of [`Comm::rows`]);
-    /// `f(u, rows, read)` runs exactly once per live node with `u`'s rows
-    /// of the `W` written slabs and of the `R` read ones. Crashed nodes
-    /// are skipped, so their rows freeze. The written slabs split by the
-    /// dispatch bounds, so each worker folds its own nodes' contiguous
-    /// rows.
+    /// operations. Every slab holds `width` values per node (node `u`'s
+    /// row at `slab[r*width..(r+1)*width]` for `r` = its row under the
+    /// machine's [`RowOrder`], the layout of [`Comm::rows`]); `f(u,
+    /// rows, read)` runs exactly once per live node with `u`'s rows of
+    /// the `W` written slabs and of the `R` read ones. Crashed nodes are
+    /// skipped, so their rows freeze. The written slabs split by the
+    /// dispatch bounds, so each worker folds its own contiguous rows.
     ///
     /// ```
     /// use dc_simulator::Machine;
@@ -2013,19 +2219,22 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         let faults = &self.faults;
         let frozen = faults.any_failed();
         // One row iterator per slab, advanced in step: no slab is
-        // re-sliced per node.
-        let fold = |nodes: std::ops::Range<usize>, rows: [&mut [V]; W]| {
-            let mut rows = rows.map(|r| r.chunks_exact_mut(width));
-            let mut read = read.map(|r| r[nodes.start * width..].chunks_exact(width));
-            for u in nodes {
-                let mine = rows.each_mut().map(|r| r.next().expect("one row per node"));
-                let theirs = read.each_mut().map(|r| r.next().expect("one row per node"));
-                if !(frozen && faults.is_failed(u)) {
-                    f(u, mine, theirs);
+        // re-sliced per row.
+        with_rows!(self.order, |row| {
+            let fold = |rows_at: std::ops::Range<usize>, rows: [&mut [V]; W]| {
+                let mut rows = rows.map(|r| r.chunks_exact_mut(width));
+                let mut read = read.map(|r| r[rows_at.start * width..].chunks_exact(width));
+                for r in rows_at {
+                    let mine = rows.each_mut().map(|r| r.next().expect("one row per node"));
+                    let theirs = read.each_mut().map(|r| r.next().expect("one row per node"));
+                    let u = row(r);
+                    if !(frozen && faults.is_failed(u)) {
+                        f(u, mine, theirs);
+                    }
                 }
-            }
-        };
-        par_rows_bounds(&self.scratch.bounds, width, rows, &fold);
+            };
+            par_rows_bounds(&self.scratch.bounds, width, rows, &fold)
+        });
         self.metrics.record_comp(1, n as u64);
         self.emit_comp(start, 1, n as u64);
     }
@@ -2069,8 +2278,25 @@ impl<T: Topology + ?Sized + Sync, S: Send + Sync> Cycles<S> for Machine<'_, T, S
         Machine::compute_rows(self, width, rows, read, f);
     }
 
+    fn try_sweep<V, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        rows: [&mut [V]; W],
+        fold: impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    ) -> Result<(), SimError>
+    where
+        V: Clone + Send + Sync,
+    {
+        Machine::try_sweep(self, width, rounds, rows, fold)
+    }
+
     fn setup(&mut self, f: impl Fn(NodeId, &mut S) + Sync) {
         Machine::setup(self, f);
+    }
+
+    fn set_row_order(&mut self, order: RowOrder) {
+        Machine::set_row_order(self, order);
     }
 
     fn begin_phase(&mut self, label: impl Into<String>) {
@@ -3465,15 +3691,10 @@ mod tests {
         assert_eq!(metrics.message_words, 2 * 4 * K as u64);
     }
 
-    /// The ascend-shaped pair fold on `t` and `s`: each end keeps its
-    /// pre-cycle `t` in `s` and folds the other end's pre-cycle `t` in.
-    fn swap_fold(
-        _: NodeId,
-        _: NodeId,
-        [lt, ls]: [&mut [u64]; 2],
-        [ht, hs]: [&mut [u64]; 2],
-        got: [bool; 2],
-    ) {
+    /// The ascend-shaped pair fold on runs of `t` and `s`: each end
+    /// keeps its pre-cycle `t` in `s` and folds the other end's
+    /// pre-cycle `t` in.
+    fn swap_fold([lt, ls]: [&mut [u64]; 2], [ht, hs]: [&mut [u64]; 2], got: [bool; 2]) {
         for (((lt, ls), ht), hs) in lt.iter_mut().zip(ls).zip(ht).zip(hs) {
             let (a, b) = (*lt, *ht);
             *ls = a;
@@ -3762,14 +3983,7 @@ mod tests {
         let q = Hypercube::new(4);
         let mut m = Machine::new(&q, vec![(); 16]);
         let mut t = [0u8; 16];
-        m.cycle(|c| {
-            c.fold_pairs(
-                1,
-                Flip::by_class(2, [0, 1]),
-                [&mut t[..]],
-                |_, _, _, _, _| {},
-            )
-        });
+        m.cycle(|c| c.fold_pairs(1, Flip::by_class(2, [0, 1]), [&mut t[..]], |_, _, _| {}));
     }
 
     /// A fold skips a crashed node, so its rows freeze, and a silent

@@ -28,24 +28,31 @@
 //! to a node with an armed drop is validated, traced and lost, and the
 //! drop is spent by the next cycle that succeeds.
 //!
-//! A pair fold ([`Comm::fold_pairs`]) runs its fold once per node
-//! rather than once per pair: each node folds as the `lo` or `hi` end
-//! against a copy of its partner that holds only what the node's message
-//! carried (the partner's row of the first slab, when it arrived) and
-//! the node's own rows everywhere else, and only the node's own result
-//! is kept. A fold that reads more of its partner than the message then
-//! gives a different answer here than on the engine.
+//! A pair fold ([`Comm::fold_pairs`]) runs its fold once per node, on
+//! runs of one pair, rather than once per run of pairs: each node folds
+//! as the `lo` or `hi` end against a copy of its partner that holds only
+//! what the node's message carried (the partner's row of the first
+//! slab, when it arrived) and the node's own rows everywhere else, and
+//! only the node's own result is kept. A fold that reads more of its
+//! partner than the message then gives a different answer here than on
+//! the engine. A sweep ([`Cycles::try_sweep`]) is its rounds run as
+//! separate pair-fold cycles.
+//!
+//! Rows follow the machine's [`RowOrder`] (set with
+//! [`Cycles::set_row_order`]): node `u`'s row of every slab is
+//! `order.row(u)`, looked up per node.
 //!
 //! [`Cycles`] is the interface both machines share, so one program body,
 //! generic over `impl Cycles<S>`, drives either; [`model_counters`] is
 //! the part of [`Metrics`] both charge.
 
 use crate::comm::form::Form;
-use crate::comm::{Comm, FoldPairs, FoldRows, Lanes, Message, Payload, Rows};
+use crate::comm::{Comm, Flip, FoldPairs, FoldRows, Lanes, Message, Payload, RowOrder, Rows};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::machine::TraceEntry;
 use crate::metrics::{LinkUtil, Metrics};
+use crate::schedule::ScheduleKey;
 use dc_topology::{NodeId, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -67,6 +74,8 @@ pub struct RefMachine<'t, T: Topology + ?Sized, S> {
     down: BTreeSet<(NodeId, NodeId)>,
     /// Receivers whose messages the next successful cycle loses.
     drops: BTreeSet<NodeId>,
+    /// Which slab row holds each node.
+    order: RowOrder,
 }
 
 impl<'t, T: Topology + ?Sized, S> RefMachine<'t, T, S> {
@@ -84,6 +93,7 @@ impl<'t, T: Topology + ?Sized, S> RefMachine<'t, T, S> {
             failed: BTreeSet::new(),
             down: BTreeSet::new(),
             drops: BTreeSet::new(),
+            order: RowOrder::NODE,
         }
     }
 
@@ -164,7 +174,41 @@ pub trait Cycles<S> {
         read: [&[V]; R],
         f: impl Fn(NodeId, [&mut [V]; W], [&[V]; R]) + Sync,
     );
+    /// By default, the rounds as separate
+    /// [`Comm::fold_pairs`] cycles, which is what the machine's blocked
+    /// walk must equal.
+    fn try_sweep<V, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        mut rows: [&mut [V]; W],
+        fold: impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    ) -> Result<(), SimError>
+    where
+        V: Clone + Send + Sync,
+    {
+        for &(key, flip) in rounds {
+            let rows = rows.each_mut().map(|r| &mut **r);
+            self.try_cycle(|c| c.fold_pairs(width, flip, rows, &fold).keyed(key))?;
+        }
+        Ok(())
+    }
+    #[track_caller]
+    fn sweep<V, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        rows: [&mut [V]; W],
+        fold: impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    ) where
+        V: Clone + Send + Sync,
+    {
+        if let Err(e) = self.try_sweep(width, rounds, rows, fold) {
+            panic!("communication-model violation: {e}");
+        }
+    }
     fn setup(&mut self, f: impl Fn(NodeId, &mut S) + Sync);
+    fn set_row_order(&mut self, order: RowOrder);
     fn begin_phase(&mut self, label: impl Into<String>);
     fn set_fault_plan(&mut self, plan: FaultPlan);
     fn inject_fault(&mut self, kind: FaultKind);
@@ -181,6 +225,7 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         let mut comm = comm(Comm::blank());
         if let Some((flip, _)) = comm.form.flip() {
             flip.check(self.states.len());
+            self.order.flip(flip);
         }
         let now = self.metrics.comm_steps;
         let (due, later) = self.pending.iter().partition(|e| e.at_cycle <= now);
@@ -226,7 +271,7 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         let dropped = (before - inbox.len()) as u64;
         let delivered = inbox.len();
         let words = inbox.values().map(|(_, msg)| form.words(msg)).sum();
-        form.deliver_naive(&mut self.states, inbox, &self.failed);
+        form.deliver_naive(&mut self.states, inbox, &self.failed, self.order);
         self.metrics.record_comm_words(delivered as u64, words);
         self.metrics.dropped_messages += dropped;
         if F::FOLDS {
@@ -260,7 +305,8 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         assert!(width > 0, "a row compute phase needs at least one lane");
         check_slabs(width, n, rows.iter().map(|r| &**r).chain(read));
         for u in (0..n).filter(|u| !self.failed.contains(u)) {
-            let at = u * width..(u + 1) * width;
+            let r = self.order.row(u);
+            let at = r * width..(r + 1) * width;
             f(
                 u,
                 rows.each_mut().map(|r| &mut r[at.clone()]),
@@ -274,6 +320,11 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         for (u, s) in self.states.iter_mut().enumerate() {
             f(u, s);
         }
+    }
+
+    fn set_row_order(&mut self, order: RowOrder) {
+        order.check(self.states.len());
+        self.order = order;
     }
 
     fn begin_phase(&mut self, label: impl Into<String>) {
@@ -330,9 +381,9 @@ fn check_slabs<'s, V: 's>(width: usize, n: usize, mut slabs: impl Iterator<Item 
     );
 }
 
-/// The row `u` of a slab of `width` values per node.
-fn row<V>(slab: &[V], u: NodeId, width: usize) -> &[V] {
-    &slab[u * width..(u + 1) * width]
+/// Row `r` of a slab of `width` values per node.
+fn row<V>(slab: &[V], r: usize, width: usize) -> &[V] {
+    &slab[r * width..(r + 1) * width]
 }
 
 mod naive {
@@ -340,7 +391,8 @@ mod naive {
 
     /// The reference machine's delivery of a validated cycle: every
     /// message of `inbox` reaches its receiver, read from the pre-cycle
-    /// states or slabs; a fold runs at every node not in `failed`.
+    /// states or slabs; a fold runs at every node not in `failed`; node
+    /// `u`'s rows are row `order.row(u)` of each slab.
     pub trait Naive<S>: Form<S> {
         /// Delivers `inbox` (receiver → sender, message).
         fn deliver_naive(
@@ -348,6 +400,7 @@ mod naive {
             states: &mut [S],
             inbox: Inbox<Self::Msg>,
             failed: &BTreeSet<NodeId>,
+            order: RowOrder,
         );
     }
 
@@ -356,7 +409,13 @@ mod naive {
         Self: Form<S, Msg = M>,
         D: Fn(&mut S, NodeId, M),
     {
-        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<M>, _: &BTreeSet<NodeId>) {
+        fn deliver_naive(
+            &mut self,
+            states: &mut [S],
+            inbox: Inbox<M>,
+            _: &BTreeSet<NodeId>,
+            _: RowOrder,
+        ) {
             for (dst, (src, msg)) in inbox {
                 (self.deliver)(&mut states[dst], src, msg);
             }
@@ -369,7 +428,13 @@ mod naive {
         Fi: Fn(NodeId, &S, &mut [V]),
         D: Fn(&mut S, NodeId, &mut [V]),
     {
-        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, _: &BTreeSet<NodeId>) {
+        fn deliver_naive(
+            &mut self,
+            states: &mut [S],
+            inbox: Inbox<()>,
+            _: &BTreeSet<NodeId>,
+            _: RowOrder,
+        ) {
             let windows: Vec<_> = inbox
                 .into_iter()
                 .map(|(dst, (src, ()))| {
@@ -388,13 +453,24 @@ mod naive {
     where
         Self: Form<S, Msg = ()>,
     {
-        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, _: &BTreeSet<NodeId>) {
+        fn deliver_naive(
+            &mut self,
+            states: &mut [S],
+            inbox: Inbox<()>,
+            _: &BTreeSet<NodeId>,
+            order: RowOrder,
+        ) {
             let (width, n) = (self.width, states.len());
             let slabs = self.pairs.iter().flat_map(|(s, d)| [*s, &**d]);
             check_slabs(width, n, slabs);
             for (source, dest) in &mut self.pairs {
                 for (&dst, &(src, ())) in &inbox {
-                    dest[dst * width..(dst + 1) * width].clone_from_slice(row(source, src, width));
+                    let to = order.row(dst);
+                    dest[to * width..(to + 1) * width].clone_from_slice(row(
+                        source,
+                        order.row(src),
+                        width,
+                    ));
                 }
             }
         }
@@ -405,7 +481,13 @@ mod naive {
         Self: Form<S, Msg = ()>,
         Fo: Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>),
     {
-        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, failed: &BTreeSet<NodeId>) {
+        fn deliver_naive(
+            &mut self,
+            states: &mut [S],
+            inbox: Inbox<()>,
+            failed: &BTreeSet<NodeId>,
+            order: RowOrder,
+        ) {
             let (width, n) = (self.width, states.len());
             let FoldRows {
                 from,
@@ -417,8 +499,11 @@ mod naive {
             let slabs = rows.iter().map(|r| &**r).chain(read.iter().copied());
             check_slabs(width, n, slabs.chain([*from]));
             for u in (0..n).filter(|u| !failed.contains(u)) {
-                let at = u * width..(u + 1) * width;
-                let msg = inbox.get(&u).map(|&(src, ())| row(from, src, width));
+                let r = order.row(u);
+                let at = r * width..(r + 1) * width;
+                let msg = inbox
+                    .get(&u)
+                    .map(|&(src, ())| row(from, order.row(src), width));
                 fold(
                     u,
                     rows.each_mut().map(|r| &mut r[at.clone()]),
@@ -432,25 +517,32 @@ mod naive {
     impl<S, V: Clone, Fo, const W: usize> Naive<S> for FoldPairs<'_, V, Fo, W>
     where
         Self: Form<S, Msg = ()>,
-        Fo: Fn(NodeId, NodeId, [&mut [V]; W], [&mut [V]; W], [bool; 2]),
+        Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]),
     {
-        /// Every node folds on its own, as `lo` or `hi`, against a copy
-        /// of its partner built from its own pre-cycle rows, with the
-        /// partner's first-slab row in place only when the message
-        /// arrived (see the [module docs](super)).
-        fn deliver_naive(&mut self, states: &mut [S], inbox: Inbox<()>, _: &BTreeSet<NodeId>) {
+        /// Every node folds on its own, as `lo` or `hi` of a run of one
+        /// pair, against a copy of its partner built from its own
+        /// pre-cycle rows, with the partner's first-slab row in place
+        /// only when the message arrived (see the [module docs](super)).
+        fn deliver_naive(
+            &mut self,
+            states: &mut [S],
+            inbox: Inbox<()>,
+            _: &BTreeSet<NodeId>,
+            order: RowOrder,
+        ) {
             let (width, n) = (self.width, states.len());
             check_slabs(width, n, self.rows.iter().map(|r| &**r));
             let before: Vec<Vec<V>> = self.rows.iter().map(|r| r.to_vec()).collect();
-            let own =
-                |u| -> [Vec<V>; W] { std::array::from_fn(|k| row(&before[k], u, width).to_vec()) };
+            let own = |u| -> [Vec<V>; W] {
+                std::array::from_fn(|k| row(&before[k], order.row(u), width).to_vec())
+            };
             for u in 0..n {
                 let v = self.flip.partner(u);
                 let got = inbox.contains_key(&u);
                 let mut near = own(u);
                 let mut far = own(u);
                 if got {
-                    far[0] = row(&before[0], v, width).to_vec();
+                    far[0] = row(&before[0], order.row(v), width).to_vec();
                 }
                 let (lo, hi) = (u.min(v), u.max(v));
                 let flags = [inbox.contains_key(&lo), inbox.contains_key(&hi)];
@@ -460,14 +552,13 @@ mod naive {
                     (&mut far, &mut near)
                 };
                 (self.fold)(
-                    lo,
-                    hi,
                     lo_rows.each_mut().map(|r| &mut r[..]),
                     hi_rows.each_mut().map(|r| &mut r[..]),
                     flags,
                 );
+                let at = order.row(u) * width;
                 for (slab, kept) in self.rows.iter_mut().zip(&near) {
-                    slab[u * width..(u + 1) * width].clone_from_slice(kept);
+                    slab[at..at + width].clone_from_slice(kept);
                 }
             }
         }

@@ -68,18 +68,24 @@ fn pair_fold(u: usize, [t, s]: [&mut [u64]; 2], msg: Option<&[u64]>) {
     }
 }
 
-/// [`pair_fold`] at both ends of a pair, each reading the other's
-/// pre-cycle `t` row when its message arrived.
+/// [`pair_fold`] at both ends of every pair of a run of `k`-lane rows,
+/// each end reading the other's pre-cycle `t` row when its message
+/// arrived. The third slab holds each node's id in every lane, so a
+/// run's position names the nodes [`pair_fold`] mixes in.
 fn pair_fold_both(
-    lo: usize,
-    hi: usize,
-    [lo_t, lo_s]: [&mut [u64]; 2],
-    [hi_t, hi_s]: [&mut [u64]; 2],
+    k: usize,
+    [lo_t, lo_s, lo_id]: [&mut [u64]; 3],
+    [hi_t, hi_s, hi_id]: [&mut [u64]; 3],
     [lo_got, hi_got]: [bool; 2],
 ) {
-    let (from_lo, from_hi) = (lo_t.to_vec(), hi_t.to_vec());
-    pair_fold(lo, [lo_t, lo_s], lo_got.then_some(&from_hi[..]));
-    pair_fold(hi, [hi_t, hi_s], hi_got.then_some(&from_lo[..]));
+    let lo = lo_t.chunks_exact_mut(k).zip(lo_s.chunks_exact_mut(k));
+    let hi = hi_t.chunks_exact_mut(k).zip(hi_s.chunks_exact_mut(k));
+    let ids = lo_id.chunks_exact(k).zip(hi_id.chunks_exact(k));
+    for (((lo_t, lo_s), (hi_t, hi_s)), (lo, hi)) in lo.zip(hi).zip(ids) {
+        let (from_lo, from_hi) = (lo_t.to_vec(), hi_t.to_vec());
+        pair_fold(lo[0] as usize, [lo_t, lo_s], lo_got.then_some(&from_hi[..]));
+        pair_fold(hi[0] as usize, [hi_t, hi_s], hi_got.then_some(&from_lo[..]));
+    }
 }
 
 /// The half-speaking round's fold: receivers mix in the message,
@@ -144,6 +150,9 @@ fn program(
         .map(|x| x.wrapping_mul(0x2545_F491))
         .collect();
     let mut s: Vec<u64> = (0..(nodes * k) as u64).map(|x| x ^ 0xABCD).collect();
+    let mut ids: Vec<u64> = (0..nodes as u64)
+        .flat_map(|u| std::iter::repeat_n(u, k))
+        .collect();
     let mut landed = vec![EMPTY; nodes * k];
     for rep in 0..reps {
         m.begin_phase(format!("round {rep}"));
@@ -163,7 +172,8 @@ fn program(
             };
             if let (true, Some(flip)) = (fused, flip) {
                 m.cycle(|c| {
-                    c.fold_pairs(k, flip, [&mut t[..], &mut s[..]], pair_fold_both)
+                    let slabs = [&mut t[..], &mut s[..], &mut ids[..]];
+                    c.fold_pairs(k, flip, slabs, |lo, hi, got| pair_fold_both(k, lo, hi, got))
                         .keyed(key)
                 });
             } else if fused {

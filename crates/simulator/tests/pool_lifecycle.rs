@@ -234,10 +234,12 @@ fn one_slot_engine_never_touches_the_pool() {
             let on = |key| keyed.then_some(key);
             let pair = on(ScheduleKey::Dim(0));
             m.cycle(|c| {
-                let c = c.fold_pairs(k, Flip::uniform(0), [&mut t[..]], |_, _, [l], [h], got| {
-                    let (a, b) = (l[0], h[0]);
-                    l[0] += if got[0] { b } else { 0 };
-                    h[0] += if got[1] { a } else { 0 };
+                let c = c.fold_pairs(k, Flip::uniform(0), [&mut t[..]], |[l], [h], got| {
+                    for (l, h) in l.iter_mut().zip(h) {
+                        let (a, b) = (*l, *h);
+                        *l += if got[0] { b } else { 0 };
+                        *h += if got[1] { a } else { 0 };
+                    }
                 });
                 maybe_keyed(c, pair)
             });

@@ -245,21 +245,27 @@ fn step(m: &mut impl Cycles<u64>, op: u8, phase_no: &mut u32) {
                 // the single-lane, lane and row ops (bit 5 picks it;
                 // neither `op % 8`, `dim` nor `lanes` reads it).
                 t.copy_from_slice(&from);
+                // Each node's id in every lane of its row: a run's
+                // position names its nodes, for the fold to mix in.
+                let mut ids: Vec<u64> = (0..m.states().len() as u64)
+                    .flat_map(|u| std::iter::repeat_n(u, lanes))
+                    .collect();
                 m.cycle(|c| {
                     c.fold_pairs(
                         lanes,
                         Flip::uniform(dim as u32),
-                        [&mut t[..]],
-                        |lo, hi, [l], [h], got| {
-                            for (l, h) in l.iter_mut().zip(h) {
+                        [&mut t[..], &mut ids[..]],
+                        |[l, lo], [h, hi], got| {
+                            let ids = lo.iter().zip(&*hi);
+                            for ((l, h), (lo, hi)) in l.iter_mut().zip(h).zip(ids) {
                                 let (a, b) = (*l, *h);
                                 *l = if got[0] {
-                                    a.wrapping_mul(31).wrapping_add(b ^ lo as u64)
+                                    a.wrapping_mul(31).wrapping_add(b ^ lo)
                                 } else {
                                     a ^ 9
                                 };
                                 *h = if got[1] {
-                                    b.wrapping_mul(31).wrapping_add(a ^ hi as u64)
+                                    b.wrapping_mul(31).wrapping_add(a ^ hi)
                                 } else {
                                     b ^ 9
                                 };

@@ -26,6 +26,7 @@ use dc_simulator::{
 use dc_topology::{DualCube, NodeId, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::iter::repeat_n;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
@@ -307,22 +308,22 @@ fn pair_fold_run(
         .map(|x| x.wrapping_mul(0x2545_F491))
         .collect();
     let mut s: Vec<u64> = (0..(n * k) as u64).map(|x| x ^ 0xABCD).collect();
-    let fold = |lo: NodeId,
-                hi: NodeId,
-                [lt, ls]: [&mut [u64]; 2],
-                [ht, hs]: [&mut [u64]; 2],
-                got: [bool; 2]| {
-        for (((lt, ls), ht), hs) in lt.iter_mut().zip(ls).zip(ht).zip(hs) {
+    // Each node's id in every lane of its row: a run's position names
+    // its nodes, for the fold to mix in.
+    let mut ids: Vec<u64> = (0..n as u64).flat_map(|u| repeat_n(u, k)).collect();
+    let fold = |[lt, ls, lo]: [&mut [u64]; 3], [ht, hs, hi]: [&mut [u64]; 3], got: [bool; 2]| {
+        let pairs = lt.iter_mut().zip(ls).zip(ht.iter_mut().zip(hs));
+        for (((lt, ls), (ht, hs)), (lo, hi)) in pairs.zip(lo.iter().zip(&*hi)) {
             let (a, b) = (*lt, *ht);
             if got[0] {
                 *ls = ls.rotate_left(5) ^ b;
-                *lt = a.wrapping_mul(31).wrapping_add(b ^ lo as u64);
+                *lt = a.wrapping_mul(31).wrapping_add(b ^ lo);
             } else {
                 *lt = a.wrapping_add(7);
             }
             if got[1] {
                 *hs = hs.rotate_left(5) ^ a;
-                *ht = b.wrapping_mul(31).wrapping_add(a ^ hi as u64);
+                *ht = b.wrapping_mul(31).wrapping_add(a ^ hi);
             } else {
                 *ht = b.wrapping_add(7);
             }
@@ -331,7 +332,7 @@ fn pair_fold_run(
     let results = (0..4)
         .map(|_| {
             m.try_cycle(|c| {
-                let c = c.fold_pairs(k, flip, [&mut t[..], &mut s[..]], fold);
+                let c = c.fold_pairs(k, flip, [&mut t[..], &mut s[..], &mut ids[..]], fold);
                 if keyed {
                     c.keyed(dc_simulator::ScheduleKey::Custom(5))
                 } else {
@@ -416,23 +417,28 @@ fn pair_fold_reading_past_its_message_diverges_from_the_reference_machine() {
                 1,
                 flip,
                 [&mut t[..], &mut s[..]],
-                |_, _, [lt, ls], [ht, hs], got| {
-                    let (a, b, sa, sb) = (lt[0], ht[0], ls[0], hs[0]);
-                    match leak {
-                        // Honest: each end reads the other's `t` when it got it.
-                        0 => {
-                            lt[0] = if got[0] { a + b } else { a };
-                            ht[0] = if got[1] { a + b } else { b };
-                        }
-                        // Reads the partner's `s`, which never travels.
-                        1 => {
-                            lt[0] = if got[0] { a + b + sb } else { a };
-                            ht[0] = if got[1] { a + b + sa } else { b };
-                        }
-                        // Reads the partner's `t` even where it was dropped.
-                        _ => {
-                            lt[0] = a + b;
-                            ht[0] = a + b;
+                |[lt, ls], [ht, hs], got| {
+                    let pairs = lt.iter_mut().zip(&*ls).zip(ht.iter_mut().zip(&*hs));
+                    for ((lt, &sa), (ht, &sb)) in pairs {
+                        let (a, b) = (*lt, *ht);
+                        match leak {
+                            // Honest: each end reads the other's `t` when
+                            // it got it.
+                            0 => {
+                                *lt = if got[0] { a + b } else { a };
+                                *ht = if got[1] { a + b } else { b };
+                            }
+                            // Reads the partner's `s`, which never travels.
+                            1 => {
+                                *lt = if got[0] { a + b + sb } else { a };
+                                *ht = if got[1] { a + b + sa } else { b };
+                            }
+                            // Reads the partner's `t` even where it was
+                            // dropped.
+                            _ => {
+                                *lt = a + b;
+                                *ht = a + b;
+                            }
                         }
                     }
                 },

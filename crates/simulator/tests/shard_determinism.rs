@@ -238,15 +238,21 @@ fn step(m: &mut impl Cycles<u64>, d: &DualCube, op: u8, phase_no: &mut u32) {
             } else {
                 (Flip::uniform(d.class_bit()), ScheduleKey::Cross)
             };
+            // Each node's id in every lane of its row: a run's position
+            // names its nodes, for the fold to mix in.
+            let mut ids: Vec<u64> = (0..m.states().len() as u64)
+                .flat_map(|u| std::iter::repeat_n(u, lanes))
+                .collect();
             m.cycle(|c| {
-                c.fold_pairs(lanes, flip, [&mut t[..]], |lo, hi, [l], [h], got| {
-                    for (l, h) in l.iter_mut().zip(h) {
+                let slabs = [&mut t[..], &mut ids[..]];
+                c.fold_pairs(lanes, flip, slabs, |[l, lo], [h, hi], got| {
+                    for ((l, h), (lo, hi)) in l.iter_mut().zip(h).zip(lo.iter().zip(&*hi)) {
                         let (a, b) = (*l, *h);
                         if got[0] {
-                            *l = a.wrapping_mul(31).wrapping_add(b ^ lo as u64);
+                            *l = a.wrapping_mul(31).wrapping_add(b ^ lo);
                         }
                         if got[1] {
-                            *h = b.wrapping_mul(31).wrapping_add(a ^ hi as u64);
+                            *h = b.wrapping_mul(31).wrapping_add(a ^ hi);
                         }
                     }
                 })

@@ -460,15 +460,19 @@ fn steady_state_cycles_do_not_allocate() {
                 set_worker_threads(workers);
                 let mut t: Vec<u64> = (0..(n * lanes) as u64).collect();
                 let mut s = vec![1u64; n * lanes];
+                // Each node's id in every lane of its row, for the fold.
+                let mut ids: Vec<u64> = (0..n as u64)
+                    .flat_map(|u| std::iter::repeat_n(u, lanes))
+                    .collect();
                 let mut fm = Machine::with_exec(&fq, vec![(); n], exec);
                 for _ in 0..2 {
                     for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s]);
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
                     }
                 }
                 let fold_delta = steady_delta(3, || {
                     for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s]);
+                        fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
                     }
                 });
                 set_worker_threads(0);
@@ -483,16 +487,22 @@ fn steady_state_cycles_do_not_allocate() {
 
 /// One exchange-and-fold round of Algorithm 1's shape: a pair fold of
 /// `t` across `dim`, folding the partner's `t` into both `t` and `s` at
-/// each end, then a half-speaking fold reading `s` as a read-only
-/// travelling slab.
-fn fold_round(m: &mut Machine<'_, Hypercube, ()>, lanes: usize, dim: u32, [t, s]: [&mut [u64]; 2]) {
+/// each end (each mixing in its own id from `ids`), then a
+/// half-speaking fold reading `s` as a read-only travelling slab.
+fn fold_round(
+    m: &mut Machine<'_, Hypercube, ()>,
+    lanes: usize,
+    dim: u32,
+    [t, s, ids]: [&mut [u64]; 3],
+) {
     m.cycle(|c| {
         c.fold_pairs(
             lanes,
             Flip::uniform(dim),
-            [&mut *t, &mut *s],
-            |lo, hi, [lo_t, lo_s], [hi_t, hi_s], got| {
-                for (((lo_t, lo_s), hi_t), hi_s) in lo_t.iter_mut().zip(lo_s).zip(hi_t).zip(hi_s) {
+            [&mut *t, &mut *s, &mut *ids],
+            |[lo_t, lo_s, lo], [hi_t, hi_s, hi], got| {
+                let ends = lo_t.iter_mut().zip(lo_s).zip(hi_t.iter_mut().zip(hi_s));
+                for (((lo_t, lo_s), (hi_t, hi_s)), (lo, hi)) in ends.zip(lo.iter().zip(&*hi)) {
                     let (a, b) = (*lo_t, *hi_t);
                     if got[0] {
                         *lo_s = lo_s.wrapping_add(b);
