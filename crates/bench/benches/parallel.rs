@@ -11,7 +11,10 @@
 //! pinned bit-identical by `tests/replay_determinism.rs`). Measured
 //! ratios on the reference host are recorded in EXPERIMENTS.md §§E22–E24.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, Bencher, BenchmarkGroup, BenchmarkId, Criterion, Throughput,
+};
+use dc_bench::harness::probe_cycle;
 use dc_core::ops::Sum;
 use dc_core::prefix::dualcube::{d_prefix, Step5Mode};
 use dc_core::prefix::PrefixKind;
@@ -20,7 +23,7 @@ use dc_core::sort::dualcube::d_sort;
 use dc_core::sort::SortOrder;
 use dc_simulator::{
     set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, JsonlSink, Machine,
-    MemorySink, ScheduleKey,
+    MemorySink,
 };
 use dc_topology::{DualCube, RecDualCube, Topology};
 use std::hint::black_box;
@@ -43,33 +46,39 @@ fn replay_legs() -> [(&'static str, bool); 2] {
     [("", true), ("-nocache", false)]
 }
 
+/// One leg per backend × replay setting, `D8/<backend>[-nocache]`, run
+/// with the backend's worker count pinned: `leg(b, name, mode, replay)`.
+fn ab_legs(
+    group: &mut BenchmarkGroup<'_>,
+    mut leg: impl FnMut(&mut Bencher, &str, ExecMode, bool),
+) {
+    for (label, mode, workers) in backends() {
+        set_worker_threads(workers);
+        for (suffix, replay) in replay_legs() {
+            let name = format!("{label}{suffix}");
+            group.bench_function(BenchmarkId::new("D8", &name), |b| {
+                leg(b, &name, mode, replay)
+            });
+        }
+        set_worker_threads(0);
+    }
+}
+
 fn bench_prefix_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend/d_prefix");
     let d = DualCube::new(8); // 32 768 nodes
     let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
     group.throughput(Throughput::Elements(d.num_nodes() as u64));
-    for (label, mode, workers) in backends() {
-        set_worker_threads(workers);
-        for (suffix, replay) in replay_legs() {
-            let id = BenchmarkId::new("D8", format!("{label}{suffix}"));
-            group.bench_with_input(id, &input, |b, inp| {
-                b.iter(|| {
-                    with_default_exec(mode, || {
-                        with_schedule_replay(replay, || {
-                            d_prefix(
-                                &d,
-                                black_box(inp),
-                                PrefixKind::Inclusive,
-                                Step5Mode::PaperFaithful,
-                                Recording::Off,
-                            )
-                        })
-                    })
+    ab_legs(&mut group, |b, _, mode, replay| {
+        b.iter(|| {
+            with_default_exec(mode, || {
+                with_schedule_replay(replay, || {
+                    let (kind, step5) = (PrefixKind::Inclusive, Step5Mode::PaperFaithful);
+                    d_prefix(&d, black_box(&input), kind, step5, Recording::Off)
                 })
-            });
-        }
-        set_worker_threads(0);
-    }
+            })
+        })
+    });
     group.finish();
 }
 
@@ -81,28 +90,22 @@ fn bench_sort_backends(c: &mut Criterion) {
         .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(11))
         .collect();
     group.throughput(Throughput::Elements(rec.num_nodes() as u64));
-    for (label, mode, workers) in backends() {
-        set_worker_threads(workers);
-        for (suffix, replay) in replay_legs() {
-            let id = BenchmarkId::new("D8", format!("{label}{suffix}"));
-            group.bench_with_input(id, &keys, |b, ks| {
-                b.iter(|| {
-                    with_default_exec(mode, || {
-                        with_schedule_replay(replay, || {
-                            d_sort(&rec, black_box(ks), SortOrder::Ascending, Recording::Off)
-                        })
-                    })
+    ab_legs(&mut group, |b, _, mode, replay| {
+        b.iter(|| {
+            with_default_exec(mode, || {
+                with_schedule_replay(replay, || {
+                    d_sort(&rec, black_box(&keys), SortOrder::Ascending, Recording::Off)
                 })
-            });
-        }
-        set_worker_threads(0);
-    }
+            })
+        })
+    });
     group.finish();
 }
 
-/// Pure per-cycle engine overhead, isolated from algorithm payload: one
-/// keyed cross-edge pairwise exchange carrying `()` plus a no-op compute
-/// step, on the headline `D_8` machine. A single machine is reused across
+/// Pure per-cycle engine overhead, isolated from algorithm payload: the
+/// §E24 probe cycle ([`probe_cycle`]: one keyed cross-edge pairwise
+/// exchange carrying `()` plus a no-op compute step), on the headline
+/// `D_8` machine. A single machine is reused across
 /// iterations, so after the warm-up compiles the schedule this measures
 /// exactly the steady-state cycle cost. On the bare legs the cycle
 /// *replays* — plan evaluation, deviation self-check, delivery, no
@@ -116,96 +119,21 @@ fn bench_cycle_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend/cycle_overhead");
     let d = DualCube::new(8); // 32 768 nodes
     group.throughput(Throughput::Elements(d.num_nodes() as u64));
-    for (label, mode, workers) in backends() {
-        set_worker_threads(workers);
-        for (suffix, replay) in replay_legs() {
-            let id = BenchmarkId::new("D8", format!("{label}{suffix}"));
-            group.bench_function(id, |b| {
-                let mut m = Machine::with_exec(&d, vec![0u8; d.num_nodes()], mode);
-                m.set_schedule_replay(replay);
-                // Warm cycles: size the scratch, spawn the pool workers on
-                // the threaded legs, and (bare legs) compile + first-replay
-                // the schedule, so iterations see only steady-state cost.
-                for _ in 0..2 {
-                    m.cycle(|c| {
-                        c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
-                            .pairwise()
-                            .keyed(ScheduleKey::Cross)
-                    });
-                }
-                b.iter(|| {
-                    let delivered = m.cycle(|c| {
-                        c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
-                            .pairwise()
-                            .keyed(ScheduleKey::Cross)
-                    });
-                    m.compute(1, |_, _| {});
-                    black_box(delivered);
-                });
-                eprintln!(
-                    "cycle_overhead/{label}{suffix}: schedule_hits={} schedule_misses={}",
-                    m.metrics().schedule_hits,
-                    m.metrics().schedule_misses
-                );
-            });
+    ab_legs(&mut group, |b, name, mode, replay| {
+        let mut m = Machine::with_exec(&d, vec![0u8; d.num_nodes()], mode);
+        m.set_schedule_replay(replay);
+        // Warm cycles: size the scratch, spawn the pool workers on the
+        // threaded legs, and (bare legs) compile + first-replay the
+        // schedule, so iterations see only steady-state cost.
+        for _ in 0..2 {
+            probe_cycle(&mut m);
         }
-        set_worker_threads(0);
-    }
-    group.finish();
-}
-
-/// Lane amortization on the steady-state cycle of
-/// [`bench_cycle_overhead`]: the same keyed cross-edge exchange, but
-/// lane-batched — K independent `u64` payloads per node ride one
-/// schedule replay, one delivery sweep, and one K-wide fold per cycle
-/// (a `Comm::lanes` cycle, DESIGN.md §10). The interesting number is
-/// the *per-instance* cost: leg time ÷ K, vs the K=1 leg. Sequential
-/// backend, replay on — the §E24 reference configuration. The
-/// seven-run-median protocol lives in the `bench_lanes` binary, which
-/// emits `BENCH_lanes.json`; numbers live in EXPERIMENTS.md §E26.
-fn bench_lane_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backend/lane_overhead");
-    let d = DualCube::new(8); // 32 768 nodes
-    group.throughput(Throughput::Elements(d.num_nodes() as u64));
-    for lanes in [1usize, 4, 16, 64] {
-        let id = BenchmarkId::new("D8", format!("K{lanes}"));
-        group.bench_function(id, |b| {
-            let mut m = Machine::with_exec(&d, vec![0u64; d.num_nodes()], ExecMode::Sequential);
-            for _ in 0..2 {
-                lane_cycle(&mut m, &d, lanes);
-            }
-            b.iter(|| black_box(lane_cycle(&mut m, &d, lanes)));
-            eprintln!(
-                "lane_overhead/K{lanes}: schedule_hits={} schedule_misses={}",
-                m.metrics().schedule_hits,
-                m.metrics().schedule_misses
-            );
-        });
-    }
-    group.finish();
-}
-
-/// One steady-state lane-batched cycle: keyed cross-edge exchange of K
-/// `u64` lanes plus a no-op compute step (the lane analog of the §E24
-/// probe cycle).
-fn lane_cycle(m: &mut Machine<'_, DualCube, u64>, d: &DualCube, lanes: usize) -> usize {
-    let delivered = m.cycle(|c| {
-        c.lanes(
-            lanes,
-            &0u64,
-            |u, _| Some(d.cross_neighbor(u)),
-            |_, &s, window| window.fill(s),
-            |s, _, window| {
-                for w in window.iter() {
-                    *s = s.wrapping_add(*w);
-                }
-            },
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Cross)
+        b.iter(|| probe_cycle(&mut m));
+        let metrics = m.metrics();
+        let (hits, misses) = (metrics.schedule_hits, metrics.schedule_misses);
+        eprintln!("cycle_overhead/{name}: schedule_hits={hits} schedule_misses={misses}");
     });
-    m.compute(1, |_, _| {});
-    delivered
+    group.finish();
 }
 
 /// Observability tax on the steady-state cycle of
@@ -237,21 +165,9 @@ fn bench_recorder_overhead(c: &mut Criterion) {
                 m.record_into(sink);
             }
             for _ in 0..2 {
-                m.cycle(|c| {
-                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
-                        .pairwise()
-                        .keyed(ScheduleKey::Cross)
-                });
+                probe_cycle(&mut m);
             }
-            b.iter(|| {
-                let delivered = m.cycle(|c| {
-                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
-                        .pairwise()
-                        .keyed(ScheduleKey::Cross)
-                });
-                m.compute(1, |_, _| {});
-                black_box(delivered);
-            });
+            b.iter(|| probe_cycle(&mut m));
         });
     }
     group.finish();
@@ -262,7 +178,6 @@ criterion_group!(
     bench_prefix_backends,
     bench_sort_backends,
     bench_cycle_overhead,
-    bench_lane_overhead,
     bench_recorder_overhead
 );
 criterion_main!(benches);

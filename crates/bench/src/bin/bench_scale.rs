@@ -3,16 +3,17 @@
 //! split-inbox layout, the segmented link table and the sharded cycle
 //! engine were built for.
 //!
-//! Protocol (the seven-run-median discipline from EXPERIMENTS.md §E24):
-//! each leg times `--cycles` steady-state keyed cross-edge probe cycles
-//! after a two-cycle warm-up, repeated `--runs` times on a fresh
-//! machine; the reported figure is the **median** of the per-run mean
-//! cycle times. Every leg runs twice — recorder off (pure delivery)
-//! and recorder on (delivery + deferred per-link accounting through the
-//! schedule's `AcctPlan` into the segmented link table) — so the
-//! *accounting tax* §E25 diagnosed (~28 ns/msg through the old hash-map
-//! counters, ~14 ns/msg through the eager flat table at `D_10`) is
-//! measured directly as the difference. The cross probe delivers exactly
+//! Protocol (the harness's, [`median_cycle_us`]): each leg times
+//! `--cycles` steady-state §E24 probe cycles ([`probe_cycle`], a keyed
+//! cross-edge exchange of `()`) after a two-cycle warm-up, repeated
+//! `--runs` times on a fresh machine; the reported figure is the
+//! **median** of the per-run mean cycle times. Every leg runs twice —
+//! recorder off (pure delivery) and recorder on (delivery + deferred
+//! per-link accounting through the schedule's `AcctPlan` into the
+//! segmented link table) — so the *accounting tax* §E25 diagnosed
+//! (~28 ns/msg through the old hash-map counters, ~14 ns/msg through
+//! the eager flat table at `D_10`) is measured directly as the
+//! difference. The cross probe delivers exactly
 //! one message per node per cycle, so per-message figures are
 //! `cycle_µs × 1000 / N`.
 //!
@@ -30,9 +31,11 @@
 //! `D_11`; `D_12` needs ~2 GiB spare RSS).
 //!
 //! Output: a human table on stdout and machine-readable JSON at `--out`
-//! (default `BENCH_scale.json`) — consumed by CI's scale smoke, which
-//! gates the `D_8` recorded per-message cost at the §E25 tax level and
-//! the sweep's `scale_ratio` at the §E28 level.
+//! (default `BENCH_scale.json`) — which `bench_compare` gates: CI's
+//! sequential smoke against the committed baseline and the scale
+//! contract (the `D_8` recorded per-message cost at the §E25 tax level),
+//! and its threaded `D_10` sweep against the sharded contract (the
+//! sweep's `scale_ratio` at the §E28 level).
 //!
 //! Flags: `--runs R` (default 7), `--cycles C` (default 50),
 //! `--min-n N` (default 8), `--max-n N` (default 10), `--threads T`
@@ -40,65 +43,61 @@
 //! switches the probe to the threaded sharded engine), `--shards S`
 //! (default 0 = auto; must be 1 or a power of 4), `--out PATH`.
 
+use dc_bench::harness::{flag, median_cycle_us, probe_cycle, write_snapshot};
 use dc_simulator::obs::shared;
-use dc_simulator::{set_worker_threads, ExecMode, Machine, MemorySink, ScheduleKey};
+use dc_simulator::{set_worker_threads, ExecMode, Machine, MemorySink};
 use dc_topology::{DualCube, Topology};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let runs: usize = flag("--runs").map_or(7, |v| v.parse().expect("--runs"));
-    let cycles: u32 = flag("--cycles").map_or(50, |v| v.parse().expect("--cycles"));
-    let min_n: u32 = flag("--min-n").map_or(8, |v| v.parse().expect("--min-n"));
-    let max_n: u32 = flag("--max-n").map_or(10, |v| v.parse().expect("--max-n"));
-    let threads: usize = flag("--threads").map_or(0, |v| v.parse().expect("--threads"));
-    let shards: usize = flag("--shards").map_or(0, |v| v.parse().expect("--shards"));
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_scale.json".into());
-    assert!(runs >= 1 && cycles >= 1, "need at least one run and cycle");
+    let runs: usize = flag("--runs", 7);
+    let cycles: u32 = flag("--cycles", 50);
+    let min_n: u32 = flag("--min-n", 8);
+    let max_n: u32 = flag("--max-n", 10);
+    let threads: usize = flag("--threads", 0);
+    let shards: usize = flag("--shards", 0);
+    let out_path: String = flag("--out", "BENCH_scale.json".into());
     assert!((2..=12).contains(&min_n) && min_n <= max_n && max_n <= 12);
 
-    let cfg = SweepConfig {
-        runs,
-        cycles,
-        threads,
-        shards,
-    };
     if threads > 0 {
         set_worker_threads(threads);
     }
-    let backend = if threads > 0 {
-        format!("threaded({threads})")
+    let (exec, backend) = if threads > 0 {
+        (ExecMode::parallel(), format!("threaded({threads})"))
     } else {
-        "sequential".into()
+        (ExecMode::Sequential, "sequential".into())
     };
     println!(
         "scale sweep D_{min_n}..D_{max_n}: median of {runs} runs × {cycles} \
          steady-state cycles, {backend} backend, replay on"
     );
     println!(
-        "{:>5} {:>9} {:>7} {:>12} {:>14} {:>11} {:>13} {:>11}",
-        "topo",
-        "nodes",
-        "shards",
-        "cycle (µs)",
-        "recorded (µs)",
-        "msg (ns)",
-        "acct (ns/msg)",
-        "VmHWM (MB)"
+        " topo     nodes  shards   cycle (µs)  recorded (µs)    msg (ns) acct (ns/msg)  VmHWM (MB)"
     );
 
     let mut legs = Vec::new();
+    let mut per_msg = Vec::new();
     for n in min_n..=max_n {
         let d = DualCube::new(n);
         let nodes = d.num_nodes();
-        let (plain_us, leg_shards) = median_cycle_us(&d, &cfg, false);
-        let (recorded_us, _) = median_cycle_us(&d, &cfg, true);
+        // The §E24 probe on fresh machines of this leg's backend and
+        // shard count; with `recorded`, a ring-buffered memory sink is
+        // installed, so every cycle also pays event construction and the
+        // deferred replay accounting.
+        let mut leg_shards = 1;
+        let mut median_us = |recorded: bool| {
+            let fresh = || {
+                let mut m = Machine::with_exec(&d, vec![0u64; nodes], exec);
+                m.set_shards(shards);
+                leg_shards = m.shards();
+                if recorded {
+                    m.record_into(shared(MemorySink::ring(64)));
+                }
+                m
+            };
+            median_cycle_us(runs, cycles, fresh, |m| _ = probe_cycle(m))
+        };
+        let plain_us = median_us(false);
+        let recorded_us = median_us(true);
         let per_msg_ns = recorded_us * 1e3 / nodes as f64;
         let acct_ns = (recorded_us - plain_us) * 1e3 / nodes as f64;
         let hwm_kb = vm_hwm_kb();
@@ -108,107 +107,25 @@ fn main() {
             format!("D_{n}"),
             hwm_kb as f64 / 1024.0
         );
-        legs.push((
-            n,
-            nodes,
-            leg_shards,
-            plain_us,
-            recorded_us,
-            per_msg_ns,
-            acct_ns,
-            hwm_kb,
-        ));
-    }
-    // The §E28 locality figure: largest over smallest recorded
-    // per-message cost. 1.0 = perfectly flat scaling.
-    let scale_ratio = legs.last().expect("min_n <= max_n").5 / legs[0].5;
-    println!("scale_ratio (per-msg D_{max_n}/D_{min_n}): {scale_ratio:.4}");
-
-    let mut json = String::new();
-    write!(
-        json,
-        "{{\"bench\":\"backend/scale\",\"backend\":\"{backend}\",\"replay\":true,\
-         \"protocol\":\"median of {runs} runs x {cycles} steady-state cycles, 2 warm-up; \
-         one cross-edge message per node per cycle\",\"scale_ratio\":{scale_ratio:.4},\
-         \"legs\":["
-    )
-    .unwrap();
-    for (i, &(n, nodes, leg_shards, plain_us, recorded_us, per_msg_ns, acct_ns, hwm_kb)) in
-        legs.iter().enumerate()
-    {
-        if i > 0 {
-            json.push(',');
-        }
-        write!(
-            json,
+        per_msg.push(per_msg_ns);
+        legs.push(format!(
             "{{\"topology\":\"D_{n}\",\"nodes\":{nodes},\"shards\":{leg_shards},\
              \"cycle_us\":{plain_us:.3},\
              \"recorded_cycle_us\":{recorded_us:.3},\"per_msg_ns\":{per_msg_ns:.4},\
              \"accounting_ns_per_msg\":{acct_ns:.4},\"vm_hwm_kb\":{hwm_kb}}}"
-        )
-        .unwrap();
+        ));
     }
-    json.push_str("]}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
-}
+    // The §E28 locality figure: largest over smallest recorded
+    // per-message cost. 1.0 = perfectly flat scaling.
+    let scale_ratio = per_msg[per_msg.len() - 1] / per_msg[0];
+    println!("scale_ratio (per-msg D_{max_n}/D_{min_n}): {scale_ratio:.4}");
 
-/// One sweep's fixed knobs, shared by every leg.
-struct SweepConfig {
-    runs: usize,
-    cycles: u32,
-    /// `0` = sequential backend; otherwise the pinned worker count.
-    threads: usize,
-    /// `0` = auto shard count (smallest power of 4 covering the workers).
-    shards: usize,
-}
-
-/// Median over `runs` fresh machines of the mean steady-state cycle
-/// time, in µs, plus the resolved shard count. The probe is the §E24
-/// reference cycle: one keyed, pairwise cross-edge exchange of
-/// `()` plus a no-op compute step — pure delivery machinery, no
-/// algorithm payload. With `recorded`, a ring-buffered memory sink is
-/// installed so every cycle also pays event construction and the
-/// deferred replay accounting.
-fn median_cycle_us(d: &DualCube, cfg: &SweepConfig, recorded: bool) -> (f64, usize) {
-    let exec = if cfg.threads > 0 {
-        ExecMode::parallel()
-    } else {
-        ExecMode::Sequential
-    };
-    let mut resolved_shards = 1;
-    let mut per_run: Vec<f64> = (0..cfg.runs)
-        .map(|_| {
-            let mut m = Machine::with_exec(d, vec![0u64; d.num_nodes()], exec);
-            m.set_shards(cfg.shards);
-            resolved_shards = m.shards();
-            if recorded {
-                m.record_into(shared(MemorySink::ring(64)));
-            }
-            let probe = |m: &mut Machine<'_, DualCube, u64>| {
-                m.cycle(|c| {
-                    c.message(|u, _| Some((d.cross_neighbor(u), ())), |_, _, ()| {})
-                        .pairwise()
-                        .keyed(ScheduleKey::Cross)
-                });
-                m.compute(1, |_, _| {});
-            };
-            for _ in 0..2 {
-                probe(&mut m); // compile + first replay size every buffer
-            }
-            let start = Instant::now();
-            for _ in 0..cfg.cycles {
-                probe(&mut m);
-            }
-            let elapsed = start.elapsed();
-            let metrics = m.metrics();
-            assert_eq!(metrics.schedule_misses, 1, "exactly one compile");
-            assert_eq!(metrics.schedule_hits as u64, 1 + cfg.cycles as u64);
-            elapsed.as_secs_f64() * 1e6 / cfg.cycles as f64
-        })
-        .collect();
-    per_run.sort_by(|a, b| a.total_cmp(b));
-    (per_run[per_run.len() / 2], resolved_shards)
+    let head = format!(
+        "\"bench\":\"backend/scale\",\"backend\":\"{backend}\",\"replay\":true,\
+         \"protocol\":\"median of {runs} runs x {cycles} steady-state cycles, 2 warm-up; \
+         one cross-edge message per node per cycle\",\"scale_ratio\":{scale_ratio:.4}"
+    );
+    write_snapshot(&out_path, &head, &legs);
 }
 
 /// The process's peak resident set (`VmHWM`) in KiB, from

@@ -17,15 +17,16 @@
 //!   would actually run at (tickets are collected and awaited, so the
 //!   leg also exercises the submit/wait split).
 //!
-//! Protocol: the seven-run-median discipline of EXPERIMENTS.md §E24 —
-//! each leg runs `--runs` times on a fresh server and the reported leg
-//! is the run with the **median throughput**; its service report
-//! supplies the p50/p95/p99 latencies, so throughput and latency come
-//! from the same run rather than a mongrel of several.
+//! Protocol: the harness's run median ([`median_run`]) — each leg runs
+//! `--runs` times on a fresh server and the reported leg is the run with
+//! the **median throughput**; its service report supplies the
+//! p50/p95/p99 latencies, so throughput and latency come from the same
+//! run rather than a mongrel of several.
 //!
 //! Output: a human table on stdout and JSON at `--out` (default
-//! `BENCH_serve.json`) — consumed by CI's serve smoke (which gates the
-//! batched-vs-single ratio) and EXPERIMENTS.md §E29.
+//! `BENCH_serve.json`) — gated by `bench_compare` in CI's serve smoke
+//! (the serve contract holds the batched-vs-single ratio) and recorded
+//! in EXPERIMENTS.md §E29.
 //!
 //! Flags: `--runs R` (default 7), `--requests Q` (default 64, per
 //! run per leg), `--n N` (default 8), `--clients C` (default 32),
@@ -35,10 +36,10 @@
 //! §E30 — the registry itself is always on and is part of every
 //! number this bench has ever reported).
 
+use dc_bench::harness::{flag, median_run, write_snapshot};
 use dc_serve::{
     OpKind, Payload, Request, Server, ServerConfig, ServiceReport, Shape, SnapshotFormat,
 };
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -52,24 +53,15 @@ struct Leg {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let runs: usize = flag("--runs").map_or(7, |v| v.parse().expect("--runs"));
-    let requests: u64 = flag("--requests").map_or(64, |v| v.parse().expect("--requests"));
-    let n: u32 = flag("--n").map_or(8, |v| v.parse().expect("--n"));
-    let clients: usize = flag("--clients").map_or(32, |v| v.parse().expect("--clients"));
-    let lanes: usize = flag("--lanes").map_or(16, |v| v.parse().expect("--lanes"));
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    let stats_every: u64 = flag("--stats-every").map_or(0, |v| v.parse().expect("--stats-every"));
+    let runs: usize = flag("--runs", 7);
+    let requests: u64 = flag("--requests", 64);
+    let n: u32 = flag("--n", 8);
+    let clients: usize = flag("--clients", 32);
+    let lanes: usize = flag("--lanes", 16);
+    let out_path: String = flag("--out", "BENCH_serve.json".into());
+    let stats_every: u64 = flag("--stats-every", 0);
     let sampler = (stats_every > 0).then(|| Duration::from_millis(stats_every));
-    assert!(
-        runs >= 1 && requests >= 1,
-        "need at least one run and request"
-    );
+    assert!(requests >= 1, "need at least one request");
 
     let shape = Shape {
         op: OpKind::PrefixSum,
@@ -84,65 +76,72 @@ fn main() {
     if let Some(every) = sampler {
         println!("live-stats sampler attached, one snapshot per {every:?} (telemetry-on arm)");
     }
-    let single = median_leg(runs, || closed_loop(shape, requests, 1, 1, sampler));
-    print_leg(&single);
-    let batched = median_leg(runs, || {
-        closed_loop(shape, requests, clients, lanes, sampler)
-    });
-    print_leg(&batched);
-    // Open loop at ~70 % of the batched capacity: enough load for the
-    // batcher to matter, enough headroom that the queue stays shallow.
-    let target = batched.rps * 0.7;
-    let open = median_leg(runs, || open_loop(shape, requests, lanes, target, sampler));
-    print_leg(&open);
-
-    let ratio = batched.rps / single.rps;
-    println!("batched vs single: {ratio:.2}× requests/sec");
-
-    let mut json = String::new();
-    write!(
-        json,
-        "{{\"bench\":\"serve/throughput\",\"topology\":\"D_{n}\",\"nodes\":{},\
-         \"op\":\"{}\",\"workers\":1,\"backend\":\"sequential\",\
-         \"protocol\":\"median-throughput run of {runs} x {requests} requests per leg\",\
-         \"batched_vs_single_rps\":{ratio:.4},\"legs\":[",
-        shape.num_nodes(),
-        shape.op.name()
-    )
-    .unwrap();
-    for (i, leg) in [&single, &batched, &open].into_iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
+    // Each leg is its median-throughput run, printed as it lands.
+    let leg = |run: &dyn Fn() -> Leg| {
+        let leg = median_run(runs, run, |leg: &Leg| leg.rps);
         let r = &leg.report;
-        write!(
-            json,
-            "{{\"leg\":\"{}\",\"clients\":{},\"max_lanes\":{},\"rps\":{:.3},\
-             \"target_rps\":{},\"served\":{},\"rejected\":{},\"rejected_by_cause\":{},\
-             \"batches\":{},\"mean_lanes\":{:.3},\"p50_us\":{:.1},\"p95_us\":{:.1},\
-             \"p99_us\":{:.1},\"schedule_misses\":{},\"schedule_hits\":{},\"latency\":{}}}",
+        println!(
+            "{:>8}: {:>8.1} req/s  lanes {:>5.1}  p50 {:>8.0} µs  p95 {:>8.0} µs  \
+             p99 {:>8.0} µs  ({} batches, {} misses, {} hits)",
             leg.name,
-            leg.clients,
-            leg.max_lanes,
             leg.rps,
-            leg.target_rps.map_or("null".into(), |t| format!("{t:.3}")),
-            r.served,
-            r.rejected,
-            r.rejected_by_cause.to_json(),
-            r.batches,
             r.mean_lanes(),
             micros(r.latency_quantile(0.50)),
             micros(r.latency_quantile(0.95)),
             micros(r.latency_quantile(0.99)),
+            r.batches,
             r.metrics.schedule_misses,
             r.metrics.schedule_hits,
-            r.latency.summary_json(),
-        )
-        .unwrap();
-    }
-    json.push_str("]}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("wrote {out_path}");
+        );
+        leg
+    };
+    let single = leg(&|| closed_loop(shape, requests, 1, 1, sampler));
+    let batched = leg(&|| closed_loop(shape, requests, clients, lanes, sampler));
+    // Open loop at ~70 % of the batched capacity: enough load for the
+    // batcher to matter, enough headroom that the queue stays shallow.
+    let target = batched.rps * 0.7;
+    let open = leg(&|| open_loop(shape, requests, lanes, target, sampler));
+
+    let ratio = batched.rps / single.rps;
+    println!("batched vs single: {ratio:.2}× requests/sec");
+
+    let head = format!(
+        "\"bench\":\"serve/throughput\",\"topology\":\"D_{n}\",\"nodes\":{},\
+         \"op\":\"{}\",\"workers\":1,\"backend\":\"sequential\",\
+         \"protocol\":\"median-throughput run of {runs} x {requests} requests per leg\",\
+         \"batched_vs_single_rps\":{ratio:.4}",
+        shape.num_nodes(),
+        shape.op.name()
+    );
+    let legs: Vec<String> = [&single, &batched, &open]
+        .into_iter()
+        .map(|leg| {
+            let r = &leg.report;
+            format!(
+                "{{\"leg\":\"{}\",\"clients\":{},\"max_lanes\":{},\"rps\":{:.3},\
+                 \"target_rps\":{},\"served\":{},\"rejected\":{},\"rejected_by_cause\":{},\
+                 \"batches\":{},\"mean_lanes\":{:.3},\"p50_us\":{:.1},\"p95_us\":{:.1},\
+                 \"p99_us\":{:.1},\"schedule_misses\":{},\"schedule_hits\":{},\"latency\":{}}}",
+                leg.name,
+                leg.clients,
+                leg.max_lanes,
+                leg.rps,
+                leg.target_rps.map_or("null".into(), |t| format!("{t:.3}")),
+                r.served,
+                r.rejected,
+                r.rejected_by_cause.to_json(),
+                r.batches,
+                r.mean_lanes(),
+                micros(r.latency_quantile(0.50)),
+                micros(r.latency_quantile(0.95)),
+                micros(r.latency_quantile(0.99)),
+                r.metrics.schedule_misses,
+                r.metrics.schedule_hits,
+                r.latency.summary_json(),
+            )
+        })
+        .collect();
+    write_snapshot(&out_path, &head, &legs);
 }
 
 fn micros(d: Duration) -> f64 {
@@ -155,13 +154,6 @@ fn attach_sampler(server: &mut Server, sampler: Option<Duration>) {
     if let Some(every) = sampler {
         server.sample_stats(every, SnapshotFormat::Jsonl, Box::new(std::io::sink()));
     }
-}
-
-/// Runs `make_leg` `runs` times, returns the run with median throughput.
-fn median_leg(runs: usize, make_leg: impl Fn() -> Leg) -> Leg {
-    let mut done: Vec<Leg> = (0..runs).map(|_| make_leg()).collect();
-    done.sort_by(|a, b| a.rps.total_cmp(&b.rps));
-    done.swap_remove(done.len() / 2)
 }
 
 /// Closed loop: `clients` threads issue seeded requests back-to-back
@@ -262,21 +254,4 @@ fn open_loop(
         target_rps: Some(target_rps),
         report,
     }
-}
-
-fn print_leg(leg: &Leg) {
-    let r = &leg.report;
-    println!(
-        "{:>8}: {:>8.1} req/s  lanes {:>5.1}  p50 {:>8.0} µs  p95 {:>8.0} µs  p99 {:>8.0} µs  \
-         ({} batches, {} misses, {} hits)",
-        leg.name,
-        leg.rps,
-        r.mean_lanes(),
-        micros(r.latency_quantile(0.50)),
-        micros(r.latency_quantile(0.95)),
-        micros(r.latency_quantile(0.99)),
-        r.batches,
-        r.metrics.schedule_misses,
-        r.metrics.schedule_hits,
-    );
 }

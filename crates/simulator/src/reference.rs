@@ -35,8 +35,9 @@
 //! slab, when it arrived) and the node's own rows everywhere else, and
 //! only the node's own result is kept. A fold that reads more of its
 //! partner than the message then gives a different answer here than on
-//! the engine. A sweep ([`Cycles::try_sweep`]) is its rounds run as
-//! separate pair-fold cycles.
+//! the engine. A sweep ([`Cycles::try_sweep`]) checks every round's
+//! flip first, as the engine does, and then runs its rounds as separate
+//! pair-fold cycles.
 //!
 //! Rows follow the machine's [`RowOrder`] (set with
 //! [`Cycles::set_row_order`]): node `u`'s row of every slab is
@@ -100,6 +101,13 @@ impl<'t, T: Topology + ?Sized, S> RefMachine<'t, T, S> {
     /// Consumes the machine, returning final states and metrics.
     pub fn into_parts(self) -> (Vec<S>, Metrics) {
         (self.states, self.metrics)
+    }
+
+    /// Panics as [`Comm::fold_pairs`] does unless `flip` fits the machine
+    /// and is a bit flip of rows under its order.
+    fn check_flip(&self, flip: Flip) {
+        flip.check(self.states.len());
+        self.order.flip(flip);
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
@@ -174,25 +182,18 @@ pub trait Cycles<S> {
         read: [&[V]; R],
         f: impl Fn(NodeId, [&mut [V]; W], [&[V]; R]) + Sync,
     );
-    /// By default, the rounds as separate
-    /// [`Comm::fold_pairs`] cycles, which is what the machine's blocked
-    /// walk must equal.
+    /// Checks every round's flip before the first round runs, raising
+    /// the panic [`Comm::fold_pairs`] raises, so a sweep with an invalid
+    /// round charges nothing.
     fn try_sweep<V, const W: usize>(
         &mut self,
         width: usize,
         rounds: &[(ScheduleKey, Flip)],
-        mut rows: [&mut [V]; W],
+        rows: [&mut [V]; W],
         fold: impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
     ) -> Result<(), SimError>
     where
-        V: Clone + Send + Sync,
-    {
-        for &(key, flip) in rounds {
-            let rows = rows.each_mut().map(|r| &mut **r);
-            self.try_cycle(|c| c.fold_pairs(width, flip, rows, &fold).keyed(key))?;
-        }
-        Ok(())
-    }
+        V: Clone + Send + Sync;
     #[track_caller]
     fn sweep<V, const W: usize>(
         &mut self,
@@ -224,8 +225,7 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
     ) -> Result<usize, SimError> {
         let mut comm = comm(Comm::blank());
         if let Some((flip, _)) = comm.form.flip() {
-            flip.check(self.states.len());
-            self.order.flip(flip);
+            self.check_flip(flip);
         }
         let now = self.metrics.comm_steps;
         let (due, later) = self.pending.iter().partition(|e| e.at_cycle <= now);
@@ -314,6 +314,28 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
             );
         }
         self.metrics.record_comp(1, n as u64);
+    }
+
+    /// The rounds as separate [`Comm::fold_pairs`] cycles, which is what
+    /// the machine's blocked walk must equal.
+    fn try_sweep<V, const W: usize>(
+        &mut self,
+        width: usize,
+        rounds: &[(ScheduleKey, Flip)],
+        mut rows: [&mut [V]; W],
+        fold: impl Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
+    ) -> Result<(), SimError>
+    where
+        V: Clone + Send + Sync,
+    {
+        for &(_, flip) in rounds {
+            self.check_flip(flip);
+        }
+        for &(key, flip) in rounds {
+            let rows = rows.each_mut().map(|r| &mut **r);
+            self.try_cycle(|c| c.fold_pairs(width, flip, rows, &fold).keyed(key))?;
+        }
+        Ok(())
     }
 
     fn setup(&mut self, f: impl Fn(NodeId, &mut S) + Sync) {
