@@ -5,8 +5,8 @@
 //! Both backends produce bit-identical runs (pinned by
 //! `tests/parallel_backend.rs`), so the only difference to measure is
 //! wall-clock. Every leg additionally gets a `-nocache` twin with the
-//! schedule capture-and-replay layer disabled
-//! ([`with_schedule_replay`]`(false, …)`), so the replay win is measured
+//! schedule capture-and-replay layer disabled (`replay: false` in the
+//! leg's [`RunConfig`]), so the replay win is measured
 //! in the same group as the backend win (replay-on vs `-nocache` is
 //! pinned bit-identical by `tests/replay_determinism.rs`). Measured
 //! ratios on the reference host are recorded in EXPERIMENTS.md §§E22–E24.
@@ -18,18 +18,15 @@ use dc_bench::harness::probe_cycle;
 use dc_core::ops::Sum;
 use dc_core::prefix::dualcube::{d_prefix, Step5Mode};
 use dc_core::prefix::PrefixKind;
-use dc_core::run::Recording;
+use dc_core::run::RunConfig;
 use dc_core::sort::dualcube::d_sort;
 use dc_core::sort::SortOrder;
-use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, JsonlSink, Machine,
-    MemorySink,
-};
+use dc_simulator::{ExecMode, JsonlSink, MemorySink};
 use dc_topology::{DualCube, RecDualCube, Topology};
 use std::hint::black_box;
 
-/// The backends to A/B. `workers` pins the executor thread count for the
-/// leg (`0` = derive from the host); the forced-4 leg makes the threaded
+/// The backends to A/B. `workers` is the worker count of the leg's
+/// machines (`0` = the host's); the forced-4 leg makes the threaded
 /// code path measurable even on a single-core host, where it quantifies
 /// pure oversubscription overhead rather than speedup.
 fn backends() -> [(&'static str, ExecMode, usize); 3] {
@@ -46,21 +43,21 @@ fn replay_legs() -> [(&'static str, bool); 2] {
     [("", true), ("-nocache", false)]
 }
 
-/// One leg per backend × replay setting, `D8/<backend>[-nocache]`, run
-/// with the backend's worker count pinned: `leg(b, name, mode, replay)`.
-fn ab_legs(
-    group: &mut BenchmarkGroup<'_>,
-    mut leg: impl FnMut(&mut Bencher, &str, ExecMode, bool),
-) {
-    for (label, mode, workers) in backends() {
-        set_worker_threads(workers);
+/// One leg per backend × replay setting, `D8/<backend>[-nocache]`, each
+/// with the configuration its machines are built with:
+/// `leg(b, name, config)`.
+fn ab_legs(group: &mut BenchmarkGroup<'_>, mut leg: impl FnMut(&mut Bencher, &str, &RunConfig)) {
+    for (label, exec, workers) in backends() {
         for (suffix, replay) in replay_legs() {
             let name = format!("{label}{suffix}");
-            group.bench_function(BenchmarkId::new("D8", &name), |b| {
-                leg(b, &name, mode, replay)
-            });
+            let config = RunConfig {
+                exec,
+                workers,
+                replay,
+                ..RunConfig::default()
+            };
+            group.bench_function(BenchmarkId::new("D8", &name), |b| leg(b, &name, &config));
         }
-        set_worker_threads(0);
     }
 }
 
@@ -69,14 +66,10 @@ fn bench_prefix_backends(c: &mut Criterion) {
     let d = DualCube::new(8); // 32 768 nodes
     let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
     group.throughput(Throughput::Elements(d.num_nodes() as u64));
-    ab_legs(&mut group, |b, _, mode, replay| {
+    ab_legs(&mut group, |b, _, config| {
         b.iter(|| {
-            with_default_exec(mode, || {
-                with_schedule_replay(replay, || {
-                    let (kind, step5) = (PrefixKind::Inclusive, Step5Mode::PaperFaithful);
-                    d_prefix(&d, black_box(&input), kind, step5, Recording::Off)
-                })
-            })
+            let (kind, step5) = (PrefixKind::Inclusive, Step5Mode::PaperFaithful);
+            d_prefix(&d, black_box(&input), kind, step5, config.clone())
         })
     });
     group.finish();
@@ -90,14 +83,8 @@ fn bench_sort_backends(c: &mut Criterion) {
         .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(11))
         .collect();
     group.throughput(Throughput::Elements(rec.num_nodes() as u64));
-    ab_legs(&mut group, |b, _, mode, replay| {
-        b.iter(|| {
-            with_default_exec(mode, || {
-                with_schedule_replay(replay, || {
-                    d_sort(&rec, black_box(&keys), SortOrder::Ascending, Recording::Off)
-                })
-            })
-        })
+    ab_legs(&mut group, |b, _, config| {
+        b.iter(|| d_sort(&rec, black_box(&keys), SortOrder::Ascending, config.clone()))
     });
     group.finish();
 }
@@ -119,9 +106,8 @@ fn bench_cycle_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend/cycle_overhead");
     let d = DualCube::new(8); // 32 768 nodes
     group.throughput(Throughput::Elements(d.num_nodes() as u64));
-    ab_legs(&mut group, |b, name, mode, replay| {
-        let mut m = Machine::with_exec(&d, vec![0u8; d.num_nodes()], mode);
-        m.set_schedule_replay(replay);
+    ab_legs(&mut group, |b, name, config| {
+        let mut m = config.machine(&d, vec![0u8; d.num_nodes()]);
         // Warm cycles: size the scratch, spawn the pool workers on the
         // threaded legs, and (bare legs) compile + first-replay the
         // schedule, so iterations see only steady-state cost.
@@ -160,10 +146,12 @@ fn bench_recorder_overhead(c: &mut Criterion) {
     for (label, make_sink) in legs {
         let id = BenchmarkId::new("D8", label);
         group.bench_function(id, |b| {
-            let mut m = Machine::with_exec(&d, vec![0u8; d.num_nodes()], ExecMode::Sequential);
-            if let Some(sink) = make_sink() {
-                m.record_into(sink);
-            }
+            let config = RunConfig {
+                exec: ExecMode::Sequential,
+                recorder: make_sink(),
+                ..RunConfig::default()
+            };
+            let mut m = config.machine(&d, vec![0u8; d.num_nodes()]);
             for _ in 0..2 {
                 probe_cycle(&mut m);
             }

@@ -39,13 +39,13 @@
 //!
 //! Flags: `--runs R` (default 7), `--cycles C` (default 50),
 //! `--min-n N` (default 8), `--max-n N` (default 10), `--threads T`
-//! (default 0 = sequential backend; `T ≥ 2` pins the worker pool and
-//! switches the probe to the threaded sharded engine), `--shards S`
+//! (default 0 = sequential backend; `T ≥ 2` gives each machine `T`
+//! workers and switches the probe to the threaded sharded engine), `--shards S`
 //! (default 0 = auto; must be 1 or a power of 4), `--out PATH`.
 
 use dc_bench::harness::{flag, median_cycle_us, probe_cycle, write_snapshot};
 use dc_simulator::obs::shared;
-use dc_simulator::{set_worker_threads, ExecMode, Machine, MemorySink};
+use dc_simulator::{ExecMode, Machine, MemorySink};
 use dc_topology::{DualCube, Topology};
 
 fn main() {
@@ -58,9 +58,6 @@ fn main() {
     let out_path: String = flag("--out", "BENCH_scale.json".into());
     assert!((2..=12).contains(&min_n) && min_n <= max_n && max_n <= 12);
 
-    if threads > 0 {
-        set_worker_threads(threads);
-    }
     let (exec, backend) = if threads > 0 {
         (ExecMode::parallel(), format!("threaded({threads})"))
     } else {
@@ -87,6 +84,7 @@ fn main() {
         let mut median_us = |recorded: bool| {
             let fresh = || {
                 let mut m = Machine::with_exec(&d, vec![0u64; nodes], exec);
+                m.set_workers(threads);
                 m.set_shards(shards);
                 leg_shards = m.shards();
                 if recorded {

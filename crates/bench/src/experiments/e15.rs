@@ -18,6 +18,7 @@ use crate::table::Table;
 use dc_core::fault::ft_d_prefix;
 use dc_core::ops::Sum;
 use dc_core::prefix::PrefixKind;
+use dc_core::run::RunConfig;
 use dc_core::theory;
 use dc_simulator::FaultPlan;
 use dc_topology::faulty::Faulty;
@@ -107,6 +108,7 @@ fn ft_prefix_report() -> String {
     let trials = 20;
     let baseline = theory::prefix_comm(n);
     let input: Vec<Sum> = (1..=d.num_nodes() as i64).map(Sum).collect();
+    let config = RunConfig::default();
     let mut out = format!(
         "\n### FT-prefix on {} under the same random crashes \
          (fault-free D_prefix: {baseline} comm steps; {trials} seeded trials per row)\n\n",
@@ -135,7 +137,7 @@ fn ft_prefix_report() -> String {
             for (k, &v) in ids[faults..].iter().take(drops as usize).enumerate() {
                 plan = plan.message_drop(k as u64, v);
             }
-            let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+            let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan, config.clone());
             assert!(!run.report.all_failed, "{faults} crashes cannot kill D_{n}");
             if run.report.guaranteed {
                 assert!(

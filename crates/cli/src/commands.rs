@@ -10,7 +10,7 @@ use dc_core::ops::{Concat, Max, Sum};
 use dc_core::prefix::dualcube::{batched_d_prefix, d_prefix, Step5Mode};
 use dc_core::prefix::large::d_prefix_large;
 use dc_core::prefix::PrefixKind;
-use dc_core::run::Recording;
+use dc_core::run::{Recording, RunConfig};
 use dc_core::sort::dualcube::{batched_d_sort, d_sort};
 use dc_core::sort::hypercube::cube_bitonic_sort;
 use dc_core::sort::ring::ring_sort;
@@ -638,8 +638,11 @@ fn trace_cmd(
         return Err("trace supports n in 1..=8".into());
     }
     let sink = dc_simulator::obs::shared(dc_simulator::MemorySink::new());
-    let shared_sink: dc_simulator::SharedSink = sink.clone();
-    let (name, metrics) = dc_simulator::with_recording(shared_sink, || match which {
+    let config = RunConfig {
+        recorder: Some(sink.clone()),
+        ..RunConfig::default()
+    };
+    let (name, metrics) = match which {
         DiagramKind::Prefix => {
             let d = DualCube::new(n);
             let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
@@ -648,17 +651,17 @@ fn trace_cmd(
                 &input,
                 PrefixKind::Inclusive,
                 Step5Mode::PaperFaithful,
-                Recording::Off,
+                config,
             );
             (format!("D_prefix on {}", d.name()), run.metrics)
         }
         DiagramKind::Sort => {
             let rec = RecDualCube::new(n);
             let keys: Vec<u32> = (0..rec.num_nodes() as u32).rev().collect();
-            let run = d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off);
+            let run = d_sort(&rec, &keys, SortOrder::Ascending, config);
             (format!("D_sort on {}", rec.name()), run.metrics)
         }
-    });
+    };
     let events = sink.lock().unwrap().events();
     let payload = match format {
         TraceFormat::Perfetto => dc_simulator::obs::export_perfetto(&events),

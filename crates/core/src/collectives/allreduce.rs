@@ -19,7 +19,8 @@
 //! hypercube butterfly (`6n−5` steps): experiment E9 measures all three.
 
 use crate::ops::Commutative;
-use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey};
+use crate::run::RunConfig;
+use dc_simulator::{Metrics, ScheduleBank, ScheduleKey};
 use dc_topology::{DualCube, Topology};
 
 #[derive(Debug, Clone)]
@@ -55,10 +56,10 @@ pub struct AllReduceRun<M> {
 /// assert_eq!(run.metrics.comm_steps, 6); // 2n
 /// ```
 pub fn allreduce<M: Commutative>(d: &DualCube, values: &[M]) -> AllReduceRun<M> {
-    allreduce_reusing(d, values, ExecMode::default(), &mut ScheduleBank::new())
+    allreduce_reusing(d, values, RunConfig::default(), &mut ScheduleBank::new())
 }
 
-/// [`allreduce`] with an explicit backend and a [`ScheduleBank`]: the
+/// [`allreduce`] with an explicit [`RunConfig`] and a [`ScheduleBank`]: the
 /// machine adopts the bank's compiled schedules before its first cycle
 /// and donates them back (plus anything newly compiled) when the run
 /// ends, so a *sequence* of all-reduces — a serving fleet draining a
@@ -68,7 +69,7 @@ pub fn allreduce<M: Commutative>(d: &DualCube, values: &[M]) -> AllReduceRun<M> 
 pub fn allreduce_reusing<M: Commutative>(
     d: &DualCube,
     values: &[M],
-    exec: ExecMode,
+    run: impl Into<RunConfig>,
     bank: &mut ScheduleBank,
 ) -> AllReduceRun<M> {
     assert_eq!(
@@ -85,7 +86,7 @@ pub fn allreduce_reusing<M: Commutative>(
             temp: None,
         })
         .collect();
-    let mut machine = Machine::with_exec(d, states, exec);
+    let mut machine = run.into().machine(d, states);
     machine.adopt_schedules(bank);
 
     // Phase 1: butterfly all-reduce of `own` inside every cluster.
@@ -169,6 +170,7 @@ mod tests {
     use super::*;
     use crate::ops::{Max, Sum};
     use crate::theory;
+    use dc_simulator::ExecMode;
 
     #[test]
     fn every_node_gets_the_global_sum() {

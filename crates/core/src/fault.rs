@@ -38,6 +38,7 @@
 
 use crate::ops::Monoid;
 use crate::prefix::{sequential_prefix, PrefixKind};
+use crate::run::RunConfig;
 use crate::theory;
 use dc_simulator::{FaultKind, FaultPlan, Machine, Metrics};
 use dc_topology::faulty::Faulty;
@@ -266,7 +267,7 @@ pub struct FtBroadcastRun<V> {
 }
 
 /// Broadcasts `value` from `root` to every *reachable* survivor of `d`
-/// under `plan`, rerouting over the survivor graph.
+/// under `plan`, rerouting over the survivor graph, on the machine `run` configures.
 ///
 /// Crashes and link cuts in `plan` are treated as pre-existing damage
 /// (the fault-aware schedule routes around them from cycle 0); message
@@ -278,12 +279,13 @@ pub struct FtBroadcastRun<V> {
 ///
 /// ```
 /// use dc_core::fault::ft_broadcast;
+/// use dc_core::run::RunConfig;
 /// use dc_simulator::FaultPlan;
 /// use dc_topology::DualCube;
 ///
 /// let d = DualCube::new(2); // κ(D_2) = 2: one fault is survivable
 /// let plan = FaultPlan::new().node_crash(0, 5);
-/// let run = ft_broadcast(&d, 0, "hello", &plan);
+/// let run = ft_broadcast(&d, 0, "hello", &plan, RunConfig::default());
 /// assert!(run.report.guaranteed && run.report.complete);
 /// assert_eq!(run.values.iter().filter(|v| v.is_some()).count(), 7);
 /// assert!(run.values[5].is_none());
@@ -293,6 +295,7 @@ pub fn ft_broadcast<V: Clone + Send + Sync + 'static>(
     root: NodeId,
     value: V,
     plan: &FaultPlan,
+    run: impl Into<RunConfig>,
 ) -> FtBroadcastRun<V> {
     assert!(root < d.num_nodes(), "root {root} out of range");
     let (crashes, links, drops) = split_plan(plan);
@@ -312,7 +315,7 @@ pub fn ft_broadcast<V: Clone + Send + Sync + 'static>(
 
     let mut states: Vec<Option<V>> = vec![None; d.num_nodes()];
     states[root] = Some(value);
-    let mut machine = Machine::new(d, states);
+    let mut machine = run.into().machine(d, states);
     arm_machine(&mut machine, &crashes, &links, drops);
 
     let mut dest_of = vec![None; d.num_nodes()];
@@ -367,7 +370,8 @@ pub struct FtPrefixRun<M> {
     pub report: FtReport,
 }
 
-/// Prefix computation over the survivors of `d` under `plan`.
+/// Prefix computation over the survivors of `d` under `plan`, on the
+/// machine `run` configures.
 ///
 /// The crashed nodes' inputs are lost with them (the machine model has
 /// no stable storage), so the computation is the prefix of the
@@ -390,6 +394,7 @@ pub fn ft_d_prefix<M: Monoid>(
     input: &[M],
     kind: PrefixKind,
     plan: &FaultPlan,
+    run: impl Into<RunConfig>,
 ) -> FtPrefixRun<M> {
     assert_eq!(
         input.len(),
@@ -419,7 +424,7 @@ pub fn ft_d_prefix<M: Monoid>(
             results: Vec::new(),
         })
         .collect();
-    let mut machine = Machine::new(d, states);
+    let mut machine = run.into().machine(d, states);
     arm_machine(&mut machine, &crashes, &links, drops);
 
     let mut dest_of = vec![None; d.num_nodes()];
@@ -508,7 +513,7 @@ mod tests {
     #[test]
     fn ft_broadcast_no_faults_reaches_everyone() {
         let d = DualCube::new(2);
-        let run = ft_broadcast(&d, 3, 42u32, &FaultPlan::new());
+        let run = ft_broadcast(&d, 3, 42u32, &FaultPlan::new(), RunConfig::default());
         assert!(run.values.iter().all(|v| *v == Some(42)));
         assert!(run.report.complete && run.report.guaranteed);
         assert_eq!(run.report.kappa, 2);
@@ -524,7 +529,7 @@ mod tests {
                     continue;
                 }
                 let plan = FaultPlan::new().node_crash(0, victim);
-                let run = ft_broadcast(&d, root, 7u8, &plan);
+                let run = ft_broadcast(&d, root, 7u8, &plan, RunConfig::default());
                 assert!(run.report.complete, "root {root}, victim {victim}");
                 for (u, v) in run.values.iter().enumerate() {
                     if u == victim {
@@ -542,7 +547,7 @@ mod tests {
         let d = DualCube::new(2);
         // Drop messages to two different nodes in the first cycles.
         let plan = FaultPlan::new().message_drop(0, 1).message_drop(1, 2);
-        let run = ft_broadcast(&d, 0, 9u8, &plan);
+        let run = ft_broadcast(&d, 0, 9u8, &plan, RunConfig::default());
         assert!(run.report.complete);
         assert!(
             run.values.iter().all(|v| *v == Some(9)),
@@ -555,7 +560,13 @@ mod tests {
     #[test]
     fn ft_broadcast_degrades_gracefully_when_root_dies() {
         let d = DualCube::new(2);
-        let run = ft_broadcast(&d, 4, 1u8, &FaultPlan::new().node_crash(0, 4));
+        let run = ft_broadcast(
+            &d,
+            4,
+            1u8,
+            &FaultPlan::new().node_crash(0, 4),
+            RunConfig::default(),
+        );
         assert!(run.values.iter().all(Option::is_none));
         assert!(!run.report.complete);
         assert_eq!(run.report.reached, 0);
@@ -572,7 +583,7 @@ mod tests {
             plan = plan.node_crash(0, v);
         }
         let root = (1..d.num_nodes()).find(|u| !nbrs.contains(u)).unwrap();
-        let run = ft_broadcast(&d, root, 5u8, &plan);
+        let run = ft_broadcast(&d, root, 5u8, &plan, RunConfig::default());
         assert!(!run.report.guaranteed);
         assert!(!run.report.complete, "node 0 is cut off");
         assert_eq!(run.report.survivors - run.report.reached, 1);
@@ -585,7 +596,13 @@ mod tests {
     fn ft_prefix_no_faults_matches_sequential() {
         let d = DualCube::new(2);
         let input: Vec<Sum> = (1..=8).map(Sum).collect();
-        let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &FaultPlan::new());
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            &FaultPlan::new(),
+            RunConfig::default(),
+        );
         let expect = sequential_prefix(&input, PrefixKind::Inclusive);
         for (i, p) in run.prefixes.iter().enumerate() {
             assert_eq!(p.as_ref().unwrap().0, expect[i].0, "position {i}");
@@ -604,7 +621,13 @@ mod tests {
         // Crash the node holding linear position 2.
         let victim = (0..8).find(|&u| d.linear_index(u) == 2).unwrap();
         let plan = FaultPlan::new().node_crash(0, victim);
-        let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            &plan,
+            RunConfig::default(),
+        );
         assert!(run.report.complete);
         assert!(run.prefixes[2].is_none(), "the corpse gets no result");
         // Survivor sequence: a b d e f g h (c lost with its node).
@@ -618,7 +641,13 @@ mod tests {
         let d = DualCube::new(2);
         let input: Vec<Sum> = (1..=8).map(Sum).collect();
         let plan = FaultPlan::new().node_crash(0, 3);
-        let run = ft_d_prefix(&d, &input, PrefixKind::Diminished, &plan);
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Diminished,
+            &plan,
+            RunConfig::default(),
+        );
         let lost = d.linear_index(3);
         let survivors: Vec<Sum> = (0..8).filter(|&i| i != lost).map(|i| input[i]).collect();
         let expect = sequential_prefix(&survivors, PrefixKind::Diminished);
@@ -641,7 +670,13 @@ mod tests {
             plan = plan.node_crash(0, u);
         }
         let input: Vec<Sum> = (1..=8).map(Sum).collect();
-        let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            &plan,
+            RunConfig::default(),
+        );
         assert!(run.report.all_failed);
         assert!(run.prefixes.iter().all(Option::is_none));
         assert_eq!(run.metrics.comm_steps, 0);
@@ -655,7 +690,13 @@ mod tests {
         // combined with zero node faults keeps the guarantee).
         let e1 = (0, d.cluster_neighbor(0, 0));
         let plan = FaultPlan::new().link_down(0, e1.0, e1.1);
-        let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            &plan,
+            RunConfig::default(),
+        );
         assert!(run.report.guaranteed && run.report.complete);
         let expect = sequential_prefix(&input, PrefixKind::Inclusive);
         for (i, p) in run.prefixes.iter().enumerate() {
@@ -668,7 +709,13 @@ mod tests {
         let d = DualCube::new(3);
         let input: Vec<Sum> = (1..=32).map(Sum).collect();
         let plan = FaultPlan::new().node_crash(0, 7).node_crash(0, 20);
-        let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+        let run = ft_d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            &plan,
+            RunConfig::default(),
+        );
         assert!(run.report.guaranteed);
         assert_eq!(
             run.metrics.dilation_hops,

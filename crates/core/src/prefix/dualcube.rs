@@ -75,9 +75,9 @@ use crate::ops::Monoid;
 use crate::prefix::hypercube::ascend_fold;
 use crate::prefix::PrefixKind;
 use crate::run::{
-    lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, Recording,
+    lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, RunConfig,
 };
-use dc_simulator::{ExecMode, Flip, Machine, Metrics, RowOrder, ScheduleBank, ScheduleKey};
+use dc_simulator::{Flip, Machine, Metrics, RowOrder, ScheduleBank, ScheduleKey};
 use dc_topology::{Class, DualCube, Topology};
 
 /// How to realise step 5 of Algorithm 2 (see the module docs).
@@ -122,7 +122,7 @@ pub struct DPrefixRun<M> {
     /// Optional snapshots after each of the five steps (plus the initial
     /// distribution), in data-index order — the six panels of Figure 3.
     pub phases: Vec<PhaseSnapshot<DPrefixView<M>>>,
-    /// Space-time trace (under [`Recording::Trace`]): per communication
+    /// Space-time trace (under `Recording::Trace`): per communication
     /// cycle, the delivered `(src, dst)` messages, in node ids.
     pub trace: Vec<Vec<(usize, usize)>>,
 }
@@ -130,11 +130,10 @@ pub struct DPrefixRun<M> {
 /// Runs Algorithm 2 on `D_n` with one input value per node, in data-index
 /// order (`input[i]` is placed on the node whose
 /// [`DualCube::linear_index`] is `i`): the one-lane call of the body
-/// [`batched_d_prefix_reusing`] runs. The machine is built here with
-/// [`Machine::new`], so the default backend, the ambient recorder and
-/// the replay default apply. Under [`Recording::Phases`] the body's
-/// observer keeps the six Figure 3 panels; [`Recording::Trace`] also
-/// keeps every cycle's messages.
+/// [`batched_d_prefix_reusing`] runs, on the machine `run` configures.
+/// Under [`Recording::Phases`](crate::run::Recording) the body's observer
+/// keeps the six Figure 3 panels; `Recording::Trace` also keeps every
+/// cycle's messages.
 ///
 /// ```
 /// use dc_core::prefix::{dualcube::{d_prefix, Step5Mode}, PrefixKind};
@@ -156,7 +155,7 @@ pub fn d_prefix<M: Monoid>(
     input: &[M],
     kind: PrefixKind,
     step5: Step5Mode,
-    recording: Recording,
+    run: impl Into<RunConfig>,
 ) -> DPrefixRun<M> {
     assert_eq!(
         input.len(),
@@ -164,7 +163,9 @@ pub fn d_prefix<M: Monoid>(
         "need one input value per node of {}",
         d.name()
     );
-    let mut machine = Machine::new(d, vec![(); d.num_nodes()]);
+    let run = run.into();
+    let recording = run.recording;
+    let mut machine = run.machine(d, vec![(); d.num_nodes()]);
     if recording.tracing() {
         machine.enable_trace();
     }
@@ -233,12 +234,12 @@ pub fn batched_d_prefix<M: Monoid>(
         inputs,
         kind,
         step5,
-        ExecMode::default(),
+        RunConfig::default(),
         &mut ScheduleBank::new(),
     )
 }
 
-/// [`batched_d_prefix`] with an explicit backend and a [`ScheduleBank`]:
+/// [`batched_d_prefix`] with an explicit [`RunConfig`] and a [`ScheduleBank`]:
 /// the machine adopts the bank's compiled schedules before its first
 /// cycle and donates them back (plus anything newly compiled) when the
 /// run ends. A serving fleet draining a request queue therefore
@@ -254,12 +255,12 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     inputs: &[Vec<M>],
     kind: PrefixKind,
     step5: Step5Mode,
-    exec: ExecMode,
+    run: impl Into<RunConfig>,
     bank: &mut ScheduleBank,
 ) -> BatchedDPrefixRun<M> {
     let mut slabs = PrefixSlabs::default();
     slabs.load(d, inputs, M::clone);
-    let metrics = run_batch(d, &mut slabs, kind, step5, exec, bank);
+    let metrics = run_batch(d, &mut slabs, kind, step5, &run.into(), bank);
     BatchedDPrefixRun {
         prefixes: lane_outputs(&slabs.s, inputs.len()),
         metrics,
@@ -300,27 +301,27 @@ pub fn batched_d_prefix_in_place<X: Clone, M: Monoid + From<X> + Into<X>>(
     lanes: &mut [Vec<X>],
     kind: PrefixKind,
     step5: Step5Mode,
-    exec: ExecMode,
+    run: impl Into<RunConfig>,
     bank: &mut ScheduleBank,
     slabs: &mut PrefixSlabs<M>,
 ) -> Metrics {
     slabs.load(d, lanes, |x| M::from(x.clone()));
-    let metrics = run_batch(d, slabs, kind, step5, exec, bank);
+    let metrics = run_batch(d, slabs, kind, step5, &run.into(), bank);
     lane_outputs_into(&slabs.s, lanes, |s| s.clone().into());
     metrics
 }
 
-/// Runs the body over a loaded set on a machine with backend `exec` that
+/// Runs the body over a loaded set on a machine configured by `run` that
 /// adopts `bank`'s schedules first and donates them back after.
 fn run_batch<M: Monoid>(
     d: &DualCube,
     slabs: &mut PrefixSlabs<M>,
     kind: PrefixKind,
     step5: Step5Mode,
-    exec: ExecMode,
+    run: &RunConfig,
     bank: &mut ScheduleBank,
 ) -> Metrics {
-    let mut machine = Machine::with_exec(d, vec![(); d.num_nodes()], exec);
+    let mut machine = run.machine(d, vec![(); d.num_nodes()]);
     machine.adopt_schedules(bank);
     d_prefix_body(&mut machine, slabs, kind, step5, &mut |_, _| {});
     machine.donate_schedules(bank);
@@ -512,6 +513,8 @@ mod tests {
     use super::*;
     use crate::ops::{Concat, Mat2, Sum};
     use crate::prefix::sequential_prefix;
+    use crate::run::Recording;
+    use dc_simulator::ExecMode;
     use proptest::prelude::*;
 
     fn letters(count: usize) -> Vec<Concat> {

@@ -23,7 +23,7 @@
 
 use crate::ops::Monoid;
 use crate::prefix::PrefixKind;
-use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, Recording};
+use crate::run::{lane_outputs, lane_slab, PhaseSnapshot, RunConfig};
 use dc_simulator::{Flip, Machine, Metrics, ScheduleKey};
 use dc_topology::{Hypercube, Topology};
 use std::fmt;
@@ -44,9 +44,9 @@ pub struct CubePrefixRun<M> {
 }
 
 /// Runs Algorithm 1 on `Q_m` with one input value per node: the
-/// one-lane call of the body [`batched_cube_prefix`] runs. Under
-/// [`Recording::Phases`] the body's observer keeps `(t, s)` of every
-/// node before the first round and after each one.
+/// one-lane call of the body [`batched_cube_prefix`] runs, on the machine
+/// `run` configures. Under `Recording::Phases` the body's observer keeps
+/// `(t, s)` of every node before the first round and after each one.
 ///
 /// ```
 /// use dc_core::prefix::{hypercube::cube_prefix, PrefixKind};
@@ -65,7 +65,7 @@ pub fn cube_prefix<M: Monoid>(
     q: &Hypercube,
     input: &[M],
     kind: PrefixKind,
-    recording: Recording,
+    run: impl Into<RunConfig>,
 ) -> CubePrefixRun<M> {
     assert_eq!(
         input.len(),
@@ -73,7 +73,9 @@ pub fn cube_prefix<M: Monoid>(
         "need one input value per node of {}",
         q.name()
     );
-    let mut machine = Machine::new(q, vec![(); q.num_nodes()]);
+    let run = run.into();
+    let recording = run.recording;
+    let mut machine = run.machine(q, vec![(); q.num_nodes()]);
     let mut phases = Vec::new();
     let [t, s] = cube_prefix_body(&mut machine, &[input], kind, &mut |label, [t, s]| {
         if recording.enabled() {
@@ -238,6 +240,7 @@ mod tests {
     use super::*;
     use crate::ops::{Concat, Mat2, Sum};
     use crate::prefix::sequential_prefix;
+    use crate::run::Recording;
     use proptest::prelude::*;
 
     fn check<M: Monoid + PartialEq + std::fmt::Debug>(m: u32, input: Vec<M>, kind: PrefixKind) {

@@ -1,7 +1,10 @@
 //! Run reports: algorithm output, step metrics, and optional phase-by-phase
-//! value snapshots (used to regenerate the paper's worked-example figures).
+//! value snapshots (used to regenerate the paper's worked-example figures),
+//! and the [`RunConfig`] a run is steered by.
 
-use dc_simulator::Metrics;
+use dc_simulator::{ExecMode, Machine, Metrics, SharedSink};
+use dc_topology::Topology;
+use std::sync::Arc;
 
 /// A snapshot of every node's observable value at an algorithm phase
 /// boundary, in **data-index order** (the order prefixes/keys are defined
@@ -53,6 +56,84 @@ impl Recording {
     /// Whether per-cycle message tracing is enabled.
     pub fn tracing(self) -> bool {
         self == Recording::Trace
+    }
+}
+
+/// How a run is carried out: the settings of the machine an entry point
+/// builds, and what the run keeps. Backend, workers and replay change
+/// only wall-clock and the recorder only observes, so a caller sets what
+/// it varies; a bare [`Recording`] or [`ExecMode`] names a whole config.
+///
+/// ```
+/// use dc_core::prefix::{dualcube::{d_prefix, Step5Mode}, PrefixKind};
+/// use dc_core::{ops::Sum, run::{Recording, RunConfig}};
+/// use dc_simulator::{obs, ExecMode, MemorySink};
+/// let d = dc_topology::DualCube::new(2); // 8 nodes
+/// let (sink, exec) = (obs::shared(MemorySink::new()), ExecMode::Parallel { threshold: 1 });
+/// let run = RunConfig { exec, workers: 2, recorder: Some(sink.clone()), ..Recording::Phases.into() };
+/// let out = d_prefix(&d, &[Sum(1); 8], PrefixKind::Inclusive, Step5Mode::PaperFaithful, run);
+/// assert_eq!((out.prefixes[7].0, out.phases.len()), (8, 6)); // Figure 3's six panels
+/// assert!(sink.lock().unwrap().len() > 0); // one event per phase and cycle
+/// ```
+#[derive(Clone)]
+pub struct RunConfig {
+    /// The backend ([`Machine::set_exec`]); default [`ExecMode::parallel`].
+    pub exec: ExecMode,
+    /// The worker count ([`Machine::set_workers`]); `0`, the default, is the host's.
+    pub workers: usize,
+    /// Whether keyed cycles replay ([`Machine::set_schedule_replay`]); default on.
+    pub replay: bool,
+    /// A sink for every phase and cycle event ([`Machine::record_into`]).
+    pub recorder: Option<SharedSink>,
+    /// The snapshots and trace the report keeps; the batched calls keep none.
+    pub recording: Recording,
+}
+
+impl RunConfig {
+    /// A machine over `topo` with this backend, worker count, replay
+    /// setting and recorder.
+    pub fn machine<'t, T: Topology + ?Sized + Sync, S>(
+        &self,
+        topo: &'t T,
+        states: Vec<S>,
+    ) -> Machine<'t, T, S> {
+        let mut machine = Machine::with_exec(topo, states, self.exec);
+        machine.set_workers(self.workers);
+        machine.set_schedule_replay(self.replay);
+        if let Some(sink) = &self.recorder {
+            machine.record_into(Arc::clone(sink));
+        }
+        machine
+    }
+}
+
+impl Default for RunConfig {
+    fn default() -> Self {
+        RunConfig {
+            exec: ExecMode::default(),
+            workers: 0,
+            replay: true,
+            recorder: None,
+            recording: Recording::Off,
+        }
+    }
+}
+
+impl From<Recording> for RunConfig {
+    fn from(recording: Recording) -> Self {
+        RunConfig {
+            recording,
+            ..RunConfig::default()
+        }
+    }
+}
+
+impl From<ExecMode> for RunConfig {
+    fn from(exec: ExecMode) -> Self {
+        RunConfig {
+            exec,
+            ..RunConfig::default()
+        }
     }
 }
 
@@ -147,6 +228,41 @@ mod tests {
         assert!(!Recording::Phases.tracing());
         assert!(Recording::Trace.enabled() && Recording::Trace.tracing());
         assert_eq!(Recording::default(), Recording::Off);
+    }
+
+    #[test]
+    fn run_config_defaults_and_conversions() {
+        let default = RunConfig::default();
+        assert_eq!(default.exec, ExecMode::parallel());
+        assert_eq!((default.workers, default.replay), (0, true));
+        assert!(default.recorder.is_none());
+        assert_eq!(default.recording, Recording::Off);
+        let traced = RunConfig::from(Recording::Trace);
+        assert_eq!(traced.recording, Recording::Trace);
+        assert_eq!(traced.exec, ExecMode::parallel());
+        let seq = RunConfig::from(ExecMode::Sequential);
+        assert_eq!(seq.exec, ExecMode::Sequential);
+        assert_eq!(seq.recording, Recording::Off);
+    }
+
+    #[test]
+    fn run_config_configures_the_machine() {
+        let q = dc_topology::Hypercube::new(2);
+        let sink = dc_simulator::obs::shared(dc_simulator::MemorySink::new());
+        let config = RunConfig {
+            exec: ExecMode::Sequential,
+            workers: 3,
+            replay: false,
+            recorder: Some(sink),
+            recording: Recording::Off,
+        };
+        let m = config.machine(&q, vec![(); 4]);
+        assert_eq!(m.exec(), ExecMode::Sequential);
+        assert_eq!(m.workers(), 3);
+        assert!(!m.schedule_replay());
+        assert!(m.is_recording());
+        let bare = RunConfig::default().machine(&q, vec![(); 4]);
+        assert!(bare.schedule_replay() && !bare.is_recording());
     }
 
     #[test]

@@ -52,20 +52,19 @@
 //! K = 1 (2 words either way).
 
 use crate::emulate::{exchange_dim_rows, EmuSlabs};
-use crate::run::{lane_outputs, lane_outputs_into, PhaseSnapshot, Recording, Run};
+use crate::run::{lane_outputs, lane_outputs_into, PhaseSnapshot, Run, RunConfig};
 use crate::sort::SortOrder;
-use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank};
+use dc_simulator::{Machine, Metrics, ScheduleBank};
 use dc_topology::{bits::bit, NodeId, RecDualCube, Topology};
 use std::fmt;
 
 /// Sorts one key per node of `D_n` (recursive presentation) with
 /// Algorithm 3: the one-lane call of the body [`batched_d_sort_reusing`]
-/// runs. The machine is built here with [`Machine::new`], so the default
-/// backend, the ambient recorder and the replay default apply.
+/// runs, on the machine `run` configures.
 ///
 /// `keys[r]` starts on recursive node `r`; on return `output[r]` is the
 /// key that node holds, sorted by recursive node id in `order`. Under
-/// [`Recording::Phases`] the body's observer keeps every node's key
+/// `Recording::Phases` the body's observer keeps every node's key
 /// before the first level and after each merge loop.
 ///
 /// ```
@@ -83,7 +82,7 @@ pub fn d_sort<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     keys: &[K],
     order: SortOrder,
-    recording: Recording,
+    run: impl Into<RunConfig>,
 ) -> Run<K> {
     assert_eq!(
         keys.len(),
@@ -91,7 +90,9 @@ pub fn d_sort<K: Ord + Clone + Send + Sync + 'static>(
         "need one key per node of {}",
         rec.name()
     );
-    let mut machine = Machine::new(rec, vec![(); rec.num_nodes()]);
+    let run = run.into();
+    let recording = run.recording;
+    let mut machine = run.machine(rec, vec![(); rec.num_nodes()]);
     if recording.tracing() {
         machine.enable_trace();
     }
@@ -159,12 +160,12 @@ pub fn batched_d_sort<K: Ord + Clone + Send + Sync + 'static>(
         rec,
         keys,
         order,
-        ExecMode::default(),
+        RunConfig::default(),
         &mut ScheduleBank::new(),
     )
 }
 
-/// [`batched_d_sort`] with an explicit backend and a [`ScheduleBank`]:
+/// [`batched_d_sort`] with an explicit [`RunConfig`] and a [`ScheduleBank`]:
 /// the machine adopts the bank's compiled schedules before its first
 /// cycle and donates them back (plus anything newly compiled) when the
 /// run ends, so a serving fleet validates each of the `O(n²)` emulated
@@ -179,12 +180,12 @@ pub fn batched_d_sort_reusing<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     keys: &[Vec<K>],
     order: SortOrder,
-    exec: ExecMode,
+    run: impl Into<RunConfig>,
     bank: &mut ScheduleBank,
 ) -> BatchedSortRun<K> {
     let mut slabs = SortSlabs::default();
     load(rec, keys, &mut slabs);
-    let metrics = run_batch(rec, &mut slabs, order, exec, bank);
+    let metrics = run_batch(rec, &mut slabs, order, &run.into(), bank);
     BatchedSortRun {
         outputs: lane_outputs(&slabs.values, keys.len()),
         metrics,
@@ -220,12 +221,12 @@ pub fn batched_d_sort_in_place<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     keys: &mut [Vec<K>],
     order: SortOrder,
-    exec: ExecMode,
+    run: impl Into<RunConfig>,
     bank: &mut ScheduleBank,
     slabs: &mut SortSlabs<K>,
 ) -> Metrics {
     load(rec, keys, slabs);
-    let metrics = run_batch(rec, slabs, order, exec, bank);
+    let metrics = run_batch(rec, slabs, order, &run.into(), bank);
     lane_outputs_into(&slabs.values, keys, K::clone);
     metrics
 }
@@ -253,16 +254,16 @@ fn load<K: Clone>(rec: &RecDualCube, keys: &[Vec<K>], slabs: &mut SortSlabs<K>) 
     slabs.load(keys);
 }
 
-/// Runs the body over a loaded set on a machine with backend `exec` that
+/// Runs the body over a loaded set on a machine configured by `run` that
 /// adopts `bank`'s schedules first and donates them back after.
 fn run_batch<K: Ord + Clone + Send + Sync + 'static>(
     rec: &RecDualCube,
     slabs: &mut SortSlabs<K>,
     order: SortOrder,
-    exec: ExecMode,
+    run: &RunConfig,
     bank: &mut ScheduleBank,
 ) -> Metrics {
-    let mut machine = Machine::with_exec(rec, vec![(); rec.num_nodes()], exec);
+    let mut machine = run.machine(rec, vec![(); rec.num_nodes()]);
     machine.adopt_schedules(bank);
     d_sort_body(&mut machine, slabs, order, &mut |_, _| {});
     machine.donate_schedules(bank);
@@ -361,7 +362,9 @@ mod support;
 mod tests {
     use super::support::sort_network_model;
     use super::*;
+    use crate::run::Recording;
     use crate::theory;
+    use dc_simulator::ExecMode;
     use proptest::prelude::*;
 
     fn sorted_copy<K: Ord + Clone + Send + Sync + 'static>(keys: &[K], order: SortOrder) -> Vec<K> {

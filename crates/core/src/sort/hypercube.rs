@@ -12,7 +12,7 @@
 //! Every compare-exchange is one communication cycle (all links exist on
 //! the hypercube) and one comparison cycle: `m(m+1)/2` of each.
 
-use crate::run::{PhaseSnapshot, Recording, Run};
+use crate::run::{PhaseSnapshot, Run, RunConfig};
 use crate::sort::SortOrder;
 use dc_simulator::{Machine, ScheduleKey};
 use dc_topology::{bits::bit, Hypercube, Topology};
@@ -27,7 +27,7 @@ struct KeyState<K> {
 /// Sorts one key per node of `Q_m` with Batcher's bitonic schedule.
 ///
 /// `keys[u]` starts on node `u`; on return `output[u]` is the key node `u`
-/// holds, sorted by node id in `order`.
+/// holds, sorted by node id in `order`, on the machine `run` configures.
 ///
 /// ```
 /// use dc_core::sort::{hypercube::cube_bitonic_sort, SortOrder};
@@ -43,7 +43,7 @@ pub fn cube_bitonic_sort<K: Ord + Clone + Send + Sync + 'static>(
     q: &Hypercube,
     keys: &[K],
     order: SortOrder,
-    recording: Recording,
+    run: impl Into<RunConfig>,
 ) -> Run<K> {
     assert_eq!(
         keys.len(),
@@ -59,7 +59,9 @@ pub fn cube_bitonic_sort<K: Ord + Clone + Send + Sync + 'static>(
             recv: None,
         })
         .collect();
-    let mut machine = Machine::new(q, states);
+    let run = run.into();
+    let recording = run.recording;
+    let mut machine = run.machine(q, states);
     if recording.tracing() {
         machine.enable_trace();
     }
@@ -133,6 +135,7 @@ fn compare_exchange_round<K: Ord + Clone + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Recording;
     use crate::theory;
     use proptest::prelude::*;
 

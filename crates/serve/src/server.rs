@@ -65,9 +65,9 @@ pub struct ServerConfig {
     /// Admission bound: requests queued but unserved before
     /// [`Rejected::QueueFull`].
     pub queue_capacity: usize,
-    /// Backend for each batch's machine cycles. Passed explicitly to
-    /// every run (workers never touch the process-global default, which
-    /// is guarded by a lock that would serialise the fleet).
+    /// Backend for each batch's machine cycles, passed to every run that
+    /// builds one. Each machine keeps its own backend, so workers share
+    /// no setting and never serialise on one.
     pub exec: ExecMode,
 }
 

@@ -51,11 +51,10 @@
 //! setting to. See the [`reference`](mod@reference) module docs.
 //!
 //! Observability is opt-in and zero-cost when off: installing a recorder
-//! ([`Machine::record_into`], or [`with_recording`] around code that
-//! builds machines internally) streams one structured [`Event`] per
-//! phase and per cycle into a pluggable [`Sink`], with per-link
-//! utilization counters and a Perfetto trace exporter on top. See the
-//! [`obs`] module docs.
+//! ([`Machine::record_into`]) streams one structured [`Event`] per phase
+//! and per cycle into a pluggable [`Sink`], with per-link utilization
+//! counters and a Perfetto trace exporter on top. Like the backend and
+//! worker count, it is the machine's own setting. See the [`obs`] docs.
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: the persistent worker pool (`parallel::pool`) is
@@ -84,8 +83,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::{Machine, TraceEntry};
 pub use metrics::{LinkUtil, Metrics, PhaseMetrics};
 pub use obs::{
-    with_recording, CycleEvent, Event, JsonlSink, LinkReport, MemorySink, PhaseEvent, Recorder,
-    SharedSink, Sink,
+    CycleEvent, Event, JsonlSink, LinkReport, MemorySink, PhaseEvent, Recorder, SharedSink, Sink,
 };
-pub use parallel::{set_worker_threads, with_default_exec, ExecMode};
-pub use schedule::{with_schedule_replay, ScheduleBank, ScheduleKey};
+pub use parallel::ExecMode;
+pub use schedule::{ScheduleBank, ScheduleKey};

@@ -16,7 +16,7 @@ use crate::parallel::{
 };
 use crate::reference::Cycles;
 use crate::schedule::{
-    self, AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC, SENDS_BIT,
+    AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC, SENDS_BIT,
 };
 use dc_topology::{NodeId, ShardMap, Topology};
 use std::any::Any;
@@ -374,6 +374,8 @@ pub struct Machine<'t, T: Topology + ?Sized, S> {
     /// only on the first recorded delivery (the trait's default sweeps
     /// the whole graph, so unrecorded runs never pay it).
     link_ports: Option<u32>,
+    /// Requested worker count; see [`Machine::set_workers`].
+    workers: usize,
     /// Requested shard count (`0` = derive from the worker count). See
     /// [`Machine::set_shards`].
     shard_req: usize,
@@ -567,7 +569,8 @@ fn conflict_in<M>(
 
 impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// Creates a machine with one initial state per node, under the
-    /// default [`ExecMode`] (parallel above the size threshold).
+    /// default [`ExecMode`] (parallel above the size threshold), the
+    /// host's worker count, replay on and no recorder.
     ///
     /// Panics unless `states.len() == topo.num_nodes()`.
     pub fn new(topo: &'t T, states: Vec<S>) -> Self {
@@ -597,10 +600,11 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             exec: ExecMode::default(),
             scratch: Scratch::new(),
             schedules: ScheduleCache::new(),
-            replay: schedule::replay_default(),
+            replay: true,
             faults: FaultState::new(),
-            recorder: crate::obs::default_recorder(),
+            recorder: None,
             link_ports: None,
+            workers: 0,
             shard_req: 0,
             shard_map: None,
             order: RowOrder::NODE,
@@ -695,13 +699,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
 
     /// The shard count the next [`Machine::shard_map`] resolution will
     /// pick: the requested count, or — in auto mode — the smallest power
-    /// of 4 covering the worker count (capped at 64), so every pool
+    /// of 4 covering the machine's worker count (capped at 64), so every
     /// worker can own at least one whole shard. Pure: reads, never
     /// caches.
     fn resolve_shard_count(&self) -> usize {
         match self.shard_req {
             0 => {
-                let workers = crate::parallel::available_threads();
+                let workers = self.workers();
                 let mut s = 1usize;
                 while s < workers && s < 64 {
                     s *= 4;
@@ -725,15 +729,19 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
+    /// Whether cycles run on the threaded backend.
+    fn threaded(&self) -> bool {
+        self.exec.is_parallel_for(self.states.len()) && self.workers() > 1
+    }
+
     /// Rebuilds `scratch.bounds`, the dispatch slots of the next pass:
-    /// the shard map's slots for the worker count on the threaded
-    /// backend, else the one slot `[0, n]`. Besides labelling events,
-    /// this is the only place the backend is read.
+    /// the shard map's slots for the machine's worker count on the
+    /// threaded backend, else the one slot `[0, n]`. Besides labelling
+    /// events, this is the only place the backend is read.
     fn dispatch_bounds(&mut self) {
-        if self.exec.is_parallel_for(self.states.len()) {
+        if self.threaded() {
             let map = self.shard_map();
-            let workers = crate::parallel::available_threads();
-            map.slot_bounds_into(workers, &mut self.scratch.bounds);
+            map.slot_bounds_into(self.workers(), &mut self.scratch.bounds);
         } else {
             self.scratch.bounds.clear();
             self.scratch.bounds.extend([0, self.states.len()]);
@@ -759,6 +767,24 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         self.exec = exec;
     }
 
+    /// The threaded backend's worker count: the one set with
+    /// [`Machine::set_workers`], or the host's when that is `0`.
+    pub fn workers(&self) -> usize {
+        match self.workers {
+            0 => crate::parallel::available_threads(),
+            n => n,
+        }
+    }
+
+    /// Sets how many dispatch slots the threaded backend splits each pass
+    /// into, from the next cycle (`0`, the default, takes the host's
+    /// count; capped at 32); automatic sharding derives its count from
+    /// it. Like the backend it changes wall-clock, never results, and
+    /// `n > 1` on a single-core host still drives the cross-thread paths.
+    pub fn set_workers(&mut self, n: usize) {
+        self.workers = n.min(crate::parallel::MAX_THREADS);
+    }
+
     /// Whether keyed cycles use the schedule cache (see
     /// [`Machine::set_schedule_replay`]).
     pub fn schedule_replay(&self) -> bool {
@@ -770,8 +796,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// validate-every-cycle path (the A/B baseline); results, traces, and
     /// step metrics are identical either way — only wall-clock and the
     /// [`Metrics::schedule_hits`] / [`Metrics::schedule_misses`]
-    /// observability counters differ. The initial value comes from
-    /// [`crate::with_schedule_replay`] (default: enabled).
+    /// observability counters differ. Enabled by default.
     pub fn set_schedule_replay(&mut self, enabled: bool) {
         self.replay = enabled;
     }
@@ -991,8 +1016,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     }
 
     /// Whether a recorder is currently installed (via
-    /// [`Machine::record_into`] or an ambient [`crate::with_recording`]
-    /// scope at construction time).
+    /// [`Machine::record_into`]).
     pub fn is_recording(&self) -> bool {
         self.recorder.is_some()
     }
@@ -1104,9 +1128,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
 
     /// The backend label of recorded events.
     fn backend(&self) -> Backend {
-        if self.exec.is_parallel_for(self.states.len()) {
+        if self.threaded() {
             Backend::Threaded {
-                workers: crate::parallel::available_threads(),
+                workers: self.workers(),
             }
         } else {
             Backend::Sequential
@@ -2798,21 +2822,19 @@ mod tests {
                 m.compute(1, |u, s| *s = s.wrapping_add(u as u64));
             }
         }
-        let run = |exec: ExecMode| {
+        let run = |exec: ExecMode, workers: usize| {
             let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
+            m.set_workers(workers);
             m.enable_trace();
             program(&mut m);
             let trace = m.phased_trace().to_vec();
             let (states, metrics) = m.into_parts();
             (states, metrics, trace)
         };
-        let _guard = crate::parallel::test_override_guard();
-        let seq = run(ExecMode::Sequential);
-        // Pin 4 workers so the threaded path is exercised even on a
+        let seq = run(ExecMode::Sequential, 0);
+        // 4 workers, so the threaded path is exercised even on a
         // single-core host (the backend is deterministic at any count).
-        crate::parallel::set_worker_threads(4);
-        let par = run(ExecMode::parallel());
-        crate::parallel::set_worker_threads(0);
+        let par = run(ExecMode::parallel(), 4);
         assert_eq!(seq.0, par.0, "states");
         assert_eq!(seq.1, par.1, "metrics");
         assert_eq!(seq.2, par.2, "traces");
@@ -2848,6 +2870,7 @@ mod tests {
         }
         let run = |exec: ExecMode, replay: bool| {
             let mut m = Machine::with_exec(topo, (0..n as u64).collect(), exec);
+            m.set_workers(4);
             m.set_schedule_replay(replay);
             m.enable_trace();
             program(&mut m);
@@ -2855,17 +2878,14 @@ mod tests {
             // between the replay-on and replay-off legs.
             outcome(&m)
         };
-        let _guard = crate::parallel::test_override_guard();
         let baseline = run(ExecMode::Sequential, false);
         let mut oracle = RefMachine::new(topo, (0..n as u64).collect());
         program(&mut oracle);
         assert_eq!(baseline, outcome(&oracle), "reference machine");
         let seq_replay = run(ExecMode::Sequential, true);
         assert_eq!(baseline, seq_replay, "sequential replay");
-        crate::parallel::set_worker_threads(4);
         let par_replay = run(ExecMode::parallel(), true);
         let par_baseline = run(ExecMode::parallel(), false);
-        crate::parallel::set_worker_threads(0);
         assert_eq!(baseline, par_replay, "threaded replay");
         assert_eq!(baseline, par_baseline, "threaded validate-every-cycle");
     }
@@ -3002,11 +3022,9 @@ mod tests {
             result.unwrap_err()
         }
         let engine = |exec, form, case| {
-            probe(
-                &mut Machine::with_exec(topo, vec![0u64; n], exec),
-                form,
-                case,
-            )
+            let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
+            m.set_workers(4);
+            probe(&mut m, form, case)
         };
         let expected = [
             SimError::SelfMessage { node: 1 },
@@ -3017,13 +3035,10 @@ mod tests {
             },
             SimError::NodeFailed { node: 5000 },
         ];
-        let _guard = crate::parallel::test_override_guard();
         for (case, want) in expected.into_iter().enumerate() {
             for form in FORMS {
                 let seq = engine(ExecMode::Sequential, form, case);
-                crate::parallel::set_worker_threads(4);
                 let par = engine(ExecMode::parallel(), form, case);
-                crate::parallel::set_worker_threads(0);
                 let oracle = probe(&mut RefMachine::new(topo, vec![0u64; n]), form, case);
                 assert_eq!(seq, want, "case {case}, {form:?}, sequential");
                 assert_eq!(par, want, "case {case}, {form:?}, threaded");
@@ -3216,26 +3231,24 @@ mod tests {
                 },
             ),
         ];
-        let _guard = crate::parallel::test_override_guard();
         for (dst, want) in cases {
             for form in FORMS {
                 let mut oracle = RefMachine::new(topo, vec![0u64; n]);
                 let got = try_form(&mut oracle, form, false, dst).unwrap_err();
                 assert_eq!(got, want, "{form:?}, reference machine");
-                let probe = |exec| {
+                let probe = |exec, workers| {
                     let mut m = Machine::with_exec(topo, vec![0u64; n], exec);
+                    m.set_workers(workers);
                     try_form(&mut m, form, false, dst).unwrap_err()
                 };
-                assert_eq!(probe(ExecMode::Sequential), want, "{form:?}, sequential");
+                assert_eq!(probe(ExecMode::Sequential, 0), want, "{form:?}, sequential");
                 for workers in [2, 3, 4, 7] {
-                    crate::parallel::set_worker_threads(workers);
                     assert_eq!(
-                        probe(ExecMode::parallel()),
+                        probe(ExecMode::parallel(), workers),
                         want,
                         "{form:?} at {workers} workers"
                     );
                 }
-                crate::parallel::set_worker_threads(0);
             }
         }
     }
@@ -4122,37 +4135,35 @@ mod tests {
                 }
             }
         }
-        let run = |exec: ExecMode, replay: bool| {
+        let run = |exec: ExecMode, replay: bool, workers: usize| {
             let mut m = Machine::with_exec(topo, init(), exec);
+            m.set_workers(workers);
             m.set_schedule_replay(replay);
             m.enable_trace();
             program(&mut m);
             outcome(&m)
         };
-        let _guard = crate::parallel::test_override_guard();
-        let baseline = run(ExecMode::Sequential, false);
+        let baseline = run(ExecMode::Sequential, false, 0);
         let mut oracle = RefMachine::new(topo, init());
         program(&mut oracle);
         assert_eq!(baseline, outcome(&oracle), "reference machine");
         assert_eq!(
             baseline,
-            run(ExecMode::Sequential, true),
+            run(ExecMode::Sequential, true, 0),
             "sequential replay"
         );
         for workers in [2usize, 4] {
-            crate::parallel::set_worker_threads(workers);
             assert_eq!(
                 baseline,
-                run(ExecMode::parallel(), true),
+                run(ExecMode::parallel(), true, workers),
                 "threaded replay at {workers} workers"
             );
             assert_eq!(
                 baseline,
-                run(ExecMode::parallel(), false),
+                run(ExecMode::parallel(), false, workers),
                 "threaded validate-every-cycle at {workers} workers"
             );
         }
-        crate::parallel::set_worker_threads(0);
     }
 
     /// The rows form on a machine past the parallel threshold: the same
@@ -4192,15 +4203,15 @@ mod tests {
             }
             cur
         }
-        let run = |exec: ExecMode, replay: bool| {
+        let run = |exec: ExecMode, replay: bool, workers: usize| {
             let mut m = Machine::with_exec(topo, vec![(); n], exec);
+            m.set_workers(workers);
             m.set_schedule_replay(replay);
             m.enable_trace();
             let cur = program(&mut m);
             (cur, outcome(&m))
         };
-        let _guard = crate::parallel::test_override_guard();
-        let baseline = run(ExecMode::Sequential, false);
+        let baseline = run(ExecMode::Sequential, false, 0);
         let mut oracle = RefMachine::new(topo, vec![(); n]);
         let cur = program(&mut oracle);
         assert_eq!(baseline, (cur, outcome(&oracle)), "reference machine");
@@ -4232,41 +4243,21 @@ mod tests {
         assert_eq!(counters.message_words, lanes.metrics().message_words);
         assert_eq!(
             baseline,
-            run(ExecMode::Sequential, true),
+            run(ExecMode::Sequential, true, 0),
             "sequential replay"
         );
         for workers in [2usize, 4] {
-            crate::parallel::set_worker_threads(workers);
             assert_eq!(
                 baseline,
-                run(ExecMode::parallel(), true),
+                run(ExecMode::parallel(), true, workers),
                 "threaded replay at {workers} workers"
             );
             assert_eq!(
                 baseline,
-                run(ExecMode::parallel(), false),
+                run(ExecMode::parallel(), false, workers),
                 "threaded validate-every-cycle at {workers} workers"
             );
         }
-        crate::parallel::set_worker_threads(0);
-    }
-
-    #[test]
-    fn ambient_with_recording_installs_recorder_on_new_machines() {
-        let _guard = crate::obs::test_recorder_guard();
-        let sink = crate::obs::shared(crate::obs::MemorySink::new());
-        let shared: crate::obs::SharedSink = sink.clone();
-        crate::obs::with_recording(shared, || {
-            let mut m = machine(2);
-            assert!(m.is_recording());
-            m.cycle(|c| {
-                c.message(|u, &s| Some((u ^ 1, s)), |s, _, v| *s += v)
-                    .pairwise()
-            });
-        });
-        let m = machine(2);
-        assert!(!m.is_recording(), "scope ended, new machines are bare");
-        assert_eq!(sink.lock().unwrap().len(), 1);
     }
 
     /// Node ids are packed into `u32` everywhere (compiled schedules,

@@ -46,7 +46,7 @@ use crate::schedule::ScheduleKey;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -75,8 +75,8 @@ pub enum CacheStatus {
     /// The cycle ran through an unkeyed entry point; nothing to cache.
     Unkeyed,
     /// The cycle was keyed but the machine has schedule replay disabled
-    /// (see [`with_schedule_replay`](crate::with_schedule_replay)), so it
-    /// ran full validation without touching the cache.
+    /// (see [`Machine::set_schedule_replay`](crate::Machine::set_schedule_replay)),
+    /// so it ran full validation without touching the cache.
     Bypass,
     /// First sight of the key (in this fault epoch): the cycle ran full
     /// validation and compiled its schedule.
@@ -103,7 +103,8 @@ pub enum Backend {
     Sequential,
     /// The persistent worker pool.
     Threaded {
-        /// Worker threads available to the pool for this cycle.
+        /// The machine's worker count: the dispatch slots of this cycle's
+        /// passes (see [`Machine::set_workers`](crate::Machine::set_workers)).
         workers: usize,
     },
 }
@@ -222,9 +223,9 @@ impl Event {
 /// Receives recorded events. Implementations must be cheap per call —
 /// the recorder holds a lock across [`Sink::record`].
 ///
-/// `Send` is a supertrait so sinks can be shared through the
-/// process-global default ([`with_recording`]) and across cloned
-/// machines.
+/// `Send` is a supertrait so one sink can be shared by the recorders of
+/// several machines (cloned ones, or those one configuration builds) on
+/// any thread.
 pub trait Sink: Send {
     /// Accepts one event. Errors (e.g. a full pipe under [`JsonlSink`])
     /// are the sink's problem; observability must never fail the run.
@@ -234,9 +235,8 @@ pub trait Sink: Send {
     fn flush(&mut self) {}
 }
 
-/// A shareable handle to a sink: the machine's recorder, the
-/// process-global default, and the caller inspecting results all hold
-/// clones of the same `Arc`.
+/// A shareable handle to a sink: the machines' recorders and the caller
+/// inspecting results all hold clones of the same `Arc`.
 pub type SharedSink = Arc<Mutex<dyn Sink>>;
 
 /// Wraps a sink in the shared handle the recorder APIs take.
@@ -634,63 +634,6 @@ impl fmt::Debug for Recorder {
     }
 }
 
-/// Whether machines are created recording right now ([`with_recording`]).
-static RECORDING_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The sink new machines record into while [`with_recording`] is active.
-static DEFAULT_SINK: Mutex<Option<SharedSink>> = Mutex::new(None);
-
-/// Serialises [`with_recording`] sections. Deliberately its own lock
-/// (not the executor's or the replay override's) so the three overrides
-/// can nest; like them it is not reentrant — don't nest
-/// [`with_recording`] inside itself, and take the exec override
-/// outermost when combining.
-static RECORDING_OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with every machine created inside recording into `sink`,
-/// restoring the previous default afterwards (also on panic).
-///
-/// This is how code that builds machines internally (the dc-core
-/// algorithms, the CLI) gets recorded without plumbing a sink through
-/// every signature — mirroring
-/// [`with_default_exec`](crate::with_default_exec) and
-/// [`with_schedule_replay`](crate::with_schedule_replay). Each machine
-/// gets its own [`Recorder`] (own sequence numbers and clock origin),
-/// all feeding the shared sink in creation order.
-pub fn with_recording<T>(sink: SharedSink, f: impl FnOnce() -> T) -> T {
-    let _guard = RECORDING_OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    struct Restore(Option<SharedSink>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            RECORDING_ACTIVE.store(prev.is_some(), Ordering::SeqCst);
-            *DEFAULT_SINK.lock().unwrap_or_else(|e| e.into_inner()) = prev;
-        }
-    }
-    let _restore = {
-        let mut slot = DEFAULT_SINK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = slot.replace(sink);
-        RECORDING_ACTIVE.store(true, Ordering::SeqCst);
-        Restore(prev)
-    };
-    f()
-}
-
-/// The recorder a newly created machine should install, if a
-/// [`with_recording`] section is active.
-pub(crate) fn default_recorder() -> Option<Recorder> {
-    if !RECORDING_ACTIVE.load(Ordering::SeqCst) {
-        return None;
-    }
-    DEFAULT_SINK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .map(Recorder::new)
-}
-
 // --- JSON emission (hand-rolled; the build is offline and serde-free) ---
 
 /// Appends `s` JSON-escaped (without surrounding quotes) to `out`.
@@ -1052,20 +995,6 @@ mod tests {
         // 5 messages → bucket ⌊log₂5⌋ = 2; 1 message → bucket 0.
         assert_eq!(r.cube_hist, vec![0, 0, 1]);
         assert_eq!(r.cross_hist, vec![1]);
-    }
-
-    #[test]
-    fn with_recording_scopes_and_restores() {
-        let _guard = test_recorder_guard();
-        assert!(default_recorder().is_none());
-        let sink: SharedSink = shared(MemorySink::new());
-        with_recording(Arc::clone(&sink), || {
-            let rec = default_recorder();
-            assert!(rec.is_some());
-            drop(rec);
-        });
-        assert!(default_recorder().is_none());
-        assert!(!pool_timing_active());
     }
 
     #[test]

@@ -61,12 +61,13 @@
 //! from a `catch_unwind` caller) proceeds normally — pinned by the
 //! poisoned-state tests.
 //!
-//! # Reconfiguration
+//! # Slot counts
 //!
-//! [`super::set_worker_threads`] changes the desired count; the next
-//! dispatch resizes the pool before publishing (retired workers observe
-//! `index >= target` and exit, new workers are spawned with the current
-//! epoch as their `seen` so they cannot replay a finished job).
+//! Each dispatch names its own slot count (its machine's worker count).
+//! The pool grows to the largest count asked — new workers start with
+//! the current epoch as their `seen`, so they cannot replay a finished
+//! job — and never shrinks: a smaller dispatch wakes only the workers
+//! wake-chaining recruits, and the rest stay parked.
 //!
 //! # Safety
 //!
@@ -110,8 +111,6 @@ struct State {
     next: usize,
     /// Slots not yet *finished* this epoch — the join-barrier count.
     remaining: usize,
-    /// Desired worker count; workers with `index >= target` retire.
-    target: usize,
     /// First panic payload caught from a claimed slot this epoch.
     panic: Option<PanicPayload>,
 }
@@ -131,19 +130,13 @@ fn lock(m: &Mutex<State>) -> MutexGuard<'_, State> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn worker_main(shared: Arc<Shared>, index: usize, mut seen: u64) {
+fn worker_main(shared: Arc<Shared>, mut seen: u64) {
     // Nested dispatches from inside a worker's closure run inline.
     IN_DISPATCH.with(|c| c.set(true));
     loop {
         let epoch = {
             let mut st = lock(&shared.state);
-            loop {
-                if index >= st.target {
-                    return; // retired by a shrink
-                }
-                if st.epoch != seen {
-                    break;
-                }
+            while st.epoch == seen {
                 st = shared.work.wait(st).unwrap_or_else(|e| e.into_inner());
             }
             seen = st.epoch;
@@ -212,7 +205,6 @@ impl Pool {
                     slots: 0,
                     next: 0,
                     remaining: 0,
-                    target: 0,
                     panic: None,
                 }),
                 work: Condvar::new(),
@@ -223,36 +215,21 @@ impl Pool {
         }
     }
 
-    /// Grows or shrinks the parked worker set to `target` threads. Only
-    /// called between dispatches (no job in flight).
-    fn resize(&mut self, target: usize) {
-        let current = self.workers.len();
-        if target == current {
-            return;
-        }
-        if target < current {
-            {
-                let mut st = lock(&self.shared.state);
-                st.target = target;
-                self.shared.work.notify_all();
-            }
-            for handle in self.workers.drain(target..) {
-                let _ = handle.join();
-            }
-        } else {
-            lock(&self.shared.state).target = target;
-            for index in current..target {
-                let shared = Arc::clone(&self.shared);
-                // A fresh worker must not replay an already-joined epoch:
-                // seed its `seen` with the current count so it parks until
-                // the *next* publish.
-                let seen = self.epoch;
-                let handle = std::thread::Builder::new()
-                    .name(format!("dc-pool-{index}"))
-                    .spawn(move || worker_main(shared, index, seen))
-                    .expect("failed to spawn pool worker");
-                self.workers.push(handle);
-            }
+    /// Grows the parked worker set to at least `workers` threads. Only
+    /// called between dispatches (no job in flight); never shrinks, so a
+    /// smaller dispatch after a larger one joins no thread.
+    fn grow(&mut self, workers: usize) {
+        for index in self.workers.len()..workers {
+            let shared = Arc::clone(&self.shared);
+            // A fresh worker must not replay an already-joined epoch:
+            // seed its `seen` with the current count so it parks until
+            // the *next* publish.
+            let seen = self.epoch;
+            let handle = std::thread::Builder::new()
+                .name(format!("dc-pool-{index}"))
+                .spawn(move || worker_main(shared, seen))
+                .expect("failed to spawn pool worker");
+            self.workers.push(handle);
         }
     }
 
@@ -261,7 +238,7 @@ impl Pool {
         // unobserved process never reads the clock here (pinned by the
         // recorder-off legs of the `cycle_overhead` bench).
         let t0 = crate::obs::pool_timing_active().then(std::time::Instant::now);
-        self.resize(slots - 1);
+        self.grow(slots - 1);
         // SAFETY (lifetime erasure): the reference is only reachable by
         // workers between the publish below and the `remaining == 0`
         // barrier, and this function does not return or unwind before
@@ -520,12 +497,11 @@ pub(super) fn slab_reduce_bounds<A: Send, B: Send, R: Copy + Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::par_apply_forced;
 
     /// Drives `fork_join` directly: every slot writes its own cell.
     #[test]
     fn fork_join_runs_every_slot_exactly_once() {
-        let _guard = crate::parallel::test_override_guard();
-        crate::parallel::set_worker_threads(4);
         for slots in 2..=6usize {
             let hits: Vec<std::sync::atomic::AtomicUsize> = (0..slots)
                 .map(|_| std::sync::atomic::AtomicUsize::new(0))
@@ -541,33 +517,44 @@ mod tests {
                 );
             }
         }
-        crate::parallel::set_worker_threads(0);
     }
 
+    /// The pool's worker handles: how many, and whether any has exited.
+    fn workers() -> (usize, bool) {
+        let pool = POOL.get().expect("a dispatch built the pool");
+        let pool = pool.lock().unwrap_or_else(|e| e.into_inner());
+        let exited = pool.workers.iter().any(JoinHandle::is_finished);
+        (pool.workers.len(), exited)
+    }
+
+    /// The pool grows to the largest slot count asked and never joins a
+    /// parked worker: grow, ask for fewer, regrow — every slot count
+    /// produces the full, correct result, and the pool keeps every
+    /// worker it spawned (other tests may grow it meanwhile, never
+    /// shrink it).
     #[test]
     fn pool_resizes_between_dispatches() {
-        let _guard = crate::parallel::test_override_guard();
-        // Grow, shrink, regrow: every configuration must produce the
-        // full, correct result.
-        for &workers in &[2usize, 5, 1, 4, 3] {
-            crate::parallel::set_worker_threads(workers);
+        let mut seen = 0;
+        for &slots in &[2usize, 5, 1, 4, 3] {
             let mut v = vec![0usize; 1000];
-            crate::parallel::par_apply_forced(&mut v, &|i, s| *s = i * 3);
+            par_apply_forced(slots, &mut v, &|i, s| *s = i * 3);
             assert!(
                 v.iter().enumerate().all(|(i, &s)| s == i * 3),
-                "at {workers} workers"
+                "at {slots} slots"
             );
+            let (count, exited) = workers();
+            assert!(count >= seen.max(slots - 1), "at {slots} slots");
+            assert!(!exited, "a worker exited at {slots} slots");
+            seen = count;
         }
-        crate::parallel::set_worker_threads(0);
+        assert!(seen >= 4);
     }
 
     #[test]
     fn worker_panic_propagates_and_pool_stays_usable() {
-        let _guard = crate::parallel::test_override_guard();
-        crate::parallel::set_worker_threads(4);
         let mut v = vec![0u32; 1000];
         let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            crate::parallel::par_apply_forced(&mut v, &|i, _| {
+            par_apply_forced(4, &mut v, &|i, _| {
                 // Index 900 lands in the last chunk — a *claimed* slot
                 // (worker or dispatcher claim loop, never the slot-0
                 // caller path), so it exercises the stash-and-reraise.
@@ -586,42 +573,35 @@ mod tests {
         // The pool must be fully functional afterwards (no wedged
         // barrier, no stale job, no poisoned lock).
         let mut w = vec![0usize; 1000];
-        crate::parallel::par_apply_forced(&mut w, &|i, s| *s = i + 1);
+        par_apply_forced(4, &mut w, &|i, s| *s = i + 1);
         assert!(w.iter().enumerate().all(|(i, &s)| s == i + 1));
-        crate::parallel::set_worker_threads(0);
     }
 
     #[test]
     fn dispatcher_slot_panic_propagates_after_the_barrier() {
-        let _guard = crate::parallel::test_override_guard();
-        crate::parallel::set_worker_threads(3);
         let mut v = vec![0u32; 999];
         let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            crate::parallel::par_apply_forced(&mut v, &|i, _| {
+            par_apply_forced(3, &mut v, &|i, _| {
                 // Index 0 is slot 0 — the dispatcher's own chunk.
                 assert!(i != 0, "caller boom");
             });
         }));
         assert!(boom.is_err());
         let mut w = vec![0usize; 999];
-        crate::parallel::par_apply_forced(&mut w, &|i, s| *s = i);
+        par_apply_forced(3, &mut w, &|i, s| *s = i);
         assert!(w.iter().enumerate().all(|(i, &s)| s == i));
-        crate::parallel::set_worker_threads(0);
     }
 
     #[test]
     fn nested_dispatch_runs_inline_without_deadlock() {
-        let _guard = crate::parallel::test_override_guard();
-        crate::parallel::set_worker_threads(4);
         let mut outer = vec![0u64; 64];
-        crate::parallel::par_apply_forced(&mut outer, &|i, s| {
+        par_apply_forced(4, &mut outer, &|i, s| {
             // A closure that itself asks for parallelism: must fall back
             // to inline execution instead of deadlocking on the pool.
             let mut inner = vec![0u64; 8];
-            crate::parallel::par_apply_forced(&mut inner, &|j, t| *t = j as u64);
+            par_apply_forced(4, &mut inner, &|j, t| *t = j as u64);
             *s = i as u64 + inner.iter().sum::<u64>();
         });
         assert!(outer.iter().enumerate().all(|(i, &s)| s == i as u64 + 28));
-        crate::parallel::set_worker_threads(0);
     }
 }

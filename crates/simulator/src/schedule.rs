@@ -50,8 +50,6 @@
 use crate::comm::Flip;
 use dc_topology::NodeId;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Sentinel (and mask) for the source field of a packed schedule entry:
 /// all 31 low bits set = "nothing inbound". Doubles as the field mask.
@@ -418,48 +416,6 @@ impl ScheduleBank {
     }
 }
 
-/// Process-wide default for whether keyed cycles use the schedule cache
-/// (`true` unless overridden). Encoded as "replay disabled" so the
-/// zero-state default is on.
-static REPLAY_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Serialises [`with_schedule_replay`] sections. Deliberately *not* the
-/// executor's override lock: benches nest the two overrides
-/// (`with_default_exec(mode, || with_schedule_replay(off, …))`), which a
-/// shared non-reentrant mutex would deadlock. Like that lock it is not
-/// reentrant — don't nest [`with_schedule_replay`] inside itself; when
-/// combining with [`crate::with_default_exec`], take the exec override
-/// outermost.
-static REPLAY_OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Whether machines are created with schedule replay enabled right now.
-pub(crate) fn replay_default() -> bool {
-    !REPLAY_DISABLED.load(Ordering::SeqCst)
-}
-
-/// Runs `f` with the process-wide schedule-replay default set to
-/// `enabled`, restoring the previous default afterwards (also on panic).
-///
-/// The cache-on/off A/B lever for code that builds machines internally,
-/// mirroring [`crate::with_default_exec`]. Both settings produce
-/// identical states, traces, and step metrics (only the
-/// [`Metrics::schedule_hits`](crate::Metrics::schedule_hits) /
-/// [`Metrics::schedule_misses`](crate::Metrics::schedule_misses)
-/// observability counters differ), so this only ever affects wall-clock.
-pub fn with_schedule_replay<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = REPLAY_OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            REPLAY_DISABLED.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let _restore = Restore(REPLAY_DISABLED.swap(!enabled, Ordering::SeqCst));
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,16 +522,5 @@ mod tests {
             ScheduleKey::Window { j: 2, hop: 1 }.to_string(),
             "window(2, hop 1)"
         );
-    }
-
-    #[test]
-    fn replay_override_scopes_and_restores() {
-        assert!(replay_default());
-        with_schedule_replay(false, || {
-            assert!(!replay_default());
-        });
-        assert!(replay_default());
-        with_schedule_replay(true, || assert!(replay_default()));
-        assert!(replay_default());
     }
 }

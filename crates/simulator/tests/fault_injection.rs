@@ -14,32 +14,12 @@
 //! machine's ([`RefMachine`]).
 
 use dc_simulator::reference::{Cycles, RefMachine};
-use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultKind, FaultPlan,
-    Machine, ScheduleKey, SimError,
-};
+use dc_simulator::{ExecMode, FaultKind, FaultPlan, Machine, ScheduleKey, SimError};
 use dc_topology::{Hypercube, Topology};
 use proptest::prelude::*;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
-
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
 
 /// Every (backend, replay, workers) configuration the matrix runs.
 fn configs() -> Vec<(ExecMode, bool, usize)> {
@@ -68,22 +48,19 @@ fn run_scenario(
     workers: usize,
     scenario: impl Fn(&mut Machine<'_, Hypercube, u64>) -> Vec<Result<usize, SimError>>,
 ) -> Outcome {
-    with_default_exec(mode, || {
-        with_schedule_replay(replay, || {
-            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-            let q = Hypercube::new(3);
-            let mut m = Machine::new(&q, (0..q.num_nodes() as u64).collect());
-            let cycles = scenario(&mut m);
-            let (states, metrics) = m.into_parts();
-            Outcome {
-                cycles,
-                states,
-                comm_steps: metrics.comm_steps,
-                messages: metrics.messages,
-                dropped: metrics.dropped_messages,
-            }
-        })
-    })
+    let q = Hypercube::new(3);
+    let mut m = Machine::with_exec(&q, (0..q.num_nodes() as u64).collect(), mode);
+    m.set_workers(workers);
+    m.set_schedule_replay(replay);
+    let cycles = scenario(&mut m);
+    let (states, metrics) = m.into_parts();
+    Outcome {
+        cycles,
+        states,
+        comm_steps: metrics.comm_steps,
+        messages: metrics.messages,
+        dropped: metrics.dropped_messages,
+    }
 }
 
 /// One run of the scenario on the reference machine.

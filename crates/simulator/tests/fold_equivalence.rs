@@ -25,8 +25,7 @@
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, Event, ExecMode, FaultPlan, Flip, LinkReport, Machine, Metrics,
-    ScheduleKey, TraceEntry,
+    Event, ExecMode, FaultPlan, Flip, LinkReport, Machine, Metrics, ScheduleKey, TraceEntry,
 };
 use dc_topology::{Class, DualCube, Topology};
 
@@ -35,23 +34,6 @@ const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
 
 /// A landing-slab value no fold produces: marks "nothing delivered".
 const EMPTY: u64 = u64::MAX;
-
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
 
 /// The pairwise round's fold at one node: order-sensitive in both
 /// slabs, and a missing message still changes the row, so a `None` in
@@ -210,11 +192,15 @@ fn program(
     (t, s)
 }
 
+/// A (backend, replay, workers, shards) configuration.
+type Config = (ExecMode, bool, usize, usize);
+
 /// Runs the program on the engine under one configuration.
-fn run(fused: bool, exec: ExecMode, replay: bool, shards: usize, case: Case) -> Outcome {
+fn run(fused: bool, (exec, replay, workers, shards): Config, case: Case) -> Outcome {
     let Case { n, k, rounds, reps } = case;
     let d = DualCube::new(n);
     let mut m = Machine::with_exec(&d, vec![(); d.num_nodes()], exec);
+    m.set_workers(workers);
     m.set_schedule_replay(replay);
     m.set_shards(shards);
     m.enable_trace();
@@ -254,8 +240,8 @@ struct Case {
     reps: usize,
 }
 
-/// Every (backend, replay, workers, shards) configuration.
-fn configs() -> Vec<(ExecMode, bool, usize, usize)> {
+/// Every configuration.
+fn configs() -> Vec<Config> {
     vec![
         (ExecMode::Sequential, true, 0, 1),
         (ExecMode::Sequential, false, 0, 1),
@@ -267,7 +253,7 @@ fn configs() -> Vec<(ExecMode, bool, usize, usize)> {
     ]
 }
 
-fn check(case: Case, configs: &[(ExecMode, bool, usize, usize)]) {
+fn check(case: Case, configs: &[Config]) {
     let (n, k) = (case.n, case.k);
     let want = oracle(true, case);
     assert_eq!(
@@ -275,13 +261,13 @@ fn check(case: Case, configs: &[(ExecMode, bool, usize, usize)]) {
         oracle(false, case),
         "D_{n} K={k}: the oracle's own rounds"
     );
-    for &(exec, replay, workers, shards) in configs {
-        let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
+    for &config in configs {
+        let (exec, replay, workers, shards) = config;
         let case_name =
             format!("D_{n} K={k} {exec:?} replay={replay} workers={workers} S={shards}");
         let case_name = &case_name;
-        let fused = run(true, exec, replay, shards, case);
-        let reference = run(false, exec, replay, shards, case);
+        let fused = run(true, config, case);
+        let reference = run(false, config, case);
         assert_eq!(fused.0, reference.0, "t slab: {case_name}");
         assert_eq!(fused.1, reference.1, "s slab: {case_name}");
         assert_eq!(fused.2, reference.2, "metrics: {case_name}");

@@ -14,7 +14,7 @@
 //! up as a state mismatch, not just a wrong message count.
 
 use dc_simulator::reference::{Cycles, RefMachine};
-use dc_simulator::{with_schedule_replay, ExecMode, Machine, ScheduleKey};
+use dc_simulator::{ExecMode, Machine, ScheduleKey};
 use dc_topology::{Hypercube, Topology};
 use proptest::prelude::*;
 
@@ -161,11 +161,11 @@ proptest! {
         let cycles = 4;
         let want = reference(&q, &init, |m| keyed_pairwise(m, cycles, dim, pair));
         for (mode, replay) in MODES {
-            let got = with_schedule_replay(replay, || {
-                let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                keyed_pairwise(&mut mc, cycles, dim, pair);
-                mc.states().to_vec()
-            });
+            let mut mc = Machine::with_exec(&q, init.clone(), mode);
+            mc.set_workers(2); // threaded cases thread on any host
+            mc.set_schedule_replay(replay);
+            keyed_pairwise(&mut mc, cycles, dim, pair);
+            let got = mc.states().to_vec();
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}", mode, replay);
         }
     }
@@ -182,11 +182,11 @@ proptest! {
         let cycles = 3;
         let want = reference(&q, &init, |m| exchange(m, cycles, plan));
         for (mode, replay) in MODES {
-            let got = with_schedule_replay(replay, || {
-                let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                exchange(&mut mc, cycles, plan);
-                mc.states().to_vec()
-            });
+            let mut mc = Machine::with_exec(&q, init.clone(), mode);
+            mc.set_workers(2); // threaded cases thread on any host
+            mc.set_schedule_replay(replay);
+            exchange(&mut mc, cycles, plan);
+            let got = mc.states().to_vec();
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}", mode, replay);
         }
     }
@@ -205,11 +205,11 @@ proptest! {
         let cycles = 4;
         let want = reference(&q, &init, |m| keyed_lanes(m, cycles, lanes, dim, pair));
         for (mode, replay) in MODES {
-            let got = with_schedule_replay(replay, || {
-                let mut mc = Machine::with_exec(&q, init.clone(), mode);
-                keyed_lanes(&mut mc, cycles, lanes, dim, pair);
-                mc.states().to_vec()
-            });
+            let mut mc = Machine::with_exec(&q, init.clone(), mode);
+            mc.set_workers(2); // threaded cases thread on any host
+            mc.set_schedule_replay(replay);
+            keyed_lanes(&mut mc, cycles, lanes, dim, pair);
+            let got = mc.states().to_vec();
             prop_assert_eq!(&got, &want, "mode {:?}, replay {}, lanes {}", mode, replay, lanes);
         }
     }

@@ -19,10 +19,7 @@
 
 use dc_simulator::obs::{self, CacheStatus, MemorySink};
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
-use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, Event, ExecMode, FaultKind,
-    FaultPlan, Flip, Machine, Metrics, ScheduleKey,
-};
+use dc_simulator::{Event, ExecMode, FaultKind, FaultPlan, Flip, Machine, Metrics, ScheduleKey};
 use dc_topology::{Hypercube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,25 +27,11 @@ use proptest::prelude::*;
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
 
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
+/// A (backend, replay, workers) configuration.
+type Config = (ExecMode, bool, usize);
 
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
-
-/// Every (backend, replay, workers) configuration the matrix runs.
-fn configs() -> Vec<(ExecMode, bool, usize)> {
+/// Every configuration the matrix runs.
+fn configs() -> Vec<Config> {
     vec![
         (ExecMode::Sequential, false, 0),
         (ExecMode::Sequential, true, 0),
@@ -56,6 +39,15 @@ fn configs() -> Vec<(ExecMode, bool, usize)> {
         (FORCE_PARALLEL, true, 2),
         (FORCE_PARALLEL, true, 4),
     ]
+}
+
+/// A machine over `q` under one configuration.
+fn configured<S>(q: &Hypercube, states: Vec<S>, config: Config) -> Machine<'_, Hypercube, S> {
+    let (mode, replay, workers) = config;
+    let mut m = Machine::with_exec(q, states, mode);
+    m.set_workers(workers);
+    m.set_schedule_replay(replay);
+    m
 }
 
 fn normalized(events: &[Event]) -> Vec<Event> {
@@ -90,19 +82,15 @@ fn record_run(
     dim: u32,
     scenario: impl Fn(&mut Machine<'_, Hypercube, u64>),
 ) -> (Vec<Event>, Vec<u64>, Metrics) {
-    with_default_exec(mode, || {
-        with_schedule_replay(replay, || {
-            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-            let q = Hypercube::new(dim);
-            let mut m = Machine::new(&q, (0..q.num_nodes() as u64).collect());
-            let sink = obs::shared(MemorySink::new());
-            m.record_into(sink.clone());
-            scenario(&mut m);
-            let events = sink.lock().unwrap().events();
-            let (states, metrics) = m.into_parts();
-            (events, states, model_counters(&metrics))
-        })
-    })
+    let q = Hypercube::new(dim);
+    let states = (0..q.num_nodes() as u64).collect();
+    let mut m = configured(&q, states, (mode, replay, workers));
+    let sink = obs::shared(MemorySink::new());
+    m.record_into(sink.clone());
+    scenario(&mut m);
+    let events = sink.lock().unwrap().events();
+    let (states, metrics) = m.into_parts();
+    (events, states, model_counters(&metrics))
 }
 
 /// Runs `scenario` on a fresh reference machine over `Q_dim`: end states
@@ -431,17 +419,15 @@ fn message_drops_excluded_from_link_report_across_matrix() {
         });
     };
     let q = Hypercube::new(2);
-    let (baseline_report, baseline_events) = with_default_exec(ExecMode::Sequential, || {
-        with_schedule_replay(true, || {
-            let mut m = Machine::new(&q, (0..4u64).collect());
-            let sink = obs::shared(MemorySink::new());
-            m.record_into(sink.clone());
-            scenario(&mut m);
-            let report = m.link_report().expect("recording is on");
-            let events = sink.lock().unwrap().events();
-            (report, events)
-        })
-    });
+    let (baseline_report, baseline_events) = {
+        let mut m = configured(&q, (0..4u64).collect(), (ExecMode::Sequential, true, 0));
+        let sink = obs::shared(MemorySink::new());
+        m.record_into(sink.clone());
+        scenario(&mut m);
+        let report = m.link_report().expect("recording is on");
+        let events = sink.lock().unwrap().events();
+        (report, events)
+    };
     // 4 nodes over dimension-0 links: 4 messages/cycle when clean. Cycles
     // 0 and 1 each lose one; the lane cycle carries 4 messages × 3 words.
     // Dropped messages contribute to *no* counter.
@@ -457,16 +443,11 @@ fn message_drops_excluded_from_link_report_across_matrix() {
         })
         .sum();
     assert_eq!(dropped, 2);
-    for (mode, replay, workers) in configs() {
-        let report = with_default_exec(mode, || {
-            with_schedule_replay(replay, || {
-                let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                let mut m = Machine::new(&q, (0..4u64).collect());
-                m.record_into(obs::shared(MemorySink::new()));
-                scenario(&mut m);
-                m.link_report().expect("recording is on")
-            })
-        });
+    for config @ (mode, replay, workers) in configs() {
+        let mut m = configured(&q, (0..4u64).collect(), config);
+        m.record_into(obs::shared(MemorySink::new()));
+        scenario(&mut m);
+        let report = m.link_report().expect("recording is on");
         assert_eq!(
             report, baseline_report,
             "link report diverged ({mode:?}, replay={replay}, workers={workers})"
@@ -534,13 +515,10 @@ proptest! {
         // Reference: K single-lane machines, sequential with replay.
         let singles: Vec<Vec<u64>> = (0..lanes)
             .map(|k| {
-                with_default_exec(ExecMode::Sequential, || {
-                    with_schedule_replay(true, || {
-                        let mut m = Machine::new(&q, (0..n).map(|u| init(k, u)).collect());
-                        single(&mut m, dim, sweeps);
-                        m.into_parts().0
-                    })
-                })
+                let states = (0..n).map(|u| init(k, u)).collect();
+                let mut m = configured(&q, states, (ExecMode::Sequential, true, 0));
+                single(&mut m, dim, sweeps);
+                m.into_parts().0
             })
             .collect();
         for (k, want) in singles.iter().enumerate() {
@@ -555,24 +533,14 @@ proptest! {
         let mut cur = rows_init();
         rows(&mut oracle, dim, sweeps, lanes, &mut cur);
         let oracle_rows = (cur, oracle.into_parts().1);
-        for (mode, replay, workers) in configs() {
-            let (batched, batched_metrics) = with_default_exec(mode, || {
-                with_schedule_replay(replay, || {
-                    let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                    let mut m = Machine::new(&q, batched_init());
-                    batched(&mut m, dim, sweeps, lanes);
-                    m.into_parts()
-                })
-            });
-            let (rows, rows_metrics) = with_default_exec(mode, || {
-                with_schedule_replay(replay, || {
-                    let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                    let mut cur = rows_init();
-                    let mut m = Machine::new(&q, vec![(); n]);
-                    rows(&mut m, dim, sweeps, lanes, &mut cur);
-                    (cur, m.into_parts().1)
-                })
-            });
+        for config @ (mode, replay, workers) in configs() {
+            let mut m = configured(&q, batched_init(), config);
+            batched(&mut m, dim, sweeps, lanes);
+            let (batched, batched_metrics) = m.into_parts();
+            let mut cur = rows_init();
+            let mut m = configured(&q, vec![(); n], config);
+            rows(&mut m, dim, sweeps, lanes, &mut cur);
+            let (rows, rows_metrics) = (cur, m.into_parts().1);
             prop_assert_eq!(
                 (&batched, model_counters(&batched_metrics)),
                 (&oracle_batched.0, oracle_batched.1.clone()),

@@ -20,9 +20,7 @@
 //! disagree with the reference machine.
 
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
-use dc_simulator::{
-    set_worker_threads, ExecMode, FaultPlan, Flip, Machine, Metrics, SimError, TraceEntry,
-};
+use dc_simulator::{ExecMode, FaultPlan, Flip, Machine, Metrics, SimError, TraceEntry};
 use dc_topology::{DualCube, NodeId, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,23 +28,6 @@ use std::iter::repeat_n;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
-
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
 
 /// A cycle's payload form.
 #[derive(Clone, Copy, Debug)]
@@ -266,8 +247,8 @@ proptest! {
             }
         }
         for (exec, shards, workers) in configs {
-            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
             let mut m = Machine::with_exec(&d, before.clone(), exec);
+            m.set_workers(workers);
             m.set_shards(shards);
             m.enable_trace();
             let got = attempt(&mut m, form, pairwise, &dst, &faults);
@@ -383,8 +364,8 @@ proptest! {
             }
         }
         for (exec, shards, workers) in configs {
-            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
             let mut m = Machine::with_exec(&d, vec![0; n], exec);
+            m.set_workers(workers);
             m.set_shards(shards);
             m.enable_trace();
             let got = pair_fold_run(&mut m, flip, k, keyed, &faults);

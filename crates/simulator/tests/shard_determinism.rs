@@ -16,33 +16,13 @@
 
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::reference::{Cycles, RefMachine};
-use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, FaultPlan, Flip,
-    Machine, ScheduleKey, SimError, TraceEntry,
-};
+use dc_simulator::{ExecMode, FaultPlan, Flip, Machine, ScheduleKey, SimError, TraceEntry};
 use dc_topology::{DualCube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
-
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
 
 /// Every (backend, replay, workers, shards) configuration the matrix
 /// runs. Shard counts only engage on the threaded backend (the
@@ -98,27 +78,24 @@ fn run(
     u64,
     u64,
 ) {
-    with_default_exec(mode, || {
-        with_schedule_replay(replay, || {
-            let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-            let d = DualCube::new(n);
-            let mut m = Machine::new(&d, (0..d.num_nodes() as u64).collect());
-            m.set_shards(shards);
-            m.enable_trace();
-            m.record_into(obs::shared(MemorySink::ring(64)));
-            scenario(&mut m);
-            let trace = m.phased_trace().to_vec();
-            let report = m.link_report();
-            let (states, metrics) = m.into_parts();
-            (
-                states,
-                trace,
-                report,
-                metrics.messages,
-                metrics.message_words,
-            )
-        })
-    })
+    let d = DualCube::new(n);
+    let mut m = Machine::with_exec(&d, (0..d.num_nodes() as u64).collect(), mode);
+    m.set_workers(workers);
+    m.set_schedule_replay(replay);
+    m.set_shards(shards);
+    m.enable_trace();
+    m.record_into(obs::shared(MemorySink::ring(64)));
+    scenario(&mut m);
+    let trace = m.phased_trace().to_vec();
+    let report = m.link_report();
+    let (states, metrics) = m.into_parts();
+    (
+        states,
+        trace,
+        report,
+        metrics.messages,
+        metrics.message_words,
+    )
 }
 
 /// Interprets one random byte as a machine operation, mixing every
@@ -354,30 +331,27 @@ proptest! {
             }
             .expect_err("fan-in to one node cannot be a matching")
         }
-        let fan_in = |shards: usize| {
-            let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
+        let fan_in = |mode: ExecMode, workers: usize, shards: usize| {
+            let mut m = Machine::with_exec(&d, vec![0u64; d.num_nodes()], mode);
+            m.set_workers(workers);
             m.set_shards(shards);
             fan_in_on(&mut m, form, target)
         };
-        let expect = with_default_exec(ExecMode::Sequential, || fan_in(1));
+        let expect = fan_in(ExecMode::Sequential, 0, 1);
         let reference = fan_in_on(&mut RefMachine::new(&d, vec![0u64; d.num_nodes()]), form, target);
         prop_assert_eq!(&expect, &reference, "the reference machine blamed another site");
         if form > 0 {
-            let message = with_default_exec(ExecMode::Sequential, || {
-                let mut m = Machine::new(&d, vec![0u64; d.num_nodes()]);
-                m.set_shards(1);
-                m.try_cycle(|c| {
+            let mut m = Machine::with_exec(&d, vec![0u64; d.num_nodes()], ExecMode::Sequential);
+            m.set_shards(1);
+            let message = m
+                .try_cycle(|c| {
                     c.message(|u, _| (u != target).then_some((target, u as u64)), |_, _, _| {})
                 })
-                .expect_err("fan-in to one node cannot be a matching")
-            });
+                .expect_err("fan-in to one node cannot be a matching");
             prop_assert_eq!(&expect, &message, "lane or row form diverged from the message form");
         }
         for (mode, _replay, workers, shards) in configs() {
-            let got = with_default_exec(mode, || {
-                let _pin = (workers > 0).then(|| PinnedWorkers::pin(workers));
-                fan_in(shards)
-            });
+            let got = fan_in(mode, workers, shards);
             prop_assert_eq!(
                 format!("{got}"), format!("{expect}"),
                 "error site diverged ({:?}, workers={}, shards={})", mode, workers, shards

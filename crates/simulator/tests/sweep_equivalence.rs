@@ -23,8 +23,8 @@
 use dc_simulator::obs::{self, MemorySink};
 use dc_simulator::reference::{model_counters, Cycles, RefMachine};
 use dc_simulator::{
-    set_worker_threads, Event, ExecMode, FaultPlan, Flip, LinkReport, Machine, Metrics, RowOrder,
-    ScheduleKey, SimError, TraceEntry,
+    Event, ExecMode, FaultPlan, Flip, LinkReport, Machine, Metrics, RowOrder, ScheduleKey,
+    SimError, TraceEntry,
 };
 use dc_topology::{DualCube, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,23 +32,6 @@ use std::sync::Mutex;
 
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
-
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
-    }
-}
 
 /// The data order of `D_n`: rows are `DualCube::linear_index`.
 fn data_order(d: &DualCube) -> RowOrder {
@@ -235,11 +218,12 @@ fn engine(case: Case, config: Config, swept: bool, recorded: bool) -> Engine {
     let Config {
         exec,
         replay,
+        workers,
         shards,
-        ..
     } = config;
     let d = DualCube::new(case.n);
     let mut m = Machine::with_exec(&d, vec![(); d.num_nodes()], exec);
+    m.set_workers(workers);
     m.set_schedule_replay(replay);
     m.set_shards(shards);
     m.enable_trace();
@@ -304,7 +288,6 @@ fn check(case: Case, configs: &[Config]) {
         _ => assert_eq!(want.0, Ok(()), "{case:?}"),
     }
     for &config in configs {
-        let _pin = (config.workers > 0).then(|| PinnedWorkers::pin(config.workers));
         for recorded in [false, true] {
             let name = format!("{case:?} {config:?} recorded={recorded}");
             let swept = engine(case, config, true, recorded);

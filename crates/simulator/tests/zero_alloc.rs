@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dc_simulator::{set_worker_threads, with_default_exec, ExecMode, Flip, Machine, ScheduleKey};
+use dc_simulator::{ExecMode, Flip, Machine, ScheduleKey};
 use dc_topology::faulty::Faulty;
 use dc_topology::{DualCube, Hypercube, Topology};
 
@@ -96,51 +96,61 @@ fn steady_state_cycles_do_not_allocate() {
     let q = Hypercube::new(6); // 64 nodes
     let init: Vec<u64> = (0..q.num_nodes() as u64).collect();
 
-    with_default_exec(ExecMode::Sequential, || {
-        // --- Sequential backend: hard zero. ---
-        let mut m = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
-        for dim in 0..3 {
-            one_cycle(&mut m, dim); // warm-up sizes the scratch
+    // --- Sequential backend: hard zero. ---
+    let mut m = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
+    for dim in 0..3 {
+        one_cycle(&mut m, dim); // warm-up sizes the scratch
+    }
+    let seq_delta = steady_delta(3, || {
+        for round in 0..100u32 {
+            one_cycle(&mut m, round % 6);
         }
-        let seq_delta = steady_delta(3, || {
-            for round in 0..100u32 {
-                one_cycle(&mut m, round % 6);
-            }
-        });
-        assert_eq!(
-            seq_delta, 0,
-            "sequential steady-state cycles allocated {seq_delta} times"
-        );
+    });
+    assert_eq!(
+        seq_delta, 0,
+        "sequential steady-state cycles allocated {seq_delta} times"
+    );
 
-        // Switching message types re-sizes the typed slots once, then the
-        // new type is steady-state too.
-        m.cycle(|c| {
+    // Switching message types re-sizes the typed slots once, then the
+    // new type is steady-state too.
+    m.cycle(|c| {
+        c.message(
+            |u, &s| Some((u ^ 1, (s, s))),
+            |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
+        )
+        .pairwise()
+    });
+    let retyped_delta = steady_delta(3, || {
+        for _ in 0..50 {
+            m.cycle(|c| {
+                c.message(
+                    |u, &s| Some((u ^ 1, (s, s))),
+                    |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
+                )
+                .pairwise()
+            });
+        }
+    });
+    assert_eq!(
+        retyped_delta, 0,
+        "steady-state after a message-type switch allocated {retyped_delta} times"
+    );
+
+    // --- Keyed replay: one compile cycle (allocates the schedule) +
+    // one replay warm-up (sizes the inbox), then replays are free. ---
+    let mut k = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
+    for _ in 0..2 {
+        k.cycle(|c| {
             c.message(
-                |u, &s| Some((u ^ 1, (s, s))),
-                |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
+                |u, &s| Some((u ^ 4, s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
             )
             .pairwise()
+            .keyed(ScheduleKey::Dim(2))
         });
-        let retyped_delta = steady_delta(3, || {
-            for _ in 0..50 {
-                m.cycle(|c| {
-                    c.message(
-                        |u, &s| Some((u ^ 1, (s, s))),
-                        |s, _, v: (u64, u64)| *s ^= v.0 ^ v.1,
-                    )
-                    .pairwise()
-                });
-            }
-        });
-        assert_eq!(
-            retyped_delta, 0,
-            "steady-state after a message-type switch allocated {retyped_delta} times"
-        );
-
-        // --- Keyed replay: one compile cycle (allocates the schedule) +
-        // one replay warm-up (sizes the inbox), then replays are free. ---
-        let mut k = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
-        for _ in 0..2 {
+    }
+    let replay_delta = steady_delta(3, || {
+        for _ in 0..100 {
             k.cycle(|c| {
                 c.message(
                     |u, &s| Some((u ^ 4, s)),
@@ -150,92 +160,99 @@ fn steady_state_cycles_do_not_allocate() {
                 .keyed(ScheduleKey::Dim(2))
             });
         }
-        let replay_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                k.cycle(|c| {
-                    c.message(
-                        |u, &s| Some((u ^ 4, s)),
-                        |s, _, v: u64| *s = s.wrapping_add(v),
-                    )
-                    .pairwise()
-                    .keyed(ScheduleKey::Dim(2))
-                });
-            }
-        });
-        assert_eq!(
-            replay_delta, 0,
-            "steady-state replay cycles allocated {replay_delta} times"
-        );
-        assert!(k.metrics().schedule_hits >= 301, "replays actually hit");
+    });
+    assert_eq!(
+        replay_delta, 0,
+        "steady-state replay cycles allocated {replay_delta} times"
+    );
+    assert!(k.metrics().schedule_hits >= 301, "replays actually hit");
 
-        // --- Faulty-wrapped topology: the adjacency queries validation
-        // issues every cycle must use the precomputed overrides, not the
-        // allocating neighbor-scan defaults. ---
-        let f = Faulty::new(q, &[]);
-        let mut fm = Machine::with_exec(&f, init.clone(), ExecMode::Sequential);
-        for dim in 0..3 {
-            one_cycle(&mut fm, dim);
+    // --- Faulty-wrapped topology: the adjacency queries validation
+    // issues every cycle must use the precomputed overrides, not the
+    // allocating neighbor-scan defaults. ---
+    let f = Faulty::new(q, &[]);
+    let mut fm = Machine::with_exec(&f, init.clone(), ExecMode::Sequential);
+    for dim in 0..3 {
+        one_cycle(&mut fm, dim);
+    }
+    let faulty_delta = steady_delta(3, || {
+        for round in 0..100u32 {
+            one_cycle(&mut fm, round % 6);
         }
-        let faulty_delta = steady_delta(3, || {
-            for round in 0..100u32 {
-                one_cycle(&mut fm, round % 6);
-            }
-        });
-        assert_eq!(
-            faulty_delta, 0,
-            "Faulty-wrapped steady-state cycles allocated {faulty_delta} times"
-        );
+    });
+    assert_eq!(
+        faulty_delta, 0,
+        "Faulty-wrapped steady-state cycles allocated {faulty_delta} times"
+    );
 
-        // --- Recorder lifecycle: while a recorder is installed, cycles
-        // may allocate (events are heap data by design), but once it is
-        // removed the machine must return to the hard-zero steady state
-        // — the disabled path's only observability cost is one `Option`
-        // check per cycle (no clock reads, no event construction). ---
-        let mut r = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
-        r.record_into(dc_simulator::obs::shared(dc_simulator::MemorySink::ring(
-            64,
-        )));
-        for dim in 0..3 {
-            one_cycle(&mut r, dim); // recorded warm-up
+    // --- Recorder lifecycle: while a recorder is installed, cycles
+    // may allocate (events are heap data by design), but once it is
+    // removed the machine must return to the hard-zero steady state
+    // — the disabled path's only observability cost is one `Option`
+    // check per cycle (no clock reads, no event construction). ---
+    let mut r = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
+    r.record_into(dc_simulator::obs::shared(dc_simulator::MemorySink::ring(
+        64,
+    )));
+    for dim in 0..3 {
+        one_cycle(&mut r, dim); // recorded warm-up
+    }
+    assert!(r.stop_recording().is_some());
+    for dim in 0..3 {
+        one_cycle(&mut r, dim); // re-warm with the recorder off
+    }
+    let recorder_off_delta = steady_delta(3, || {
+        for round in 0..100u32 {
+            one_cycle(&mut r, round % 6);
         }
-        assert!(r.stop_recording().is_some());
-        for dim in 0..3 {
-            one_cycle(&mut r, dim); // re-warm with the recorder off
-        }
-        let recorder_off_delta = steady_delta(3, || {
-            for round in 0..100u32 {
-                one_cycle(&mut r, round % 6);
-            }
-        });
-        assert_eq!(
-            recorder_off_delta, 0,
-            "disabled-recorder steady-state cycles allocated {recorder_off_delta} times"
-        );
+    });
+    assert_eq!(
+        recorder_off_delta, 0,
+        "disabled-recorder steady-state cycles allocated {recorder_off_delta} times"
+    );
 
-        // --- Threaded backend: the persistent pool dispatches without
-        // allocating once its workers exist and the scratch is warm. ---
-        set_worker_threads(4);
-        let mut p = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
-        for dim in 0..3 {
-            one_cycle(&mut p, dim); // spawns the pool + warms the inbox
+    // --- Threaded backend: the persistent pool dispatches without
+    // allocating once its workers exist and the scratch is warm. ---
+    let mut p = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    p.set_workers(4);
+    for dim in 0..3 {
+        one_cycle(&mut p, dim); // spawns the pool + warms the inbox
+    }
+    let par_delta = steady_delta(3, || {
+        for round in 0..100u32 {
+            one_cycle(&mut p, round % 6);
         }
-        let par_delta = steady_delta(3, || {
-            for round in 0..100u32 {
-                one_cycle(&mut p, round % 6);
-            }
-        });
-        assert_eq!(
-            par_delta, 0,
-            "threaded steady-state cycles allocated {par_delta} times"
-        );
+    });
+    assert_eq!(
+        par_delta, 0,
+        "threaded steady-state cycles allocated {par_delta} times"
+    );
 
-        // --- Lane-batched cycles: once the lane-strided buffer and the
-        // staged-sender table are sized (one warm-up compile + one
-        // replay), K-lane keyed cycles are allocation-free on both the
-        // full and the replay path. ---
-        let lanes = 8usize;
-        let mut lm = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
-        for _ in 0..2 {
+    // --- Lane-batched cycles: once the lane-strided buffer and the
+    // staged-sender table are sized (one warm-up compile + one
+    // replay), K-lane keyed cycles are allocation-free on both the
+    // full and the replay path. ---
+    let lanes = 8usize;
+    let mut lm = Machine::with_exec(&q, init.clone(), ExecMode::Sequential);
+    for _ in 0..2 {
+        lm.cycle(|c| {
+            c.lanes(
+                lanes,
+                &0u64,
+                |u, _| Some(u ^ 8),
+                |_, &s, window| window.fill(s),
+                |s, _, window| {
+                    for w in window.iter() {
+                        *s = s.wrapping_add(*w);
+                    }
+                },
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(3))
+        });
+    }
+    let lane_delta = steady_delta(3, || {
+        for _ in 0..100 {
             lm.cycle(|c| {
                 c.lanes(
                     lanes,
@@ -252,35 +269,35 @@ fn steady_state_cycles_do_not_allocate() {
                 .keyed(ScheduleKey::Dim(3))
             });
         }
-        let lane_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                lm.cycle(|c| {
-                    c.lanes(
-                        lanes,
-                        &0u64,
-                        |u, _| Some(u ^ 8),
-                        |_, &s, window| window.fill(s),
-                        |s, _, window| {
-                            for w in window.iter() {
-                                *s = s.wrapping_add(*w);
-                            }
-                        },
-                    )
-                    .pairwise()
-                    .keyed(ScheduleKey::Dim(3))
-                });
-            }
-        });
-        assert_eq!(
-            lane_delta, 0,
-            "lane-batched steady-state cycles allocated {lane_delta} times"
-        );
+    });
+    assert_eq!(
+        lane_delta, 0,
+        "lane-batched steady-state cycles allocated {lane_delta} times"
+    );
 
-        // --- Threaded lane-batched replay: same guarantee on the pool
-        // path (fused verify+stage pass and strided delivery sweep). ---
-        set_worker_threads(4);
-        let mut lp = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
-        for _ in 0..2 {
+    // --- Threaded lane-batched replay: same guarantee on the pool
+    // path (fused verify+stage pass and strided delivery sweep). ---
+    let mut lp = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    lp.set_workers(4);
+    for _ in 0..2 {
+        lp.cycle(|c| {
+            c.lanes(
+                lanes,
+                &0u64,
+                |u, _| Some(u ^ 8),
+                |_, &s, window| window.fill(s),
+                |s, _, window| {
+                    for w in window.iter() {
+                        *s = s.wrapping_add(*w);
+                    }
+                },
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(3))
+        });
+    }
+    let lane_par_delta = steady_delta(3, || {
+        for _ in 0..100 {
             lp.cycle(|c| {
                 c.lanes(
                     lanes,
@@ -297,34 +314,26 @@ fn steady_state_cycles_do_not_allocate() {
                 .keyed(ScheduleKey::Dim(3))
             });
         }
-        let lane_par_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                lp.cycle(|c| {
-                    c.lanes(
-                        lanes,
-                        &0u64,
-                        |u, _| Some(u ^ 8),
-                        |_, &s, window| window.fill(s),
-                        |s, _, window| {
-                            for w in window.iter() {
-                                *s = s.wrapping_add(*w);
-                            }
-                        },
-                    )
-                    .pairwise()
-                    .keyed(ScheduleKey::Dim(3))
-                });
-            }
-        });
-        set_worker_threads(0);
-        assert_eq!(
-            lane_par_delta, 0,
-            "threaded lane-batched steady-state cycles allocated {lane_par_delta} times"
-        );
+    });
+    assert_eq!(
+        lane_par_delta, 0,
+        "threaded lane-batched steady-state cycles allocated {lane_par_delta} times"
+    );
 
-        // --- Threaded keyed replay: same guarantee on the pool path. ---
-        let mut pk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
-        for _ in 0..2 {
+    // --- Threaded keyed replay: same guarantee on the pool path. ---
+    let mut pk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    for _ in 0..2 {
+        pk.cycle(|c| {
+            c.message(
+                |u, &s| Some((u ^ 2, s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(1))
+        });
+    }
+    let par_replay_delta = steady_delta(3, || {
+        for _ in 0..100 {
             pk.cycle(|c| {
                 c.message(
                     |u, &s| Some((u ^ 2, s)),
@@ -334,60 +343,60 @@ fn steady_state_cycles_do_not_allocate() {
                 .keyed(ScheduleKey::Dim(1))
             });
         }
-        let par_replay_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                pk.cycle(|c| {
-                    c.message(
-                        |u, &s| Some((u ^ 2, s)),
-                        |s, _, v: u64| *s = s.wrapping_add(v),
-                    )
-                    .pairwise()
-                    .keyed(ScheduleKey::Dim(1))
-                });
-            }
-        });
-        set_worker_threads(0);
-        assert_eq!(
-            par_replay_delta, 0,
-            "threaded steady-state replay cycles allocated {par_replay_delta} times"
-        );
+    });
+    assert_eq!(
+        par_replay_delta, 0,
+        "threaded steady-state replay cycles allocated {par_replay_delta} times"
+    );
 
-        // --- Sharded engine, full validation path: an explicit 16-shard
-        // map over a 4-worker pool (each dispatch slot owns four whole
-        // shards). Dimension exchanges at bits ≥ 2 are pure seam traffic
-        // here (chunk 4), so every cycle routes claims through the
-        // exchange bins — which must retain their capacity across cycles
-        // once every dimension's pattern has been seen. ---
-        set_worker_threads(4);
-        let mut sm = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
-        sm.set_shards(16);
-        assert_eq!(sm.shards(), 16);
-        let seam = |m: &mut Machine<'_, Hypercube, u64>, dim: u32| {
-            m.cycle(|c| {
-                c.message(
-                    move |u, s: &u64| Some((u ^ (1usize << dim), *s)),
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                )
-            });
-        };
-        for dim in 0..6 {
-            seam(&mut sm, dim); // warm every dimension's seam pattern
+    // --- Sharded engine, full validation path: an explicit 16-shard
+    // map over a 4-worker pool (each dispatch slot owns four whole
+    // shards). Dimension exchanges at bits ≥ 2 are pure seam traffic
+    // here (chunk 4), so every cycle routes claims through the
+    // exchange bins — which must retain their capacity across cycles
+    // once every dimension's pattern has been seen. ---
+    let mut sm = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    sm.set_workers(4);
+    sm.set_shards(16);
+    assert_eq!(sm.shards(), 16);
+    let seam = |m: &mut Machine<'_, Hypercube, u64>, dim: u32| {
+        m.cycle(|c| {
+            c.message(
+                move |u, s: &u64| Some((u ^ (1usize << dim), *s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
+            )
+        });
+    };
+    for dim in 0..6 {
+        seam(&mut sm, dim); // warm every dimension's seam pattern
+    }
+    let shard_delta = steady_delta(3, || {
+        for round in 0..100u32 {
+            seam(&mut sm, round % 6);
         }
-        let shard_delta = steady_delta(3, || {
-            for round in 0..100u32 {
-                seam(&mut sm, round % 6);
-            }
-        });
-        assert_eq!(
-            shard_delta, 0,
-            "sharded steady-state cycles allocated {shard_delta} times"
-        );
+    });
+    assert_eq!(
+        shard_delta, 0,
+        "sharded steady-state cycles allocated {shard_delta} times"
+    );
 
-        // --- Sharded keyed replay: the shard-aligned bounds dispatch
-        // (fused verify+stage, then shard-local delivery) is free too. ---
-        let mut sk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
-        sk.set_shards(16);
-        for _ in 0..2 {
+    // --- Sharded keyed replay: the shard-aligned bounds dispatch
+    // (fused verify+stage, then shard-local delivery) is free too. ---
+    let mut sk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    sk.set_workers(4);
+    sk.set_shards(16);
+    for _ in 0..2 {
+        sk.cycle(|c| {
+            c.message(
+                |u, &s| Some((u ^ 4, s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Dim(2))
+        });
+    }
+    let shard_replay_delta = steady_delta(3, || {
+        for _ in 0..100 {
             sk.cycle(|c| {
                 c.message(
                     |u, &s| Some((u ^ 4, s)),
@@ -397,92 +406,77 @@ fn steady_state_cycles_do_not_allocate() {
                 .keyed(ScheduleKey::Dim(2))
             });
         }
-        let shard_replay_delta = steady_delta(3, || {
-            for _ in 0..100 {
-                sk.cycle(|c| {
-                    c.message(
-                        |u, &s| Some((u ^ 4, s)),
-                        |s, _, v: u64| *s = s.wrapping_add(v),
-                    )
-                    .pairwise()
-                    .keyed(ScheduleKey::Dim(2))
-                });
+    });
+    assert_eq!(
+        shard_replay_delta, 0,
+        "sharded steady-state replay cycles allocated {shard_replay_delta} times"
+    );
+
+    // --- Rows cycles and row compute phases over caller-owned lane
+    // slabs, on both backends (the threaded leg with 4 pinned
+    // workers): once every key is compiled and the sender table is
+    // sized, keyed replays, unkeyed full cycles and compute phases
+    // split and walk the slabs without touching the heap. ---
+    for (exec, workers) in [
+        (ExecMode::Sequential, 0),
+        (ExecMode::Parallel { threshold: 1 }, 4),
+    ] {
+        let n = q.num_nodes();
+        let mut cur: Vec<u64> = (0..(n * lanes) as u64).collect();
+        let (mut temp, mut spare) = (vec![0u64; n * lanes], vec![0u64; n * lanes]);
+        let mut rm = Machine::with_exec(&q, vec![(); n], exec);
+        rm.set_workers(workers);
+        for _ in 0..2 {
+            for dim in 0..6 {
+                rows_round(&mut rm, lanes, dim, [&mut cur, &mut temp, &mut spare]);
+            }
+        }
+        let rows_delta = steady_delta(3, || {
+            for round in 0..60u32 {
+                rows_round(&mut rm, lanes, round % 6, [&mut cur, &mut temp, &mut spare]);
             }
         });
-        set_worker_threads(0);
         assert_eq!(
-            shard_replay_delta, 0,
-            "sharded steady-state replay cycles allocated {shard_replay_delta} times"
+            rows_delta, 0,
+            "steady-state rows cycles and row compute phases allocated {rows_delta} times ({exec:?})"
         );
+    }
 
-        // --- Rows cycles and row compute phases over caller-owned lane
-        // slabs, on both backends (the threaded leg with 4 pinned
-        // workers): once every key is compiled and the sender table is
-        // sized, keyed replays, unkeyed full cycles and compute phases
-        // split and walk the slabs without touching the heap. ---
+    // --- Exchange-and-fold cycles on both backends: once the keys
+    // are compiled, a pair fold (replayed by flip equality) and a
+    // read-only fold allocate nothing. Q_13 at 16 lanes runs 1 MiB
+    // slabs, Q_6 at 8 lanes small ones. ---
+    for (dim, lanes) in [(6u32, 8usize), (13, 16)] {
+        let fq = Hypercube::new(dim);
+        let n = fq.num_nodes();
         for (exec, workers) in [
             (ExecMode::Sequential, 0),
             (ExecMode::Parallel { threshold: 1 }, 4),
         ] {
-            set_worker_threads(workers);
-            let n = q.num_nodes();
-            let mut cur: Vec<u64> = (0..(n * lanes) as u64).collect();
-            let (mut temp, mut spare) = (vec![0u64; n * lanes], vec![0u64; n * lanes]);
-            let mut rm = Machine::with_exec(&q, vec![(); n], exec);
+            let mut t: Vec<u64> = (0..(n * lanes) as u64).collect();
+            let mut s = vec![1u64; n * lanes];
+            // Each node's id in every lane of its row, for the fold.
+            let mut ids: Vec<u64> = (0..n as u64)
+                .flat_map(|u| std::iter::repeat_n(u, lanes))
+                .collect();
+            let mut fm = Machine::with_exec(&fq, vec![(); n], exec);
+            fm.set_workers(workers);
             for _ in 0..2 {
-                for dim in 0..6 {
-                    rows_round(&mut rm, lanes, dim, [&mut cur, &mut temp, &mut spare]);
+                for d in 0..dim {
+                    fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
                 }
             }
-            let rows_delta = steady_delta(3, || {
-                for round in 0..60u32 {
-                    rows_round(&mut rm, lanes, round % 6, [&mut cur, &mut temp, &mut spare]);
+            let fold_delta = steady_delta(3, || {
+                for d in 0..dim {
+                    fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
                 }
             });
-            set_worker_threads(0);
             assert_eq!(
-                rows_delta, 0,
-                "steady-state rows cycles and row compute phases allocated {rows_delta} times ({exec:?})"
+                fold_delta, 0,
+                "steady-state fold cycles allocated {fold_delta} times (Q_{dim}, {exec:?})"
             );
         }
-
-        // --- Exchange-and-fold cycles on both backends: once the keys
-        // are compiled, a pair fold (replayed by flip equality) and a
-        // read-only fold allocate nothing. Q_13 at 16 lanes runs 1 MiB
-        // slabs, Q_6 at 8 lanes small ones. ---
-        for (dim, lanes) in [(6u32, 8usize), (13, 16)] {
-            let fq = Hypercube::new(dim);
-            let n = fq.num_nodes();
-            for (exec, workers) in [
-                (ExecMode::Sequential, 0),
-                (ExecMode::Parallel { threshold: 1 }, 4),
-            ] {
-                set_worker_threads(workers);
-                let mut t: Vec<u64> = (0..(n * lanes) as u64).collect();
-                let mut s = vec![1u64; n * lanes];
-                // Each node's id in every lane of its row, for the fold.
-                let mut ids: Vec<u64> = (0..n as u64)
-                    .flat_map(|u| std::iter::repeat_n(u, lanes))
-                    .collect();
-                let mut fm = Machine::with_exec(&fq, vec![(); n], exec);
-                for _ in 0..2 {
-                    for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
-                    }
-                }
-                let fold_delta = steady_delta(3, || {
-                    for d in 0..dim {
-                        fold_round(&mut fm, lanes, d, [&mut t, &mut s, &mut ids]);
-                    }
-                });
-                set_worker_threads(0);
-                assert_eq!(
-                    fold_delta, 0,
-                    "steady-state fold cycles allocated {fold_delta} times (Q_{dim}, {exec:?})"
-                );
-            }
-        }
-    });
+    }
 }
 
 /// One exchange-and-fold round of Algorithm 1's shape: a pair fold of
@@ -580,30 +574,28 @@ fn rows_round(
 fn d10_steady_state_cycles_do_not_allocate() {
     let d = DualCube::new(10);
     let init: Vec<u64> = (0..d.num_nodes() as u64).collect();
-    with_default_exec(ExecMode::Sequential, || {
-        let mut m = Machine::with_exec(&d, init, ExecMode::Sequential);
-        let cross = |m: &mut Machine<'_, DualCube, u64>| {
-            m.cycle(|c| {
-                c.message(
-                    |u, &s| Some((d.cross_neighbor(u), s)),
-                    |s, _, v: u64| *s = s.wrapping_add(v),
-                )
-                .pairwise()
-                .keyed(ScheduleKey::Cross)
-            });
-        };
-        for _ in 0..2 {
-            cross(&mut m); // compile + replay warm-up sizes every buffer
-        }
-        let delta = steady_delta(3, || {
-            for _ in 0..5 {
-                cross(&mut m);
-            }
+    let mut m = Machine::with_exec(&d, init, ExecMode::Sequential);
+    let cross = |m: &mut Machine<'_, DualCube, u64>| {
+        m.cycle(|c| {
+            c.message(
+                |u, &s| Some((d.cross_neighbor(u), s)),
+                |s, _, v: u64| *s = s.wrapping_add(v),
+            )
+            .pairwise()
+            .keyed(ScheduleKey::Cross)
         });
-        assert_eq!(
-            delta, 0,
-            "D_10 steady-state replay cycles allocated {delta} times"
-        );
-        assert!(m.metrics().schedule_hits >= 16, "replays actually hit");
+    };
+    for _ in 0..2 {
+        cross(&mut m); // compile + replay warm-up sizes every buffer
+    }
+    let delta = steady_delta(3, || {
+        for _ in 0..5 {
+            cross(&mut m);
+        }
     });
+    assert_eq!(
+        delta, 0,
+        "D_10 steady-state replay cycles allocated {delta} times"
+    );
+    assert!(m.metrics().schedule_hits >= 16, "replays actually hit");
 }

@@ -13,18 +13,27 @@ use dc_core::fault::ft_broadcast;
 use dc_core::fault::ft_d_prefix;
 use dc_core::ops::{Concat, Sum};
 use dc_core::prefix::{sequential_prefix, PrefixKind};
-use dc_simulator::{with_default_exec, with_schedule_replay, ExecMode, FaultPlan};
+use dc_core::run::RunConfig;
+use dc_simulator::{ExecMode, FaultPlan};
 use dc_topology::{connectivity, DualCube, Topology};
 use proptest::prelude::*;
 
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
 
-fn configs() -> Vec<(ExecMode, bool)> {
+/// Both backends, replay off and on; 2 workers, so the threaded cases
+/// thread on any host.
+fn configs() -> Vec<RunConfig> {
+    let config = |exec, replay| RunConfig {
+        exec,
+        workers: 2,
+        replay,
+        ..RunConfig::default()
+    };
     vec![
-        (ExecMode::Sequential, false),
-        (ExecMode::Sequential, true),
-        (FORCE_PARALLEL, false),
-        (FORCE_PARALLEL, true),
+        config(ExecMode::Sequential, false),
+        config(ExecMode::Sequential, true),
+        config(FORCE_PARALLEL, false),
+        config(FORCE_PARALLEL, true),
     ]
 }
 
@@ -110,16 +119,15 @@ proptest! {
             .map(|i| Concat(format!("{i}.")))
             .collect();
         let expect = expected_prefixes(&d, &input, kind, &crashed);
-        for (mode, replay) in configs() {
-            let run = with_default_exec(mode, || with_schedule_replay(replay, || {
-                ft_d_prefix(&d, &input, kind, &plan)
-            }));
+        for config in configs() {
+            let name = format!("{:?}, replay={}", config.exec, config.replay);
+            let run = ft_d_prefix(&d, &input, kind, &plan, config);
             prop_assert!(run.report.guaranteed, "|F| < κ");
             prop_assert!(run.report.complete, "guaranteed ⇒ every survivor reached");
             prop_assert_eq!(run.metrics.retries, 0, "no drops scripted");
             prop_assert_eq!(
                 &run.prefixes, &expect,
-                "({:?}, replay={}) diverged from fault-free-on-survivors", mode, replay
+                "({}) diverged from fault-free-on-survivors", name
             );
         }
     }
@@ -142,10 +150,8 @@ proptest! {
             .map(|u| (u + root_pick) % d.num_nodes())
             .find(|u| !crashed.contains(u))
             .unwrap();
-        for (mode, replay) in configs() {
-            let run = with_default_exec(mode, || with_schedule_replay(replay, || {
-                ft_broadcast(&d, root, 0xBEEFu16, &plan)
-            }));
+        for config in configs() {
+            let run = ft_broadcast(&d, root, 0xBEEFu16, &plan, config);
             prop_assert!(run.report.guaranteed && run.report.complete);
             for u in 0..d.num_nodes() {
                 if crashed.contains(&u) {
@@ -178,11 +184,9 @@ proptest! {
             }
         }
         let input: Vec<Sum> = (1..=d.num_nodes() as i64).map(Sum).collect();
-        let clean = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &clean_plan);
-        for (mode, replay) in configs() {
-            let lossy = with_default_exec(mode, || with_schedule_replay(replay, || {
-                ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan)
-            }));
+        let clean = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &clean_plan, RunConfig::default());
+        for config in configs() {
+            let lossy = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan, config);
             prop_assert!(lossy.report.complete);
             prop_assert_eq!(&lossy.prefixes, &clean.prefixes);
             prop_assert_eq!(lossy.metrics.retries, lossy.metrics.dropped_messages);
@@ -204,7 +208,13 @@ fn readme_fault_injection_example() {
         .node_crash(0, 7)
         .link_down(0, 0, 16)
         .message_drop(2, 3);
-    let run = ft_d_prefix(&d, &input, PrefixKind::Inclusive, &plan);
+    let run = ft_d_prefix(
+        &d,
+        &input,
+        PrefixKind::Inclusive,
+        &plan,
+        RunConfig::default(),
+    );
     assert!(run.report.guaranteed && run.report.complete);
     assert!(run.prefixes[d.linear_index(7)].is_none());
     assert_eq!(run.metrics.retries, run.metrics.dropped_messages);
@@ -223,7 +233,7 @@ fn d2_single_fault_exhaustive() {
     for kind in [PrefixKind::Inclusive, PrefixKind::Diminished] {
         for victim in 0..d.num_nodes() {
             let plan = FaultPlan::new().node_crash(0, victim);
-            let run = ft_d_prefix(&d, &input, kind, &plan);
+            let run = ft_d_prefix(&d, &input, kind, &plan, RunConfig::default());
             assert!(run.report.complete, "crash {victim}");
             assert_eq!(run.prefixes, expected_prefixes(&d, &input, kind, &[victim]));
         }
@@ -231,7 +241,7 @@ fn d2_single_fault_exhaustive() {
             for v in d.neighbors(u) {
                 if u < v {
                     let plan = FaultPlan::new().link_down(0, u, v);
-                    let run = ft_d_prefix(&d, &input, kind, &plan);
+                    let run = ft_d_prefix(&d, &input, kind, &plan, RunConfig::default());
                     assert!(run.report.complete, "cut {{{u},{v}}}");
                     assert_eq!(run.prefixes, expected_prefixes(&d, &input, kind, &[]));
                 }

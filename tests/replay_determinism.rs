@@ -17,13 +17,10 @@
 use dc_core::ops::Sum;
 use dc_core::prefix::dualcube::{batched_d_prefix_reusing, d_prefix, Step5Mode};
 use dc_core::prefix::{sequential_prefix, PrefixKind};
-use dc_core::run::Recording;
+use dc_core::run::{Recording, RunConfig};
 use dc_core::sort::dualcube::{batched_d_sort_reusing, d_sort};
 use dc_core::sort::SortOrder;
-use dc_simulator::{
-    set_worker_threads, with_default_exec, with_schedule_replay, ExecMode, Machine, Metrics,
-    ScheduleBank, ScheduleKey, SimError,
-};
+use dc_simulator::{ExecMode, Machine, Metrics, ScheduleBank, ScheduleKey, SimError};
 use dc_topology::{DualCube, Hypercube, RecDualCube, Topology};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -34,20 +31,14 @@ use support::sort_network_model;
 /// Forces the threaded code path regardless of machine size.
 const FORCE_PARALLEL: ExecMode = ExecMode::Parallel { threshold: 1 };
 
-/// Pins the executor worker count, restoring the automatic count on drop
-/// (also on assertion panic).
-struct PinnedWorkers;
-
-impl PinnedWorkers {
-    fn pin(n: usize) -> Self {
-        set_worker_threads(n);
-        PinnedWorkers
-    }
-}
-
-impl Drop for PinnedWorkers {
-    fn drop(&mut self) {
-        set_worker_threads(0);
+/// `exec` with schedule replay on or off; the threaded backend runs at 4
+/// workers, the sequential one at the host's count.
+fn config(exec: ExecMode, replay: bool) -> RunConfig {
+    RunConfig {
+        exec,
+        workers: if exec == ExecMode::Sequential { 0 } else { 4 },
+        replay,
+        ..RunConfig::default()
     }
 }
 
@@ -62,9 +53,9 @@ fn scrubbed(mut m: Metrics) -> Metrics {
 
 /// Runs a random program of keyed pairwise / keyed exchange / compute
 /// cycles (op codes from `ops`) on `Q_m` and returns every observable:
-/// end states, scrubbed metrics, full trace. `switch` changes the worker
-/// count mid-program, proving replay determinism is insensitive to
-/// resizes between cycles.
+/// end states, scrubbed metrics, full trace. The machine starts at
+/// `workers`, and `switch` changes its worker count mid-program, proving
+/// replay determinism is insensitive to resizes between cycles.
 type ProgramRun = (Vec<u64>, Metrics, Vec<(Option<u32>, Vec<(usize, usize)>)>);
 
 fn keyed_program(
@@ -72,50 +63,49 @@ fn keyed_program(
     ops: &[u8],
     exec: ExecMode,
     replay: bool,
+    workers: usize,
     switch: Option<(usize, usize)>,
 ) -> ProgramRun {
-    with_schedule_replay(replay, || {
-        let mut m = Machine::with_exec(q, (0..q.num_nodes() as u64).collect::<Vec<_>>(), exec);
-        m.enable_trace();
-        for (cycle, &op) in ops.iter().enumerate() {
-            if let Some((at, workers)) = switch {
-                if cycle == at {
-                    set_worker_threads(workers);
-                }
-            }
-            let dim = (op as u32 / 3) % q.dim();
-            match op % 3 {
-                0 => {
-                    m.cycle(|c| {
-                        c.message(
-                            move |u, &s| Some((u ^ (1usize << dim), s)),
-                            |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
-                        )
-                        .pairwise()
-                        .keyed(ScheduleKey::Dim(dim))
-                    });
-                }
-                1 => {
-                    // Half-speaking exchange: the dim-low half sends up.
-                    m.cycle(|c| {
-                        c.message(
-                            move |u, &s| {
-                                (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s))
-                            },
-                            |s, _, v| *s ^= v,
-                        )
-                        .keyed(ScheduleKey::Window { j: dim, hop: 0 })
-                    });
-                }
-                _ => {
-                    m.compute(1, |u, s| *s = s.rotate_left((u % 13) as u32));
-                }
+    let mut m = Machine::with_exec(q, (0..q.num_nodes() as u64).collect::<Vec<_>>(), exec);
+    m.set_workers(workers);
+    m.set_schedule_replay(replay);
+    m.enable_trace();
+    for (cycle, &op) in ops.iter().enumerate() {
+        if let Some((at, workers)) = switch {
+            if cycle == at {
+                m.set_workers(workers);
             }
         }
-        let trace = m.phased_trace().to_vec();
-        let (states, metrics) = m.into_parts();
-        (states, scrubbed(metrics), trace)
-    })
+        let dim = (op as u32 / 3) % q.dim();
+        match op % 3 {
+            0 => {
+                m.cycle(|c| {
+                    c.message(
+                        move |u, &s| Some((u ^ (1usize << dim), s)),
+                        |s, _, v: u64| *s = s.wrapping_mul(0x9E37_79B9).wrapping_add(v),
+                    )
+                    .pairwise()
+                    .keyed(ScheduleKey::Dim(dim))
+                });
+            }
+            1 => {
+                // Half-speaking exchange: the dim-low half sends up.
+                m.cycle(|c| {
+                    c.message(
+                        move |u, &s| (u & (1usize << dim) == 0).then(|| (u | (1usize << dim), s)),
+                        |s, _, v| *s ^= v,
+                    )
+                    .keyed(ScheduleKey::Window { j: dim, hop: 0 })
+                });
+            }
+            _ => {
+                m.compute(1, |u, s| *s = s.rotate_left((u % 13) as u32));
+            }
+        }
+    }
+    let trace = m.phased_trace().to_vec();
+    let (states, metrics) = m.into_parts();
+    (states, scrubbed(metrics), trace)
 }
 
 proptest! {
@@ -130,22 +120,21 @@ proptest! {
         switch_to in 1usize..=4,
     ) {
         let q = Hypercube::new(m);
-        let reference = keyed_program(&q, &ops, ExecMode::Sequential, false, None);
+        let reference = keyed_program(&q, &ops, ExecMode::Sequential, false, 0, None);
 
-        let seq_replay = keyed_program(&q, &ops, ExecMode::Sequential, true, None);
+        let seq_replay = keyed_program(&q, &ops, ExecMode::Sequential, true, 0, None);
         prop_assert_eq!(&reference, &seq_replay, "sequential replay diverged");
 
-        let workers = PinnedWorkers::pin(4);
-        let par_off = keyed_program(&q, &ops, FORCE_PARALLEL, false, None);
+        let par_off = keyed_program(&q, &ops, FORCE_PARALLEL, false, 4, None);
         prop_assert_eq!(&reference, &par_off, "parallel validation diverged");
         let par_replay = keyed_program(
             &q,
             &ops,
             FORCE_PARALLEL,
             true,
+            4,
             Some((switch_at, switch_to)),
         );
-        drop(workers);
         prop_assert_eq!(&reference, &par_replay, "parallel replay diverged");
     }
 
@@ -170,27 +159,23 @@ proptest! {
             .map(|u| if u == n - 1 { u } else { next() as usize % n })
             .collect();
         let probe = |exec: ExecMode, replay: bool, keyed: bool| {
-            with_schedule_replay(replay, || {
-                let init: Vec<u64> = (0..n as u64).collect();
-                let mut mach = Machine::with_exec(&q, init.clone(), exec);
-                let r = if keyed {
-                    mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}).keyed(ScheduleKey::Custom(7)))
-                } else {
-                    mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}))
-                };
-                let err = r.expect_err("plan contains a violation");
-                assert_eq!(mach.states(), &init[..], "failed cycle mutated states");
-                assert_eq!(mach.metrics().comm_steps, 0, "failed cycle was charged");
-                err
-            })
+            let init: Vec<u64> = (0..n as u64).collect();
+            let mut mach = config(exec, replay).machine(&q, init.clone());
+            let r = if keyed {
+                mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}).keyed(ScheduleKey::Custom(7)))
+            } else {
+                mach.try_cycle(|c| c.message(|u, _| Some((dst[u], ())), |_, _, ()| {}))
+            };
+            let err = r.expect_err("plan contains a violation");
+            assert_eq!(mach.states(), &init[..], "failed cycle mutated states");
+            assert_eq!(mach.metrics().comm_steps, 0, "failed cycle was charged");
+            err
         };
         let reference = probe(ExecMode::Sequential, false, false);
         prop_assert_eq!(reference, probe(ExecMode::Sequential, true, true));
         prop_assert_eq!(reference, probe(ExecMode::Sequential, false, true));
-        let workers = PinnedWorkers::pin(4);
         prop_assert_eq!(reference, probe(FORCE_PARALLEL, false, false));
         prop_assert_eq!(reference, probe(FORCE_PARALLEL, true, true));
-        drop(workers);
     }
 }
 
@@ -206,8 +191,9 @@ fn deviating_keyed_plan_is_rejected_not_laundered() {
     let key = ScheduleKey::Dim(0);
     let legal_elsewhere = |u: usize, _s: &u64| Some((u ^ 2, u as u64));
 
-    with_schedule_replay(true, || {
+    {
         let mut m = Machine::new(&q, vec![0u64; q.num_nodes()]);
+        m.set_schedule_replay(true);
         // Compile the dim-0 pattern under the key.
         m.cycle(|c| {
             c.message(|u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v)
@@ -220,10 +206,11 @@ fn deviating_keyed_plan_is_rejected_not_laundered() {
             .expect_err("deviating plan slipped through replay");
         assert_eq!(err, SimError::ScheduleDeviation { key, node: 0 });
         assert_eq!(m.states(), &before[..], "rejected cycle mutated states");
-    });
+    }
 
-    with_schedule_replay(false, || {
+    {
         let mut m = Machine::new(&q, vec![0u64; q.num_nodes()]);
+        m.set_schedule_replay(false);
         m.cycle(|c| {
             c.message(|u, _| Some((u ^ 1, u as u64)), |s, _, v| *s = v)
                 .keyed(key)
@@ -232,7 +219,7 @@ fn deviating_keyed_plan_is_rejected_not_laundered() {
             .try_cycle(|c| c.message(legal_elsewhere, |s, _, v| *s = v).keyed(key))
             .expect("the deviating plan is legal under full validation");
         assert_eq!(delivered, q.num_nodes());
-    });
+    }
 }
 
 /// The paper algorithms end-to-end: replay on vs off must agree on every
@@ -246,29 +233,26 @@ fn paper_algorithms_agree_replay_on_vs_off() {
         .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D) % 97)
         .collect();
     for exec in [ExecMode::Sequential, FORCE_PARALLEL] {
-        let workers = PinnedWorkers::pin(if exec == ExecMode::Sequential { 0 } else { 4 });
-        let (p_on, s_on, p_off, s_off) = with_default_exec(exec, || {
-            let run = |replay| {
-                with_schedule_replay(replay, || {
-                    let p = d_prefix(
-                        &d,
-                        &input,
-                        PrefixKind::Inclusive,
-                        Step5Mode::PaperFaithful,
-                        Recording::Trace,
-                    );
-                    let s = d_sort(&rec, &keys, SortOrder::Ascending, Recording::Trace);
-                    (
-                        (p.prefixes, scrubbed(p.metrics), p.trace),
-                        (s.output, scrubbed(s.metrics), s.trace),
-                    )
-                })
+        let run = |replay| {
+            let traced = RunConfig {
+                recording: Recording::Trace,
+                ..config(exec, replay)
             };
-            let (p_on, s_on) = run(true);
-            let (p_off, s_off) = run(false);
-            (p_on, s_on, p_off, s_off)
-        });
-        drop(workers);
+            let p = d_prefix(
+                &d,
+                &input,
+                PrefixKind::Inclusive,
+                Step5Mode::PaperFaithful,
+                traced.clone(),
+            );
+            let s = d_sort(&rec, &keys, SortOrder::Ascending, traced);
+            (
+                (p.prefixes, scrubbed(p.metrics), p.trace),
+                (s.output, scrubbed(s.metrics), s.trace),
+            )
+        };
+        let (p_on, s_on) = run(true);
+        let (p_off, s_off) = run(false);
         assert_eq!(p_on, p_off, "d_prefix diverged under {exec:?}");
         assert_eq!(s_on, s_off, "d_sort diverged under {exec:?}");
     }
@@ -298,21 +282,20 @@ fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
         .map(|k| (0..n).map(|x| (x * 37 + k * 101) % 113 - 50).collect())
         .collect();
     let sums = |lane: &[i64]| lane.iter().copied().map(Sum).collect::<Vec<_>>();
-    let single = with_default_exec(ExecMode::Sequential, || {
-        raw.iter()
-            .map(|lane| {
-                let p = d_prefix(
-                    &d,
-                    &sums(lane),
-                    PrefixKind::Inclusive,
-                    Step5Mode::PaperFaithful,
-                    Recording::Off,
-                );
-                let s = d_sort(&rec, lane, SortOrder::Ascending, Recording::Off);
-                ((p.prefixes, p.metrics), (s.output, s.metrics))
-            })
-            .collect::<Vec<_>>()
-    });
+    let single = raw
+        .iter()
+        .map(|lane| {
+            let p = d_prefix(
+                &d,
+                &sums(lane),
+                PrefixKind::Inclusive,
+                Step5Mode::PaperFaithful,
+                ExecMode::Sequential,
+            );
+            let s = d_sort(&rec, lane, SortOrder::Ascending, ExecMode::Sequential);
+            ((p.prefixes, p.metrics), (s.output, s.metrics))
+        })
+        .collect::<Vec<_>>();
     let oracles: Vec<(Vec<Sum>, Vec<i64>)> = raw
         .iter()
         .map(|lane| {
@@ -327,31 +310,25 @@ fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
         let keys = &raw[..lanes];
         let mut seen: Option<(Metrics, Metrics)> = None;
         for exec in execs {
-            let workers = PinnedWorkers::pin(if exec == ExecMode::Sequential { 0 } else { 4 });
             for replay in [true, false] {
-                let runs = with_default_exec(exec, || {
-                    with_schedule_replay(replay, || {
-                        let (mut prefix_bank, mut sort_bank) =
-                            (ScheduleBank::new(), ScheduleBank::new());
-                        [(); 2].map(|()| {
-                            let p = batched_d_prefix_reusing(
-                                &d,
-                                &inputs,
-                                PrefixKind::Inclusive,
-                                Step5Mode::PaperFaithful,
-                                exec,
-                                &mut prefix_bank,
-                            );
-                            let s = batched_d_sort_reusing(
-                                &rec,
-                                keys,
-                                SortOrder::Ascending,
-                                exec,
-                                &mut sort_bank,
-                            );
-                            (p, s)
-                        })
-                    })
+                let (mut prefix_bank, mut sort_bank) = (ScheduleBank::new(), ScheduleBank::new());
+                let runs = [(); 2].map(|()| {
+                    let p = batched_d_prefix_reusing(
+                        &d,
+                        &inputs,
+                        PrefixKind::Inclusive,
+                        Step5Mode::PaperFaithful,
+                        config(exec, replay),
+                        &mut prefix_bank,
+                    );
+                    let s = batched_d_sort_reusing(
+                        &rec,
+                        keys,
+                        SortOrder::Ascending,
+                        config(exec, replay),
+                        &mut sort_bank,
+                    );
+                    (p, s)
                 });
                 for (p, s) in runs {
                     for (k, ((prefixes, _), (sorted, _))) in single[..lanes].iter().enumerate() {
@@ -384,7 +361,6 @@ fn batched_agree_replay_on_vs_off(n: u32, execs: [ExecMode; 2]) {
                     }
                 }
             }
-            drop(workers);
         }
         let (prefix, sort) = seen.expect("every configuration ran");
         let ((_, prefix_one), (_, sort_one)) = &single[0];
@@ -408,25 +384,19 @@ fn d8_prefix_replay_agrees_with_validation() {
     assert_eq!(d.num_nodes(), 32_768);
     let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
     let run = |exec, replay| {
-        with_default_exec(exec, || {
-            with_schedule_replay(replay, || {
-                let r = d_prefix(
-                    &d,
-                    &input,
-                    PrefixKind::Inclusive,
-                    Step5Mode::PaperFaithful,
-                    Recording::Off,
-                );
-                (r.prefixes, scrubbed(r.metrics))
-            })
-        })
+        let r = d_prefix(
+            &d,
+            &input,
+            PrefixKind::Inclusive,
+            Step5Mode::PaperFaithful,
+            config(exec, replay),
+        );
+        (r.prefixes, scrubbed(r.metrics))
     };
     let reference = run(ExecMode::Sequential, false);
     assert_eq!(reference, run(ExecMode::Sequential, true));
-    let workers = PinnedWorkers::pin(4);
     assert_eq!(reference, run(ExecMode::parallel(), false));
     assert_eq!(reference, run(ExecMode::parallel(), true));
-    drop(workers);
 }
 
 #[test]
@@ -438,20 +408,14 @@ fn d8_sort_replay_agrees_with_validation() {
         .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D).rotate_left(11))
         .collect();
     let run = |exec, replay| {
-        with_default_exec(exec, || {
-            with_schedule_replay(replay, || {
-                let r = d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off);
-                (r.output, scrubbed(r.metrics))
-            })
-        })
+        let r = d_sort(&rec, &keys, SortOrder::Ascending, config(exec, replay));
+        (r.output, scrubbed(r.metrics))
     };
     let reference = run(ExecMode::Sequential, false);
     assert!(SortOrder::Ascending.is_sorted(&reference.0));
     assert_eq!(reference, run(ExecMode::Sequential, true));
-    let workers = PinnedWorkers::pin(4);
     assert_eq!(reference, run(ExecMode::parallel(), false));
     assert_eq!(reference, run(ExecMode::parallel(), true));
-    drop(workers);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use dc_core::run::Recording;
 use dc_core::sort::dualcube::d_sort;
 use dc_core::sort::SortOrder;
 use dc_core::theory;
-use dc_simulator::{with_default_exec, ExecMode};
+use dc_simulator::ExecMode;
 use dc_topology::{DualCube, RecDualCube, Topology};
 use std::sync::{Mutex, MutexGuard};
 
@@ -139,10 +139,7 @@ fn readme_scaling_up_example() {
     let _serial = serial();
     let rec = RecDualCube::new(6); // 2^11 = 2048 nodes;
     let keys: Vec<u64> = (0..rec.num_nodes() as u64).rev().collect();
-    let run = with_default_exec(ExecMode::parallel(), || {
-        // threaded backend
-        d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off)
-    });
+    let run = d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off); // threaded by default
     assert!(run.output.windows(2).all(|w| w[0] <= w[1]));
     assert_eq!(run.metrics.comm_steps, 6 * 36 - 7 * 6 + 2); // 6n²−7n+2 at n=6
 }
@@ -172,9 +169,7 @@ fn d10_sort_within_memory_ceiling() {
     let keys: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let run = with_default_exec(ExecMode::parallel(), || {
-        d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off)
-    });
+    let run = d_sort(&rec, &keys, SortOrder::Ascending, ExecMode::parallel());
     assert_eq!(run.metrics.comm_steps, theory::sort_comm_exact(10));
     assert_eq!(run.metrics.comp_steps, theory::sort_comp_exact(10));
     let mut expect = keys;
@@ -209,9 +204,7 @@ fn d11_sort_within_memory_ceiling() {
     let keys: Vec<u64> = (0..n as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let run = with_default_exec(ExecMode::parallel(), || {
-        d_sort(&rec, &keys, SortOrder::Ascending, Recording::Off)
-    });
+    let run = d_sort(&rec, &keys, SortOrder::Ascending, ExecMode::parallel());
     assert_eq!(run.metrics.comm_steps, theory::sort_comm_exact(11));
     assert_eq!(run.metrics.comp_steps, theory::sort_comp_exact(11));
     let mut expect = keys;
