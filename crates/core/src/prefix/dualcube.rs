@@ -61,11 +61,16 @@
 //! class-1 node); once the rounds replay, the sweep runs all of them on
 //! one cluster, while its rows sit in cache, before the next cluster.
 //! Steps 4 and the paper's step 5 fold each node's sender's row in where
-//! it lies ([`dc_simulator::Comm::fold_rows`]); step 2 moves rows
-//! straight into `t′` ([`dc_simulator::Comm::rows`]), and the local
-//! step 5 folds over rows ([`Machine::compute_rows`]). The slabs form
-//! one
-//! [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
+//! it lies ([`dc_simulator::Comm::fold_rows_on`]); step 2 moves rows
+//! straight into `t′` ([`dc_simulator::Comm::rows_on`]), and the local
+//! step 5 folds over rows ([`Machine::compute_rows`]). Every cycle's
+//! matching is a value: the sweeps' by-class flips, the cross edge's
+//! class-bit flip (steps 2 and 4), and step 5's flip in which class 1
+//! crosses and class 0 stays silent ([`Flip::gated`]). The machine
+//! proves each in closed form on its first use and replays it by flip
+//! equality after, so no cycle evaluates a node's plan, and in data
+//! order the cross rounds walk their block transpose in tiles straight
+//! from the flip. The slabs form one [`PrefixSlabs`] set: [`d_prefix`] and [`batched_d_prefix_reusing`]
 //! run the body on a fresh set (one lane and K lanes), and
 //! [`batched_d_prefix_in_place`] on a set its caller keeps from batch to
 //! batch. The Figure 3 panels come from an observer the body calls at
@@ -75,7 +80,7 @@ use crate::ops::Monoid;
 use crate::prefix::hypercube::ascend_fold;
 use crate::prefix::PrefixKind;
 use crate::run::{
-    lane_outputs, lane_outputs_into, lane_slab_into, refill, PhaseSnapshot, RunConfig,
+    lane_outputs, lane_outputs_into, lane_slab_twin_into, refill, PhaseSnapshot, RunConfig,
 };
 use dc_simulator::{Flip, Machine, Metrics, RowOrder, ScheduleBank, ScheduleKey};
 use dc_topology::{Class, DualCube, Topology};
@@ -171,11 +176,10 @@ pub fn d_prefix<M: Monoid>(
     }
     let mut phases = Vec::new();
     let mut slabs = PrefixSlabs::default();
-    slabs.load(d, &[input], M::clone);
+    slabs.load(d, &[input], kind, M::clone);
     d_prefix_body(
         &mut machine,
         &mut slabs,
-        kind,
         step5,
         &mut |label, [t, s, t2, s2]| {
             if recording.enabled() {
@@ -259,8 +263,8 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
     bank: &mut ScheduleBank,
 ) -> BatchedDPrefixRun<M> {
     let mut slabs = PrefixSlabs::default();
-    slabs.load(d, inputs, M::clone);
-    let metrics = run_batch(d, &mut slabs, kind, step5, &run.into(), bank);
+    slabs.load(d, inputs, kind, M::clone);
+    let metrics = run_batch(d, &mut slabs, step5, &run.into(), bank);
     BatchedDPrefixRun {
         prefixes: lane_outputs(&slabs.s, inputs.len()),
         metrics,
@@ -277,8 +281,8 @@ pub fn batched_d_prefix_reusing<M: Monoid>(
 ///
 /// A warm call — a bank that has seen the shape, a set that has run a
 /// batch at least as large — allocates no buffer that grows with the
-/// lanes: the machine's per-node sender table is the one buffer sized by
-/// the machine that it still allocates.
+/// lanes or with the machine: every cycle is a matching that replays by
+/// flip equality, so the machine fills no per-node sender table.
 ///
 /// ```
 /// use dc_core::ops::Sum;
@@ -305,8 +309,8 @@ pub fn batched_d_prefix_in_place<X: Clone, M: Monoid + From<X> + Into<X>>(
     bank: &mut ScheduleBank,
     slabs: &mut PrefixSlabs<M>,
 ) -> Metrics {
-    slabs.load(d, lanes, |x| M::from(x.clone()));
-    let metrics = run_batch(d, slabs, kind, step5, &run.into(), bank);
+    slabs.load(d, lanes, kind, |x| M::from(x.clone()));
+    let metrics = run_batch(d, slabs, step5, &run.into(), bank);
     lane_outputs_into(&slabs.s, lanes, |s| s.clone().into());
     metrics
 }
@@ -316,14 +320,13 @@ pub fn batched_d_prefix_in_place<X: Clone, M: Monoid + From<X> + Into<X>>(
 fn run_batch<M: Monoid>(
     d: &DualCube,
     slabs: &mut PrefixSlabs<M>,
-    kind: PrefixKind,
     step5: Step5Mode,
     run: &RunConfig,
     bank: &mut ScheduleBank,
 ) -> Metrics {
     let mut machine = run.machine(d, vec![(); d.num_nodes()]);
     machine.adopt_schedules(bank);
-    d_prefix_body(&mut machine, slabs, kind, step5, &mut |_, _| {});
+    d_prefix_body(&mut machine, slabs, step5, &mut |_, _| {});
     machine.donate_schedules(bank);
     machine.into_parts().1
 }
@@ -359,8 +362,16 @@ impl<M> Default for PrefixSlabs<M> {
 
 impl<M: Monoid> PrefixSlabs<M> {
     /// Loads `t` with the `K = inputs.len()` instances, `convert`ing each
-    /// value: row `i` holds `c[i]` in every lane.
-    fn load<X>(&mut self, d: &DualCube, inputs: &[impl AsRef<[X]>], convert: impl Fn(&X) -> M) {
+    /// value: row `i` holds `c[i]` in every lane. In the same tiled pass
+    /// `s` starts as step 1's scan needs it: `t`'s values for an
+    /// inclusive scan, the identity for a diminished one.
+    fn load<X>(
+        &mut self,
+        d: &DualCube,
+        inputs: &[impl AsRef<[X]>],
+        kind: PrefixKind,
+        convert: impl Fn(&X) -> M,
+    ) {
         assert!(
             !inputs.is_empty(),
             "a batched prefix needs at least one instance"
@@ -374,7 +385,11 @@ impl<M: Monoid> PrefixSlabs<M> {
             );
         }
         self.lanes = inputs.len();
-        lane_slab_into(&mut self.t, inputs, convert);
+        let fill = match kind {
+            PrefixKind::Inclusive => None,
+            PrefixKind::Diminished => Some(M::identity()),
+        };
+        lane_slab_twin_into(&mut self.t, &mut self.s, fill.as_ref(), inputs, convert);
     }
 }
 
@@ -383,13 +398,12 @@ impl<M: Monoid> PrefixSlabs<M> {
 type Panel<'a, M> = [&'a [M]; 4];
 
 /// Algorithm 2 on the K lanes of a loaded set (the module docs' five
-/// steps), leaving the final prefixes in its `s` slab. `observe` sees
-/// the panel before step 1 and after each step, labelled as Figure 3's
-/// panels (a)–(f).
+/// steps; the load started `s` for the prefix kind), leaving the final
+/// prefixes in its `s` slab. `observe` sees the panel before step 1 and
+/// after each step, labelled as Figure 3's panels (a)–(f).
 fn d_prefix_body<M: Monoid>(
     machine: &mut Machine<'_, DualCube, ()>,
     slabs: &mut PrefixSlabs<M>,
-    kind: PrefixKind,
     step5: Step5Mode,
     observe: &mut impl FnMut(&str, Panel<'_, M>),
 ) {
@@ -402,15 +416,12 @@ fn d_prefix_body<M: Monoid>(
         s2,
     } = slabs;
     let (lanes, len) = (*lanes, t.len());
-    // The caller loaded t; s and s′ start as in a fresh set, whatever an
-    // earlier batch left in them. t′ is only sized: step 2's pairwise
-    // cross exchange writes every row of it, and no machine that runs
-    // this body carries a fault plan, so no dropped message can leave a
-    // stale row (a fresh set still starts at the identity).
-    match kind {
-        PrefixKind::Inclusive => s.clone_from(t),
-        PrefixKind::Diminished => refill(s, len, M::identity()),
-    }
+    // The caller loaded t, and s beside it for the prefix kind; s′
+    // starts as in a fresh set, whatever an earlier batch left in it. t′ is only sized:
+    // step 2's pairwise cross exchange writes every row of it, and no
+    // machine that runs this body carries a fault plan, so no dropped
+    // message can leave a stale row (a fresh set still starts at the
+    // identity).
     refill(s2, len, M::identity());
     t2.resize(len, M::identity());
     // Rows are data indices: row lin(u) holds node u.
@@ -431,22 +442,22 @@ fn d_prefix_body<M: Monoid>(
     }
     observe("(a) original data distribution", [t, s, t2, s2]);
 
-    // Step 1: Cube_prefix inside every cluster (over c, requested kind).
+    // Step 1: Cube_prefix inside every cluster (over c, of the kind the
+    // load started s for).
     machine.begin_phase("step 1: Cube_prefix inside clusters");
     machine.sweep(lanes, rounds, [&mut t[..], &mut s[..]], ascend_fold);
     observe("(b) prefix inside cluster (t, s)", [t, s, t2, s2]);
 
     // Step 2: exchange cluster totals over the cross-edges, straight into
-    // t′ (s′ starts at the identity). Step 4 replays the same pattern.
+    // t′ (s′ starts at the identity). The cross edge flips the class bit
+    // everywhere; in data order its rows pair as a block transpose. Step
+    // 4 replays the same matching.
     machine.begin_phase("step 2: exchange totals via cross-edges");
+    let cross = Flip::uniform(d.class_bit());
     machine.cycle(|c| {
-        c.rows(
-            lanes,
-            |u, _| Some(d.cross_neighbor(u)),
-            [(&t[..], &mut t2[..])],
-        )
-        .pairwise()
-        .keyed(ScheduleKey::Cross)
+        c.rows_on(lanes, cross, [(&t[..], &mut t2[..])])
+            .pairwise()
+            .keyed(ScheduleKey::Cross)
     });
     observe("(c) exchange t via cross-edge", [t, s, t2, s2]);
 
@@ -460,9 +471,9 @@ fn d_prefix_body<M: Monoid>(
     // everywhere, as it lands.
     machine.begin_phase("step 4: exchange s' and combine");
     machine.cycle(|c| {
-        c.fold_rows(
+        c.fold_rows_on(
             lanes,
-            |u, _| Some(d.cross_neighbor(u)),
+            cross,
             &s2[..],
             [&mut s[..]],
             [],
@@ -491,10 +502,12 @@ fn d_prefix_body<M: Monoid>(
         }
     };
     if step5 == Step5Mode::PaperFaithful {
+        // Class 1 crosses, class 0 stays silent.
+        let to_class0 = Flip::gated(d.class_bit(), [None, Some(d.class_bit())]);
         machine.cycle(|c| {
-            c.fold_rows(
+            c.fold_rows_on(
                 lanes,
-                |u, _| (d.class_of(u) == Class::One).then(|| d.cross_neighbor(u)),
+                to_class0,
                 &t2[..],
                 [&mut s[..]],
                 [&t2[..]],
@@ -836,6 +849,116 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One in-place call at replay on or off, recorded or not: the
+    /// outputs, the metrics, and the normalized events with their cache
+    /// status blanked (a miss, a hit and a bypass differ only there).
+    fn in_place(
+        d: &DualCube,
+        inputs: &[Vec<i64>],
+        replay: bool,
+        recorded: bool,
+        bank: &mut ScheduleBank,
+        slabs: &mut PrefixSlabs<Sum>,
+    ) -> (Vec<Vec<i64>>, Metrics, Vec<dc_simulator::Event>) {
+        use dc_simulator::{obs, Event, MemorySink};
+        let sink = obs::shared(MemorySink::new());
+        let run = RunConfig {
+            exec: ExecMode::Sequential,
+            replay,
+            recorder: recorded.then(|| sink.clone() as dc_simulator::SharedSink),
+            ..RunConfig::default()
+        };
+        let mut values = inputs.to_vec();
+        let (kind, step5) = (PrefixKind::Inclusive, Step5Mode::PaperFaithful);
+        let metrics = batched_d_prefix_in_place(d, &mut values, kind, step5, run, bank, slabs);
+        let mut events = sink.lock().unwrap().events();
+        for e in &mut events {
+            if let Event::Cycle(c) = e {
+                c.cache = obs::CacheStatus::Unkeyed;
+            }
+        }
+        (
+            values,
+            metrics,
+            events.iter().map(Event::normalized).collect(),
+        )
+    }
+
+    #[test]
+    fn cold_warm_and_node_by_node_calls_agree() {
+        // A cold call proves its matchings in closed form, a warm one
+        // replays them by flip equality, and one with replay off checks
+        // every cycle node by node: the same outputs, metrics but for
+        // the hit and miss counters, recorded events but for their cache
+        // status, and, at one lane, traces.
+        let counters = |m: &Metrics| Metrics {
+            schedule_hits: 0,
+            schedule_misses: 0,
+            ..m.clone()
+        };
+        let mut slabs = PrefixSlabs::<Sum>::default();
+        for n in 1..=5 {
+            let d = DualCube::new(n);
+            for lanes in [1, 3, 16] {
+                let inputs: Vec<Vec<i64>> = (0..lanes as i64)
+                    .map(|k| (0..d.num_nodes() as i64).map(|x| x * 31 - k * 7).collect())
+                    .collect();
+                let case = format!("D_{n} K={lanes}");
+                for recorded in [false, true] {
+                    let mut bank = ScheduleBank::new();
+                    let cold = in_place(&d, &inputs, true, recorded, &mut bank, &mut slabs);
+                    let warm = in_place(&d, &inputs, true, recorded, &mut bank, &mut slabs);
+                    let off = in_place(
+                        &d,
+                        &inputs,
+                        false,
+                        recorded,
+                        &mut ScheduleBank::new(),
+                        &mut slabs,
+                    );
+                    for (lane, input) in cold.0.iter().zip(&inputs) {
+                        let input: Vec<Sum> = input.iter().map(|&x| Sum(x)).collect();
+                        let want = sequential_prefix(&input, PrefixKind::Inclusive);
+                        assert_eq!(
+                            *lane,
+                            want.iter().map(|s| s.0).collect::<Vec<_>>(),
+                            "{case}"
+                        );
+                    }
+                    for (other, name) in [(&warm, "warm"), (&off, "replay off")] {
+                        let name = format!("{case} recorded={recorded} {name}");
+                        assert_eq!(other.0, cold.0, "{name}: outputs");
+                        assert_eq!(counters(&other.1), counters(&cold.1), "{name}: metrics");
+                        assert_eq!(other.2, cold.2, "{name}: events");
+                    }
+                    let n = n as u64;
+                    let counts = |m: &Metrics| (m.schedule_misses, m.schedule_hits);
+                    assert_eq!(counts(&cold.1), (n + 1, n), "{case}: cold");
+                    assert_eq!(counts(&warm.1), (0, 2 * n + 1), "{case}: warm");
+                    assert_eq!(counts(&off.1), (0, 0), "{case}: replay off");
+                }
+            }
+            // The batched calls keep no trace; one lane through d_prefix
+            // shows the closed-form run's trace is the node-by-node one.
+            let input: Vec<Sum> = (0..d.num_nodes() as i64).map(Sum).collect();
+            let traced = |replay| {
+                let run = RunConfig {
+                    replay,
+                    ..Recording::Trace.into()
+                };
+                d_prefix(
+                    &d,
+                    &input,
+                    PrefixKind::Inclusive,
+                    Step5Mode::PaperFaithful,
+                    run,
+                )
+                .trace
+            };
+            assert_eq!(traced(true), traced(false), "D_{n}: traces");
         }
     }
 

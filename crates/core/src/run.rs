@@ -158,18 +158,63 @@ pub(crate) fn lane_slab_into<X, M: Clone>(
     inputs: &[impl AsRef<[X]>],
     convert: impl Fn(&X) -> M,
 ) {
+    lane_slabs_into(slab, None, inputs, convert);
+}
+
+/// [`lane_slab_into`] that also writes a `twin` slab of the same shape
+/// in the same tiled pass: every converted value again, or, when `fill`
+/// is given, `fill` in every slot. Algorithm 2 loads `t` this way, with
+/// `s` as its twin, so a batch starts without a second pass over a
+/// slab.
+pub(crate) fn lane_slab_twin_into<X, M: Clone>(
+    slab: &mut Vec<M>,
+    twin: &mut Vec<M>,
+    fill: Option<&M>,
+    inputs: &[impl AsRef<[X]>],
+    convert: impl Fn(&X) -> M,
+) {
+    lane_slabs_into(slab, Some((twin, fill)), inputs, convert);
+}
+
+/// The tiled pass of [`lane_slab_into`] and [`lane_slab_twin_into`].
+fn lane_slabs_into<X, M: Clone>(
+    slab: &mut Vec<M>,
+    mut twin: Option<(&mut Vec<M>, Option<&M>)>,
+    inputs: &[impl AsRef<[X]>],
+    convert: impl Fn(&X) -> M,
+) {
     let (lanes, n) = (inputs.len(), inputs[0].as_ref().len());
-    if slab.len() != n * lanes {
+    let Some(first) = inputs[0].as_ref().first().map(&convert) else {
         slab.clear();
-        if let Some(first) = inputs[0].as_ref().first() {
-            slab.resize(n * lanes, convert(first));
+        if let Some((twin, _)) = twin {
+            twin.clear();
+        }
+        return;
+    };
+    for slab in std::iter::once(&mut *slab).chain(twin.as_mut().map(|(t, _)| &mut **t)) {
+        if slab.len() != n * lanes {
+            slab.clear();
+            slab.resize(n * lanes, first.clone());
         }
     }
-    for (start, tile) in (0..n).step_by(TILE).zip(slab.chunks_mut(TILE * lanes)) {
+    let tiles = (0..n).step_by(TILE).zip(slab.chunks_mut(TILE * lanes));
+    let mut twins = twin.map(|(t, fill)| (t.chunks_mut(TILE * lanes), fill));
+    for (start, tile) in tiles {
+        let mut twin = twins
+            .as_mut()
+            .map(|(t, fill)| (t.next().expect("one twin tile per tile"), *fill));
         for (k, input) in inputs.iter().enumerate() {
             let values = &input.as_ref()[start..start + tile.len() / lanes];
-            for (at, x) in tile[k..].iter_mut().step_by(lanes).zip(values) {
-                *at = convert(x);
+            let slots = tile[k..].iter_mut().step_by(lanes).zip(values);
+            match twin.as_mut() {
+                None => slots.for_each(|(at, x)| *at = convert(x)),
+                Some((twin, fill)) => {
+                    let twins = twin[k..].iter_mut().step_by(lanes);
+                    for ((at, x), copy) in slots.zip(twins) {
+                        *at = convert(x);
+                        copy.clone_from(fill.unwrap_or(at));
+                    }
+                }
             }
         }
     }

@@ -16,13 +16,15 @@
 //!   place at both ends ([`Comm::fold_pairs`], `K` words per message);
 //!   or `K` lane values staged through per-node state ([`Comm::lanes`],
 //!   `K` words per message, kept for the repository benchmark's
-//!   probes);
+//!   probes). The row forms take their matching as a plan closure or,
+//!   as [`Comm::rows_on`] and [`Comm::fold_rows_on`], as a [`Flip`],
+//!   which the machine proves legal without visiting a node;
 //! * an optional **key** ([`Comm::keyed`]) naming the pattern for
 //!   compile-once / replay-after (see the [`crate::schedule`] docs);
 //! * the **pairwise** flag ([`Comm::pairwise`]), which requires the
 //!   matching to be symmetric. Like the rest of validation it is checked
-//!   on compile (and unkeyed) cycles; a replay checks the pattern
-//!   against the compiled schedule instead.
+//!   on compile (and unkeyed) cycles, in closed form for a [`Flip`]; a
+//!   replay checks the pattern against the compiled schedule instead.
 //!
 //! The machine hands [`Machine::try_cycle`](crate::Machine::try_cycle)'s
 //! closure a blank `Comm<S>`, so the payload closures built on it see the
@@ -60,9 +62,9 @@
 //! ```
 //!
 //! Each payload form is a type implementing the sealed [`Payload`] trait,
-//! so the machine's one full-cycle path and one replay path are
+//! so the machine's cycle paths (full, replay by plan, and matching) are
 //! monomorphised per form: no dynamic dispatch and no per-node branch on
-//! the form in either hot loop.
+//! the form in any hot loop.
 //!
 //! The rows form is the data plane of the paper algorithms, batched and
 //! single-instance alike (DESIGN.md §10): each paper variable is one
@@ -99,12 +101,15 @@
 //! order by default, or the dual-cube's data order, in which every
 //! cluster is consecutive rows and a cluster dimension flips the same
 //! row bit in both classes. The row forms address rows through it, a
-//! pair fold maps its flip into row space, and everything else — plans,
-//! keys, schedules, traces, faults — stays in node ids. A run of pair
-//! folds over the same slabs is one
-//! [`Machine::sweep`](crate::Machine::sweep): once its rounds replay,
-//! it walks one block of rows at a time (one cluster, in data order)
-//! through every round, charging each round as its cycle.
+//! pair fold maps its flip into row space, a row form on a [`Flip`]
+//! finds each sender's row from the flip (a row bit, or, for the cross
+//! edge in data order, the block-transposed row, walked in tiles), and
+//! everything else — plans, keys, schedules, traces, faults — stays in
+//! node ids. A run of pair folds over the same slabs is one
+//! [`Machine::sweep`](crate::Machine::sweep): once its rounds replay or
+//! prove themselves in closed form, it walks one block of rows at a time
+//! (one cluster, in data order) through every round, charging each
+//! round as its cycle.
 
 use crate::fault::FaultState;
 use crate::parallel::{par_lane_apply_bounds, par_rows_bounds};
@@ -117,9 +122,10 @@ use std::ops::Range;
 /// to [`Machine::try_cycle`](crate::Machine::try_cycle) /
 /// [`Machine::cycle`](crate::Machine::cycle) from the blank `Comm<S>`
 /// the machine provides: pick a payload form ([`Comm::message`],
-/// [`Comm::rows`], [`Comm::fold_rows`], [`Comm::fold_pairs`] or
-/// [`Comm::lanes`]), then optionally [`Comm::pairwise`] and
-/// [`Comm::keyed`] (in any order). See the [module docs](crate::comm).
+/// [`Comm::rows`] or [`Comm::rows_on`], [`Comm::fold_rows`] or
+/// [`Comm::fold_rows_on`], [`Comm::fold_pairs`] or [`Comm::lanes`]),
+/// then optionally [`Comm::pairwise`] and [`Comm::keyed`] (in any
+/// order). See the [module docs](crate::comm).
 #[must_use = "a Comm describes a cycle; return it to `Machine::cycle` to run it"]
 pub struct Comm<S, F = ()> {
     pub(crate) form: F,
@@ -178,7 +184,9 @@ impl<S> Comm<S> {
     /// each `(source, destination)` pair, row `src` of the source slab is
     /// copied into row `u` of the destination slab. Each message is
     /// charged `width × pairs` words, and recorded events report that
-    /// many lanes.
+    /// many lanes. A matching given as a [`Flip`] goes to
+    /// [`Comm::rows_on`] instead, which the machine proves legal and
+    /// delivers without evaluating a plan.
     ///
     /// Rows move only after the whole cycle validates (or replays), so a
     /// failed cycle writes no row; a dropped message leaves its
@@ -205,6 +213,55 @@ impl<S> Comm<S> {
         self.with(Rows { width, plan, pairs })
     }
 
+    /// [`Comm::rows`] on a matching given as a value: node `u` sends to
+    /// `flip.target(u)`, and a node whose class the flip silences sends
+    /// nothing. No node's plan is ever evaluated. On a topology that
+    /// answers [`Topology::flip_is_edge`](dc_topology::Topology::flip_is_edge)
+    /// the cycle is proved legal in closed form, and a keyed cycle whose
+    /// flip equals its schedule's replays by that equality (see the
+    /// [`crate::schedule`] docs). The rows then move straight from the
+    /// matching, with no sender table: under the dual-cube's data order
+    /// ([`RowOrder::swap_class_fields`]) a class-bit flip pairs row `(0,
+    /// a, b)` with row `(1, b, a)`, a block transpose the delivery walks
+    /// in tiles. Charged, traced and recorded exactly as the
+    /// [`Comm::rows`] cycle whose plan sends where the flip does.
+    ///
+    /// ```
+    /// use dc_simulator::{Flip, Machine, RowOrder, ScheduleKey};
+    /// use dc_topology::DualCube;
+    ///
+    /// // D_2 in data order: the cross edge moves each row to its transpose.
+    /// let d = DualCube::new(2);
+    /// let mut m = Machine::new(&d, vec![(); 8]);
+    /// m.set_row_order(RowOrder::swap_class_fields(1));
+    /// let (t, mut got): (Vec<u64>, _) = ((0..8).collect(), vec![0; 8]);
+    /// let cross = Flip::uniform(2);
+    /// m.cycle(|c| c.rows_on(1, cross, [(&t[..], &mut got[..])]).keyed(ScheduleKey::Cross));
+    /// assert_eq!(got, [4, 6, 5, 7, 0, 2, 1, 3]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`Comm::rows`]; and when the cycle runs, if a by-class flip's
+    /// class bit is not the machine's top address bit.
+    pub fn rows_on<'a, V, const N: usize>(
+        self,
+        width: usize,
+        flip: Flip,
+        pairs: [(&'a [V], &'a mut [V]); N],
+    ) -> Comm<S, Rows<'a, V, Flip, N>>
+    where
+        V: Clone + Send + Sync,
+    {
+        assert!(width > 0, "a row cycle needs at least one lane");
+        assert!(N > 0, "a row cycle needs at least one slab pair");
+        self.with(Rows {
+            width,
+            plan: flip,
+            pairs,
+        })
+    }
+
     /// The fold form: an exchange-and-combine round over caller-owned
     /// lane slabs (the layout of [`Comm::rows`], `width` values per
     /// node), whose travelling slab `from` the fold only reads.
@@ -214,7 +271,9 @@ impl<S> Comm<S> {
     /// slabs, and `msg` = its sender's row of `from`, read in place, or
     /// `None` when nothing arrived (a silent node, or a dropped message).
     /// Crashed nodes are skipped, so their rows freeze. A round whose
-    /// travelling slab is folded too is a [`Comm::fold_pairs`] cycle.
+    /// travelling slab is folded too is a [`Comm::fold_pairs`] cycle,
+    /// and one whose matching is a [`Flip`] a [`Comm::fold_rows_on`]
+    /// cycle.
     ///
     /// A fold cycle is charged exactly as the [`Comm::rows`] cycle and
     /// the [`Machine::compute_rows`](crate::Machine::compute_rows) phase
@@ -265,6 +324,42 @@ impl<S> Comm<S> {
         self.with(FoldRows {
             width,
             plan,
+            from,
+            rows,
+            read,
+            fold,
+        })
+    }
+
+    /// [`Comm::fold_rows`] on a matching given as a value, as
+    /// [`Comm::rows_on`] is [`Comm::rows`] on one: node `u` sends to
+    /// `flip.target(u)`, the cycle is proved legal without evaluating a
+    /// plan, and each live node's fold gets its sender's row of `from`
+    /// straight from the matching (`None` for a node the matching sends
+    /// nothing, or whose message was dropped). Charged exactly as the
+    /// [`Comm::fold_rows`] cycle whose plan sends where the flip does.
+    ///
+    /// # Panics
+    ///
+    /// As [`Comm::fold_rows`]; and when the cycle runs, if a by-class
+    /// flip's class bit is not the machine's top address bit.
+    pub fn fold_rows_on<'a, V, Fo, const W: usize, const R: usize>(
+        self,
+        width: usize,
+        flip: Flip,
+        from: &'a [V],
+        rows: [&'a mut [V]; W],
+        read: [&'a [V]; R],
+        fold: Fo,
+    ) -> Comm<S, FoldRows<'a, V, Flip, Fo, W, R>>
+    where
+        V: Clone + Send + Sync,
+        Fo: Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>) + Sync,
+    {
+        assert!(width > 0, "a row cycle needs at least one lane");
+        self.with(FoldRows {
+            width,
+            plan: flip,
             from,
             rows,
             read,
@@ -329,9 +424,10 @@ impl<S> Comm<S> {
     /// # Panics
     ///
     /// If `width == 0` or there is no slab; when the cycle runs, if
-    /// `flip` selects its class by a bit other than the top address bit,
-    /// or is not a bit flip of rows under the machine's [`RowOrder`];
-    /// when it delivers, if a slab does not hold `width` values per node.
+    /// `flip` silences a class, selects its class by a bit other than the
+    /// top address bit, or is not a bit flip of rows under the machine's
+    /// [`RowOrder`]; when it delivers, if a slab does not hold `width`
+    /// values per node.
     pub fn fold_pairs<'a, V, Fo, const W: usize>(
         self,
         width: usize,
@@ -400,13 +496,14 @@ impl<S> Comm<S> {
 
 impl<S, F> Comm<S, F> {
     /// Names the cycle's pattern: the first cycle under `key` validates
-    /// fully and compiles the matching; later cycles replay it, and any
-    /// deviation from the compiled pattern fails with
+    /// fully (in closed form, for a [`Flip`] on a topology that gives
+    /// one) and stores the matching; later cycles replay it, and any
+    /// deviation from the stored pattern fails with
     /// [`SimError::ScheduleDeviation`](crate::SimError::ScheduleDeviation).
-    /// Every payload form shares one schedule cache (a compiled pattern
-    /// holds destinations, plus the [`Flip`] of a pair fold that
-    /// compiled it, so a later pair fold with an equal flip replays by
-    /// that equality alone).
+    /// Every payload form shares one schedule cache (a stored pattern
+    /// holds destinations, or the [`Flip`] of a matching cycle that
+    /// stored it, so a later matching cycle with an equal flip replays
+    /// by that equality alone).
     pub fn keyed(mut self, key: ScheduleKey) -> Self {
         self.key = Some(key);
         self
@@ -486,26 +583,54 @@ pub struct FoldRows<'a, V, P, Fo, const W: usize, const R: usize> {
     pub(crate) fold: Fo,
 }
 
-/// A matching given as a value: node `u` pairs with `u ^ mask`, where
-/// `mask` is one single-bit mask per class of node, so the matching is
-/// an involution (pairwise) by construction. [`Flip::uniform`] flips
-/// the same bit everywhere — a hypercube dimension, or a dual-cube's
-/// cross edge (its class bit); [`Flip::by_class`] flips one bit in each
-/// class — a dual-cube cluster dimension, which flips bit `i` of a
-/// class-0 node and bit `n−1+i` of a class-1 node.
+/// A matching given as a value: a node of class `c` sends to `u ^ (1 <<
+/// b_c)`, where `b_c` is one bit per class of node, or sends nothing
+/// when its class is silent. [`Flip::uniform`] flips the same bit
+/// everywhere — a hypercube dimension, or a dual-cube's cross edge (its
+/// class bit); [`Flip::by_class`] flips one bit inside each class — a
+/// dual-cube cluster dimension, which flips bit `i` of a class-0 node and
+/// bit `n−1+i` of a class-1 node; [`Flip::gated`] lets a class stay
+/// silent or flip the class bit, as Algorithm 2's step 5 does (class 1
+/// sends across the cross edge, class 0 stays silent). Every flip is an
+/// injection, so no node receives twice, and it is an involution
+/// (pairwise) unless one class flips the class bit while the other stays
+/// silent. A flip is a `Copy` value, and building one allocates nothing.
 ///
-/// A [`Comm::fold_pairs`] cycle carries its flip, and a keyed one
-/// compiles it into its schedule: a later cycle under the key whose
-/// flip equals the compiled one replays without evaluating any node's
-/// plan (see the [`crate::schedule`] docs).
+/// A flip names its matching outright, so the machine proves it legal
+/// without visiting a node: on a topology that answers
+/// [`Topology::flip_is_edge`](dc_topology::Topology::flip_is_edge) from
+/// its bit roles (the hypercube and the dual-cube), the cycle checks
+/// each class's bit once, and under faults only the pairs the crash and
+/// link lists name (see the [`crate::schedule`] docs). The matching
+/// forms take one: [`Comm::fold_pairs`], [`Comm::rows_on`] and
+/// [`Comm::fold_rows_on`]. A keyed cycle stores its flip in its
+/// schedule, and a later cycle under the key whose flip equals it
+/// replays without evaluating any node's plan.
+///
+/// ```
+/// use dc_simulator::Flip;
+///
+/// // D_3: class bit 4. Step 5 of Algorithm 2: class 1 crosses, class 0
+/// // stays silent.
+/// let step5 = Flip::gated(4, [None, Some(4)]);
+/// assert_eq!(step5.target(0b1_00_11), Some(0b0_00_11));
+/// assert_eq!(step5.target(0b0_00_11), None);
+/// // A cluster dimension pairs nodes inside each class.
+/// let dim1 = Flip::by_class(4, [1, 3]);
+/// assert_eq!(dim1.partner(0b1_00_11), 0b1_10_11);
+/// assert_eq!(dim1.partner(0b1_10_11), 0b1_00_11);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Flip {
     /// The address bit that selects a node's class, or `None` for a
     /// uniform flip.
     class_bit: Option<u32>,
-    /// The bit class `c` flips.
+    /// The bit class `c` flips, or [`SILENT`] when it sends nothing.
     bits: [u32; 2],
 }
+
+/// The bit of a silent class in [`Flip::bits`].
+const SILENT: u32 = u32::MAX;
 
 impl Flip {
     /// Every node flips `bit`: `u ↦ u ^ (1 << bit)`.
@@ -536,17 +661,112 @@ impl Flip {
             bits.iter().all(|&b| b < class_bit),
             "a class flips a bit below its class bit {class_bit}, not {bits:?}"
         );
+        Flip::gated(class_bit, bits.map(Some))
+    }
+
+    /// A node whose `class_bit` is clear flips `bits[0]`, one whose
+    /// `class_bit` is set flips `bits[1]`, and a class whose bit is
+    /// `None` stays silent. A class flips a bit inside its class, or the
+    /// class bit itself (the cross edge). The class bit must be the top
+    /// address bit of the machine the cycle runs on, which the cycle
+    /// checks. When both classes cross, the flip is
+    /// [`Flip::uniform`]`(class_bit)`.
+    ///
+    /// # Panics
+    ///
+    /// If a flipped bit is above `class_bit`, or if one class flips the
+    /// class bit while the other flips a bit inside its class: a node of
+    /// the second class would then receive twice, from its cross
+    /// neighbour and from its partner inside the class.
+    pub fn gated(class_bit: u32, bits: [Option<u32>; 2]) -> Flip {
+        assert!(
+            class_bit < usize::BITS - 1,
+            "class bit {class_bit} past a node id"
+        );
+        assert!(
+            bits.iter().flatten().all(|&b| b <= class_bit),
+            "a class flips its class bit {class_bit} or a bit below it, not {bits:?}"
+        );
+        let crosses = bits.map(|b| b == Some(class_bit));
+        let inside = bits.map(|b| b.is_some_and(|b| b < class_bit));
+        assert!(
+            !(crosses[0] && inside[1] || crosses[1] && inside[0]),
+            "a flip of {bits:?} under class bit {class_bit} makes a node receive twice"
+        );
+        if crosses == [true; 2] {
+            return Flip::uniform(class_bit);
+        }
         Flip {
             class_bit: Some(class_bit),
-            bits,
+            bits: bits.map(|b| b.unwrap_or(SILENT)),
         }
     }
 
-    /// The node `u` pairs with.
+    /// The class of node `u` under this flip: its class bit, or 0 for a
+    /// uniform flip.
+    #[inline]
+    fn class_of(&self, u: NodeId) -> usize {
+        self.class_bit.map_or(0, |c| (u >> c) & 1)
+    }
+
+    /// The bit class `class` flips, or `None` when it is silent.
+    #[inline]
+    pub(crate) fn bit(&self, class: usize) -> Option<u32> {
+        let bit = self.bits[class];
+        (bit != SILENT).then_some(bit)
+    }
+
+    /// The node `u` sends to, or `None` when `u`'s class is silent.
+    #[inline]
+    pub fn target(&self, u: NodeId) -> Option<NodeId> {
+        self.bit(self.class_of(u)).map(|b| u ^ (1 << b))
+    }
+
+    /// The node `u` pairs with, under a flip in which `u`'s class sends.
+    ///
+    /// # Panics
+    ///
+    /// If `u`'s class is silent.
     #[inline]
     pub fn partner(&self, u: NodeId) -> NodeId {
-        let class = self.class_bit.map_or(0, |c| (u >> c) & 1);
-        u ^ (1 << self.bits[class])
+        self.target(u)
+            .unwrap_or_else(|| panic!("node {u} is silent under {self:?}"))
+    }
+
+    /// Whether every node sends.
+    pub(crate) fn is_total(&self) -> bool {
+        self.bits.iter().all(|&b| b != SILENT)
+    }
+
+    /// The inverse matching, as a flip: a node of class `c` receives
+    /// from `u ^ (1 << b_c)` for the bit `b_c` it names, and nothing when
+    /// its class is silent there. A class receives across the class bit
+    /// when the other class crosses, else from its own flip (the
+    /// construction rules out both at once).
+    pub(crate) fn sources(&self) -> Flip {
+        let Some(c) = self.class_bit else {
+            return *self;
+        };
+        let from = |class: usize| {
+            let own = self.bits[class];
+            if own != SILENT && own != c {
+                own
+            } else if self.bits[1 - class] == c {
+                c
+            } else {
+                SILENT
+            }
+        };
+        Flip {
+            class_bit: self.class_bit,
+            bits: [from(0), from(1)],
+        }
+    }
+
+    /// The node whose message `u` receives, or `None`.
+    #[inline]
+    pub(crate) fn sender(&self, u: NodeId) -> Option<NodeId> {
+        self.sources().target(u)
     }
 
     /// Panics unless a by-class flip's class bit is the top address bit
@@ -554,7 +774,7 @@ impl Flip {
     pub(crate) fn check(&self, n: usize) {
         if let Some(c) = self.class_bit {
             assert!(
-                c < usize::BITS - 1 && n == 2 << c,
+                n == 2 << c,
                 "a by-class flip's class bit {c} must be the top address bit of {n} nodes"
             );
         }
@@ -647,15 +867,24 @@ impl RowOrder {
                 bit != class_bit,
                 "flipping the class bit {class_bit} is no bit flip of rows in an order that swaps class-1 fields"
             );
-            if class == 1 && bit < class_bit {
-                (bit + w) % class_bit
-            } else {
-                bit
-            }
+            self.row_bit(class, bit)
         });
         Flip {
             class_bit: Some(class_bit),
             bits,
+        }
+    }
+
+    /// The row bit that node bit `bit` of a class-`class` node becomes:
+    /// a swap moves a class-1 bit below the class bit to the other field.
+    /// The class bit, and a silent class's [`SILENT`], stay.
+    #[inline]
+    fn row_bit(self, class: usize, bit: u32) -> u32 {
+        let w = self.field;
+        if class == 1 && bit < 2 * w {
+            (bit + w) % (2 * w)
+        } else {
+            bit
         }
     }
 
@@ -723,16 +952,58 @@ impl<S, F: form::Form<S> + crate::reference::Naive<S>> Payload<S> for F {}
 /// staging slab (a one-slot cycle delivers a planned message straight
 /// from the plan slab instead); the replay path stages straight from the
 /// compiled pattern. Either path records each receiver's sender in the
-/// sender table (the full path only for a form whose delivery reads it,
-/// [`Form::SENDERS`]), then runs the form's delivery once over the
-/// dispatch bounds: the message and lane forms over each receiver's
-/// window, the row form as one row gather and the fold forms as one fold
-/// pass (their staging slab is `()` per node and never touched), the row
-/// forms through the machine's [`RowOrder`]. A pair fold replayed by
-/// [`Flip`] equality skips the plan, the sender table and the staging,
-/// and folds straight away ([`Form::deliver_flip`]).
+/// sender table, then runs the form's delivery once over the dispatch
+/// bounds: the message and lane forms over each receiver's window, the
+/// row form as one row gather and the fold forms as one fold pass (their
+/// staging slab is `()` per node and never touched), the row forms
+/// through the machine's [`RowOrder`]. A form built on a matching
+/// ([`Form::flip`]: a pair fold, or a row form given a [`Flip`]) skips
+/// the sender table on every path and delivers straight from its flip
+/// ([`Form::deliver_flip`]); a cycle proved legal in closed form, or
+/// replayed by flip equality, skips the plan and the staging too.
 pub(crate) mod form {
     use super::*;
+
+    /// Where a row cycle's nodes send: a plan closure, evaluated node by
+    /// node, or a [`Flip`], the matching as a value.
+    pub trait Route<S>: Sync {
+        /// Node `u`'s destination, or `None` when it is silent.
+        fn route(&self, u: NodeId, s: &S) -> Option<NodeId>;
+        /// The matching, when the route is one.
+        fn matching(&self) -> Option<Flip> {
+            None
+        }
+    }
+
+    impl<S, P: Fn(NodeId, &S) -> Option<NodeId> + Sync> Route<S> for P {
+        #[inline]
+        fn route(&self, u: NodeId, s: &S) -> Option<NodeId> {
+            self(u, s)
+        }
+    }
+
+    impl<S> Route<S> for Flip {
+        #[inline]
+        fn route(&self, u: NodeId, _: &S) -> Option<NodeId> {
+            self.target(u)
+        }
+
+        fn matching(&self) -> Option<Flip> {
+            Some(*self)
+        }
+    }
+
+    /// Panics unless `flip` can drive a pair fold on an `n`-node machine
+    /// in `order`: every node sends, a by-class flip's class bit is the
+    /// top address bit, and the flip is a bit flip of rows.
+    pub(crate) fn check_pairs(flip: Flip, n: usize, order: RowOrder) {
+        assert!(
+            flip.is_total(),
+            "a pair fold needs every class to send, not {flip:?}"
+        );
+        flip.check(n);
+        order.flip(flip);
+    }
 
     /// What a delivery uses of the machine besides the states and the
     /// staged cycle.
@@ -786,16 +1057,21 @@ pub(crate) mod form {
         /// Whether delivery also runs the computation step that combines
         /// each message, which the machine then charges after the cycle.
         const FOLDS: bool = false;
-        /// Whether delivery reads the sender table. A pair fold's does
-        /// not: its matching is its flip, and its drops come from the
-        /// fault state, so a full cycle need not fill the table.
-        const SENDERS: bool = true;
 
         /// The matching as a value, for a form built on one
-        /// ([`Comm::fold_pairs`]): its [`Flip`] and the words each of its
-        /// messages carries.
+        /// ([`Comm::fold_pairs`], [`Comm::rows_on`],
+        /// [`Comm::fold_rows_on`]): its [`Flip`] and the words each of
+        /// its messages carries.
         fn flip(&self) -> Option<(Flip, u64)> {
             None
+        }
+
+        /// Panics, before the cycle charges anything, unless the form's
+        /// matching fits an `n`-node machine in `order`.
+        fn check(&self, n: usize, _order: RowOrder) {
+            if let Some((flip, _)) = self.flip() {
+                flip.check(n);
+            }
         }
 
         /// Staging slots per node: 1 for a message or rows, `K` for lanes.
@@ -829,12 +1105,12 @@ pub(crate) mod form {
         /// Delivers a planned message without staging it (only called
         /// when [`Form::PLANNED`]).
         fn deliver_planned(&self, s: &mut S, src: NodeId, msg: Self::Msg);
-        /// Delivers a cycle whose matching is the form's [`Form::flip`],
-        /// with no sender table: every node sent, and a node received
-        /// unless `ctx.faults` drops its message (only called for a form
-        /// with a flip).
+        /// Delivers a validated cycle whose matching is the form's
+        /// [`Form::flip`], with no sender table: a node received from its
+        /// sender under the flip unless `ctx.faults` drops its message
+        /// (only called for a form with a flip).
         fn deliver_flip(&mut self, _ctx: Ctx<'_>) {
-            unreachable!("only a pair fold delivers by its flip");
+            unreachable!("only a form built on a matching delivers by its flip");
         }
     }
 
@@ -978,11 +1254,16 @@ pub(crate) mod form {
     impl<S, V, P, const N: usize> Form<S> for Rows<'_, V, P, N>
     where
         V: Clone + Send + Sync,
-        P: Fn(NodeId, &S) -> Option<NodeId> + Sync,
+        P: Route<S>,
     {
         type Msg = ();
         type Slot = ();
         const PLANNED: bool = false;
+
+        fn flip(&self) -> Option<(Flip, u64)> {
+            let words = (self.width * N) as u64;
+            self.plan.matching().map(|flip| (flip, words))
+        }
 
         #[inline]
         fn width(&self) -> usize {
@@ -995,7 +1276,7 @@ pub(crate) mod form {
 
         #[inline]
         fn plan(&self, u: NodeId, s: &S) -> Option<(NodeId, ())> {
-            (self.plan)(u, s).map(|dst| (dst, ()))
+            self.plan.route(u, s).map(|dst| (dst, ()))
         }
 
         #[inline]
@@ -1018,9 +1299,9 @@ pub(crate) mod form {
         /// The row gather: every receiver `u` with a sender copies its
         /// sender's row of each source slab into its own row of the
         /// paired destination slab, both rows found through the order
-        /// (in node order, row `u` and row `srcs[u]`; otherwise in the
-        /// tiles of [`visit_rows`]). Destination rows split by the
-        /// dispatch bounds, so each worker writes only its own rows.
+        /// (in node order, row `u` and row `srcs[u]`). Destination rows
+        /// split by the dispatch bounds, so each worker writes only its
+        /// own rows. A matching's gather is [`Form::deliver_flip`].
         fn deliver(&mut self, _: &mut [S], srcs: &[u32], _: &mut [()], ctx: Ctx<'_>)
         where
             S: Send,
@@ -1045,13 +1326,13 @@ pub(crate) mod form {
                         }
                         continue;
                     }
-                    visit_rows(order, rows.clone(), |r| {
+                    for r in rows.clone() {
                         let src = srcs[order.row(r)];
                         if src != NO_SRC {
                             let row = &mut dest[(r - rows.start) * width..][..width];
                             copy_row(row, source, order.row(src as usize) * width);
                         }
-                    });
+                    }
                 }
             };
             par_rows_bounds(ctx.bounds, width, dests, &gather);
@@ -1062,18 +1343,59 @@ pub(crate) mod form {
         fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
             unreachable!("rows move after validation, never planned");
         }
+
+        /// The row gather straight from the matching: every receiver
+        /// copies its sender's row, found by [`walk_matching`] with no
+        /// table, unless its message was dropped. Destination rows split
+        /// by the dispatch bounds, as in [`Form::deliver`].
+        fn deliver_flip(&mut self, ctx: Ctx<'_>) {
+            let Ctx {
+                bounds,
+                faults,
+                order,
+            } = ctx;
+            let (width, n) = (self.width, bounds[bounds.len() - 1]);
+            let flip = self
+                .plan
+                .matching()
+                .expect("a matching delivers by its flip");
+            let sources = self.pairs.each_ref().map(|(source, _)| *source);
+            let dests = self.pairs.each_mut().map(|(_, dest)| &mut **dest);
+            check_slabs(
+                width,
+                n,
+                sources.iter().copied().chain(dests.iter().map(|d| &**d)),
+            );
+            let drops = faults.has_drops();
+            let gather = |rows: Range<usize>, dests: [&mut [V]; N]| {
+                for (dest, source) in dests.into_iter().zip(sources) {
+                    walk_matching(order, flip, n, rows.clone(), false, |r, u, from| {
+                        if let Some(from) = from.filter(|_| !(drops && faults.dropped(u))) {
+                            let row = &mut dest[(r - rows.start) * width..][..width];
+                            copy_row(row, source, from * width);
+                        }
+                    });
+                }
+            };
+            par_rows_bounds(bounds, width, dests, &gather);
+        }
     }
 
     impl<S, V, P, Fo, const W: usize, const R: usize> Form<S> for FoldRows<'_, V, P, Fo, W, R>
     where
         V: Clone + Send + Sync,
-        P: Fn(NodeId, &S) -> Option<NodeId> + Sync,
+        P: Route<S>,
         Fo: Fn(NodeId, [&mut [V]; W], [&[V]; R], Option<&[V]>) + Sync,
     {
         type Msg = ();
         type Slot = ();
         const PLANNED: bool = false;
         const FOLDS: bool = true;
+
+        fn flip(&self) -> Option<(Flip, u64)> {
+            let words = self.width as u64;
+            self.plan.matching().map(|flip| (flip, words))
+        }
 
         #[inline]
         fn width(&self) -> usize {
@@ -1086,7 +1408,7 @@ pub(crate) mod form {
 
         #[inline]
         fn plan(&self, u: NodeId, s: &S) -> Option<(NodeId, ())> {
-            (self.plan)(u, s).map(|dst| (dst, ()))
+            self.plan.route(u, s).map(|dst| (dst, ()))
         }
 
         #[inline]
@@ -1124,6 +1446,41 @@ pub(crate) mod form {
         fn deliver_planned(&self, _: &mut S, _: NodeId, (): ()) {
             unreachable!("folds run after validation, never planned");
         }
+
+        /// The fold pass straight from the matching: every live node
+        /// folds its sender's row of the travelling slab, found by
+        /// [`walk_matching`] with no table (`None` when the matching
+        /// sends it nothing or its message was dropped).
+        fn deliver_flip(&mut self, ctx: Ctx<'_>) {
+            let Ctx {
+                bounds,
+                faults,
+                order,
+            } = ctx;
+            let (width, n, from, read) =
+                (self.width, bounds[bounds.len() - 1], self.from, self.read);
+            let slabs = self.rows.iter().map(|r| &**r).chain(read);
+            check_slabs(width, n, slabs.chain([from]));
+            let flip = self
+                .plan
+                .matching()
+                .expect("a matching delivers by its flip");
+            let (frozen, drops, fold) = (faults.any_failed(), faults.has_drops(), &self.fold);
+            let pass = |rows_at: Range<usize>, mut rows: [&mut [V]; W]| {
+                walk_matching(order, flip, n, rows_at.clone(), true, |r, u, src| {
+                    if frozen && faults.is_failed(u) {
+                        return;
+                    }
+                    let at = (r - rows_at.start) * width;
+                    let mine = rows.each_mut().map(|s| &mut s[at..][..width]);
+                    let got = src.filter(|_| !(drops && faults.dropped(u)));
+                    let msg = got.map(|src| row_at(from, src, width));
+                    fold(u, mine, read.map(|s| row_at(s, r, width)), msg);
+                });
+            };
+            let rows = self.rows.each_mut().map(|r| &mut **r);
+            par_rows_bounds(bounds, width, rows, &pass)
+        }
     }
 
     impl<S, V, Fo, const W: usize> Form<S> for FoldPairs<'_, V, Fo, W>
@@ -1135,10 +1492,13 @@ pub(crate) mod form {
         type Slot = ();
         const PLANNED: bool = false;
         const FOLDS: bool = true;
-        const SENDERS: bool = false;
 
         fn flip(&self) -> Option<(Flip, u64)> {
             Some((self.flip, self.width as u64))
+        }
+
+        fn check(&self, n: usize, order: RowOrder) {
+            check_pairs(self.flip, n, order);
         }
 
         #[inline]
@@ -1172,14 +1532,13 @@ pub(crate) mod form {
             self.width as u64
         }
 
-        /// The pair walk of [`Form::deliver_flip`]: a validated or
-        /// replayed pair fold ran the flip's matching, so a sender table
-        /// would say no more than the armed drops do.
-        fn deliver(&mut self, _: &mut [S], _: &[u32], _: &mut [()], ctx: Ctx<'_>)
+        /// Never called: the machine delivers every form built on a
+        /// matching by [`Form::deliver_flip`].
+        fn deliver(&mut self, _: &mut [S], _: &[u32], _: &mut [()], _: Ctx<'_>)
         where
             S: Send,
         {
-            Form::<S>::deliver_flip(self, ctx);
+            unreachable!("a pair fold delivers by its flip");
         }
 
         fn discard(&self, _: &mut [()]) {}
@@ -1371,8 +1730,8 @@ pub(crate) mod form {
     /// `from` (`srcs[u]`, [`NO_SRC`] for none). The written slabs split
     /// by the dispatch bounds, so each worker folds its own contiguous
     /// rows. In node order one row iterator per slab, advanced in step,
-    /// so no slab is re-sliced per row; in another order the rows are
-    /// visited in the tiles of [`visit_rows`].
+    /// so no slab is re-sliced per row; in another order row by row. A
+    /// matching's pass is [`Form::deliver_flip`].
     fn fold_each<V: Send + Sync, const W: usize, const R: usize>(
         width: usize,
         rows: [&mut [V]; W],
@@ -1403,7 +1762,7 @@ pub(crate) mod form {
                 }
                 return;
             }
-            visit_rows(order, rows_at.clone(), |r| {
+            for r in rows_at.clone() {
                 let u = order.row(r);
                 if !(frozen && faults.is_failed(u)) {
                     let at = (r - rows_at.start) * width;
@@ -1412,7 +1771,7 @@ pub(crate) mod form {
                     let msg = (src != NO_SRC).then(|| row_at(from, order.row(src as usize), width));
                     f(u, mine, read.map(|s| row_at(s, r, width)), msg);
                 }
-            });
+            }
         };
         par_rows_bounds(bounds, width, rows, &pass)
     }
@@ -1423,47 +1782,81 @@ pub(crate) mod form {
         &slab[r * width..][..width]
     }
 
-    /// Calls `f(r)` once for every row `r` of `range`, in the order a
-    /// gather through `order` reads its sources best. Under a swap of
-    /// `w`-bit fields, a row `(c, h, l)` of the dual-cube's cross edge
-    /// reads row `(c′, l, h)`, so a walk in row order reads rows
-    /// `2^w` apart; when `range` holds whole groups of [`TILE`] high-field
-    /// values, the walk goes tile by tile, [`TILE`] high × [`TILE`]
-    /// low values, so the rows it reads are [`TILE`] runs of [`TILE`]
-    /// consecutive rows. Otherwise, and in node order, it walks `range`
-    /// in order.
+    /// Rows per side of a tile of [`walk_matching`].
+    const TILE: usize = 8;
+
+    /// Calls `f(r, u, from)` for every row `r` of `range`, rows of an
+    /// `n`-node machine in `order`: `u` is the node row `r` holds, and
+    /// `from` the row of the node whose message `u` receives under
+    /// `flip`, or `None` when it receives nothing (rows whose whole class
+    /// receives nothing are skipped unless `all`). No table is read:
+    /// every node of a class receives across one bit, so `from` is `r`
+    /// with one row bit flipped, or, for a class-bit flip under a swap of
+    /// `w`-bit fields, the transpose `(1−c, l, h)` of `r = (c, h, l)`.
+    /// The transpose is walked in tiles of [`TILE`] high × [`TILE`] low
+    /// values, so the rows it reads come in [`TILE`] runs of [`TILE`]
+    /// consecutive rows rather than `2^w` rows apart; everything else in
+    /// row order. Every walk goes through the one call of `f` below,
+    /// which keeps `f` inlined (a second call site cost a swapped
+    /// one-lane gather about 2.5 times the extra time over node order,
+    /// EXPERIMENTS.md §E37).
     #[inline(always)]
-    fn visit_rows(order: RowOrder, range: Range<usize>, mut f: impl FnMut(usize)) {
-        let w = order.field;
-        let group = TILE << w;
-        let tiled = w >= TILE.trailing_zeros()
-            && range.start.is_multiple_of(group)
-            && range.end.is_multiple_of(group);
-        // A walk in row order is one run of the whole range; a tiled walk
-        // is runs of TILE rows, TILE high-field values × TILE low ones per
-        // group. Both go through the one call of `f` below, which keeps
-        // `f` inlined (a second call site cost a swapped one-lane gather
-        // about 2.5 times the extra time over node order, EXPERIMENTS.md
-        // §E37).
-        let (group, lows, highs, run) = if tiled {
-            (group, (0..1 << w).step_by(TILE), TILE, TILE)
-        } else {
-            (range.len().max(1), (0..1).step_by(1), 1, range.len())
-        };
-        for base in range.step_by(group) {
-            for low in lows.clone() {
-                for high in 0..highs {
-                    let start = base + (high << w) + low;
-                    for r in start..start + run {
-                        f(r);
+    pub(crate) fn walk_matching(
+        order: RowOrder,
+        flip: Flip,
+        n: usize,
+        range: Range<usize>,
+        all: bool,
+        mut f: impl FnMut(usize, NodeId, Option<usize>),
+    ) {
+        let (sources, w, half) = (flip.sources(), order.field, n / 2);
+        for class in 0..2 {
+            let part = range.start.max(class * half)..range.end.min((class + 1) * half);
+            let bit = sources.bit(class);
+            if part.is_empty() || !(all || bit.is_some()) {
+                continue;
+            }
+            // Row `r` holds node `r`, or `r` with its fields swapped in
+            // class 1 under a swap; its sender's row is `r` (or `r` with
+            // its fields swapped, for the transpose) xor `mask`.
+            let swap_node = class == 1 && w > 0;
+            let transpose = w > 0 && bit == Some(2 * w);
+            let mask = match bit {
+                Some(_) if transpose => half,
+                Some(b) => 1 << order.row_bit(class, b),
+                None => 0,
+            };
+            let group = TILE << w;
+            let tiled = transpose
+                && w >= TILE.trailing_zeros()
+                && part.start.is_multiple_of(group)
+                && part.end.is_multiple_of(group);
+            let (group, lows, highs, run) = if tiled {
+                (group, (0..1 << w).step_by(TILE), TILE, TILE)
+            } else {
+                (part.len(), (0..1).step_by(1), 1, part.len())
+            };
+            for base in part.step_by(group) {
+                for low in lows.clone() {
+                    for high in 0..highs {
+                        let start = base + (high << w) + low;
+                        for r in start..start + run {
+                            let u = if swap_node { swap_pair(r, w) } else { r };
+                            let from = if transpose { swap_pair(r, w) } else { r } ^ mask;
+                            f(r, u, bit.map(|_| from));
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Rows per side of a tile of [`visit_rows`].
-    const TILE: usize = 8;
+    /// `r` with its two low `w`-bit fields swapped, whatever its class.
+    #[inline(always)]
+    fn swap_pair(r: usize, w: u32) -> usize {
+        let mask = (1usize << w) - 1;
+        (r & !(mask | mask << w)) | (r & mask) << w | (r >> w) & mask
+    }
 
     /// Copies `source[at..at + row.len()]` into `row`: every lane but the
     /// last in bulk, then the last on its own. A `clone_from_slice`, or

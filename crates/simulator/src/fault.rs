@@ -203,6 +203,9 @@ pub(crate) struct FaultState {
     /// pay nothing.
     failed: Vec<u64>,
     any_failed: bool,
+    /// The crashed nodes, in the order they crashed: the list a matching
+    /// cycle's closed-form validation walks instead of the mask.
+    crashed: Vec<NodeId>,
     /// Downed links, endpoint-normalised (`a < b`). A handful at most;
     /// linear scan.
     links: Vec<(NodeId, NodeId)>,
@@ -222,6 +225,7 @@ impl FaultState {
             next: 0,
             failed: Vec::new(),
             any_failed: false,
+            crashed: Vec::new(),
             links: Vec::new(),
             drops: Vec::new(),
             epoch: 0,
@@ -258,6 +262,7 @@ impl FaultState {
                 if self.failed[node >> 6] & bit == 0 {
                     self.failed[node >> 6] |= bit;
                     self.any_failed = true;
+                    self.crashed.push(node);
                     self.epoch += 1;
                     return true;
                 }
@@ -314,24 +319,16 @@ impl FaultState {
     }
 
     /// Ids of the crashed nodes so far, ascending (empty until the first
-    /// crash). Materialises from the packed mask — diagnostics only, not
-    /// a hot path.
+    /// crash).
     pub(crate) fn failed_nodes(&self) -> Vec<NodeId> {
-        self.failed
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| {
-                let mut bits = word;
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        return None;
-                    }
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(w * 64 + b)
-                })
-            })
-            .collect()
+        let mut nodes = self.crashed.clone();
+        nodes.sort_unstable();
+        nodes
+    }
+
+    /// The crashed nodes, in the order they crashed.
+    pub(crate) fn crashed(&self) -> &[NodeId] {
+        &self.crashed
     }
 
     #[inline]
@@ -351,6 +348,11 @@ impl FaultState {
     #[inline]
     pub(crate) fn dropped(&self, dst: NodeId) -> bool {
         self.drops.contains(&dst)
+    }
+
+    /// The receivers whose messages the cycle about to run loses.
+    pub(crate) fn drops(&self) -> &[NodeId] {
+        &self.drops
     }
 
     /// Whether no scripted event is due before communication cycle

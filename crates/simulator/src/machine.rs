@@ -1,7 +1,7 @@
 //! The synchronous multicomputer: one state per node, stepped through
 //! communication and computation cycles under 1-port validation.
 
-use crate::comm::form::{walk_rounds, Ctx};
+use crate::comm::form::{check_pairs, walk_rounds, Ctx};
 use crate::comm::{with_rows, Comm, Flip, Payload, RowOrder};
 use crate::error::SimError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -16,7 +16,8 @@ use crate::parallel::{
 };
 use crate::reference::Cycles;
 use crate::schedule::{
-    AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC, SENDS_BIT,
+    flip_pairs, AcctPlan, CompiledSchedule, ScheduleBank, ScheduleCache, ScheduleKey, NO_SRC,
+    SENDS_BIT,
 };
 use dc_topology::{NodeId, ShardMap, Topology};
 use std::any::Any;
@@ -282,11 +283,13 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 /// still re-evaluates every node's plan against the compiled pattern and
 /// rejects any deviation with [`SimError::ScheduleDeviation`], so a key
 /// can never launder an invalid schedule — see the [`crate::schedule`]
-/// module docs. The one exception needs no evaluation: a pair fold
-/// ([`Comm::fold_pairs`]) whose [`Flip`](crate::Flip) equals the one
-/// the schedule was compiled with is that matching by construction.
-/// Every payload form shares one keyed dispatcher, one full-cycle path
-/// and one replay path, monomorphised per form.
+/// module docs. A cycle whose matching is a value needs neither: a pair
+/// fold or a row form on a [`Flip`](crate::Flip) ([`Comm::fold_pairs`],
+/// [`Comm::rows_on`], [`Comm::fold_rows_on`]) is proved legal in closed
+/// form from the topology's bit roles when it misses the cache (or names
+/// no key), and replays with no evaluation when its flip equals the
+/// stored one. Every payload form shares one dispatcher, one full-cycle
+/// path, one replay path and one matching path, monomorphised per form.
 ///
 /// # Execution backend
 ///
@@ -317,8 +320,9 @@ pub type TraceEntry = (Option<u32>, Vec<(NodeId, NodeId)>);
 ///
 /// A keyed *replay* cycle collapses plan + validate into one pass (each
 /// receiver evaluates its compiled sender's plan straight into its own
-/// window) followed by deliver; a pair fold replayed by flip equality
-/// skips that pass too and folds straight away.
+/// window) followed by deliver; a matching cycle, proved in closed form
+/// or replayed by flip equality, skips that pass too and delivers
+/// straight from its flip.
 ///
 /// Simulated metrics never depend on the backend; the threaded backend is
 /// observationally identical and only changes wall-clock time. The naive
@@ -1249,16 +1253,21 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// step is counted, so a test can probe illegal schedules without
     /// corrupting the machine.
     ///
-    /// A [`Comm::fold_rows`] or [`Comm::fold_pairs`] cycle that succeeds
-    /// is also charged the computation step its delivery ran (see
-    /// there).
+    /// A matching cycle ([`Comm::fold_pairs`], [`Comm::rows_on`],
+    /// [`Comm::fold_rows_on`]) on a topology that answers
+    /// [`Topology::flip_is_edge`] reports the same error at the same node
+    /// from its closed form, with no walk over the nodes.
+    ///
+    /// A [`Comm::fold_rows`], [`Comm::fold_rows_on`] or
+    /// [`Comm::fold_pairs`] cycle that succeeds is also charged the
+    /// computation step its delivery ran (see there).
     ///
     /// # Panics
     ///
-    /// If a [`Comm::fold_pairs`] cycle's by-class
-    /// [`Flip`](crate::Flip) selects its class by a bit other than the
-    /// top address bit, or its flip is not a bit flip of rows under the
-    /// machine's [`RowOrder`]; nothing is charged first.
+    /// If a matching cycle's by-class [`Flip`](crate::Flip) selects its
+    /// class by a bit other than the top address bit, or a
+    /// [`Comm::fold_pairs`] cycle's flip is not a bit flip of rows under
+    /// the machine's [`RowOrder`]; nothing is charged first.
     pub fn try_cycle<F: Payload<S>>(
         &mut self,
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
@@ -1267,9 +1276,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         S: Send + Sync,
     {
         let mut comm = comm(Comm::blank());
-        if let Some((flip, _)) = comm.form.flip() {
-            self.check_flip(flip);
-        }
+        comm.form.check(self.states.len(), self.order);
         let delivered = self.run_comm(&mut comm)?;
         if F::FOLDS {
             // The fold ran inside the delivery; its computation step
@@ -1284,7 +1291,12 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     }
 
     /// The communication half of [`Machine::try_cycle`]: due faults, then
-    /// the keyed dispatch to the full or the replay path.
+    /// the dispatch. A cycle built on a matching that misses the cache
+    /// (or names no key) proves itself in closed form when the topology
+    /// answers for its bits; a keyed one whose flip equals its schedule's
+    /// replays by that equality; any other keyed cycle replays node by
+    /// node, and the rest take the full path, as every cycle does with
+    /// replay off.
     fn run_comm<F: Payload<S>>(&mut self, comm: &mut Comm<S, F>) -> Result<usize, SimError>
     where
         S: Send + Sync,
@@ -1293,8 +1305,20 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // Apply due fault events *before* consulting the cache: a crash
         // at this boundary bumps the epoch and must veto the replay.
         self.advance_faults();
+        let (matching, pairwise) = (comm.form.flip(), comm.pairwise);
+        let verdict = |m: &Self| {
+            let (flip, words) = matching?;
+            Some((flip, words, m.closed_form(flip, pairwise)?))
+        };
         let Some(key) = comm.key else {
-            return self.full_cycle(&mut comm.form, comm.pairwise, None, ObsCtx::unkeyed(start));
+            let obs = ObsCtx::unkeyed(start);
+            return match verdict(self) {
+                Some((flip, words, verdict)) => {
+                    let senders = verdict?;
+                    Ok(self.matching_cycle(flip, words, senders, &mut comm.form, None, obs))
+                }
+                None => self.full_cycle(&mut comm.form, pairwise, None, obs),
+            };
         };
         let obs = |cache| ObsCtx {
             key: Some(key),
@@ -1302,39 +1326,39 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             start,
         };
         if !self.replay {
-            return self.full_cycle(
-                &mut comm.form,
-                comm.pairwise,
-                None,
-                obs(CacheStatus::Bypass),
-            );
+            return self.full_cycle(&mut comm.form, pairwise, None, obs(CacheStatus::Bypass));
         }
-        if let Some(compiled) = self.schedules.get(key).map(|s| s.flip) {
-            // A pair fold whose flip equals the compiled one is the
-            // compiled matching by construction; anything else proves
-            // it node by node.
-            let result = match comm.form.flip() {
+        if let Some(sched) = self.schedules.get(key) {
+            let (compiled, delivered) = (sched.flip, sched.delivered);
+            let form = &mut comm.form;
+            let result = match matching {
                 Some((flip, words)) if compiled == Some(flip) => {
-                    self.flip_cycle(key, words, &mut comm.form, obs(CacheStatus::Hit))
+                    let hit = obs(CacheStatus::Hit);
+                    Ok(self.matching_cycle(flip, words, delivered, form, Some(key), hit))
                 }
-                _ => self.replay_cycle(key, &mut comm.form, obs(CacheStatus::Hit)),
+                _ => self.replay_cycle(key, form, obs(CacheStatus::Hit)),
             };
             if result.is_ok() {
                 self.metrics.schedule_hits += 1;
             }
-            result
-        } else {
-            let result = self.full_cycle(
-                &mut comm.form,
-                comm.pairwise,
-                Some(key),
-                obs(CacheStatus::Miss),
-            );
-            if result.is_ok() {
-                self.metrics.schedule_misses += 1;
-            }
-            result
+            return result;
         }
+        let result = match verdict(self) {
+            Some((flip, words, verdict)) => verdict.map(|senders| {
+                let miss = obs(CacheStatus::Miss);
+                let delivered =
+                    self.matching_cycle(flip, words, senders, &mut comm.form, None, miss);
+                let epoch = self.faults.epoch();
+                self.schedules
+                    .insert(CompiledSchedule::of_flip(key, flip, senders, epoch));
+                delivered
+            }),
+            None => self.full_cycle(&mut comm.form, pairwise, Some(key), obs(CacheStatus::Miss)),
+        };
+        if result.is_ok() {
+            self.metrics.schedule_misses += 1;
+        }
+        result
     }
 
     /// [`Machine::try_cycle`] that panics on a model violation — the form
@@ -1378,10 +1402,12 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// exactly as that cycle is: one communication step, one computation
     /// step, the same words, and a schedule hit or miss.
     ///
-    /// When every round would replay by flip equality and no fault can
-    /// change between rounds (no armed drop, no fault-plan event due
-    /// inside the sweep), and no recorder is installed, the machine walks
-    /// the rows one **block** at a time through all rounds: a block is
+    /// When every round would replay by flip equality or, missing the
+    /// cache, proves itself in closed form (so a first sweep is charged
+    /// its misses and walks blocks too), no fault can change between
+    /// rounds (no armed drop, no fault-plan event due inside the sweep),
+    /// and no recorder is installed, the machine walks the rows one
+    /// **block** at a time through all rounds: a block is
     /// the smallest aligned row range closed under every round's flip,
     /// so blocks never exchange a value, and each stays in cache while
     /// its rounds run. Under the dual-cube's data order
@@ -1391,10 +1417,11 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// sweep of every dimension is one block. On the threaded backend
     /// each dispatch slot walks the blocks inside its own rows, and
     /// blocks straddling two slots walk afterwards on the calling
-    /// thread. Otherwise — a compile, a replay by plan, replay off, a
-    /// drop or a due fault, or a recorded run, whose cycles each keep
-    /// their own event and duration — the rounds run as separate cycles,
-    /// with their validation and errors.
+    /// thread. Otherwise — a round that fails validation or has no
+    /// closed form, a replay by plan, replay off, a drop or a due fault,
+    /// or a recorded run, whose cycles each keep their own event and
+    /// duration — the rounds run as separate cycles, with their
+    /// validation and errors.
     ///
     /// ```
     /// use dc_simulator::{Flip, Machine, ScheduleKey};
@@ -1406,7 +1433,8 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
     /// let rounds = [0, 1, 2].map(|i| (ScheduleKey::Dim(i), Flip::uniform(i)));
     /// let mut t: Vec<u64> = (0..8).collect();
     /// for _ in 0..2 {
-    ///     // The first sweep compiles its rounds; the second walks blocks.
+    ///     // The first sweep proves its rounds and the second replays
+    ///     // them; both walk blocks.
     ///     m.sweep(1, &rounds, [&mut t[..]], |[lo], [hi], _| {
     ///         for (lo, hi) in lo.iter_mut().zip(hi) {
     ///             *hi += *lo;
@@ -1440,8 +1468,9 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         V: Clone + Send + Sync,
         Fo: Fn([&mut [V]; W], [&mut [V]; W], [bool; 2]) + Sync,
     {
+        let n = self.states.len();
         for &(_, flip) in rounds {
-            self.check_flip(flip);
+            check_pairs(flip, n, self.order);
         }
         self.advance_faults();
         if !self.sweeps_blocks(rounds) {
@@ -1451,14 +1480,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             }
             return Ok(());
         }
-        let n = self.states.len();
         assert!(width > 0 && W > 0, "a pair fold needs a lane and a slab");
         assert!(
             rows.iter().all(|r| r.len() == n * width),
             "every row slab must hold {width} values per node of {n}"
         );
-        for &(key, _) in rounds {
-            self.charge_blocked_round(key, width as u64);
+        for &(key, flip) in rounds {
+            self.charge_blocked_round(key, flip, width as u64);
         }
         self.dispatch_bounds();
         let order = self.order;
@@ -1488,16 +1516,10 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
-    /// Panics unless `flip` fits the machine: a by-class flip's class
-    /// bit is the top address bit, and the flip is a bit flip of rows
-    /// under the machine's order.
-    fn check_flip(&self, flip: Flip) {
-        flip.check(self.states.len());
-        self.order.flip(flip);
-    }
-
     /// Whether [`Machine::try_sweep`] may walk `rounds` block by block:
-    /// every round replays by flip equality, nothing can change the
+    /// each round would replay by flip equality, or misses the cache and
+    /// proves itself in closed form (a later round under the key of an
+    /// earlier one replays that one's flip), nothing can change the
     /// faults before the last round, and no recorder wants each cycle's
     /// own event.
     fn sweeps_blocks(&self, rounds: &[(ScheduleKey, Flip)]) -> bool {
@@ -1506,29 +1528,37 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             && self.recorder.is_none()
             && !self.faults.has_drops()
             && self.faults.quiet_before(end)
-            && rounds.iter().all(|&(key, flip)| {
-                self.schedules
-                    .get(key)
-                    .is_some_and(|s| s.flip == Some(flip))
+            && rounds.iter().enumerate().all(|(i, &(key, flip))| {
+                let cached = self.schedules.get(key).map(|s| s.flip);
+                let earlier = rounds[..i].iter().find(|r| r.0 == key);
+                match cached.or(earlier.map(|r| Some(r.1))) {
+                    Some(compiled) => compiled == Some(flip),
+                    None => matches!(self.closed_form(flip, true), Some(Ok(_))),
+                }
             })
     }
 
     /// Charges one round of a blocked sweep as its cycle would be
-    /// charged: a replay by flip equality in which every node sends and
-    /// receives `words` words (no drop is armed), then the fold's
+    /// charged: every node sends and receives `words` words (no drop is
+    /// armed), as a replay of `key`'s schedule, or as its miss, which
+    /// stores the flip as the key's schedule; then the fold's
     /// computation step. No recorder is installed, so no event is due.
-    fn charge_blocked_round(&mut self, key: ScheduleKey, words: u64) {
-        let n = self.states.len() as u64;
-        let sched = self
-            .schedules
-            .get(key)
-            .expect("the sweep checked the cache");
+    fn charge_blocked_round(&mut self, key: ScheduleKey, flip: Flip, words: u64) {
+        let n = self.states.len();
         if let Some(trace) = self.trace.as_mut() {
             let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
-            trace.push((phase, sched.trace_pairs()));
+            trace.push((phase, flip_pairs(flip, n)));
         }
+        let n = n as u64;
         self.metrics.record_comm_words(n, n * words);
-        self.metrics.schedule_hits += 1;
+        if self.schedules.contains(key) {
+            self.metrics.schedule_hits += 1;
+        } else {
+            let epoch = self.faults.epoch();
+            self.schedules
+                .insert(CompiledSchedule::of_flip(key, flip, n as usize, epoch));
+            self.metrics.schedule_misses += 1;
+        }
         self.metrics.record_comp(1, n);
     }
 
@@ -1693,15 +1723,17 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         // delivers it right here in sender order and skips the slab
         // passes (lanes cannot: a later `fill` must not see a state an
         // earlier delivery changed). Rows stage nothing: the sender
-        // table is all their delivery needs. A pair fold's delivery does
-        // not read the table, so its cycle leaves it as it was.
+        // table is all their delivery needs. A form built on a matching
+        // delivers straight from its flip, so its cycle leaves the table
+        // as it was.
         let drops_active = self.faults.has_drops();
         let mut dropped = 0u64;
         let mut dropped_words = 0u64;
         let srcs = &mut self.scratch.srcs;
+        let senders = form.flip().is_none();
         let mut slab = None;
         if !(one_slot && F::PLANNED) {
-            if F::SENDERS {
+            if senders {
                 srcs.clear();
                 srcs.resize(n, NO_SRC);
             }
@@ -1733,7 +1765,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 Some(slab) => {
                     let window = &mut slab[dst * width..(dst + 1) * width];
                     form.stage(src, &self.states[src], msg, window);
-                    if F::SENDERS {
+                    if senders {
                         srcs[dst] = src as u32;
                     }
                 }
@@ -1746,7 +1778,11 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
                 faults: &self.faults,
                 order: self.order,
             };
-            form.deliver(&mut self.states, srcs, slab, ctx);
+            if senders {
+                form.deliver(&mut self.states, srcs, slab, ctx);
+            } else {
+                form.deliver_flip(ctx);
+            }
         }
         let delivered = acc.delivered as u64 - dropped;
         let words = acc.words - dropped_words;
@@ -1914,7 +1950,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             .expect("caller checked the cache");
         if sched.acct.is_none() {
             let mut acct = Box::new(AcctPlan::new(n));
-            for (dst, &e) in sched.enc.iter().enumerate() {
+            for (dst, &e) in sched.table(n).iter().enumerate() {
                 let src = (e & NO_SRC) as usize;
                 if src != NO_SRC as usize && topo.is_cross_edge(src, dst) {
                     acct.set_cross(dst);
@@ -1924,64 +1960,166 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
     }
 
-    /// A keyed pair fold whose [`Flip`](crate::Flip) equals the one its
-    /// schedule was compiled with: the compile validated exactly this
-    /// matching, so no node's plan is evaluated and no sender table is
-    /// filled. Every node sends (a flip pairs them all) and receives
-    /// `words` words, unless an armed drop loses its message; crashes
-    /// and link cuts evict the schedule before a cycle gets here, so
-    /// every node is live. The form then folds each pair once
+    /// Node-by-node validation's verdict on the matching `flip`, found
+    /// from bit roles and fault lists instead of a walk over the nodes:
+    /// `Ok` with the number of messages, or the [`SimError`] the full
+    /// path reports, at the same node, the lowest failing sender in the
+    /// documented check order. `None` when the topology gives no closed
+    /// form for the flip's bits ([`Topology::flip_is_edge`]), so the
+    /// caller checks node by node.
+    ///
+    /// Every node of a class sends across one bit, so adjacency and range
+    /// fail for a whole class or for none of it, and the first node of
+    /// the class is the lowest to fail; symmetry likewise (a class that
+    /// crosses while the other is silent). A flip never sends a node to
+    /// itself, and no node receives twice (see [`Flip::gated`]). What is
+    /// left to fail are the pairs that touch a crashed node or a downed
+    /// link, which come from the fault lists: O(1), or O(|F|) under
+    /// faults.
+    fn closed_form(&self, flip: Flip, pairwise: bool) -> Option<Result<usize, SimError>> {
+        let n = self.states.len();
+        if n < 2 || !n.is_power_of_two() {
+            return None;
+        }
+        let (top, half) = (n.trailing_zeros() - 1, n / 2);
+        let mut edge = [true; 2];
+        for (class, edge) in edge.iter_mut().enumerate() {
+            if let Some(bit) = flip.bit(class).filter(|&bit| bit <= top) {
+                *edge = self.topo.flip_is_edge(bit, class)?;
+            }
+        }
+        let firsts = [0, half];
+        if pairwise {
+            for u in firsts {
+                if let Some(v) = flip.target(u) {
+                    if v >= n {
+                        return Some(Err(SimError::OutOfRange {
+                            node: v,
+                            num_nodes: n,
+                        }));
+                    } else if flip.target(v) != Some(u) {
+                        return Some(Err(SimError::AsymmetricPair { a: u, b: v }));
+                    }
+                }
+            }
+        }
+        let faults = &self.faults;
+        // The checks of `claim_range`, in its order, for one sender.
+        let error = |src: NodeId| {
+            let dst = flip.target(src)?;
+            Some(if dst >= n {
+                SimError::OutOfRange {
+                    node: dst,
+                    num_nodes: n,
+                }
+            } else if faults.is_failed(src) {
+                SimError::NodeFailed { node: src }
+            } else if faults.is_failed(dst) {
+                SimError::NodeFailed { node: dst }
+            } else if !edge[src / half] {
+                SimError::NotAdjacent { src, dst }
+            } else if faults.link_is_down(src, dst) {
+                SimError::LinkDown { src, dst }
+            } else {
+                return None;
+            })
+        };
+        // Every failing sender is the first of its class (range,
+        // adjacency), a crashed node, the sender into one, or an end of a
+        // downed link; the lowest that `error` fails is the verdict.
+        let crashed = faults
+            .crashed()
+            .iter()
+            .flat_map(|&x| [Some(x), flip.sender(x)]);
+        let cut = faults.links_down().iter().flat_map(|&(a, b)| [a, b]);
+        let first = firsts
+            .into_iter()
+            .chain(crashed.flatten().filter(|&s| s < n))
+            .chain(cut)
+            .filter(|&u| error(u).is_some())
+            .min();
+        let senders = (0..2).filter(|&c| flip.bit(c).is_some()).count() * half;
+        Some(match first {
+            Some(u) => Err(error(u).expect("the lowest failing sender fails")),
+            None => Ok(senders),
+        })
+    }
+
+    /// A cycle whose matching is `flip`, proved legal already, in closed
+    /// form or as the schedule of the key `replayed` names, whose flip
+    /// equals it: no node's plan is evaluated, no sender table filled,
+    /// nothing staged. Its `senders` messages were validated; a node
+    /// received from its sender unless an armed drop lost its message.
+    /// The form folds or moves rows straight from the flip
     /// ([`Form::deliver_flip`]), and the cycle is charged, traced and
-    /// recorded as a replay of the same schedule.
+    /// recorded as the full path or a replay charges it: link accounting
+    /// per message, or, for a replay, into the schedule's deferred plan.
+    /// Returns the messages delivered.
     ///
     /// [`Form::deliver_flip`]: crate::comm::form::Form::deliver_flip
-    fn flip_cycle<F: Payload<S>>(
+    fn matching_cycle<F: Payload<S>>(
         &mut self,
-        key: ScheduleKey,
+        flip: Flip,
         words: u64,
+        senders: usize,
         form: &mut F,
+        replayed: Option<ScheduleKey>,
         obs: ObsCtx,
-    ) -> Result<usize, SimError>
+    ) -> usize
     where
         S: Send + Sync,
     {
         let n = self.states.len();
         let record_links = self.recorder.is_some();
-        if record_links {
-            self.prepare_deferred_links(key);
-        }
+        let ports = match replayed {
+            Some(key) if record_links => {
+                self.prepare_deferred_links(key);
+                0
+            }
+            _ if record_links => self.link_ports(),
+            _ => 0,
+        };
         self.dispatch_bounds();
-        let sched = self
-            .schedules
-            .get_mut(key)
-            .expect("caller checked the cache");
-        debug_assert!(
-            !self.faults.any_failed(),
-            "a flip schedule outlived a crash"
-        );
         let faults = &self.faults;
         let drops_active = faults.has_drops();
-        let received = |u: &NodeId| !(drops_active && faults.dropped(*u));
-        let delivered = if drops_active {
-            (0..n).filter(received).count()
-        } else {
-            n
-        };
+        let received = |dst: &NodeId| !(drops_active && faults.dropped(*dst));
+        let lost = faults.drops().iter().filter(|&&x| flip.sender(x).is_some());
+        let dropped = lost.count();
+        let delivered = senders - dropped;
         if let Some(trace) = self.trace.as_mut() {
             let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
-            trace.push((phase, sched.trace_pairs()));
+            trace.push((phase, flip_pairs(flip, n)));
         }
-        // Deferred link accounting, as a replay does it: one message of
-        // `words` words into every receiver whose message was not lost.
         if record_links {
-            let acct = sched.acct.as_deref_mut().expect("attached above");
             let mut util = LinkUtil::default();
-            for dst in (0..n).filter(received) {
-                acct.msgs[dst] += 1;
-                acct.words[dst] += words;
-                util.record(acct.is_cross(dst), words);
+            match replayed {
+                Some(key) => {
+                    let sched = self
+                        .schedules
+                        .get_mut(key)
+                        .expect("caller checked the cache");
+                    let acct = sched.acct.as_deref_mut().expect("attached above");
+                    let from = flip.sources();
+                    for dst in (0..n)
+                        .filter(|u| from.target(*u).is_some())
+                        .filter(received)
+                    {
+                        acct.msgs[dst] += 1;
+                        acct.words[dst] += words;
+                        util.record(acct.is_cross(dst), words);
+                    }
+                    acct.dirty = true;
+                }
+                None => {
+                    let rec = self.recorder.as_mut().expect("recording");
+                    let pairs = flip_pairs(flip, n).into_iter();
+                    for (src, dst) in pairs.filter(|(_, dst)| received(dst)) {
+                        let cross = self.topo.is_cross_edge(src, dst);
+                        util.record(cross, words);
+                        rec.record_link(link_slot(self.topo, ports, src, dst), words, cross);
+                    }
+                }
             }
-            acct.dirty = true;
             self.metrics.link_util.add_bulk(util);
         }
         let ctx = Ctx {
@@ -1990,15 +2128,14 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             order: self.order,
         };
         form.deliver_flip(ctx);
-        let dropped = (sched.delivered - delivered) as u64;
         let words = delivered as u64 * words;
         self.metrics.record_comm_words(delivered as u64, words);
-        self.metrics.dropped_messages += dropped;
+        self.metrics.dropped_messages += dropped as u64;
         if drops_active {
             self.faults.clear_drops();
         }
-        self.emit_comm(obs, delivered as u64, words, dropped, form.lanes());
-        Ok(delivered)
+        self.emit_comm(obs, delivered as u64, words, dropped as u64, form.lanes());
+        delivered
     }
 
     /// A keyed cycle of any payload form served from the cache: one
@@ -2031,6 +2168,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             .get_mut(key)
             .expect("caller checked the cache");
         let sched_delivered = sched.delivered;
+        sched.table(n);
         // The sender table: `srcs[u]` carries the packed sender (`NO_SRC`
         // = silent), written unconditionally by every receiver's fused
         // pass, so stale values never leak across cycles (and the table
@@ -2088,7 +2226,7 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
         }
         if let Some(trace) = self.trace.as_mut() {
             let phase = self.metrics.phases.len().checked_sub(1).map(|i| i as u32);
-            trace.push((phase, sched.trace_pairs()));
+            trace.push((phase, sched.trace_pairs(n)));
         }
         // Deferred link accounting over the staged senders (one per
         // delivered message — drops were excluded during the fused pass).
@@ -2115,7 +2253,13 @@ impl<'t, T: Topology + ?Sized + Sync, S> Machine<'t, T, S> {
             faults: &self.faults,
             order: self.order,
         };
-        form.deliver(&mut self.states, srcs, slab, ctx);
+        // A matching that equals the schedule's pattern node for node is
+        // that pattern, so it may deliver from its flip.
+        if form.flip().is_some() {
+            form.deliver_flip(ctx);
+        } else {
+            form.deliver(&mut self.states, srcs, slab, ctx);
+        }
         let delivered = acc.delivered;
         let dropped = (sched_delivered - delivered) as u64;
         self.metrics.record_comm_words(delivered as u64, acc.words);
@@ -3946,6 +4090,38 @@ mod tests {
                 (keyed.0, keyed.1, keyed.2, keyed.3),
                 (plain.0, plain.1, plain.2, plain.3)
             );
+        }
+    }
+
+    /// A matching proved in closed form stores its flip and no table;
+    /// the table a closure-planned replay under the key builds from it
+    /// is the one a node-by-node compile of the same pattern writes, and
+    /// the replay accepts it.
+    #[test]
+    fn a_flip_schedule_builds_the_compiled_table_on_demand() {
+        let d = dc_topology::DualCube::new(3);
+        let (n, cb) = (d.num_nodes(), d.class_bit());
+        for flip in [
+            Flip::by_class(cb, [1, 3]),
+            Flip::uniform(cb),
+            Flip::gated(cb, [None, Some(cb)]),
+        ] {
+            let key = ScheduleKey::Custom(7);
+            let t = vec![1u64; n];
+            let mut got = vec![0u64; n];
+            let mut proved = Machine::new(&d, vec![(); n]);
+            proved.cycle(|c| c.rows_on(1, flip, [(&t[..], &mut got[..])]).keyed(key));
+            let stored = proved.schedules.get(key).expect("stored");
+            assert!(stored.enc.is_empty(), "{flip:?}: the miss built a table");
+            let plan = |u: NodeId, _: &()| flip.target(u);
+            proved.cycle(|c| c.rows(1, plan, [(&t[..], &mut got[..])]).keyed(key));
+            let mut compiled = Machine::new(&d, vec![(); n]);
+            compiled.cycle(|c| c.rows(1, plan, [(&t[..], &mut got[..])]).keyed(key));
+            let table = |m: &Machine<'_, dc_topology::DualCube, ()>| {
+                m.schedules.get(key).expect("stored").enc.clone()
+            };
+            assert_eq!(table(&proved), table(&compiled), "{flip:?}");
+            assert_eq!(proved.metrics().schedule_hits, 1, "{flip:?}");
         }
     }
 

@@ -47,7 +47,7 @@
 //! generic over `impl Cycles<S>`, drives either; [`model_counters`] is
 //! the part of [`Metrics`] both charge.
 
-use crate::comm::form::Form;
+use crate::comm::form::{check_pairs, Form};
 use crate::comm::{Comm, Flip, FoldPairs, FoldRows, Lanes, Message, Payload, RowOrder, Rows};
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
@@ -101,13 +101,6 @@ impl<'t, T: Topology + ?Sized, S> RefMachine<'t, T, S> {
     /// Consumes the machine, returning final states and metrics.
     pub fn into_parts(self) -> (Vec<S>, Metrics) {
         (self.states, self.metrics)
-    }
-
-    /// Panics as [`Comm::fold_pairs`] does unless `flip` fits the machine
-    /// and is a bit flip of rows under its order.
-    fn check_flip(&self, flip: Flip) {
-        flip.check(self.states.len());
-        self.order.flip(flip);
     }
 
     fn apply_fault(&mut self, kind: FaultKind) {
@@ -224,9 +217,7 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         comm: impl FnOnce(Comm<S>) -> Comm<S, F>,
     ) -> Result<usize, SimError> {
         let mut comm = comm(Comm::blank());
-        if let Some((flip, _)) = comm.form.flip() {
-            self.check_flip(flip);
-        }
+        comm.form.check(self.states.len(), self.order);
         let now = self.metrics.comm_steps;
         let (due, later) = self.pending.iter().partition(|e| e.at_cycle <= now);
         self.pending = later;
@@ -329,7 +320,7 @@ impl<T: Topology + ?Sized, S> Cycles<S> for RefMachine<'_, T, S> {
         V: Clone + Send + Sync,
     {
         for &(_, flip) in rounds {
-            self.check_flip(flip);
+            check_pairs(flip, self.states.len(), self.order);
         }
         for &(key, flip) in rounds {
             let rows = rows.each_mut().map(|r| &mut **r);

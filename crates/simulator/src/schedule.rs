@@ -9,13 +9,50 @@
 //! receive-conflict table, pairwise symmetry pre-pass) is therefore pure
 //! repeated work. This module gives those patterns names
 //! ([`ScheduleKey`]) and a per-machine cache (`ScheduleCache`): the
-//! first cycle with a key runs full validation and **compiles** the
-//! matching into one packed `u32` per node (inbound source + sends flag;
-//! trace pairs are reconstructed on demand); subsequent cycles with the
-//! same key **replay** it — CUDA-graph style — skipping every validation
-//! structure, so a replayed cycle is plan → scatter → deliver with no
-//! sequential O(N) phase (and a pair fold replayed by its flip is
-//! deliver alone).
+//! first cycle with a key proves the matching legal and stores it;
+//! subsequent cycles with the same key **replay** it — CUDA-graph style
+//! — skipping every validation structure.
+//!
+//! # A matching needs no compile
+//!
+//! A matching given as a value, a [`Flip`] (the pair fold
+//! [`Comm::fold_pairs`](crate::Comm::fold_pairs) and the row forms
+//! [`Comm::rows_on`](crate::Comm::rows_on) and
+//! [`Comm::fold_rows_on`](crate::Comm::fold_rows_on)), is a class-gated
+//! bit flip: every node of a class sends across the same bit, or none
+//! does. Whether that is legal is a fact about bits, not about nodes.
+//! Section 2 of the paper defines `D_n`'s edges by bit roles (the class
+//! bit is always an edge, bits `0 … n−2` only inside class 0, bits
+//! `n−1 … 2n−3` only inside class 1), and a hypercube's every bit is an
+//! edge, so the topology answers
+//! [`Topology::flip_is_edge`](dc_topology::Topology::flip_is_edge) once
+//! per class. A flip never sends a node to itself, its construction
+//! rules out a node receiving twice, and it is pairwise unless one class
+//! crosses while the other stays silent. So a matching cycle is proved
+//! legal in O(1), and under crashed nodes or downed links in O(|F|): only
+//! the pairs the fault lists name can fail. The verdict is the one the
+//! node-by-node check reaches, down to the [`SimError`](crate::SimError)
+//! and the node it blames (the lowest failing sender, in the documented
+//! check order), and `tests/closed_form.rs` holds every matching on
+//! `Q_1 … Q_10` and `D_1 … D_6` to the reference machine's verdict.
+//!
+//! Keyed, such a cycle is still charged as a miss on first sight, and
+//! its schedule stores the flip, not a table: the per-node table below
+//! is built only when something reads it — a closure-planned cycle
+//! replaying under the key, or a recorded replay's deferred link plan —
+//! and then equals the table a node-by-node compile writes. A later
+//! matching cycle under the key whose flip **equals** the stored one
+//! runs exactly that matching, so it replays without evaluating any
+//! node's plan, and so does a sweep of pair folds
+//! ([`Machine::sweep`](crate::Machine::sweep)), whose rounds a first
+//! call validates in closed form before it walks blocks.
+//!
+//! Which cycles still compile node by node: every cycle with a closure
+//! plan (Algorithm 3's windows, the collectives, routing), a matching
+//! cycle on a topology with no closed form (a relabelled or fault-wrapped
+//! graph, `Metacube`, the cube-connected cycles), and every cycle with
+//! replay off ([`Machine::set_schedule_replay`](crate::Machine::set_schedule_replay)),
+//! the node-by-node baseline.
 //!
 //! # Why replay cannot launder an invalid schedule
 //!
@@ -33,19 +70,12 @@
 //! only the re-*derivation* of legality (adjacency, conflict-freedom,
 //! symmetry), which depends on the pattern alone.
 //!
-//! A pair fold ([`Comm::fold_pairs`](crate::Comm::fold_pairs)) carries
-//! its matching as a value, a [`Flip`]: node `u` pairs with `u ^
-//! mask(u)`, and nothing else — no state, no closure — decides where a
-//! node sends. The schedule a pair fold compiles records its flip. A
-//! later pair fold under the key whose flip **equals** the recorded one
-//! therefore runs exactly the matching the compile validated, and the
-//! equality is checked on every such cycle, so that cycle replays
-//! without evaluating any node's plan. Every other case — a different
-//! flip, a schedule a closure plan compiled, a closure-planned cycle on
-//! a schedule a flip compiled — takes the per-node check above and
-//! reports the same deviation. A crash or link cut evicts every
-//! schedule (see below), so a flip replays only while every node is
-//! live and every link up, as when it compiled.
+//! A matching cycle replays by flip equality, which is checked on every
+//! such cycle; every other case — a different flip, a schedule a
+//! closure plan compiled, a closure-planned cycle on a schedule a flip
+//! proved — takes the per-node check above and reports the same
+//! deviation. A crash or link cut evicts every schedule (see below), so
+//! a flip replays only under the crashes and cuts it was proved under.
 
 use crate::comm::Flip;
 use dc_topology::NodeId;
@@ -118,10 +148,14 @@ pub(crate) struct CompiledSchedule {
     /// magnitude above the paper's headline machine. Because shards are
     /// contiguous id ranges, this dense dst-indexed layout is already
     /// **shard-major**: a shard's receivers occupy one contiguous slice.
+    /// Empty while the schedule holds its matching as a [`Flip`] and
+    /// nothing has read the table yet ([`CompiledSchedule::table`]).
     pub enc: Vec<u32>,
-    /// The [`Flip`] of the pair fold that compiled the schedule
-    /// ([`Comm::fold_pairs`](crate::Comm::fold_pairs)), `None` when a
-    /// closure plan did. A later pair fold under the key whose flip
+    /// The [`Flip`] of the matching cycle that compiled the schedule
+    /// ([`Comm::fold_pairs`](crate::Comm::fold_pairs),
+    /// [`Comm::rows_on`](crate::Comm::rows_on),
+    /// [`Comm::fold_rows_on`](crate::Comm::fold_rows_on)), `None` when a
+    /// closure plan did. A later matching cycle under the key whose flip
     /// equals it replays by that equality alone.
     pub flip: Option<Flip>,
     /// Messages the pattern delivers.
@@ -139,10 +173,53 @@ pub(crate) struct CompiledSchedule {
 }
 
 impl CompiledSchedule {
-    /// The `(src, dst)` pairs in `src` order — exactly what a traced
-    /// validate-every-cycle run records. Materialised on demand (tracing
-    /// is a diagnostics mode; compile and replay never pay for it).
-    pub fn trace_pairs(&self) -> Vec<(NodeId, NodeId)> {
+    /// The schedule a matching cycle proved legal in closed form: its
+    /// flip, and no table until something reads one.
+    pub fn of_flip(key: ScheduleKey, flip: Flip, delivered: usize, epoch: u64) -> Self {
+        CompiledSchedule {
+            key,
+            enc: Vec::new(),
+            flip: Some(flip),
+            delivered,
+            epoch,
+            acct: None,
+        }
+    }
+
+    /// The per-node table of an `n`-node machine, built from the flip
+    /// the first time something reads it: a closure-planned cycle
+    /// replaying under the key, or a recorded replay's deferred link
+    /// plan. It equals the table a node-by-node compile of the same
+    /// matching writes.
+    pub fn table(&mut self, n: usize) -> &[u32] {
+        if self.enc.is_empty() {
+            let flip = self
+                .flip
+                .expect("a schedule without a table holds its flip");
+            let from = flip.sources();
+            self.enc = (0..n)
+                .map(|u| {
+                    let sends = if flip.target(u).is_some() {
+                        SENDS_BIT
+                    } else {
+                        0
+                    };
+                    sends | from.target(u).map_or(NO_SRC, |src| src as u32)
+                })
+                .collect();
+        }
+        &self.enc
+    }
+
+    /// The `(src, dst)` pairs of an `n`-node machine in `src` order —
+    /// exactly what a traced validate-every-cycle run records: straight
+    /// from the flip when the schedule holds one, else from the table.
+    /// Materialised on demand (tracing is a diagnostics mode; compile
+    /// and replay never pay for it).
+    pub fn trace_pairs(&self, n: usize) -> Vec<(NodeId, NodeId)> {
+        if let Some(flip) = self.flip {
+            return flip_pairs(flip, n);
+        }
         let mut pairs: Vec<(NodeId, NodeId)> = self
             .enc
             .iter()
@@ -155,6 +232,14 @@ impl CompiledSchedule {
         pairs.sort_unstable();
         pairs
     }
+}
+
+/// The `(src, dst)` pairs of `flip` on an `n`-node machine, in `src`
+/// order.
+pub(crate) fn flip_pairs(flip: Flip, n: usize) -> Vec<(NodeId, NodeId)> {
+    (0..n)
+        .filter_map(|u| flip.target(u).map(|v| (u, v)))
+        .collect()
 }
 
 /// Deferred per-schedule link accounting for **recorded replay** cycles.
@@ -436,7 +521,7 @@ mod tests {
         assert!(!cache.contains(ScheduleKey::Dim(0)));
         let got = cache.get(ScheduleKey::Cross).unwrap();
         assert_eq!(got.delivered, 2);
-        assert_eq!(got.trace_pairs(), vec![(0, 1), (1, 0)]);
+        assert_eq!(got.trace_pairs(2), vec![(0, 1), (1, 0)]);
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert_eq!(cache.len(), 0);

@@ -352,10 +352,11 @@ fn large_blocked_sweeps_equal_their_rounds() {
 /// call order, and the length of its runs.
 type Calls = Vec<(usize, usize)>;
 
-/// Runs two sweeps of `D_n`'s cluster rounds at `k` lanes on the
-/// sequential backend (the first compiles, the second may walk blocks)
-/// and returns the second's fold calls.
-fn second_sweep_calls(n: u32, k: usize, order: RowOrder, swept: bool) -> Calls {
+/// Runs `sweeps` sweeps of `D_n`'s cluster rounds at `k` lanes on a
+/// fresh machine on the sequential backend (the first proves its
+/// rounds, later ones replay them) and returns the last one's fold
+/// calls.
+fn sweep_calls(n: u32, k: usize, order: RowOrder, swept: bool, sweeps: usize) -> Calls {
     let d = DualCube::new(n);
     let mut m = Machine::with_exec(&d, vec![(); d.num_nodes()], ExecMode::Sequential);
     m.set_row_order(order);
@@ -367,7 +368,7 @@ fn second_sweep_calls(n: u32, k: usize, order: RowOrder, swept: bool) -> Calls {
         calls.lock().unwrap().push((row, lo[0].len()));
         mix(lo, hi, got);
     };
-    for _ in 0..2 {
+    for _ in 0..sweeps {
         calls.lock().unwrap().clear();
         let slabs = [&mut t[..], &mut s[..], &mut ids[..]];
         if swept {
@@ -396,13 +397,17 @@ fn data_order_sweeps_walk_one_cluster_at_a_time() {
     let (n, k) = (7, 16);
     let d = DualCube::new(n);
     let cluster = d.cluster_size();
-    let calls = second_sweep_calls(n, k, data_order(&d), true);
+    let calls = sweep_calls(n, k, data_order(&d), true, 2);
     // One call per half-block of each round: 32 + 16 + … + 1 per cluster.
     assert_eq!(calls.len(), (cluster - 1) * d.num_nodes() / cluster);
     assert!(
         blockwise(&calls, cluster),
         "a cluster's rounds interleave with another's"
     );
+    // A cold sweep proves its rounds in closed form and walks the same
+    // blocks on its first call.
+    let cold = sweep_calls(n, k, data_order(&d), true, 1);
+    assert_eq!(cold, calls, "a cold sweep walks as a warm one does");
     // Every run is a whole half-block of its round.
     for w in calls.chunks(cluster - 1) {
         let halves: Vec<usize> = w.iter().map(|&(_, len)| len / k).collect();
@@ -414,9 +419,9 @@ fn data_order_sweeps_walk_one_cluster_at_a_time() {
     // The same rounds as separate cycles sweep the whole machine per
     // round, and in node order a class-1 cluster's rows are strided, so
     // only class 0 walks cluster by cluster.
-    let cycles = second_sweep_calls(n, k, data_order(&d), false);
+    let cycles = sweep_calls(n, k, data_order(&d), false, 2);
     assert!(!blockwise(&cycles, cluster));
-    let node = second_sweep_calls(n, k, RowOrder::NODE, true);
+    let node = sweep_calls(n, k, RowOrder::NODE, true, 2);
     let (class0, class1): (Vec<_>, Vec<_>) =
         node.iter().partition(|&&(row, _)| row < d.num_nodes() / 2);
     assert!(blockwise(&class0, cluster));

@@ -322,6 +322,7 @@ fn steady_state_cycles_do_not_allocate() {
 
     // --- Threaded keyed replay: same guarantee on the pool path. ---
     let mut pk = Machine::with_exec(&q, init.clone(), ExecMode::Parallel { threshold: 1 });
+    pk.set_workers(4);
     for _ in 0..2 {
         pk.cycle(|c| {
             c.message(

@@ -325,6 +325,18 @@ impl Topology for DualCube {
         })
     }
 
+    /// Section 2's bit roles, the rule [`DualCube::is_edge`] reads: the
+    /// class bit is an edge everywhere, bits `0 … n−2` only in class 0,
+    /// and bits `n−1 … 2n−3` only in class 1. The top address bit is the
+    /// class bit, so `class` is the node's class.
+    fn flip_is_edge(&self, bit: u32, class: usize) -> Option<bool> {
+        let in_class = match class {
+            0 => bit < self.cluster_dim(),
+            _ => (self.cluster_dim()..self.class_bit()).contains(&bit),
+        };
+        Some(bit == self.class_bit() || in_class)
+    }
+
     fn name(&self) -> String {
         format!("D_{}", self.n)
     }

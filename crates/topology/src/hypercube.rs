@@ -82,6 +82,11 @@ impl Topology for Hypercube {
         (hamming(u, v) == 1).then(|| (u ^ v).trailing_zeros())
     }
 
+    /// Every bit below the dimension is an edge at every node.
+    fn flip_is_edge(&self, bit: u32, _class: usize) -> Option<bool> {
+        Some(bit < self.dim)
+    }
+
     fn name(&self) -> String {
         format!("Q_{}", self.dim)
     }

@@ -125,6 +125,21 @@ pub trait Topology {
         false
     }
 
+    /// Whether flipping address bit `bit` gives an edge at the nodes whose
+    /// top address bit is `class` (0 or 1), answered from the topology's
+    /// bit roles: `Some(true)` when it does at every such node,
+    /// `Some(false)` when it does at none, and `None`, the default, when
+    /// the topology has no such closed form (its answer varies from node
+    /// to node, or it does not say), so a caller checks node by node. Only
+    /// a topology of `2^k` nodes, `k ≥ 1`, answers, and a bit at or above
+    /// `k` is never an edge. The simulator proves a bit-flip matching
+    /// legal with two of these queries instead of one
+    /// [`Topology::is_edge`] per sender.
+    fn flip_is_edge(&self, bit: u32, class: usize) -> Option<bool> {
+        let _ = (bit, class);
+        None
+    }
+
     /// Human-readable name, e.g. `"D_3"` or `"Q_5"`.
     fn name(&self) -> String;
 }

@@ -182,3 +182,53 @@ fn closed_form_overrides_agree_with_neighbor_defaults() {
         &Faulty::with_link_faults(d2, &[3], &[(0, 1)]),
     );
 }
+
+/// `flip_is_edge` answers from bit roles what `is_edge` says node by
+/// node: `Some(true)` exactly when flipping the bit is an edge at every
+/// node whose top address bit is the class, `Some(false)` when at none;
+/// a bit past the address is never an edge. Every other topology, the
+/// fault wrapper included, gives no closed form.
+#[test]
+fn flip_is_edge_matches_is_edge_node_by_node() {
+    use dc_topology::{faulty::Faulty, CubeConnectedCycles, Hypercube};
+
+    fn check(label: &str, t: &impl Topology) {
+        let n = t.num_nodes();
+        let bits = n.trailing_zeros();
+        for bit in 0..bits + 2 {
+            for class in 0..2 {
+                let nodes = class * n / 2..(class + 1) * n / 2;
+                let edges = nodes
+                    .clone()
+                    .filter(|&u| (u ^ 1 << bit) < n && t.is_edge(u, u ^ 1 << bit))
+                    .count();
+                let want = match edges {
+                    0 => false,
+                    e if e == nodes.len() => true,
+                    _ => panic!("{label}: bit {bit} is an edge at some of class {class}"),
+                };
+                assert_eq!(
+                    t.flip_is_edge(bit, class),
+                    Some(want),
+                    "{label}: bit {bit}, class {class}"
+                );
+            }
+        }
+    }
+
+    for m in 1..=10 {
+        check(&format!("Q_{m}"), &Hypercube::new(m));
+    }
+    for n in 1..=6 {
+        check(&format!("D_{n}"), &DualCube::new(n));
+    }
+    let d3 = DualCube::new(3);
+    for none in [
+        RecDualCube::new(3).flip_is_edge(0, 0),
+        Metacube::new(1, 2).flip_is_edge(0, 0),
+        CubeConnectedCycles::new(3).flip_is_edge(0, 0),
+        Faulty::new(d3, &[]).flip_is_edge(d3.class_bit(), 0),
+    ] {
+        assert_eq!(none, None, "only the bit-role topologies answer");
+    }
+}
